@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "kernels/kernels.h"
-
 namespace ssjoin::filter {
 
 namespace {
 
 /// Density threshold for the bitmap representation: at >= 1/8 of the
-/// universe the O(1)-membership bitmap beats merging a long list.
+/// universe the O(1)-membership bitmap beats searching a long list.
 bool PreferBitmap(size_t count, uint32_t universe) {
   return universe > 0 && count * 8 >= universe;
 }
@@ -66,28 +64,25 @@ bool EligibleSet::Contains(uint32_t local) const {
   return false;
 }
 
-void EligibleSet::FilterSorted(std::vector<uint32_t>* locals) const {
+void EligibleSet::FilterSorted(std::vector<uint32_t>* locals,
+                               std::vector<uint32_t>* aligned) const {
   switch (kind_) {
     case Kind::kAll:
       return;
     case Kind::kNone:
       locals->clear();
+      if (aligned != nullptr) aligned->clear();
       return;
-    case Kind::kList: {
-      // Both sides sorted unique: the kernel intersection writes the
-      // surviving candidates back in place, in order.
-      size_t n = kernels::IntersectTokens(
-          std::span<const uint32_t>(*locals),
-          std::span<const uint32_t>(list_), locals->data());
-      locals->resize(n);
-      return;
-    }
+    case Kind::kList:
     case Kind::kBitmap: {
       size_t out = 0;
-      for (uint32_t local : *locals) {
-        if (Contains(local)) (*locals)[out++] = local;
+      for (size_t i = 0; i < locals->size(); ++i) {
+        if (!Contains((*locals)[i])) continue;
+        if (aligned != nullptr) (*aligned)[out] = (*aligned)[i];
+        (*locals)[out++] = (*locals)[i];
       }
       locals->resize(out);
+      if (aligned != nullptr) aligned->resize(out);
       return;
     }
   }

@@ -18,8 +18,8 @@ namespace ssjoin::filter {
 ///
 ///  - kAll:    empty predicate — every local is eligible (no work).
 ///  - kNone:   nothing matches — the caller skips the segment outright.
-///  - kList:   a sorted unique local-id list; intersected with the
-///             similarity candidate list via kernels::IntersectTokens.
+///  - kList:   a sorted unique local-id list; candidates are looked up
+///             by binary search.
 ///  - kBitmap: one bit per local; candidates are membership-tested.
 ///
 /// Both materialized forms describe the same set, and FilterSorted keeps
@@ -33,7 +33,7 @@ class EligibleSet {
   static EligibleSet All();
   static EligibleSet None();
   /// Chooses kList or kBitmap from the density |locals| / universe (dense
-  /// sets pay for O(1) membership words; sparse sets stay mergeable).
+  /// sets pay for O(1) membership words; sparse sets stay compact).
   /// `locals` must be sorted and unique, each < universe.
   static EligibleSet FromSorted(std::vector<uint32_t> locals,
                                 uint32_t universe);
@@ -44,8 +44,10 @@ class EligibleSet {
   bool Contains(uint32_t local) const;
 
   /// Removes ineligible locals from a sorted unique candidate list in
-  /// place, preserving order.
-  void FilterSorted(std::vector<uint32_t>* locals) const;
+  /// place, preserving order. A non-null `aligned` (one entry per local)
+  /// is compacted in step, so entry i keeps describing local i.
+  void FilterSorted(std::vector<uint32_t>* locals,
+                    std::vector<uint32_t>* aligned = nullptr) const;
 
  private:
   Kind kind_ = Kind::kAll;

@@ -1,8 +1,12 @@
 #include "fuzz/oracles.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "kernels/kernels.h"
+#include "text/weights.h"
 
 namespace ssjoin::fuzz {
 
@@ -20,6 +24,34 @@ double OverlapOf(core::SetView a, core::SetView b,
 
 bool Intersects(core::SetView a, core::SetView b) {
   return kernels::IntersectCountTier(kernels::Tier::kScalar, a, b) > 0;
+}
+
+/// A (token, ordinal) element — the k-th occurrence of a token in one
+/// string (the multiset-to-set conversion of §4.3.1) — keyed by content,
+/// so no token dictionary is involved.
+using Element = std::pair<std::string, uint32_t>;
+
+std::vector<Element> ElementsOf(const text::Tokenizer& tokenizer,
+                                const std::string& s) {
+  std::map<std::string, uint32_t> occurrences;
+  std::vector<Element> out;
+  for (std::string& token : tokenizer.Tokenize(s)) {
+    uint32_t ordinal = occurrences[token]++;
+    out.emplace_back(std::move(token), ordinal);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Exact `overlap >= alpha * uni` through an error-free product: FMA gives
+/// alpha * uni == p + e exactly, and near the boundary (p/2 <= overlap <=
+/// 2p) overlap - p is exact by Sterbenz's lemma.
+bool AtLeastExactly(double overlap, double uni, double alpha) {
+  const double p = alpha * uni;
+  const double e = std::fma(alpha, uni, -p);
+  if (overlap > 2 * p) return true;
+  if (overlap < p / 2) return false;
+  return overlap - p >= e;
 }
 
 }  // namespace
@@ -100,6 +132,52 @@ std::vector<simjoin::MatchPair> CrossProductCosine(const simjoin::Prepared& prep
       if (cos >= alpha - 1e-12) out.push_back({gr, gs, cos});
     }
   }
+  return out;
+}
+
+std::vector<LookupOracleMatch> BruteForceLookup(
+    const std::vector<std::string>& records, const text::Tokenizer& tokenizer,
+    double alpha, const std::string& query, size_t k) {
+  std::vector<std::vector<Element>> sets;
+  std::map<Element, uint64_t> df;
+  for (const std::string& record : records) {
+    sets.push_back(ElementsOf(tokenizer, record));
+    for (const Element& e : sets.back()) ++df[e];
+  }
+  const auto n = static_cast<double>(records.size());
+  auto weight = [&](const Element& e) {
+    auto it = df.find(e);
+    return text::QuantizeWeight(it == df.end()
+                                    ? std::log(std::max(2.0, n))
+                                    : text::IdfWeightFromFrequency(n, it->second));
+  };
+  const std::vector<Element> q = ElementsOf(tokenizer, query);
+  double query_weight = 0.0;
+  for (const Element& e : q) query_weight += weight(e);
+
+  std::vector<LookupOracleMatch> out;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    double overlap = 0.0;
+    double set_weight = 0.0;
+    bool shared = false;
+    for (const Element& e : sets[i]) {
+      double w = weight(e);
+      set_weight += w;
+      if (std::binary_search(q.begin(), q.end(), e)) {
+        overlap += w;
+        shared = true;
+      }
+    }
+    if (!shared) continue;
+    double uni = query_weight + set_weight - overlap;
+    if (AtLeastExactly(overlap, uni, alpha)) out.push_back({i, overlap / uni});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const LookupOracleMatch& a, const LookupOracleMatch& b) {
+              if (a.similarity != b.similarity) return a.similarity > b.similarity;
+              return a.index < b.index;
+            });
+  if (out.size() > k) out.resize(k);
   return out;
 }
 

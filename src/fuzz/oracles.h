@@ -9,6 +9,7 @@
 #include "core/ssjoin.h"
 #include "simjoin/prep.h"
 #include "simjoin/types.h"
+#include "text/tokenizer.h"
 
 namespace ssjoin::fuzz {
 
@@ -40,6 +41,24 @@ std::vector<simjoin::MatchPair> CrossProductJaccardResemblance(
 /// predicate plus the exact cosine filter; expects kIdfSquared weights).
 std::vector<simjoin::MatchPair> CrossProductCosine(const simjoin::Prepared& prep,
                                                    double alpha);
+
+/// One brute-force lookup result: the index of the matching record plus its
+/// Jaccard resemblance.
+struct LookupOracleMatch {
+  size_t index;
+  double similarity;
+};
+
+/// \brief Brute-force fuzzy-lookup oracle: interns the (token, ordinal)
+/// elements of `records` on its own, computes their quantized IDF weights
+/// (unseen query elements weigh log(max(2, n))), and tests EVERY record
+/// sharing an element with the query for exact `overlap >= alpha * union`.
+/// The exact test is an error-free FMA product, independent of
+/// text::ResemblanceAtLeast. Returns the best `k` by (similarity desc,
+/// index asc) — the contract both lookup indexes must meet bit for bit.
+std::vector<LookupOracleMatch> BruteForceLookup(
+    const std::vector<std::string>& records, const text::Tokenizer& tokenizer,
+    double alpha, const std::string& query, size_t k);
 
 /// \brief The Property 4 q-gram count bound
 /// `max(|s1|,|s2|) - q + 1 - q * budget`, or a negative value when it is

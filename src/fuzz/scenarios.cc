@@ -646,7 +646,8 @@ struct ScratchDirGuard {
 /// valid case. After EVERY applied op, all `s` queries are checked bitwise
 /// (ids and similarities) against a from-scratch immutable build over the
 /// live records sorted by ascending doc_id — the equivalence contract under
-/// arbitrary interleavings, epoch by epoch.
+/// arbitrary interleavings, epoch by epoch — and against BruteForceLookup,
+/// which shares neither index's candidate generation nor its exact test.
 Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -687,29 +688,44 @@ Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
     }
     SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex oracle,
                             simjoin::FuzzyMatchIndex::Build(refs, mopts.match));
-    for (const std::string& query : rp.s) {
-      std::vector<index::MutableFuzzyIndex::Match> got = index->Lookup(query, k);
-      std::vector<simjoin::FuzzyMatchIndex::Match> want = oracle.Lookup(query, k);
+    // Compares `got` with one oracle's (id, similarity) list, bitwise.
+    auto same = [&](const std::vector<index::MutableFuzzyIndex::Match>& got,
+                    const std::vector<std::pair<uint64_t, double>>& want,
+                    const char* oracle_name, const std::string& query) {
       if (got.size() != want.size()) {
         result.detail = "mutable_index after '" + ctx + "': result count " +
-                        std::to_string(got.size()) + " vs oracle " +
+                        std::to_string(got.size()) + " vs " + oracle_name + " " +
                         std::to_string(want.size()) + " for query \"" + query +
                         "\"";
         return false;
       }
       for (size_t i = 0; i < got.size(); ++i) {
-        if (got[i].id != ids[want[i].ref_index] ||
-            got[i].similarity != want[i].similarity) {
+        if (got[i].id != want[i].first || got[i].similarity != want[i].second) {
           result.detail =
               "mutable_index after '" + ctx + "': match " + std::to_string(i) +
               " diverges (id=" + std::to_string(got[i].id) +
-              " sim=" + StringPrintf("%.17g", got[i].similarity) +
-              " vs oracle id=" + std::to_string(ids[want[i].ref_index]) +
-              " sim=" + StringPrintf("%.17g", want[i].similarity) +
+              " sim=" + StringPrintf("%.17g", got[i].similarity) + " vs " +
+              oracle_name + " id=" + std::to_string(want[i].first) +
+              " sim=" + StringPrintf("%.17g", want[i].second) +
               ") for query \"" + query + "\"";
           return false;
         }
       }
+      return true;
+    };
+    for (const std::string& query : rp.s) {
+      std::vector<index::MutableFuzzyIndex::Match> got = index->Lookup(query, k);
+      std::vector<std::pair<uint64_t, double>> want;
+      for (const auto& m : oracle.Lookup(query, k)) {
+        want.emplace_back(ids[m.ref_index], m.similarity);
+      }
+      if (!same(got, want, "immutable", query)) return false;
+      want.clear();
+      for (const LookupOracleMatch& m : BruteForceLookup(
+               refs, index->tokenizer(), mopts.match.alpha, query, k)) {
+        want.emplace_back(ids[m.index], m.similarity);
+      }
+      if (!same(got, want, "brute-force", query)) return false;
     }
     return true;
   };

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <unordered_set>
 
 #include "common/atomic_file.h"
 #include "common/hash.h"
-#include "core/predicate.h"
+#include "core/prefix_filter.h"
 #include "filter/be_index.h"
 #include "filter/metrics.h"
-#include "core/prefix_filter.h"
 #include "index/manifest.h"
 #include "kernels/kernels.h"
 #include "text/weights.h"
@@ -34,6 +32,20 @@ std::unique_ptr<text::Tokenizer> MakeTokenizer(
     const simjoin::FuzzyMatchIndex::Options& match) {
   if (match.word_tokens) return std::make_unique<text::WordTokenizer>();
   return std::make_unique<text::QGramTokenizer>(match.q);
+}
+
+/// Process-wide `index.lookup.*` work counters, resolved once (registry
+/// lookups are mutex-guarded) and added to once per lookup.
+struct LookupCounters {
+  obs::Counter* candidates;     // distinct live docs met by the query prefix
+  obs::Counter* verifications;  // of those, verified past the positional bound
+};
+
+const LookupCounters& LookupMetrics() {
+  static const LookupCounters counters{
+      obs::Registry::Global().GetCounter("index.lookup.candidates"),
+      obs::Registry::Global().GetCounter("index.lookup.verifications")};
+  return counters;
 }
 
 }  // namespace
@@ -123,10 +135,16 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
       final_state[doc_id] = {si, st};
     }
   }
+  for (const auto& seg : index->sealed_) {
+    index->sealed_winners_.push_back(
+        std::make_shared<WinnerFlags>(seg->num_docs(), 0));
+  }
+  index->sealed_winners_shared_.assign(index->sealed_.size(), 0);
   for (const auto& [doc_id, seg_state] : final_state) {
     const auto& [si, st] = seg_state;
     if (st.deleted || st.last_local == kNoLocalDoc) continue;
     index->doc_map_[doc_id] = DocLoc{si, st.last_local};
+    (*index->sealed_winners_[si])[st.last_local] = 1;
     for (text::TokenId e : index->sealed_[si]->sets.elements(st.last_local)) {
       if (e >= index->df_live_.size()) {
         return Status::IOError("segment element out of dictionary range");
@@ -180,6 +198,7 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
 }
 
 void MutableFuzzyIndex::StartBackground() {
+  (void)LookupMetrics();  // listed in metric dumps before the first lookup
   provider_id_.store(obs::Registry::Global().RegisterProvider(
       [this](std::vector<obs::MetricPoint>* out) { CollectMetrics(out); }));
   if (options_.background_maintenance &&
@@ -252,8 +271,22 @@ bool MutableFuzzyIndex::RemoveLive(uint64_t doc_id) {
   if (it == doc_map_.end()) return false;
   for (text::TokenId e : ElementsOf(it->second)) --df_live_[e];
   --live_docs_;
+  ClearWinnerLocked(it->second);
   doc_map_.erase(it);
   return true;
+}
+
+void MutableFuzzyIndex::ClearWinnerLocked(const DocLoc& loc) {
+  if (loc.segment == kTailSegment) {
+    tail_winners_[loc.local] = 0;
+    return;
+  }
+  std::shared_ptr<WinnerFlags>& flags = sealed_winners_[loc.segment];
+  if (sealed_winners_shared_[loc.segment]) {
+    flags = std::make_shared<WinnerFlags>(*flags);
+    sealed_winners_shared_[loc.segment] = 0;
+  }
+  (*flags)[loc.local] = 0;
 }
 
 Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
@@ -281,6 +314,7 @@ Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
     return Status::Invalid("tail segment is full");
   }
   tail_.AppendDoc(doc_id, value, ids, attrs);
+  tail_winners_.push_back(1);
   if (df_live_.size() < dict_.num_elements()) {
     df_live_.resize(dict_.num_elements(), 0);
   }
@@ -364,10 +398,13 @@ void MutableFuzzyIndex::PublishLocked() {
     state->tie_keys[e] = dict_.KeyHash(e);
   }
   state->segments.assign(sealed_.begin(), sealed_.end());
+  state->winners.assign(sealed_winners_.begin(), sealed_winners_.end());
+  sealed_winners_shared_.assign(sealed_.size(), 1);
   if (!tail_.empty()) {
     auto frozen = std::make_shared<Segment>(tail_);
     frozen->BuildPostings();
     state->segments.push_back(std::move(frozen));
+    state->winners.push_back(std::make_shared<const WinnerFlags>(tail_winners_));
   }
   published_.store(std::move(state), std::memory_order_release);
 }
@@ -533,6 +570,10 @@ Status MutableFuzzyIndex::SealLocked() {
   seg.BuildPostings();
   auto sealed = std::make_shared<const Segment>(std::move(seg));
   sealed_.push_back(sealed);
+  sealed_winners_.push_back(
+      std::make_shared<WinnerFlags>(std::move(tail_winners_)));
+  sealed_winners_shared_.push_back(0);
+  tail_winners_.clear();
   uint32_t new_index = static_cast<uint32_t>(sealed_.size() - 1);
   for (auto& [doc_id, loc] : doc_map_) {
     if (loc.segment == kTailSegment) loc.segment = new_index;
@@ -587,7 +628,11 @@ Status MutableFuzzyIndex::CompactLocked() {
   sealed_.clear();
   seg_refs_.clear();
   tail_ = Segment();
+  tail_winners_.clear();
   sealed_.push_back(sealed);
+  // Compaction keeps exactly the live docs: every local is a winner.
+  sealed_winners_ = {std::make_shared<WinnerFlags>(sealed->num_docs(), 1)};
+  sealed_winners_shared_ = {0};
   doc_map_.clear();
   for (uint32_t local = 0; local < sealed->num_docs(); ++local) {
     doc_map_[sealed->doc_ids[local]] = DocLoc{0, local};
@@ -684,21 +729,6 @@ void MutableFuzzyIndex::SortByEpochRank(const EpochState& state,
             });
 }
 
-bool MutableFuzzyIndex::IsWinner(const EpochState& state, size_t segment_index,
-                                 const Segment& segment, uint32_t local,
-                                 uint64_t doc_id) const {
-  auto it = segment.doc_states.find(doc_id);
-  if (it == segment.doc_states.end() || it->second.deleted ||
-      it->second.last_local != local) {
-    return false;
-  }
-  for (size_t j = segment_index + 1; j < state.segments.size(); ++j) {
-    // Any later mention — a newer version or a tombstone — supersedes.
-    if (state.segments[j]->doc_states.count(doc_id) > 0) return false;
-  }
-  return true;
-}
-
 std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::Lookup(
     const std::string& query, size_t k) const {
   return LookupAt(*Snapshot(), query, k);
@@ -718,14 +748,14 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
 std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
     const EpochState& state, const std::string& query, size_t k,
     double target_recall, const filter::FilterPredicate& filter) const {
-  // This function replicates FuzzyMatchIndex::Lookup step by step; every
-  // arithmetic expression below must stay bit-for-bit in sync with it (see
-  // the equivalence contract in the header). The only sanctioned deviation
-  // is the target_recall prefix truncation, which at 1.0 does nothing.
-  // The predicate filter only ever REMOVES candidate locals before
-  // verification (each candidate's similarity is computed independently and
-  // weights stay full-corpus IDF), so filtered output is bit-identical to
-  // post-filtering the unfiltered output.
+  // The weights, query weight and similarity are computed exactly as in
+  // FuzzyMatchIndex::Lookup (see the equivalence contract in the header);
+  // candidate generation may differ, because acceptance is exact. The only
+  // sanctioned deviation is the target_recall prefix truncation, which at
+  // 1.0 does nothing. The predicate filter only ever REMOVES candidate
+  // locals before verification (each candidate's similarity is computed
+  // independently and weights stay full-corpus IDF), so filtered output is
+  // bit-identical to post-filtering the unfiltered output.
   std::vector<Match> out;
   if (k == 0) return out;
   std::vector<std::string> tokens = tokenizer_->Tokenize(query);
@@ -754,10 +784,16 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
   for (text::TokenId id : known) query_weight += state.weights[id];
   if (known.empty()) return out;
 
-  double beta = query_weight - options_.match.alpha * query_weight;
-  std::vector<text::TokenId> prefix = known;
-  SortByEpochRank(state, &prefix);
-  core::TrimSortedToPrefix(state.weights, beta, &prefix);
+  // Probe only the query prefix: by Lemma 1, J >= alpha implies
+  // overlap >= alpha * wt(q), so every match shares an element with the
+  // shortest rank-ordered head of the query whose weight exceeds
+  // wt(q) - alpha * wt(q).
+  const double alpha = options_.match.alpha;
+  std::vector<text::TokenId> ranked = known;
+  SortByEpochRank(state, &ranked);
+  std::vector<text::TokenId> prefix = ranked;
+  core::TrimSortedToPrefix(state.weights, query_weight - alpha * query_weight,
+                           &prefix);
   if (target_recall < 1.0 && prefix.size() > 1) {
     // Approximate serving: probe only the rank-ordered head carrying
     // `target_recall` of the prefix's weight mass. The dropped tail is the
@@ -772,16 +808,26 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
     }
     prefix.resize(std::max<size_t>(1, keep));
   }
-  std::unordered_set<text::TokenId> query_prefix(prefix.begin(), prefix.end());
+  // suffix[i] = weight of ranked[i..]. A candidate whose first shared prefix
+  // position is i shares nothing before it, so its overlap is at most
+  // min(suffix[i], wt(s)) — the positional bound.
+  std::vector<double> suffix(prefix.size());
+  double rest = 0.0;
+  for (size_t i = ranked.size(); i-- > 0;) {
+    rest += state.weights[ranked[i]];
+    if (i < suffix.size()) suffix[i] = rest;
+  }
 
-  core::OverlapPredicate pred =
-      core::OverlapPredicate::TwoSidedNormalized(options_.match.alpha);
   const bool filtered = !filter.empty();
   if (filtered) filter::FilterMetrics().lookups->Add(1);
+  uint64_t candidates = 0;
+  uint64_t verifications = 0;
+  std::vector<uint64_t> hits;  // local << 32 | prefix position
   std::vector<uint32_t> locals;
-  std::vector<text::TokenId> ref_prefix;
+  std::vector<uint32_t> positions;  // aligned with locals
   for (size_t si = 0; si < state.segments.size(); ++si) {
     const Segment& seg = *state.segments[si];
+    const WinnerFlags& winner = *state.winners[si];
     filter::EligibleSet eligible = filter::EligibleSet::All();
     if (filtered) {
       eligible = seg.attr_index().Eval(filter);
@@ -790,53 +836,51 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
         continue;
       }
     }
-    locals.clear();
-    for (text::TokenId e : prefix) {
-      std::span<const uint32_t> post = seg.Postings(e);
-      locals.insert(locals.end(), post.begin(), post.end());
+    hits.clear();
+    for (uint32_t pos = 0; pos < prefix.size(); ++pos) {
+      for (uint32_t local : seg.Postings(prefix[pos])) {
+        if (winner[local]) hits.push_back(uint64_t{local} << 32 | pos);
+      }
     }
-    std::sort(locals.begin(), locals.end());
-    locals.erase(std::unique(locals.begin(), locals.end()), locals.end());
+    // Sorted, each local's first entry carries its first shared position.
+    std::sort(hits.begin(), hits.end());
+    locals.clear();
+    positions.clear();
+    for (uint64_t hit : hits) {
+      auto local = static_cast<uint32_t>(hit >> 32);
+      if (!locals.empty() && locals.back() == local) continue;
+      locals.push_back(local);
+      positions.push_back(static_cast<uint32_t>(hit));
+    }
     if (filtered) {
       // Compose BEFORE verification: ineligible candidates never reach the
-      // per-doc prefix recomputation or the weighted-intersection verify.
+      // weighted-intersection verify.
       filter::FilterMetrics().candidates_in->Add(locals.size());
-      eligible.FilterSorted(&locals);
+      eligible.FilterSorted(&locals, &positions);
       filter::FilterMetrics().candidates_kept->Add(locals.size());
     }
+    candidates += locals.size();
 
-    for (uint32_t local : locals) {
-      uint64_t doc_id = seg.doc_ids[local];
-      if (!IsWinner(state, si, seg, local, doc_id)) continue;
-      std::span<const text::TokenId> elems = seg.sets.elements(local);
+    for (size_t c = 0; c < locals.size(); ++c) {
+      std::span<const text::TokenId> elems = seg.sets.elements(locals[c]);
       double set_weight = 0.0;
       for (text::TokenId e : elems) set_weight += state.weights[e];
-
-      // The immutable index only indexes each reference set's prefix; a doc
-      // is its candidate iff that prefix meets the query prefix. Recompute
-      // the doc's prefix under this epoch's weights and apply the same test
-      // so the candidate sets — and with them the 1e-12 acceptance band —
-      // agree exactly.
-      double beta_s = set_weight - pred.SSideRequired(set_weight);
-      ref_prefix.assign(elems.begin(), elems.end());
-      SortByEpochRank(state, &ref_prefix);
-      core::TrimSortedToPrefix(state.weights, beta_s, &ref_prefix);
-      bool is_candidate = false;
-      for (text::TokenId e : ref_prefix) {
-        if (query_prefix.count(e) > 0) {
-          is_candidate = true;
-          break;
-        }
+      double bound = std::min(suffix[positions[c]], set_weight);
+      if (!text::ResemblanceAtLeast(bound, query_weight + set_weight - bound,
+                                    alpha)) {
+        continue;
       }
-      if (!is_candidate) continue;
-
+      ++verifications;
       double overlap =
           kernels::IntersectWeighted(known, elems, state.weights.data());
       double uni = query_weight + set_weight - overlap;
-      double jr = uni > 0.0 ? overlap / uni : 1.0;
-      if (jr >= options_.match.alpha - 1e-12) out.push_back({doc_id, jr});
+      if (text::ResemblanceAtLeast(overlap, uni, alpha)) {
+        out.push_back({seg.doc_ids[locals[c]], uni > 0.0 ? overlap / uni : 1.0});
+      }
     }
   }
+  LookupMetrics().candidates->Add(candidates);
+  LookupMetrics().verifications->Add(verifications);
 
   std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
     if (a.similarity != b.similarity) return a.similarity > b.similarity;

@@ -59,11 +59,16 @@ struct GlobalDelta {
   std::optional<std::string> added;
 };
 
+/// Per-segment winner flags: flag[local] is 1 iff that local is its doc's
+/// live version (not superseded by a newer upsert, not deleted).
+using WinnerFlags = std::vector<uint8_t>;
+
 /// One epoch's immutable read view: the per-element IDF weights, liveness
 /// flags and tie keys frozen at publish time, plus the segment list (sealed
-/// generations shared by pointer, the tail copied and frozen). Lookups
-/// against one EpochState are bit-identical no matter how the index mutates
-/// afterwards.
+/// generations shared by pointer, the tail copied and frozen) and each
+/// segment's winner flags (a sealed generation's shared until a mutation
+/// touches it). Lookups against one EpochState are bit-identical no matter
+/// how the index mutates afterwards.
 struct EpochState {
   uint64_t epoch = 0;
   uint64_t live_docs = 0;
@@ -72,6 +77,7 @@ struct EpochState {
   std::vector<uint64_t> tie_keys;
   std::vector<uint8_t> live;
   std::vector<std::shared_ptr<const Segment>> segments;
+  std::vector<std::shared_ptr<const WinnerFlags>> winners;  // per segment
 };
 
 /// \brief An incrementally mutable fuzzy-lookup index: an append-only
@@ -90,11 +96,15 @@ struct EpochState {
 ///   2. The element order is tie-keyed by content hash
 ///      (ElementOrder::ByDecreasingWeightTieKeyed), so both sides sort
 ///      same-weight elements identically despite different id spaces.
-///   3. Candidate generation replicates the immutable pipeline exactly:
-///      the query prefix is computed with the shared TrimSortedToPrefix,
-///      and each candidate is kept only if its own (recomputed, per-epoch)
-///      reference-side prefix intersects the query prefix — the same test
-///      the immutable index's prebuilt prefix inverted index performs.
+///   3. Acceptance is exact on both sides: text::ResemblanceAtLeast decides
+///      overlap >= alpha * union on the quantized sums with no epsilon, so
+///      any sound candidate set yields the same matches. The mutable side
+///      probes only the query prefix (the shared TrimSortedToPrefix; by
+///      Lemma 1, J >= alpha implies overlap >= alpha * wt(q), so every
+///      match meets it) and skips the verify of a candidate whose
+///      positional bound — the weight of the query from its first shared
+///      prefix position on, capped at its own set weight — fails the same
+///      exact test (the PPJoin positional filter).
 /// The one caveat: if two distinct same-weight elements collide on their
 /// 64-bit content hash, the two sides may order them differently; with FNV
 /// over distinct keys this is a ~2^-64-per-pair event we accept.
@@ -318,8 +328,9 @@ class MutableFuzzyIndex {
   void MaybeMaintainLocked();
   void BackgroundLoop();
 
-  bool IsWinner(const EpochState& state, size_t segment_index,
-                const Segment& segment, uint32_t local, uint64_t doc_id) const;
+  /// Clears the winner flag of `loc`, first copying a sealed generation's
+  /// flags that a published epoch may still read. Requires writer_mu_.
+  void ClearWinnerLocked(const DocLoc& loc);
   /// Sorts element ids into increasing epoch-order rank: decreasing weight,
   /// ties by content hash then id — the comparator of
   /// ElementOrder::ByDecreasingWeightTieKeyed.
@@ -350,6 +361,13 @@ class MutableFuzzyIndex {
   std::vector<uint64_t> df_global_;
   uint64_t global_live_docs_ = 0;
   std::unordered_map<uint64_t, DocLoc> doc_map_;
+  /// Winner flags mirroring doc_map_: one array per sealed generation
+  /// (parallel to sealed_) plus the tail's. `sealed_winners_shared_[i]`
+  /// marks an array handed to a published epoch; the writer copies it before
+  /// its next write, so publish never copies sealed flags.
+  std::vector<std::shared_ptr<WinnerFlags>> sealed_winners_;
+  std::vector<uint8_t> sealed_winners_shared_;
+  WinnerFlags tail_winners_;
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t last_sealed_seq_ = 0;

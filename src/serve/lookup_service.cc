@@ -1,5 +1,6 @@
 #include "serve/lookup_service.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "exec/parallel_for.h"
@@ -99,8 +100,11 @@ std::string LookupService::CacheKey(const std::string& query, size_t k,
   key += std::to_string(epoch);
   key.push_back('\x1e');
   // Approximate and exact lookups of the same query must never share an
-  // entry: the recall knob changes the result.
-  key += std::to_string(target_recall);
+  // entry: the recall knob changes the result. %.17g round-trips the double
+  // (std::to_string's 6 decimals would fold 0.9999996 into 1.0).
+  char recall[32];
+  std::snprintf(recall, sizeof(recall), "%.17g", target_recall);
+  key += recall;
   if (!filter.empty()) {
     // Canonical JSON (sorted conjuncts, sorted deduped values) gives equal
     // predicates equal keys. Appended only when non-empty so unfiltered keys

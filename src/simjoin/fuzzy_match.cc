@@ -212,14 +212,17 @@ std::vector<FuzzyMatchIndex::Match> FuzzyMatchIndex::Lookup(
   }
 
   // Verify: exact weighted resemblance against each candidate. The merge is
-  // the shared kernel (same ascending accumulation order as the executors).
+  // the shared kernel (same ascending accumulation order as the executors);
+  // acceptance is the exact test on the quantized sums, shared with
+  // MutableFuzzyIndex.
   for (core::GroupId g : candidates) {
     core::SetView ref_set = sets_.set(g);
     double overlap =
         kernels::IntersectWeighted(known, ref_set, weights_.data());
     double uni = query_weight + sets_.set_weights[g] - overlap;
-    double jr = uni > 0.0 ? overlap / uni : 1.0;
-    if (jr >= options_.alpha - 1e-12) out.push_back({g, jr});
+    if (text::ResemblanceAtLeast(overlap, uni, options_.alpha)) {
+      out.push_back({g, uni > 0.0 ? overlap / uni : 1.0});
+    }
   }
 
   // Top-K by similarity (ties by reference index for determinism).

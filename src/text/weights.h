@@ -2,6 +2,7 @@
 #define SSJOIN_TEXT_WEIGHTS_H_
 
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -36,6 +37,32 @@ inline double IdfWeightFromFrequency(double n, uint64_t f) {
 /// reflect corpus order).
 inline double QuantizeWeight(double w) {
   return std::ldexp(std::nearbyint(std::ldexp(w, 26)), -26);
+}
+
+/// \brief Exactly `overlap >= alpha * uni`: the resemblance test
+/// `overlap / uni >= alpha` of a fuzzy lookup, with no rounding anywhere.
+///
+/// `overlap` and `uni` must be sums of QuantizeWeight outputs (non-negative
+/// multiples of 2^-26 below 2^38), and `alpha`'s double is taken as the
+/// dyadic rational m * 2^-s it is exactly. A double comparison with a 2^-50
+/// relative margin (eight times the product's worst rounding error) decides
+/// everything away from the boundary; near it, the test runs on integers:
+/// O = overlap * 2^26 and U = uni * 2^26, and O >= m * U / 2^s.
+inline bool ResemblanceAtLeast(double overlap, double uni, double alpha) {
+  const double product = alpha * uni;
+  const double margin = product * 0x1p-50;
+  if (overlap > product + margin) return true;
+  if (overlap < product - margin) return false;
+  int exponent = 0;
+  const auto m = static_cast<uint64_t>(
+      std::ldexp(std::frexp(alpha, &exponent), 53));  // alpha = m * 2^-s
+  const int s = 53 - exponent;
+  const auto o = static_cast<uint64_t>(std::ldexp(overlap, 26));
+  const unsigned __int128 p =
+      static_cast<unsigned __int128>(m) * static_cast<uint64_t>(std::ldexp(uni, 26));
+  if (s >= 128) return o > 0 || p == 0;  // m * U / 2^s < 1
+  const unsigned __int128 q = p >> s;  // m * U / 2^s rounded down
+  return o > q || (o == q && (q << s) == p);
 }
 
 /// \brief Assigns a fixed positive weight to every element of the universe

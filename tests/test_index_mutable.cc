@@ -17,7 +17,9 @@
 #include "datagen/address_gen.h"
 #include "datagen/error_model.h"
 #include "index/mutable_index.h"
+#include "obs/metrics.h"
 #include "simjoin/fuzzy_match.h"
+#include "text/weights.h"
 
 namespace ssjoin::index {
 namespace {
@@ -336,6 +338,62 @@ TEST(MutableIndexTest, RandomChurnDifferential) {
     }
   }
   ExpectOracleEquivalent(*index, live, queries, 5, "churn end");
+}
+
+TEST(MutableIndexTest, PositionalBoundSkipsVerifyThatSizeAndPrefixPass) {
+  // 1000 docs with controlled document frequencies: query element qX has
+  // df X (qa=1 .. qe=5), so the query ranks qa > qb > qc > qd > qe by IDF
+  // weight. Doc 1 = "qc y1 y2 y3 y4" (each y has df 10) shares only qc.
+  std::vector<std::pair<uint64_t, std::string>> docs = {
+      {0, "qa qb qc qd qe"}, {1, "qc y1 y2 y3 y4"}, {2, "qb f1"}, {3, "qc f2"},
+      {4, "qd f3"}, {5, "qd f4"}, {6, "qd f5"}, {7, "qe f6"}, {8, "qe f7"},
+      {9, "qe f8"}, {10, "qe f9"}};
+  for (uint64_t id = 11; id < 20; ++id) docs.emplace_back(id, "y1 y2 y3 y4");
+  for (uint64_t id = 20; id < 1000; ++id) docs.emplace_back(id, "z" + std::to_string(id));
+  MutableIndexOptions options = ManualOptions();
+  options.match.alpha = 0.5;
+  auto index = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+  ASSERT_TRUE(index->BulkLoad(docs).ok());
+
+  auto w = [](uint64_t df) {
+    return text::QuantizeWeight(text::IdfWeightFromFrequency(1000, df));
+  };
+  const double alpha = options.match.alpha;
+  const double wq = w(1) + w(2) + w(3) + w(4) + w(5);
+  const double ws = w(3) + 4 * w(10);
+  // Query prefix = {qa, qb, qc}: qc (position 2) is needed to exceed
+  // wq - alpha * wq.
+  ASSERT_LE(w(1) + w(2), wq - alpha * wq);
+  ASSERT_GT(w(1) + w(2) + w(3), wq - alpha * wq);
+  // Doc 1 passes the size filter alpha * wq <= ws <= wq / alpha, and its own
+  // prefix (qc, then the lighter y's) holds qc, so a reference-prefix index
+  // would report it too.
+  ASSERT_LE(alpha * wq, ws);
+  ASSERT_LE(ws, wq / alpha);
+  ASSERT_GT(w(3) + 2 * w(10), ws - alpha * ws);
+  // The positional bound: from position 2 on, the query weighs only
+  // w(3) + w(4) + w(5), which cannot reach alpha against doc 1.
+  const double bound = w(3) + w(4) + w(5);
+  ASSERT_FALSE(text::ResemblanceAtLeast(bound, wq + ws - bound, alpha));
+
+  obs::Counter* candidates =
+      obs::Registry::Global().GetCounter("index.lookup.candidates");
+  obs::Counter* verifications =
+      obs::Registry::Global().GetCounter("index.lookup.verifications");
+  const uint64_t candidates_before = candidates->value();
+  const uint64_t verifications_before = verifications->value();
+  auto got = index->Lookup("qa qb qc qd qe", 10);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 0u);
+  EXPECT_EQ(got[0].similarity, 1.0);
+  // Docs 0-3 meet the prefix; only doc 0 is verified. Docs 2 and 3 fail the
+  // size filter as well, doc 1 only the positional bound.
+  EXPECT_EQ(candidates->value() - candidates_before, 4u);
+  EXPECT_EQ(verifications->value() - verifications_before, 1u);
+
+  std::map<uint64_t, std::string> live(docs.begin(), docs.end());
+  ExpectOracleEquivalent(*index, live, {"qa qb qc qd qe", "qc y1 y2"}, 10,
+                         "positional bound");
 }
 
 TEST(MutableIndexTest, CreateRejectsBadAlpha) {

@@ -380,6 +380,20 @@ TEST(LookupServiceTest, CacheKeyCoalescesTokenizationOnly) {
   EXPECT_EQ(service->Stats().cache_misses, 2u);
 }
 
+TEST(LookupServiceTest, CacheKeyKeepsEveryRecallDigit) {
+  auto master = Master(100, 41);
+  LookupServiceOptions options;
+  options.cache_capacity = 64;
+  auto service = LookupService::Create(BuildMutable(master), options)
+                     .MoveValueUnsafe();
+  // 0.9999996 and 1.0 agree to six decimals; an approximate lookup must
+  // still never be served from the exact lookup's cache entry.
+  ASSERT_TRUE(service->Lookup(master[0], 2, {}, 1.0).ok());
+  ASSERT_TRUE(service->Lookup(master[0], 2, {}, 0.9999996).ok());
+  EXPECT_EQ(service->Stats().cache_hits, 0u);
+  EXPECT_EQ(service->Stats().cache_misses, 2u);
+}
+
 TEST(LookupServiceTest, MutationNeverServesStaleCacheHits) {
   auto master = Master(200, 43);
   LookupServiceOptions options;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "text/dictionary.h"
 #include "text/weights.h"
@@ -82,6 +83,58 @@ TEST(IdfWeightsTest, SetWeightSums) {
   dict.EncodeDocument({"p"});
   IdfWeights idf(dict);
   EXPECT_NEAR(idf.SetWeight(ids), idf.Weight(ids[0]) + idf.Weight(ids[1]), 1e-12);
+}
+
+// ResemblanceAtLeast decides overlap >= alpha * uni exactly on sums of
+// 2^-26-quantized weights; kQuantum is one quantum.
+constexpr double kQuantum = 0x1p-26;
+
+TEST(ResemblanceAtLeastTest, ExactEqualityAccepts) {
+  // 0.375 = 3/8 exactly, so overlap = 3k and uni = 8k quanta is J == alpha.
+  EXPECT_TRUE(ResemblanceAtLeast(3 * 12345 * kQuantum, 8 * 12345 * kQuantum, 0.375));
+  EXPECT_TRUE(ResemblanceAtLeast(5.0, 10.0, 0.5));
+  EXPECT_TRUE(ResemblanceAtLeast(0.0, 0.0, 0.35));  // empty union: J := 1
+}
+
+TEST(ResemblanceAtLeastTest, OneQuantumBelowRejects) {
+  const double uni = 8 * 12345 * kQuantum;
+  const double at = 3 * 12345 * kQuantum;
+  EXPECT_FALSE(ResemblanceAtLeast(at - kQuantum, uni, 0.375));
+  EXPECT_TRUE(ResemblanceAtLeast(at + kQuantum, uni, 0.375));
+  EXPECT_FALSE(ResemblanceAtLeast(5.0 - kQuantum, 10.0, 0.5));
+}
+
+TEST(ResemblanceAtLeastTest, QuotientRoundingUpToAlphaStillRejects) {
+  // alpha = 0.35 is m / 2^s exactly. Near 2^51 quanta (a union weight of
+  // 2^25, inside the exact-sum range) some O = floor(alpha * U) has O / U
+  // below alpha exactly, yet the double quotient rounds up to alpha: a
+  // `jr >= alpha - 1e-12` band accepts it, the exact test must not.
+  const double alpha = 0.35;
+  int exponent = 0;
+  const auto m = static_cast<uint64_t>(std::ldexp(std::frexp(alpha, &exponent), 53));
+  const int s = 53 - exponent;
+  bool found = false;
+  for (uint64_t u = (uint64_t{1} << 51) - 1; u > (uint64_t{1} << 51) - 4096; --u) {
+    const unsigned __int128 p = static_cast<unsigned __int128>(m) * u;
+    const auto o = static_cast<uint64_t>(p >> s);
+    const bool below = (static_cast<unsigned __int128>(o) << s) < p;
+    const double overlap = std::ldexp(static_cast<double>(o), -26);
+    const double uni = std::ldexp(static_cast<double>(u), -26);
+    if (!below || overlap / uni < alpha) continue;
+    found = true;
+    EXPECT_FALSE(ResemblanceAtLeast(overlap, uni, alpha)) << "U=" << u;
+    EXPECT_TRUE(ResemblanceAtLeast(overlap + kQuantum, uni, alpha)) << "U=" << u;
+    break;
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(ResemblanceAtLeastTest, AlphaOneNeedsFullOverlap) {
+  EXPECT_TRUE(ResemblanceAtLeast(7.25, 7.25, 1.0));
+  EXPECT_FALSE(ResemblanceAtLeast(7.25 - kQuantum, 7.25, 1.0));
+  const double big = std::ldexp(1.0, 25) - kQuantum;  // 2^51 - 1 quanta
+  EXPECT_TRUE(ResemblanceAtLeast(big, big, 1.0));
+  EXPECT_FALSE(ResemblanceAtLeast(big - kQuantum, big, 1.0));
 }
 
 }  // namespace
