@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/cost_model.h"
-#include "exec/parallel_ssjoin.h"
 
 namespace ssjoin::bench {
 namespace {
@@ -118,7 +117,7 @@ void BM_Exact(benchmark::State& state) {
   for (auto _ : state) {
     stats = {};
     Timer timer;
-    auto result = exec::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline,
+    auto result = core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline,
                                       f.rel, f.rel, pred, f.Ctx(), &stats);
     result.status().AbortIfError();
     total_ms = timer.ElapsedMillis();

@@ -2,8 +2,8 @@
 /// 0.85 with the prefix-filtered implementation, reporting the size of the
 /// normalized SSJoin input (rows of the 1NF set representation), the output
 /// size and the time, for relations of 25K..330K records — extended with a
-/// thread-scaling dimension: each workload also runs on the morsel-driven
-/// parallel executor (src/exec) so serial-vs-parallel speedup is tracked in
+/// thread-scaling dimension: each workload also runs with N workers of the
+/// morsel-driven runtime (src/exec) so the 1-vs-N speedup is tracked in
 /// the same table (the 25K workload at 1 vs 4 threads is the canonical
 /// scaling probe; override the parallel arm with --threads N).
 ///

@@ -8,7 +8,6 @@
 #include "core/cost_model.h"
 #include "core/inverted_index.h"
 #include "exec/parallel_for.h"
-#include "exec/parallel_ssjoin.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 
@@ -17,27 +16,9 @@ namespace ssjoin::approx {
 namespace {
 
 using core::GroupId;
+using core::ProbeScratch;
 using core::SSJoinPair;
 using core::SSJoinStats;
-
-/// Per-worker epoch-marked dense "seen" array: O(1) candidate dedup per
-/// probe, reset in O(1) per R-group by bumping the epoch.
-struct ProbeScratch {
-  std::vector<uint32_t> seen;
-  uint32_t epoch = 0;
-  std::vector<GroupId> cands;
-
-  void EnsureSize(size_t n) {
-    if (seen.size() < n) seen.resize(n, 0);
-  }
-  uint32_t NextEpoch() {
-    if (++epoch == 0) {  // wrapped: stale marks could alias, clear them
-      std::fill(seen.begin(), seen.end(), 0);
-      epoch = 1;
-    }
-    return epoch;
-  }
-};
 
 /// Per-morsel output slot; concatenating slots in morsel order makes the
 /// result independent of scheduling.
@@ -47,10 +28,6 @@ struct MorselOutput {
   size_t candidate_pairs = 0;
   size_t bands_probed = 0;
 };
-
-size_t NumWorkers(const exec::ExecContext* ec) {
-  return ec != nullptr ? std::max<size_t>(1, ec->resolved_threads()) : 1;
-}
 
 /// Verifies one candidate with the exact sorted-merge overlap (identical
 /// accumulation order to every exact executor, so overlaps are bitwise
@@ -78,12 +55,9 @@ std::vector<SSJoinPair> RunExactTier(const core::SetsRelation& r,
   size_t num_elements = core::MaxElementId(r, s) + 1;
   core::InvertedIndex s_index(s.store, num_elements);
 
-  exec::ExecContext serial;
-  const exec::ExecContext& ec = ctx.exec != nullptr ? *ctx.exec : serial;
-  size_t morsel = std::max<size_t>(1, ec.morsel_size);
-  size_t num_morsels = (r.num_groups() + morsel - 1) / morsel;
-  std::vector<MorselOutput> morsels(num_morsels);
-  std::vector<ProbeScratch> scratch(NumWorkers(ctx.exec));
+  const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
+  std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+  std::vector<ProbeScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
 
   exec::ParallelFor(ec, r.num_groups(),
                     [&](size_t worker, size_t m, size_t begin, size_t end) {
@@ -156,12 +130,9 @@ std::vector<SSJoinPair> RunLshTier(const core::SetsRelation& r,
     }
   }
 
-  exec::ExecContext serial;
-  const exec::ExecContext& ec = ctx.exec != nullptr ? *ctx.exec : serial;
-  size_t morsel = std::max<size_t>(1, ec.morsel_size);
-  size_t num_morsels = (r.num_groups() + morsel - 1) / morsel;
-  std::vector<MorselOutput> morsels(num_morsels);
-  std::vector<ProbeScratch> scratch(NumWorkers(ctx.exec));
+  const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
+  std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+  std::vector<ProbeScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
 
   exec::ParallelFor(
       ec, r.num_groups(), [&](size_t worker, size_t m, size_t begin, size_t end) {
@@ -312,12 +283,12 @@ Result<std::vector<SSJoinPair>> ExecuteSSJoin(
     ApproxSSJoin executor(params);
     Result<std::vector<SSJoinPair>> result =
         executor.Execute(r, s, pred, ctx, stats);
-    // Parallel and serial approx runs both publish here, exactly once per
-    // join (mirrors the exec-layer publication discipline).
+    // Published here exactly once per join, as core::ExecuteSSJoin does for
+    // the exact algorithms.
     if (result.ok()) core::PublishSSJoinStats(*stats);
     return result;
   }
-  return exec::ExecuteSSJoin(algorithm, r, s, pred, ctx, stats);
+  return core::ExecuteSSJoin(algorithm, r, s, pred, ctx, stats);
 }
 
 void RegisterApproxMetrics() {

@@ -39,13 +39,13 @@ class ApproxSSJoin final : public core::SSJoinExecutor {
   ApproxParams params_;
 };
 
-/// \brief Drop-in replacement for exec::ExecuteSSJoin that additionally
+/// \brief Drop-in replacement for core::ExecuteSSJoin that additionally
 /// handles kApprox and kHybrid:
 ///  - kHybrid resolves to kApprox or kPrefixFilterInline via
 ///    core::ChooseHybridTier (counted in approx.hybrid_to_* metrics);
 ///  - kApprox runs ApproxSSJoin with `params` (serial or parallel per
 ///    ctx.exec) and publishes core + approx metrics;
-///  - the five exact algorithms delegate to exec::ExecuteSSJoin unchanged.
+///  - the five exact algorithms delegate to core::ExecuteSSJoin unchanged.
 /// `resolved` (optional) receives the physical algorithm that actually ran.
 Result<std::vector<core::SSJoinPair>> ExecuteSSJoin(
     core::SSJoinAlgorithm algorithm, const core::SetsRelation& r,

@@ -166,8 +166,7 @@ SignatureMatrix BuildSignatures(const core::SetStore& store, size_t num_hashes,
   std::vector<uint64_t> salts(num_hashes);
   for (size_t i = 0; i < num_hashes; ++i) salts[i] = HashCombine(seed, i);
 
-  exec::ExecContext serial;
-  const exec::ExecContext& ctx = ec != nullptr ? *ec : serial;
+  const exec::ExecContext& ctx = exec::OrDefault(ec);
   // Each group's row is a pure function of (seed, elements): any partition
   // into morsels yields bit-identical signatures.
   exec::ParallelFor(ctx, store.num_groups(),

@@ -13,9 +13,8 @@ namespace ssjoin::core {
 
 /// \brief Inverted index over a SetStore's sets (or prefixes):
 /// element -> sorted list of containing groups. This is the hash table of
-/// the equi-join on B that all indexed SSJoin executors build — hoisted here
-/// so the serial (core/ssjoin.cc) and parallel (exec/parallel_ssjoin.cc)
-/// implementations share one definition. Construction is a two-pass counting
+/// the equi-join on B that all indexed SSJoin executors build (core/ssjoin.cc
+/// and the approx tier's exact fallback). Construction is a two-pass counting
 /// scan over the store's flat token column; Lookup is const and safe to call
 /// concurrently.
 class InvertedIndex {
@@ -43,10 +42,25 @@ class InvertedIndex {
   std::vector<GroupId> lists_;
 };
 
-// (The weighted-overlap merge that used to live here is now
-// kernels::IntersectWeighted — src/kernels owns every hot intersection
-// loop, with the same ascending-token accumulation order the parallel
-// executors rely on for bit-equal output.)
+/// \brief Per-worker epoch-marked dense "seen" array over S-groups: O(1)
+/// candidate dedup per probe (kernels::ProbePostings), reset in O(1) per
+/// R-group by bumping the epoch. Reused across the morsels a worker runs.
+struct ProbeScratch {
+  std::vector<uint32_t> seen;
+  uint32_t epoch = 0;
+  std::vector<GroupId> cands;
+
+  void EnsureSize(size_t num_groups) {
+    if (seen.size() < num_groups) seen.resize(num_groups, 0);
+  }
+  uint32_t NextEpoch() {
+    if (++epoch == 0) {  // wrapped: stale marks could alias, clear them
+      std::fill(seen.begin(), seen.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
 
 /// Largest element id appearing in either relation (0 when both are empty):
 /// one linear pass over each store's contiguous token column.

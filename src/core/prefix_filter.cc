@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/parallel_for.h"
+
 namespace ssjoin::core {
 
 namespace {
@@ -53,17 +55,30 @@ PrefixFilteredRelation PrefixFilterRelation(const SetsRelation& rel,
                                             const WeightVector& weights,
                                             const ElementOrder& order,
                                             const OverlapPredicate& pred,
-                                            JoinSide side) {
+                                            JoinSide side,
+                                            const exec::ExecContext& ec) {
+  std::vector<SetStore> morsel_stores(exec::NumMorsels(ec, rel.num_groups()));
+  std::vector<std::vector<text::TokenId>> scratch(
+      exec::NumWorkers(ec, rel.num_groups()));
+  exec::ParallelFor(ec, rel.num_groups(),
+                    [&](size_t worker, size_t m, size_t begin, size_t end) {
+                      std::vector<text::TokenId>& prefix = scratch[worker];
+                      for (size_t g = begin; g < end; ++g) {
+                        double required =
+                            side == JoinSide::kR
+                                ? pred.RSideRequired(rel.norms[g])
+                                : pred.SSideRequired(rel.norms[g]);
+                        double beta = rel.set_weights[g] - required;
+                        ComputePrefixInto(rel.set(static_cast<GroupId>(g)),
+                                          weights, order, beta, &prefix);
+                        morsel_stores[m].AppendSet(prefix);
+                      }
+                    });
   PrefixFilteredRelation out;
-  out.prefixes.Reserve(rel.num_groups(), rel.total_elements());
-  std::vector<text::TokenId> scratch;
-  for (GroupId g = 0; g < rel.num_groups(); ++g) {
-    double required = side == JoinSide::kR ? pred.RSideRequired(rel.norms[g])
-                                           : pred.SSideRequired(rel.norms[g]);
-    double beta = rel.set_weights[g] - required;
-    ComputePrefixInto(rel.set(g), weights, order, beta, &scratch);
-    out.prefixes.AppendSet(scratch);
-  }
+  size_t total = 0;
+  for (const SetStore& store : morsel_stores) total += store.total_elements();
+  out.prefixes.Reserve(rel.num_groups(), total);
+  for (const SetStore& store : morsel_stores) out.prefixes.AppendStore(store);
   return out;
 }
 

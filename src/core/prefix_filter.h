@@ -7,6 +7,7 @@
 #include "core/order.h"
 #include "core/predicate.h"
 #include "core/sets.h"
+#include "exec/exec_context.h"
 
 namespace ssjoin::core {
 
@@ -56,11 +57,15 @@ enum class JoinSide { kR, kS };
 
 /// \brief Applies the prefix filter to every group of `rel` (§4.2, extended
 /// to normalized predicates per the bullets at the end of that section).
+/// Groups are filtered in morsels under `ec`; the per-morsel stores are
+/// concatenated in morsel order, so the layout is the same at any thread
+/// count.
 PrefixFilteredRelation PrefixFilterRelation(const SetsRelation& rel,
                                             const WeightVector& weights,
                                             const ElementOrder& order,
                                             const OverlapPredicate& pred,
-                                            JoinSide side);
+                                            JoinSide side,
+                                            const exec::ExecContext& ec = {});
 
 }  // namespace ssjoin::core
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "core/inverted_index.h"
+#include "exec/parallel_for.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 
@@ -37,28 +38,50 @@ Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
 
 namespace {
 
-/// Candidate generation shared by the two prefix-filter variants:
-/// equi-join of the prefix relations, deduplicated per R-group.
-/// Appends candidate S-group lists per R-group via `emit(r, s_groups)`.
+using exec::ParallelFor;
+
+/// One morsel's private output: result pairs plus a stats record holding
+/// only counters (phase timings stay with the coordinating thread).
+struct MorselOutput {
+  std::vector<SSJoinPair> pairs;
+  SSJoinStats stats;
+};
+
+/// Concatenates per-morsel outputs in morsel order — this, not completion
+/// order, is what makes the output independent of the thread count.
+void MergeMorselOutputs(std::vector<MorselOutput>& morsels,
+                        std::vector<SSJoinPair>* pairs, SSJoinStats* stats) {
+  size_t total = 0;
+  for (const MorselOutput& m : morsels) total += m.pairs.size();
+  pairs->reserve(pairs->size() + total);
+  for (MorselOutput& m : morsels) {
+    stats->Merge(m.stats);
+    pairs->insert(pairs->end(), m.pairs.begin(), m.pairs.end());
+  }
+}
+
+/// Candidate generation shared by the two prefix-filter variants: the
+/// equi-join of the prefix relations for R-groups [rg_begin, rg_end),
+/// deduplicated per R-group with the worker's scratch. Calls
+/// `emit(r, s_groups)` in increasing r.
 template <typename EmitFn>
 void GeneratePrefixCandidates(const PrefixFilteredRelation& r_pref,
-                              const InvertedIndex& s_index, size_t num_s_groups,
+                              const InvertedIndex& s_index, size_t rg_begin,
+                              size_t rg_end, ProbeScratch& scratch,
                               SSJoinStats* stats, const EmitFn& emit) {
-  // Epoch-marked dense seen array: O(1) dedup per probe.
-  std::vector<uint32_t> seen_epoch(num_s_groups, 0);
-  uint32_t epoch = 0;
-  std::vector<GroupId> cands;
-  for (GroupId rg = 0; rg < r_pref.prefixes.num_groups(); ++rg) {
+  for (size_t g = rg_begin; g < rg_end; ++g) {
+    auto rg = static_cast<GroupId>(g);
     SetView prefix = r_pref.prefixes.view(rg);
     if (prefix.empty()) continue;
-    ++epoch;
-    cands.clear();
+    uint32_t epoch = scratch.NextEpoch();
+    scratch.cands.clear();
     for (text::TokenId e : prefix) {
       auto [begin, end] = s_index.Lookup(e);
       stats->equijoin_rows += static_cast<size_t>(end - begin);
-      kernels::ProbePostings({begin, end}, epoch, seen_epoch.data(), &cands);
+      kernels::ProbePostings({begin, end}, epoch, scratch.seen.data(),
+                             &scratch.cands);
     }
-    if (!cands.empty()) emit(rg, cands);
+    if (!scratch.cands.empty()) emit(rg, scratch.cands);
   }
 }
 
@@ -73,17 +96,27 @@ class NaiveSSJoin final : public SSJoinExecutor {
                                           SSJoinStats* stats) const override {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/false));
     const WeightVector& w = *ctx.weights;
-    std::vector<SSJoinPair> out;
+    const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
     Timer timer;
-    for (GroupId rg = 0; rg < r.num_groups(); ++rg) {
-      for (GroupId sg = 0; sg < s.num_groups(); ++sg) {
-        ++stats->candidate_pairs;
-        double overlap = kernels::IntersectWeighted(r.set(rg), s.set(sg), w.data());
-        if (overlap > 0.0 && pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-          out.push_back({rg, sg, overlap});
-        }
-      }
-    }
+    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+    ParallelFor(ec, r.num_groups(),
+                [&](size_t /*worker*/, size_t m, size_t begin, size_t end) {
+                  MorselOutput& out = morsels[m];
+                  for (size_t g = begin; g < end; ++g) {
+                    auto rg = static_cast<GroupId>(g);
+                    for (GroupId sg = 0; sg < s.num_groups(); ++sg) {
+                      ++out.stats.candidate_pairs;
+                      double overlap = kernels::IntersectWeighted(
+                          r.set(rg), s.set(sg), w.data());
+                      if (overlap > 0.0 &&
+                          pred.Test(overlap, r.norms[rg], s.norms[sg])) {
+                        out.pairs.push_back({rg, sg, overlap});
+                      }
+                    }
+                  }
+                });
+    std::vector<SSJoinPair> out;
+    MergeMorselOutputs(morsels, &out, stats);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", timer.ElapsedMillis());
     return out;
@@ -101,6 +134,7 @@ class BasicSSJoin final : public SSJoinExecutor {
                                           SSJoinStats* stats) const override {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/false));
     const WeightVector& w = *ctx.weights;
+    const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
     Timer timer;
 
     // Equi-join R.B = S.B, materialized as (r, s, weight) rows. The inverted
@@ -111,50 +145,66 @@ class BasicSSJoin final : public SSJoinExecutor {
       uint64_t key;  // (r << 32) | s
       double weight;
     };
-    // Size the join output exactly (sum of per-element frequency products),
-    // as a hash join's build-side statistics would.
-    size_t total_rows = 0;
-    for (text::TokenId e : r.store.token_ids()) {
-      auto [begin, end] = s_index.Lookup(e);
-      total_rows += static_cast<size_t>(end - begin);
-    }
-    std::vector<JoinRow> rows;
-    rows.reserve(total_rows);
-    for (GroupId rg = 0; rg < r.num_groups(); ++rg) {
-      for (text::TokenId e : r.set(rg)) {
-        auto [begin, end] = s_index.Lookup(e);
-        double we = w[e];
-        for (const GroupId* p = begin; p != end; ++p) {
-          rows.push_back({(static_cast<uint64_t>(rg) << 32) | *p, we});
-        }
-      }
-    }
-    stats->equijoin_rows = rows.size();
 
-    // Group by (R.A, S.A): sort on the packed key, then aggregate runs and
-    // apply the HAVING clause. The sort is stable so equal-key rows keep
-    // generation (element) order — per-pair weight sums then come out
-    // bit-identical however the row stream is partitioned, which is what
-    // lets the parallel executor (exec/parallel_ssjoin.cc) match this plan
-    // exactly.
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const JoinRow& a, const JoinRow& b) { return a.key < b.key; });
+    // Each morsel materializes, sorts and aggregates the rows of its own
+    // R-range. Keys lead with r, so per-morsel sorted runs concatenated in
+    // morsel order are the globally sorted row stream.
+    std::vector<std::vector<JoinRow>> scratch(exec::NumWorkers(ec, r.num_groups()));
+    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+    ParallelFor(ec, r.num_groups(),
+                [&](size_t worker, size_t m, size_t begin, size_t end) {
+                  MorselOutput& out = morsels[m];
+                  std::vector<JoinRow>& rows = scratch[worker];
+                  // Size the join output exactly (sum of per-element
+                  // posting lengths), as a hash join's build-side
+                  // statistics would.
+                  size_t total_rows = 0;
+                  for (size_t g = begin; g < end; ++g) {
+                    for (text::TokenId e : r.set(static_cast<GroupId>(g))) {
+                      auto [lo, hi] = s_index.Lookup(e);
+                      total_rows += static_cast<size_t>(hi - lo);
+                    }
+                  }
+                  rows.clear();
+                  rows.reserve(total_rows);
+                  for (size_t g = begin; g < end; ++g) {
+                    for (text::TokenId e : r.set(static_cast<GroupId>(g))) {
+                      auto [lo, hi] = s_index.Lookup(e);
+                      double we = w[e];
+                      for (const GroupId* p = lo; p != hi; ++p) {
+                        rows.push_back({(static_cast<uint64_t>(g) << 32) | *p, we});
+                      }
+                    }
+                  }
+                  out.stats.equijoin_rows = rows.size();
+
+                  // Group by (R.A, S.A): sort on the packed key, then
+                  // aggregate runs and apply the HAVING clause. The sort is
+                  // stable so equal-key rows keep generation (element)
+                  // order, and per-pair weight sums come out bit-identical
+                  // wherever the morsel boundaries fall.
+                  std::stable_sort(rows.begin(), rows.end(),
+                                   [](const JoinRow& a, const JoinRow& b) {
+                                     return a.key < b.key;
+                                   });
+                  size_t i = 0;
+                  while (i < rows.size()) {
+                    uint64_t key = rows[i].key;
+                    double overlap = 0.0;
+                    while (i < rows.size() && rows[i].key == key) {
+                      overlap += rows[i].weight;
+                      ++i;
+                    }
+                    ++out.stats.candidate_pairs;
+                    auto rg = static_cast<GroupId>(key >> 32);
+                    auto sg = static_cast<GroupId>(key & 0xffffffffu);
+                    if (pred.Test(overlap, r.norms[rg], s.norms[sg])) {
+                      out.pairs.push_back({rg, sg, overlap});
+                    }
+                  }
+                });
     std::vector<SSJoinPair> out;
-    size_t i = 0;
-    while (i < rows.size()) {
-      uint64_t key = rows[i].key;
-      double overlap = 0.0;
-      while (i < rows.size() && rows[i].key == key) {
-        overlap += rows[i].weight;
-        ++i;
-      }
-      ++stats->candidate_pairs;
-      GroupId rg = static_cast<GroupId>(key >> 32);
-      GroupId sg = static_cast<GroupId>(key & 0xffffffffu);
-      if (pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-        out.push_back({rg, sg, overlap});
-      }
-    }
+    MergeMorselOutputs(morsels, &out, stats);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", timer.ElapsedMillis());
     return out;
@@ -172,33 +222,48 @@ class InvertedIndexSSJoin final : public SSJoinExecutor {
                                           SSJoinStats* stats) const override {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/false));
     const WeightVector& w = *ctx.weights;
+    const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
     Timer timer;
     size_t num_elements = MaxElementId(r, s) + 1;
     InvertedIndex s_index(s.store, num_elements);
 
     // Score accumulation: stream R groups, accumulate per-S overlap in a
-    // dense epoch-marked accumulator (the OptMerge-style plan of [13]).
-    std::vector<double> acc(s.num_groups(), 0.0);
-    std::vector<uint32_t> seen_epoch(s.num_groups(), 0);
-    std::vector<GroupId> touched;
-    uint32_t epoch = 0;
+    // dense epoch-marked per-worker accumulator (the OptMerge-style plan of
+    // [13]).
+    struct Scratch {
+      std::vector<double> acc;
+      ProbeScratch probe;  // `cands` holds the touched S-groups
+    };
+    std::vector<Scratch> scratch(exec::NumWorkers(ec, r.num_groups()));
+    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+    ParallelFor(ec, r.num_groups(),
+                [&](size_t worker, size_t m, size_t begin, size_t end) {
+                  Scratch& sc = scratch[worker];
+                  sc.acc.resize(s.num_groups(), 0.0);
+                  sc.probe.EnsureSize(s.num_groups());
+                  std::vector<GroupId>& touched = sc.probe.cands;
+                  MorselOutput& out = morsels[m];
+                  for (size_t g = begin; g < end; ++g) {
+                    auto rg = static_cast<GroupId>(g);
+                    uint32_t epoch = sc.probe.NextEpoch();
+                    touched.clear();
+                    for (text::TokenId e : r.set(rg)) {
+                      auto [lo, hi] = s_index.Lookup(e);
+                      out.stats.equijoin_rows += static_cast<size_t>(hi - lo);
+                      kernels::AccumulatePostings({lo, hi}, w[e], epoch,
+                                                  sc.probe.seen.data(),
+                                                  sc.acc.data(), &touched);
+                    }
+                    out.stats.candidate_pairs += touched.size();
+                    for (GroupId sg : touched) {
+                      if (pred.Test(sc.acc[sg], r.norms[rg], s.norms[sg])) {
+                        out.pairs.push_back({rg, sg, sc.acc[sg]});
+                      }
+                    }
+                  }
+                });
     std::vector<SSJoinPair> out;
-    for (GroupId rg = 0; rg < r.num_groups(); ++rg) {
-      ++epoch;
-      touched.clear();
-      for (text::TokenId e : r.set(rg)) {
-        auto [begin, end] = s_index.Lookup(e);
-        stats->equijoin_rows += static_cast<size_t>(end - begin);
-        kernels::AccumulatePostings({begin, end}, w[e], epoch,
-                                    seen_epoch.data(), acc.data(), &touched);
-      }
-      stats->candidate_pairs += touched.size();
-      for (GroupId sg : touched) {
-        if (pred.Test(acc[sg], r.norms[rg], s.norms[sg])) {
-          out.push_back({rg, sg, acc[sg]});
-        }
-      }
-    }
+    MergeMorselOutputs(morsels, &out, stats);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", timer.ElapsedMillis());
     return out;
@@ -216,64 +281,104 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
                                           SSJoinStats* stats) const override {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/true));
     const WeightVector& w = *ctx.weights;
+    const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
 
     // Phase 1: prefix-filter both relations (Figure 8, bottom operators).
     Timer prefix_timer;
     PrefixFilteredRelation r_pref =
-        PrefixFilterRelation(r, w, *ctx.order, pred, JoinSide::kR);
+        PrefixFilterRelation(r, w, *ctx.order, pred, JoinSide::kR, ec);
     PrefixFilteredRelation s_pref =
-        PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS);
+        PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS, ec);
     RecordPrefixStats(r, s, r_pref, s_pref, stats);
     size_t num_elements = MaxElementId(r, s) + 1;
     InvertedIndex s_index(s_pref.prefixes, num_elements);
     stats->phases.Add("Prefix-filter", prefix_timer.ElapsedMillis());
 
     // Phase 2: equi-join the prefixes to produce candidate <R.A, S.A> pairs,
-    // then re-join the candidates with the *base* relations and group by the
-    // pair to compute the overlap (the two upper joins + group-by of
-    // Figure 8). The re-join is materialized as (candidate, weight) rows —
-    // this materialization is exactly the cost the inline variant avoids.
+    // partitioned over R-groups; per-morsel candidate runs concatenated in
+    // morsel order give the candidate sequence of a single scan.
     Timer join_timer;
     struct Candidate {
       GroupId r;
       GroupId s;
     };
+    struct CandMorsel {
+      std::vector<Candidate> cands;
+      SSJoinStats stats;
+    };
+    std::vector<ProbeScratch> probe(exec::NumWorkers(ec, r.num_groups()));
+    std::vector<CandMorsel> cand_morsels(exec::NumMorsels(ec, r.num_groups()));
+    ParallelFor(ec, r.num_groups(),
+                [&](size_t worker, size_t m, size_t begin, size_t end) {
+                  ProbeScratch& sc = probe[worker];
+                  sc.EnsureSize(s.num_groups());
+                  CandMorsel& out = cand_morsels[m];
+                  GeneratePrefixCandidates(
+                      r_pref, s_index, begin, end, sc, &out.stats,
+                      [&](GroupId rg, const std::vector<GroupId>& ss) {
+                        for (GroupId sg : ss) out.cands.push_back({rg, sg});
+                      });
+                });
     std::vector<Candidate> candidates;
-    GeneratePrefixCandidates(r_pref, s_index, s.num_groups(), stats,
-                             [&](GroupId rg, const std::vector<GroupId>& ss) {
-                               for (GroupId sg : ss) candidates.push_back({rg, sg});
-                             });
+    size_t total = 0;
+    for (const CandMorsel& m : cand_morsels) total += m.cands.size();
+    candidates.reserve(total);
+    for (const CandMorsel& m : cand_morsels) {
+      stats->Merge(m.stats);
+      candidates.insert(candidates.end(), m.cands.begin(), m.cands.end());
+    }
     stats->candidate_pairs = candidates.size();
 
+    // Phase 3: re-join the candidates with the *base* relations and group by
+    // the pair to compute the overlap (the two upper joins + group-by of
+    // Figure 8), range-partitioned over the candidate array. The re-join is
+    // materialized as (candidate, weight) rows — this materialization is
+    // exactly the cost the inline variant avoids.
     struct VerifyRow {
       uint32_t candidate;
       double weight;
     };
-    std::vector<VerifyRow> rows;
-    std::vector<text::TokenId> matched;
-    for (uint32_t c = 0; c < candidates.size(); ++c) {
-      SetView rset = r.set(candidates[c].r);
-      SetView sset = s.set(candidates[c].s);
-      matched.resize(std::min(rset.size(), sset.size()));
-      size_t n = kernels::IntersectTokens(rset, sset, matched.data());
-      for (size_t k = 0; k < n; ++k) rows.push_back({c, w[matched[k]]});
-    }
-    // Group by candidate (rows are clustered by construction) + HAVING.
+    struct VerifyScratch {
+      std::vector<VerifyRow> rows;
+      std::vector<text::TokenId> matched;
+    };
+    std::vector<VerifyScratch> verify(exec::NumWorkers(ec, candidates.size()));
+    std::vector<MorselOutput> verify_morsels(
+        exec::NumMorsels(ec, candidates.size()));
+    ParallelFor(
+        ec, candidates.size(),
+        [&](size_t worker, size_t m, size_t begin, size_t end) {
+          VerifyScratch& sc = verify[worker];
+          sc.rows.clear();
+          for (size_t c = begin; c < end; ++c) {
+            SetView rset = r.set(candidates[c].r);
+            SetView sset = s.set(candidates[c].s);
+            sc.matched.resize(std::min(rset.size(), sset.size()));
+            size_t n = kernels::IntersectTokens(rset, sset, sc.matched.data());
+            for (size_t k = 0; k < n; ++k) {
+              sc.rows.push_back({static_cast<uint32_t>(c), w[sc.matched[k]]});
+            }
+          }
+          // Group by candidate (rows are clustered by construction) +
+          // HAVING; a candidate whose sets do not intersect has no rows.
+          MorselOutput& out = verify_morsels[m];
+          size_t i = 0;
+          while (i < sc.rows.size()) {
+            uint32_t c = sc.rows[i].candidate;
+            double overlap = 0.0;
+            while (i < sc.rows.size() && sc.rows[i].candidate == c) {
+              overlap += sc.rows[i].weight;
+              ++i;
+            }
+            GroupId rg = candidates[c].r;
+            GroupId sg = candidates[c].s;
+            if (pred.Test(overlap, r.norms[rg], s.norms[sg])) {
+              out.pairs.push_back({rg, sg, overlap});
+            }
+          }
+        });
     std::vector<SSJoinPair> out;
-    size_t i = 0;
-    while (i < rows.size()) {
-      uint32_t c = rows[i].candidate;
-      double overlap = 0.0;
-      while (i < rows.size() && rows[i].candidate == c) {
-        overlap += rows[i].weight;
-        ++i;
-      }
-      GroupId rg = candidates[c].r;
-      GroupId sg = candidates[c].s;
-      if (pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-        out.push_back({rg, sg, overlap});
-      }
-    }
+    MergeMorselOutputs(verify_morsels, &out, stats);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", join_timer.ElapsedMillis());
     return out;
@@ -310,12 +415,13 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
                                           SSJoinStats* stats) const override {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/true));
     const WeightVector& w = *ctx.weights;
+    const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
 
     Timer prefix_timer;
     PrefixFilteredRelation r_pref =
-        PrefixFilterRelation(r, w, *ctx.order, pred, JoinSide::kR);
+        PrefixFilterRelation(r, w, *ctx.order, pred, JoinSide::kR, ec);
     PrefixFilteredRelation s_pref =
-        PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS);
+        PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS, ec);
     stats->r_prefix_elements = r_pref.total_prefix_elements();
     stats->s_prefix_elements = s_pref.total_prefix_elements();
     size_t num_elements = MaxElementId(r, s) + 1;
@@ -325,20 +431,32 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
     // Candidates carry their groups inline (Figure 9): the overlap of each
     // candidate pair is computed by a direct merge of the two stored sets
     // (the overlap "UDF"), with no join back to the base relations.
+    // Generation and the UDF run in the same morsel, partitioned over
+    // R-groups.
     Timer join_timer;
+    std::vector<ProbeScratch> probe(exec::NumWorkers(ec, r.num_groups()));
+    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
+    ParallelFor(ec, r.num_groups(),
+                [&](size_t worker, size_t m, size_t begin, size_t end) {
+                  ProbeScratch& sc = probe[worker];
+                  sc.EnsureSize(s.num_groups());
+                  MorselOutput& out = morsels[m];
+                  GeneratePrefixCandidates(
+                      r_pref, s_index, begin, end, sc, &out.stats,
+                      [&](GroupId rg, const std::vector<GroupId>& ss) {
+                        out.stats.candidate_pairs += ss.size();
+                        for (GroupId sg : ss) {
+                          double overlap = kernels::IntersectWeighted(
+                              r.set(rg), s.set(sg), w.data());
+                          if (overlap > 0.0 &&
+                              pred.Test(overlap, r.norms[rg], s.norms[sg])) {
+                            out.pairs.push_back({rg, sg, overlap});
+                          }
+                        }
+                      });
+                });
     std::vector<SSJoinPair> out;
-    GeneratePrefixCandidates(
-        r_pref, s_index, s.num_groups(), stats,
-        [&](GroupId rg, const std::vector<GroupId>& ss) {
-          stats->candidate_pairs += ss.size();
-          for (GroupId sg : ss) {
-            double overlap =
-                kernels::IntersectWeighted(r.set(rg), s.set(sg), w.data());
-            if (overlap > 0.0 && pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-              out.push_back({rg, sg, overlap});
-            }
-          }
-        });
+    MergeMorselOutputs(morsels, &out, stats);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", join_timer.ElapsedMillis());
     return out;
@@ -392,9 +510,8 @@ std::unique_ptr<SSJoinExecutor> MakeExecutor(SSJoinAlgorithm algorithm) {
       return std::make_unique<InlinePrefixFilterSSJoin>();
     case SSJoinAlgorithm::kApprox:
     case SSJoinAlgorithm::kHybrid:
-      // Implemented in src/approx (needs the parallel runtime, which core
-      // cannot link). approx::ExecuteSSJoin intercepts these before dispatch
-      // ever reaches this factory.
+      // Implemented in src/approx, a layer above core. approx::ExecuteSSJoin
+      // intercepts these before dispatch ever reaches this factory.
       return nullptr;
   }
   return nullptr;
@@ -463,12 +580,11 @@ void PublishSSJoinStats(const SSJoinStats& stats) {
   reg.GetCounter("core.prefix_elements_s")->Add(stats.s_prefix_elements);
   reg.GetCounter("core.pruned_groups_r")->Add(stats.pruned_groups_r);
   reg.GetCounter("core.pruned_groups_s")->Add(stats.pruned_groups_s);
-  obs::SpanSet spans;
   for (const auto& [phase, millis] : stats.phases.phases()) {
-    spans.Add(PhaseMetricSegment(phase),
-              static_cast<uint64_t>(millis * 1000.0));
+    std::string prefix = "core.phase." + PhaseMetricSegment(phase);
+    reg.GetCounter(prefix + ".us")->Add(static_cast<uint64_t>(millis * 1000.0));
+    reg.GetCounter(prefix + ".count")->Add(1);
   }
-  spans.PublishTo(&reg, "core.phase.");
 }
 
 void SortPairs(std::vector<SSJoinPair>* pairs) {

@@ -47,9 +47,9 @@ struct SSJoinStats {
   PhaseTimer phases;
 
   /// Accumulates another stats record into this one: counters are summed and
-  /// phase timings merged. Used by the parallel executors to combine
-  /// per-morsel statistics; summing in a fixed (morsel) order keeps the
-  /// merged record deterministic.
+  /// phase timings merged. The executors combine per-morsel statistics with
+  /// it; summing in a fixed (morsel) order keeps the merged record
+  /// deterministic.
   void Merge(const SSJoinStats& other);
 };
 
@@ -58,8 +58,10 @@ struct SSJoinStats {
 struct SSJoinContext {
   const WeightVector* weights = nullptr;
   const ElementOrder* order = nullptr;  // required by prefix variants only
-  /// Optional parallel-execution knobs (src/exec). Null or 1 thread means
-  /// serial execution; exec::ExecuteSSJoin dispatches on this.
+  /// Thread and morsel counts for the executors' ParallelFor loops
+  /// (src/exec). Null means the ExecContext defaults: one thread, which runs
+  /// every morsel inline on the caller. Output and counters do not depend
+  /// on the thread count.
   const exec::ExecContext* exec = nullptr;
 };
 
@@ -101,6 +103,10 @@ const char* SSJoinAlgorithmName(SSJoinAlgorithm algorithm);
 /// Overlap_B(r, s) >= max_i e_i(norm_r, norm_s) **and** a non-empty
 /// intersection (the operator's standing positive-threshold assumption:
 /// pairs sharing no element are never produced).
+///
+/// Each algorithm has one implementation, whose loops run as morsels of
+/// exec::ParallelFor under `ctx.exec`: pairs, their order, their overlap
+/// doubles and all counters are the same at any thread count.
 class SSJoinExecutor {
  public:
   virtual ~SSJoinExecutor() = default;
@@ -117,8 +123,8 @@ class SSJoinExecutor {
 /// Factory for a named algorithm.
 std::unique_ptr<SSJoinExecutor> MakeExecutor(SSJoinAlgorithm algorithm);
 
-/// Shared input validation for SSJoin executors (serial and parallel):
-/// weights/order coverage and column-length consistency.
+/// Shared input validation for SSJoin executors: weights/order coverage and
+/// column-length consistency.
 Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
                             const SSJoinContext& ctx, bool needs_order);
 
@@ -140,9 +146,9 @@ void RegisterCoreMetrics();
 
 /// Adds one finished join's statistics to the global obs registry: counters
 /// under `core.*` and phase timings under `core.phase.<phase>.{us,count}`.
-/// Called by core::ExecuteSSJoin and the exec layer's parallel dispatch; the
-/// counter deltas are deterministic (SSJoinStats merges per-morsel records in
-/// morsel order), phase timings are wall clock and are not.
+/// Called by core::ExecuteSSJoin and approx::ExecuteSSJoin; the counter
+/// deltas are deterministic (SSJoinStats merges per-morsel records in morsel
+/// order), phase timings are wall clock and are not.
 void PublishSSJoinStats(const SSJoinStats& stats);
 
 }  // namespace ssjoin::core

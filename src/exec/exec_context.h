@@ -6,14 +6,14 @@
 
 namespace ssjoin::exec {
 
-/// \brief Execution knobs for the morsel-driven parallel runtime, threaded
-/// through core::SSJoinContext into the physical executors.
+/// \brief Knobs of the morsel-driven runtime, threaded through
+/// core::SSJoinContext into every SSJoin executor's ParallelFor loops.
 ///
-/// Header-only and dependency-free so that core can carry a pointer to it
-/// without depending on the exec library.
+/// The runtime sits below core; one thread runs every morsel inline on the
+/// calling thread, so the same executor serves serial and parallel joins.
 struct ExecContext {
   /// Worker threads to use (the calling thread counts as one of them).
-  /// 1 = serial execution, 0 = one per hardware thread.
+  /// 1 = inline on the caller, 0 = one per hardware thread.
   size_t num_threads = 1;
   /// Target work-unit size of the morsel scheduler: number of groups
   /// (candidate generation) or candidate pairs (verification) per morsel.
@@ -26,9 +26,13 @@ struct ExecContext {
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<size_t>(hw);
   }
-
-  bool parallel() const { return resolved_threads() > 1; }
 };
+
+/// What a null `const ExecContext*` stands for: one thread, default morsels.
+inline const ExecContext& OrDefault(const ExecContext* ctx) {
+  static const ExecContext kDefault;
+  return ctx != nullptr ? *ctx : kDefault;
+}
 
 }  // namespace ssjoin::exec
 

@@ -16,6 +16,19 @@
 
 namespace ssjoin::exec {
 
+/// Number of morsels ParallelFor splits [0, n) into: size per-morsel output
+/// slots with it.
+inline size_t NumMorsels(const ExecContext& ctx, size_t n) {
+  const size_t morsel = std::max<size_t>(1, ctx.morsel_size);
+  return (n + morsel - 1) / morsel;
+}
+
+/// Upper bound (at least one) on the worker ids ParallelFor hands out for
+/// [0, n): size per-worker scratch with it.
+inline size_t NumWorkers(const ExecContext& ctx, size_t n) {
+  return std::max<size_t>(1, std::min(ctx.resolved_threads(), NumMorsels(ctx, n)));
+}
+
 /// \brief Morsel-driven parallel loop over the index range [0, n).
 ///
 /// The range is split into contiguous morsels of `ctx.morsel_size` indices;
@@ -28,8 +41,9 @@ namespace ssjoin::exec {
 /// with `worker_id` dense in [0, workers) — use it to index per-worker
 /// scratch — and `morsel_index` dense in [0, num_morsels) — use it to index
 /// per-morsel output slots, whose concatenation in morsel order is then
-/// independent of scheduling (the determinism guarantee the parallel SSJoin
-/// executors rely on).
+/// independent of scheduling (the determinism guarantee the SSJoin executors
+/// rely on). With one worker the morsels run in order on the caller, which
+/// is the plain serial loop.
 ///
 /// Blocks until every morsel has run. `ctx.resolved_threads() - 1` helper
 /// workers are borrowed from ThreadPool::Shared(); the calling thread
@@ -44,14 +58,13 @@ template <typename Fn>
 void ParallelFor(const ExecContext& ctx, size_t n, Fn&& fn) {
   if (n == 0) return;
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size);
-  const size_t num_morsels = (n + morsel - 1) / morsel;
+  const size_t num_morsels = NumMorsels(ctx, n);
   // Morsel accounting is independent of thread count and scheduling: the
   // split depends only on (n, morsel_size), so these counters stay
   // deterministic across 1/2/8-thread runs of the same workload.
   internal::ParallelForCallsCounter().Add(1);
   internal::MorselsDispatchedCounter().Add(num_morsels);
-  size_t workers = std::min(ctx.resolved_threads(), num_morsels);
-  if (ThreadPool::InWorkerThread()) workers = 1;
+  size_t workers = ThreadPool::InWorkerThread() ? 1 : NumWorkers(ctx, n);
 
   if (workers <= 1) {
     for (size_t m = 0; m < num_morsels; ++m) {

@@ -18,7 +18,6 @@
 #include "common/string_util.h"
 #include "core/predicate.h"
 #include "core/ssjoin.h"
-#include "exec/parallel_ssjoin.h"
 #include "fuzz/oracles.h"
 #include "fuzz/shrink.h"
 #include "fuzz/workload.h"
@@ -196,21 +195,24 @@ Result<CheckResult> CheckSSJoinExecutors(const Reproducer& rp) {
   core::SortPairs(&oracle);
   std::vector<MatchPair> oracle_matches = ToMatches(oracle);
 
-  exec::ExecContext parallel_ctx;
+  // Two legs per executor: one thread (every morsel inline on the caller)
+  // and N >= 2 threads, both with the drawn morsel size.
   SSJOIN_ASSIGN_OR_RETURN(uint64_t threads, rp.GetUint("threads", 2));
-  parallel_ctx.num_threads = std::max<uint64_t>(2, threads);
   SSJOIN_ASSIGN_OR_RETURN(uint64_t morsel, rp.GetUint("morsel", 2));
-  parallel_ctx.morsel_size = std::max<uint64_t>(1, morsel);
+  exec::ExecContext one_thread;
+  one_thread.morsel_size = std::max<uint64_t>(1, morsel);
+  exec::ExecContext n_threads = one_thread;
+  n_threads.num_threads = std::max<uint64_t>(2, threads);
 
   CheckResult result;
   for (core::SSJoinAlgorithm algorithm : kAllAlgorithms) {
-    for (bool parallel : {false, true}) {
+    for (const exec::ExecContext* ec : {&one_thread, &n_threads}) {
       core::SSJoinContext ctx = prep.Context();
-      if (parallel) ctx.exec = &parallel_ctx;
+      ctx.exec = ec;
       Result<std::vector<core::SSJoinPair>> got =
-          exec::ExecuteSSJoin(algorithm, prep.r, prep.s, pred, ctx, nullptr);
+          core::ExecuteSSJoin(algorithm, prep.r, prep.s, pred, ctx, nullptr);
       std::string name = std::string(core::SSJoinAlgorithmName(algorithm)) +
-                         (parallel ? " (parallel)" : " (serial)");
+                         " (" + std::to_string(ec->num_threads) + " threads)";
       if (!got.ok()) {
         result.pass = false;
         result.detail = name + " failed: " + got.status().ToString();

@@ -19,8 +19,8 @@ struct CheckResult {
 /// \brief The differential scenarios the harness drives. Each scenario
 /// derives its entire workload deterministically from a Reproducer:
 ///
-///  - `ssjoin_executors`      all 5 serial + all 5 parallel SSJoin executors
-///                            vs the naive cross-product SSJoin oracle, over
+///  - `ssjoin_executors`      all 5 SSJoin executors at 1 and at N >= 2
+///                            threads vs the naive cross-product oracle, over
 ///                            weighted multisets and predicates in all three
 ///                            overlap-norm forms.
 ///  - `edit_distance_joins`   EditDistanceJoin (SSJoin reduction) and

@@ -232,30 +232,6 @@ Registry& Registry::Global() {
   return *registry;
 }
 
-void SpanSet::Add(std::string_view name, uint64_t micros, uint64_t count) {
-  for (Entry& e : entries_) {
-    if (e.name == name) {
-      e.total_micros += micros;
-      e.count += count;
-      return;
-    }
-  }
-  entries_.push_back(Entry{std::string(name), micros, count});
-}
-
-void SpanSet::Merge(const SpanSet& other) {
-  for (const Entry& e : other.entries_) {
-    Add(e.name, e.total_micros, e.count);
-  }
-}
-
-void SpanSet::PublishTo(Registry* registry, const std::string& prefix) const {
-  for (const Entry& e : entries_) {
-    registry->GetCounter(prefix + e.name + ".us")->Add(e.total_micros);
-    registry->GetCounter(prefix + e.name + ".count")->Add(e.count);
-  }
-}
-
 uint64_t ObsSpan::Stop() {
   if (stopped_) return 0;
   stopped_ = true;
@@ -265,7 +241,6 @@ uint64_t ObsSpan::Stop() {
           .count());
   if (counter_ != nullptr) counter_->Add(micros);
   if (hist_ != nullptr) hist_->Record(micros);
-  if (set_ != nullptr) set_->Add(name_, micros);
   return micros;
 }
 

@@ -26,7 +26,7 @@ namespace ssjoin::obs {
 /// directly (core and exec do this).
 ///
 /// Determinism: work-derived counters (rows, candidates, prunes) are bridged
-/// from `SSJoinStats`, which the parallel executors merge in morsel order —
+/// from `SSJoinStats`, which the SSJoin executors merge in morsel order —
 /// so a join publishes identical counter deltas at 1, 2 or 8 threads.
 /// Time-derived metrics (spans, busy/idle) naturally vary run to run; only
 /// their *names and ordering* are deterministic, never their values.
@@ -178,42 +178,13 @@ class Registry {
   std::vector<std::pair<uint64_t, Provider>> providers_;
 };
 
-/// \brief Ordered accumulator of named span totals (micros + hit counts),
-/// with PhaseTimer's merge discipline: names keep their first-recorded order
-/// and Merge folds another set in that order, so merging per-morsel sets in
-/// morsel order yields a scheduling-independent *sequence* of span names.
-class SpanSet {
- public:
-  struct Entry {
-    std::string name;
-    uint64_t total_micros = 0;
-    uint64_t count = 0;
-  };
-
-  void Add(std::string_view name, uint64_t micros, uint64_t count = 1);
-  void Merge(const SpanSet& other);
-
-  /// Adds every entry into the registry as a pair of counters
-  /// `<prefix><name>.us` and `<prefix><name>.count`.
-  void PublishTo(Registry* registry, const std::string& prefix) const;
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  void Clear() { entries_.clear(); }
-
- private:
-  std::vector<Entry> entries_;
-};
-
 /// \brief RAII scoped span: measures wall-clock micros from construction to
-/// Stop()/destruction and records them into a Counter, Histogram or SpanSet.
+/// Stop()/destruction and records them into a Counter or Histogram.
 /// Cheap enough for per-request use; not for per-element inner loops.
 class ObsSpan {
  public:
   explicit ObsSpan(Counter* counter) : counter_(counter) { Start(); }
   explicit ObsSpan(Histogram* hist) : hist_(hist) { Start(); }
-  ObsSpan(SpanSet* set, std::string name) : set_(set), name_(std::move(name)) {
-    Start();
-  }
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
   ~ObsSpan() { Stop(); }
@@ -227,8 +198,6 @@ class ObsSpan {
 
   Counter* counter_ = nullptr;
   Histogram* hist_ = nullptr;
-  SpanSet* set_ = nullptr;
-  std::string name_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
 };

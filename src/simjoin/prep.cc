@@ -4,7 +4,6 @@
 
 #include "approx/approx_ssjoin.h"
 #include "core/cost_model.h"
-#include "exec/parallel_ssjoin.h"
 #include "text/weights.h"
 
 namespace ssjoin::simjoin {
@@ -68,7 +67,7 @@ Result<std::vector<core::SSJoinPair>> RunSSJoinStage(const Prepared& prep,
   if (execution.use_cost_model) {
     algorithm = core::ChooseAlgorithm(prep.r, prep.s, pred, ctx);
   }
-  // The approx-layer dispatch is a superset of exec::ExecuteSSJoin: it adds
+  // The approx-layer dispatch is a superset of core::ExecuteSSJoin: it adds
   // kApprox/kHybrid handling and forwards the exact algorithms unchanged.
   SSJOIN_ASSIGN_OR_RETURN(
       std::vector<core::SSJoinPair> pairs,

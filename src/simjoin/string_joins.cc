@@ -73,48 +73,29 @@ Result<std::vector<MatchPair>> RunPipeline(const std::vector<std::string>& r,
                           RunSSJoinStage(prep, pred, execution, stats));
 
   // Final UDF filter. The exact-similarity verifier is the hot loop of the
-  // distance-based joins, so it is morsel-parallelized over the candidate
-  // pairs; per-morsel outputs concatenated in morsel order keep the result
-  // identical to the serial scan.
+  // distance-based joins, so it runs in morsels over the candidate pairs;
+  // per-morsel outputs concatenated in morsel order keep the result
+  // identical at any thread count.
   Timer filter_timer;
-  std::vector<MatchPair> out;
   const exec::ExecContext& ec = execution.exec;
-  if (ec.parallel() && pairs.size() > 1) {
-    size_t morsel = std::max<size_t>(1, ec.morsel_size);
-    size_t num_morsels = (pairs.size() + morsel - 1) / morsel;
-    struct FilterMorsel {
-      std::vector<MatchPair> matches;
-      size_t verifier_calls = 0;
-    };
-    std::vector<FilterMorsel> morsels(num_morsels);
-    exec::ParallelFor(ec, pairs.size(),
-                      [&](size_t /*worker*/, size_t m, size_t begin, size_t end) {
-                        FilterMorsel& fm = morsels[m];
-                        for (size_t i = begin; i < end; ++i) {
-                          const core::SSJoinPair& p = pairs[i];
-                          ++fm.verifier_calls;
-                          double similarity = verify(p);
-                          if (!std::isnan(similarity)) {
-                            fm.matches.push_back({p.r, p.s, similarity});
-                          }
+  std::vector<std::vector<MatchPair>> morsels(exec::NumMorsels(ec, pairs.size()));
+  exec::ParallelFor(ec, pairs.size(),
+                    [&](size_t /*worker*/, size_t m, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) {
+                        const core::SSJoinPair& p = pairs[i];
+                        double similarity = verify(p);
+                        if (!std::isnan(similarity)) {
+                          morsels[m].push_back({p.r, p.s, similarity});
                         }
-                      });
-    size_t total = 0;
-    for (const FilterMorsel& fm : morsels) total += fm.matches.size();
-    out.reserve(total);
-    for (const FilterMorsel& fm : morsels) {
-      stats->verifier_calls += fm.verifier_calls;
-      out.insert(out.end(), fm.matches.begin(), fm.matches.end());
-    }
-  } else {
-    out.reserve(pairs.size());
-    for (const core::SSJoinPair& p : pairs) {
-      ++stats->verifier_calls;
-      double similarity = verify(p);
-      if (!std::isnan(similarity)) {
-        out.push_back({p.r, p.s, similarity});
-      }
-    }
+                      }
+                    });
+  stats->verifier_calls += pairs.size();
+  std::vector<MatchPair> out;
+  size_t total = 0;
+  for (const std::vector<MatchPair>& matches : morsels) total += matches.size();
+  out.reserve(total);
+  for (const std::vector<MatchPair>& matches : morsels) {
+    out.insert(out.end(), matches.begin(), matches.end());
   }
   stats->result_pairs = out.size();
   stats->phases.Add("Filter", filter_timer.ElapsedMillis());

@@ -46,7 +46,7 @@ struct JoinExecution {
   /// If true, ignore `algorithm` and let the cost model pick (§7).
   bool use_cost_model = false;
   /// Parallel-runtime knobs (src/exec): thread count and morsel size for the
-  /// SSJoin stage and the UDF verification loop. Defaults to serial.
+  /// SSJoin stage and the UDF verification loop. Defaults to one thread.
   exec::ExecContext exec;
   /// Knobs of the approximate tier (src/approx), consulted when `algorithm`
   /// is kApprox or kHybrid; ignored by the exact algorithms.

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "core/cost_model.h"
 #include "core/ssjoin.h"
-#include "exec/parallel_ssjoin.h"
 #include "fuzz/oracles.h"
 #include "obs/metrics.h"
 
@@ -364,7 +363,7 @@ TEST(HybridRoutingTest, ExactAlgorithmsDelegateUnchanged) {
   for (core::SSJoinAlgorithm algorithm :
        {core::SSJoinAlgorithm::kBasic, core::SSJoinAlgorithm::kInvertedIndex,
         core::SSJoinAlgorithm::kPrefixFilterInline}) {
-    auto direct = exec::ExecuteSSJoin(algorithm, f.r, f.s, pred, ctx);
+    auto direct = core::ExecuteSSJoin(algorithm, f.r, f.s, pred, ctx);
     ASSERT_TRUE(direct.ok());
     core::SSJoinAlgorithm resolved;
     auto routed =

@@ -1,8 +1,7 @@
 /// Tests for the morsel-driven execution runtime (src/exec): thread pool
 /// lifecycle, task queue, ParallelFor scheduling/exception semantics, and —
-/// the load-bearing property — that the parallel SSJoin executors produce
-/// output and stats identical to the serial ones for every algorithm and
-/// thread count.
+/// the load-bearing property — that every SSJoin executor produces the same
+/// output and stats at N threads as at one, for any morsel size.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +14,8 @@
 
 #include "common/rng.h"
 #include "core/ssjoin.h"
+#include "exec/metrics.h"
 #include "exec/parallel_for.h"
-#include "exec/parallel_ssjoin.h"
 #include "exec/task_queue.h"
 #include "exec/thread_pool.h"
 #include "simjoin/string_joins.h"
@@ -186,7 +185,8 @@ TEST(StatsMergeTest, CountersAndPhasesSum) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: parallel == serial, bit for bit
+// Determinism: N threads == 1 thread, bit for bit. The reference runs use a
+// null ctx.exec: one thread and the default morsel size, i.e. a single scan.
 
 constexpr core::SSJoinAlgorithm kAllAlgorithms[] = {
     core::SSJoinAlgorithm::kNaive, core::SSJoinAlgorithm::kBasic,
@@ -268,7 +268,7 @@ TEST_P(ParallelDeterminismTest, MatchesSerialAllAlgorithms) {
           auto serial = core::ExecuteSSJoin(algorithm, f.r, f.s, pred,
                                             serial_ctx, &serial_stats);
           ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-          auto parallel = exec::ExecuteSSJoin(algorithm, f.r, f.s, pred,
+          auto parallel = core::ExecuteSSJoin(algorithm, f.r, f.s, pred,
                                         parallel_ctx, &parallel_stats);
           ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
           ExpectPairsIdentical(*serial, *parallel);
@@ -283,8 +283,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelDeterminismTest,
                          ::testing::Values(1, 2, 8));
 
 TEST_P(ParallelDeterminismTest, MorselBoundariesDoNotAffectCsrOutput) {
-  // The parallel prefix filter builds per-morsel CSR stores and concatenates
-  // them; the result must not depend on where the morsel boundaries fall.
+  // The prefix filter builds per-morsel CSR stores and concatenates them;
+  // the result must not depend on where the morsel boundaries fall.
   const size_t threads = GetParam();
   Fixture f = RandomFixture(29, /*universe=*/50, /*r_groups=*/100,
                             /*s_groups=*/80, false);
@@ -302,7 +302,7 @@ TEST_P(ParallelDeterminismTest, MorselBoundariesDoNotAffectCsrOutput) {
     pctx_join.exec = &pctx;
     core::SSJoinStats parallel_stats;
     auto parallel =
-        exec::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline, f.r,
+        core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline, f.r,
                             f.s, pred, pctx_join, &parallel_stats);
     ASSERT_TRUE(parallel.ok()) << "morsel " << morsel_size;
     ExpectPairsIdentical(*serial, *parallel);
@@ -312,8 +312,8 @@ TEST_P(ParallelDeterminismTest, MorselBoundariesDoNotAffectCsrOutput) {
 
 TEST_P(ParallelDeterminismTest, CsrAssembledRelationMatchesSerial) {
   // Relations assembled directly from raw CSR columns (the snapshot load
-  // path) must behave identically to builder-produced ones in the parallel
-  // executors.
+  // path) must behave identically to builder-produced ones at any thread
+  // count.
   const size_t threads = GetParam();
   Fixture f = RandomFixture(31, 40, 60, 60, true);
   core::SetsRelation raw;
@@ -335,24 +335,34 @@ TEST_P(ParallelDeterminismTest, CsrAssembledRelationMatchesSerial) {
         core::ExecuteSSJoin(algorithm, f.r, f.s, pred, serial_ctx, nullptr);
     ASSERT_TRUE(serial.ok());
     auto parallel =
-        exec::ExecuteSSJoin(algorithm, raw, f.s, pred, parallel_ctx, nullptr);
+        core::ExecuteSSJoin(algorithm, raw, f.s, pred, parallel_ctx, nullptr);
     ASSERT_TRUE(parallel.ok());
     ExpectPairsIdentical(*serial, *parallel);
   }
 }
 
 TEST(ParallelSSJoinTest, NullExecFallsBackToSerial) {
+  // A null ctx.exec is the default ExecContext: one thread, which runs every
+  // morsel inline, with the same morsel split as an explicit context.
   Fixture f = RandomFixture(3, 40, 50, 50, true);
-  core::SSJoinContext ctx{&f.weights, &f.order};  // ctx.exec == nullptr
+  core::SSJoinContext null_ctx{&f.weights, &f.order};
+  ExecContext one_thread;
+  core::SSJoinContext ctx{&f.weights, &f.order};
+  ctx.exec = &one_thread;
   auto pred = core::OverlapPredicate::Absolute(2.0);
-  core::SSJoinStats stats;
-  auto result = exec::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline, f.r,
-                              f.s, pred, ctx, &stats);
+  obs::Counter& morsels = internal::MorselsDispatchedCounter();
+  uint64_t before = morsels.value();
+  auto result = core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline,
+                                    f.r, f.s, pred, null_ctx);
   ASSERT_TRUE(result.ok());
-  auto serial = core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline,
-                                    f.r, f.s, pred, ctx);
-  ASSERT_TRUE(serial.ok());
-  ExpectPairsIdentical(*serial, *result);
+  uint64_t null_morsels = morsels.value() - before;
+  before = morsels.value();
+  auto explicit_run = core::ExecuteSSJoin(
+      core::SSJoinAlgorithm::kPrefixFilterInline, f.r, f.s, pred, ctx);
+  ASSERT_TRUE(explicit_run.ok());
+  EXPECT_GT(null_morsels, 0u);
+  EXPECT_EQ(morsels.value() - before, null_morsels);
+  ExpectPairsIdentical(*explicit_run, *result);
 }
 
 TEST(ParallelSSJoinTest, ValidationErrorsSurfaceInParallelPath) {
@@ -362,7 +372,7 @@ TEST(ParallelSSJoinTest, ValidationErrorsSurfaceInParallelPath) {
   core::SSJoinContext ctx{&f.weights, nullptr};  // missing order
   ctx.exec = &pctx;
   auto result =
-      exec::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilter, f.r, f.s,
+      core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilter, f.r, f.s,
                     core::OverlapPredicate::Absolute(1.0), ctx);
   EXPECT_FALSE(result.ok());
 }

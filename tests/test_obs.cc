@@ -1,5 +1,5 @@
 /// Unit tests for the unified observability layer (src/obs): metric
-/// primitives, the registry with its provider protocol, span accumulation,
+/// primitives, the registry with its provider protocol, scoped spans,
 /// and the NDJSON / flat-JSON export forms (validated with the serve wire
 /// parser, the same one the stats command's consumers use).
 
@@ -183,35 +183,6 @@ TEST(RegistryTest, FlatJsonFlattensHistograms) {
   EXPECT_TRUE(obj->count("serve.latency_us.p99"));
 }
 
-TEST(SpanSetTest, KeepsFirstRecordedOrderAndMerges) {
-  SpanSet a;
-  a.Add("prefix_filter", 100);
-  a.Add("ssjoin", 200);
-  a.Add("prefix_filter", 50);  // folds into the existing entry
-  ASSERT_EQ(a.entries().size(), 2u);
-  EXPECT_EQ(a.entries()[0].name, "prefix_filter");
-  EXPECT_EQ(a.entries()[0].total_micros, 150u);
-  EXPECT_EQ(a.entries()[0].count, 2u);
-  EXPECT_EQ(a.entries()[1].name, "ssjoin");
-
-  SpanSet b;
-  b.Add("ssjoin", 10);
-  b.Add("verify", 5);
-  a.Merge(b);
-  ASSERT_EQ(a.entries().size(), 3u);
-  // Merge appends unseen names after existing ones — merging per-morsel sets
-  // in morsel order therefore yields a scheduling-independent name sequence.
-  EXPECT_EQ(a.entries()[1].total_micros, 210u);
-  EXPECT_EQ(a.entries()[2].name, "verify");
-
-  Registry reg;
-  a.PublishTo(&reg, "core.phase.");
-  EXPECT_EQ(reg.GetCounter("core.phase.prefix_filter.us")->value(), 150u);
-  EXPECT_EQ(reg.GetCounter("core.phase.prefix_filter.count")->value(), 2u);
-  EXPECT_EQ(reg.GetCounter("core.phase.ssjoin.us")->value(), 210u);
-  EXPECT_EQ(reg.GetCounter("core.phase.verify.count")->value(), 1u);
-}
-
 TEST(ObsSpanTest, RecordsIntoEachTargetOnce) {
   Counter c;
   {
@@ -226,14 +197,6 @@ TEST(ObsSpanTest, RecordsIntoEachTargetOnce) {
     (void)first;
   }
   EXPECT_EQ(h.count(), 1u) << "destructor after Stop must not double-record";
-
-  SpanSet set;
-  {
-    ObsSpan span(&set, "lookup");
-  }
-  ASSERT_EQ(set.entries().size(), 1u);
-  EXPECT_EQ(set.entries()[0].name, "lookup");
-  EXPECT_EQ(set.entries()[0].count, 1u);
 }
 
 TEST(GlobalRegistryTest, SingletonIsStable) {

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "core/ssjoin.h"
+#include "obs/metrics.h"
 #include "simjoin/prep.h"
 #include "text/tokenizer.h"
 
@@ -273,6 +274,23 @@ TEST(SSJoinCoreTest, AlgorithmNames) {
   for (SSJoinAlgorithm a : kAllAlgorithms) {
     EXPECT_EQ(MakeExecutor(a)->name(), SSJoinAlgorithmName(a));
   }
+}
+
+TEST(SSJoinCoreTest, PublishAddsOnePhaseCountPerJoin) {
+  // PublishSSJoinStats turns each recorded phase into a pair of registry
+  // counters core.phase.<segment>.{us,count}; one join adds exactly 1 to
+  // the count of each phase it ran.
+  Fixture f = RandomFixture(13, /*universe=*/30, /*r_groups=*/25,
+                            /*s_groups=*/25, /*unit_weights=*/false);
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* prefix_count = reg.GetCounter("core.phase.prefix_filter.count");
+  obs::Counter* ssjoin_count = reg.GetCounter("core.phase.ssjoin.count");
+  uint64_t prefix_before = prefix_count->value();
+  uint64_t ssjoin_before = ssjoin_count->value();
+  RunAlgo(SSJoinAlgorithm::kPrefixFilter, f,
+          OverlapPredicate::TwoSidedNormalized(0.5));
+  EXPECT_EQ(prefix_count->value() - prefix_before, 1u);
+  EXPECT_EQ(ssjoin_count->value() - ssjoin_before, 1u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// Exactness tests for SSJoinStats: every counter the executors report is
 /// checked against an independent brute-force oracle on small inputs, for
-/// all five physical algorithms, serial and parallel. The parallel runs must
-/// additionally report *identical* counters at 1, 2 and 8 threads and return
-/// bit-identical output — the determinism contract the obs layer builds on.
+/// all five physical algorithms. Each executor must additionally report
+/// *identical* counters at 1, 2 and 8 threads and return bit-identical
+/// output — the determinism contract the obs layer builds on.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "core/ssjoin.h"
-#include "exec/parallel_ssjoin.h"
+#include "exec/metrics.h"
 
 namespace ssjoin::core {
 namespace {
@@ -244,7 +244,9 @@ TEST(StatsExactnessTest, PrunedGroupsMatchOracleUnderAbsoluteThreshold) {
 TEST(StatsExactnessTest, ParallelCountersIdenticalAcrossThreadCounts) {
   // The acceptance bar for the obs determinism contract: at 1, 2 and 8
   // threads every counter and every output pair (id *and* overlap double)
-  // must be identical to the serial run.
+  // must be identical to the default (null ctx.exec) run, and the
+  // exec.morsels_dispatched delta of one join must not depend on the
+  // thread count.
   Fixture f = RandomFixture(21, /*universe=*/20, /*r_groups=*/60,
                             /*s_groups=*/45, /*unit_weights=*/false);
   OverlapPredicate pred = OverlapPredicate::TwoSidedNormalized(0.6);
@@ -256,6 +258,8 @@ TEST(StatsExactnessTest, ParallelCountersIdenticalAcrossThreadCounts) {
         ExecuteSSJoin(algorithm, f.r, f.s, pred, f.Context(), &serial_stats);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
+    obs::Counter& morsels = exec::internal::MorselsDispatchedCounter();
+    std::vector<uint64_t> morsel_deltas;
     for (size_t threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       exec::ExecContext ec;
@@ -264,19 +268,25 @@ TEST(StatsExactnessTest, ParallelCountersIdenticalAcrossThreadCounts) {
       SSJoinContext ctx = f.Context();
       ctx.exec = &ec;
       SSJoinStats stats;
-      auto parallel = exec::ExecuteSSJoin(algorithm, f.r, f.s, pred, ctx, &stats);
+      uint64_t morsels_before = morsels.value();
+      auto parallel = ExecuteSSJoin(algorithm, f.r, f.s, pred, ctx, &stats);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      morsel_deltas.push_back(morsels.value() - morsels_before);
 
       ExpectSameCounters(stats, serial_stats, "vs serial");
       ASSERT_EQ(parallel->size(), serial->size());
       for (size_t i = 0; i < serial->size(); ++i) {
         EXPECT_EQ((*parallel)[i].r, (*serial)[i].r);
         EXPECT_EQ((*parallel)[i].s, (*serial)[i].s);
-        // Bit-identical, not just close: the parallel executors sum weights
-        // in the same element order as the serial plans.
+        // Bit-identical, not just close: every morsel sums weights in the
+        // same element order as a single scan.
         EXPECT_EQ((*parallel)[i].overlap, (*serial)[i].overlap);
       }
     }
+    ASSERT_EQ(morsel_deltas.size(), 3u);
+    EXPECT_GT(morsel_deltas[0], 0u);
+    EXPECT_EQ(morsel_deltas[1], morsel_deltas[0]) << "2 threads vs 1";
+    EXPECT_EQ(morsel_deltas[2], morsel_deltas[0]) << "8 threads vs 1";
   }
 }
 
