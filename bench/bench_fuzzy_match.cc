@@ -1,6 +1,7 @@
-/// Extension bench (§6's top-K composition): FuzzyMatchIndex build cost and
-/// per-query lookup latency/throughput against reference tables of
-/// increasing size, with dirty queries.
+/// Extension bench (§6's top-K composition): lookup-index build cost (one
+/// BulkLoad + Seal into a single sealed segment) and per-query lookup
+/// latency/throughput against reference tables of increasing size, with
+/// dirty queries.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +10,7 @@
 #include "bench/bench_common.h"
 #include "common/timer.h"
 #include "datagen/error_model.h"
-#include "simjoin/fuzzy_match.h"
+#include "index/mutable_index.h"
 
 namespace ssjoin::bench {
 namespace {
@@ -28,20 +29,27 @@ std::vector<FmRow>& FmRows() {
 
 void BM_FuzzyLookup(benchmark::State& state, size_t reference_size) {
   const auto& master = AddressCorpus(reference_size, /*with_name=*/true);
-  simjoin::FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
+  index::MutableIndexOptions options;
+  options.match.alpha = 0.35;
   Timer build_timer;
-  auto index = simjoin::FuzzyMatchIndex::Build(master, options).MoveValueUnsafe();
+  auto index = index::MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+  std::vector<std::pair<uint64_t, std::string>> records;
+  records.reserve(master.size());
+  for (size_t i = 0; i < master.size(); ++i) records.emplace_back(i, master[i]);
+  if (!index->BulkLoad(records).ok() || !index->Seal().ok()) {
+    std::fprintf(stderr, "index build failed\n");
+    std::exit(2);
+  }
   double build_ms = build_timer.ElapsedMillis();
 
   Rng rng(kBenchSeed);
   datagen::ErrorModelOptions errors;
   errors.char_edits_mean = 1.5;
   const size_t kQueries = 2000;
-  std::vector<uint32_t> truth(kQueries);
+  std::vector<uint64_t> truth(kQueries);
   std::vector<std::string> queries(kQueries);
   for (size_t i = 0; i < kQueries; ++i) {
-    truth[i] = static_cast<uint32_t>(rng.Uniform(master.size()));
+    truth[i] = rng.Uniform(master.size());
     queries[i] = datagen::CorruptRecord(master[truth[i]], {}, errors, &rng);
   }
 
@@ -51,8 +59,8 @@ void BM_FuzzyLookup(benchmark::State& state, size_t reference_size) {
     correct = 0;
     Timer t;
     for (size_t i = 0; i < kQueries; ++i) {
-      auto matches = index.Lookup(queries[i], 1);
-      if (!matches.empty() && matches[0].ref_index == truth[i]) ++correct;
+      auto matches = index->Lookup(queries[i], 1);
+      if (!matches.empty() && matches[0].id == truth[i]) ++correct;
     }
     lookup_ms = t.ElapsedMillis();
   }

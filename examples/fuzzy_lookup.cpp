@@ -8,7 +8,7 @@
 #include "common/timer.h"
 #include "datagen/address_gen.h"
 #include "datagen/error_model.h"
-#include "simjoin/fuzzy_match.h"
+#include "index/mutable_index.h"
 
 int main() {
   using namespace ssjoin;
@@ -19,13 +19,18 @@ int main() {
   gen.duplicate_fraction = 0.0;
   datagen::AddressDataset master = datagen::GenerateAddresses(gen);
 
+  // The reference table becomes one sealed segment: BulkLoad, then Seal.
   Timer build_timer;
-  simjoin::FuzzyMatchIndex::Options options;
-  options.word_tokens = true;
-  options.alpha = 0.3;
-  auto index = simjoin::FuzzyMatchIndex::Build(master.records, options)
-                   .MoveValueUnsafe();
-  std::printf("indexed %zu reference records in %.1f ms\n", index.size(),
+  index::MutableIndexOptions options;
+  options.match.word_tokens = true;
+  options.match.alpha = 0.3;
+  auto index = index::MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+  std::vector<std::pair<uint64_t, std::string>> records;
+  for (size_t i = 0; i < master.records.size(); ++i) {
+    records.emplace_back(i, master.records[i]);
+  }
+  if (!index->BulkLoad(records).ok() || !index->Seal().ok()) return 1;
+  std::printf("indexed %zu reference records in %.1f ms\n", records.size(),
               build_timer.ElapsedMillis());
 
   // Dirty queries: corrupted copies of random reference records.
@@ -33,10 +38,10 @@ int main() {
   datagen::ErrorModelOptions errors;
   errors.char_edits_mean = 2.0;
   const size_t kQueries = 2000;
-  std::vector<uint32_t> truth;
+  std::vector<uint64_t> truth;
   std::vector<std::string> queries;
   for (size_t i = 0; i < kQueries; ++i) {
-    uint32_t src = static_cast<uint32_t>(rng.Uniform(master.records.size()));
+    uint64_t src = rng.Uniform(master.records.size());
     truth.push_back(src);
     queries.push_back(datagen::CorruptRecord(master.records[src],
                                              {{"Ave", "Avenue"}, {"St", "Street"}},
@@ -47,9 +52,9 @@ int main() {
   size_t top1_correct = 0;
   size_t top3_correct = 0;
   for (size_t i = 0; i < kQueries; ++i) {
-    auto matches = index.Lookup(queries[i], 3);
+    auto matches = index->Lookup(queries[i], 3);
     for (size_t m = 0; m < matches.size(); ++m) {
-      if (matches[m].ref_index == truth[i]) {
+      if (matches[m].id == truth[i]) {
         top3_correct++;
         if (m == 0) top1_correct++;
         break;
@@ -62,11 +67,11 @@ int main() {
   std::printf("top-1 accuracy: %.1f%%, top-3: %.1f%%\n",
               100.0 * top1_correct / kQueries, 100.0 * top3_correct / kQueries);
 
-  auto sample = index.Lookup(queries[0], 3);
+  auto sample = index->Lookup(queries[0], 3);
   std::printf("\nquery:  %s\n", queries[0].c_str());
   for (const auto& m : sample) {
     std::printf("  match %.3f: %s\n", m.similarity,
-                index.reference(m.ref_index).c_str());
+                master.records[m.id].c_str());
   }
   return 0;
 }

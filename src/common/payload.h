@@ -13,8 +13,8 @@
 namespace ssjoin::common {
 
 /// \brief Appends fixed-width little-endian scalars and length-prefixed
-/// blobs to a growing payload buffer. The wire format shared by snapshot
-/// files (serve), index manifests, sealed segments and the WAL (index).
+/// blobs to a growing payload buffer. The wire format shared by index
+/// manifests, sealed segments and the WAL.
 class PayloadWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -83,7 +83,7 @@ class PayloadReader {
  private:
   size_t Remaining() const { return size_ - pos_; }
   static Status Truncated() {
-    return Status::IOError("snapshot payload truncated");
+    return Status::IOError("payload truncated");
   }
   Status Raw(void* out, size_t n) {
     if (n > Remaining()) return Truncated();

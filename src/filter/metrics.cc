@@ -9,7 +9,6 @@ const FilterCounters& FilterMetrics() {
     c.lookups = r.GetCounter("filter.lookups");
     c.candidates_in = r.GetCounter("filter.candidates_in");
     c.candidates_kept = r.GetCounter("filter.candidates_kept");
-    c.segments_skipped = r.GetCounter("filter.segments_skipped");
     return c;
   }();
   return counters;

@@ -11,8 +11,7 @@ namespace ssjoin::filter {
 struct FilterCounters {
   obs::Counter* lookups;           // lookups carrying a non-empty filter
   obs::Counter* candidates_in;     // similarity candidates before filtering
-  obs::Counter* candidates_kept;   // candidates surviving the eligible set
-  obs::Counter* segments_skipped;  // segments with an empty eligible set
+  obs::Counter* candidates_kept;   // candidates whose attributes match
 };
 
 const FilterCounters& FilterMetrics();

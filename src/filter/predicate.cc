@@ -32,7 +32,6 @@ Status FilterPredicate::AddConjunct(FilterConjunct conjunct) {
         "duplicate filter conjunct '%s%s'", conjunct.negated ? "!" : "",
         conjunct.name.c_str()));
   }
-  if (!conjunct.negated) ++num_positive_;
   conjuncts_.insert(it, std::move(conjunct));
   return Status::OK();
 }

@@ -14,8 +14,8 @@ namespace ssjoin::filter {
 /// `name NOT IN {values}`. Values are kept sorted and deduplicated so the
 /// canonical encoding (and therefore the query-cache key) is unambiguous.
 ///
-/// Semantics over a record's AttrSet (the single source of truth, used both
-/// by the exact post-filter oracle and by the BE-index evaluator):
+/// Semantics over a record's AttrSet (FilterPredicate::Matches, the single
+/// source of truth for filtered lookups and their post-filter oracle):
 ///  - positive: the record has `name` and its value is in the set;
 ///  - negated:  the record lacks `name` OR its value is not in the set.
 struct FilterConjunct {
@@ -34,11 +34,7 @@ class FilterPredicate {
 
   bool empty() const { return conjuncts_.empty(); }
   const std::vector<FilterConjunct>& conjuncts() const { return conjuncts_; }
-  /// Number of positive (non-negated) conjuncts — the `n` of the k-of-n
-  /// counting match.
-  size_t num_positive() const { return num_positive_; }
-
-  /// Exact match semantics; the oracle the BE-index must agree with.
+  /// Exact match semantics.
   bool Matches(const AttrSet& attrs) const;
 
   /// Canonical JSON object, e.g. `{"country":["DE","FR"],"!status":[3]}`:
@@ -56,7 +52,6 @@ class FilterPredicate {
 
  private:
   std::vector<FilterConjunct> conjuncts_;  // sorted by (name, negated)
-  size_t num_positive_ = 0;
 };
 
 /// Appends `s` as a double-quoted JSON string with the same escaping rules

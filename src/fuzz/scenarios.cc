@@ -27,10 +27,8 @@
 #include "shard/sharded_index.h"
 #include "kernels/kernels.h"
 #include "serve/lookup_service.h"
-#include "serve/snapshot.h"
 #include "serve/wire.h"
 #include "sim/edit_distance.h"
-#include "simjoin/fuzzy_match.h"
 #include "simjoin/ges_join.h"
 #include "simjoin/gravano.h"
 #include "simjoin/prep.h"
@@ -390,30 +388,8 @@ Result<CheckResult> CheckGESJoin(const Reproducer& rp) {
   return result;
 }
 
-bool SameLookups(const std::string& name,
-                 const std::vector<simjoin::FuzzyMatchIndex::Match>& got,
-                 const std::vector<simjoin::FuzzyMatchIndex::Match>& want,
-                 const std::string& query, std::string* detail) {
-  if (got.size() != want.size()) {
-    *detail = name + ": result count " + std::to_string(got.size()) + " vs " +
-              std::to_string(want.size()) + " for query \"" + query + "\"";
-    return false;
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    if (got[i].ref_index != want[i].ref_index ||
-        got[i].similarity != want[i].similarity) {
-      *detail = name + ": match " + std::to_string(i) + " diverges (" +
-                PairStr(got[i].ref_index, 0, got[i].similarity) + " vs " +
-                PairStr(want[i].ref_index, 0, want[i].similarity) +
-                ") for query \"" + query + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<simjoin::FuzzyMatchIndex::Options> IndexOptions(const Reproducer& rp) {
-  simjoin::FuzzyMatchIndex::Options options;
+Result<index::MatchOptions> IndexOptions(const Reproducer& rp) {
+  index::MatchOptions options;
   SSJOIN_ASSIGN_OR_RETURN(options.word_tokens, rp.GetBool("word_tokens", true));
   SSJOIN_ASSIGN_OR_RETURN(uint64_t q_raw, rp.GetUint("q", 3));
   options.q = std::max<uint64_t>(1, q_raw);
@@ -421,72 +397,50 @@ Result<simjoin::FuzzyMatchIndex::Options> IndexOptions(const Reproducer& rp) {
   return options;
 }
 
-Result<CheckResult> CheckSnapshotRoundtrip(const Reproducer& rp) {
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
-  size_t k = std::max<uint64_t>(1, k_raw);
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex::Options iopts,
-                          IndexOptions(rp));
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex index,
-                          simjoin::FuzzyMatchIndex::Build(rp.r, iopts));
+/// A lookup answer as (doc id, similarity) pairs.
+using IdSims = std::vector<std::pair<uint64_t, double>>;
 
-  std::vector<std::vector<simjoin::FuzzyMatchIndex::Match>> direct;
-  direct.reserve(rp.s.size());
-  for (const std::string& query : rp.s) direct.push_back(index.Lookup(query, k));
-
-  // Unique temp path: parallel fuzz/test processes must not collide.
-  static std::atomic<uint64_t> counter{0};
-  std::string base =
-      (std::filesystem::temp_directory_path() /
-       StringPrintf("ssjoin_fuzz_%d_%llu", static_cast<int>(::getpid()),
-                    static_cast<unsigned long long>(
-                        counter.fetch_add(1, std::memory_order_relaxed))))
-          .string();
-
-  CheckResult result;
-  for (uint32_t version : {serve::kSnapshotVersion, serve::kSnapshotVersionNested}) {
-    std::string path = base + "_v" + std::to_string(version) + ".snap";
-    Status saved = serve::SaveSnapshotAtVersion(index, path, version);
-    if (!saved.ok()) {
-      return CheckResult{false, "SaveSnapshot v" + std::to_string(version) +
-                                    " failed: " + saved.ToString()};
-    }
-    Result<simjoin::FuzzyMatchIndex> loaded = serve::LoadSnapshot(path);
-    std::filesystem::remove(path);
-    if (!loaded.ok()) {
-      return CheckResult{false, "LoadSnapshot v" + std::to_string(version) +
-                                    " failed: " + loaded.status().ToString()};
-    }
-    for (size_t i = 0; i < rp.s.size(); ++i) {
-      if (!SameLookups("snapshot v" + std::to_string(version),
-                       loaded->Lookup(rp.s[i], k), direct[i], rp.s[i],
-                       &result.detail)) {
-        result.pass = false;
-        return result;
-      }
-    }
-  }
-  return result;
+IdSims ToIdSims(const std::vector<index::MutableFuzzyIndex::Match>& matches) {
+  IdSims out;
+  out.reserve(matches.size());
+  for (const auto& m : matches) out.emplace_back(m.id, m.similarity);
+  return out;
 }
 
-/// Compares mutable-index results (doc ids) against immutable-index results
-/// (reference row indexes). With doc_id == row index the sequences must be
-/// bitwise identical, similarity included — the index subsystem's
-/// equivalence contract.
-bool SameServedLookups(const std::string& name,
-                       const std::vector<index::MutableFuzzyIndex::Match>& got,
-                       const std::vector<simjoin::FuzzyMatchIndex::Match>& want,
-                       const std::string& query, std::string* detail) {
+/// fuzz::BruteForceLookup over `refs`, whose i-th record is doc `ids[i]`
+/// (ids ascending, so the oracle's index tie-break is the doc-id one).
+IdSims OracleLookup(const std::vector<uint64_t>& ids,
+                    const std::vector<std::string>& refs,
+                    const index::MatchOptions& match, const std::string& query,
+                    size_t k) {
+  std::unique_ptr<text::Tokenizer> tokenizer =
+      MakeTokenizer(match.word_tokens, match.q);
+  IdSims out;
+  for (const LookupOracleMatch& m :
+       BruteForceLookup(refs, *tokenizer, match.alpha, query, k)) {
+    out.emplace_back(ids[m.index], m.similarity);
+  }
+  return out;
+}
+
+/// True when `got` equals `want` bitwise — ids, similarity doubles and
+/// order; otherwise describes the first divergence in *detail.
+bool SameMatches(const std::string& name, const IdSims& got,
+                 const IdSims& want, const std::string& query,
+                 std::string* detail) {
   if (got.size() != want.size()) {
-    *detail = name + ": result count " + std::to_string(got.size()) + " vs " +
-              std::to_string(want.size()) + " for query \"" + query + "\"";
+    *detail = name + ": result count " + std::to_string(got.size()) +
+              " vs oracle " + std::to_string(want.size()) + " for query \"" +
+              query + "\"";
     return false;
   }
   for (size_t i = 0; i < got.size(); ++i) {
-    if (got[i].id != want[i].ref_index ||
-        got[i].similarity != want[i].similarity) {
-      *detail = name + ": match " + std::to_string(i) + " diverges (" +
-                PairStr(static_cast<uint32_t>(got[i].id), 0, got[i].similarity) +
-                " vs " + PairStr(want[i].ref_index, 0, want[i].similarity) +
+    if (got[i] != want[i]) {
+      *detail = name + ": match " + std::to_string(i) + " diverges (id=" +
+                std::to_string(got[i].first) +
+                " sim=" + StringPrintf("%.17g", got[i].second) +
+                " vs oracle id=" + std::to_string(want[i].first) +
+                " sim=" + StringPrintf("%.17g", want[i].second) +
                 ") for query \"" + query + "\"";
       return false;
     }
@@ -494,22 +448,23 @@ bool SameServedLookups(const std::string& name,
   return true;
 }
 
+/// A LookupService over a mutable index of the `r` rows (doc_id = row
+/// index), cache on or off, must answer every `s` query bit-identically to
+/// BruteForceLookup over the same rows, on a miss and on a hit.
 Result<CheckResult> CheckLookupService(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex::Options iopts,
-                          IndexOptions(rp));
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex index,
-                          simjoin::FuzzyMatchIndex::Build(rp.r, iopts));
-  // The service owns a mutable index over the same rows (doc_id = row
-  // index); its lookups must agree with the immutable build bit for bit.
   index::MutableIndexOptions mopts;
-  mopts.match = iopts;
+  SSJOIN_ASSIGN_OR_RETURN(mopts.match, IndexOptions(rp));
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> service_index,
                           index::MutableFuzzyIndex::Create(mopts));
+  std::vector<uint64_t> ids;
   std::vector<std::pair<uint64_t, std::string>> records;
   records.reserve(rp.r.size());
-  for (size_t i = 0; i < rp.r.size(); ++i) records.emplace_back(i, rp.r[i]);
+  for (size_t i = 0; i < rp.r.size(); ++i) {
+    ids.push_back(i);
+    records.emplace_back(i, rp.r[i]);
+  }
   SSJOIN_RETURN_NOT_OK(service_index->BulkLoad(records));
 
   serve::LookupServiceOptions options;
@@ -535,8 +490,10 @@ Result<CheckResult> CheckLookupService(const Reproducer& rp) {
         return CheckResult{false, name + " Lookup failed: " +
                                       served.status().ToString()};
       }
-      if (!SameServedLookups(name + (pass == 0 ? " pass1" : " pass2"), *served,
-                             index.Lookup(query, k), query, &result.detail)) {
+      if (!SameMatches(name + (pass == 0 ? " pass1" : " pass2"),
+                       ToIdSims(*served),
+                       OracleLookup(ids, rp.r, mopts.match, query, k), query,
+                       &result.detail)) {
         result.pass = false;
         return result;
       }
@@ -629,27 +586,62 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
   return result;
 }
 
-/// Removes a scratch data directory on scope exit (durable fuzz cases).
+/// A fresh scratch data directory for a durable fuzz case, removed on scope
+/// exit; `dir` stays empty (in-memory) when not durable.
 struct ScratchDirGuard {
-  std::string dir;
+  explicit ScratchDirGuard(bool durable) {
+    if (!durable) return;
+    static std::atomic<uint64_t> counter{0};
+    dir = (std::filesystem::temp_directory_path() /
+           StringPrintf("ssjoin_fuzz_dir_%d_%llu", static_cast<int>(::getpid()),
+                        static_cast<unsigned long long>(
+                            counter.fetch_add(1, std::memory_order_relaxed))))
+              .string();
+    std::filesystem::remove_all(dir);
+  }
   ~ScratchDirGuard() {
     if (!dir.empty()) {
       std::error_code ec;
       std::filesystem::remove_all(dir, ec);
     }
   }
+  std::string dir;
 };
 
-/// Differential churn fuzz for the mutable index. Each `r` string encodes
-/// one operation:
+/// One op of the churn encoding shared by the mutable_index,
+/// filtered_lookup and sharded_lookup scenarios (one op per `r` string):
 ///   "u<id>\x1f<value>"  upsert       "d<id>"  delete
 ///   "s"  seal           "c"  compact "x"  kill + reopen (durable only)
-/// Malformed strings are no-ops, so ddmin byte-shrinking always yields a
-/// valid case. After EVERY applied op, all `s` queries are checked bitwise
-/// (ids and similarities) against a from-scratch immutable build over the
-/// live records sorted by ascending doc_id — the equivalence contract under
-/// arbitrary interleavings, epoch by epoch — and against BruteForceLookup,
-/// which shares neither index's candidate generation nor its exact test.
+/// Malformed strings decode to kind 0, a no-op, so ddmin byte-shrinking
+/// always yields a valid case.
+struct ChurnOp {
+  char kind = 0;
+  uint64_t id = 0;
+  std::string value;
+};
+
+ChurnOp ParseChurnOp(const std::string& op) {
+  ChurnOp out;
+  if (op == "s" || op == "c" || op == "x") {
+    out.kind = op[0];
+  } else if (!op.empty() && (op[0] == 'u' || op[0] == 'd')) {
+    size_t sep = op[0] == 'u' ? op.find('\x1f') : op.size();
+    if (sep == std::string::npos || sep <= 1) return out;
+    char* end = nullptr;
+    out.id = std::strtoull(op.c_str() + 1, &end, 10);
+    if (end != op.c_str() + sep) return out;
+    if (op[0] == 'u') out.value = op.substr(sep + 1);
+    out.kind = op[0];
+  }
+  return out;
+}
+
+/// Differential churn fuzz for the mutable index (ChurnOp encoding). After
+/// EVERY applied op, all `s` queries are checked bitwise
+/// (ids, similarities and order) against BruteForceLookup over the live
+/// records sorted by ascending doc_id — the equivalence contract under
+/// arbitrary interleavings, epoch by epoch. The oracle shares neither the
+/// index's candidate generation nor its exact test.
 Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -661,113 +653,56 @@ Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
                           rp.GetUint("max_generations", 0));
   SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
 
-  ScratchDirGuard guard;
-  if (durable) {
-    static std::atomic<uint64_t> counter{0};
-    guard.dir =
-        (std::filesystem::temp_directory_path() /
-         StringPrintf("ssjoin_fuzz_mut_%d_%llu", static_cast<int>(::getpid()),
-                      static_cast<unsigned long long>(
-                          counter.fetch_add(1, std::memory_order_relaxed))))
-            .string();
-    std::filesystem::remove_all(guard.dir);
-    mopts.data_dir = guard.dir;
-  }
+  ScratchDirGuard guard(durable);
+  mopts.data_dir = guard.dir;
 
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           index::MutableFuzzyIndex::Create(mopts));
   std::map<uint64_t, std::string> live;
   CheckResult result;
 
-  auto check_epoch = [&](const std::string& ctx) -> Result<bool> {
+  auto check_epoch = [&](const std::string& ctx) {
     std::vector<uint64_t> ids;
     std::vector<std::string> refs;
-    ids.reserve(live.size());
-    refs.reserve(live.size());
     for (const auto& [id, value] : live) {
       ids.push_back(id);
       refs.push_back(value);
     }
-    SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex oracle,
-                            simjoin::FuzzyMatchIndex::Build(refs, mopts.match));
-    // Compares `got` with one oracle's (id, similarity) list, bitwise.
-    auto same = [&](const std::vector<index::MutableFuzzyIndex::Match>& got,
-                    const std::vector<std::pair<uint64_t, double>>& want,
-                    const char* oracle_name, const std::string& query) {
-      if (got.size() != want.size()) {
-        result.detail = "mutable_index after '" + ctx + "': result count " +
-                        std::to_string(got.size()) + " vs " + oracle_name + " " +
-                        std::to_string(want.size()) + " for query \"" + query +
-                        "\"";
+    for (const std::string& query : rp.s) {
+      if (!SameMatches("mutable_index after '" + ctx + "'",
+                       ToIdSims(index->Lookup(query, k)),
+                       OracleLookup(ids, refs, mopts.match, query, k), query,
+                       &result.detail)) {
         return false;
       }
-      for (size_t i = 0; i < got.size(); ++i) {
-        if (got[i].id != want[i].first || got[i].similarity != want[i].second) {
-          result.detail =
-              "mutable_index after '" + ctx + "': match " + std::to_string(i) +
-              " diverges (id=" + std::to_string(got[i].id) +
-              " sim=" + StringPrintf("%.17g", got[i].similarity) + " vs " +
-              oracle_name + " id=" + std::to_string(want[i].first) +
-              " sim=" + StringPrintf("%.17g", want[i].second) +
-              ") for query \"" + query + "\"";
-          return false;
-        }
-      }
-      return true;
-    };
-    for (const std::string& query : rp.s) {
-      std::vector<index::MutableFuzzyIndex::Match> got = index->Lookup(query, k);
-      std::vector<std::pair<uint64_t, double>> want;
-      for (const auto& m : oracle.Lookup(query, k)) {
-        want.emplace_back(ids[m.ref_index], m.similarity);
-      }
-      if (!same(got, want, "immutable", query)) return false;
-      want.clear();
-      for (const LookupOracleMatch& m : BruteForceLookup(
-               refs, index->tokenizer(), mopts.match.alpha, query, k)) {
-        want.emplace_back(ids[m.index], m.similarity);
-      }
-      if (!same(got, want, "brute-force", query)) return false;
     }
     return true;
   };
 
-  for (const std::string& op : rp.r) {
-    if (op.empty()) continue;
-    if (op[0] == 'u') {
-      size_t sep = op.find('\x1f');
-      if (sep == std::string::npos || sep <= 1) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + sep) continue;
-      std::string value = op.substr(sep + 1);
-      SSJOIN_RETURN_NOT_OK(index->Upsert(id, value));
-      live[id] = std::move(value);
-    } else if (op[0] == 'd') {
-      if (op.size() < 2) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + op.size()) continue;
-      SSJOIN_RETURN_NOT_OK(index->Delete(id));
-      live.erase(id);
-    } else if (op == "s") {
+  for (const std::string& text : rp.r) {
+    ChurnOp op = ParseChurnOp(text);
+    if (op.kind == 'u') {
+      SSJOIN_RETURN_NOT_OK(index->Upsert(op.id, op.value));
+      live[op.id] = op.value;
+    } else if (op.kind == 'd') {
+      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
+      live.erase(op.id);
+    } else if (op.kind == 's') {
       SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op == "c") {
+    } else if (op.kind == 'c') {
       SSJOIN_RETURN_NOT_OK(index->Compact());
-    } else if (op == "x" && durable) {
+    } else if (op.kind == 'x' && durable) {
       index.reset();
       SSJOIN_ASSIGN_OR_RETURN(index, index::MutableFuzzyIndex::Open(mopts));
     } else {
-      continue;  // unknown op byte: no-op, keeps shrinking safe
+      continue;  // malformed op, or a reopen of an in-memory index: no-op
     }
-    SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch(op));
-    if (!ok) {
+    if (!check_epoch(text)) {
       result.pass = false;
       return result;
     }
   }
-  SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch("<end>"));
-  result.pass = ok;
+  result.pass = check_epoch("<end>");
   return result;
 }
 
@@ -829,11 +764,10 @@ Result<filter::FilterPredicate> FuzzPredicate(const Reproducer& rp) {
   return pred;
 }
 
-/// Differential fuzz for the filtered-lookup contract: the same churn op
-/// encoding as `mutable_index` ("u<id>\x1f<value>", "d<id>", "s", "c", "x"),
-/// with every upsert carrying content-derived attributes. After EVERY op,
-/// for every query, the filtered lookup (BE-index composed with similarity
-/// candidate generation) must be bitwise identical to the exact post-filter
+/// Differential fuzz for the filtered-lookup contract: ChurnOp churn, with
+/// every upsert carrying content-derived attributes. After EVERY op,
+/// for every query, the filtered lookup (the predicate tested per
+/// similarity candidate) must be bitwise identical to the exact post-filter
 /// oracle — the unfiltered lookup with unbounded k, records failing
 /// FilterPredicate::Matches dropped, truncated to k — and the empty filter
 /// must be byte-identical to the unfiltered overload.
@@ -849,18 +783,8 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
   SSJOIN_ASSIGN_OR_RETURN(filter::FilterPredicate pred, FuzzPredicate(rp));
 
-  ScratchDirGuard guard;
-  if (durable) {
-    static std::atomic<uint64_t> counter{0};
-    guard.dir =
-        (std::filesystem::temp_directory_path() /
-         StringPrintf("ssjoin_fuzz_filt_%d_%llu", static_cast<int>(::getpid()),
-                      static_cast<unsigned long long>(
-                          counter.fetch_add(1, std::memory_order_relaxed))))
-            .string();
-    std::filesystem::remove_all(guard.dir);
-    mopts.data_dir = guard.dir;
-  }
+  ScratchDirGuard guard(durable);
+  mopts.data_dir = guard.dir;
 
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           index::MutableFuzzyIndex::Create(mopts));
@@ -871,11 +795,11 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
     const filter::FilterPredicate empty_pred;
     for (const std::string& query : rp.s) {
       std::vector<index::MutableFuzzyIndex::Match> got =
-          index->LookupAt(*state, query, k, 1.0, pred);
+          index->LookupAt(*state, query, k, pred);
       // Oracle: unbounded-k unfiltered lookup, post-filtered, truncated.
       std::vector<index::MutableFuzzyIndex::Match> all = index->LookupAt(
           *state, query, static_cast<size_t>(state->live_docs) + 1);
-      std::vector<index::MutableFuzzyIndex::Match> want;
+      IdSims want;
       for (const auto& m : all) {
         std::optional<filter::AttrSet> attrs = index->AttrsAt(*state, m.id);
         if (!attrs) {
@@ -884,80 +808,43 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
                           " has no attribute set";
           return false;
         }
-        if (pred.Matches(*attrs)) want.push_back(m);
+        if (pred.Matches(*attrs)) want.emplace_back(m.id, m.similarity);
         if (want.size() == k) break;
       }
-      if (got.size() != want.size()) {
-        result.detail = "filtered_lookup after '" + ctx + "': filtered count " +
-                        std::to_string(got.size()) + " vs post-filter oracle " +
-                        std::to_string(want.size()) + " for query \"" + query +
-                        "\" pred " + pred.CanonicalJson();
+      if (!SameMatches("filtered_lookup after '" + ctx + "' pred " +
+                           pred.CanonicalJson(),
+                       ToIdSims(got), want, query, &result.detail)) {
         return false;
       }
-      for (size_t i = 0; i < got.size(); ++i) {
-        if (got[i].id != want[i].id ||
-            got[i].similarity != want[i].similarity) {
-          result.detail =
-              "filtered_lookup after '" + ctx + "': match " +
-              std::to_string(i) + " diverges (id=" + std::to_string(got[i].id) +
-              " sim=" + StringPrintf("%.17g", got[i].similarity) +
-              " vs oracle id=" + std::to_string(want[i].id) +
-              " sim=" + StringPrintf("%.17g", want[i].similarity) +
-              ") for query \"" + query + "\" pred " + pred.CanonicalJson();
-          return false;
-        }
-      }
-      // The empty filter must take the identical code path result.
-      std::vector<index::MutableFuzzyIndex::Match> plain =
-          index->LookupAt(*state, query, k);
-      std::vector<index::MutableFuzzyIndex::Match> via_empty =
-          index->LookupAt(*state, query, k, 1.0, empty_pred);
-      if (plain.size() != via_empty.size()) {
-        result.detail = "filtered_lookup after '" + ctx +
-                        "': empty filter changed result count for query \"" +
-                        query + "\"";
+      // The empty filter must give the unfiltered result.
+      if (!SameMatches("filtered_lookup after '" + ctx + "' (empty filter)",
+                       ToIdSims(index->LookupAt(*state, query, k, empty_pred)),
+                       ToIdSims(index->LookupAt(*state, query, k)), query,
+                       &result.detail)) {
         return false;
-      }
-      for (size_t i = 0; i < plain.size(); ++i) {
-        if (plain[i].id != via_empty[i].id ||
-            plain[i].similarity != via_empty[i].similarity) {
-          result.detail = "filtered_lookup after '" + ctx +
-                          "': empty filter diverges at match " +
-                          std::to_string(i) + " for query \"" + query + "\"";
-          return false;
-        }
       }
     }
     return true;
   };
 
-  for (const std::string& op : rp.r) {
-    if (op.empty()) continue;
-    if (op[0] == 'u') {
-      size_t sep = op.find('\x1f');
-      if (sep == std::string::npos || sep <= 1) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + sep) continue;
-      std::string value = op.substr(sep + 1);
-      SSJOIN_RETURN_NOT_OK(index->Upsert(id, value, FuzzAttrsFor(id, value)));
-    } else if (op[0] == 'd') {
-      if (op.size() < 2) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + op.size()) continue;
-      SSJOIN_RETURN_NOT_OK(index->Delete(id));
-    } else if (op == "s") {
+  for (const std::string& text : rp.r) {
+    ChurnOp op = ParseChurnOp(text);
+    if (op.kind == 'u') {
+      SSJOIN_RETURN_NOT_OK(
+          index->Upsert(op.id, op.value, FuzzAttrsFor(op.id, op.value)));
+    } else if (op.kind == 'd') {
+      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
+    } else if (op.kind == 's') {
       SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op == "c") {
+    } else if (op.kind == 'c') {
       SSJOIN_RETURN_NOT_OK(index->Compact());
-    } else if (op == "x" && durable) {
+    } else if (op.kind == 'x' && durable) {
       index.reset();
       SSJOIN_ASSIGN_OR_RETURN(index, index::MutableFuzzyIndex::Open(mopts));
     } else {
-      continue;  // unknown op byte: no-op, keeps shrinking safe
+      continue;  // malformed op, or a reopen of an in-memory index: no-op
     }
-    if (!check_epoch(op)) {
+    if (!check_epoch(text)) {
       result.pass = false;
       return result;
     }
@@ -966,12 +853,11 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
   return result;
 }
 
-/// Differential churn fuzz for the sharded index: the same op encoding as
-/// `mutable_index` ("u<id>\x1f<value>", "d<id>", "s", "c", "x"), applied to
+/// Differential churn fuzz for the sharded index: ChurnOp churn applied to
 /// a ShardedLookupIndex with a seed-drawn shard count, checked bitwise after
-/// EVERY op against the 1-shard oracle semantics (a from-scratch immutable
-/// build over the live records) — the shard-count invariance contract under
-/// arbitrary upsert/delete/seal/compact/reopen interleavings.
+/// EVERY op against BruteForceLookup over the live records — the
+/// shard-count invariance contract under arbitrary
+/// upsert/delete/seal/compact/reopen interleavings.
 Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -985,18 +871,8 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
                           rp.GetUint("max_generations", 0));
   SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
 
-  ScratchDirGuard guard;
-  if (durable) {
-    static std::atomic<uint64_t> counter{0};
-    guard.dir =
-        (std::filesystem::temp_directory_path() /
-         StringPrintf("ssjoin_fuzz_shard_%d_%llu", static_cast<int>(::getpid()),
-                      static_cast<unsigned long long>(
-                          counter.fetch_add(1, std::memory_order_relaxed))))
-            .string();
-    std::filesystem::remove_all(guard.dir);
-    sopts.data_dir = guard.dir;
-  }
+  ScratchDirGuard guard(durable);
+  sopts.data_dir = guard.dir;
 
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<shard::ShardedLookupIndex> index,
                           shard::ShardedLookupIndex::Create(sopts));
@@ -1012,69 +888,41 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
       ids.push_back(id);
       refs.push_back(value);
     }
-    SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex oracle,
-                            simjoin::FuzzyMatchIndex::Build(refs, sopts.match));
     for (const std::string& query : rp.s) {
       SSJOIN_ASSIGN_OR_RETURN(std::vector<index::MutableFuzzyIndex::Match> got,
                               index->Lookup(query, k));
-      std::vector<simjoin::FuzzyMatchIndex::Match> want = oracle.Lookup(query, k);
-      if (got.size() != want.size()) {
-        result.detail = "sharded_lookup N=" +
-                        std::to_string(sopts.num_shards) + " after '" + ctx +
-                        "': result count " + std::to_string(got.size()) +
-                        " vs oracle " + std::to_string(want.size()) +
-                        " for query \"" + query + "\"";
+      if (!SameMatches("sharded_lookup N=" + std::to_string(sopts.num_shards) +
+                           " after '" + ctx + "'",
+                       ToIdSims(got),
+                       OracleLookup(ids, refs, sopts.match, query, k), query,
+                       &result.detail)) {
         return false;
-      }
-      for (size_t i = 0; i < got.size(); ++i) {
-        if (got[i].id != ids[want[i].ref_index] ||
-            got[i].similarity != want[i].similarity) {
-          result.detail =
-              "sharded_lookup N=" + std::to_string(sopts.num_shards) +
-              " after '" + ctx + "': match " + std::to_string(i) +
-              " diverges (id=" + std::to_string(got[i].id) +
-              " sim=" + StringPrintf("%.17g", got[i].similarity) +
-              " vs oracle id=" + std::to_string(ids[want[i].ref_index]) +
-              " sim=" + StringPrintf("%.17g", want[i].similarity) +
-              ") for query \"" + query + "\"";
-          return false;
-        }
       }
     }
     return true;
   };
 
-  for (const std::string& op : rp.r) {
-    if (op.empty()) continue;
-    if (op[0] == 'u') {
-      size_t sep = op.find('\x1f');
-      if (sep == std::string::npos || sep <= 1) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + sep) continue;
-      std::string value = op.substr(sep + 1);
-      SSJOIN_RETURN_NOT_OK(index->Upsert(id, value));
-      live[id] = std::move(value);
-    } else if (op[0] == 'd') {
-      if (op.size() < 2) continue;
-      char* end = nullptr;
-      uint64_t id = std::strtoull(op.c_str() + 1, &end, 10);
-      if (end != op.c_str() + op.size()) continue;
-      SSJOIN_RETURN_NOT_OK(index->Delete(id));
-      live.erase(id);
-    } else if (op == "s") {
+  for (const std::string& text : rp.r) {
+    ChurnOp op = ParseChurnOp(text);
+    if (op.kind == 'u') {
+      SSJOIN_RETURN_NOT_OK(index->Upsert(op.id, op.value));
+      live[op.id] = op.value;
+    } else if (op.kind == 'd') {
+      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
+      live.erase(op.id);
+    } else if (op.kind == 's') {
       SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op == "c") {
+    } else if (op.kind == 'c') {
       SSJOIN_RETURN_NOT_OK(index->Compact());
-    } else if (op == "x" && durable) {
+    } else if (op.kind == 'x' && durable) {
       index.reset();
       shard::ShardedIndexOptions reopen = sopts;
       reopen.num_shards = 0;  // take the persisted shard count
       SSJOIN_ASSIGN_OR_RETURN(index, shard::ShardedLookupIndex::Open(reopen));
     } else {
-      continue;  // unknown op byte: no-op, keeps shrinking safe
+      continue;  // malformed op, or a reopen of an in-memory index: no-op
     }
-    SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch(op));
+    SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch(text));
     if (!ok) {
       result.pass = false;
       return result;
@@ -1337,11 +1185,10 @@ void GenerateCollections(Rng* rng, const WorkloadOptions& opts, Reproducer* rp) 
 std::vector<std::string> AllScenarios() {
   return {"ssjoin_executors",      "edit_distance_joins",
           "edit_similarity_joins", "jaccard_joins",
-          "ges_join",              "snapshot_roundtrip",
-          "lookup_service",        "mutable_index",
-          "sharded_lookup",        "filtered_lookup",
-          "wire_parser",           "recall",
-          "kernel_diff"};
+          "ges_join",              "lookup_service",
+          "mutable_index",         "sharded_lookup",
+          "filtered_lookup",       "wire_parser",
+          "recall",                "kernel_diff"};
 }
 
 Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
@@ -1391,12 +1238,6 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
     wopts.max_length = 10;
     GenerateCollections(&rng, wopts, &rp);
     rp.Set("alpha", 0.5 + 0.4 * rng.NextDouble());
-  } else if (scenario == "snapshot_roundtrip") {
-    GenerateCollections(&rng, wopts, &rp);
-    rp.Set("word_tokens", rng.Bernoulli(0.5));
-    rp.Set("q", 1 + rng.Uniform(4));
-    rp.Set("alpha", 0.2 + 0.6 * rng.NextDouble());
-    rp.Set("k", 1 + rng.Uniform(5));
   } else if (scenario == "lookup_service") {
     GenerateCollections(&rng, wopts, &rp);
     rp.Set("word_tokens", rng.Bernoulli(0.5));
@@ -1567,9 +1408,6 @@ Result<CheckResult> CheckCase(const Reproducer& repro) {
   }
   if (repro.scenario == "jaccard_joins") return CheckJaccardJoins(repro);
   if (repro.scenario == "ges_join") return CheckGESJoin(repro);
-  if (repro.scenario == "snapshot_roundtrip") {
-    return CheckSnapshotRoundtrip(repro);
-  }
   if (repro.scenario == "lookup_service") return CheckLookupService(repro);
   if (repro.scenario == "mutable_index") return CheckMutableIndex(repro);
   if (repro.scenario == "sharded_lookup") return CheckShardedLookup(repro);

@@ -39,15 +39,12 @@ struct CheckResult {
 ///                            pair must appear in the brute-force result with
 ///                            an identical similarity (precision is exact by
 ///                            construction; recall is empirical by design).
-///  - `snapshot_roundtrip`    FuzzyMatchIndex save -> load -> Lookup at both
-///                            snapshot format versions, bit-identical to the
-///                            freshly built index.
 ///  - `lookup_service`        LookupService (cache on and off, batched,
-///                            threaded) vs direct FuzzyMatchIndex::Lookup,
+///                            threaded) vs fuzz::BruteForceLookup,
 ///                            bit-identical, including repeat queries served
 ///                            from the cache.
-///  - `filtered_lookup`       MutableFuzzyIndex filtered lookups (BE-index
-///                            composed with similarity candidates) under
+///  - `filtered_lookup`       MutableFuzzyIndex filtered lookups (the
+///                            predicate tested per similarity candidate) under
 ///                            upsert/delete/seal/compact/reopen churn vs the
 ///                            exact post-filter oracle: the unfiltered
 ///                            lookup with unbounded k, records failing

@@ -14,6 +14,16 @@ constexpr size_t kHeaderSize = 16;
 
 }  // namespace
 
+Status MatchOptions::Validate() const {
+  if (!(alpha > 0.0) || alpha > 1.0) {
+    return Status::Invalid("alpha must be in (0, 1]");
+  }
+  if (!word_tokens && q < 1) {
+    return Status::Invalid("q-gram length must be at least 1");
+  }
+  return Status::OK();
+}
+
 Status SaveManifest(const Manifest& manifest, const std::string& path) {
   common::PayloadWriter w;
   w.U8(manifest.options.word_tokens ? 1 : 0);
@@ -68,10 +78,9 @@ Result<Manifest> DecodeManifest(std::string_view bytes,
   }
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  if (version != kManifestVersion && version != kManifestVersionPreAttrs) {
-    return Status::Invalid("manifest " + context + " has snapshot version " +
+  if (version != kManifestVersion) {
+    return Status::Invalid("manifest " + context + " has version " +
                            std::to_string(version) + ", expected " +
-                           std::to_string(kManifestVersionPreAttrs) + " or " +
                            std::to_string(kManifestVersion));
   }
   const char* payload = bytes.data() + kHeaderSize;

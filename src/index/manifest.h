@@ -6,28 +6,33 @@
 #include <vector>
 
 #include "common/result.h"
-#include "simjoin/fuzzy_match.h"
 #include "text/dictionary.h"
 
 namespace ssjoin::index {
 
-/// Snapshot-format v3/v4: the same "SSJSNAPS" container as the serve-layer
-/// snapshots (magic, u32 version, u32 flags, payload, u64 FNV-1a trailer)
-/// whose payload is a *manifest* describing a mutable index's durable state
-/// instead of one materialized immutable index: match options, epoch, the
+/// The manifest file of a data directory: an "SSJSNAPS" container (magic,
+/// u32 version, u32 flags, payload, u64 FNV-1a trailer) whose payload
+/// describes a MutableFuzzyIndex's durable state: match options, epoch, the
 /// global dictionary, the sealed-generation list (with per-segment file
-/// checksums) and the active WAL's name. v1/v2 payloads remain
-/// immutable-index snapshots; a v1/v2 file is upgraded by loading it as a
-/// single sealed generation (serve::UpgradeSnapshotToMutable).
-///
-/// v4 has the same payload layout as v3; the bump marks an index whose
-/// segments/WAL may carry structured attributes (segment v2, WAL "SSJWALV2"),
-/// so pre-attribute binaries refuse to open it instead of silently dropping
-/// attribute data. The loader accepts v3 and v4 and always writes v4.
+/// checksums) and the active WAL's name. Version 4 is the only one read or
+/// written; versions 1-3 (the retired immutable-index snapshots and the
+/// pre-attribute manifest) are rejected with an error naming the version.
 inline constexpr uint32_t kManifestVersion = 4;
-inline constexpr uint32_t kManifestVersionPreAttrs = 3;
 inline constexpr char kManifestMagic[8] = {'S', 'S', 'J', 'S', 'N', 'A', 'P', 'S'};
 inline constexpr char kManifestFileName[] = "MANIFEST";
+
+/// Tokenization and similarity options of a lookup index. They are fixed at
+/// Create and persisted in the manifest.
+struct MatchOptions {
+  /// Tokenization of both indexed values and queries: words, or q-grams.
+  bool word_tokens = true;
+  size_t q = 3;
+  /// Minimum Jaccard resemblance for a match.
+  double alpha = 0.5;
+
+  /// Invalid unless alpha is in (0, 1] and, with q-gram tokens, q >= 1.
+  Status Validate() const;
+};
 
 /// One sealed generation as recorded by the manifest. `checksum` is the
 /// FNV-1a hash of the whole segment file; load refuses a file that does not
@@ -40,7 +45,7 @@ struct ManifestSegmentRef {
 };
 
 struct Manifest {
-  simjoin::FuzzyMatchIndex::Options options;
+  MatchOptions options;
   uint64_t epoch = 0;
   /// Sequence number of the last operation whose effect is inside a sealed
   /// segment; WAL records at or below it are stale and skipped at replay.
@@ -55,12 +60,11 @@ struct Manifest {
 /// Atomically writes the manifest (temp file + rename; see WriteFileAtomic).
 Status SaveManifest(const Manifest& manifest, const std::string& path);
 
-/// Loads and validates a v3/v4 manifest. A v1/v2 snapshot file yields a
-/// clean Invalid status naming the version, so callers can fall back to the
-/// immutable-snapshot loader.
+/// Loads and validates a manifest. Any version other than the current one
+/// yields a clean Invalid status naming the version.
 Result<Manifest> LoadManifest(const std::string& path);
 
-/// Decodes and validates v3/v4 manifest bytes that arrived from somewhere
+/// Decodes and validates manifest bytes that arrived from somewhere
 /// other than the local filesystem (replication fetches). `context` names
 /// the source in error messages the way LoadManifest uses the path.
 Result<Manifest> DecodeManifest(std::string_view bytes,

@@ -8,7 +8,6 @@
 #include "common/atomic_file.h"
 #include "common/hash.h"
 #include "core/prefix_filter.h"
-#include "filter/be_index.h"
 #include "filter/metrics.h"
 #include "index/manifest.h"
 #include "kernels/kernels.h"
@@ -28,8 +27,7 @@ std::string WalFileName(uint64_t serial) {
   return "wal-" + std::to_string(serial) + ".wal";
 }
 
-std::unique_ptr<text::Tokenizer> MakeTokenizer(
-    const simjoin::FuzzyMatchIndex::Options& match) {
+std::unique_ptr<text::Tokenizer> MakeTokenizer(const MatchOptions& match) {
   if (match.word_tokens) return std::make_unique<text::WordTokenizer>();
   return std::make_unique<text::QGramTokenizer>(match.q);
 }
@@ -55,9 +53,7 @@ MutableFuzzyIndex::MutableFuzzyIndex(const MutableIndexOptions& options)
 
 Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Create(
     const MutableIndexOptions& options) {
-  if (options.match.alpha <= 0.0 || options.match.alpha > 1.0) {
-    return Status::Invalid("alpha must be in (0, 1]");
-  }
+  SSJOIN_RETURN_NOT_OK(options.match.Validate());
   std::unique_ptr<MutableFuzzyIndex> index(new MutableFuzzyIndex(options));
   if (!options.data_dir.empty()) {
     std::error_code ec;
@@ -95,6 +91,11 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
   }
   std::string manifest_path = options.data_dir + "/" + kManifestFileName;
   SSJOIN_ASSIGN_OR_RETURN(Manifest manifest, LoadManifest(manifest_path));
+  Status valid = manifest.options.Validate();
+  if (!valid.ok()) {
+    return Status::Invalid("manifest '" + manifest_path +
+                           "' holds invalid match options: " + valid.message());
+  }
 
   MutableIndexOptions effective = options;
   effective.match = manifest.options;
@@ -185,7 +186,7 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
       }
     }
     SSJOIN_ASSIGN_OR_RETURN(
-        WalWriter writer, WalWriter::OpenForAppend(wal_path, wal.version));
+        WalWriter writer, WalWriter::OpenForAppend(wal_path));
     index->wal_.emplace(std::move(writer));
   } else {
     SSJOIN_ASSIGN_OR_RETURN(WalWriter writer, WalWriter::Create(wal_path));
@@ -303,13 +304,7 @@ Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
   }
   ++next_seq_;
   RemoveLive(doc_id);
-  std::vector<text::TokenId> ids;
-  {
-    std::unique_lock<std::shared_mutex> dict_lock(dict_mu_);
-    ids = dict_.EncodeDocument(tokenizer_->Tokenize(value));
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<text::TokenId> ids = EncodeValueLocked(value);
   if (tail_.num_docs() >= UINT32_MAX - 1) {
     return Status::Invalid("tail segment is full");
   }
@@ -359,10 +354,16 @@ Status MutableFuzzyIndex::Delete(uint64_t doc_id) {
 }
 
 Status MutableFuzzyIndex::BulkLoad(
-    const std::vector<std::pair<uint64_t, std::string>>& records) {
+    const std::vector<std::pair<uint64_t, std::string>>& records,
+    const std::vector<filter::AttrSet>& attrs) {
+  if (!attrs.empty() && attrs.size() != records.size()) {
+    return Status::Invalid("BulkLoad: attrs must be empty or one per record");
+  }
   std::lock_guard<std::mutex> lock(writer_mu_);
-  for (const auto& [doc_id, value] : records) {
-    SSJOIN_RETURN_NOT_OK(ApplyUpsert(doc_id, value, {}, /*log_wal=*/true));
+  for (size_t i = 0; i < records.size(); ++i) {
+    SSJOIN_RETURN_NOT_OK(ApplyUpsert(records[i].first, records[i].second,
+                                     attrs.empty() ? filter::AttrSet() : attrs[i],
+                                     /*log_wal=*/true));
   }
   PublishLocked();
   MaybeMaintainLocked();
@@ -406,7 +407,9 @@ void MutableFuzzyIndex::PublishLocked() {
     state->segments.push_back(std::move(frozen));
     state->winners.push_back(std::make_shared<const WinnerFlags>(tail_winners_));
   }
-  published_.store(std::move(state), std::memory_order_release);
+  std::shared_ptr<const EpochState> next = std::move(state);
+  std::lock_guard<std::mutex> lock(published_mu_);
+  published_.swap(next);  // the old epoch is released after the unlock
 }
 
 std::vector<text::TokenId> MutableFuzzyIndex::EncodeValueLocked(
@@ -736,26 +739,18 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::Lookup(
 
 std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
     const EpochState& state, const std::string& query, size_t k) const {
-  return LookupAt(state, query, k, 1.0);
+  return LookupAt(state, query, k, filter::FilterPredicate());
 }
 
 std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
     const EpochState& state, const std::string& query, size_t k,
-    double target_recall) const {
-  return LookupAt(state, query, k, target_recall, filter::FilterPredicate());
-}
-
-std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
-    const EpochState& state, const std::string& query, size_t k,
-    double target_recall, const filter::FilterPredicate& filter) const {
-  // The weights, query weight and similarity are computed exactly as in
-  // FuzzyMatchIndex::Lookup (see the equivalence contract in the header);
-  // candidate generation may differ, because acceptance is exact. The only
-  // sanctioned deviation is the target_recall prefix truncation, which at
-  // 1.0 does nothing. The predicate filter only ever REMOVES candidate
-  // locals before verification (each candidate's similarity is computed
-  // independently and weights stay full-corpus IDF), so filtered output is
-  // bit-identical to post-filtering the unfiltered output.
+    const filter::FilterPredicate& filter) const {
+  // See the equivalence contract in the header: candidate generation may
+  // prune anything the exact acceptance test would reject. The predicate
+  // filter only ever REMOVES candidates before verification (each
+  // candidate's similarity is computed independently and weights stay
+  // full-corpus IDF), so filtered output is bit-identical to post-filtering
+  // the unfiltered output.
   std::vector<Match> out;
   if (k == 0) return out;
   std::vector<std::string> tokens = tokenizer_->Tokenize(query);
@@ -794,20 +789,6 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
   std::vector<text::TokenId> prefix = ranked;
   core::TrimSortedToPrefix(state.weights, query_weight - alpha * query_weight,
                            &prefix);
-  if (target_recall < 1.0 && prefix.size() > 1) {
-    // Approximate serving: probe only the rank-ordered head carrying
-    // `target_recall` of the prefix's weight mass. The dropped tail is the
-    // most frequent (cheapest-signal, longest-postings) slice of the prefix.
-    double total = 0.0;
-    for (text::TokenId e : prefix) total += state.weights[e];
-    double kept = 0.0;
-    size_t keep = 0;
-    while (keep < prefix.size() && kept < target_recall * total) {
-      kept += state.weights[prefix[keep]];
-      ++keep;
-    }
-    prefix.resize(std::max<size_t>(1, keep));
-  }
   // suffix[i] = weight of ranked[i..]. A candidate whose first shared prefix
   // position is i shares nothing before it, so its overlap is at most
   // min(suffix[i], wt(s)) — the positional bound.
@@ -825,22 +806,42 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
   std::vector<uint64_t> hits;  // local << 32 | prefix position
   std::vector<uint32_t> locals;
   std::vector<uint32_t> positions;  // aligned with locals
+  std::vector<int8_t> passes;  // per attribute class: -1 untested, else 0/1
+  std::vector<uint64_t> rejected;  // bitmap of locals the filter dropped
   for (size_t si = 0; si < state.segments.size(); ++si) {
     const Segment& seg = *state.segments[si];
     const WinnerFlags& winner = *state.winners[si];
-    filter::EligibleSet eligible = filter::EligibleSet::All();
+    // The filter drops ineligible candidates as they are generated, before
+    // the dedupe sort, the positional bound and the verify. Docs of one
+    // attribute class have equal attributes, so Matches runs once per class
+    // met; `rejected` counts each dropped doc once for filter.candidates_in.
+    uint64_t num_rejected = 0;
     if (filtered) {
-      eligible = seg.attr_index().Eval(filter);
-      if (eligible.kind() == filter::EligibleSet::Kind::kNone) {
-        filter::FilterMetrics().segments_skipped->Add(1);
-        continue;
-      }
+      passes.assign(seg.num_attr_classes(), -1);
+      rejected.assign(seg.num_docs() / 64 + 1, 0);
     }
     hits.clear();
     for (uint32_t pos = 0; pos < prefix.size(); ++pos) {
-      for (uint32_t local : seg.Postings(prefix[pos])) {
-        if (winner[local]) hits.push_back(uint64_t{local} << 32 | pos);
+      std::span<const uint32_t> postings = seg.Postings(prefix[pos]);
+      size_t n = hits.size();
+      hits.resize(n + postings.size());
+      for (uint32_t local : postings) {
+        // Branch-free append: write every hit, advance past the kept ones.
+        hits[n] = uint64_t{local} << 32 | pos;
+        bool keep = winner[local] != 0;
+        if (filtered) {
+          int8_t& pass = passes[seg.attr_class(local)];
+          if (pass < 0) pass = filter.Matches(seg.attrs[local]) ? 1 : 0;
+          const bool drop = keep && pass == 0;
+          uint64_t& word = rejected[local / 64];
+          const uint64_t bit = uint64_t{drop} << (local % 64);
+          num_rejected += (word & bit) == 0 && drop;
+          word |= bit;
+          keep = keep && pass == 1;
+        }
+        n += keep;
       }
+      hits.resize(n);
     }
     // Sorted, each local's first entry carries its first shared position.
     std::sort(hits.begin(), hits.end());
@@ -853,14 +854,10 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
       positions.push_back(static_cast<uint32_t>(hit));
     }
     if (filtered) {
-      // Compose BEFORE verification: ineligible candidates never reach the
-      // weighted-intersection verify.
-      filter::FilterMetrics().candidates_in->Add(locals.size());
-      eligible.FilterSorted(&locals, &positions);
+      filter::FilterMetrics().candidates_in->Add(locals.size() + num_rejected);
       filter::FilterMetrics().candidates_kept->Add(locals.size());
     }
     candidates += locals.size();
-
     for (size_t c = 0; c < locals.size(); ++c) {
       std::span<const text::TokenId> elems = seg.sets.elements(locals[c]);
       double set_weight = 0.0;

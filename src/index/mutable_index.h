@@ -22,16 +22,14 @@
 #include "index/segment.h"
 #include "index/wal.h"
 #include "obs/metrics.h"
-#include "simjoin/fuzzy_match.h"
 #include "text/tokenizer.h"
 
 namespace ssjoin::index {
 
 /// Knobs of a MutableFuzzyIndex.
 struct MutableIndexOptions {
-  /// Tokenization / similarity options, identical in meaning to the
-  /// immutable FuzzyMatchIndex's.
-  simjoin::FuzzyMatchIndex::Options match;
+  /// Tokenization / similarity options (validated by Create and Open).
+  MatchOptions match;
   /// Data directory for the manifest, sealed segment files and the WAL.
   /// Empty = purely in-memory (no durability; Seal/Compact still work).
   std::string data_dir;
@@ -80,40 +78,41 @@ struct EpochState {
   std::vector<std::shared_ptr<const WinnerFlags>> winners;  // per segment
 };
 
-/// \brief An incrementally mutable fuzzy-lookup index: an append-only
-/// mutable tail over sealed immutable generations, with tombstones for
-/// deletes, epoch-numbered atomically-published read snapshots, an
-/// append-only WAL and a v3 manifest for durability.
+/// \brief The fuzzy-lookup index of the paper's §6 record-lookup scenario
+/// ("composing the SSJoin operator with the top-k operator"), incrementally
+/// mutable: an append-only mutable tail over sealed immutable generations,
+/// with tombstones for deletes, epoch-numbered atomically-published read
+/// snapshots, an append-only WAL and a manifest for durability. A whole
+/// reference table is one BulkLoad followed by Seal: a single sealed
+/// generation, which is also the on-disk snapshot format.
 ///
 /// ## Equivalence contract
 /// After ANY sequence of Upsert/Delete/Seal/Compact calls, Lookup results
-/// are bitwise identical to a freshly built immutable FuzzyMatchIndex over
-/// the live records sorted by ascending doc_id (with Match::id in place of
-/// Match::ref_index). Three mechanisms carry the proof:
-///   1. IDF weights are quantized to multiples of 2^-26 (text::QuantizeWeight)
-///      on both build paths, making every weighted sum exact and therefore
-///      independent of summation order — token-id numbering drops out.
-///   2. The element order is tie-keyed by content hash
-///      (ElementOrder::ByDecreasingWeightTieKeyed), so both sides sort
-///      same-weight elements identically despite different id spaces.
-///   3. Acceptance is exact on both sides: text::ResemblanceAtLeast decides
+/// are bitwise identical — ids, similarity doubles and order — to
+/// fuzz::BruteForceLookup over the live records sorted by ascending doc_id,
+/// an index-free oracle that tests every record exactly. Three mechanisms
+/// carry the proof:
+///   1. IDF weights are quantized to multiples of 2^-26 (text::QuantizeWeight),
+///      making every weighted sum exact and therefore independent of
+///      summation order — token-id numbering drops out.
+///   2. The query prefix is ranked by decreasing weight with ties broken by
+///      content hash, so its choice does not depend on the id space.
+///   3. Acceptance is exact: text::ResemblanceAtLeast decides
 ///      overlap >= alpha * union on the quantized sums with no epsilon, so
-///      any sound candidate set yields the same matches. The mutable side
-///      probes only the query prefix (the shared TrimSortedToPrefix; by
-///      Lemma 1, J >= alpha implies overlap >= alpha * wt(q), so every
-///      match meets it) and skips the verify of a candidate whose
-///      positional bound — the weight of the query from its first shared
-///      prefix position on, capped at its own set weight — fails the same
-///      exact test (the PPJoin positional filter).
-/// The one caveat: if two distinct same-weight elements collide on their
-/// 64-bit content hash, the two sides may order them differently; with FNV
-/// over distinct keys this is a ~2^-64-per-pair event we accept.
+///      any sound candidate set yields the same matches. Lookup probes only
+///      the query prefix (TrimSortedToPrefix; by Lemma 1, J >= alpha
+///      implies overlap >= alpha * wt(q), so every match meets it) and skips
+///      the verify of a candidate whose positional bound — the weight of
+///      the query from its first shared prefix position on, capped at its
+///      own set weight — fails the same exact test (the PPJoin positional
+///      filter).
 ///
 /// ## Concurrency
 /// All mutations serialize on a writer mutex and finish by publishing a new
-/// EpochState through an atomic shared_ptr swap — readers never take the
-/// writer lock and never block (they share the token dictionary under a
-/// shared_mutex only while encoding the query). Publish cost is
+/// EpochState with a pointer swap — readers never take the writer lock
+/// (they copy the published pointer under a mutex held only for that copy
+/// or the swap, and share the token dictionary under a shared_mutex only
+/// while encoding the query). Publish cost is
 /// O(vocabulary + tail), paid per mutation; batch ingest should use
 /// BulkLoad, which publishes once.
 ///
@@ -127,8 +126,7 @@ struct EpochState {
 class MutableFuzzyIndex {
  public:
   /// One lookup result: the document's caller-assigned id plus the exact
-  /// Jaccard resemblance (bitwise equal to the immutable index's similarity
-  /// for the same logical corpus).
+  /// Jaccard resemblance.
   struct Match {
     uint64_t id;
     double similarity;
@@ -149,14 +147,16 @@ class MutableFuzzyIndex {
 
   /// Creates an empty index. With a data_dir, initializes the directory
   /// (fresh WAL + manifest); fails if it already holds a manifest — use
-  /// Open for that.
+  /// Open for that. Invalid match options are rejected (MatchOptions::
+  /// Validate).
   static Result<std::unique_ptr<MutableFuzzyIndex>> Create(
       const MutableIndexOptions& options);
 
   /// Restores an index from `options.data_dir`: loads the manifest,
   /// validates and decodes every sealed segment, replays unsealed WAL
   /// records and publishes the recovered epoch. Match options come from the
-  /// manifest (the caller's `options.match` is ignored).
+  /// manifest (the caller's `options.match` is ignored) and are validated
+  /// like Create's.
   static Result<std::unique_ptr<MutableFuzzyIndex>> Open(
       const MutableIndexOptions& options);
 
@@ -175,8 +175,10 @@ class MutableFuzzyIndex {
 
   /// Upserts many records with a single epoch publish at the end — the bulk
   /// ingest path (publish cost is O(vocabulary), so per-record publishing
-  /// would make loading quadratic-ish).
-  Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>& records);
+  /// would make loading quadratic-ish). `attrs` is empty (no attributes) or
+  /// parallel to `records`.
+  Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>& records,
+                  const std::vector<filter::AttrSet>& attrs = {});
 
   /// Seals the tail into an immutable generation; with a data_dir this
   /// writes the segment file, rotates the WAL and rewrites the manifest.
@@ -187,9 +189,10 @@ class MutableFuzzyIndex {
   /// dropping all tombstones. Lookup results are unchanged.
   Status Compact();
 
-  /// The current epoch's read view. Never null; cheap (one atomic load).
+  /// The current epoch's read view. Never null; cheap (one pointer copy).
   std::shared_ptr<const EpochState> Snapshot() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
   }
 
   /// Lookup against the current epoch. See the equivalence contract above.
@@ -200,26 +203,15 @@ class MutableFuzzyIndex {
   std::vector<Match> LookupAt(const EpochState& state, const std::string& query,
                               size_t k) const;
 
-  /// LookupAt with a recall knob: `target_recall` < 1.0 probes only the
-  /// rank-ordered head of the query prefix that retains at least that
-  /// fraction of the prefix's weight mass (at least one element), trading
-  /// the frequent tail's long posting scans for possible misses. Every
-  /// returned match is still exact and above alpha — precision stays 1.0.
-  /// `target_recall` >= 1.0 is byte-identical to the 3-argument overload.
+  /// Filtered lookup: every similarity candidate whose attributes fail
+  /// `filter.Matches` is dropped BEFORE its positional bound and verify, so
+  /// ineligible docs never reach the verify loop. Results are bit-identical
+  /// to running the unfiltered lookup with unbounded k, dropping records
+  /// whose attributes fail `filter.Matches`, and truncating to `k` — the
+  /// contract the `filtered_lookup` fuzz scenario enforces. An empty filter
+  /// is byte-identical to the unfiltered overload.
   std::vector<Match> LookupAt(const EpochState& state, const std::string& query,
-                              size_t k, double target_recall) const;
-
-  /// Filtered lookup: composes the per-segment boolean-expression attribute
-  /// index with similarity candidate generation. Each segment's eligible-doc
-  /// set (by `filter`, k-of-n counting match) is intersected with the
-  /// similarity posting candidates BEFORE verification, so ineligible docs
-  /// never reach the verify loop. Results are bit-identical to running the
-  /// unfiltered lookup with unbounded k, dropping records whose attributes
-  /// fail `filter.Matches`, and truncating to `k` — the contract the
-  /// `filtered_lookup` fuzz scenario enforces. An empty filter is
-  /// byte-identical to the unfiltered overload.
-  std::vector<Match> LookupAt(const EpochState& state, const std::string& query,
-                              size_t k, double target_recall,
+                              size_t k,
                               const filter::FilterPredicate& filter) const;
 
   /// The live value of `doc_id` in the given epoch, if any.
@@ -375,7 +367,11 @@ class MutableFuzzyIndex {
   std::optional<WalWriter> wal_;
   std::string wal_file_;
 
-  std::atomic<std::shared_ptr<const EpochState>> published_;
+  /// The published epoch. A plain mutex, not std::atomic<std::shared_ptr>:
+  /// libstdc++'s load() releases that type's internal lock with relaxed
+  /// ordering, so ThreadSanitizer reports a lookup racing a publish.
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const EpochState> published_;
 
   std::atomic<uint64_t> upserts_{0};
   std::atomic<uint64_t> deletes_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "common/hash.h"
 #include "common/payload.h"
@@ -11,12 +12,6 @@ namespace ssjoin::index {
 namespace {
 
 constexpr char kSegmentMagic[8] = {'S', 'S', 'J', 'S', 'E', 'G', 'V', '1'};
-// v1: doc ids, values, sets, tombstones. v2 appends per-doc attribute sets.
-// Writers emit v2; v1 files still load (with empty attributes), so indexes
-// sealed before the attribute format bump reopen unchanged.
-constexpr uint32_t kSegmentVersion = 2;
-constexpr uint32_t kSegmentVersionNoAttrs = 1;
-constexpr size_t kSegmentHeaderSize = 16;
 
 }  // namespace
 
@@ -55,7 +50,16 @@ void Segment::BuildPostings() {
   for (const auto& [id, st] : doc_states) {
     if (st.deleted) ++tombstone_count_;
   }
-  attr_index_ = filter::AttrIndex::Build(attrs);
+  auto less = [](const filter::AttrSet* a, const filter::AttrSet* b) {
+    return a->entries() < b->entries();
+  };
+  std::map<const filter::AttrSet*, uint32_t, decltype(less)> classes(less);
+  attr_class_.resize(attrs.size());
+  for (uint32_t local = 0; local < attrs.size(); ++local) {
+    attr_class_[local] =
+        classes.try_emplace(&attrs[local], classes.size()).first->second;
+  }
+  num_attr_classes_ = static_cast<uint32_t>(classes.size());
 }
 
 std::span<const uint32_t> Segment::Postings(text::TokenId e) const {
@@ -82,15 +86,9 @@ std::string Segment::EncodeFile() const {
   }
   std::sort(tombstones.begin(), tombstones.end());
   w.Vec(tombstones);
-  // v2: per-doc attribute sets (AttrSet keeps entries sorted by name, so
-  // the encoding — and the file checksum — is canonical).
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i < attrs.size()) {
-      attrs[i].EncodeTo(&w);
-    } else {
-      filter::AttrSet().EncodeTo(&w);
-    }
-  }
+  // Per-doc attribute sets, parallel to `values` (AttrSet keeps entries
+  // sorted by name, so the encoding — and the file checksum — is canonical).
+  for (const filter::AttrSet& a : attrs) a.EncodeTo(&w);
 
   const std::string& payload = w.buffer();
   uint64_t checksum = HashString(payload);
@@ -115,7 +113,7 @@ Result<Segment> Segment::DecodeFile(std::string_view bytes) {
   }
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  if (version != kSegmentVersion && version != kSegmentVersionNoAttrs) {
+  if (version != kSegmentVersion) {
     return Status::IOError("unsupported segment version " +
                            std::to_string(version));
   }
@@ -150,10 +148,8 @@ Result<Segment> Segment::DecodeFile(std::string_view bytes) {
   std::vector<uint64_t> tombstones;
   SSJOIN_RETURN_NOT_OK(r.Vec(&tombstones));
   seg.attrs.resize(seg.doc_ids.size());
-  if (version >= 2) {
-    for (filter::AttrSet& a : seg.attrs) {
-      SSJOIN_RETURN_NOT_OK(filter::AttrSet::DecodeFrom(&r, &a));
-    }
+  for (filter::AttrSet& a : seg.attrs) {
+    SSJOIN_RETURN_NOT_OK(filter::AttrSet::DecodeFrom(&r, &a));
   }
   if (!r.AtEnd()) {
     return Status::IOError("segment payload has trailing bytes");

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "core/set_store.h"
 #include "filter/attr.h"
-#include "filter/be_index.h"
 #include "text/dictionary.h"
 
 namespace ssjoin::index {
@@ -19,6 +18,11 @@ namespace ssjoin::index {
 /// Sentinel local index for a doc_id a segment only tombstones (the doc's
 /// body, if any, lives in an older segment).
 inline constexpr uint32_t kNoLocalDoc = UINT32_MAX;
+
+/// The only segment file version read or written; files of any other
+/// version (the attribute-less v1 included) are rejected.
+inline constexpr uint32_t kSegmentVersion = 2;
+inline constexpr size_t kSegmentHeaderSize = 16;
 
 /// A doc_id's state within one segment: the local index of its latest
 /// version appended here (kNoLocalDoc if none) and whether a delete was the
@@ -35,6 +39,8 @@ struct DocState {
 /// The same type serves as the append-only mutable tail (the writer appends
 /// under its mutex and copies the segment on every epoch publish) and, after
 /// sealing, as an immutable generation shared between epochs by shared_ptr.
+/// A data directory holding one sealed segment is the on-disk form of a
+/// whole reference table (what `ssjoin_cli snapshot` writes).
 /// `BuildPostings` materializes the inverted index (element -> local doc
 /// indexes, sorted) used for candidate generation; it is built at freeze/load
 /// time, never serialized.
@@ -67,19 +73,28 @@ struct Segment {
   /// "deleted" (also suppressing any copy in older segments).
   void RecordDelete(uint64_t doc_id);
 
-  /// Sorts the (element, local) pairs into the postings arrays and caches
-  /// the tombstone count. Call once the segment stops mutating.
+  /// Sorts the (element, local) pairs into the postings arrays, groups the
+  /// docs into attribute classes and caches the tombstone count. Call once
+  /// the segment stops mutating.
   void BuildPostings();
 
   /// Local doc indexes containing element `e` (ascending). Valid only after
   /// BuildPostings.
   std::span<const uint32_t> Postings(text::TokenId e) const;
 
-  /// The (attribute, value) -> locals predicate index over this segment's
-  /// docs. Valid only after BuildPostings.
-  const filter::AttrIndex& attr_index() const { return attr_index_; }
+  /// Docs with equal attribute sets share an attribute class, a dense id in
+  /// [0, num_attr_classes()), so a filtered lookup can test its predicate
+  /// once per class it meets instead of once per candidate. Valid only
+  /// after BuildPostings.
+  uint32_t attr_class(uint32_t local) const { return attr_class_[local]; }
+  uint32_t num_attr_classes() const { return num_attr_classes_; }
 
   /// Serialized segment file: magic, version, payload, FNV-1a trailer.
+  /// Layout (integers little-endian): [0, 8) magic "SSJSEGV1", [8, 12)
+  /// version (kSegmentVersion), [12, 16) flags (zero), then the payload
+  /// (serial, doc ids, values, the SetStore's CSR offsets and token ids,
+  /// tombstoned doc ids, per-doc attribute sets) and an 8-byte FNV-1a
+  /// checksum over the payload.
   std::string EncodeFile() const;
 
   /// Decodes, validates (magic/version/checksum/CSR invariants) and rebuilds
@@ -89,7 +104,8 @@ struct Segment {
  private:
   std::vector<text::TokenId> posting_elements_;
   std::vector<uint32_t> posting_locals_;
-  filter::AttrIndex attr_index_;
+  std::vector<uint32_t> attr_class_;
+  uint32_t num_attr_classes_ = 0;
   size_t tombstone_count_ = 0;
 };
 

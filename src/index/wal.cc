@@ -10,8 +10,7 @@ namespace ssjoin::index {
 
 namespace {
 
-constexpr char kWalMagicV1[8] = {'S', 'S', 'J', 'W', 'A', 'L', 'V', '1'};
-constexpr char kWalMagicV2[8] = {'S', 'S', 'J', 'W', 'A', 'L', 'V', '2'};
+constexpr char kWalMagic[8] = {'S', 'S', 'J', 'W', 'A', 'L', 'V', '2'};
 // A record body is three scalars plus the value and attributes; anything
 // claiming to be larger than this is corruption, not data.
 constexpr uint32_t kMaxRecordBody = 1u << 30;
@@ -23,26 +22,20 @@ Result<WalWriter> WalWriter::Create(const std::string& path) {
   if (f == nullptr) {
     return Status::IOError("cannot create WAL '" + path + "'");
   }
-  if (std::fwrite(kWalMagicV2, 1, sizeof(kWalMagicV2), f) !=
-          sizeof(kWalMagicV2) ||
+  if (std::fwrite(kWalMagic, 1, sizeof(kWalMagic), f) != sizeof(kWalMagic) ||
       std::fflush(f) != 0) {
     std::fclose(f);
     return Status::IOError("cannot write WAL magic to '" + path + "'");
   }
-  return WalWriter(f, 2);
+  return WalWriter(f);
 }
 
-Result<WalWriter> WalWriter::OpenForAppend(const std::string& path,
-                                           uint32_t version) {
-  if (version != 1 && version != 2) {
-    return Status::Internal("unsupported WAL version " +
-                            std::to_string(version));
-  }
+Result<WalWriter> WalWriter::OpenForAppend(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) {
     return Status::IOError("cannot open WAL '" + path + "' for appending");
   }
-  return WalWriter(f, version);
+  return WalWriter(f);
 }
 
 Status WalWriter::Append(const WalRecord& record) {
@@ -54,14 +47,7 @@ Status WalWriter::Append(const WalRecord& record) {
   body.U64(record.seq);
   body.U64(record.doc_id);
   body.Str(record.value);
-  if (version_ >= 2) {
-    record.attrs.EncodeTo(&body);
-  } else if (!record.attrs.empty()) {
-    // A V1 log (opened for append after a pre-upgrade restart) cannot carry
-    // attributes; losing them silently would break the replay contract.
-    return Status::Internal(
-        "cannot append a record with attributes to a version-1 WAL");
-  }
+  record.attrs.EncodeTo(&body);
   const std::string& b = body.buffer();
   uint32_t len = static_cast<uint32_t>(b.size());
   uint64_t checksum = HashString(b);
@@ -78,20 +64,12 @@ Status WalWriter::Append(const WalRecord& record) {
 Result<WalReadResult> ReadWal(const std::string& path) {
   std::string bytes;
   SSJOIN_RETURN_NOT_OK(common::ReadFile(path, &bytes));
-  uint32_t version = 0;
-  if (bytes.size() >= sizeof(kWalMagicV2) &&
-      std::memcmp(bytes.data(), kWalMagicV2, sizeof(kWalMagicV2)) == 0) {
-    version = 2;
-  } else if (bytes.size() >= sizeof(kWalMagicV1) &&
-             std::memcmp(bytes.data(), kWalMagicV1, sizeof(kWalMagicV1)) ==
-                 0) {
-    version = 1;
-  } else {
+  if (bytes.size() < sizeof(kWalMagic) ||
+      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     return Status::IOError("WAL '" + path + "' has a bad magic");
   }
   WalReadResult out;
-  out.version = version;
-  size_t pos = sizeof(kWalMagicV2);
+  size_t pos = sizeof(kWalMagic);
   out.valid_bytes = pos;
   for (;;) {
     if (bytes.size() - pos < sizeof(uint32_t)) break;
@@ -109,10 +87,8 @@ Result<WalReadResult> ReadWal(const std::string& path) {
     common::PayloadReader r(body, len);
     WalRecord rec;
     bool body_ok = r.U8(&rec.type).ok() && r.U64(&rec.seq).ok() &&
-                   r.U64(&rec.doc_id).ok() && r.Str(&rec.value).ok();
-    if (body_ok && version >= 2) {
-      body_ok = filter::AttrSet::DecodeFrom(&r, &rec.attrs).ok();
-    }
+                   r.U64(&rec.doc_id).ok() && r.Str(&rec.value).ok() &&
+                   filter::AttrSet::DecodeFrom(&r, &rec.attrs).ok();
     if (!body_ok || !r.AtEnd() ||
         (rec.type != WalRecord::kUpsert && rec.type != WalRecord::kDelete)) {
       break;  // checksum matched but the body is not a record we understand

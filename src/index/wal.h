@@ -11,12 +11,6 @@
 
 namespace ssjoin::index {
 
-/// WAL format versions: 1 = pre-attribute bodies ("SSJWALV1" magic), 2 =
-/// bodies carry the doc's attribute set ("SSJWALV2"). New logs are always
-/// created at the current version.
-inline constexpr uint32_t kWalVersionNoAttrs = 1;
-inline constexpr uint32_t kWalVersion = 2;
-
 /// One logical mutation in the write-ahead log. `seq` is the index-wide
 /// monotone operation number; records whose seq is at or below the
 /// manifest's last_sealed_seq are stale (their effect is already inside a
@@ -35,33 +29,28 @@ struct WalRecord {
 ///
 /// File layout: an 8-byte magic, then per record
 /// `[u32 body_len][body][u64 FNV-1a(body)]` where body is the
-/// PayloadWriter encoding `[u8 type][u64 seq][u64 doc_id][str value]`
-/// followed, since the "SSJWALV2" magic, by the doc's attribute set. The
-/// reader accepts both magics — a V1 log written before the attribute
-/// format bump replays with empty attribute sets — while new logs are
-/// always created V2. Each append is flushed to the OS before the mutation
-/// is applied, so a crashed process loses at most the record it was
-/// writing — which the reader detects as a torn tail and truncates.
+/// PayloadWriter encoding `[u8 type][u64 seq][u64 doc_id][str value]
+/// [attribute set]`. The magic is "SSJWALV2"; any other magic (the retired
+/// attribute-less "SSJWALV1" included) is rejected. Each append is flushed
+/// to the OS before the mutation is applied, so a crashed process loses at
+/// most the record it was writing — which the reader detects as a torn tail
+/// and truncates.
 class WalWriter {
  public:
-  /// Creates (truncating) a new WAL at `path` and writes the (V2) magic.
+  /// Creates (truncating) a new WAL at `path` and writes the magic.
   static Result<WalWriter> Create(const std::string& path);
 
   /// Opens an existing WAL for appending. The caller must have validated /
-  /// truncated it with ReadWal first, and passes the version ReadWal
-  /// reported so appended record bodies match the file's magic.
-  static Result<WalWriter> OpenForAppend(const std::string& path,
-                                         uint32_t version);
+  /// truncated it with ReadWal first.
+  static Result<WalWriter> OpenForAppend(const std::string& path);
 
-  WalWriter(WalWriter&& other) noexcept
-      : file_(other.file_), version_(other.version_) {
+  WalWriter(WalWriter&& other) noexcept : file_(other.file_) {
     other.file_ = nullptr;
   }
   WalWriter& operator=(WalWriter&& other) noexcept {
     if (this != &other) {
       Close();
       file_ = other.file_;
-      version_ = other.version_;
       other.file_ = nullptr;
     }
     return *this;
@@ -78,11 +67,9 @@ class WalWriter {
   }
 
  private:
-  WalWriter(std::FILE* file, uint32_t version)
-      : file_(file), version_(version) {}
+  explicit WalWriter(std::FILE* file) : file_(file) {}
 
   std::FILE* file_ = nullptr;
-  uint32_t version_ = 2;
 };
 
 /// Result of scanning a WAL: the cleanly-decoded records and the byte length
@@ -91,8 +78,6 @@ class WalWriter {
 struct WalReadResult {
   std::vector<WalRecord> records;
   uint64_t valid_bytes = 0;
-  /// The format the file's magic declared (1 = pre-attribute, 2 = current).
-  uint32_t version = 2;
 };
 
 /// Reads every intact record of the WAL at `path`. A torn or checksum-bad

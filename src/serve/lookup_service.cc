@@ -1,6 +1,5 @@
 #include "serve/lookup_service.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "exec/parallel_for.h"
@@ -80,7 +79,7 @@ LookupService::LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
 LookupService::~LookupService() { Shutdown(); }
 
 std::string LookupService::CacheKey(const std::string& query, size_t k,
-                                    uint64_t epoch, double target_recall,
+                                    uint64_t epoch,
                                     const filter::FilterPredicate& filter) const {
   std::string key;
   key.reserve(query.size() + 32);
@@ -98,18 +97,9 @@ std::string LookupService::CacheKey(const std::string& query, size_t k,
   // The epoch makes every mutation a cache-wide invalidation: entries for
   // older epochs are unreachable and age out of the LRU.
   key += std::to_string(epoch);
-  key.push_back('\x1e');
-  // Approximate and exact lookups of the same query must never share an
-  // entry: the recall knob changes the result. %.17g round-trips the double
-  // (std::to_string's 6 decimals would fold 0.9999996 into 1.0).
-  char recall[32];
-  std::snprintf(recall, sizeof(recall), "%.17g", target_recall);
-  key += recall;
   if (!filter.empty()) {
     // Canonical JSON (sorted conjuncts, sorted deduped values) gives equal
-    // predicates equal keys. Appended only when non-empty so unfiltered keys
-    // stay byte-identical to pre-filter builds; '{' cannot collide with the
-    // number grammar of the recall component above.
+    // predicates equal keys; '{' cannot collide with the epoch's digits.
     key.push_back('\x1e');
     key += filter.CanonicalJson();
   }
@@ -118,11 +108,8 @@ std::string LookupService::CacheKey(const std::string& query, size_t k,
 
 Result<std::vector<LookupService::Match>> LookupService::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
-    double target_recall, const filter::FilterPredicate& filter) {
+    const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
-  if (!(target_recall > 0.0) || target_recall > 1.0) {
-    return Status::Invalid("target_recall must be in (0, 1]");
-  }
   if (deadline.count() < 0) {
     // An already-expired deadline can never be met; reject at admission so
     // it neither queues nor touches the index (it would previously be
@@ -136,7 +123,7 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
   // neither tear a request across epochs nor satisfy it from a stale entry.
   std::shared_ptr<const index::EpochState> state = index_->Snapshot();
   PurgeStaleCache(state->epoch);
-  std::string cache_key = CacheKey(query, k, state->epoch, target_recall, filter);
+  std::string cache_key = CacheKey(query, k, state->epoch, filter);
   if (auto cached = cache_.Get(cache_key)) {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -162,7 +149,6 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     pending.cache_key = std::move(cache_key);
     pending.state = std::move(state);
     pending.k = k;
-    pending.target_recall = target_recall;
     pending.filter = filter;
     pending.start = start;
     pending.has_deadline = deadline.count() > 0;
@@ -282,7 +268,7 @@ void LookupService::RunBatch(std::vector<Pending>* batch) {
           obs::ObsSpan span(&metrics_.span_lookup);
           results[i] =
               index_->LookupAt(*live[i].state, live[i].query, live[i].k,
-                               live[i].target_recall, live[i].filter);
+                               live[i].filter);
         }
       });
 

@@ -67,8 +67,8 @@ class LookupService {
  public:
   using Match = index::MutableFuzzyIndex::Match;
 
-  /// Takes ownership of a mutable index (created, opened from a data dir, or
-  /// upgraded from an immutable snapshot) and starts the dispatcher thread.
+  /// Takes ownership of a mutable index (created, or opened from a data dir)
+  /// and starts the dispatcher thread.
   static Result<std::unique_ptr<LookupService>> Create(
       std::unique_ptr<index::MutableFuzzyIndex> index,
       const LookupServiceOptions& options);
@@ -77,15 +77,12 @@ class LookupService {
   LookupService(const LookupService&) = delete;
   LookupService& operator=(const LookupService&) = delete;
 
-  /// The best `k` matches for `query` (see FuzzyMatchIndex::Lookup), or:
+  /// The best `k` matches for `query` (see MutableFuzzyIndex::LookupAt), or:
   ///  - Unavailable        if the admission queue is full or shutting down,
   ///  - DeadlineExceeded   if `deadline` elapsed before dispatch; a negative
   ///    `deadline` (already expired at the call) is rejected at admission
   ///    without queueing (deadline zero = no deadline).
-  /// `target_recall` in (0, 1] selects the approximate lookup tier below
-  /// 1.0 (see MutableFuzzyIndex::LookupAt); it is part of the cache key, so
-  /// exact and approximate results never alias. Out-of-range values are
-  /// Invalid. A non-empty `filter` restricts matches to records whose
+  /// A non-empty `filter` restricts matches to records whose
   /// attributes satisfy the predicate (bit-identical to post-filtering an
   /// unfiltered lookup); its canonical JSON joins the cache key, so filtered
   /// and unfiltered results never alias either. Blocks the caller until the
@@ -93,7 +90,6 @@ class LookupService {
   Result<std::vector<Match>> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
-      double target_recall = 1.0,
       const filter::FilterPredicate& filter = {});
 
   /// Mutations: thin passthroughs to the index. Each publishes a new epoch,
@@ -168,7 +164,6 @@ class LookupService {
     /// the result matches the epoch its cache key names.
     std::shared_ptr<const index::EpochState> state;
     size_t k;
-    double target_recall;
     filter::FilterPredicate filter;
     std::chrono::steady_clock::time_point start;
     std::chrono::steady_clock::time_point deadline;
@@ -184,10 +179,9 @@ class LookupService {
   void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
 
   /// Cache key: the query's token sequence (unit-separator joined) plus k,
-  /// alpha, the epoch, the target recall and (when non-empty) the filter's
-  /// canonical JSON — exactly the inputs Lookup's result depends on.
+  /// alpha, the epoch and (when non-empty) the filter's canonical JSON —
+  /// exactly the inputs Lookup's result depends on.
   std::string CacheKey(const std::string& query, size_t k, uint64_t epoch,
-                       double target_recall,
                        const filter::FilterPredicate& filter) const;
 
   void DispatcherLoop();

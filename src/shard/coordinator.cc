@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <thread>
@@ -150,8 +149,7 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
 
 Result<std::vector<WireMatch>> Coordinator::LookupShard(
     uint32_t si, const std::string& query, size_t k, bool has_deadline,
-    Clock::time_point abs_deadline, double target_recall,
-    const filter::FilterPredicate& filter) {
+    Clock::time_point abs_deadline, const filter::FilterPredicate& filter) {
   std::string line = "{\"op\": \"slookup\", \"query\": \"" +
                      serve::JsonEscape(query) +
                      "\", \"k\": " + std::to_string(k);
@@ -168,11 +166,6 @@ Result<std::vector<WireMatch>> Coordinator::LookupShard(
     // slack so its DeadlineExceeded response beats our socket timeout.
     wire_budget = remaining + std::chrono::milliseconds(1000);
   }
-  if (target_recall < 1.0) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ", \"target_recall\": %.17g", target_recall);
-    line += buf;
-  }
   if (!filter.empty()) {
     // The canonical form both sides agree on: the shard re-parses it into
     // the same predicate, and its own cache keys use the same bytes.
@@ -188,7 +181,6 @@ Result<std::vector<WireMatch>> Coordinator::LookupShard(
 Result<CoordinatorLookup> Coordinator::Lookup(const std::string& query,
                                               size_t k,
                                               std::chrono::milliseconds deadline,
-                                              double target_recall,
                                               const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
@@ -216,7 +208,7 @@ Result<CoordinatorLookup> Coordinator::Lookup(const std::string& query,
   auto launch = [&](uint32_t si, bool is_hedge) {
     threads.emplace_back([&, si, is_hedge] {
       Result<std::vector<WireMatch>> r = LookupShard(
-          si, query, k, has_deadline, abs_deadline, target_recall, filter);
+          si, query, k, has_deadline, abs_deadline, filter);
       std::lock_guard<std::mutex> lock(gather.mu);
       if (!gather.first[si].has_value()) {
         gather.first[si] = std::move(r);

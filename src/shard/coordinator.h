@@ -85,7 +85,6 @@ class Coordinator {
   Result<CoordinatorLookup> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
-      double target_recall = 1.0,
       const filter::FilterPredicate& filter = {});
 
   /// Routed mutations; the returned epoch is the cluster epoch (sum of every
@@ -116,7 +115,7 @@ class Coordinator {
   /// budget computed at dispatch.
   Result<std::vector<WireMatch>> LookupShard(
       uint32_t si, const std::string& query, size_t k, bool has_deadline,
-      std::chrono::steady_clock::time_point abs_deadline, double target_recall,
+      std::chrono::steady_clock::time_point abs_deadline,
       const filter::FilterPredicate& filter);
 
   CoordinatorOptions options_;

@@ -164,8 +164,7 @@ Status ShardedLookupIndex::RebuildGlobalStatsLocked() {
 
 Result<std::vector<ShardedLookupIndex::Match>> ShardedLookupIndex::LookupShard(
     uint32_t si, const std::string& query, size_t k, bool has_deadline,
-    Clock::time_point abs_deadline, double target_recall,
-    const filter::FilterPredicate& filter) {
+    Clock::time_point abs_deadline, const filter::FilterPredicate& filter) {
   std::chrono::milliseconds remaining{0};
   if (has_deadline) {
     // Remaining-budget propagation: the shard gets what is left NOW, not the
@@ -177,12 +176,12 @@ Result<std::vector<ShardedLookupIndex::Match>> ShardedLookupIndex::LookupShard(
     }
     remaining = std::chrono::ceil<std::chrono::milliseconds>(abs_deadline - now);
   }
-  return services_[si]->Lookup(query, k, remaining, target_recall, filter);
+  return services_[si]->Lookup(query, k, remaining, filter);
 }
 
 Result<std::vector<ShardedLookupIndex::Match>> ShardedLookupIndex::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
-    double target_recall, const filter::FilterPredicate& filter) {
+    const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
     metrics_.deadline_rejects.fetch_add(1, std::memory_order_relaxed);
@@ -207,9 +206,8 @@ Result<std::vector<ShardedLookupIndex::Match>> ShardedLookupIndex::Lookup(
   threads.reserve(num_shards_ + 1);
   auto launch = [&](uint32_t si, bool is_hedge) {
     threads.emplace_back([&, si, is_hedge] {
-      Result<std::vector<Match>> r = LookupShard(si, query, k, has_deadline,
-                                                 abs_deadline, target_recall,
-                                                 filter);
+      Result<std::vector<Match>> r =
+          LookupShard(si, query, k, has_deadline, abs_deadline, filter);
       std::lock_guard<std::mutex> lock(gather.mu);
       if (!gather.first[si].has_value()) {
         gather.first[si] = std::move(r);

@@ -27,7 +27,7 @@ struct ShardedIndexOptions {
   /// with where the documents actually live).
   uint32_t num_shards = 1;
   /// Tokenization / similarity options, shared by every shard.
-  simjoin::FuzzyMatchIndex::Options match;
+  index::MatchOptions match;
   /// Root data directory; shard i persists under `<data_dir>/shard-<i>`.
   /// Empty = purely in-memory.
   std::string data_dir;
@@ -53,7 +53,7 @@ struct ShardedIndexOptions {
 /// ## The shard-count invariance contract
 /// For ANY shard count N, Lookup results are bit-identical (ids, scores and
 /// order) to one unsharded MutableFuzzyIndex over the same live records —
-/// which is itself bit-identical to a from-scratch immutable build. Three
+/// which is itself bit-identical to fuzz::BruteForceLookup. Three
 /// facts carry the proof:
 ///   1. Every weight input is global: shards run in global-stats mode (see
 ///      MutableFuzzyIndex's Global API), so n, per-token document frequency
@@ -112,7 +112,6 @@ class ShardedLookupIndex {
   Result<std::vector<Match>> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
-      double target_recall = 1.0,
       const filter::FilterPredicate& filter = {});
 
   /// Routed mutations: the owner shard applies the document and the
@@ -152,7 +151,6 @@ class ShardedLookupIndex {
                                          size_t k, bool has_deadline,
                                          std::chrono::steady_clock::time_point
                                              abs_deadline,
-                                         double target_recall,
                                          const filter::FilterPredicate& filter);
 
   /// Re-derives every shard's global statistics from the union of all

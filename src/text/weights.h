@@ -16,8 +16,9 @@ namespace ssjoin::text {
 /// assumes positive weights).
 inline constexpr double kMinIdfWeight = 1e-6;
 
-/// \brief The IDF formula of §5, shared by the immutable build path and the
-/// mutable index so both compute bit-identical doubles for the same (n, f).
+/// \brief The IDF formula of §5, shared by the batch joins, the lookup index
+/// and its brute-force oracle so all compute bit-identical doubles for the
+/// same (n, f).
 /// `f == 0` — possible in a dictionary rebuilt through Restore — maps to the
 /// floor: log(n/0) = +inf would otherwise poison every set weight it touches.
 inline double IdfWeightFromFrequency(double n, uint64_t f) {

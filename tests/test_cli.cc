@@ -1,8 +1,8 @@
 /// End-to-end tests of the ssjoin_cli and ssjoin_served tools: writes CSV
 /// inputs, invokes the binaries (paths injected by CMake as SSJOIN_CLI_PATH
 /// and SSJOIN_SERVED_PATH), and checks outputs. Exercises argument
-/// validation, the snapshot/lookup subcommands, and a live socket round
-/// trip against ssjoin_served.
+/// validation, the snapshot/lookup subcommands (a snapshot is a one-segment
+/// data dir), and a live socket round trip against ssjoin_served.
 
 #include <gtest/gtest.h>
 
@@ -246,10 +246,10 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
 
   // ssjoin_served validates its numeric flags before loading anything, so a
   // bad value fails in milliseconds even alongside other broken flags.
-  EXPECT_NE(RunServed("--snapshot /nope.snap --socket /tmp/unused.sock "
+  EXPECT_NE(RunServed("--data /nope.d --socket /tmp/unused.sock "
                       "--threads=abc"),
             0);
-  EXPECT_NE(RunServed("--snapshot /nope.snap --socket /tmp/unused.sock "
+  EXPECT_NE(RunServed("--data /nope.d --socket /tmp/unused.sock "
                       "--max-queue -5"),
             0);
 
@@ -300,15 +300,16 @@ const char kReferenceCsv[] =
 
 TEST(CliTest, SnapshotAndDirectLookup) {
   std::string in = TempPath("cli_ref.csv");
-  std::string snap = TempPath("cli_ref.snap");
+  std::string snap = TempPath("cli_ref.d");
   WriteFile(in, kReferenceCsv);
+  std::filesystem::remove_all(snap);
   ASSERT_EQ(RunCli("snapshot --reference " + in + " --col name --alpha 0.4 "
                    "--out " + snap),
             0);
 
   // Lookup against the snapshot must find the corrupted string's source.
   std::string out;
-  ASSERT_EQ(RunCliCapture("lookup --snapshot " + snap +
+  ASSERT_EQ(RunCliCapture("lookup --data " + snap +
                               " --query \"International Business Machines Inc\" --k 2",
                           &out),
             0);
@@ -323,32 +324,64 @@ TEST(CliTest, SnapshotAndDirectLookup) {
             0);
   EXPECT_EQ(out, direct);
 
+  // A second snapshot into the same data dir is refused, not merged.
+  EXPECT_NE(RunCli("snapshot --reference " + in + " --col name --out " + snap),
+            0);
+
   std::remove(in.c_str());
-  std::remove(snap.c_str());
+  std::filesystem::remove_all(snap);
 }
 
 TEST(CliTest, SnapshotAndLookupErrorPaths) {
   std::string in = TempPath("cli_ref_err.csv");
   WriteFile(in, kReferenceCsv);
   EXPECT_NE(RunCli("snapshot --reference " + in + " --col name"), 0);  // no --out
-  EXPECT_NE(RunCli("snapshot --reference /nope.csv --col name --out x.snap"), 0);
-  EXPECT_NE(RunCli("lookup --snapshot /nope.snap --query x"), 0);
+  EXPECT_NE(RunCli("snapshot --reference /nope.csv --col name --out x.d"), 0);
+  EXPECT_NE(RunCli("lookup --data /nope.d --query x"), 0);
   EXPECT_NE(RunCli("lookup --query x"), 0);  // no index source
+  std::remove(in.c_str());
+}
+
+TEST(CliTest, ZeroLengthQGramsFailCleanly) {
+  // q = 0 is an invalid tokenizer: both tools must exit 1 with a message,
+  // never abort.
+  std::string in = TempPath("cli_qgram0.csv");
+  std::string snap = TempPath("cli_qgram0.d");
+  std::string sock = TempPath("cli_qgram0.sock");
+  WriteFile(in, kReferenceCsv);
+  std::filesystem::remove_all(snap);
+  std::string err;
+  EXPECT_EQ(RunCaptureStderr(SSJOIN_CLI_PATH,
+                             "snapshot --reference " + in +
+                                 " --col name --qgrams 0 --out " + snap,
+                             &err),
+            1);
+  EXPECT_NE(err.find("q-gram length must be at least 1"), std::string::npos)
+      << err;
+  EXPECT_FALSE(std::filesystem::exists(snap));
+  EXPECT_EQ(RunCaptureStderr(SSJOIN_SERVED_PATH,
+                             "--reference " + in +
+                                 " --col name --qgrams 0 --socket " + sock,
+                             &err),
+            1);
+  EXPECT_NE(err.find("q-gram length must be at least 1"), std::string::npos)
+      << err;
   std::remove(in.c_str());
 }
 
 TEST(CliTest, ServedSocketRoundTrip) {
   std::string in = TempPath("served_ref.csv");
-  std::string snap = TempPath("served_ref.snap");
+  std::string snap = TempPath("served_ref.d");
   std::string sock = TempPath("served.sock");
   WriteFile(in, kReferenceCsv);
   std::remove(sock.c_str());
+  std::filesystem::remove_all(snap);
   ASSERT_EQ(RunCli("snapshot --reference " + in + " --col name --alpha 0.4 "
                    "--out " + snap),
             0);
 
   std::string server_log = TempPath("served.log");
-  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --snapshot " +
+  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --data " +
                            snap + " --socket " + sock + " >" + server_log +
                            " 2>&1 &";
   ASSERT_EQ(std::system(server_cmd.c_str()), 0);
@@ -414,7 +447,7 @@ TEST(CliTest, ServedSocketRoundTrip) {
   EXPECT_NE(RunCli("lookup --socket " + sock + " --ping"), 0);
 
   std::remove(in.c_str());
-  std::remove(snap.c_str());
+  std::filesystem::remove_all(snap);
   std::remove(server_log.c_str());
 }
 
@@ -440,15 +473,16 @@ void TruncatedClient(const std::string& sock, const std::string& bytes,
 
 TEST(CliTest, ServedSurvivesTruncatedClients) {
   std::string in = TempPath("trunc_ref.csv");
-  std::string snap = TempPath("trunc_ref.snap");
+  std::string snap = TempPath("trunc_ref.d");
   std::string sock = TempPath("trunc.sock");
   WriteFile(in, kReferenceCsv);
   std::remove(sock.c_str());
+  std::filesystem::remove_all(snap);
   ASSERT_EQ(RunCli("snapshot --reference " + in + " --col name --alpha 0.4 "
                    "--out " + snap),
             0);
   std::string server_log = TempPath("trunc_served.log");
-  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --snapshot " +
+  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --data " +
                            snap + " --socket " + sock + " >" + server_log +
                            " 2>&1 &";
   ASSERT_EQ(std::system(server_cmd.c_str()), 0);
@@ -484,7 +518,7 @@ TEST(CliTest, ServedSurvivesTruncatedClients) {
       << ReadWholeFile(server_log);
 
   std::remove(in.c_str());
-  std::remove(snap.c_str());
+  std::filesystem::remove_all(snap);
   std::remove(server_log.c_str());
 }
 

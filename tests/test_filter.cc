@@ -1,11 +1,10 @@
 /// Filter subsystem tests: attribute values and validation, predicate
-/// canonicalization and match semantics, the BE-index k-of-n evaluator
-/// (differentially against FilterPredicate::Matches), wire conversions, and
-/// the filtered-lookup bit-identity contract — a filtered lookup must equal
-/// the unfiltered lookup with unbounded k, post-filtered by Matches and
-/// truncated to k — across the immutable index, the mutable index (fresh,
-/// sealed, compacted and WAL-replayed), the lookup service at several
-/// thread counts, and the sharded coordinator at N ∈ {1, 3}.
+/// canonicalization and match semantics, wire conversions, and the
+/// filtered-lookup bit-identity contract — a filtered lookup must equal the
+/// unfiltered lookup with unbounded k, post-filtered by Matches and
+/// truncated to k — across a bulk-loaded single-segment index, the mutable
+/// index (fresh, sealed, compacted and WAL-replayed), the lookup service at
+/// several thread counts, and the sharded coordinator at N ∈ {1, 3}.
 
 #include <gtest/gtest.h>
 
@@ -19,23 +18,20 @@
 
 #include "common/payload.h"
 #include "common/rng.h"
-#include "datagen/address_gen.h"
-#include "datagen/error_model.h"
 #include "filter/attr.h"
-#include "filter/be_index.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
+#include "lookup_corpus.h"
+#include "obs/metrics.h"
 #include "serve/lookup_service.h"
 #include "serve/wire.h"
 #include "shard/sharded_index.h"
-#include "simjoin/fuzzy_match.h"
 
 namespace ssjoin::filter {
 namespace {
 
 using index::MutableFuzzyIndex;
 using index::MutableIndexOptions;
-using simjoin::FuzzyMatchIndex;
 
 // ---------------------------------------------------------------------------
 // AttrValue + validation
@@ -165,7 +161,7 @@ TEST(FilterPredicateTest, RejectsEmptyValueSetAndDuplicates) {
   // Same name with the other sign is a distinct conjunct.
   EXPECT_TRUE(pred.AddConjunct(NotIn("k", {AttrValue::Int64(9)})).ok());
   EXPECT_FALSE(pred.AddConjunct(NotIn("k", {AttrValue::Int64(8)})).ok());
-  EXPECT_EQ(pred.num_positive(), 1u);
+  EXPECT_EQ(pred.conjuncts().size(), 2u);
 }
 
 TEST(FilterPredicateTest, RejectsInvalidNamesAndValues) {
@@ -232,60 +228,7 @@ TEST(FilterPredicateTest, CanonicalJsonIsOrderIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// EligibleSet
-
-TEST(EligibleSetTest, AllAndNone) {
-  EligibleSet all = EligibleSet::All();
-  EXPECT_EQ(all.kind(), EligibleSet::Kind::kAll);
-  EXPECT_TRUE(all.Contains(0));
-  EXPECT_TRUE(all.Contains(1'000'000));
-  std::vector<uint32_t> v = {1, 5, 9};
-  all.FilterSorted(&v);
-  EXPECT_EQ(v, (std::vector<uint32_t>{1, 5, 9}));
-
-  EligibleSet none = EligibleSet::None();
-  EXPECT_EQ(none.kind(), EligibleSet::Kind::kNone);
-  EXPECT_EQ(none.count(), 0u);
-  EXPECT_FALSE(none.Contains(0));
-  none.FilterSorted(&v);
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(EligibleSetTest, SparseBecomesListDenseBecomesBitmap) {
-  EligibleSet sparse = EligibleSet::FromSorted({3, 70, 900}, 1000);
-  EXPECT_EQ(sparse.kind(), EligibleSet::Kind::kList);
-  EXPECT_EQ(sparse.count(), 3u);
-  EXPECT_TRUE(sparse.Contains(70));
-  EXPECT_FALSE(sparse.Contains(71));
-
-  std::vector<uint32_t> dense_ids;
-  for (uint32_t i = 0; i < 900; ++i) dense_ids.push_back(i);
-  EligibleSet dense = EligibleSet::FromSorted(dense_ids, 1000);
-  EXPECT_EQ(dense.kind(), EligibleSet::Kind::kBitmap);
-  EXPECT_EQ(dense.count(), 900u);
-  EXPECT_TRUE(dense.Contains(899));
-  EXPECT_FALSE(dense.Contains(950));
-}
-
-TEST(EligibleSetTest, FilterSortedPreservesOrderForBothForms) {
-  std::vector<uint32_t> eligible;
-  for (uint32_t i = 0; i < 100; i += 2) eligible.push_back(i);
-  // Same logical set, both representations.
-  EligibleSet as_list = EligibleSet::FromSorted(eligible, 100'000);
-  EligibleSet as_bitmap = EligibleSet::FromSorted(eligible, 100);
-  ASSERT_EQ(as_list.kind(), EligibleSet::Kind::kList);
-  ASSERT_EQ(as_bitmap.kind(), EligibleSet::Kind::kBitmap);
-
-  std::vector<uint32_t> a = {1, 2, 4, 7, 8, 50, 98, 99};
-  std::vector<uint32_t> b = a;
-  as_list.FilterSorted(&a);
-  as_bitmap.FilterSorted(&b);
-  EXPECT_EQ(a, (std::vector<uint32_t>{2, 4, 8, 50, 98}));
-  EXPECT_EQ(a, b);
-}
-
-// ---------------------------------------------------------------------------
-// AttrIndex: the BE-index evaluator vs the exact Matches oracle
+// Random attribute sets for the filtered-lookup differentials below
 
 std::vector<AttrSet> RandomAttrs(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -304,92 +247,6 @@ std::vector<AttrSet> RandomAttrs(size_t n, uint64_t seed) {
     }
   }
   return docs;
-}
-
-FilterPredicate RandomPredicate(Rng* rng) {
-  FilterPredicate pred;
-  const std::vector<std::string> countries = {"DE", "FR", "US", "JP", "XX"};
-  if (rng->Bernoulli(0.7)) {
-    std::vector<AttrValue> in;
-    size_t n = 1 + rng->Uniform(3);
-    for (size_t i = 0; i < n; ++i) {
-      in.push_back(AttrValue::String(countries[rng->Uniform(5)]));
-    }
-    FilterConjunct c = In("country", std::move(in));
-    c.negated = rng->Bernoulli(0.4);
-    EXPECT_TRUE(pred.AddConjunct(std::move(c)).ok());
-  }
-  if (rng->Bernoulli(0.7)) {
-    FilterConjunct c = In("tier", {AttrValue::Int64(rng->UniformInt(0, 4))});
-    c.negated = rng->Bernoulli(0.4);
-    EXPECT_TRUE(pred.AddConjunct(std::move(c)).ok());
-  }
-  if (rng->Bernoulli(0.2)) {
-    // An attribute no document carries.
-    FilterConjunct c = In("ghost", {AttrValue::Int64(1)});
-    c.negated = rng->Bernoulli(0.5);
-    EXPECT_TRUE(pred.AddConjunct(std::move(c)).ok());
-  }
-  return pred;
-}
-
-TEST(AttrIndexTest, PostingsAreSortedPerValue) {
-  std::vector<AttrSet> docs(5);
-  ASSERT_TRUE(docs[4].Set("k", AttrValue::Int64(1)).ok());
-  ASSERT_TRUE(docs[1].Set("k", AttrValue::Int64(1)).ok());
-  ASSERT_TRUE(docs[2].Set("k", AttrValue::Int64(2)).ok());
-  AttrIndex index = AttrIndex::Build(docs);
-  EXPECT_EQ(index.doc_count(), 5u);
-  auto ones = index.Postings("k", AttrValue::Int64(1));
-  ASSERT_EQ(ones.size(), 2u);
-  EXPECT_EQ(ones[0], 1u);
-  EXPECT_EQ(ones[1], 4u);
-  EXPECT_TRUE(index.Postings("k", AttrValue::Int64(9)).empty());
-  EXPECT_TRUE(index.Postings("other", AttrValue::Int64(1)).empty());
-}
-
-TEST(AttrIndexTest, EvalAgreesWithMatchesOracle) {
-  auto docs = RandomAttrs(300, 77);
-  AttrIndex index = AttrIndex::Build(docs);
-  Rng rng(78);
-  for (int trial = 0; trial < 200; ++trial) {
-    FilterPredicate pred = RandomPredicate(&rng);
-    EligibleSet eligible = index.Eval(pred);
-    for (uint32_t local = 0; local < docs.size(); ++local) {
-      ASSERT_EQ(eligible.Contains(local), pred.Matches(docs[local]))
-          << "trial " << trial << " local " << local << " pred "
-          << pred.CanonicalJson();
-    }
-  }
-}
-
-TEST(AttrIndexTest, NotInOnlyComplementsOverUniverse) {
-  // n == 0: the eligible set is the complement of the negated postings,
-  // including over an attribute-less universe where it matches everything.
-  std::vector<AttrSet> docs(4);
-  ASSERT_TRUE(docs[2].Set("k", AttrValue::Int64(7)).ok());
-  AttrIndex index = AttrIndex::Build(docs);
-  FilterPredicate not7;
-  ASSERT_TRUE(not7.AddConjunct(NotIn("k", {AttrValue::Int64(7)})).ok());
-  EligibleSet eligible = index.Eval(not7);
-  EXPECT_TRUE(eligible.Contains(0));
-  EXPECT_TRUE(eligible.Contains(1));
-  EXPECT_FALSE(eligible.Contains(2));
-  EXPECT_TRUE(eligible.Contains(3));
-
-  AttrIndex empty = AttrIndex::Empty(3);
-  EligibleSet all = empty.Eval(not7);
-  EXPECT_EQ(all.count(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_TRUE(all.Contains(i));
-}
-
-TEST(AttrIndexTest, PositiveOnAbsentAttributeMatchesNothing) {
-  AttrIndex index = AttrIndex::Empty(10);
-  FilterPredicate pred;
-  ASSERT_TRUE(pred.AddConjunct(In("ghost", {AttrValue::Int64(1)})).ok());
-  EligibleSet eligible = index.Eval(pred);
-  EXPECT_EQ(eligible.kind(), EligibleSet::Kind::kNone);
-  EXPECT_EQ(eligible.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +277,6 @@ TEST(WireFilterTest, BangPrefixMeansNotIn) {
   ASSERT_EQ(pred->conjuncts().size(), 1u);
   EXPECT_TRUE(pred->conjuncts()[0].negated);
   EXPECT_EQ(pred->conjuncts()[0].name, "tier");
-  EXPECT_EQ(pred->num_positive(), 0u);
 }
 
 TEST(WireFilterTest, RejectsNonAttributeScalars) {
@@ -473,27 +329,6 @@ TEST(WireAttrsTest, AttrsToJsonRoundTrips) {
 // ---------------------------------------------------------------------------
 // Filtered lookup: shared corpus helpers
 
-std::vector<std::string> Master(size_t n, uint64_t seed) {
-  datagen::AddressGenOptions opts;
-  opts.num_records = n;
-  opts.duplicate_fraction = 0.0;
-  opts.seed = seed;
-  return datagen::GenerateAddresses(opts).records;
-}
-
-std::vector<std::string> DirtyQueries(const std::vector<std::string>& master,
-                                      size_t n, uint64_t seed) {
-  Rng rng(seed);
-  datagen::ErrorModelOptions errors;
-  errors.char_edits_mean = 1.5;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    size_t src = rng.Uniform(master.size());
-    queries.push_back(datagen::CorruptRecord(master[src], {}, errors, &rng));
-  }
-  return queries;
-}
-
 /// The predicates every differential below runs: empty (≡ unfiltered), a
 /// selective IN, a zero-match IN, a positive conjunct on an attribute no doc
 /// carries, and a NOT-IN-only conjunction.
@@ -532,36 +367,53 @@ std::vector<FilterPredicate> EdgePredicates() {
   return preds;
 }
 
-// --- Immutable FuzzyMatchIndex ---
+// --- One sealed segment, bulk loaded with attributes ---
+
+/// The reference table with per-row attributes as one sealed segment
+/// (doc id = row index); `attrs` empty means no attributes at all.
+std::unique_ptr<MutableFuzzyIndex> BuildSealed(
+    const std::vector<std::string>& master, const std::vector<AttrSet>& attrs) {
+  MutableIndexOptions options;
+  options.match.alpha = 0.35;
+  auto index = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+  std::vector<std::pair<uint64_t, std::string>> records;
+  for (size_t i = 0; i < master.size(); ++i) records.emplace_back(i, master[i]);
+  EXPECT_TRUE(index->BulkLoad(records, attrs).ok());
+  EXPECT_TRUE(index->Seal().ok());
+  return index;
+}
+
+void ExpectSameMatches(const std::vector<MutableFuzzyIndex::Match>& got,
+                       const std::vector<MutableFuzzyIndex::Match>& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << context << " rank " << i;
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(got[i].similarity, want[i].similarity) << context << " rank " << i;
+  }
+}
 
 TEST(FuzzyMatchFilterTest, FilteredEqualsPostFilteredOracle) {
   auto master = Master(300, 101);
   auto queries = DirtyQueries(master, 50, 102);
   auto attrs = RandomAttrs(master.size(), 103);
-
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
-  auto index = FuzzyMatchIndex::Build(master, options);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->AssignAttributes(attrs).ok());
+  auto index = BuildSealed(master, attrs);
+  auto state = index->Snapshot();
 
   const size_t k = 5;
   for (const FilterPredicate& pred : EdgePredicates()) {
     for (const std::string& q : queries) {
-      auto got = index->Lookup(q, k, pred);
+      auto got = index->LookupAt(*state, q, k, pred);
       // Oracle: unfiltered with unbounded k, post-filter, truncate.
-      auto all = index->Lookup(q, master.size());
-      std::vector<FuzzyMatchIndex::Match> want;
+      auto all = index->LookupAt(*state, q, master.size());
+      std::vector<MutableFuzzyIndex::Match> want;
       for (const auto& m : all) {
-        if (pred.Matches(attrs[m.ref_index])) want.push_back(m);
+        if (pred.Matches(attrs[m.id])) want.push_back(m);
         if (want.size() == k) break;
       }
-      ASSERT_EQ(got.size(), want.size())
-          << "pred " << pred.CanonicalJson() << " query " << q;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].ref_index, want[i].ref_index);
-        EXPECT_EQ(got[i].similarity, want[i].similarity);  // bit-identical
-      }
+      ExpectSameMatches(got, want,
+                        "pred " + pred.CanonicalJson() + " query " + q);
     }
   }
 }
@@ -569,30 +421,20 @@ TEST(FuzzyMatchFilterTest, FilteredEqualsPostFilteredOracle) {
 TEST(FuzzyMatchFilterTest, EmptyFilterIsByteIdenticalToUnfiltered) {
   auto master = Master(120, 104);
   auto queries = DirtyQueries(master, 30, 105);
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
-  auto index = FuzzyMatchIndex::Build(master, options);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->AssignAttributes(RandomAttrs(master.size(), 106)).ok());
+  auto index = BuildSealed(master, RandomAttrs(master.size(), 106));
+  auto state = index->Snapshot();
   for (const std::string& q : queries) {
-    auto plain = index->Lookup(q, 5);
-    auto filtered = index->Lookup(q, 5, FilterPredicate{});
-    ASSERT_EQ(plain.size(), filtered.size());
-    for (size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain[i].ref_index, filtered[i].ref_index);
-      EXPECT_EQ(plain[i].similarity, filtered[i].similarity);
-    }
+    ExpectSameMatches(index->LookupAt(*state, q, 5, FilterPredicate{}),
+                      index->LookupAt(*state, q, 5), "query " + q);
   }
 }
 
 TEST(FuzzyMatchFilterTest, AttributelessIndexStillAnswersFilters) {
-  // No AssignAttributes call at all: positive filters match nothing,
-  // NOT-IN-only filters match everything.
+  // No attributes at all: positive filters match nothing, NOT-IN-only
+  // filters match everything.
   auto master = Master(80, 107);
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
-  auto index = FuzzyMatchIndex::Build(master, options);
-  ASSERT_TRUE(index.ok());
+  auto index = BuildSealed(master, {});
+  auto state = index->Snapshot();
 
   FilterPredicate positive;
   ASSERT_TRUE(
@@ -602,27 +444,53 @@ TEST(FuzzyMatchFilterTest, AttributelessIndexStillAnswersFilters) {
       negated.AddConjunct(NotIn("country", {AttrValue::String("DE")})).ok());
 
   const std::string q = master[0];
-  EXPECT_TRUE(index->Lookup(q, 5, positive).empty());
-  auto plain = index->Lookup(q, 5);
-  auto kept = index->Lookup(q, 5, negated);
-  ASSERT_EQ(plain.size(), kept.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].ref_index, kept[i].ref_index);
-    EXPECT_EQ(plain[i].similarity, kept[i].similarity);
+  EXPECT_TRUE(index->LookupAt(*state, q, 5, positive).empty());
+  auto plain = index->LookupAt(*state, q, 5);
+  EXPECT_FALSE(plain.empty());
+  ExpectSameMatches(index->LookupAt(*state, q, 5, negated), plain, "NOT-IN");
+}
+
+TEST(FuzzyMatchFilterTest, CandidateCountersKeepTheirMeaning) {
+  // filter.candidates_in counts the distinct candidates the unfiltered
+  // lookup meets; filter.candidates_kept and index.lookup.candidates count
+  // those the predicate keeps. Checked over a sealed segment plus a tail.
+  auto master = Master(200, 108);
+  auto attrs = RandomAttrs(master.size(), 109);
+  auto index = BuildSealed(master, attrs);
+  for (size_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(index->Upsert(i, master[master.size() - 1 - i], attrs[i]).ok());
+  }
+  auto state = index->Snapshot();
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* candidates = registry.GetCounter("index.lookup.candidates");
+  obs::Counter* in = registry.GetCounter("filter.candidates_in");
+  obs::Counter* kept = registry.GetCounter("filter.candidates_kept");
+  for (const FilterPredicate& pred : EdgePredicates()) {
+    if (pred.empty()) continue;
+    for (const std::string& q : DirtyQueries(master, 20, 110)) {
+      uint64_t c0 = candidates->value();
+      index->LookupAt(*state, q, 5);
+      uint64_t unfiltered = candidates->value() - c0;
+      uint64_t c1 = candidates->value(), in0 = in->value(), k0 = kept->value();
+      index->LookupAt(*state, q, 5, pred);
+      EXPECT_EQ(in->value() - in0, unfiltered) << pred.CanonicalJson();
+      EXPECT_EQ(kept->value() - k0, candidates->value() - c1)
+          << pred.CanonicalJson();
+    }
   }
 }
 
 // --- MutableFuzzyIndex across its whole lifecycle ---
 
-/// Asserts the 5-arg LookupAt equals the post-filtered unfiltered oracle on
-/// the same epoch, for every edge predicate and query.
+/// Asserts the filtered LookupAt equals the post-filtered unfiltered oracle
+/// on the same epoch, for every edge predicate and query.
 void ExpectFilteredOracle(const MutableFuzzyIndex& index,
                           const std::vector<std::string>& queries, size_t k,
                           const std::string& context) {
   auto state = index.Snapshot();
   for (const FilterPredicate& pred : EdgePredicates()) {
     for (const std::string& q : queries) {
-      auto got = index.LookupAt(*state, q, k, 1.0, pred);
+      auto got = index.LookupAt(*state, q, k, pred);
       auto all = index.LookupAt(*state, q, state->live_docs + 1);
       std::vector<MutableFuzzyIndex::Match> want;
       for (const auto& m : all) {
@@ -648,12 +516,6 @@ MutableIndexOptions ManualOptions() {
   options.seal_threshold = 0;   // explicit Seal only
   options.max_generations = 0;  // explicit Compact only
   return options;
-}
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/filter_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 Status UpsertWithAttrs(MutableFuzzyIndex* index,
@@ -703,7 +565,7 @@ TEST(MutableFilterTest, ReupsertWithoutAttrsClearsThem) {
 }
 
 TEST(MutableFilterTest, SurvivesWalReplayAndSealedReopen) {
-  std::string dir = FreshDir("replay");
+  std::string dir = FreshDir("filter_replay");
   auto master = Master(150, 116);
   auto queries = DirtyQueries(master, 25, 117);
   auto attrs = RandomAttrs(master.size(), 118);
@@ -760,9 +622,9 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
     for (const FilterPredicate& pred : preds) {
       for (const std::string& q : queries) {
         auto got = (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(),
-                                      1.0, pred);
+                                      pred);
         ASSERT_TRUE(got.ok()) << got.status().message();
-        auto want = reference->LookupAt(*ref_state, q, 5, 1.0, pred);
+        auto want = reference->LookupAt(*ref_state, q, 5, pred);
         ASSERT_EQ(got->size(), want.size()) << "threads " << threads;
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ((*got)[i].id, want[i].id);
@@ -770,7 +632,7 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
         }
         // Second call: served from cache, still identical.
         auto again = (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(),
-                                        1.0, pred);
+                                        pred);
         ASSERT_TRUE(again.ok());
         ASSERT_EQ(again->size(), want.size());
         for (size_t i = 0; i < want.size(); ++i) {
@@ -800,7 +662,7 @@ TEST(ServeFilterTest, FilteredAndUnfilteredNeverAliasInCache) {
   ASSERT_TRUE(plain.ok());
   ASSERT_FALSE(plain->empty());
   auto filtered =
-      (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(), 1.0, zero);
+      (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(), zero);
   ASSERT_TRUE(filtered.ok());
   EXPECT_TRUE(filtered->empty());
   auto plain_again = (*service)->Lookup(q, 5);
@@ -835,9 +697,9 @@ TEST(ShardFilterTest, FilteredLookupIsShardCountInvariant) {
     for (const FilterPredicate& pred : preds) {
       for (const std::string& q : queries) {
         auto got = (*sharded)->Lookup(q, 5, std::chrono::milliseconds::zero(),
-                                      1.0, pred);
+                                      pred);
         ASSERT_TRUE(got.ok()) << got.status().message();
-        auto want = reference->LookupAt(*ref_state, q, 5, 1.0, pred);
+        auto want = reference->LookupAt(*ref_state, q, 5, pred);
         ASSERT_EQ(got->size(), want.size())
             << "shards " << num_shards << " pred " << pred.CanonicalJson()
             << " query " << q;

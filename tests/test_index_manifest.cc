@@ -1,9 +1,9 @@
-/// Manifest-v3 and recovery robustness: every corruption mode of the durable
+/// Manifest and recovery robustness: every corruption mode of the durable
 /// state (truncated manifest, flipped bytes, bad per-segment checksums,
 /// missing segment files, stale or torn WAL records) must yield either a
 /// clean Status error or a correct recovery — never UB, never silently wrong
-/// lookups. Also pins the v2 -> v3 upgrade path: an immutable snapshot loads
-/// as a single sealed generation answering bit-identically.
+/// lookups. Retired format versions (snapshot/manifest v1-v3, WAL
+/// "SSJWALV1") are rejected with clean errors.
 
 #include <gtest/gtest.h>
 
@@ -15,39 +15,13 @@
 #include <string>
 #include <vector>
 
-#include "datagen/address_gen.h"
-#include "datagen/error_model.h"
 #include "index/manifest.h"
 #include "index/mutable_index.h"
 #include "index/wal.h"
-#include "serve/snapshot.h"
-#include "simjoin/fuzzy_match.h"
+#include "lookup_corpus.h"
 
 namespace ssjoin::index {
 namespace {
-
-using simjoin::FuzzyMatchIndex;
-
-std::vector<std::string> Master(size_t n, uint64_t seed) {
-  datagen::AddressGenOptions opts;
-  opts.num_records = n;
-  opts.duplicate_fraction = 0.0;
-  opts.seed = seed;
-  return datagen::GenerateAddresses(opts).records;
-}
-
-std::vector<std::string> DirtyQueries(const std::vector<std::string>& master,
-                                      size_t n, uint64_t seed) {
-  Rng rng(seed);
-  datagen::ErrorModelOptions errors;
-  errors.char_edits_mean = 1.5;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    size_t src = rng.Uniform(master.size());
-    queries.push_back(datagen::CorruptRecord(master[src], {}, errors, &rng));
-  }
-  return queries;
-}
 
 std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -60,12 +34,6 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(out.good()) << path;
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/manifest_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// A small durable index with one sealed generation plus unsealed churn —
@@ -125,8 +93,8 @@ TEST(ManifestTest, SaveLoadRoundTrip) {
 class ManifestCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = FreshDir(
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = FreshDir(std::string("manifest_") +
+                    ::testing::UnitTest::GetInstance()->current_test_info()->name());
     master_ = Master(80, 61);
     options_ = MakeDurable(dir_, master_);
     manifest_path_ = dir_ + "/" + kManifestFileName;
@@ -221,8 +189,7 @@ TEST_F(ManifestCorruptionTest, StaleWalRecordSkippedAtReplay) {
   // Append a record whose seq is already covered by the sealed generation:
   // replay must skip it, so the bogus doc never appears.
   {
-    auto wal = WalWriter::OpenForAppend(dir_ + "/" + manifest->wal_file,
-                                        index::kWalVersion);
+    auto wal = WalWriter::OpenForAppend(dir_ + "/" + manifest->wal_file);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     WalRecord stale;
     stale.type = WalRecord::kUpsert;
@@ -278,52 +245,61 @@ TEST_F(ManifestCorruptionTest, TornWalTailTruncatedCleanly) {
 // ---------------------------------------------------------------------------
 // Version compatibility.
 
-TEST(ManifestCompatTest, V2SnapshotYieldsCleanVersionError) {
-  // A v2 immutable snapshot dropped where a manifest is expected must fail
-  // with a clean Invalid naming the version — the signal serve uses to fall
-  // back to the immutable-snapshot loader.
-  auto master = Master(60, 62);
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.4;
-  auto index = FuzzyMatchIndex::Build(master, options).MoveValueUnsafe();
-  std::string path = ::testing::TempDir() + "/manifest_v2_compat";
-  ASSERT_TRUE(serve::SaveSnapshot(index, path).ok());
+/// Retired format versions, checked on the same durable corpse.
+class ManifestCompatTest : public ManifestCorruptionTest {};
 
-  auto loaded = LoadManifest(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().ToString().find("version"), std::string::npos);
-  std::remove(path.c_str());
+/// The manifest image with its version field (bytes [8, 12)) replaced.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  return bytes;
 }
 
-TEST(ManifestCompatTest, V2UpgradeLoadsAsSingleSealedGeneration) {
-  auto master = Master(150, 63);
-  auto queries = DirtyQueries(master, 50, 64);
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
-  auto immutable = FuzzyMatchIndex::Build(master, options).MoveValueUnsafe();
-  std::string path = ::testing::TempDir() + "/manifest_v2_upgrade";
-  ASSERT_TRUE(serve::SaveSnapshot(immutable, path).ok());
-
-  auto upgraded = serve::UpgradeSnapshotToMutable(path, {});
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-  auto stats = (*upgraded)->GetStats();
-  EXPECT_EQ(stats.sealed_segments, 1u);
-  EXPECT_EQ(stats.tail_docs, 0u);
-  EXPECT_EQ(stats.live_docs, master.size());
-
-  queries.push_back(master[3]);
-  queries.push_back("completely unknown vocabulary");
-  for (const std::string& q : queries) {
-    auto want = immutable.Lookup(q, 5);
-    auto got = (*upgraded)->Lookup(q, 5);
-    ASSERT_EQ(got.size(), want.size()) << q;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].ref_index) << q;
-      EXPECT_EQ(got[i].similarity, want[i].similarity) << q;
-    }
+TEST_F(ManifestCompatTest, V2SnapshotYieldsCleanVersionError) {
+  // The retired immutable-index snapshots shared the manifest's "SSJSNAPS"
+  // container at versions 1 and 2; such a file must fail with a clean
+  // Invalid naming the version.
+  for (uint32_t version : {1u, 2u}) {
+    WriteBytes(manifest_path_, WithVersion(bytes_, version));
+    auto loaded = LoadManifest(manifest_path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("version " +
+                                              std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
   }
-  std::remove(path.c_str());
+}
+
+TEST_F(ManifestCompatTest, V3ManifestRejectedNamingVersion) {
+  // Version 3 (the pre-attribute manifest) is no longer read, at Open too.
+  WriteBytes(manifest_path_, WithVersion(bytes_, 3));
+  auto opened = MutableFuzzyIndex::Open(options_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().ToString().find("version 3"), std::string::npos)
+      << opened.status().ToString();
+  WriteBytes(manifest_path_, WithVersion(bytes_, kManifestVersion + 1));
+  EXPECT_FALSE(MutableFuzzyIndex::Open(options_).ok());
+}
+
+TEST_F(ManifestCompatTest, V1WalRejectedCleanly) {
+  // A WAL with the retired attribute-less "SSJWALV1" magic fails to read
+  // and fails Open with an IOError — it is never replayed as garbage.
+  auto manifest = LoadManifest(manifest_path_);
+  ASSERT_TRUE(manifest.ok());
+  std::string wal_path = dir_ + "/" + manifest->wal_file;
+  std::string wal_bytes = ReadBytes(wal_path);
+  ASSERT_EQ(wal_bytes.substr(0, 8), "SSJWALV2");
+  wal_bytes[7] = '1';
+  WriteBytes(wal_path, wal_bytes);
+
+  auto read = ReadWal(wal_path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+  EXPECT_NE(read.status().ToString().find("magic"), std::string::npos);
+  auto opened = MutableFuzzyIndex::Open(options_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
 }
 
 }  // namespace

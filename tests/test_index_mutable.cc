@@ -1,7 +1,7 @@
 /// MutableFuzzyIndex differential tests: after ANY sequence of
 /// Upsert/Delete/Seal/Compact/restart, lookups must be bitwise identical
-/// (ids AND similarities) to a freshly built immutable FuzzyMatchIndex over
-/// the live records sorted by ascending doc_id — the subsystem's equivalence
+/// (ids, similarities and order) to fuzz::BruteForceLookup over the live
+/// records sorted by ascending doc_id — the subsystem's equivalence
 /// contract. Also covers epoch pinning, auto-maintenance thresholds and WAL
 /// replay after an unclean shutdown.
 
@@ -14,41 +14,18 @@
 #include <utility>
 #include <vector>
 
-#include "datagen/address_gen.h"
-#include "datagen/error_model.h"
+#include "fuzz/oracles.h"
+#include "index/manifest.h"
 #include "index/mutable_index.h"
+#include "lookup_corpus.h"
 #include "obs/metrics.h"
-#include "simjoin/fuzzy_match.h"
 #include "text/weights.h"
 
 namespace ssjoin::index {
 namespace {
 
-using simjoin::FuzzyMatchIndex;
-
-std::vector<std::string> Master(size_t n, uint64_t seed) {
-  datagen::AddressGenOptions opts;
-  opts.num_records = n;
-  opts.duplicate_fraction = 0.0;
-  opts.seed = seed;
-  return datagen::GenerateAddresses(opts).records;
-}
-
-std::vector<std::string> DirtyQueries(const std::vector<std::string>& master,
-                                      size_t n, uint64_t seed) {
-  Rng rng(seed);
-  datagen::ErrorModelOptions errors;
-  errors.char_edits_mean = 1.5;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    size_t src = rng.Uniform(master.size());
-    queries.push_back(datagen::CorruptRecord(master[src], {}, errors, &rng));
-  }
-  return queries;
-}
-
-/// The oracle: rebuild an immutable index from scratch over the live docs
-/// (ascending doc_id) and demand bitwise-equal lookups for every query.
+/// The oracle: an index-free brute-force lookup over the live docs
+/// (ascending doc_id); every query's answer must be bitwise equal.
 void ExpectOracleEquivalent(const MutableFuzzyIndex& index,
                             const std::map<uint64_t, std::string>& live,
                             const std::vector<std::string>& queries, size_t k,
@@ -61,14 +38,13 @@ void ExpectOracleEquivalent(const MutableFuzzyIndex& index,
     ids.push_back(id);
     refs.push_back(value);
   }
-  auto oracle = FuzzyMatchIndex::Build(refs, index.options().match);
-  ASSERT_TRUE(oracle.ok()) << context;
   for (const std::string& q : queries) {
     auto got = index.Lookup(q, k);
-    auto want = oracle->Lookup(q, k);
+    auto want = fuzz::BruteForceLookup(refs, index.tokenizer(),
+                                       index.options().match.alpha, q, k);
     ASSERT_EQ(got.size(), want.size()) << context << " query: " << q;
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, ids[want[i].ref_index])
+      EXPECT_EQ(got[i].id, ids[want[i].index])
           << context << " query: " << q << " rank " << i;
       EXPECT_EQ(got[i].similarity, want[i].similarity)
           << context << " query: " << q << " rank " << i;
@@ -82,12 +58,6 @@ MutableIndexOptions ManualOptions() {
   options.seal_threshold = 0;    // explicit Seal only
   options.max_generations = 0;   // explicit Compact only
   return options;
-}
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/mutable_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 TEST(MutableIndexTest, UpsertsMatchFreshBuild) {
@@ -404,6 +374,35 @@ TEST(MutableIndexTest, CreateRejectsBadAlpha) {
   EXPECT_FALSE(MutableFuzzyIndex::Create(options).ok());
 }
 
+TEST(MutableIndexTest, ZeroLengthQGramsRejectedByCreateAndOpen) {
+  MutableIndexOptions options;
+  options.match.word_tokens = false;
+  options.match.q = 0;
+  auto created = MutableFuzzyIndex::Create(options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  // q is ignored with word tokens.
+  options.match.word_tokens = true;
+  EXPECT_TRUE(MutableFuzzyIndex::Create(options).ok());
+
+  // Open trusts nothing the manifest says: a manifest carrying q = 0 is
+  // rejected with the same Invalid, not a tokenizer abort.
+  options.data_dir = FreshDir("mutable_qgram_zero");
+  ASSERT_TRUE(MutableFuzzyIndex::Create(options).ok());
+  std::string path = options.data_dir + "/" + kManifestFileName;
+  auto manifest = LoadManifest(path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  manifest->options.word_tokens = false;
+  manifest->options.q = 0;
+  ASSERT_TRUE(SaveManifest(*manifest, path).ok());
+  auto opened = MutableFuzzyIndex::Open(options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("q-gram"), std::string::npos)
+      << opened.status().ToString();
+  std::filesystem::remove_all(options.data_dir);
+}
+
 TEST(MutableIndexTest, ValueAtTracksLatestVersion) {
   auto index = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
   ASSERT_TRUE(index->Upsert(4, "first value").ok());
@@ -423,7 +422,7 @@ TEST(MutableIndexDurabilityTest, ReopenAfterUncleanShutdownReplaysWal) {
   auto master = Master(90, 51);
   auto queries = DirtyQueries(master, 30, 15);
   MutableIndexOptions options = ManualOptions();
-  options.data_dir = FreshDir("wal_replay");
+  options.data_dir = FreshDir("mutable_wal_replay");
 
   std::map<uint64_t, std::string> live;
   {
@@ -450,7 +449,7 @@ TEST(MutableIndexDurabilityTest, ReopenAfterSealAndChurnRestoresExactState) {
   auto master = Master(120, 52);
   auto queries = DirtyQueries(master, 30, 16);
   MutableIndexOptions options = ManualOptions();
-  options.data_dir = FreshDir("seal_churn");
+  options.data_dir = FreshDir("mutable_seal_churn");
 
   std::map<uint64_t, std::string> live;
   uint64_t epoch_before = 0;
@@ -496,7 +495,7 @@ TEST(MutableIndexDurabilityTest, ReopenAfterCompactionAndContinueChurn) {
   auto master = Master(100, 53);
   auto queries = DirtyQueries(master, 25, 17);
   MutableIndexOptions options = ManualOptions();
-  options.data_dir = FreshDir("compact_reopen");
+  options.data_dir = FreshDir("mutable_compact_reopen");
 
   std::map<uint64_t, std::string> live;
   {
@@ -533,7 +532,7 @@ TEST(MutableIndexDurabilityTest, ReopenAfterCompactionAndContinueChurn) {
 
 TEST(MutableIndexDurabilityTest, CreateRefusesExistingManifest) {
   MutableIndexOptions options = ManualOptions();
-  options.data_dir = FreshDir("create_twice");
+  options.data_dir = FreshDir("mutable_create_twice");
   {
     auto index = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
     ASSERT_TRUE(index->Upsert(0, "hello world").ok());
@@ -545,7 +544,7 @@ TEST(MutableIndexDurabilityTest, CreateRefusesExistingManifest) {
 
 TEST(MutableIndexDurabilityTest, OpenWithoutManifestFails) {
   MutableIndexOptions options = ManualOptions();
-  options.data_dir = FreshDir("open_missing");
+  options.data_dir = FreshDir("mutable_open_missing");
   EXPECT_FALSE(MutableFuzzyIndex::Open(options).ok());
   std::filesystem::remove_all(options.data_dir);
 }

@@ -1,61 +1,42 @@
-/// LookupService tests: serving-path results must be bit-identical to direct
-/// FuzzyMatchIndex::Lookup (fresh and snapshot-reloaded), overload must be
+/// LookupService tests: serving-path results must be bit-identical to
+/// fuzz::BruteForceLookup (fresh and snapshot-reloaded), overload must be
 /// rejected explicitly (never queued unboundedly), deadlines must expire
 /// queued requests, and metrics must add up.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "datagen/address_gen.h"
-#include "datagen/error_model.h"
+#include "fuzz/oracles.h"
+#include "lookup_corpus.h"
 #include "serve/lookup_service.h"
-#include "serve/snapshot.h"
 
 namespace ssjoin::serve {
 namespace {
 
-using simjoin::FuzzyMatchIndex;
+constexpr double kAlpha = 0.35;
 
-std::vector<std::string> Master(size_t n, uint64_t seed) {
-  datagen::AddressGenOptions opts;
-  opts.num_records = n;
-  opts.duplicate_fraction = 0.0;
-  opts.seed = seed;
-  return datagen::GenerateAddresses(opts).records;
+/// The answer every served lookup must equal bit for bit: the index-free
+/// brute-force oracle over the master rows (doc id = row index).
+std::vector<fuzz::LookupOracleMatch> OracleLookup(
+    const std::vector<std::string>& master, const std::string& query,
+    size_t k) {
+  text::WordTokenizer tokenizer;
+  return fuzz::BruteForceLookup(master, tokenizer, kAlpha, query, k);
 }
 
-std::vector<std::string> DirtyQueries(const std::vector<std::string>& master,
-                                      size_t n, uint64_t seed) {
-  Rng rng(seed);
-  datagen::ErrorModelOptions errors;
-  errors.char_edits_mean = 1.5;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    size_t src = rng.Uniform(master.size());
-    queries.push_back(datagen::CorruptRecord(master[src], {}, errors, &rng));
-  }
-  return queries;
-}
-
-FuzzyMatchIndex BuildIndex(const std::vector<std::string>& master) {
-  FuzzyMatchIndex::Options options;
-  options.alpha = 0.35;
-  return FuzzyMatchIndex::Build(master, options).MoveValueUnsafe();
-}
-
-/// The service-owned side of every test: a mutable index over the same rows
-/// (doc_id = row index), which the equivalence contract makes bit-identical
-/// to the immutable build.
+/// The service-owned side of every test: a mutable index over the master
+/// rows (doc_id = row index), persisted in `data_dir` when non-empty.
 std::unique_ptr<index::MutableFuzzyIndex> BuildMutable(
-    const std::vector<std::string>& master) {
+    const std::vector<std::string>& master, const std::string& data_dir = "") {
   index::MutableIndexOptions options;
-  options.match.alpha = 0.35;
+  options.match.alpha = kAlpha;
+  options.data_dir = data_dir;
   auto index = index::MutableFuzzyIndex::Create(options).MoveValueUnsafe();
   std::vector<std::pair<uint64_t, std::string>> records;
   records.reserve(master.size());
@@ -64,13 +45,13 @@ std::unique_ptr<index::MutableFuzzyIndex> BuildMutable(
   return index;
 }
 
-void ExpectSameMatches(const std::vector<FuzzyMatchIndex::Match>& direct,
+void ExpectSameMatches(const std::vector<fuzz::LookupOracleMatch>& want,
                        const std::vector<LookupService::Match>& served,
                        const std::string& query) {
-  ASSERT_EQ(direct.size(), served.size()) << "query: " << query;
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct[i].ref_index, served[i].id) << "query: " << query;
-    EXPECT_EQ(direct[i].similarity, served[i].similarity) << "query: " << query;
+  ASSERT_EQ(want.size(), served.size()) << "query: " << query;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].index, served[i].id) << "query: " << query;
+    EXPECT_EQ(want[i].similarity, served[i].similarity) << "query: " << query;
   }
 }
 
@@ -87,7 +68,6 @@ void ExpectSameMatches(const std::vector<LookupService::Match>& a,
 TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
   auto master = Master(400, 31);
   auto queries = DirtyQueries(master, 150, 7);
-  auto index = BuildIndex(master);
 
   LookupServiceOptions options;
   options.exec.num_threads = 2;
@@ -96,14 +76,14 @@ TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
   for (const std::string& q : queries) {
     auto served = service->Lookup(q, 5);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
-    ExpectSameMatches(index.Lookup(q, 5), *served, q);
+    ExpectSameMatches(OracleLookup(master, q, 5), *served, q);
   }
   // Replay: now every query is a cache hit and still bit-identical.
   StatsSnapshot before = service->Stats();
   for (const std::string& q : queries) {
     auto served = service->Lookup(q, 5);
     ASSERT_TRUE(served.ok());
-    ExpectSameMatches(index.Lookup(q, 5), *served, q);
+    ExpectSameMatches(OracleLookup(master, q, 5), *served, q);
   }
   StatsSnapshot after = service->Stats();
   EXPECT_EQ(after.cache_hits - before.cache_hits, queries.size());
@@ -112,27 +92,33 @@ TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
 TEST(LookupServiceTest, BitIdenticalFromReloadedSnapshot) {
   auto master = Master(300, 32);
   auto queries = DirtyQueries(master, 100, 8);
-  auto index = BuildIndex(master);
 
-  std::string path = ::testing::TempDir() + "/service_reload.snap";
-  ASSERT_TRUE(SaveSnapshot(index, path).ok());
-  auto loaded = UpgradeSnapshotToMutable(path, {});
+  // A snapshot is a one-segment data dir: write it, then serve a reopen.
+  std::string dir = ::testing::TempDir() + "/service_reload";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(BuildMutable(master, dir)->Seal().ok());
+  index::MutableIndexOptions options;
+  options.data_dir = dir;
+  auto loaded = index::MutableFuzzyIndex::Open(options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
+  EXPECT_EQ((*loaded)->GetStats().sealed_segments, 1u);
 
   auto service =
       LookupService::Create(std::move(*loaded), {}).MoveValueUnsafe();
   for (const std::string& q : queries) {
     auto served = service->Lookup(q, 3);
     ASSERT_TRUE(served.ok());
-    ExpectSameMatches(index.Lookup(q, 3), *served, q);
+    ExpectSameMatches(OracleLookup(master, q, 3), *served, q);
   }
+  service.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LookupServiceTest, ConcurrentClientsAgreeWithDirectLookup) {
   auto master = Master(400, 33);
   auto queries = DirtyQueries(master, 200, 9);
-  auto index = BuildIndex(master);
+  std::vector<std::vector<fuzz::LookupOracleMatch>> want;
+  for (const std::string& q : queries) want.push_back(OracleLookup(master, q, 4));
 
   LookupServiceOptions options;
   options.exec.num_threads = 2;
@@ -145,7 +131,7 @@ TEST(LookupServiceTest, ConcurrentClientsAgreeWithDirectLookup) {
       for (size_t i = static_cast<size_t>(t); i < queries.size(); i += 4) {
         auto served = service->Lookup(queries[i], 4);
         ASSERT_TRUE(served.ok());
-        ExpectSameMatches(index.Lookup(queries[i], 4), *served, queries[i]);
+        ExpectSameMatches(want[i], *served, queries[i]);
       }
     });
   }
@@ -377,20 +363,6 @@ TEST(LookupServiceTest, CacheKeyCoalescesTokenizationOnly) {
   auto c = service->Lookup(master[0], 1);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(service->Stats().cache_hits, 1u);
-  EXPECT_EQ(service->Stats().cache_misses, 2u);
-}
-
-TEST(LookupServiceTest, CacheKeyKeepsEveryRecallDigit) {
-  auto master = Master(100, 41);
-  LookupServiceOptions options;
-  options.cache_capacity = 64;
-  auto service = LookupService::Create(BuildMutable(master), options)
-                     .MoveValueUnsafe();
-  // 0.9999996 and 1.0 agree to six decimals; an approximate lookup must
-  // still never be served from the exact lookup's cache entry.
-  ASSERT_TRUE(service->Lookup(master[0], 2, {}, 1.0).ok());
-  ASSERT_TRUE(service->Lookup(master[0], 2, {}, 0.9999996).ok());
-  EXPECT_EQ(service->Stats().cache_hits, 0u);
   EXPECT_EQ(service->Stats().cache_misses, 2u);
 }
 

@@ -15,10 +15,9 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "datagen/address_gen.h"
-#include "datagen/error_model.h"
 #include "index/manifest.h"
 #include "index/mutable_index.h"
+#include "lookup_corpus.h"
 #include "shard/replication.h"
 #include "shard/router.h"
 #include "shard/sharded_index.h"
@@ -28,27 +27,6 @@ namespace ssjoin::shard {
 namespace {
 
 using index::MutableFuzzyIndex;
-
-std::vector<std::string> Master(size_t n, uint64_t seed) {
-  datagen::AddressGenOptions opts;
-  opts.num_records = n;
-  opts.duplicate_fraction = 0.0;
-  opts.seed = seed;
-  return datagen::GenerateAddresses(opts).records;
-}
-
-std::vector<std::string> DirtyQueries(const std::vector<std::string>& master,
-                                      size_t n, uint64_t seed) {
-  Rng rng(seed);
-  datagen::ErrorModelOptions errors;
-  errors.char_edits_mean = 1.5;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    size_t src = rng.Uniform(master.size());
-    queries.push_back(datagen::CorruptRecord(master[src], {}, errors, &rng));
-  }
-  return queries;
-}
 
 /// The unsharded oracle: one MutableFuzzyIndex over the same records.
 std::unique_ptr<MutableFuzzyIndex> Oracle(

@@ -9,9 +9,10 @@
 ///   ssjoin_cli join --left a.csv --left-col addr --right b.csv
 ///                   --right-col address --sim edit --threshold 0.85
 ///
-///   # build a fuzzy-match snapshot, then look queries up against it
-///   ssjoin_cli snapshot --reference orgs.csv --col name --out orgs.snap
-///   ssjoin_cli lookup --snapshot orgs.snap --query "Mcrosoft Corp" --k 3
+///   # build a fuzzy-match snapshot (a one-segment data dir), then look
+///   # queries up against it
+///   ssjoin_cli snapshot --reference orgs.csv --col name --out orgs.d
+///   ssjoin_cli lookup --data orgs.d --query "Mcrosoft Corp" --k 3
 ///
 ///   # query a running ssjoin_served instance over its unix socket
 ///   ssjoin_cli lookup --socket /tmp/ssjoin.sock --query "Mcrosoft Corp"
@@ -42,11 +43,10 @@
 #include "filter/attr.h"
 #include "filter/metrics.h"
 #include "filter/predicate.h"
+#include "index/mutable_index.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
-#include "serve/snapshot.h"
 #include "serve/wire.h"
-#include "simjoin/fuzzy_match.h"
 #include "simjoin/ges_join.h"
 #include "simjoin/string_joins.h"
 
@@ -202,16 +202,17 @@ int Usage() {
                "hybrid tiers\n"
                "                (default 0.9; exact algorithms ignore it)\n"
                "\n"
-               "       ssjoin_cli snapshot --reference FILE --col COL --out SNAP\n"
+               "       ssjoin_cli snapshot --reference FILE --col COL --out DIR\n"
                "                  [--alpha A] [--qgrams Q]\n"
-               "           build a FuzzyMatchIndex and save it as a binary "
-               "snapshot\n"
+               "           build the lookup index and save it as a data dir\n"
+               "           (one sealed segment; serve it with "
+               "ssjoin_served --data DIR)\n"
                "\n"
-               "       ssjoin_cli lookup (--snapshot SNAP | --reference FILE "
+               "       ssjoin_cli lookup (--data DIR | --reference FILE "
                "--col COL | --socket PATH)\n"
                "                  [--query STR] [--k N] [--alpha A] "
                "[--deadline-ms D]\n"
-               "                  [--target-recall R] [--filter JSON]\n"
+               "                  [--filter JSON]\n"
                "                  [--stats] [--metrics] [--ping] [--shutdown]\n"
                "                  [--stats-json FILE]\n"
                "           top-k fuzzy lookups, in-process or against a running\n"
@@ -391,39 +392,52 @@ Result<int> RunJoin(const Args& args) {
   return 0;
 }
 
-Result<simjoin::FuzzyMatchIndex> BuildFuzzyIndex(const Args& args) {
+/// Builds the lookup index over --reference/--col as one sealed segment,
+/// persisted in `data_dir` when it is non-empty.
+Result<std::unique_ptr<index::MutableFuzzyIndex>> BuildFuzzyIndex(
+    const Args& args, const std::string& data_dir) {
   auto ref = args.flags.find("reference");
   auto col = args.flags.find("col");
   if (ref == args.flags.end() || col == args.flags.end()) {
     return Status::Invalid("--reference and --col are required");
   }
+  index::MutableIndexOptions options;
+  options.data_dir = data_dir;
+  SSJOIN_ASSIGN_OR_RETURN(options.match.alpha, DoubleFlag(args, "alpha", 0.5));
+  if (args.flags.count("qgrams") > 0) {
+    options.match.word_tokens = false;
+    SSJOIN_ASSIGN_OR_RETURN(options.match.q, SizeFlag(args, "qgrams", 3));
+  }
+  // Validate before reading the CSV, so a bad flag fails fast.
+  SSJOIN_RETURN_NOT_OK(options.match.Validate());
   SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> reference,
                           LoadColumn(ref->second, col->second));
-  simjoin::FuzzyMatchIndex::Options options;
-  SSJOIN_ASSIGN_OR_RETURN(options.alpha, DoubleFlag(args, "alpha", 0.5));
-  if (args.flags.count("qgrams") > 0) {
-    options.word_tokens = false;
-    SSJOIN_ASSIGN_OR_RETURN(options.q, SizeFlag(args, "qgrams", 3));
+  std::vector<std::pair<uint64_t, std::string>> records;
+  records.reserve(reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    records.emplace_back(i, std::move(reference[i]));
   }
-  return simjoin::FuzzyMatchIndex::Build(reference, options);
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
+                          index::MutableFuzzyIndex::Create(options));
+  SSJOIN_RETURN_NOT_OK(index->BulkLoad(records));
+  SSJOIN_RETURN_NOT_OK(index->Seal());
+  return index;
 }
 
 Result<int> RunSnapshot(const Args& args) {
   auto out = args.flags.find("out");
   if (out == args.flags.end()) {
-    return Status::Invalid("--out SNAP is required");
+    return Status::Invalid("--out DIR is required");
   }
   Timer build_timer;
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex index, BuildFuzzyIndex(args));
-  double build_ms = build_timer.ElapsedMillis();
-  Timer save_timer;
-  SSJOIN_RETURN_NOT_OK(serve::SaveSnapshot(index, out->second));
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
+                          BuildFuzzyIndex(args, out->second));
   std::fprintf(stderr,
-               "snapshot %s: %zu reference strings, %zu dictionary elements; "
-               "built in %.1f ms, saved in %.1f ms\n",
-               out->second.c_str(), index.size(),
-               index.dictionary().num_elements(), build_ms,
-               save_timer.ElapsedMillis());
+               "snapshot %s: %llu reference strings in one sealed segment; "
+               "built and saved in %.1f ms\n",
+               out->second.c_str(),
+               static_cast<unsigned long long>(index->GetStats().live_docs),
+               build_timer.ElapsedMillis());
   return 0;
 }
 
@@ -559,16 +573,6 @@ Result<int> RunRemoteLookup(const Args& args, const std::string& socket_path) {
     SSJOIN_ASSIGN_OR_RETURN(size_t deadline, SizeFlag(args, "deadline-ms", 0));
     request += ", \"deadline_ms\": " + std::to_string(deadline);
   }
-  if (args.flags.count("target-recall") > 0) {
-    SSJOIN_ASSIGN_OR_RETURN(double target,
-                            DoubleFlag(args, "target-recall", 1.0));
-    if (!(target > 0.0) || target > 1.0) {
-      return Status::Invalid("--target-recall must be in (0, 1]");
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", target);
-    request += std::string(", \"target_recall\": ") + buf;
-  }
   SSJOIN_ASSIGN_OR_RETURN(filter::FilterPredicate filter, FilterFlag(args));
   if (!filter.empty()) {
     request += ", \"filter\": " + filter.CanonicalJson();
@@ -614,24 +618,28 @@ Result<int> RunLookup(const Args& args) {
     return RunRemoteLookup(args, socket_path->second);
   }
 
-  Result<simjoin::FuzzyMatchIndex> index_result = [&] {
-    auto snap = args.flags.find("snapshot");
-    if (snap != args.flags.end()) return serve::LoadSnapshot(snap->second);
-    return BuildFuzzyIndex(args);
-  }();
-  SSJOIN_ASSIGN_OR_RETURN(simjoin::FuzzyMatchIndex index, std::move(index_result));
+  std::unique_ptr<index::MutableFuzzyIndex> index;
+  if (auto data = args.flags.find("data"); data != args.flags.end()) {
+    index::MutableIndexOptions options;
+    options.data_dir = data->second;
+    SSJOIN_ASSIGN_OR_RETURN(index, index::MutableFuzzyIndex::Open(options));
+  } else {
+    SSJOIN_ASSIGN_OR_RETURN(index, BuildFuzzyIndex(args, ""));
+  }
   SSJOIN_ASSIGN_OR_RETURN(size_t k, SizeFlag(args, "k", 3));
   SSJOIN_ASSIGN_OR_RETURN(filter::FilterPredicate filter, FilterFlag(args));
+  std::shared_ptr<const index::EpochState> state = index->Snapshot();
 
   auto print_matches = [&](const std::string& query) {
-    auto matches = index.Lookup(query, k, filter);
+    auto matches = index->LookupAt(*state, query, k, filter);
     for (const auto& m : matches) {
-      std::printf("%u\t%.6f\t%s\n", m.ref_index, m.similarity,
-                  index.reference(m.ref_index).c_str());
+      std::printf("%llu\t%.6f\t%s\n", static_cast<unsigned long long>(m.id),
+                  m.similarity,
+                  index->ValueAt(*state, m.id).value_or("").c_str());
     }
     if (matches.empty()) {
       std::fprintf(stderr, "no match above alpha=%.2f for '%s'\n",
-                   index.options().alpha, query.c_str());
+                   index->options().match.alpha, query.c_str());
     }
   };
 

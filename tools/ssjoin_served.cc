@@ -1,13 +1,13 @@
 /// ssjoin_served — online fuzzy-lookup server over a unix domain socket.
 ///
-/// Serves FuzzyMatchIndex lookups (the paper's §6 record-lookup scenario)
+/// Serves MutableFuzzyIndex lookups (the paper's §6 record-lookup scenario)
 /// through serve::LookupService: bounded admission queue, micro-batched
 /// dispatch, query cache and latency metrics. The protocol is
 /// newline-delimited JSON (see src/serve/wire.h).
 ///
 /// Examples:
-///   # warm-start from a snapshot built by `ssjoin_cli snapshot`
-///   ssjoin_served --snapshot orgs.snap --socket /tmp/ssjoin.sock
+///   # warm-start from a data dir built by `ssjoin_cli snapshot --out DIR`
+///   ssjoin_served --data orgs.d --socket /tmp/ssjoin.sock
 ///
 ///   # cold-start straight from a CSV column
 ///   ssjoin_served --reference orgs.csv --col name --alpha 0.5
@@ -54,7 +54,6 @@
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "serve/lookup_service.h"
-#include "serve/snapshot.h"
 #include "serve/wire.h"
 #include "shard/coordinator.h"
 #include "shard/replication.h"
@@ -118,8 +117,7 @@ Result<double> DoubleFlag(const Args& args, const std::string& name,
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: ssjoin_served (--data DIR | --snapshot FILE | --reference FILE "
-      "--col COL)\n"
+      "usage: ssjoin_served (--data DIR | --reference FILE --col COL)\n"
       "                     --socket PATH [--alpha A] [--qgrams Q]\n"
       "                     [--threads N] [--max-queue N] [--max-batch N]\n"
       "                     [--cache N] [--cache-shards N] [--k-default N]\n"
@@ -130,9 +128,8 @@ int Usage() {
       "       ssjoin_served --follow LEADER_SOCK --data DIR --socket PATH\n"
       "                     [--sync-interval-ms N]\n"
       "  --data DIR       durable index directory: reopened (WAL replay) if it\n"
-      "                   holds a MANIFEST, initialized from --snapshot/\n"
-      "                   --reference otherwise\n"
-      "  --snapshot FILE  warm-start from a snapshot (see ssjoin_cli snapshot)\n"
+      "                   holds a MANIFEST (e.g. one written by ssjoin_cli\n"
+      "                   snapshot), initialized from --reference otherwise\n"
       "  --reference FILE cold-start: build the index from this CSV\n"
       "  --col COL        CSV column holding the reference strings\n"
       "  --alpha A        min resemblance for a match (default 0.5)\n"
@@ -161,10 +158,7 @@ int Usage() {
       "     one NDJSON metric object per line), shutdown\n"
       "shard-server ops (single mode): slookup (exact hex-float scores),\n"
       "     upsert/delete with \"global\": true, gstats, gstats_reset, dump,\n"
-      "     getvalue, repl_fetch; coordinator adds resync, follower adds sync\n"
-      "lookup accepts optional \"target_recall\" in (0, 1]: below 1.0 the\n"
-      "     prefix probe is truncated to that fraction of its weight mass\n"
-      "     (approximate recall, exact similarities)\n");
+      "     getvalue, repl_fetch; coordinator adds resync, follower adds sync\n");
   return 2;
 }
 
@@ -210,7 +204,6 @@ struct LookupParams {
   std::string query;
   size_t k = 3;
   std::chrono::milliseconds deadline{0};
-  double target_recall = 1.0;
   filter::FilterPredicate filter;
 };
 
@@ -239,14 +232,6 @@ Result<LookupParams> ParseLookupParams(const JsonObj& obj, size_t default_k) {
     }
     p.deadline =
         std::chrono::milliseconds(static_cast<int64_t>(it->second.scalar.num));
-  }
-  if (auto it = obj.find("target_recall"); it != obj.end()) {
-    if (it->second.is_object ||
-        it->second.scalar.type != serve::JsonScalar::Type::kNumber ||
-        !(it->second.scalar.num > 0.0) || it->second.scalar.num > 1.0) {
-      return Status::Invalid("'target_recall' must be a number in (0, 1]");
-    }
-    p.target_recall = it->second.scalar.num;
   }
   if (auto it = obj.find("filter"); it != obj.end()) {
     SSJOIN_ASSIGN_OR_RETURN(p.filter, serve::FilterFromWire(it->second));
@@ -369,7 +354,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
       auto params = ParseLookupParams(obj, state->default_k);
       if (!params.ok()) return ErrorResponse(params.status());
       auto result = coord->Lookup(params->query, params->k, params->deadline,
-                                  params->target_recall, params->filter);
+                                  params->filter);
       if (!result.ok()) return ErrorResponse(result.status());
       std::vector<std::tuple<uint64_t, double, std::string>> matches;
       matches.reserve(result->matches.size());
@@ -431,7 +416,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
       auto params = ParseLookupParams(obj, state->default_k);
       if (!params.ok()) return ErrorResponse(params.status());
       auto result = sharded->Lookup(params->query, params->k, params->deadline,
-                                    params->target_recall, params->filter);
+                                    params->filter);
       if (!result.ok()) return ErrorResponse(result.status());
       std::vector<std::tuple<uint64_t, double, std::string>> matches;
       matches.reserve(result->size());
@@ -481,7 +466,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
     auto params = ParseLookupParams(obj, state->default_k);
     if (!params.ok()) return ErrorResponse(params.status());
     auto result = service->Lookup(params->query, params->k, params->deadline,
-                                  params->target_recall, params->filter);
+                                  params->filter);
     if (!result.ok()) return ErrorResponse(result.status());
     if (op == "lookup") {
       std::vector<std::tuple<uint64_t, double, std::string>> matches;
@@ -753,20 +738,6 @@ Result<std::unique_ptr<index::MutableFuzzyIndex>> BuildOrLoadIndex(
     return index;
   }
 
-  auto snap = args.flags.find("snapshot");
-  if (snap != args.flags.end()) {
-    Timer t;
-    auto index = serve::UpgradeSnapshotToMutable(snap->second, mopts);
-    if (index.ok()) {
-      std::fprintf(stderr,
-                   "loaded snapshot %s (%llu live docs) in %.1f ms\n",
-                   snap->second.c_str(),
-                   static_cast<unsigned long long>((*index)->GetStats().live_docs),
-                   t.ElapsedMillis());
-    }
-    return index;
-  }
-
   auto ref = args.flags.find("reference");
   auto col = args.flags.find("col");
   SSJOIN_ASSIGN_OR_RETURN(mopts.match.alpha, DoubleFlag(args, "alpha", 0.5));
@@ -784,8 +755,7 @@ Result<std::unique_ptr<index::MutableFuzzyIndex>> BuildOrLoadIndex(
                    mopts.data_dir.c_str());
       return index;
     }
-    return Status::Invalid(
-        "either --data, --snapshot, or --reference/--col is required");
+    return Status::Invalid("either --data or --reference/--col is required");
   }
   SSJOIN_ASSIGN_OR_RETURN(auto records,
                           ReadReferenceRecords(ref->second, col->second));
@@ -996,10 +966,6 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
 Result<int> RunSharded(const Args& args, const std::string& socket_path,
                        size_t num_shards, size_t default_k,
                        const serve::LookupServiceOptions& options) {
-  if (args.flags.count("snapshot") > 0) {
-    return Status::Invalid("--shards does not support --snapshot; use "
-                           "--reference/--col or a sharded --data dir");
-  }
   shard::ShardedIndexOptions sopts;
   sopts.num_shards = static_cast<uint32_t>(num_shards);
   sopts.service = options;
