@@ -73,7 +73,6 @@ void BM_Serve(benchmark::State& state, size_t clients, bool warm) {
       if (!index->BulkLoad(records).ok()) std::abort();
     }
     serve::LookupServiceOptions options;
-    options.exec = BenchExec();
     options.cache_capacity = warm ? 4096 : 0;
     auto service = serve::LookupService::Create(std::move(index), options)
                        .MoveValueUnsafe();
@@ -157,8 +156,7 @@ int main(int argc, char** argv) {
                          .Num("p95_us", row.stats.latency_p95_us)
                          .Num("p99_us", row.stats.latency_p99_us)
                          .Num("cache_hit_rate", row.hit_rate)
-                         .Int("requests", row.stats.requests)
-                         .Int("batches", row.stats.batches));
+                         .Int("requests", row.stats.requests));
     }
     ssjoin::bench::WriteBenchJson("serve", recs);
   }

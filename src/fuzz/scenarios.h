@@ -39,8 +39,8 @@ struct CheckResult {
 ///                            pair must appear in the brute-force result with
 ///                            an identical similarity (precision is exact by
 ///                            construction; recall is empirical by design).
-///  - `lookup_service`        LookupService (cache on and off, batched,
-///                            threaded) vs fuzz::BruteForceLookup,
+///  - `lookup_service`        LookupService (cache on and off, 1-4
+///                            concurrent callers) vs fuzz::BruteForceLookup,
 ///                            bit-identical, including repeat queries served
 ///                            from the cache.
 ///  - `filtered_lookup`       MutableFuzzyIndex filtered lookups (the

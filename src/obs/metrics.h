@@ -66,8 +66,7 @@ class Gauge {
 /// sub-unit samples and the last bucket absorbing everything above 2^32.
 /// Quantiles interpolate linearly inside the hit bucket, which bounds the
 /// relative error by the bucket width (a factor of 2) — plenty for
-/// p50/p95/p99 dashboards. Generalizes the histogram that used to live in
-/// src/serve as LatencyHistogram (now an alias on top of this class).
+/// p50/p95/p99 dashboards.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 33;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "exec/parallel_for.h"
-
 namespace ssjoin::serve {
 
 namespace {
@@ -27,16 +25,12 @@ Result<std::unique_ptr<LookupService>> LookupService::Create(
   if (options.max_queue == 0) {
     return Status::Invalid("max_queue must be at least 1");
   }
-  if (options.max_batch == 0) {
-    return Status::Invalid("max_batch must be at least 1");
-  }
   std::unique_ptr<LookupService> service(
       new LookupService(std::move(index), options));
   service->provider_id_.store(obs::Registry::Global().RegisterProvider(
       [s = service.get()](std::vector<obs::MetricPoint>* out) {
         s->CollectMetrics(out);
       }));
-  service->dispatcher_ = std::thread([s = service.get()] { s->DispatcherLoop(); });
   return service;
 }
 
@@ -53,17 +47,12 @@ void LookupService::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
       obs::MetricPoint::FromCounter("serve.cache_evictions", s.cache_evictions));
   out->push_back(obs::MetricPoint::FromCounter("serve.cache_stale_purged",
                                                s.cache_stale_purged));
-  out->push_back(obs::MetricPoint::FromCounter("serve.batches", s.batches));
-  out->push_back(
-      obs::MetricPoint::FromCounter("serve.batched_lookups", s.batched_lookups));
   out->push_back(obs::MetricPoint::FromGauge(
-      "serve.queue_depth", static_cast<int64_t>(s.queue_depth)));
+      "serve.in_flight", static_cast<int64_t>(s.in_flight)));
   out->push_back(
       obs::MetricPoint::FromHistogram("serve.latency_us", metrics_.latency));
   out->push_back(obs::MetricPoint::FromHistogram("serve.span.admission_us",
                                                  metrics_.span_admission));
-  out->push_back(obs::MetricPoint::FromHistogram("serve.span.queue_wait_us",
-                                                 metrics_.span_queue_wait));
   out->push_back(
       obs::MetricPoint::FromHistogram("serve.span.lookup_us", metrics_.span_lookup));
   out->push_back(
@@ -111,16 +100,15 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
-    // An already-expired deadline can never be met; reject at admission so
-    // it neither queues nor touches the index (it would previously be
-    // admitted as if it had no deadline at all).
+    // An already-expired deadline can never be met; reject on entry so it
+    // is neither admitted nor touches the index.
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("deadline expired before admission");
   }
   // Capture the published epoch once: the cache probe, the key and the
-  // eventual LookupAt all use this one view, so a concurrent mutation can
-  // neither tear a request across epochs nor satisfy it from a stale entry.
+  // LookupAt all use this one view, so a concurrent mutation can neither
+  // tear a request across epochs nor satisfy it from a stale entry.
   std::shared_ptr<const index::EpochState> state = index_->Snapshot();
   PurgeStaleCache(state->epoch);
   std::string cache_key = CacheKey(query, k, state->epoch, filter);
@@ -131,48 +119,64 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     return std::move(*cached);
   }
 
-  std::future<Result<std::vector<Match>>> future;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("lookup service is shutting down");
-    }
-    if (queue_.size() >= options_.max_queue) {
-      metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("admission queue full (" +
-                                 std::to_string(options_.max_queue) +
-                                 " requests queued)");
-    }
-    Pending pending;
-    pending.query = query;
-    pending.cache_key = std::move(cache_key);
-    pending.state = std::move(state);
-    pending.k = k;
-    pending.filter = filter;
-    pending.start = start;
-    pending.has_deadline = deadline.count() > 0;
-    pending.deadline = start + deadline;
-    future = pending.promise.get_future();
-    queue_.push_back(std::move(pending));
-  }
-  // Admission span: entry to enqueued (tokenize + cache probe + queue push).
-  // Cache hits and rejections never enqueue and are not admissions.
-  metrics_.span_admission.Record(MicrosSince(start));
-  queue_cv_.notify_one();
-
-  Result<std::vector<Match>> result = future.get();
-  if (result.ok()) {
-    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics_.latency.Record(MicrosSince(start));
-  } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+  SSJOIN_RETURN_NOT_OK(Admit());
+  // Returns the in-flight slot on every way out, after this call's last use
+  // of the service.
+  struct Slot {
+    LookupService* service;
+    ~Slot() { service->Release(); }
+  } slot{this};
+  if (lookup_hook_) lookup_hook_();
+  if (deadline.count() > 0 && start + deadline <= Clock::now()) {
     // Deadline expiries are requests the service answered (with an error),
     // not load shedding: they count toward requests, unlike overload
     // rejections.
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+    metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
+    return Status::DeadlineExceeded("deadline expired before lookup");
   }
+  // Admission span: entry to the start of LookupAt (epoch capture, cache
+  // key, cache probe, admission). Cache hits and rejections are not
+  // admissions.
+  metrics_.span_admission.Record(MicrosSince(start));
+  std::vector<Match> result;
+  {
+    obs::ObsSpan span(&metrics_.span_lookup);
+    result = index_->LookupAt(*state, query, k, filter);
+  }
+  {
+    obs::ObsSpan span(&metrics_.span_reply);
+    cache_.Put(cache_key, state->epoch, result);
+  }
+  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+  metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  metrics_.latency.Record(MicrosSince(start));
   return result;
+}
+
+Status LookupService::Admit() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_) {
+    metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+    return Status::Unavailable("lookup service is shutting down");
+  }
+  if (in_flight_.load(std::memory_order_relaxed) >= options_.max_queue) {
+    metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+    return Status::Unavailable("admission bound reached (" +
+                               std::to_string(options_.max_queue) +
+                               " lookups in flight)");
+  }
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void LookupService::Release() {
+  // Notify under mu_: once Shutdown sees zero under the same lock, no caller
+  // touches this service again.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (in_flight_.fetch_sub(1, std::memory_order_relaxed) == 1 && stopping_) {
+    drained_cv_.notify_all();
+  }
 }
 
 void LookupService::PurgeStaleCache(uint64_t epoch) {
@@ -190,104 +194,11 @@ void LookupService::PurgeStaleCache(uint64_t epoch) {
   }
 }
 
-void LookupService::DispatcherLoop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    std::function<void()> hook;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;  // Shutdown drains the queue itself
-      size_t n = std::min(options_.max_batch, queue_.size());
-      batch.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      hook = dispatch_hook_;
-    }
-    if (hook) hook();
-    RunBatch(&batch);
-  }
-}
-
-void LookupService::RunBatch(std::vector<Pending>* batch) {
-  // Expire requests whose deadline passed while they waited in the queue;
-  // they never reach the index.
-  Clock::time_point now = Clock::now();
-  std::vector<Pending> live;
-  live.reserve(batch->size());
-  for (Pending& p : *batch) {
-    if (p.has_deadline && p.deadline <= now) {
-      metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-      p.promise.set_value(
-          Status::DeadlineExceeded("deadline expired before dispatch"));
-    } else {
-      // Queue-wait span: admission to batch claim (includes the admission
-      // span itself — lifecycle spans nest from request start, they don't
-      // tile).
-      metrics_.span_queue_wait.Record(MicrosSince(p.start));
-      live.push_back(std::move(p));
-    }
-  }
-  if (live.empty()) return;
-
-  metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-  metrics_.batched_lookups.fetch_add(live.size(), std::memory_order_relaxed);
-
-  std::function<void(size_t)> item_hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    item_hook = item_hook_;
-  }
-
-  // One lookup per morsel: lookups are coarse enough that per-item stealing
-  // beats chunking, and batch sizes are far below morsel-granularity scale.
-  exec::ExecContext ctx = options_.exec;
-  ctx.morsel_size = 1;
-  std::vector<std::vector<Match>> results(live.size());
-  std::vector<uint8_t> expired(live.size(), 0);
-  exec::ParallelFor(
-      ctx, live.size(),
-      [&](size_t /*worker*/, size_t /*morsel*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          if (item_hook) item_hook(i);
-          // The batch-claim check above charged queue time, but an item can
-          // still go over budget while earlier items of the SAME batch run
-          // (batch formation is not free for mid-batch arrivals). Recompute
-          // the remaining budget at execution start and refuse over-budget
-          // work rather than spending index time on an answer the caller
-          // already abandoned.
-          if (live[i].has_deadline && live[i].deadline <= Clock::now()) {
-            expired[i] = 1;
-            metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-            live[i].promise.set_value(
-                Status::DeadlineExceeded("deadline expired before execution"));
-            continue;
-          }
-          obs::ObsSpan span(&metrics_.span_lookup);
-          results[i] =
-              index_->LookupAt(*live[i].state, live[i].query, live[i].k,
-                               live[i].filter);
-        }
-      });
-
-  obs::ObsSpan reply_span(&metrics_.span_reply);
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (expired[i]) continue;  // promise already failed with DeadlineExceeded
-    cache_.Put(live[i].cache_key, live[i].state->epoch, results[i]);
-    live[i].promise.set_value(std::move(results[i]));
-  }
-}
-
 StatsSnapshot LookupService::Stats() const {
   StatsSnapshot s = SnapshotMetrics(metrics_);
   s.cache_evictions = cache_.evictions();
   s.cache_stale_purged = cache_.stale_purged();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.queue_depth = queue_.size();
-  }
+  s.in_flight = in_flight_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -297,29 +208,11 @@ void LookupService::Shutdown() {
   if (uint64_t pid = provider_id_.exchange(0); pid != 0) {
     obs::Registry::Global().UnregisterProvider(pid);
   }
-  std::deque<Pending> drained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && !dispatcher_.joinable()) return;
-    stopping_ = true;
-    drained.swap(queue_);
-  }
-  queue_cv_.notify_all();
-  for (Pending& p : drained) {
-    metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    p.promise.set_value(Status::Unavailable("lookup service is shutting down"));
-  }
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
-
-void LookupService::SetDispatchHookForTest(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dispatch_hook_ = std::move(hook);
-}
-
-void LookupService::SetItemHookForTest(std::function<void(size_t)> hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  item_hook_ = std::move(hook);
+  std::unique_lock<std::mutex> lock(mu_);
+  stopping_ = true;
+  drained_cv_.wait(lock, [this] {
+    return in_flight_.load(std::memory_order_relaxed) == 0;
+  });
 }
 
 }  // namespace ssjoin::serve

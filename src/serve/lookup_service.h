@@ -4,17 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
-#include "exec/exec_context.h"
 #include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
@@ -26,15 +22,10 @@ namespace ssjoin::serve {
 
 /// Knobs of a LookupService.
 struct LookupServiceOptions {
-  /// Max requests waiting for dispatch. Admission beyond this is rejected
-  /// with Unavailable — the queue is strictly bounded (backpressure), it
-  /// never grows with offered load.
+  /// Max lookups admitted and not yet answered. Admission beyond this is
+  /// rejected with Unavailable: concurrency is strictly bounded
+  /// (backpressure), it never grows with offered load.
   size_t max_queue = 1024;
-  /// Max lookups dispatched as one micro-batch.
-  size_t max_batch = 64;
-  /// Worker threads for batch dispatch (morsel size is forced to 1 so each
-  /// lookup is an independently stealable unit).
-  exec::ExecContext exec;
   /// Total query-cache entries across all shards; 0 disables caching.
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
@@ -44,31 +35,27 @@ struct LookupServiceOptions {
 /// index::MutableFuzzyIndex — the online face of the paper's §6
 /// record-lookup scenario, now over a mutable corpus.
 ///
-/// Concurrency model: callers block in Lookup while a single dispatcher
-/// thread drains a bounded admission queue in micro-batches of up to
-/// `max_batch` requests, fanning each batch out through exec::ParallelFor.
-/// Batching amortizes dispatch overhead under concurrent load without adding
-/// latency when idle (a lone request is dispatched immediately as a batch of
-/// one).
+/// Concurrency model: the service owns no thread. Each Lookup runs
+/// MutableFuzzyIndex::LookupAt on the calling thread, so concurrency equals
+/// the number of caller threads, bounded by one admission limit
+/// (`max_queue` lookups in flight).
 ///
-/// Every request captures the index's published epoch at admission and runs
-/// against exactly that epoch (LookupAt), so a batch is internally
-/// consistent even while writers mutate the index concurrently. The query
-/// cache key carries the epoch, which makes a cache hit bit-identical to
-/// recomputing against the epoch it names — mutations can never surface a
-/// stale hit, because they change the epoch and with it every key.
+/// Every request captures the index's published epoch on entry and runs
+/// against exactly that epoch (LookupAt), so it is internally consistent
+/// even while writers mutate the index concurrently. The query cache key
+/// carries the epoch, which makes a cache hit bit-identical to recomputing
+/// against the epoch it names — mutations can never surface a stale hit,
+/// because they change the epoch and with it every key.
 ///
-/// Overload policy: when the admission queue is full, Lookup returns
-/// Unavailable immediately (load shedding); when a request's deadline
-/// expires before its batch is dispatched, it completes with
-/// DeadlineExceeded without touching the index. Nothing ever queues
-/// unboundedly or blocks forever.
+/// Overload policy: when `max_queue` lookups are already in flight, Lookup
+/// returns Unavailable immediately (load shedding); when a request's
+/// deadline has expired by the time it would start LookupAt, it completes
+/// with DeadlineExceeded without touching the index. Nothing ever queues.
 class LookupService {
  public:
   using Match = index::MutableFuzzyIndex::Match;
 
-  /// Takes ownership of a mutable index (created, or opened from a data dir)
-  /// and starts the dispatcher thread.
+  /// Takes ownership of a mutable index (created, or opened from a data dir).
   static Result<std::unique_ptr<LookupService>> Create(
       std::unique_ptr<index::MutableFuzzyIndex> index,
       const LookupServiceOptions& options);
@@ -78,15 +65,16 @@ class LookupService {
   LookupService& operator=(const LookupService&) = delete;
 
   /// The best `k` matches for `query` (see MutableFuzzyIndex::LookupAt), or:
-  ///  - Unavailable        if the admission queue is full or shutting down,
-  ///  - DeadlineExceeded   if `deadline` elapsed before dispatch; a negative
-  ///    `deadline` (already expired at the call) is rejected at admission
-  ///    without queueing (deadline zero = no deadline).
+  ///  - Unavailable        if `max_queue` lookups are in flight or the
+  ///    service is shutting down,
+  ///  - DeadlineExceeded   if `deadline` elapsed before LookupAt would start;
+  ///    a negative `deadline` (already expired at the call) is rejected on
+  ///    entry (deadline zero = no deadline).
   /// A non-empty `filter` restricts matches to records whose
   /// attributes satisfy the predicate (bit-identical to post-filtering an
   /// unfiltered lookup); its canonical JSON joins the cache key, so filtered
-  /// and unfiltered results never alias either. Blocks the caller until the
-  /// result is ready; safe to call from any number of threads concurrently.
+  /// and unfiltered results never alias either. Runs on the calling thread;
+  /// safe to call from any number of threads concurrently.
   Result<std::vector<Match>> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
@@ -142,40 +130,26 @@ class LookupService {
   const index::MutableFuzzyIndex& index() const { return *index_; }
   const LookupServiceOptions& options() const { return options_; }
 
-  /// Stops accepting requests, fails queued ones with Unavailable and joins
-  /// the dispatcher. Idempotent; called by the destructor.
+  /// Stops admitting lookups (new ones get Unavailable), then waits until
+  /// every admitted lookup has answered, so destroying the service never
+  /// races a LookupAt. Idempotent; called by the destructor.
   void Shutdown();
 
-  /// Test hook invoked by the dispatcher after claiming a batch, before
-  /// running it — lets tests hold the dispatcher to saturate the admission
-  /// queue deterministically. Not for production use.
-  void SetDispatchHookForTest(std::function<void()> hook);
-
-  /// Test hook invoked with each batch item's index right before that item
-  /// executes — lets tests stall one item and observe the per-item deadline
-  /// recheck on the next. Not for production use.
-  void SetItemHookForTest(std::function<void(size_t)> hook);
+  /// Test hook invoked by every admitted lookup between admission and the
+  /// deadline re-check — lets tests hold callers in flight to saturate
+  /// admission or expire a deadline deterministically. Set it before any
+  /// concurrent Lookup call (it is not synchronized). Not for production
+  /// use.
+  void SetLookupHookForTest(std::function<void()> hook) {
+    lookup_hook_ = std::move(hook);
+  }
 
  private:
-  struct Pending {
-    std::string query;
-    std::string cache_key;
-    /// The epoch view captured at admission; the lookup runs against it so
-    /// the result matches the epoch its cache key names.
-    std::shared_ptr<const index::EpochState> state;
-    size_t k;
-    filter::FilterPredicate filter;
-    std::chrono::steady_clock::time_point start;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline;
-    std::promise<Result<std::vector<Match>>> promise;
-  };
-
   LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
                 const LookupServiceOptions& options);
 
-  /// obs::Registry provider: mirrors this service's counters, queue depth
-  /// and latency/lifecycle histograms into the snapshot as `serve.*`.
+  /// obs::Registry provider: mirrors this service's counters, in-flight
+  /// count and latency/lifecycle histograms into the snapshot as `serve.*`.
   void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
 
   /// Cache key: the query's token sequence (unit-separator joined) plus k,
@@ -184,8 +158,10 @@ class LookupService {
   std::string CacheKey(const std::string& query, size_t k, uint64_t epoch,
                        const filter::FilterPredicate& filter) const;
 
-  void DispatcherLoop();
-  void RunBatch(std::vector<Pending>* batch);
+  /// Takes one of the `max_queue` in-flight slots, or returns Unavailable.
+  Status Admit();
+  /// Returns an admitted lookup's slot and wakes a waiting Shutdown.
+  void Release();
   /// Purges cache entries from epochs below `epoch` the first time that
   /// epoch is observed (every mutation path funnels through the next
   /// Lookup's Snapshot, so no separate publication callback is needed).
@@ -197,15 +173,17 @@ class LookupService {
   ServiceMetrics metrics_;
   std::atomic<uint64_t> provider_id_{0};  // obs::Registry provider handle
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
+  /// Guards admission: `stopping_` and every change to `in_flight_`, which
+  /// Shutdown waits on through `drained_cv_`.
+  std::mutex mu_;
+  std::condition_variable drained_cv_;
   bool stopping_ = false;
-  std::function<void()> dispatch_hook_;
-  std::function<void(size_t)> item_hook_;
+  /// Lookups admitted and not yet answered; at most `max_queue`. Changed
+  /// only under `mu_`; atomic so that Stats can read it without the lock.
+  std::atomic<size_t> in_flight_{0};
+  std::function<void()> lookup_hook_;
   /// Highest epoch the cache has been purged up to (see PurgeStaleCache).
   std::atomic<uint64_t> purged_epoch_{0};
-  std::thread dispatcher_;
 };
 
 }  // namespace ssjoin::serve

@@ -12,17 +12,15 @@ StatsSnapshot SnapshotMetrics(const ServiceMetrics& m) {
   s.rejected_deadline = m.rejected_deadline.load(std::memory_order_relaxed);
   s.cache_hits = m.cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = m.cache_misses.load(std::memory_order_relaxed);
-  s.batches = m.batches.load(std::memory_order_relaxed);
-  s.batched_lookups = m.batched_lookups.load(std::memory_order_relaxed);
   s.latency_count = m.latency.count();
   if (s.latency_count > 0) {
-    s.latency_mean_us = static_cast<double>(m.latency.sum_micros()) /
+    s.latency_mean_us = static_cast<double>(m.latency.sum()) /
                         static_cast<double>(s.latency_count);
   }
   s.latency_p50_us = m.latency.Quantile(0.50);
   s.latency_p95_us = m.latency.Quantile(0.95);
   s.latency_p99_us = m.latency.Quantile(0.99);
-  s.latency_max_us = m.latency.max_micros();
+  s.latency_max_us = m.latency.max_value();
   return s;
 }
 
@@ -33,8 +31,7 @@ std::string StatsSnapshot::ToJson() const {
       "{\"requests\": %llu, \"rejected_overload\": %llu, "
       "\"rejected_deadline\": %llu, \"cache_hits\": %llu, "
       "\"cache_misses\": %llu, \"cache_evictions\": %llu, "
-      "\"cache_stale_purged\": %llu, "
-      "\"batches\": %llu, \"batched_lookups\": %llu, \"queue_depth\": %llu, "
+      "\"cache_stale_purged\": %llu, \"in_flight\": %llu, "
       "\"latency_us\": {\"count\": %llu, \"mean\": %.1f, \"p50\": %.1f, "
       "\"p95\": %.1f, \"p99\": %.1f, \"max\": %llu}}",
       static_cast<unsigned long long>(requests),
@@ -44,9 +41,7 @@ std::string StatsSnapshot::ToJson() const {
       static_cast<unsigned long long>(cache_misses),
       static_cast<unsigned long long>(cache_evictions),
       static_cast<unsigned long long>(cache_stale_purged),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(batched_lookups),
-      static_cast<unsigned long long>(queue_depth),
+      static_cast<unsigned long long>(in_flight),
       static_cast<unsigned long long>(latency_count), latency_mean_us,
       latency_p50_us, latency_p95_us, latency_p99_us,
       static_cast<unsigned long long>(latency_max_us));

@@ -9,37 +9,24 @@
 
 namespace ssjoin::serve {
 
-/// \brief Log-scale latency histogram in microseconds — the serve layer's
-/// historical name for obs::Histogram (which it seeded; the implementation
-/// now lives in src/obs), with micros-flavored accessors kept for callers.
-class LatencyHistogram : public obs::Histogram {
- public:
-  uint64_t sum_micros() const { return sum(); }
-  uint64_t max_micros() const { return max_value(); }
-};
-
-/// \brief Request counters and latency for one LookupService, updated
-/// concurrently by client threads and the dispatcher.
+/// \brief Request counters and latency (microseconds) for one
+/// LookupService, updated concurrently by its caller threads.
 ///
 /// Metrics are value-owned per service (tests assert exact per-instance
 /// counts); LookupService mirrors them into the global obs::Registry through
 /// a provider callback under `serve.*` names.
 struct ServiceMetrics {
   std::atomic<uint64_t> requests{0};            // answered lookups: ok + deadline-failed
-  std::atomic<uint64_t> rejected_overload{0};   // admission queue full
-  std::atomic<uint64_t> rejected_deadline{0};   // expired at admission or before dispatch
+  std::atomic<uint64_t> rejected_overload{0};   // admission bound full, or shutting down
+  std::atomic<uint64_t> rejected_deadline{0};   // expired on entry or before LookupAt
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> batches{0};             // micro-batches dispatched
-  std::atomic<uint64_t> batched_lookups{0};     // lookups across all batches
-  LatencyHistogram latency;
-  /// Request lifecycle spans: admission (Lookup entry → enqueued), queue
-  /// wait (enqueued → batch claimed), lookup (index probe), reply (cache
-  /// fill + caller wakeup, per batch).
-  LatencyHistogram span_admission;
-  LatencyHistogram span_queue_wait;
-  LatencyHistogram span_lookup;
-  LatencyHistogram span_reply;
+  obs::Histogram latency;
+  /// Request lifecycle spans: admission (Lookup entry → start of LookupAt),
+  /// lookup (the LookupAt call), reply (cache fill).
+  obs::Histogram span_admission;
+  obs::Histogram span_lookup;
+  obs::Histogram span_reply;
 };
 
 /// A plain-value copy of the counters plus derived latency quantiles, taken
@@ -53,9 +40,8 @@ struct StatsSnapshot {
   uint64_t cache_evictions = 0;
   /// Stale-epoch entries reclaimed by purge-on-publication (vs. aged out).
   uint64_t cache_stale_purged = 0;
-  uint64_t batches = 0;
-  uint64_t batched_lookups = 0;
-  uint64_t queue_depth = 0;
+  /// Lookups admitted and not yet answered.
+  uint64_t in_flight = 0;
   uint64_t latency_count = 0;
   double latency_mean_us = 0.0;
   double latency_p50_us = 0.0;
@@ -67,8 +53,8 @@ struct StatsSnapshot {
   std::string ToJson() const;
 };
 
-/// Fills the metric-derived fields of a snapshot (callers add cache/queue
-/// figures they own).
+/// Fills the metric-derived fields of a snapshot (callers add the cache and
+/// in-flight figures they own).
 StatsSnapshot SnapshotMetrics(const ServiceMetrics& metrics);
 
 }  // namespace ssjoin::serve

@@ -246,8 +246,8 @@ Result<std::vector<ShardedLookupIndex::Match>> ShardedLookupIndex::Lookup(
     gather.cv.wait(lock, [&] { return gather.completed == num_shards_; });
   }
   // Join everything, hedges included: a lost hedge race still references
-  // this frame. Bounded — every LookupService call completes (its dispatcher
-  // always answers, with a result or an error).
+  // this frame. Bounded — every LookupService call runs on the scatter
+  // thread that made it and returns a result or an error.
   for (std::thread& t : threads) t.join();
 
   std::chrono::milliseconds straggler_bar = options_.straggler_threshold;
@@ -368,9 +368,6 @@ serve::StatsSnapshot ShardedLookupIndex::Stats() const {
     agg.cache_misses += s.cache_misses;
     agg.cache_evictions += s.cache_evictions;
     agg.cache_stale_purged += s.cache_stale_purged;
-    agg.batches += s.batches;
-    agg.batched_lookups += s.batched_lookups;
-    agg.queue_depth += s.queue_depth;
     agg.latency_count += s.latency_count;
     // Quantiles do not sum; report the worst shard's figures.
     agg.latency_mean_us = std::max(agg.latency_mean_us, s.latency_mean_us);

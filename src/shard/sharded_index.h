@@ -33,8 +33,8 @@ struct ShardedIndexOptions {
   std::string data_dir;
   size_t seal_threshold = 256;
   size_t max_generations = 4;
-  /// Per-shard LookupService knobs (queue, batch, threads, cache). The exec
-  /// context is shared verbatim by every shard's service.
+  /// Per-shard LookupService knobs (admission bound, cache), applied to
+  /// every shard's service.
   serve::LookupServiceOptions service;
   /// Hedged retries: when > 0 and a shard has not answered this long after
   /// dispatch, a duplicate lookup is issued against it and the first answer

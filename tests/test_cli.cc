@@ -22,6 +22,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "engine/csv.h"
 #include "serve/wire.h"
@@ -247,7 +249,7 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
   // ssjoin_served validates its numeric flags before loading anything, so a
   // bad value fails in milliseconds even alongside other broken flags.
   EXPECT_NE(RunServed("--data /nope.d --socket /tmp/unused.sock "
-                      "--threads=abc"),
+                      "--cache=abc"),
             0);
   EXPECT_NE(RunServed("--data /nope.d --socket /tmp/unused.sock "
                       "--max-queue -5"),
@@ -519,6 +521,74 @@ TEST(CliTest, ServedSurvivesTruncatedClients) {
 
   std::remove(in.c_str());
   std::filesystem::remove_all(snap);
+  std::remove(server_log.c_str());
+}
+
+/// Sends one request line over a fresh connection and returns the one-line
+/// response (without its newline).
+std::string RoundTrip(const std::string& sock, const std::string& request) {
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::string line = request + "\n";
+  EXPECT_EQ(::write(fd, line.data(), line.size()),
+            static_cast<ssize_t>(line.size()));
+  std::string response;
+  char c;
+  while (::read(fd, &c, 1) == 1 && c != '\n') response.push_back(c);
+  ::close(fd);
+  return response;
+}
+
+TEST(CliTest, ServedRejectsInexactNumericFields) {
+  std::string in = TempPath("numeric_ref.csv");
+  std::string sock = TempPath("numeric.sock");
+  std::string server_log = TempPath("numeric_served.log");
+  WriteFile(in, kReferenceCsv);
+  std::remove(sock.c_str());
+  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --reference " +
+                           in + " --col name --alpha 0.4 --socket " + sock +
+                           " >" + server_log + " 2>&1 &";
+  ASSERT_EQ(std::system(server_cmd.c_str()), 0);
+  ASSERT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) == 0; },
+                      std::chrono::seconds(10)))
+      << ReadWholeFile(server_log);
+
+  // Each number below used to be cast from double unchecked: a huge
+  // deadline wrapped negative and expired at once, a huge k returned [],
+  // a fractional k was truncated, and a fractional id overwrote doc 2.
+  // Every one must now be an Invalid error naming its field.
+  const std::vector<std::pair<std::string, std::string>> probes = {
+      {R"({"op": "lookup", "query": "Microsoft Corp", "deadline_ms": 1e19})",
+       "deadline_ms"},
+      {R"({"op": "lookup", "query": "Microsoft Corp", "k": 1e30})", "'k'"},
+      {R"({"op": "lookup", "query": "Microsoft Corp", "k": 2.9})", "'k'"},
+      {R"({"op": "upsert", "id": 2.5, "value": "Overwritten Co"})", "'id'"},
+  };
+  for (const auto& [request, field] : probes) {
+    std::string response = RoundTrip(sock, request);
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << response;
+    EXPECT_NE(response.find("\"code\": \"Invalid"), std::string::npos)
+        << request << " -> " << response;
+    EXPECT_NE(response.find(field), std::string::npos)
+        << request << " -> " << response;
+  }
+  // Doc 2 is untouched, and in-range integral values still work.
+  std::string response = RoundTrip(
+      sock, R"({"op": "lookup", "query": "Apple Inc", "k": 1, "deadline_ms": 86400000})");
+  EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+  EXPECT_NE(response.find("Apple Inc"), std::string::npos) << response;
+  EXPECT_EQ(response.find("Overwritten"), std::string::npos) << response;
+
+  std::string out;
+  ASSERT_EQ(RunCliCapture("lookup --socket " + sock + " --shutdown", &out), 0);
+  EXPECT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) != 0; },
+                      std::chrono::seconds(10)))
+      << ReadWholeFile(server_log);
+  std::remove(in.c_str());
   std::remove(server_log.c_str());
 }
 

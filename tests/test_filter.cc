@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -599,7 +600,7 @@ TEST(MutableFilterTest, SurvivesWalReplayAndSealedReopen) {
   std::filesystem::remove_all(dir);
 }
 
-// --- LookupService: thread counts and cache interaction ---
+// --- LookupService: concurrent callers and cache interaction ---
 
 TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
   auto master = Master(150, 121);
@@ -615,32 +616,30 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
   for (size_t threads : {1u, 2u, 8u}) {
     auto index = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
     ASSERT_TRUE(UpsertWithAttrs(index.get(), master, attrs).ok());
-    serve::LookupServiceOptions sopts;
-    sopts.exec.num_threads = threads;
-    auto service = serve::LookupService::Create(std::move(index), sopts);
+    auto service = serve::LookupService::Create(std::move(index), {});
     ASSERT_TRUE(service.ok());
-    for (const FilterPredicate& pred : preds) {
-      for (const std::string& q : queries) {
-        auto got = (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(),
-                                      pred);
-        ASSERT_TRUE(got.ok()) << got.status().message();
-        auto want = reference->LookupAt(*ref_state, q, 5, pred);
-        ASSERT_EQ(got->size(), want.size()) << "threads " << threads;
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ((*got)[i].id, want[i].id);
-          EXPECT_EQ((*got)[i].similarity, want[i].similarity);
-        }
-        // Second call: served from cache, still identical.
-        auto again = (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(),
-                                        pred);
-        ASSERT_TRUE(again.ok());
-        ASSERT_EQ(again->size(), want.size());
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ((*again)[i].id, want[i].id);
-          EXPECT_EQ((*again)[i].similarity, want[i].similarity);
+    // `threads` concurrent callers each run every filtered lookup twice (the
+    // second one usually a cache hit); all must equal the bare index.
+    auto caller = [&] {
+      for (const FilterPredicate& pred : preds) {
+        for (const std::string& q : queries) {
+          auto want = reference->LookupAt(*ref_state, q, 5, pred);
+          for (int round = 0; round < 2; ++round) {
+            auto got = (*service)->Lookup(
+                q, 5, std::chrono::milliseconds::zero(), pred);
+            ASSERT_TRUE(got.ok()) << got.status().message();
+            ASSERT_EQ(got->size(), want.size()) << "threads " << threads;
+            for (size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ((*got)[i].id, want[i].id);
+              EXPECT_EQ((*got)[i].similarity, want[i].similarity);
+            }
+          }
         }
       }
-    }
+    };
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < threads; ++t) callers.emplace_back(caller);
+    for (std::thread& t : callers) t.join();
   }
 }
 

@@ -1,5 +1,6 @@
-/// LatencyHistogram and StatsSnapshot unit tests — bucket edges, quantile
-/// interpolation and its edge cases (empty, single sample, overflow bucket).
+/// Unit tests of the serve layer's latency histograms (obs::Histogram fed
+/// microseconds) and StatsSnapshot — bucket edges, quantile interpolation
+/// and its edge cases (empty, single sample, overflow bucket).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@ namespace ssjoin::serve {
 namespace {
 
 TEST(LatencyHistogramTest, EmptyHistogramQuantilesAreZero) {
-  LatencyHistogram h;
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Quantile(0.0), 0.0);
   EXPECT_EQ(h.Quantile(0.5), 0.0);
@@ -19,11 +20,11 @@ TEST(LatencyHistogramTest, EmptyHistogramQuantilesAreZero) {
 }
 
 TEST(LatencyHistogramTest, SingleSample) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.Record(10);  // bucket 3: [8, 16)
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum_micros(), 10u);
-  EXPECT_EQ(h.max_micros(), 10u);
+  EXPECT_EQ(h.sum(), 10u);
+  EXPECT_EQ(h.max_value(), 10u);
   // Every quantile must stay inside [bucket lo, recorded max]: the recorded
   // maximum caps interpolation, so a 10us sample can never report p99 = 16us.
   for (double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
@@ -35,22 +36,22 @@ TEST(LatencyHistogramTest, SingleSample) {
 }
 
 TEST(LatencyHistogramTest, SubMicrosecondSamplesLandInBucketZero) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.Record(0);
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max_micros(), 0u);
+  EXPECT_EQ(h.max_value(), 0u);
   EXPECT_EQ(h.Quantile(0.5), 0.0);
   EXPECT_EQ(h.Quantile(1.0), 0.0);
 }
 
 TEST(LatencyHistogramTest, OverflowBucketUsesRecordedMax) {
-  LatencyHistogram h;
+  obs::Histogram h;
   // Way beyond the last bucket edge (2^32us): the overflow bucket absorbs
   // it, and quantiles must report up to the recorded max, not the bucket's
   // meaningless nominal edge.
   const uint64_t huge = uint64_t{1} << 40;
   h.Record(huge);
-  EXPECT_EQ(h.max_micros(), huge);
+  EXPECT_EQ(h.max_value(), huge);
   EXPECT_EQ(h.Quantile(1.0), static_cast<double>(huge));
   double p50 = h.Quantile(0.5);
   EXPECT_GE(p50, static_cast<double>(uint64_t{1} << 32));
@@ -58,7 +59,7 @@ TEST(LatencyHistogramTest, OverflowBucketUsesRecordedMax) {
 }
 
 TEST(LatencyHistogramTest, QuantilesAreMonotoneAcrossBuckets) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (uint64_t v : {1u, 2u, 4u, 9u, 17u, 33u, 100u, 1000u, 100000u}) {
     h.Record(v);
   }
@@ -73,7 +74,7 @@ TEST(LatencyHistogramTest, QuantilesAreMonotoneAcrossBuckets) {
 }
 
 TEST(LatencyHistogramTest, QuantileClampsArgument) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.Record(100);
   EXPECT_EQ(h.Quantile(-0.5), h.Quantile(0.0));
   EXPECT_EQ(h.Quantile(1.5), h.Quantile(1.0));

@@ -1,10 +1,12 @@
 /// LookupService tests: serving-path results must be bit-identical to
 /// fuzz::BruteForceLookup (fresh and snapshot-reloaded), overload must be
-/// rejected explicitly (never queued unboundedly), deadlines must expire
-/// queued requests, and metrics must add up.
+/// rejected explicitly at the admission bound, deadlines must expire
+/// admitted requests before they touch the index, shutdown must wait for
+/// in-flight lookups, and metrics must add up.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -69,9 +71,7 @@ TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
   auto master = Master(400, 31);
   auto queries = DirtyQueries(master, 150, 7);
 
-  LookupServiceOptions options;
-  options.exec.num_threads = 2;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
   for (const std::string& q : queries) {
     auto served = service->Lookup(q, 5);
@@ -120,10 +120,7 @@ TEST(LookupServiceTest, ConcurrentClientsAgreeWithDirectLookup) {
   std::vector<std::vector<fuzz::LookupOracleMatch>> want;
   for (const std::string& q : queries) want.push_back(OracleLookup(master, q, 4));
 
-  LookupServiceOptions options;
-  options.exec.num_threads = 2;
-  options.max_batch = 8;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -139,8 +136,7 @@ TEST(LookupServiceTest, ConcurrentClientsAgreeWithDirectLookup) {
   StatsSnapshot stats = service->Stats();
   EXPECT_EQ(stats.requests, queries.size());
   EXPECT_EQ(stats.rejected_overload, 0u);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_lookups, stats.cache_misses);
+  EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.latency_count, queries.size());
 }
 
@@ -148,103 +144,64 @@ TEST(LookupServiceTest, OverloadRejectsWithUnavailable) {
   auto master = Master(100, 34);
   LookupServiceOptions options;
   options.max_queue = 2;
-  options.max_batch = 1;
-  options.cache_capacity = 0;  // every request must go through the queue
+  options.cache_capacity = 0;  // every request must be admitted
   auto service = LookupService::Create(BuildMutable(master), options)
                      .MoveValueUnsafe();
 
-  // Hold the dispatcher once it has claimed its first batch, so subsequent
-  // requests pile up in the admission queue deterministically.
-  std::promise<void> entered_promise;
-  std::shared_future<void> entered(entered_promise.get_future());
+  // Hold every admitted caller in the hook, so two callers occupy both
+  // in-flight slots deterministically.
   std::promise<void> release_promise;
   std::shared_future<void> release(release_promise.get_future());
-  std::atomic<bool> first_batch{true};
-  service->SetDispatchHookForTest([&] {
-    if (first_batch.exchange(false)) {
-      entered_promise.set_value();
-      release.wait();
-    }
+  std::atomic<int> held{0};
+  service->SetLookupHookForTest([&] {
+    held.fetch_add(1);
+    release.wait();
   });
-
-  // First request: claimed by the dispatcher, then stalled in the hook.
-  std::thread blocked([&] {
-    auto r = service->Lookup(master[0], 1);
-    EXPECT_TRUE(r.ok());
-  });
-  entered.wait();
-
-  // Saturate the admission queue (capacity 2) with two more requests.
-  std::vector<std::thread> queued;
-  for (int i = 1; i <= 2; ++i) {
-    queued.emplace_back([&, i] {
-      auto r = service->Lookup(master[static_cast<size_t>(i)], 1);
+  std::vector<std::thread> admitted;
+  for (size_t i = 0; i < 2; ++i) {
+    admitted.emplace_back([&, i] {
+      auto r = service->Lookup(master[i], 1);
       EXPECT_TRUE(r.ok());
     });
   }
-  while (service->Stats().queue_depth < 2) {
-    std::this_thread::yield();
-  }
+  while (held.load() < 2) std::this_thread::yield();
+  EXPECT_EQ(service->Stats().in_flight, 2u);
 
-  // The queue is full: this request must be rejected immediately with
-  // Unavailable — explicit backpressure instead of blocking or growing the
-  // queue.
+  // The bound is full: this request must be rejected immediately with
+  // Unavailable — explicit backpressure instead of blocking.
   auto rejected = service->Lookup(master[50], 1);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service->Stats().rejected_overload, 1u);
 
   release_promise.set_value();
-  blocked.join();
-  for (auto& t : queued) t.join();
-  EXPECT_EQ(service->Stats().requests, 3u);
+  for (auto& t : admitted) t.join();
+  StatsSnapshot stats = service->Stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.in_flight, 0u);
 }
 
 TEST(LookupServiceTest, DeadlineExpiresQueuedRequest) {
   auto master = Master(100, 35);
   LookupServiceOptions options;
-  options.max_queue = 8;
-  options.max_batch = 1;
   options.cache_capacity = 0;
   auto service = LookupService::Create(BuildMutable(master), options)
                      .MoveValueUnsafe();
 
-  std::promise<void> entered_promise;
-  std::shared_future<void> entered(entered_promise.get_future());
-  std::promise<void> release_promise;
-  std::shared_future<void> release(release_promise.get_future());
-  std::atomic<bool> first_batch{true};
-  service->SetDispatchHookForTest([&] {
-    if (first_batch.exchange(false)) {
-      entered_promise.set_value();
-      release.wait();
-    }
-  });
-
-  std::thread blocked([&] {
-    auto r = service->Lookup(master[0], 1);
-    EXPECT_TRUE(r.ok());
-  });
-  entered.wait();
-
-  // Queued behind the stalled batch with a 5ms deadline; by the time the
-  // dispatcher gets to it, the deadline has long expired.
-  std::thread expired([&] {
-    auto r = service->Lookup(master[1], 1, std::chrono::milliseconds(5));
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  while (service->Stats().queue_depth < 1) {
-    std::this_thread::yield();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release_promise.set_value();
-  blocked.join();
-  expired.join();
-  EXPECT_EQ(service->Stats().rejected_deadline, 1u);
-  // Deadline expiries are answered requests, not shed load: both lookups
-  // count toward requests.
-  EXPECT_EQ(service->Stats().requests, 2u);
+  // A 5ms request stalls 20ms between admission and LookupAt: the deadline
+  // re-check must fail it without touching the index.
+  service->SetLookupHookForTest(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+  auto r = service->Lookup(master[1], 1, std::chrono::milliseconds(5));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  StatsSnapshot stats = service->Stats();
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  // Deadline expiries are answered requests, not shed load.
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.cache_misses, 0u);   // never looked up
+  EXPECT_EQ(stats.latency_count, 0u);  // no successful lookup recorded
+  EXPECT_EQ(stats.in_flight, 0u);      // the slot was released
 }
 
 TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
@@ -264,7 +221,6 @@ TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
   StatsSnapshot stats = service->Stats();
   EXPECT_EQ(stats.rejected_deadline, 1u);
   EXPECT_EQ(stats.requests, 1u);           // answered, with an error
-  EXPECT_EQ(stats.batched_lookups, 0u);    // never dispatched
   EXPECT_EQ(stats.cache_misses, 0u);       // never looked up
   EXPECT_EQ(stats.latency_count, 0u);      // no successful lookup recorded
 
@@ -272,65 +228,6 @@ TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
   auto ok = service->Lookup(master[0], 1);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(service->Stats().requests, 2u);
-}
-
-TEST(LookupServiceTest, DeadlineExpiringMidBatchRejectsOnlyThatItem) {
-  auto master = Master(100, 37);
-  LookupServiceOptions options;
-  options.max_queue = 8;
-  options.max_batch = 4;
-  options.cache_capacity = 0;
-  auto service = LookupService::Create(BuildMutable(master), options)
-                     .MoveValueUnsafe();
-
-  // Stall the first batch so two more requests land in the SAME second
-  // batch: one unbounded, one with a budget that is still valid at batch
-  // claim but expires while the first item of the batch executes.
-  std::promise<void> entered_promise;
-  std::shared_future<void> entered(entered_promise.get_future());
-  std::promise<void> release_promise;
-  std::shared_future<void> release(release_promise.get_future());
-  std::atomic<bool> first_batch{true};
-  service->SetDispatchHookForTest([&] {
-    if (first_batch.exchange(false)) {
-      entered_promise.set_value();
-      release.wait();
-    }
-  });
-  // Burn 150ms inside item 0's execution slot, well past item 1's 60ms
-  // budget; the per-item recheck must catch it at execution start.
-  service->SetItemHookForTest([](size_t i) {
-    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  });
-
-  std::thread stalled([&] {
-    auto r = service->Lookup(master[0], 1);
-    EXPECT_TRUE(r.ok());
-  });
-  entered.wait();
-
-  std::thread unbounded([&] {
-    auto r = service->Lookup(master[1], 1);
-    EXPECT_TRUE(r.ok());  // the slow item itself still succeeds
-  });
-  while (service->Stats().queue_depth < 1) std::this_thread::yield();
-  std::thread bounded([&] {
-    auto r = service->Lookup(master[2], 1, std::chrono::milliseconds(60));
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  while (service->Stats().queue_depth < 2) std::this_thread::yield();
-
-  release_promise.set_value();
-  stalled.join();
-  unbounded.join();
-  bounded.join();
-
-  StatsSnapshot stats = service->Stats();
-  EXPECT_EQ(stats.rejected_deadline, 1u);
-  EXPECT_EQ(stats.requests, 3u);
-  // Exactly the two surviving lookups touched the index.
-  EXPECT_EQ(stats.latency_count, 2u);
 }
 
 TEST(LookupServiceTest, ShutdownFailsPendingAndRejectsNew) {
@@ -346,6 +243,59 @@ TEST(LookupServiceTest, ShutdownFailsPendingAndRejectsNew) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   service->Shutdown();  // idempotent
+}
+
+TEST(LookupServiceTest, ShutdownWaitsForInFlightLookups) {
+  auto master = Master(100, 44);
+  LookupServiceOptions options;
+  options.cache_capacity = 0;
+  auto service = LookupService::Create(BuildMutable(master), options)
+                     .MoveValueUnsafe();
+
+  // Hold the first admitted lookup in the hook; later ones pass straight
+  // through.
+  std::promise<void> entered_promise;
+  std::shared_future<void> entered(entered_promise.get_future());
+  std::promise<void> release_promise;
+  std::shared_future<void> release(release_promise.get_future());
+  std::atomic<bool> first{true};
+  service->SetLookupHookForTest([&] {
+    if (first.exchange(false)) {
+      entered_promise.set_value();
+      release.wait();
+    }
+  });
+  std::thread held([&] {
+    auto r = service->Lookup(master[0], 1);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  entered.wait();
+
+  std::atomic<bool> shutdown_returned{false};
+  std::thread stopper([&] {
+    service->Shutdown();
+    shutdown_returned.store(true);
+  });
+  // Shutdown stops admission first: wait until a new lookup is refused.
+  Result<std::vector<LookupService::Match>> refused = service->Lookup(master[1], 1);
+  while (refused.ok()) {
+    std::this_thread::yield();
+    refused = service->Lookup(master[1], 1);
+  }
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  // ... but it must not return while the held lookup is in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(shutdown_returned.load());
+  EXPECT_EQ(service->Stats().in_flight, 1u);
+
+  release_promise.set_value();
+  held.join();
+  stopper.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  EXPECT_EQ(service->Stats().in_flight, 0u);
+  auto later = service->Lookup(master[2], 1);
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), StatusCode::kUnavailable);
 }
 
 TEST(LookupServiceTest, CacheKeyCoalescesTokenizationOnly) {
@@ -422,9 +372,6 @@ TEST(LookupServiceTest, RejectsZeroSizedKnobs) {
   LookupServiceOptions options;
   options.max_queue = 0;
   EXPECT_FALSE(LookupService::Create(BuildMutable(master), options).ok());
-  options.max_queue = 1;
-  options.max_batch = 0;
-  EXPECT_FALSE(LookupService::Create(BuildMutable(master), options).ok());
 }
 
 TEST(LookupServiceTest, StatsJsonIsWellFormed) {
@@ -439,7 +386,7 @@ TEST(LookupServiceTest, StatsJsonIsWellFormed) {
   for (const char* field :
        {"\"requests\"", "\"rejected_overload\"", "\"rejected_deadline\"",
         "\"cache_hits\"", "\"cache_misses\"", "\"cache_evictions\"",
-        "\"batches\"", "\"queue_depth\"", "\"latency_us\"", "\"p50\"",
+        "\"in_flight\"", "\"latency_us\"", "\"p50\"",
         "\"p95\"", "\"p99\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }

@@ -1,9 +1,9 @@
 /// ssjoin_served — online fuzzy-lookup server over a unix domain socket.
 ///
 /// Serves MutableFuzzyIndex lookups (the paper's §6 record-lookup scenario)
-/// through serve::LookupService: bounded admission queue, micro-batched
-/// dispatch, query cache and latency metrics. The protocol is
-/// newline-delimited JSON (see src/serve/wire.h).
+/// through serve::LookupService: each lookup runs on its connection's
+/// thread behind a bounded admission limit, with a query cache and latency
+/// metrics. The protocol is newline-delimited JSON (see src/serve/wire.h).
 ///
 /// Examples:
 ///   # warm-start from a data dir built by `ssjoin_cli snapshot --out DIR`
@@ -11,7 +11,7 @@
 ///
 ///   # cold-start straight from a CSV column
 ///   ssjoin_served --reference orgs.csv --col name --alpha 0.5
-///                 --socket /tmp/ssjoin.sock --threads 4
+///                 --socket /tmp/ssjoin.sock
 ///
 ///   # then, from any client (or `ssjoin_cli lookup --socket ...`):
 ///   printf '{"op": "lookup", "query": "Mcrosoft Corp", "k": 3}\n'
@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -75,7 +76,7 @@ Args ParseArgs(int argc, char** argv) {
     std::string flag = argv[i];
     if (flag.rfind("--", 0) != 0) continue;
     flag = flag.substr(2);
-    // --flag=value binds tighter than the lookahead form, so "--threads=abc"
+    // --flag=value binds tighter than the lookahead form, so "--cache=abc"
     // reaches the checked parser instead of becoming an unknown flag.
     if (size_t eq = flag.find('='); eq != std::string::npos) {
       args.flags[flag.substr(0, eq)] = flag.substr(eq + 1);
@@ -91,7 +92,7 @@ Args ParseArgs(int argc, char** argv) {
 }
 
 /// Checked flag accessors: absent flags fall back, present flags must parse
-/// completely (`--threads=abc` is a loud startup error, not 0 threads).
+/// completely (`--cache=abc` is a loud startup error, not a 0-entry cache).
 Result<size_t> SizeFlag(const Args& args, const std::string& name,
                         size_t fallback) {
   auto it = args.flags.find(name);
@@ -119,10 +120,9 @@ int Usage() {
       stderr,
       "usage: ssjoin_served (--data DIR | --reference FILE --col COL)\n"
       "                     --socket PATH [--alpha A] [--qgrams Q]\n"
-      "                     [--threads N] [--max-queue N] [--max-batch N]\n"
-      "                     [--cache N] [--cache-shards N] [--k-default N]\n"
-      "                     [--seal-threshold N] [--max-generations N]\n"
-      "                     [--shards N]\n"
+      "                     [--max-queue N] [--cache N] [--cache-shards N]\n"
+      "                     [--k-default N] [--seal-threshold N]\n"
+      "                     [--max-generations N] [--shards N]\n"
       "       ssjoin_served --coordinator SOCK1,SOCK2,... --socket PATH\n"
       "                     [--hedge-ms N] [--straggler-ms N] [--no-degraded]\n"
       "       ssjoin_served --follow LEADER_SOCK --data DIR --socket PATH\n"
@@ -134,9 +134,8 @@ int Usage() {
       "  --col COL        CSV column holding the reference strings\n"
       "  --alpha A        min resemblance for a match (default 0.5)\n"
       "  --qgrams Q       use q-gram tokens instead of word tokens\n"
-      "  --threads N      dispatch threads (default 1, 0 = hardware)\n"
-      "  --max-queue N    admission queue bound (default 1024)\n"
-      "  --max-batch N    micro-batch size (default 64)\n"
+      "  --max-queue N    max lookups in flight; more are rejected with\n"
+      "                   Unavailable (default 1024)\n"
       "  --cache N        query cache entries, 0 disables (default 4096)\n"
       "  --cache-shards N query cache shard count (default 8)\n"
       "  --k-default N    k when a lookup omits it (default 3)\n"
@@ -207,46 +206,49 @@ struct LookupParams {
   filter::FilterPredicate filter;
 };
 
+/// Largest integer a JSON number (a double) holds exactly.
+constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+/// Largest `deadline_ms`: one day. Far larger budgets overflow the
+/// steady_clock nanosecond arithmetic of an absolute deadline.
+constexpr uint64_t kMaxDeadlineMs = 86'400'000;
+
+/// The numeric field `key`, or `fallback` when it is absent (absent with no
+/// fallback is an error). Only integral numbers in [0, max] are accepted, so
+/// the cast from double is exact: a fraction, a negative or out-of-range
+/// value, or a non-number is an Invalid naming the field.
+Result<uint64_t> UintField(const JsonObj& obj, const char* key, uint64_t max,
+                           std::optional<uint64_t> fallback = std::nullopt) {
+  auto it = obj.find(key);
+  if (it == obj.end()) {
+    if (fallback.has_value()) return *fallback;
+  } else if (!it->second.is_object &&
+             it->second.scalar.type == serve::JsonScalar::Type::kNumber) {
+    double v = it->second.scalar.num;
+    if (v >= 0.0 && v <= static_cast<double>(max) && v == std::floor(v)) {
+      return static_cast<uint64_t>(v);
+    }
+  }
+  return Status::Invalid(std::string("field '") + key +
+                         "' must be an integer in [0, " + std::to_string(max) +
+                         "]");
+}
+
 Result<LookupParams> ParseLookupParams(const JsonObj& obj, size_t default_k) {
   LookupParams p;
-  p.k = default_k;
   auto query_it = obj.find("query");
   if (query_it == obj.end() || query_it->second.is_object ||
       query_it->second.scalar.type != serve::JsonScalar::Type::kString) {
     return Status::Invalid("lookup requires string field 'query'");
   }
   p.query = query_it->second.scalar.str;
-  if (auto it = obj.find("k"); it != obj.end()) {
-    if (it->second.is_object ||
-        it->second.scalar.type != serve::JsonScalar::Type::kNumber ||
-        it->second.scalar.num < 0) {
-      return Status::Invalid("'k' must be a nonnegative number");
-    }
-    p.k = static_cast<size_t>(it->second.scalar.num);
-  }
-  if (auto it = obj.find("deadline_ms"); it != obj.end()) {
-    if (it->second.is_object ||
-        it->second.scalar.type != serve::JsonScalar::Type::kNumber ||
-        it->second.scalar.num < 0) {
-      return Status::Invalid("'deadline_ms' must be a nonnegative number");
-    }
-    p.deadline =
-        std::chrono::milliseconds(static_cast<int64_t>(it->second.scalar.num));
-  }
+  SSJOIN_ASSIGN_OR_RETURN(p.k, UintField(obj, "k", kMaxExactInteger, default_k));
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t deadline_ms,
+                          UintField(obj, "deadline_ms", kMaxDeadlineMs, 0));
+  p.deadline = std::chrono::milliseconds(deadline_ms);
   if (auto it = obj.find("filter"); it != obj.end()) {
     SSJOIN_ASSIGN_OR_RETURN(p.filter, serve::FilterFromWire(it->second));
   }
   return p;
-}
-
-Result<uint64_t> IdField(const JsonObj& obj) {
-  auto it = obj.find("id");
-  if (it == obj.end() || it->second.is_object ||
-      it->second.scalar.type != serve::JsonScalar::Type::kNumber ||
-      it->second.scalar.num < 0) {
-    return Status::Invalid("op requires a nonnegative numeric field 'id'");
-  }
-  return static_cast<uint64_t>(it->second.scalar.num);
 }
 
 Result<std::string> StringField(const JsonObj& obj, const char* key) {
@@ -368,7 +370,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
       return MatchesResponse(matches, extra.c_str());
     }
     if (op == "upsert" || op == "delete") {
-      auto id = IdField(obj);
+      auto id = UintField(obj, "id", kMaxExactInteger);
       if (!id.ok()) return ErrorResponse(id.status());
       auto epoch_response = [](const Result<uint64_t>& epoch) {
         if (!epoch.ok()) return ErrorResponse(epoch.status());
@@ -427,7 +429,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
       return MatchesResponse(matches, "");
     }
     if (op == "upsert") {
-      auto id = IdField(obj);
+      auto id = UintField(obj, "id", kMaxExactInteger);
       if (!id.ok()) return ErrorResponse(id.status());
       auto value = StringField(obj, "value");
       if (!value.ok()) return ErrorResponse(value.status());
@@ -436,7 +438,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
       return epoch_reply(sharded->Upsert(*id, *value, *attrs));
     }
     if (op == "delete") {
-      auto id = IdField(obj);
+      auto id = UintField(obj, "id", kMaxExactInteger);
       if (!id.ok()) return ErrorResponse(id.status());
       return epoch_reply(sharded->Delete(*id));
     }
@@ -501,7 +503,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
 
   if (op == "upsert" || op == "delete") {
     if (state->read_only) return read_only_error();
-    auto id = IdField(obj);
+    auto id = UintField(obj, "id", kMaxExactInteger);
     if (!id.ok()) return ErrorResponse(id.status());
     if (!BoolField(obj, "global")) {
       if (op == "upsert") {
@@ -579,7 +581,7 @@ std::string HandleLine(const std::string& line, ServerState* state,
   }
 
   if (op == "getvalue") {
-    auto id = IdField(obj);
+    auto id = UintField(obj, "id", kMaxExactInteger);
     if (!id.ok()) return ErrorResponse(id.status());
     std::optional<std::string> value = service->ValueOf(*id);
     if (!value.has_value()) return "{\"ok\": true, \"found\": false}";
@@ -1037,9 +1039,7 @@ Result<int> RunServer(const Args& args) {
   // Validate every numeric flag before the (possibly slow) index build, so
   // a typo'd flag fails in milliseconds instead of after a CSV load.
   serve::LookupServiceOptions options;
-  SSJOIN_ASSIGN_OR_RETURN(options.exec.num_threads, SizeFlag(args, "threads", 1));
   SSJOIN_ASSIGN_OR_RETURN(options.max_queue, SizeFlag(args, "max-queue", 1024));
-  SSJOIN_ASSIGN_OR_RETURN(options.max_batch, SizeFlag(args, "max-batch", 64));
   SSJOIN_ASSIGN_OR_RETURN(options.cache_capacity, SizeFlag(args, "cache", 4096));
   SSJOIN_ASSIGN_OR_RETURN(options.cache_shards,
                           SizeFlag(args, "cache-shards", 8));
