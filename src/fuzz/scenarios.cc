@@ -402,7 +402,8 @@ Result<index::MatchOptions> IndexOptions(const Reproducer& rp) {
 /// A lookup answer as (doc id, similarity) pairs.
 using IdSims = std::vector<std::pair<uint64_t, double>>;
 
-IdSims ToIdSims(const std::vector<index::MutableFuzzyIndex::Match>& matches) {
+template <typename Match>
+IdSims ToIdSims(const std::vector<Match>& matches) {
   IdSims out;
   out.reserve(matches.size());
   for (const auto& m : matches) out.emplace_back(m.id, m.similarity);
@@ -873,7 +874,10 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
 /// a ShardedLookupIndex with a seed-drawn shard count, checked bitwise after
 /// EVERY op against BruteForceLookup over the live records — the
 /// shard-count invariance contract under arbitrary
-/// upsert/delete/seal/compact/reopen interleavings.
+/// upsert/delete/seal/compact/reopen interleavings. Every returned value
+/// must be its document's live record, and every mutation's returned epoch
+/// must equal Epoch() afterwards and never decrease while the index stays
+/// open.
 Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -904,37 +908,69 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
       ids.push_back(id);
       refs.push_back(value);
     }
+    std::string name =
+        "sharded_lookup N=" + std::to_string(sopts.num_shards) + " after '" +
+        ctx + "'";
     for (const std::string& query : rp.s) {
-      SSJOIN_ASSIGN_OR_RETURN(std::vector<index::MutableFuzzyIndex::Match> got,
-                              index->Lookup(query, k));
-      if (!SameMatches("sharded_lookup N=" + std::to_string(sopts.num_shards) +
-                           " after '" + ctx + "'",
-                       ToIdSims(got),
+      SSJOIN_ASSIGN_OR_RETURN(shard::LookupResult got, index->Lookup(query, k));
+      if (!SameMatches(name, ToIdSims(got.matches),
                        OracleLookup(ids, refs, sopts.match, query, k), query,
                        &result.detail)) {
         return false;
+      }
+      for (const shard::ShardMatch& m : got.matches) {
+        auto it = live.find(m.id);
+        if (it == live.end() || it->second != m.value) {
+          result.detail = name + ": doc " + std::to_string(m.id) +
+                          " returned value '" + m.value +
+                          "', not its live record";
+          return false;
+        }
       }
     }
     return true;
   };
 
+  // A mutation's (or seal's, compact's) returned epoch is the cluster epoch
+  // right after it.
+  uint64_t last_epoch = 0;
+  auto check_mutation_epoch = [&](uint64_t returned,
+                                  const std::string& ctx) -> Result<bool> {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t now, index->Epoch());
+    if (returned != now || returned < last_epoch) {
+      result.detail = "sharded_lookup after '" + ctx + "': returned epoch " +
+                      std::to_string(returned) + ", Epoch() " +
+                      std::to_string(now) + ", previous " +
+                      std::to_string(last_epoch);
+      return false;
+    }
+    last_epoch = returned;
+    return true;
+  };
+
   for (const std::string& text : rp.r) {
     ChurnOp op = ParseChurnOp(text);
-    if (op.kind == 'u') {
-      SSJOIN_RETURN_NOT_OK(index->Upsert(op.id, op.value));
-      live[op.id] = op.value;
-    } else if (op.kind == 'd') {
-      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
-      live.erase(op.id);
-    } else if (op.kind == 's') {
-      SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op.kind == 'c') {
-      SSJOIN_RETURN_NOT_OK(index->Compact());
+    if (op.kind == 'u' || op.kind == 'd' || op.kind == 's' ||
+        op.kind == 'c') {
+      Result<uint64_t> epoch = op.kind == 'u'   ? index->Upsert(op.id, op.value)
+                               : op.kind == 'd' ? index->Delete(op.id)
+                               : op.kind == 's' ? index->Seal()
+                                                : index->Compact();
+      SSJOIN_RETURN_NOT_OK(epoch.status());
+      if (op.kind == 'u') live[op.id] = op.value;
+      if (op.kind == 'd') live.erase(op.id);
+      SSJOIN_ASSIGN_OR_RETURN(bool ok, check_mutation_epoch(*epoch, text));
+      if (!ok) {
+        result.pass = false;
+        return result;
+      }
     } else if (op.kind == 'x' && durable) {
       index.reset();
       shard::ShardedIndexOptions reopen = sopts;
       reopen.num_shards = 0;  // take the persisted shard count
       SSJOIN_ASSIGN_OR_RETURN(index, shard::ShardedLookupIndex::Open(reopen));
+      // Epochs are per open index: a reopen restarts from the durable ones.
+      SSJOIN_ASSIGN_OR_RETURN(last_epoch, index->Epoch());
     } else {
       continue;  // malformed op, or a reopen of an in-memory index: no-op
     }

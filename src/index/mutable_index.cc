@@ -105,7 +105,7 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
                         std::move(manifest.dict_entries),
                         manifest.dict_num_documents));
 
-  std::lock_guard<std::mutex> lock(index->writer_mu_);
+  std::unique_lock<std::mutex> lock(index->writer_mu_);
   for (const ManifestSegmentRef& ref : manifest.segments) {
     std::string path = options.data_dir + "/" + ref.file;
     std::string bytes;
@@ -194,6 +194,9 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
   }
 
   index->PublishLocked();
+  // StartBackground takes the registry lock, and the registry calls the
+  // provider it registers, which takes writer_mu_: never hold both here.
+  lock.unlock();
   index->StartBackground();
   return index;
 }

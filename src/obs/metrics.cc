@@ -195,6 +195,10 @@ std::string Registry::ToNdjson() const {
 }
 
 std::string Registry::ToFlatJson() const {
+  return obs::ToFlatJson(Snapshot());
+}
+
+std::string ToFlatJson(const std::vector<MetricPoint>& points) {
   std::string out = "{";
   bool first = true;
   auto field = [&](const std::string& key, const std::string& value) {
@@ -202,7 +206,7 @@ std::string Registry::ToFlatJson() const {
     first = false;
     out += "\"" + key + "\": " + value;
   };
-  for (const MetricPoint& p : Snapshot()) {
+  for (const MetricPoint& p : points) {
     switch (p.type) {
       case MetricPoint::Type::kCounter:
         field(p.name, JsonUint(p.counter));

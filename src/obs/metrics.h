@@ -130,6 +130,12 @@ struct MetricPoint {
   std::string ToJson() const;
 };
 
+/// Points rendered as a single flat JSON object for embedding:
+/// counters/gauges as `"name": N`, histograms flattened to `"name.count"`,
+/// `"name.sum"`, `"name.max"`, `"name.mean"`, `"name.p50"`, `"name.p95"`,
+/// `"name.p99"`.
+std::string ToFlatJson(const std::vector<MetricPoint>& points);
+
 /// \brief Process-wide metric registry.
 ///
 /// Metrics are created lazily on first Get*(name) and live for the life of
@@ -158,10 +164,7 @@ class Registry {
   /// Snapshot rendered as NDJSON: one MetricPoint::ToJson() line per metric.
   std::string ToNdjson() const;
 
-  /// Snapshot rendered as a single flat JSON object for embedding (bench
-  /// output): counters/gauges as `"name": N`, histograms flattened to
-  /// `"name.count"`, `"name.sum"`, `"name.max"`, `"name.mean"`, `"name.p50"`,
-  /// `"name.p95"`, `"name.p99"`.
+  /// Snapshot rendered by the free ToFlatJson below (bench output).
   std::string ToFlatJson() const;
 
   /// The process-wide registry. Never destroyed, so metrics stay recordable

@@ -97,7 +97,7 @@ std::string LookupService::CacheKey(const std::string& query, size_t k,
 
 Result<std::vector<LookupService::Match>> LookupService::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
-    const filter::FilterPredicate& filter) {
+    const filter::FilterPredicate& filter, std::vector<std::string>* values) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
     // An already-expired deadline can never be met; reject on entry so it
@@ -112,7 +112,15 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
   std::shared_ptr<const index::EpochState> state = index_->Snapshot();
   PurgeStaleCache(state->epoch);
   std::string cache_key = CacheKey(query, k, state->epoch, filter);
+  auto fill_values = [&](const std::vector<Match>& matches) {
+    if (values == nullptr) return;
+    values->clear();
+    for (const Match& m : matches) {
+      values->push_back(index_->ValueAt(*state, m.id).value_or(""));
+    }
+  };
   if (auto cached = cache_.Get(cache_key)) {
+    fill_values(*cached);
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
     metrics_.latency.Record(MicrosSince(start));
@@ -144,6 +152,7 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     obs::ObsSpan span(&metrics_.span_lookup);
     result = index_->LookupAt(*state, query, k, filter);
   }
+  fill_values(result);
   {
     obs::ObsSpan span(&metrics_.span_reply);
     cache_.Put(cache_key, state->epoch, result);

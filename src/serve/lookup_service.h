@@ -73,12 +73,15 @@ class LookupService {
   /// A non-empty `filter` restricts matches to records whose
   /// attributes satisfy the predicate (bit-identical to post-filtering an
   /// unfiltered lookup); its canonical JSON joins the cache key, so filtered
-  /// and unfiltered results never alias either. Runs on the calling thread;
-  /// safe to call from any number of threads concurrently.
+  /// and unfiltered results never alias either. A non-null `values` receives
+  /// each match's value, read from the epoch the lookup scored against. Runs
+  /// on the calling thread; safe to call from any number of threads
+  /// concurrently.
   Result<std::vector<Match>> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
-      const filter::FilterPredicate& filter = {});
+      const filter::FilterPredicate& filter = {},
+      std::vector<std::string>* values = nullptr);
 
   /// Mutations: thin passthroughs to the index. Each publishes a new epoch,
   /// naturally invalidating every cached lookup (the epoch is in the key).

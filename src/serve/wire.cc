@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -438,6 +439,18 @@ std::string AttrsToJson(const filter::AttrSet& attrs) {
   }
   out.push_back('}');
   return out;
+}
+
+Result<uint64_t> UintFromJson(const JsonScalar& scalar, uint64_t max) {
+  max = std::min(max, kMaxExactInteger);
+  if (scalar.type == JsonScalar::Type::kNumber) {
+    double v = scalar.num;
+    if (v >= 0.0 && v <= static_cast<double>(max) && v == std::floor(v)) {
+      return static_cast<uint64_t>(v);
+    }
+  }
+  return Status::Invalid("expected an integer in [0, " + std::to_string(max) +
+                         "]");
 }
 
 std::string JsonEscape(std::string_view s) {

@@ -1,6 +1,7 @@
 #ifndef SSJOIN_SERVE_WIRE_H_
 #define SSJOIN_SERVE_WIRE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -60,6 +61,17 @@ Result<std::map<std::string, JsonScalar>> ParseJsonObject(std::string_view line)
 /// Deeper nesting and top-level arrays are rejected. Keys must be unique at
 /// both levels.
 Result<std::map<std::string, JsonValue>> ParseJsonRequest(std::string_view line);
+
+/// Largest integer a JSON number (a double) holds exactly: 2^53.
+inline constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+
+/// The scalar as an unsigned integer, for every number that crosses a
+/// process boundary (request fields, shard replies, repl_fetch lengths).
+/// Only an integral number in [0, max] converts, so the cast from double is
+/// exact; `max` is capped at kMaxExactInteger. A fraction, a negative or
+/// out-of-range value, or a non-number is Invalid.
+Result<uint64_t> UintFromJson(const JsonScalar& scalar,
+                              uint64_t max = kMaxExactInteger);
 
 /// Converts a request's "filter" object into a predicate. Each key is one
 /// conjunct name — a leading '!' marks NOT-IN — and its value is the IN-set:

@@ -9,8 +9,8 @@
 
 namespace ssjoin::shard {
 
-/// \brief Fan-out instrumentation shared by every scatter-gather front end
-/// (the in-process ShardedLookupIndex and the multi-process Coordinator).
+/// \brief Fan-out instrumentation of a ShardedLookupIndex, whether its
+/// shards are in-process or shard-server processes.
 ///
 /// Value-owned per instance, mirrored into the global obs::Registry through
 /// a provider callback under `shard.*` names — the same discipline

@@ -1,0 +1,178 @@
+#ifndef SSJOIN_SHARD_SHARD_CLIENT_H_
+#define SSJOIN_SHARD_SHARD_CLIENT_H_
+
+#include <chrono>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/result.h"
+#include "filter/attr.h"
+#include "filter/predicate.h"
+#include "index/mutable_index.h"
+#include "serve/lookup_service.h"
+#include "serve/wire.h"
+
+namespace ssjoin::shard {
+
+/// One match as a shard reports it. The value rides along, so a merge never
+/// needs a second round trip to render results.
+struct ShardMatch {
+  uint64_t id = 0;
+  double similarity = 0.0;
+  std::string value;
+};
+
+/// \brief The per-shard surface a ShardedLookupIndex scatter-gathers over.
+///
+/// The interface hides the transport: LocalShard calls a LookupService in
+/// this process, RemoteShard speaks the shard-server wire ops of
+/// ssjoin_served over a unix socket, and tests substitute fakes to make the
+/// fan-out policies (hedging, degraded reads) deterministic. Methods may be
+/// called from several threads at once: lookups from the scatter threads,
+/// mutations from one caller at a time.
+class ShardClient {
+ public:
+  virtual ~ShardClient() = default;
+
+  /// The shard's best `k` matches. `remaining` is the budget left at
+  /// dispatch (zero = no deadline); a shard past it answers DeadlineExceeded.
+  virtual Result<std::vector<ShardMatch>> Lookup(
+      const std::string& query, size_t k, std::chrono::milliseconds remaining,
+      const filter::FilterPredicate& filter) = 0;
+
+  /// Owner-shard mutations through the global-statistics API
+  /// (MutableFuzzyIndex::UpsertGlobal / DeleteGlobal): fill `delta` with
+  /// what the other shards must fold in and return this shard's epoch.
+  virtual Result<uint64_t> UpsertGlobal(uint64_t doc_id,
+                                        const std::string& value,
+                                        const filter::AttrSet& attrs,
+                                        index::GlobalDelta* delta) = 0;
+  virtual Result<uint64_t> DeleteGlobal(uint64_t doc_id,
+                                        index::GlobalDelta* delta) = 0;
+
+  /// Folds another shard's mutation into this shard's global statistics;
+  /// returns this shard's epoch afterwards.
+  virtual Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta& delta) = 0;
+
+  /// Rebuilds the global statistics from every live value in the cluster.
+  virtual Status ResetGlobalStats(const std::vector<std::string>& values) = 0;
+
+  /// This shard's live (doc_id, value) pairs.
+  virtual Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() = 0;
+
+  /// Seal / compact this shard; return its epoch afterwards.
+  virtual Result<uint64_t> Seal() = 0;
+  virtual Result<uint64_t> Compact() = 0;
+  virtual Result<uint64_t> Epoch() = 0;
+
+  /// Loads `records` (all owned by this shard) in one publish; the caller
+  /// rebuilds the global statistics afterwards. In-process shards only: a
+  /// shard server is filled over the wire, one upsert at a time.
+  virtual Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>&) {
+    return Status::Invalid("bulk load needs in-process shards");
+  }
+};
+
+/// A shard in this process: one LookupService over its slice of the
+/// documents. Lookup attaches each match's value, read from the same epoch
+/// the lookup scored against.
+class LocalShard final : public ShardClient {
+ public:
+  explicit LocalShard(std::unique_ptr<serve::LookupService> service)
+      : service_(std::move(service)) {}
+
+  Result<std::vector<ShardMatch>> Lookup(
+      const std::string& query, size_t k, std::chrono::milliseconds remaining,
+      const filter::FilterPredicate& filter) override;
+  Result<uint64_t> UpsertGlobal(uint64_t doc_id, const std::string& value,
+                                const filter::AttrSet& attrs,
+                                index::GlobalDelta* delta) override {
+    return EpochAfter(service_->UpsertGlobal(doc_id, value, attrs, delta));
+  }
+  Result<uint64_t> DeleteGlobal(uint64_t doc_id,
+                                index::GlobalDelta* delta) override {
+    return EpochAfter(service_->DeleteGlobal(doc_id, delta));
+  }
+  Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta& delta) override {
+    return EpochAfter(service_->ApplyGlobalDelta(delta));
+  }
+  Status ResetGlobalStats(const std::vector<std::string>& values) override {
+    return service_->ResetGlobalStats(values);
+  }
+  Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() override {
+    return service_->LiveDocs();
+  }
+  Result<uint64_t> Seal() override { return EpochAfter(service_->Seal()); }
+  Result<uint64_t> Compact() override {
+    return EpochAfter(service_->Compact());
+  }
+  Result<uint64_t> Epoch() override { return service_->epoch(); }
+  Status BulkLoad(
+      const std::vector<std::pair<uint64_t, std::string>>& records) override {
+    return service_->BulkLoad(records);
+  }
+
+ private:
+  /// The service's epoch once `status` (a mutation's) is known to be OK.
+  Result<uint64_t> EpochAfter(const Status& status) const {
+    if (!status.ok()) return status;
+    return service_->epoch();
+  }
+
+  std::unique_ptr<serve::LookupService> service_;
+};
+
+/// A shard-server process (ssjoin_served in single mode) behind a unix
+/// socket; every call is one round trip on a fresh connection.
+///
+/// Scores cross as hex-float literals and values as netstrings, so a merge
+/// over remote shards stays bit-identical to the unsharded oracle. A
+/// connection that cannot be made or breaks comes back as Unavailable or
+/// IOError; an {"ok": false} reply is rehydrated into the shard's own status
+/// code, so "deadline exceeded on the shard" stays DeadlineExceeded.
+class RemoteShard final : public ShardClient {
+ public:
+  /// `admin_timeout` bounds every call that carries no caller deadline
+  /// (mutations, resync, seal, epoch); zero = wait forever.
+  RemoteShard(std::string socket_path, std::chrono::milliseconds admin_timeout)
+      : socket_path_(std::move(socket_path)), admin_timeout_(admin_timeout) {}
+
+  Result<std::vector<ShardMatch>> Lookup(
+      const std::string& query, size_t k, std::chrono::milliseconds remaining,
+      const filter::FilterPredicate& filter) override;
+  Result<uint64_t> UpsertGlobal(uint64_t doc_id, const std::string& value,
+                                const filter::AttrSet& attrs,
+                                index::GlobalDelta* delta) override;
+  Result<uint64_t> DeleteGlobal(uint64_t doc_id,
+                                index::GlobalDelta* delta) override;
+  Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta& delta) override;
+  Status ResetGlobalStats(const std::vector<std::string>& values) override;
+  Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() override;
+  Result<uint64_t> Seal() override { return CallForEpoch("{\"op\": \"seal\"}"); }
+  Result<uint64_t> Compact() override {
+    return CallForEpoch("{\"op\": \"compact\"}");
+  }
+  Result<uint64_t> Epoch() override {
+    return CallForEpoch("{\"op\": \"epoch\"}");
+  }
+
+ private:
+  /// One round trip on a fresh connection within `timeout` (zero: the
+  /// admin timeout); the reply of a shard that answered {"ok": true}.
+  Result<std::map<std::string, serve::JsonScalar>> Call(
+      const std::string& line,
+      std::chrono::milliseconds timeout = std::chrono::milliseconds(0)) const;
+  /// Call for an op whose reply carries the shard's "epoch".
+  Result<uint64_t> CallForEpoch(const std::string& line) const;
+
+  std::string socket_path_;
+  std::chrono::milliseconds admin_timeout_;
+};
+
+}  // namespace ssjoin::shard
+
+#endif  // SSJOIN_SHARD_SHARD_CLIENT_H_

@@ -1,11 +1,10 @@
 #ifndef SSJOIN_SHARD_SHARDED_INDEX_H_
 #define SSJOIN_SHARD_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,10 +16,23 @@
 #include "serve/lookup_service.h"
 #include "shard/metrics.h"
 #include "shard/router.h"
+#include "shard/shard_client.h"
 
 namespace ssjoin::shard {
 
-/// Knobs of a ShardedLookupIndex.
+/// Hedging knobs of the scatter-gather, whatever the shards are.
+struct FanoutOptions {
+  /// Hedged retries: when > 0 and a shard has not answered this long after
+  /// dispatch, a duplicate lookup is issued against it and the first answer
+  /// wins. 0 disables hedging.
+  std::chrono::milliseconds hedge_delay{0};
+  /// A shard whose first answer lands later than this counts as a straggler
+  /// in `shard.stragglers`; 0 falls back to hedge_delay (so hedging and
+  /// straggler accounting share one bar unless told otherwise).
+  std::chrono::milliseconds straggler_threshold{0};
+};
+
+/// Knobs of an in-process ShardedLookupIndex (Create / Open).
 struct ShardedIndexOptions {
   /// Number of hash partitions (>= 1). Fixed for the life of a data dir:
   /// re-opening with a different count is refused (routing would disagree
@@ -36,19 +48,21 @@ struct ShardedIndexOptions {
   /// Per-shard LookupService knobs (admission bound, cache), applied to
   /// every shard's service.
   serve::LookupServiceOptions service;
-  /// Hedged retries: when > 0 and a shard has not answered this long after
-  /// dispatch, a duplicate lookup is issued against it and the first answer
-  /// wins. 0 disables hedging.
-  std::chrono::milliseconds hedge_delay{0};
-  /// A shard whose first answer lands later than this counts as a straggler
-  /// in `shard.stragglers`; 0 falls back to hedge_delay (so hedging and
-  /// straggler accounting share one bar unless told otherwise).
-  std::chrono::milliseconds straggler_threshold{0};
+  FanoutOptions fanout;
 };
 
-/// \brief N-way hash-partitioned fuzzy lookup: each shard owns a
-/// MutableFuzzyIndex + LookupService over its slice of the documents, and
-/// Lookup scatter-gathers the per-shard top-k into a global top-k.
+/// A scatter-gather answer plus its completeness: `degraded` is true when
+/// at least one unreachable shard was left out of the merge.
+struct LookupResult {
+  std::vector<ShardMatch> matches;
+  bool degraded = false;
+  uint32_t shards_ok = 0;
+};
+
+/// \brief N-way hash-partitioned fuzzy lookup: one scatter-gather over N
+/// ShardClients, each owning the documents ShardOf routes to it. The shards
+/// are in-process (Create / Open: LocalShard over a MutableFuzzyIndex +
+/// LookupService) or shard-server processes (Connect: RemoteShard).
 ///
 /// ## The shard-count invariance contract
 /// For ANY shard count N, Lookup results are bit-identical (ids, scores and
@@ -69,8 +83,10 @@ struct ShardedIndexOptions {
 ///   3. The merge re-sorts the union with the index's exact comparator
 ///      (similarity desc, id asc — total, since ids are unique) and
 ///      truncates to k, reproducing the unsharded sort byte for byte.
+/// Remote shards keep it because scores cross the wire as hex floats.
 /// Enforced by differential unit tests (N ∈ {1, 2, 3, 8}, fresh and
-/// WAL-replayed) and the `sharded_lookup` fuzz scenario.
+/// WAL-replayed), the `sharded_lookup` fuzz scenario and an end-to-end test
+/// against shard-server processes.
 ///
 /// ## Deadline budgeting
 /// Lookup computes an absolute deadline on entry; each shard dispatch is
@@ -80,16 +96,25 @@ struct ShardedIndexOptions {
 /// A budget that reaches zero fails the lookup with DeadlineExceeded.
 ///
 /// ## Failure semantics
-/// Strict: if any shard fails, the lookup fails with that shard's status (a
-/// partial merge would break bit-identity silently). Degraded partial
-/// responses are a coordinator-level policy for the multi-process tier,
-/// where a dead shard is a process you can observe and advertise.
+/// Strict by default: if any shard fails, the lookup fails with that
+/// shard's status (a silent partial merge would break bit-identity).
+/// `allow_degraded` (Connect / FromShards only) drops unreachable shards
+/// instead — Unavailable or IOError: a dead process, a refused or torn
+/// connection — and marks the answer degraded; deadline and application
+/// errors still fail. It is the multi-process tier's choice, where a dead
+/// shard is a process an operator can observe. In-process shards are always
+/// strict: a LocalShard's Unavailable means an overloaded or stopping
+/// service, never a lost partition. No reachable shard at all is
+/// Unavailable.
+///
+/// ## Cluster epoch
+/// Epoch() is the sum of the shard epochs. A mutation applies on its owner
+/// shard, broadcasts a non-empty global-stats delta (a delete of an absent
+/// id has none) and returns the sum after that, so it never decreases.
 class ShardedLookupIndex {
  public:
-  using Match = index::MutableFuzzyIndex::Match;
-
-  /// Creates an empty N-shard index (with a data_dir: initializes per-shard
-  /// subdirectories plus a SHARDS file recording N).
+  /// Creates an empty N-shard in-process index (with a data_dir:
+  /// initializes per-shard subdirectories plus a SHARDS file recording N).
   static Result<std::unique_ptr<ShardedLookupIndex>> Create(
       const ShardedIndexOptions& options);
 
@@ -100,6 +125,21 @@ class ShardedLookupIndex {
   static Result<std::unique_ptr<ShardedLookupIndex>> Open(
       const ShardedIndexOptions& options);
 
+  /// Scatter-gathers over shard-server processes, one unix socket per shard
+  /// (position = shard id, as ShardOf routes). `admin_timeout` bounds every
+  /// wire call without a caller deadline (zero = wait forever). Nothing is
+  /// sent on connect: run Resync after a shard process restarts.
+  static Result<std::unique_ptr<ShardedLookupIndex>> Connect(
+      const std::vector<std::string>& sockets,
+      std::chrono::milliseconds admin_timeout, const FanoutOptions& fanout,
+      bool allow_degraded);
+
+  /// Scatter-gathers over the given clients as they are (no statistics are
+  /// rebuilt). Create, Open and Connect end here; tests pass fakes.
+  static Result<std::unique_ptr<ShardedLookupIndex>> FromShards(
+      std::vector<std::unique_ptr<ShardClient>> shards,
+      const FanoutOptions& fanout, bool allow_degraded);
+
   ~ShardedLookupIndex();
   ShardedLookupIndex(const ShardedLookupIndex&) = delete;
   ShardedLookupIndex& operator=(const ShardedLookupIndex&) = delete;
@@ -109,64 +149,66 @@ class ShardedLookupIndex {
   /// every shard, where each restricts its own candidates — attributes are
   /// owner-local, so the filtered merge stays bit-identical to a filtered
   /// unsharded lookup (filtering removes candidates, never reweights them).
-  Result<std::vector<Match>> Lookup(
+  Result<LookupResult> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
       const filter::FilterPredicate& filter = {});
 
-  /// Routed mutations: the owner shard applies the document and the
-  /// resulting global-stats delta is broadcast to every other shard, keeping
-  /// all published weights cluster-accurate. Serialized internally.
+  /// Routed mutations: the owner shard applies the document and a non-empty
+  /// global-stats delta is broadcast to every other shard, keeping all
+  /// published weights cluster-accurate. Every shard must be reachable.
+  /// Returns the cluster epoch afterwards. Serialized internally.
   /// Attributes never join the delta — they do not affect IDF weights and
   /// stay on the owner shard.
-  Status Upsert(uint64_t doc_id, const std::string& value,
-                const filter::AttrSet& attrs = {});
-  Status Delete(uint64_t doc_id);
+  Result<uint64_t> Upsert(uint64_t doc_id, const std::string& value,
+                          const filter::AttrSet& attrs = {});
+  Result<uint64_t> Delete(uint64_t doc_id);
 
   /// Partitions `records` across shards, bulk-loads each, then rebuilds the
-  /// global statistics everywhere (one publish per shard).
+  /// global statistics everywhere (one publish per shard). In-process
+  /// shards only.
   Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>& records);
 
-  Status Seal();     // every shard
-  Status Compact();  // every shard
+  /// Re-derives every shard's global statistics from the union of all
+  /// shards' live documents — the recovery step after a shard restart.
+  Status Resync();
 
-  /// The current live value of `doc_id`, resolved on its owner shard.
-  std::optional<std::string> ValueOf(uint64_t doc_id) const;
+  /// Seal / compact every shard; return the cluster epoch afterwards.
+  Result<uint64_t> Seal() { return SumOverShards(&ShardClient::Seal); }
+  Result<uint64_t> Compact() { return SumOverShards(&ShardClient::Compact); }
 
   /// Sum of shard epochs: advances on every mutation anywhere, giving
   /// clients one monotone progress number for the whole cluster.
-  uint64_t epoch() const;
+  Result<uint64_t> Epoch() { return SumOverShards(&ShardClient::Epoch); }
 
-  uint32_t num_shards() const { return num_shards_; }
-  serve::LookupService* shard_service(uint32_t i) { return services_[i].get(); }
+  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
 
-  /// Aggregated per-shard service counters (sums across shards).
-  serve::StatsSnapshot Stats() const;
+  /// The fan-out's own figures, also exported as `shard.*`.
+  const ShardMetrics& metrics() const { return metrics_; }
 
  private:
-  explicit ShardedLookupIndex(const ShardedIndexOptions& options);
+  ShardedLookupIndex(std::vector<std::unique_ptr<ShardClient>> shards,
+                     const FanoutOptions& fanout, bool allow_degraded);
 
-  /// One shard sub-lookup with remaining-budget propagation.
-  Result<std::vector<Match>> LookupShard(uint32_t si, const std::string& query,
-                                         size_t k, bool has_deadline,
-                                         std::chrono::steady_clock::time_point
-                                             abs_deadline,
-                                         const filter::FilterPredicate& filter);
+  /// Both require mutation_mu_. BroadcastLocked sends an owner's delta to
+  /// every other shard and returns the cluster epoch.
+  Status ResyncLocked();
+  Result<uint64_t> BroadcastLocked(uint32_t owner, uint64_t owner_epoch,
+                                   const index::GlobalDelta& delta);
+  /// Runs `op` on every shard in id order, under mutation_mu_ so that no
+  /// sum straddles a broadcast; the sum of the epochs returned.
+  Result<uint64_t> SumOverShards(Result<uint64_t> (ShardClient::*op)());
 
-  /// Re-derives every shard's global statistics from the union of all
-  /// shards' live documents. Requires mutation_mu_.
-  Status RebuildGlobalStatsLocked();
-
-  ShardedIndexOptions options_;
-  uint32_t num_shards_ = 1;
-  std::vector<std::unique_ptr<serve::LookupService>> services_;
+  std::vector<std::unique_ptr<ShardClient>> shards_;
+  FanoutOptions fanout_;
+  bool allow_degraded_;
 
   /// Serializes mutations so the owner-apply + broadcast pair is atomic with
   /// respect to other mutations (lookups never take this).
-  mutable std::mutex mutation_mu_;
+  std::mutex mutation_mu_;
 
   ShardMetrics metrics_;
-  std::atomic<uint64_t> provider_id_{0};
+  uint64_t provider_id_ = 0;
 };
 
 }  // namespace ssjoin::shard

@@ -2,7 +2,8 @@
 /// inputs, invokes the binaries (paths injected by CMake as SSJOIN_CLI_PATH
 /// and SSJOIN_SERVED_PATH), and checks outputs. Exercises argument
 /// validation, the snapshot/lookup subcommands (a snapshot is a one-segment
-/// data dir), and a live socket round trip against ssjoin_served.
+/// data dir), live socket round trips against ssjoin_served, and a
+/// coordinator over shard-server processes.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 
 #include "engine/csv.h"
 #include "serve/wire.h"
+#include "shard/router.h"
 
 #ifndef SSJOIN_CLI_PATH
 #error "SSJOIN_CLI_PATH must be defined by the build"
@@ -681,6 +684,165 @@ TEST(CliTest, ServedChurnKillRestartRecovers) {
   std::remove(log1.c_str());
   std::remove(log2.c_str());
   std::filesystem::remove_all(data);
+}
+
+/// The `"matches": [...]` tail of a lookup reply (the last field).
+std::string MatchesOf(const std::string& reply) {
+  size_t at = reply.find("\"matches\": ");
+  return at == std::string::npos ? "<no matches in " + reply + ">"
+                                 : reply.substr(at);
+}
+
+/// The `"epoch": N` field of a reply, or -1 when it has none.
+long long EpochOf(const std::string& reply) {
+  size_t at = reply.find("\"epoch\": ");
+  if (at == std::string::npos) return -1;
+  return std::atoll(reply.c_str() + at + std::strlen("\"epoch\": "));
+}
+
+/// Background ssjoin_served processes, each killed at scope exit if still
+/// alive, so a failing assertion never leaks a server.
+class ServerFleet {
+ public:
+  ~ServerFleet() {
+    for (const auto& [sock, pid] : pids_) ::kill(pid, SIGKILL);
+  }
+
+  /// Starts `ssjoin_served <args> --socket <sock>` and waits for its socket.
+  void Start(const std::string& sock, const std::string& args) {
+    std::string pid_path = sock + ".pid";
+    std::string log = sock + ".log";
+    std::remove(sock.c_str());
+    std::string cmd = std::string(SSJOIN_SERVED_PATH) + " " + args +
+                      " --socket " + sock + " >" + log + " 2>&1 & echo $! > " +
+                      pid_path;
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    pids_[sock] = std::atoi(ReadWholeFile(pid_path).c_str());
+    std::remove(pid_path.c_str());
+    ASSERT_GT(pids_[sock], 1);
+    ASSERT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) == 0; },
+                        std::chrono::seconds(10)))
+        << ReadWholeFile(log);
+  }
+
+  /// kill -9: no orderly shutdown, the socket file stays behind.
+  void Kill(const std::string& sock) {
+    int pid = pids_[sock];
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    WaitFor([&] { return ::kill(pid, 0) != 0; }, std::chrono::seconds(5));
+    pids_.erase(sock);
+  }
+
+  /// Orderly shutdown of every server; each removes its socket on exit.
+  void ShutdownAll() {
+    for (const auto& [sock, pid] : pids_) {
+      EXPECT_NE(RoundTrip(sock, R"({"op": "shutdown"})").find("stopping"),
+                std::string::npos);
+      EXPECT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) != 0; },
+                          std::chrono::seconds(10)))
+          << ReadWholeFile(sock + ".log");
+      std::remove((sock + ".log").c_str());
+    }
+    pids_.clear();
+  }
+
+ private:
+  std::map<std::string, int> pids_;
+};
+
+TEST(CliTest, CoordinatorMatchesUnshardedOracle) {
+  const std::string root = TempPath("coord_e2e");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  auto sock = [&](const std::string& name) {
+    return root + "/" + name + ".sock";
+  };
+  ServerFleet fleet;
+  std::vector<std::string> shard_socks;
+  for (int i = 0; i < 3; ++i) {
+    std::string name = "s" + std::to_string(i);
+    shard_socks.push_back(sock(name));
+    fleet.Start(sock(name), "--data " + root + "/" + name + " --alpha 0.4");
+  }
+  fleet.Start(sock("oracle"), "--data " + root + "/oracle --alpha 0.4");
+  fleet.Start(sock("coord"), "--coordinator " + shard_socks[0] + "," +
+                                 shard_socks[1] + "," + shard_socks[2]);
+  const std::string coord = sock("coord");
+  const std::string oracle = sock("oracle");
+
+  // Every mutation goes through the coordinator and, verbatim, to the
+  // oracle. Each coordinator reply carries the cluster epoch: the `epoch`
+  // op right after it must agree, and the sequence never decreases — a
+  // delete of an absent id included.
+  const std::vector<std::string> names = {
+      "International Business Machines Corporation", "Microsoft Corporation",
+      "Apple Computer Inc", "Oracle Systems Corporation",
+      "Sun Microsystems Inc", "Digital Equipment Corporation",
+      "Hewlett Packard Company", "Silicon Graphics Inc",
+      "Advanced Micro Devices Inc", "Texas Instruments Incorporated"};
+  std::vector<std::string> mutations;
+  for (size_t id = 0; id < names.size(); ++id) {
+    mutations.push_back(R"({"op": "upsert", "id": )" + std::to_string(id) +
+                        R"(, "value": ")" + names[id] + R"("})");
+  }
+  for (const char* id : {"7", "77", "78", "7"}) {
+    mutations.push_back(std::string(R"({"op": "delete", "id": )") + id + "}");
+  }
+  long long last_epoch = -1;
+  for (const std::string& request : mutations) {
+    std::string reply = RoundTrip(coord, request);
+    ASSERT_NE(reply.find("\"ok\": true"), std::string::npos)
+        << request << " -> " << reply;
+    ASSERT_NE(RoundTrip(oracle, request).find("\"ok\": true"),
+              std::string::npos);
+    long long epoch = EpochOf(reply);
+    EXPECT_EQ(epoch, EpochOf(RoundTrip(coord, R"({"op": "epoch"})")))
+        << request << " -> " << reply;
+    EXPECT_GE(epoch, last_epoch) << request << " -> " << reply;
+    last_epoch = epoch;
+  }
+
+  const std::vector<std::string> queries = {
+      "International Business Machines Inc", "Oracle Systems",
+      "Advanced Micro Devices", "Packard Hewlett", "Digital Equipment"};
+  auto lookup = [](const std::string& query) {
+    return R"({"op": "lookup", "query": ")" + query + R"(", "k": 3})";
+  };
+  auto expect_identical = [&](const char* phase) {
+    for (const std::string& q : queries) {
+      std::string got = RoundTrip(coord, lookup(q));
+      EXPECT_NE(got.find(R"("degraded": false, "shards_ok": 3)"),
+                std::string::npos)
+          << phase << ": " << got;
+      EXPECT_EQ(MatchesOf(got), MatchesOf(RoundTrip(oracle, lookup(q))))
+          << phase << ", query " << q;
+    }
+  };
+  expect_identical("after churn");
+
+  // kill -9 one shard: lookups degrade to the two survivors, and a mutation
+  // the dead shard owns fails.
+  fleet.Kill(shard_socks[1]);
+  std::string degraded = RoundTrip(coord, lookup(queries[1]));
+  EXPECT_NE(degraded.find(R"("degraded": true, "shards_ok": 2)"),
+            std::string::npos)
+      << degraded;
+  uint64_t dead_id = 100;
+  while (shard::ShardOf(dead_id, 3) != 1) ++dead_id;
+  std::string refused = RoundTrip(
+      coord, R"({"op": "upsert", "id": )" + std::to_string(dead_id) +
+                 R"(, "value": "Should Not Land"})");
+  EXPECT_NE(refused.find("\"ok\": false"), std::string::npos) << refused;
+
+  // Restart it on its durable dir (WAL replay) and resync the cluster's
+  // global statistics: the answers are whole and identical again.
+  fleet.Start(shard_socks[1], "--data " + root + "/s1 --alpha 0.4");
+  EXPECT_NE(RoundTrip(coord, R"({"op": "resync"})").find("\"resynced\": true"),
+            std::string::npos);
+  expect_identical("after restart + resync");
+
+  fleet.ShutdownAll();
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

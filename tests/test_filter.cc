@@ -699,12 +699,12 @@ TEST(ShardFilterTest, FilteredLookupIsShardCountInvariant) {
                                       pred);
         ASSERT_TRUE(got.ok()) << got.status().message();
         auto want = reference->LookupAt(*ref_state, q, 5, pred);
-        ASSERT_EQ(got->size(), want.size())
+        ASSERT_EQ(got->matches.size(), want.size())
             << "shards " << num_shards << " pred " << pred.CanonicalJson()
             << " query " << q;
         for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ((*got)[i].id, want[i].id) << "shards " << num_shards;
-          EXPECT_EQ((*got)[i].similarity, want[i].similarity)
+          EXPECT_EQ(got->matches[i].id, want[i].id) << "shards " << num_shards;
+          EXPECT_EQ(got->matches[i].similarity, want[i].similarity)
               << "shards " << num_shards;
         }
       }

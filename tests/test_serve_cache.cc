@@ -253,5 +253,31 @@ TEST(WireTest, EscapeRoundTrip) {
   EXPECT_EQ(obj->at("s").str, raw);
 }
 
+TEST(WireTest, UintFromJsonAcceptsOnlyExactIntegers) {
+  auto uint_of = [](const std::string& number, uint64_t max) {
+    auto obj = ParseJsonObject("{\"n\": " + number + "}");
+    EXPECT_TRUE(obj.ok()) << number;
+    return UintFromJson(obj->at("n"), max);
+  };
+  // 1e30 would be undefined behaviour to cast, 2.5 would truncate, -1 would
+  // wrap, and 2^53 + 2 is a double past the exactly-representable range.
+  for (const char* bad : {"1e30", "2.5", "-1", "9007199254740994"}) {
+    auto r = uint_of(bad, kMaxExactInteger);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(*uint_of("0", 10), 0u);
+  EXPECT_EQ(*uint_of("10", 10), 10u);
+  EXPECT_EQ(*uint_of("1e1", 10), 10u);
+  EXPECT_FALSE(uint_of("11", 10).ok());
+  EXPECT_EQ(*uint_of("9007199254740992", kMaxExactInteger), kMaxExactInteger);
+  // `max` above 2^53 is capped, never a licence to cast an inexact double.
+  EXPECT_FALSE(uint_of("9007199254740994", UINT64_MAX).ok());
+  JsonScalar text;
+  text.type = JsonScalar::Type::kString;
+  text.str = "7";
+  EXPECT_FALSE(UintFromJson(text).ok());
+}
+
 }  // namespace
 }  // namespace ssjoin::serve

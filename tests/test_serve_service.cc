@@ -346,18 +346,24 @@ TEST(LookupServiceTest, MutationNeverServesStaleCacheHits) {
   // Upsert a new doc with the query's exact value: it must surface at the
   // top immediately, again bypassing the now-stale cached entries.
   ASSERT_TRUE(service->Upsert(999, query).ok());
-  auto after_upsert = service->Lookup(query, 3);
+  std::vector<std::string> values;
+  auto after_upsert = service->Lookup(query, 3, {}, {}, &values);
   ASSERT_TRUE(after_upsert.ok());
   ASSERT_FALSE(after_upsert->empty());
   EXPECT_EQ((*after_upsert)[0].id, 999u);
   EXPECT_EQ((*after_upsert)[0].similarity, 1.0);
   EXPECT_EQ(service->ValueOf(999).value_or(""), query);
+  ASSERT_EQ(values.size(), after_upsert->size());
+  EXPECT_EQ(values[0], query);
 
-  // Within one epoch the cache works as before: an immediate replay hits.
-  auto replay = service->Lookup(query, 3);
+  // Within one epoch the cache works as before: an immediate replay hits,
+  // and its values are read at the same epoch as the miss's.
+  std::vector<std::string> replay_values;
+  auto replay = service->Lookup(query, 3, {}, {}, &replay_values);
   ASSERT_TRUE(replay.ok());
   ExpectSameMatches(*after_upsert, *replay, query);
   EXPECT_EQ(service->Stats().cache_hits, 2u);
+  EXPECT_EQ(replay_values, values);
 
   // Seal/compact also advance the epoch without changing the answers.
   ASSERT_TRUE(service->Seal().ok());

@@ -1,16 +1,21 @@
 /// Sharding tests: the shard-count invariance contract (N-shard lookups are
 /// bit-identical to an unsharded oracle, fresh and WAL-replayed), router
-/// basics, deadline budgeting, hedged retries, sealed-snapshot replication
-/// and the exact wire-value encodings.
+/// basics, deadline budgeting, hedged retries, cluster epochs, the fan-out
+/// policies over fake shards, sealed-snapshot replication and the exact
+/// wire-value encodings.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "lookup_corpus.h"
 #include "shard/replication.h"
 #include "shard/router.h"
+#include "shard/shard_client.h"
 #include "shard/sharded_index.h"
 #include "shard/wire_client.h"
 
@@ -46,8 +52,8 @@ ShardedIndexOptions ShardOptions(uint32_t n, double alpha) {
 }
 
 void ExpectBitIdentical(const std::vector<MutableFuzzyIndex::Match>& oracle,
-                        const std::vector<MutableFuzzyIndex::Match>& sharded,
-                        uint32_t n, const std::string& query) {
+                        const std::vector<ShardMatch>& sharded, uint32_t n,
+                        const std::string& query) {
   ASSERT_EQ(oracle.size(), sharded.size())
       << "N=" << n << " query: " << query;
   for (size_t i = 0; i < oracle.size(); ++i) {
@@ -93,7 +99,7 @@ TEST(ShardedIndex, BitIdenticalToOracleAcrossShardCounts) {
     for (const auto& q : queries) {
       auto got = sharded->Lookup(q, 5);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectBitIdentical(oracle->Lookup(q, 5), *got, n, q);
+      ExpectBitIdentical(oracle->Lookup(q, 5), got->matches, n, q);
     }
   }
 }
@@ -127,7 +133,7 @@ TEST(ShardedIndex, BitIdenticalUnderInterleavedMutations) {
         const std::string& q = queries[(step / 10) % queries.size()];
         auto got = sharded->Lookup(q, 4);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectBitIdentical(oracle->Lookup(q, 4), *got, n, q);
+        ExpectBitIdentical(oracle->Lookup(q, 4), got->matches, n, q);
       }
     }
     // Seal + compact must not change any result, only epochs.
@@ -136,7 +142,7 @@ TEST(ShardedIndex, BitIdenticalUnderInterleavedMutations) {
     for (const auto& q : queries) {
       auto got = sharded->Lookup(q, 4);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectBitIdentical(oracle->Lookup(q, 4), *got, n, q);
+      ExpectBitIdentical(oracle->Lookup(q, 4), got->matches, n, q);
     }
   }
 }
@@ -174,7 +180,7 @@ TEST(ShardedIndex, BitIdenticalAfterWalReplayedReopen) {
   for (const auto& q : queries) {
     auto got = reopened->Lookup(q, 5);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectBitIdentical(oracle->Lookup(q, 5), *got, 3, q);
+    ExpectBitIdentical(oracle->Lookup(q, 5), got->matches, 3, q);
   }
 
   // A different shard count must be refused, not silently rerouted.
@@ -198,8 +204,8 @@ TEST(ShardedIndex, ExpiredDeadlineIsRejected) {
   // A generous deadline passes and stays bit-identical.
   auto ok = sharded->Lookup(master[0], 3, std::chrono::milliseconds(5000));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  ASSERT_FALSE(ok->empty());
-  EXPECT_EQ((*ok)[0].id, 0u);
+  ASSERT_FALSE(ok->matches.empty());
+  EXPECT_EQ(ok->matches[0].id, 0u);
 }
 
 TEST(ShardedIndex, HedgingPreservesResults) {
@@ -212,8 +218,8 @@ TEST(ShardedIndex, HedgingPreservesResults) {
   // Hedge aggressively: most dispatches outlive 0ms..1ms, so duplicate
   // lookups race the originals constantly. First-completion-wins must keep
   // every result identical.
-  options.hedge_delay = std::chrono::milliseconds(1);
-  options.straggler_threshold = std::chrono::milliseconds(1);
+  options.fanout.hedge_delay = std::chrono::milliseconds(1);
+  options.fanout.straggler_threshold = std::chrono::milliseconds(1);
   auto sharded = ShardedLookupIndex::Create(options).MoveValueUnsafe();
   ASSERT_TRUE(sharded->BulkLoad(records).ok());
 
@@ -221,21 +227,196 @@ TEST(ShardedIndex, HedgingPreservesResults) {
   for (const auto& q : queries) {
     auto got = sharded->Lookup(q, 5);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectBitIdentical(oracle->Lookup(q, 5), *got, 3, q);
+    ExpectBitIdentical(oracle->Lookup(q, 5), got->matches, 3, q);
   }
 }
 
 TEST(ShardedIndex, ValueOfResolvesOnOwnerShard) {
+  // Each shard attaches its matches' values (LocalShard reads them from its
+  // own service at the epoch its lookup scored against), so a value comes
+  // from the shard owning the document.
   auto sharded =
       ShardedLookupIndex::Create(ShardOptions(4, 0.5)).MoveValueUnsafe();
   ASSERT_TRUE(sharded->Upsert(7, "seven hills road").ok());
   ASSERT_TRUE(sharded->Upsert(8, "eight mile lane").ok());
-  auto v = sharded->ValueOf(7);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "seven hills road");
-  EXPECT_FALSE(sharded->ValueOf(99).has_value());
+  auto got = sharded->Lookup("seven hills road", 3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_FALSE(got->matches.empty());
+  EXPECT_EQ(got->matches[0].id, 7u);
+  EXPECT_EQ(got->matches[0].value, "seven hills road");
+  EXPECT_FALSE(got->degraded);
+  EXPECT_EQ(got->shards_ok, 4u);
   ASSERT_TRUE(sharded->Delete(7).ok());
-  EXPECT_FALSE(sharded->ValueOf(7).has_value());
+  got = sharded->Lookup("seven hills road", 3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (const ShardMatch& m : got->matches) EXPECT_NE(m.id, 7u);
+}
+
+TEST(ShardedIndex, MutationEpochsAreClusterEpochsAndNeverDecrease) {
+  // A delete of an absent id has an empty global-stats delta: only the
+  // owner shard publishes, nothing is broadcast, and the returned epoch is
+  // still the cluster epoch.
+  auto sharded =
+      ShardedLookupIndex::Create(ShardOptions(3, 0.5)).MoveValueUnsafe();
+  uint64_t last = *sharded->Epoch();
+  auto expect_cluster_epoch = [&](const Result<uint64_t>& epoch) {
+    ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+    EXPECT_EQ(*epoch, *sharded->Epoch());
+    EXPECT_GT(*epoch, last);
+    last = *epoch;
+  };
+  for (uint64_t id = 0; id < 6; ++id) {
+    expect_cluster_epoch(sharded->Upsert(id, "road " + std::to_string(id)));
+  }
+  expect_cluster_epoch(sharded->Delete(77));
+  expect_cluster_epoch(sharded->Delete(78));
+  expect_cluster_epoch(sharded->Delete(3));
+  expect_cluster_epoch(sharded->Delete(3));
+  // A no-op delete advances exactly its owner shard.
+  uint64_t before = *sharded->Epoch();
+  expect_cluster_epoch(sharded->Delete(79));
+  EXPECT_EQ(*sharded->Epoch(), before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out policies over fake shards
+
+/// A scripted shard: every lookup runs `stall` (if set) with its call
+/// number, then answers `status` if that is an error, else `matches`. Only
+/// lookups are scripted; everything else is unused by these tests.
+class FakeShard : public ShardClient {
+ public:
+  Result<std::vector<ShardMatch>> Lookup(
+      const std::string&, size_t, std::chrono::milliseconds,
+      const filter::FilterPredicate&) override {
+    int call = calls.fetch_add(1);
+    if (stall) stall(call);
+    if (!status.ok()) return status;
+    return matches;
+  }
+  Result<uint64_t> UpsertGlobal(uint64_t, const std::string&,
+                                const filter::AttrSet&,
+                                index::GlobalDelta*) override {
+    return Unused();
+  }
+  Result<uint64_t> DeleteGlobal(uint64_t, index::GlobalDelta*) override {
+    return Unused();
+  }
+  Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta&) override {
+    return Unused();
+  }
+  Status ResetGlobalStats(const std::vector<std::string>&) override {
+    return Unused();
+  }
+  Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() override {
+    return Unused();
+  }
+  Result<uint64_t> Seal() override { return Unused(); }
+  Result<uint64_t> Compact() override { return Unused(); }
+  Result<uint64_t> Epoch() override { return Unused(); }
+
+  std::vector<ShardMatch> matches;
+  Status status = Status::OK();
+  std::function<void(int call)> stall;
+  std::atomic<int> calls{0};
+
+ private:
+  static Status Unused() { return Status::Invalid("not scripted"); }
+};
+
+/// N fake shards; shard i answers doc i at similarity 0.9 - 0.1 i.
+struct FakeCluster {
+  std::vector<FakeShard*> shards;
+  std::unique_ptr<ShardedLookupIndex> index;
+};
+
+FakeCluster MakeFakeCluster(uint32_t n, const FanoutOptions& fanout,
+                            bool allow_degraded) {
+  FakeCluster cluster;
+  std::vector<std::unique_ptr<ShardClient>> clients;
+  for (uint32_t i = 0; i < n; ++i) {
+    auto shard = std::make_unique<FakeShard>();
+    shard->matches = {{i, 0.9 - 0.1 * i, "doc " + std::to_string(i)}};
+    cluster.shards.push_back(shard.get());
+    clients.push_back(std::move(shard));
+  }
+  cluster.index =
+      ShardedLookupIndex::FromShards(std::move(clients), fanout, allow_degraded)
+          .MoveValueUnsafe();
+  return cluster;
+}
+
+TEST(FanoutTest, StalledShardLosesToItsHedge) {
+  FanoutOptions fanout;
+  fanout.hedge_delay = std::chrono::milliseconds(50);
+  FakeCluster cluster = MakeFakeCluster(2, fanout, /*allow_degraded=*/false);
+  // Shard 1's first call stalls until its hedge (the second call) has
+  // answered, and 100 ms beyond; shard 0 answers at once.
+  std::promise<void> hedge_answered;
+  std::shared_future<void> answered = hedge_answered.get_future().share();
+  cluster.shards[1]->stall = [&](int call) {
+    if (call == 0) {
+      answered.wait_for(std::chrono::seconds(10));
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    } else {
+      hedge_answered.set_value();
+    }
+  };
+  auto got = cluster.index->Lookup("q", 3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->matches.size(), 2u);
+  EXPECT_EQ(got->matches[0].id, 0u);
+  EXPECT_EQ(got->matches[1].id, 1u);
+  EXPECT_EQ(got->matches[1].value, "doc 1");
+  EXPECT_EQ(cluster.shards[1]->calls.load(), 2);
+  EXPECT_EQ(cluster.index->metrics().hedges.load(), 1u);
+  EXPECT_EQ(cluster.index->metrics().hedge_wins.load(), 1u);
+  EXPECT_GE(cluster.index->metrics().stragglers.load(), 1u);
+}
+
+TEST(FanoutTest, UnreachableShardIsDroppedOnlyWhenDegradedReadsAreAllowed) {
+  for (Status down : {Status::Unavailable("shard down"),
+                      Status::IOError("connection refused")}) {
+    for (bool allow_degraded : {false, true}) {
+      FakeCluster cluster = MakeFakeCluster(3, {}, allow_degraded);
+      cluster.shards[1]->status = down;
+      auto got = cluster.index->Lookup("q", 3);
+      if (!allow_degraded) {
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), down.code());
+        EXPECT_EQ(cluster.index->metrics().failed_lookups.load(), 1u);
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->degraded);
+      EXPECT_EQ(got->shards_ok, 2u);
+      ASSERT_EQ(got->matches.size(), 2u);
+      EXPECT_EQ(got->matches[0].id, 0u);
+      EXPECT_EQ(got->matches[1].id, 2u);
+      EXPECT_EQ(cluster.index->metrics().degraded.load(), 1u);
+    }
+  }
+}
+
+TEST(FanoutTest, DeadlineExceededFailsEvenWithDegradedReads) {
+  FakeCluster cluster = MakeFakeCluster(3, {}, /*allow_degraded=*/true);
+  cluster.shards[2]->status = Status::DeadlineExceeded("shard budget spent");
+  auto got = cluster.index->Lookup("q", 3);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(cluster.index->metrics().deadline_rejects.load(), 1u);
+  EXPECT_EQ(cluster.index->metrics().degraded.load(), 0u);
+}
+
+TEST(FanoutTest, NoReachableShardIsUnavailable) {
+  FakeCluster cluster = MakeFakeCluster(3, {}, /*allow_degraded=*/true);
+  for (FakeShard* shard : cluster.shards) {
+    shard->status = Status::IOError("connection refused");
+  }
+  auto got = cluster.index->Lookup("q", 3);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(cluster.index->metrics().failed_lookups.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -56,9 +55,7 @@
 #include "obs/metrics.h"
 #include "serve/lookup_service.h"
 #include "serve/wire.h"
-#include "shard/coordinator.h"
 #include "shard/replication.h"
-#include "shard/router.h"
 #include "shard/sharded_index.h"
 #include "shard/wire_client.h"
 
@@ -123,8 +120,10 @@ int Usage() {
       "                     [--max-queue N] [--cache N] [--cache-shards N]\n"
       "                     [--k-default N] [--seal-threshold N]\n"
       "                     [--max-generations N] [--shards N]\n"
+      "                     [--hedge-ms N] [--straggler-ms N]\n"
       "       ssjoin_served --coordinator SOCK1,SOCK2,... --socket PATH\n"
       "                     [--hedge-ms N] [--straggler-ms N] [--no-degraded]\n"
+      "                     [--admin-timeout-ms N]\n"
       "       ssjoin_served --follow LEADER_SOCK --data DIR --socket PATH\n"
       "                     [--sync-interval-ms N]\n"
       "  --data DIR       durable index directory: reopened (WAL replay) if it\n"
@@ -147,9 +146,15 @@ int Usage() {
       "  --shards N       serve an in-process N-way sharded index (scatter-\n"
       "                   gather per lookup; results bit-identical to N=1)\n"
       "  --coordinator L  scatter-gather over shard SERVER processes at the\n"
-      "                   listed sockets (position = shard id); --hedge-ms\n"
-      "                   hedges stragglers, degraded partial responses when\n"
-      "                   a shard is down unless --no-degraded\n"
+      "                   listed sockets (position = shard id); degraded\n"
+      "                   partial responses when a shard is down unless\n"
+      "                   --no-degraded\n"
+      "  --hedge-ms N     re-issue a shard lookup unanswered after N ms, first\n"
+      "                   answer wins (--shards, --coordinator; default 0: off)\n"
+      "  --straggler-ms N count shards answering after N ms in shard.stragglers\n"
+      "                   (--shards, --coordinator; default: hedge-ms)\n"
+      "  --admin-timeout-ms N  coordinator wire budget of mutations, resync,\n"
+      "                   seal and epoch (default 30000; 0: unbounded)\n"
       "  --follow SOCK    replicate the leader's sealed snapshots into --data\n"
       "                   and serve them read-only at the last sealed epoch\n"
       "ops: ping, lookup, upsert, delete, compact, seal, epoch, stats\n"
@@ -157,19 +162,20 @@ int Usage() {
       "     one NDJSON metric object per line), shutdown\n"
       "shard-server ops (single mode): slookup (exact hex-float scores),\n"
       "     upsert/delete with \"global\": true, gstats, gstats_reset, dump,\n"
-      "     getvalue, repl_fetch; coordinator adds resync, follower adds sync\n");
+      "     getvalue, repl_fetch; --shards and --coordinator add resync,\n"
+      "     follower adds sync\n");
   return 2;
 }
 
 struct ServerState {
-  /// Exactly one backend is set, selecting the serving mode. `service` is a
-  /// shared_ptr because the follower's sync loop swaps in a freshly opened
-  /// service after each replicated epoch; requests pin the one they started
-  /// on via Service().
+  /// Exactly one backend is set, selecting the serving mode: a fan-out
+  /// (`sharded`, for --shards and --coordinator) or one service. `service`
+  /// is a shared_ptr because the follower's sync loop swaps in a freshly
+  /// opened service after each replicated epoch; requests pin the one they
+  /// started on via Service().
   std::shared_ptr<serve::LookupService> service;
   std::mutex service_mu;
   shard::ShardedLookupIndex* sharded = nullptr;
-  shard::Coordinator* coordinator = nullptr;
 
   /// Data directory served by repl_fetch (replication leader role); empty
   /// disables the op.
@@ -206,27 +212,22 @@ struct LookupParams {
   filter::FilterPredicate filter;
 };
 
-/// Largest integer a JSON number (a double) holds exactly.
-constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+using serve::kMaxExactInteger;
 /// Largest `deadline_ms`: one day. Far larger budgets overflow the
 /// steady_clock nanosecond arithmetic of an absolute deadline.
 constexpr uint64_t kMaxDeadlineMs = 86'400'000;
 
 /// The numeric field `key`, or `fallback` when it is absent (absent with no
-/// fallback is an error). Only integral numbers in [0, max] are accepted, so
-/// the cast from double is exact: a fraction, a negative or out-of-range
-/// value, or a non-number is an Invalid naming the field.
+/// fallback is an error). serve::UintFromJson accepts only integral numbers
+/// in [0, max]; anything else is an Invalid naming the field.
 Result<uint64_t> UintField(const JsonObj& obj, const char* key, uint64_t max,
                            std::optional<uint64_t> fallback = std::nullopt) {
   auto it = obj.find(key);
   if (it == obj.end()) {
     if (fallback.has_value()) return *fallback;
-  } else if (!it->second.is_object &&
-             it->second.scalar.type == serve::JsonScalar::Type::kNumber) {
-    double v = it->second.scalar.num;
-    if (v >= 0.0 && v <= static_cast<double>(max) && v == std::floor(v)) {
-      return static_cast<uint64_t>(v);
-    }
+  } else if (!it->second.is_object) {
+    Result<uint64_t> v = serve::UintFromJson(it->second.scalar, max);
+    if (v.ok()) return v;
   }
   return Status::Invalid(std::string("field '") + key +
                          "' must be an integer in [0, " + std::to_string(max) +
@@ -279,10 +280,10 @@ Result<filter::AttrSet> AttrsField(const JsonObj& obj) {
 }
 
 /// The human-facing match list: decimal similarity for display plus the
-/// document value. Each entry is (id, similarity, value).
-std::string MatchesResponse(
-    const std::vector<std::tuple<uint64_t, double, std::string>>& matches,
-    const char* extra) {
+/// document value. Each entry is an (id, similarity, value) tuple or a
+/// shard::ShardMatch.
+template <typename Matches>
+std::string MatchesResponse(const Matches& matches, const char* extra) {
   std::string out = "{\"ok\": true";
   out += extra;
   out += ", \"matches\": [";
@@ -296,6 +297,13 @@ std::string MatchesResponse(
   }
   out += "]}";
   return out;
+}
+
+/// The fan-out's `shard.*` figures as one flat JSON object.
+std::string ShardStatsJson(const shard::ShardedLookupIndex& sharded) {
+  std::vector<obs::MetricPoint> points;
+  shard::CollectShardMetrics(sharded.metrics(), sharded.num_shards(), &points);
+  return obs::ToFlatJson(points);
 }
 
 std::string HandleLine(const std::string& line, ServerState* state,
@@ -343,76 +351,17 @@ std::string HandleLine(const std::string& line, ServerState* state,
     }
   }
 
-  // ---- Coordinator mode: scatter-gather over shard server processes. ----
-  if (state->coordinator != nullptr) {
-    shard::Coordinator* coord = state->coordinator;
-    if (op == "stats") {
-      // The coordinator owns no LookupService; its observable surface is the
-      // shard.* fan-out metrics, already in the registry export above.
-      return "{\"ok\": true, \"mode\": \"coordinator\", \"shards\": " +
-             std::to_string(coord->num_shards()) + "}";
-    }
-    if (op == "lookup") {
-      auto params = ParseLookupParams(obj, state->default_k);
-      if (!params.ok()) return ErrorResponse(params.status());
-      auto result = coord->Lookup(params->query, params->k, params->deadline,
-                                  params->filter);
-      if (!result.ok()) return ErrorResponse(result.status());
-      std::vector<std::tuple<uint64_t, double, std::string>> matches;
-      matches.reserve(result->matches.size());
-      for (const auto& m : result->matches) {
-        matches.emplace_back(m.id, m.similarity, m.value);
-      }
-      std::string extra = std::string(", \"degraded\": ") +
-                          (result->degraded ? "true" : "false") +
-                          ", \"shards_ok\": " +
-                          std::to_string(result->shards_ok);
-      return MatchesResponse(matches, extra.c_str());
-    }
-    if (op == "upsert" || op == "delete") {
-      auto id = UintField(obj, "id", kMaxExactInteger);
-      if (!id.ok()) return ErrorResponse(id.status());
-      auto epoch_response = [](const Result<uint64_t>& epoch) {
-        if (!epoch.ok()) return ErrorResponse(epoch.status());
-        return "{\"ok\": true, \"epoch\": " + std::to_string(*epoch) + "}";
-      };
-      if (op == "upsert") {
-        auto value = StringField(obj, "value");
-        if (!value.ok()) return ErrorResponse(value.status());
-        auto attrs = AttrsField(obj);
-        if (!attrs.ok()) return ErrorResponse(attrs.status());
-        return epoch_response(coord->Upsert(*id, *value, *attrs));
-      }
-      return epoch_response(coord->Delete(*id));
-    }
-    if (op == "resync") {
-      Status s = coord->Resync();
-      if (!s.ok()) return ErrorResponse(s);
-      return "{\"ok\": true, \"resynced\": true}";
-    }
-    if (op == "seal" || op == "compact") {
-      Status s = coord->Broadcast(op);
-      if (!s.ok()) return ErrorResponse(s);
-      return "{\"ok\": true}";
-    }
-    if (op == "epoch") {
-      auto epoch = coord->ClusterEpoch();
-      if (!epoch.ok()) return ErrorResponse(epoch.status());
-      return "{\"ok\": true, \"epoch\": " + std::to_string(*epoch) + "}";
-    }
-    return ErrorResponse(Status::Invalid("unknown coordinator op '" + op + "'"));
-  }
-
-  // ---- In-process sharded mode. ----
+  // ---- Fan-out modes (--shards N, --coordinator): one scatter-gather. ----
   if (state->sharded != nullptr) {
     shard::ShardedLookupIndex* sharded = state->sharded;
-    auto epoch_reply = [sharded](const Status& status) {
-      if (!status.ok()) return ErrorResponse(status);
-      return "{\"ok\": true, \"epoch\": " + std::to_string(sharded->epoch()) +
-             "}";
+    auto epoch_reply = [](const Result<uint64_t>& epoch) {
+      if (!epoch.ok()) return ErrorResponse(epoch.status());
+      return "{\"ok\": true, \"epoch\": " + std::to_string(*epoch) + "}";
     };
     if (op == "stats") {
-      return "{\"ok\": true, \"stats\": " + sharded->Stats().ToJson() + "}";
+      return "{\"ok\": true, \"shards\": " +
+             std::to_string(sharded->num_shards()) +
+             ", \"stats\": " + ShardStatsJson(*sharded) + "}";
     }
     if (op == "lookup") {
       auto params = ParseLookupParams(obj, state->default_k);
@@ -420,31 +369,30 @@ std::string HandleLine(const std::string& line, ServerState* state,
       auto result = sharded->Lookup(params->query, params->k, params->deadline,
                                     params->filter);
       if (!result.ok()) return ErrorResponse(result.status());
-      std::vector<std::tuple<uint64_t, double, std::string>> matches;
-      matches.reserve(result->size());
-      for (const auto& m : *result) {
-        matches.emplace_back(m.id, m.similarity,
-                             sharded->ValueOf(m.id).value_or(""));
-      }
-      return MatchesResponse(matches, "");
+      std::string extra = std::string(", \"degraded\": ") +
+                          (result->degraded ? "true" : "false") +
+                          ", \"shards_ok\": " +
+                          std::to_string(result->shards_ok);
+      return MatchesResponse(result->matches, extra.c_str());
     }
-    if (op == "upsert") {
+    if (op == "upsert" || op == "delete") {
       auto id = UintField(obj, "id", kMaxExactInteger);
       if (!id.ok()) return ErrorResponse(id.status());
+      if (op == "delete") return epoch_reply(sharded->Delete(*id));
       auto value = StringField(obj, "value");
       if (!value.ok()) return ErrorResponse(value.status());
       auto attrs = AttrsField(obj);
       if (!attrs.ok()) return ErrorResponse(attrs.status());
       return epoch_reply(sharded->Upsert(*id, *value, *attrs));
     }
-    if (op == "delete") {
-      auto id = UintField(obj, "id", kMaxExactInteger);
-      if (!id.ok()) return ErrorResponse(id.status());
-      return epoch_reply(sharded->Delete(*id));
+    if (op == "resync") {
+      Status s = sharded->Resync();
+      if (!s.ok()) return ErrorResponse(s);
+      return "{\"ok\": true, \"resynced\": true}";
     }
     if (op == "seal") return epoch_reply(sharded->Seal());
     if (op == "compact") return epoch_reply(sharded->Compact());
-    if (op == "epoch") return epoch_reply(Status::OK());
+    if (op == "epoch") return epoch_reply(sharded->Epoch());
     return ErrorResponse(Status::Invalid("unknown sharded op '" + op + "'"));
   }
 
@@ -850,38 +798,52 @@ class WireFetcher : public shard::Fetcher {
       return Status::IOError(message);
     }
     auto len = obj.find("len");
-    if (len == obj.end() || len->second.type != serve::JsonScalar::Type::kNumber ||
-        len->second.num < 0) {
+    if (len == obj.end()) {
       return Status::IOError("repl_fetch header lacks 'len'");
     }
-    return client.ReadRaw(static_cast<size_t>(len->second.num),
-                          std::chrono::milliseconds(60000));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t n, serve::UintFromJson(len->second));
+    return client.ReadRaw(n, std::chrono::milliseconds(60000));
   }
 
  private:
   std::string leader_socket_;
 };
 
-Result<int> RunCoordinator(const Args& args, const std::string& socket_path,
-                           const std::string& shard_list, size_t default_k) {
-  shard::CoordinatorOptions copts;
-  copts.shard_sockets = SplitAndDropEmpty(shard_list, ",");
+/// The fan-out knobs both --shards and --coordinator accept.
+Result<shard::FanoutOptions> FanoutFlags(const Args& args) {
+  shard::FanoutOptions fanout;
   SSJOIN_ASSIGN_OR_RETURN(size_t hedge_ms, SizeFlag(args, "hedge-ms", 0));
   SSJOIN_ASSIGN_OR_RETURN(size_t straggler_ms, SizeFlag(args, "straggler-ms", 0));
+  fanout.hedge_delay = std::chrono::milliseconds(hedge_ms);
+  fanout.straggler_threshold = std::chrono::milliseconds(straggler_ms);
+  return fanout;
+}
+
+/// Serves a fan-out (--shards or --coordinator) until shutdown.
+Result<int> ServeFanout(const std::string& socket_path,
+                        shard::ShardedLookupIndex* sharded, size_t default_k) {
+  ServerState state;
+  state.sharded = sharded;
+  state.default_k = default_k;
+  Result<int> rc = ServeLoop(socket_path, &state);
+  std::fprintf(stderr, "final stats: %s\n", ShardStatsJson(*sharded).c_str());
+  return rc;
+}
+
+Result<int> RunCoordinator(const Args& args, const std::string& socket_path,
+                           const std::string& shard_list, size_t default_k) {
+  SSJOIN_ASSIGN_OR_RETURN(shard::FanoutOptions fanout, FanoutFlags(args));
   SSJOIN_ASSIGN_OR_RETURN(size_t admin_ms,
                           SizeFlag(args, "admin-timeout-ms", 30000));
-  copts.hedge_delay = std::chrono::milliseconds(hedge_ms);
-  copts.straggler_threshold = std::chrono::milliseconds(straggler_ms);
-  copts.admin_timeout = std::chrono::milliseconds(admin_ms);
-  copts.allow_degraded = args.flags.count("no-degraded") == 0;
-  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<shard::Coordinator> coordinator,
-                          shard::Coordinator::Create(copts));
+  SSJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<shard::ShardedLookupIndex> coordinator,
+      shard::ShardedLookupIndex::Connect(SplitAndDropEmpty(shard_list, ","),
+                                         std::chrono::milliseconds(admin_ms),
+                                         fanout,
+                                         args.flags.count("no-degraded") == 0));
   std::fprintf(stderr, "coordinating %u shard servers\n",
                coordinator->num_shards());
-  ServerState state;
-  state.coordinator = coordinator.get();
-  state.default_k = default_k;
-  return ServeLoop(socket_path, &state);
+  return ServeFanout(socket_path, coordinator.get(), default_k);
 }
 
 Result<int> RunFollower(const Args& args, const std::string& socket_path,
@@ -983,10 +945,7 @@ Result<int> RunSharded(const Args& args, const std::string& socket_path,
     sopts.match.word_tokens = false;
     SSJOIN_ASSIGN_OR_RETURN(sopts.match.q, SizeFlag(args, "qgrams", 3));
   }
-  SSJOIN_ASSIGN_OR_RETURN(size_t hedge_ms, SizeFlag(args, "hedge-ms", 0));
-  SSJOIN_ASSIGN_OR_RETURN(size_t straggler_ms, SizeFlag(args, "straggler-ms", 0));
-  sopts.hedge_delay = std::chrono::milliseconds(hedge_ms);
-  sopts.straggler_threshold = std::chrono::milliseconds(straggler_ms);
+  SSJOIN_ASSIGN_OR_RETURN(sopts.fanout, FanoutFlags(args));
 
   std::unique_ptr<shard::ShardedLookupIndex> sharded;
   if (!sopts.data_dir.empty() &&
@@ -1005,20 +964,14 @@ Result<int> RunSharded(const Args& args, const std::string& socket_path,
       SSJOIN_ASSIGN_OR_RETURN(
           auto records, ReadReferenceRecords(ref->second, col->second));
       SSJOIN_RETURN_NOT_OK(sharded->BulkLoad(records));
-      SSJOIN_RETURN_NOT_OK(sharded->Seal());
+      SSJOIN_RETURN_NOT_OK(sharded->Seal().status());
       std::fprintf(stderr,
                    "built %u-shard index over %zu reference strings in %.1f ms\n",
                    sharded->num_shards(), records.size(), t.ElapsedMillis());
     }
   }
 
-  ServerState state;
-  state.sharded = sharded.get();
-  state.default_k = default_k;
-  Result<int> rc = ServeLoop(socket_path, &state);
-  std::fprintf(stderr, "final stats: %s\n",
-               sharded->Stats().ToJson().c_str());
-  return rc;
+  return ServeFanout(socket_path, sharded.get(), default_k);
 }
 
 Result<int> RunServer(const Args& args) {
