@@ -1,16 +1,20 @@
 /// Microbenchmarks of the src/kernels hot loops: sorted-span intersection
-/// (the verify phase's Overlap(s1, s2)) across span-length ratios, and the
-/// posting-probe candidate count (the prefix filter's equi-join), each run
-/// at every available kernel tier so the per-tier speedup over the scalar
-/// oracle is tracked in one table.
+/// (Overlap(s1, s2)) across span-length ratios, the batch join's verify
+/// shape (one R-set against its candidates, merge vs the marked probe), and
+/// the posting-probe candidate count (the prefix filter's equi-join), each
+/// run at every available kernel tier so the per-tier speedup over the
+/// scalar oracle is tracked in one table.
 ///
 /// Expected shape: simd wins on balanced spans (the block compare retires
 /// ~W^2 comparisons per load pair), gallop wins once one side is ~32x longer
 /// (the auto heuristic's crossover), and every tier reports the same match
-/// counts — the tiers are bit-identical, only their clocks differ.
+/// counts — the tiers are bit-identical, only their clocks differ. On the
+/// verify shape the marked probe beats every merge tier: it reads only the
+/// candidate, not R again, and stops once the candidate cannot pass.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -128,6 +132,74 @@ void BM_Probe(benchmark::State& state, Tier tier, size_t postings_len,
                           static_cast<int64_t>(postings_len));
 }
 
+/// The batch join's verify shape: one R-set against its candidate list.
+/// Token ids and candidate sizes follow join_edit_8k's q-gram sets (~35
+/// elements); most candidates share only the prefix token that made them
+/// candidates, a few are near-duplicates of R.
+struct VerifyShape {
+  std::vector<uint32_t> r;
+  std::vector<std::vector<uint32_t>> cands;
+  std::vector<double> cand_weights;
+  std::vector<double> weights;
+  double alpha = 0.8;  // Overlap >= alpha * max(|r|, |s|), unit weights
+  size_t elements = 0;  // sum of |r| + |s| over candidates (a merge's reads)
+};
+
+VerifyShape MakeVerifyShape(size_t r_size, size_t num_cands) {
+  constexpr uint32_t kUniverse = 5000;
+  VerifyShape v;
+  Rng rng(35);
+  v.r = MakeSpreadSpan(r_size, kUniverse, 36);
+  v.weights.assign(kUniverse, 1.0);
+  for (size_t c = 0; c < num_cands; ++c) {
+    std::vector<uint32_t> s;
+    const size_t n = 30 + rng.Uniform(11);
+    const bool near_dup = rng.Bernoulli(0.05);
+    for (uint32_t t : v.r) {
+      // A near-duplicate keeps ~90% of R; the rest keep one or two tokens.
+      if (near_dup ? !rng.Bernoulli(0.1) : rng.Bernoulli(0.04)) s.push_back(t);
+    }
+    if (s.empty()) s.push_back(v.r[rng.Uniform(v.r.size())]);
+    while (s.size() < n) {
+      s.push_back(static_cast<uint32_t>(rng.Uniform(kUniverse)));
+    }
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    v.elements += v.r.size() + s.size();
+    v.cand_weights.push_back(static_cast<double>(s.size()));
+    v.cands.push_back(std::move(s));
+  }
+  return v;
+}
+
+/// Candidates passing the shape's predicate, verified by the sorted merge
+/// at `tier`: the inline verify loop before the marked probe.
+size_t VerifyByMerge(Tier tier, const VerifyShape& v) {
+  size_t passed = 0;
+  for (const std::vector<uint32_t>& s : v.cands) {
+    const double need =
+        v.alpha * static_cast<double>(std::max(v.r.size(), s.size()));
+    passed += kernels::IntersectWeightedTier(tier, v.r, s, v.weights.data(),
+                                             nullptr) >= need;
+  }
+  return passed;
+}
+
+/// The same count through the marked probe with its early-exit bound.
+size_t VerifyByMarks(kernels::MarkedSet& marks, const VerifyShape& v) {
+  size_t passed = 0;
+  marks.Mark(v.r);
+  for (size_t c = 0; c < v.cands.size(); ++c) {
+    const double need =
+        v.alpha * static_cast<double>(std::max(v.r.size(), v.cands[c].size()));
+    double overlap = 0.0;
+    passed += marks.OverlapAtLeast(v.cands[c], v.cand_weights[c], need,
+                                   &overlap) &&
+              overlap >= need;
+  }
+  return passed;
+}
+
 /// Hand-timed measurement for the JSON table: google-benchmark's own timing
 /// is used for the console output, but the summary rows want one comparable
 /// number per (op, shape, tier) regardless of iteration policy.
@@ -168,6 +240,38 @@ void MeasureRows() {
            ns > 0.0 ? static_cast<double>(sh.na + sh.nb) * 1e3 / ns : 0.0,
            matches});
     }
+  }
+  // Verify: one 35-element R-set against 600 candidates, per candidate.
+  // The merge runs at every tier; the marked probe has one implementation
+  // (tier "marked"), so its speedup column reads against the scalar merge.
+  {
+    const VerifyShape v = MakeVerifyShape(35, 600);
+    const double n = static_cast<double>(v.cands.size());
+    auto row = [&](const char* tier, double ns_per_round, size_t passed) {
+      const double ns = ns_per_round / n;
+      KernelRows().push_back(
+          {"verify", "35x600", tier, ns,
+           ns > 0.0 ? static_cast<double>(v.elements) / n * 1e3 / ns : 0.0,
+           passed});
+    };
+    const size_t reps = 200;
+    for (Tier tier : kernels::AvailableTiers()) {
+      size_t passed = 0;
+      for (size_t i = 0; i < 10; ++i) passed = VerifyByMerge(tier, v);
+      Timer timer;
+      for (size_t i = 0; i < reps; ++i) passed = VerifyByMerge(tier, v);
+      row(kernels::TierName(tier),
+          timer.ElapsedMillis() * 1e6 / static_cast<double>(reps), passed);
+    }
+    kernels::MarkedSet marks;
+    marks.Bind(v.weights);
+    size_t passed = 0;
+    for (size_t i = 0; i < 10; ++i) passed = VerifyByMarks(marks, v);
+    Timer timer;
+    for (size_t i = 0; i < reps; ++i) passed = VerifyByMarks(marks, v);
+    row("marked", timer.ElapsedMillis() * 1e6 / static_cast<double>(reps),
+        passed);
+    marks.Flush();
   }
   // Candidate-count probe: 64K postings over 4K groups (high duplicate
   // fraction, the regime the epoch filter is built for).

@@ -90,7 +90,8 @@ void RegisterAll() {
   // Kernel before/after arms: the canonical 25K workload pinned to the
   // scalar oracle vs the auto-dispatched tiers, serial and parallel, so the
   // kernel subsystem's end-to-end effect on the SSJoin phase is tracked in
-  // the same table.
+  // the same table. The inline verify runs kernels::MarkedSet at every
+  // tier, so the arms differ only in the candidate posting probe.
   for (const char* kernel : {"scalar", "auto"}) {
     for (size_t threads : {size_t{1}, par}) {
       std::string name = "table2/records=25K/threads=" +

@@ -29,19 +29,11 @@ struct MorselOutput {
   size_t bands_probed = 0;
 };
 
-/// Verifies one candidate with the exact sorted-merge overlap (identical
-/// accumulation order to every exact executor, so overlaps are bitwise
-/// equal) and appends it on success.
-inline void VerifyCandidate(const core::SetsRelation& r,
-                            const core::SetsRelation& s, GroupId rg, GroupId sg,
-                            const core::OverlapPredicate& pred,
-                            const core::WeightVector& w,
-                            std::vector<SSJoinPair>* out) {
-  double overlap = kernels::IntersectWeighted(r.set(rg), s.set(sg), w.data());
-  if (overlap > 0.0 && pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-    out->push_back({rg, sg, overlap});
-  }
-}
+/// Per-worker scratch: candidate dedup plus the verify marks.
+struct WorkerScratch {
+  ProbeScratch probe;
+  kernels::MarkedSet marks;
+};
 
 /// Exact candidate generation (recall 1.0): probe the inverted index over S
 /// with every element of each R-group. The fallback tier for small inputs
@@ -57,12 +49,14 @@ std::vector<SSJoinPair> RunExactTier(const core::SetsRelation& r,
 
   const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
   std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
-  std::vector<ProbeScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
+  std::vector<WorkerScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
 
   exec::ParallelFor(ec, r.num_groups(),
                     [&](size_t worker, size_t m, size_t begin, size_t end) {
-                      ProbeScratch& sc = scratch[worker];
+                      ProbeScratch& sc = scratch[worker].probe;
+                      kernels::MarkedSet& marks = scratch[worker].marks;
                       sc.EnsureSize(s.num_groups());
+                      marks.Bind(w);
                       MorselOutput& out = morsels[m];
                       for (size_t g = begin; g < end; ++g) {
                         auto rg = static_cast<GroupId>(g);
@@ -76,10 +70,10 @@ std::vector<SSJoinPair> RunExactTier(const core::SetsRelation& r,
                                                  sc.seen.data(), &sc.cands);
                         }
                         out.candidate_pairs += sc.cands.size();
-                        for (GroupId sg : sc.cands) {
-                          VerifyCandidate(r, s, rg, sg, pred, w, &out.pairs);
-                        }
+                        core::VerifyCandidates(r, rg, s, sc.cands, pred,
+                                               &marks, &out.pairs);
                       }
+                      marks.Flush();
                     });
 
   std::vector<SSJoinPair> out;
@@ -132,12 +126,14 @@ std::vector<SSJoinPair> RunLshTier(const core::SetsRelation& r,
 
   const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
   std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
-  std::vector<ProbeScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
+  std::vector<WorkerScratch> scratch(exec::NumWorkers(ec, r.num_groups()));
 
   exec::ParallelFor(
       ec, r.num_groups(), [&](size_t worker, size_t m, size_t begin, size_t end) {
-        ProbeScratch& sc = scratch[worker];
+        ProbeScratch& sc = scratch[worker].probe;
+        kernels::MarkedSet& marks = scratch[worker].marks;
         sc.EnsureSize(s.num_groups());
+        marks.Bind(w);
         MorselOutput& out = morsels[m];
         for (size_t g = begin; g < end; ++g) {
           auto rg = static_cast<GroupId>(g);
@@ -155,10 +151,9 @@ std::vector<SSJoinPair> RunLshTier(const core::SetsRelation& r,
                 sc.seen.data(), &sc.cands);
           }
           out.candidate_pairs += sc.cands.size();
-          for (GroupId sg : sc.cands) {
-            VerifyCandidate(r, s, rg, sg, pred, w, &out.pairs);
-          }
+          core::VerifyCandidates(r, rg, s, sc.cands, pred, &marks, &out.pairs);
         }
+        marks.Flush();
       });
 
   std::vector<SSJoinPair> out;
@@ -190,6 +185,8 @@ double MeasureRecall(const core::SetsRelation& r, const core::SetsRelation& s,
   size_t stride = std::max<size_t>(1, r.num_groups() / std::max<size_t>(1, sample));
   ProbeScratch sc;
   sc.EnsureSize(s.num_groups());
+  kernels::MarkedSet marks;
+  marks.Bind(w);
   std::vector<SSJoinPair> exact;
   size_t exact_total = 0;
   size_t got_total = 0;
@@ -197,19 +194,18 @@ double MeasureRecall(const core::SetsRelation& r, const core::SetsRelation& s,
     auto rg = static_cast<GroupId>(g);
     if (r.set(rg).empty()) continue;
     uint32_t epoch = sc.NextEpoch();
-    exact.clear();
+    sc.cands.clear();
     for (text::TokenId e : r.set(rg)) {
       auto [p, p_end] = s_index.Lookup(e);
-      for (; p != p_end; ++p) {
-        if (sc.seen[*p] == epoch) continue;
-        sc.seen[*p] = epoch;
-        VerifyCandidate(r, s, rg, *p, pred, w, &exact);
-      }
+      kernels::ProbePostings({p, p_end}, epoch, sc.seen.data(), &sc.cands);
     }
+    exact.clear();
+    core::VerifyCandidates(r, rg, s, sc.cands, pred, &marks, &exact);
     exact_total += exact.size();
     auto it = got_counts.find(rg);
     if (it != got_counts.end()) got_total += it->second;
   }
+  marks.Flush();
   return exact_total > 0
              ? static_cast<double>(got_total) / static_cast<double>(exact_total)
              : 1.0;

@@ -74,9 +74,23 @@ class OverlapPredicate {
     return req;
   }
 
-  /// True iff `overlap` satisfies every conjunct.
+  /// Tolerance for floating-point weight accumulation order differences:
+  /// every acceptance test of the batch joins (this class and the relational
+  /// plan's HAVING clause) subtracts it from the required overlap.
+  static constexpr double kEps = 1e-9;
+
+  /// The smallest overlap `Test` accepts for a concrete pair:
+  /// RequiredOverlap minus the kEps band that forgives weight sums
+  /// accumulated in a different order. The batch verify's early-exit bound
+  /// prunes only below this value, so pruning and acceptance share one
+  /// threshold.
+  double MinPassingOverlap(double r_norm, double s_norm) const {
+    return RequiredOverlap(r_norm, s_norm) - kEps;
+  }
+
+  /// True iff `overlap` satisfies every conjunct (within the kEps band).
   bool Test(double overlap, double r_norm, double s_norm) const {
-    return overlap >= RequiredOverlap(r_norm, s_norm) - kEps;
+    return overlap >= MinPassingOverlap(r_norm, s_norm);
   }
 
   /// A lower bound on RequiredOverlap(r_norm, *) valid for every possible
@@ -97,9 +111,6 @@ class OverlapPredicate {
   std::string ToString() const;
 
  private:
-  // Tolerance for floating-point weight accumulation order differences.
-  static constexpr double kEps = 1e-9;
-
   double OneSideRequired(double own_norm, bool r_side) const {
     double req = 0.0;
     for (const ThresholdExpr& e : exprs_) {

@@ -39,14 +39,13 @@ Result<Table> ToNormalizedTable(const SetsRelation& rel, const WeightVector& wei
 namespace {
 
 /// The HAVING clause of Definition 1 as a declarative engine expression:
-/// AND_i (overlap >= c_i + rc_i * r_norm + sc_i * s_norm), with a small
-/// epsilon absorbing floating-point summation-order differences (matching
-/// OverlapPredicate::Test).
+/// AND_i (overlap >= c_i + rc_i * r_norm + sc_i * s_norm), with
+/// OverlapPredicate::kEps absorbing floating-point summation-order
+/// differences (matching OverlapPredicate::Test).
 engine::ExprPtr HavingExpr(const OverlapPredicate& pred) {
-  constexpr double kEps = 1e-9;
   engine::ExprPtr conj;
   for (const ThresholdExpr& e : pred.exprs()) {
-    engine::ExprPtr rhs = engine::Lit(e.constant - kEps);
+    engine::ExprPtr rhs = engine::Lit(e.constant - OverlapPredicate::kEps);
     if (e.r_norm_coeff != 0.0) {
       rhs = engine::Add(rhs, engine::Mul(engine::Lit(e.r_norm_coeff),
                                          engine::Col("r_norm")));

@@ -36,6 +36,24 @@ Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
   return Status::OK();
 }
 
+void VerifyCandidates(const SetsRelation& r, GroupId rg, const SetsRelation& s,
+                      std::span<const GroupId> cands,
+                      const OverlapPredicate& pred, kernels::MarkedSet* marks,
+                      std::vector<SSJoinPair>* out) {
+  marks->Mark(r.set(rg));
+  const double r_norm = r.norms[rg];
+  for (GroupId sg : cands) {
+    const double s_norm = s.norms[sg];
+    double overlap = 0.0;
+    if (marks->OverlapAtLeast(s.set(sg), s.set_weights[sg],
+                              pred.MinPassingOverlap(r_norm, s_norm),
+                              &overlap) &&
+        overlap > 0.0 && pred.Test(overlap, r_norm, s_norm)) {
+      out->push_back({rg, sg, overlap});
+    }
+  }
+}
+
 namespace {
 
 using exec::ParallelFor;
@@ -98,22 +116,22 @@ class NaiveSSJoin final : public SSJoinExecutor {
     const WeightVector& w = *ctx.weights;
     const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
     Timer timer;
+    // Every S-group is a candidate of every R-group.
+    std::vector<GroupId> all_s(s.num_groups());
+    for (GroupId sg = 0; sg < s.num_groups(); ++sg) all_s[sg] = sg;
+    std::vector<kernels::MarkedSet> marks(exec::NumWorkers(ec, r.num_groups()));
     std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
     ParallelFor(ec, r.num_groups(),
-                [&](size_t /*worker*/, size_t m, size_t begin, size_t end) {
+                [&](size_t worker, size_t m, size_t begin, size_t end) {
+                  kernels::MarkedSet& mk = marks[worker];
+                  mk.Bind(w);
                   MorselOutput& out = morsels[m];
                   for (size_t g = begin; g < end; ++g) {
-                    auto rg = static_cast<GroupId>(g);
-                    for (GroupId sg = 0; sg < s.num_groups(); ++sg) {
-                      ++out.stats.candidate_pairs;
-                      double overlap = kernels::IntersectWeighted(
-                          r.set(rg), s.set(sg), w.data());
-                      if (overlap > 0.0 &&
-                          pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-                        out.pairs.push_back({rg, sg, overlap});
-                      }
-                    }
+                    out.stats.candidate_pairs += all_s.size();
+                    VerifyCandidates(r, static_cast<GroupId>(g), s, all_s,
+                                     pred, &mk, &out.pairs);
                   }
+                  mk.Flush();
                 });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(morsels, &out, stats);
@@ -429,31 +447,32 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
     stats->phases.Add("Prefix-filter", prefix_timer.ElapsedMillis());
 
     // Candidates carry their groups inline (Figure 9): the overlap of each
-    // candidate pair is computed by a direct merge of the two stored sets
-    // (the overlap "UDF"), with no join back to the base relations.
+    // candidate pair is computed directly from the two stored sets (the
+    // overlap "UDF", VerifyCandidates), with no join back to the base
+    // relations.
     // Generation and the UDF run in the same morsel, partitioned over
     // R-groups.
     Timer join_timer;
-    std::vector<ProbeScratch> probe(exec::NumWorkers(ec, r.num_groups()));
+    struct Scratch {
+      ProbeScratch probe;
+      kernels::MarkedSet marks;
+    };
+    std::vector<Scratch> scratch(exec::NumWorkers(ec, r.num_groups()));
     std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
     ParallelFor(ec, r.num_groups(),
                 [&](size_t worker, size_t m, size_t begin, size_t end) {
-                  ProbeScratch& sc = probe[worker];
-                  sc.EnsureSize(s.num_groups());
+                  Scratch& sc = scratch[worker];
+                  sc.probe.EnsureSize(s.num_groups());
+                  sc.marks.Bind(w);
                   MorselOutput& out = morsels[m];
                   GeneratePrefixCandidates(
-                      r_pref, s_index, begin, end, sc, &out.stats,
+                      r_pref, s_index, begin, end, sc.probe, &out.stats,
                       [&](GroupId rg, const std::vector<GroupId>& ss) {
                         out.stats.candidate_pairs += ss.size();
-                        for (GroupId sg : ss) {
-                          double overlap = kernels::IntersectWeighted(
-                              r.set(rg), s.set(sg), w.data());
-                          if (overlap > 0.0 &&
-                              pred.Test(overlap, r.norms[rg], s.norms[sg])) {
-                            out.pairs.push_back({rg, sg, overlap});
-                          }
-                        }
+                        VerifyCandidates(r, rg, s, ss, pred, &sc.marks,
+                                         &out.pairs);
                       });
+                  sc.marks.Flush();
                 });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(morsels, &out, stats);

@@ -2,6 +2,7 @@
 #define SSJOIN_CORE_SSJOIN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/prefix_filter.h"
 #include "core/sets.h"
 #include "exec/exec_context.h"
+#include "kernels/kernels.h"
 
 namespace ssjoin::core {
 
@@ -127,6 +129,21 @@ std::unique_ptr<SSJoinExecutor> MakeExecutor(SSJoinAlgorithm algorithm);
 /// column-length consistency.
 Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
                             const SSJoinContext& ctx, bool needs_order);
+
+/// \brief The overlap "UDF" of Figure 9 for one R-group: appends to `out`,
+/// in candidate order, every candidate S-group of `cands` whose overlap with
+/// R-group `rg` is positive and passes `pred`.
+///
+/// `marks` is the calling worker's scratch, bound to the join's weights. It
+/// marks r.set(rg) once and probes each candidate set against the marks,
+/// skipping the rest of a candidate once its overlap provably falls below
+/// pred.MinPassingOverlap; survivors are accepted by pred.Test on the exact
+/// overlap. Overlaps are bit-equal to the scalar sorted merge's. The caller
+/// flushes `marks`' work counts once per morsel.
+void VerifyCandidates(const SetsRelation& r, GroupId rg, const SetsRelation& s,
+                      std::span<const GroupId> cands,
+                      const OverlapPredicate& pred, kernels::MarkedSet* marks,
+                      std::vector<SSJoinPair>* out);
 
 /// One-shot convenience: builds the executor and runs it.
 Result<std::vector<SSJoinPair>> ExecuteSSJoin(SSJoinAlgorithm algorithm,

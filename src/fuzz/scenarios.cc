@@ -219,7 +219,9 @@ Result<CheckResult> CheckSSJoinExecutors(const Reproducer& rp) {
         return result;
       }
       core::SortPairs(&got.ValueOrDie());
-      if (!SameMatches(name, ToMatches(*got), oracle_matches, kOverlapTol,
+      // Tolerance 0: every executor sums each pair's weights in ascending
+      // element order, as the scalar-merge oracle does (DESIGN §14).
+      if (!SameMatches(name, ToMatches(*got), oracle_matches, 0.0,
                        &result.detail)) {
         result.pass = false;
         return result;
@@ -1092,6 +1094,8 @@ Result<CheckResult> CheckKernelDiff(const Reproducer& rp) {
   }
 
   const std::vector<kernels::Tier> tiers = kernels::AvailableTiers();
+  kernels::MarkedSet marks;
+  marks.Bind(weights);
   for (size_t p = 0; p < pairs; ++p) {
     std::vector<uint32_t> a = DecodeSpan(rp.r[p], kKernelDiffMaxToken);
     std::vector<uint32_t> b = DecodeSpan(rp.s[p], kKernelDiffMaxToken);
@@ -1158,6 +1162,35 @@ Result<CheckResult> CheckKernelDiff(const Reproducer& rp) {
       kernels::ProbePostingsTier(tier, a, 1, seen.data(), &got_probe);
       if (got_probe != want_probe) {
         return CheckResult{false, where + ": ProbePostings sequence differs"};
+      }
+    }
+
+    // MarkedSet leg: on the canonical (duplicate-free) spans it requires, an
+    // overlap it returns is bit-equal to the scalar merge, and it prunes
+    // only below the floor. Floors sit at, just around and away from the
+    // true overlap, plus one drawn from the pair's own hash.
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+    b.erase(std::unique(b.begin(), b.end()), b.end());
+    const double want = kernels::IntersectWeightedTier(
+        kernels::Tier::kScalar, a, b, weights.data(), nullptr);
+    double wt_b = 0.0;
+    for (uint32_t t : b) wt_b += weights[t];
+    Rng floor_rng(HashCombine(HashString(rp.r[p]), HashString(rp.s[p])));
+    marks.Mark(a);
+    for (double floor :
+         {want, std::nextafter(want, -INFINITY), std::nextafter(want, INFINITY),
+          0.0, -1.0, want / 2, (want + wt_b) / 2, wt_b, wt_b + 1.0,
+          2.0 * (want + 1.0) * floor_rng.NextDouble()}) {
+      double got = -1.0;
+      const bool kept = marks.OverlapAtLeast(b, wt_b, floor, &got);
+      if (kept ? got != want : !(want < floor)) {
+        return CheckResult{
+            false, StringPrintf("pair %zu (|a|=%zu, |b|=%zu): MarkedSet "
+                                "floor %.17g %s, scalar overlap %.17g",
+                                p, a.size(), b.size(), floor,
+                                kept ? StringPrintf("returned %.17g", got).c_str()
+                                     : "pruned",
+                                want)};
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,7 @@ constexpr size_t kGallopSkew = 32;
 struct KernelCounters {
   obs::Counter* intersect_calls;
   obs::Counter* intersect_elements;
+  obs::Counter* intersect_pruned;
   obs::Counter* probe_calls;
   obs::Counter* probe_rows;
   obs::Counter* accumulate_calls;
@@ -45,6 +47,7 @@ KernelCounters& Counters() {
     return KernelCounters{
         reg.GetCounter("kernels.intersect.calls"),
         reg.GetCounter("kernels.intersect.elements"),
+        reg.GetCounter("kernels.intersect.pruned"),
         reg.GetCounter("kernels.probe.calls"),
         reg.GetCounter("kernels.probe.rows"),
         reg.GetCounter("kernels.accumulate.calls"),
@@ -232,6 +235,79 @@ void AccumulatePostings(std::span<const uint32_t> postings, double weight,
     }
     acc[g] += weight;
   }
+}
+
+void MarkedSet::Bind(std::span<const double> weights) {
+  weights_ = weights.data();
+  if (stamps_.size() < weights.size()) stamps_.resize(weights.size(), 0);
+}
+
+void MarkedSet::Mark(std::span<const uint32_t> a) {
+  if (++epoch_ == 0) {  // wrapped: stale stamps could alias, clear them
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    epoch_ = 1;
+  }
+  for (const uint32_t t : a) stamps_[t] = epoch_;
+  elements_ += a.size();
+}
+
+bool MarkedSet::OverlapAtLeast(std::span<const uint32_t> b, double wt_b,
+                               double floor, double* overlap) {
+  ++calls_;
+  const uint32_t* stamps = stamps_.data();
+  const double* w = weights_;
+  const uint32_t epoch = epoch_;
+  const size_t n = b.size();
+  double sum = 0.0;
+  if (!(floor > 0.0)) {
+    for (const uint32_t t : b) sum += stamps[t] == epoch ? w[t] : 0.0;
+    elements_ += n;
+    *overlap = sum;
+    return true;
+  }
+  // Prune when sum + rem < need, where rem is wt_b minus the weights read so
+  // far. With u = 2^-53 and T the exact weight of b, three roundings stand
+  // between that test and the exact overlap S the loop would finish with:
+  // wt_b is off T by at most n*u*T, each of the n subtractions from rem
+  // adds at most u*T more, and the additions still ahead can raise the sum
+  // by a factor of at most (1 + n*u). Rounding is monotone and `need` is a
+  // double, so fl(sum + rem) < need implies sum + rem < need exactly, and
+  // then S <= (need + 2*n*u*T) * (1 + n*u). Computing `need` itself rounds
+  // by u*floor. A margin of (n + 2) * 2^-50 * (floor + wt_b) is four times
+  // all of that, so S < floor whenever this returns "below". NaN or
+  // infinite inputs make every comparison false: nothing is pruned.
+  const double need =
+      floor - static_cast<double>(n + 2) * 0x1p-50 * (floor + wt_b);
+  double rem = wt_b;
+  if (rem < need) {
+    ++pruned_;
+    return false;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t t = b[k];
+    const double wt = w[t];
+    rem -= wt;
+    if (stamps[t] == epoch) {
+      sum += wt;
+    } else if (sum + rem < need) {  // only a miss can lower sum + rem
+      elements_ += k + 1;
+      ++pruned_;
+      return false;
+    }
+  }
+  elements_ += n;
+  *overlap = sum;
+  return true;
+}
+
+void MarkedSet::Flush() {
+  KernelCounters& c = Counters();
+  if (calls_ != 0) c.intersect_calls->Add(calls_);
+  if (elements_ != 0) c.intersect_elements->Add(elements_);
+  if (pruned_ != 0) c.intersect_pruned->Add(pruned_);
+  calls_ = 0;
+  elements_ = 0;
+  pruned_ = 0;
 }
 
 size_t IntersectCountTier(Tier t, std::span<const uint32_t> a,

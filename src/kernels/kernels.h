@@ -139,6 +139,72 @@ void AccumulatePostings(std::span<const uint32_t> postings, double weight,
                         std::vector<uint32_t>* touched);
 /// @}
 
+/// \name Marked-set overlap (batch verify)
+/// @{
+
+/// \brief Per-worker scratch that verifies one set `a` against many
+/// candidate sets: `Mark(a)` stamps a's elements once, then each
+/// `OverlapAtLeast(b, ...)` walks only `b`, adding `weights[t]` for every
+/// marked `t` in ascending token order.
+///
+/// That is the order the sorted merge adds matches in, and a miss adds
+/// nothing, so an overlap returned here is bit-equal to
+/// `IntersectWeightedTier(kScalar, a, b, weights)`. `a` and `b` must be
+/// sorted ascending and duplicate-free (canonical `SetsRelation` sets are);
+/// weights must be non-negative. One scalar implementation serves every
+/// tier, as for `AccumulatePostings`: the loop is one dependent load per
+/// element of `b`, with nothing for a block compare to batch.
+///
+/// Marks are epoch-stamped, so `Mark` costs |a| and never clears the
+/// table, except once every 2^32 - 1 marks when the epoch wraps.
+///
+/// Work counts accumulate in plain fields; `Flush` adds them to
+/// `kernels.intersect.{calls,elements,pruned}`. Callers flush once per
+/// morsel, so the shared counters see one add per morsel instead of two
+/// per candidate. Every count is a function of the inputs alone, the same
+/// at every tier and thread count.
+class MarkedSet {
+ public:
+  /// Binds the weight column and sizes the marks to cover its ids
+  /// [0, weights.size()). Cheap when already bound to a column that long;
+  /// `weights` must outlive every later call.
+  void Bind(std::span<const double> weights);
+
+  /// Makes `a` the marked set, replacing the previous one.
+  void Mark(std::span<const uint32_t> a);
+
+  /// The overlap of the marked set and `b`, unless it falls below `floor`.
+  ///
+  /// Returns true and writes the overlap to `*overlap` when the overlap is
+  /// at least `floor` (and also some overlaps just below it). Returns false
+  /// ("below"), leaving `*overlap` untouched, only when the overlap is
+  /// below `floor`: it stops reading `b` as soon as the running overlap plus
+  /// the weight left in `b` cannot reach `floor`. `wt_b` is b's set weight,
+  /// summed in any order. A `floor` of 0 or less never prunes.
+  bool OverlapAtLeast(std::span<const uint32_t> b, double wt_b, double floor,
+                      double* overlap);
+
+  /// Adds the pending counts to the shared counters and zeroes them:
+  /// `OverlapAtLeast` calls to kernels.intersect.calls; elements read (|a|
+  /// per `Mark`, plus the elements of `b` each call read before it
+  /// returned) to kernels.intersect.elements; calls that returned "below"
+  /// to kernels.intersect.pruned.
+  void Flush();
+
+  /// Sets the epoch the next `Mark` increments, so tests can reach the
+  /// wrap without 2^32 marks.
+  void SetEpochForTesting(uint32_t epoch) { epoch_ = epoch; }
+
+ private:
+  const double* weights_ = nullptr;
+  std::vector<uint32_t> stamps_;
+  uint32_t epoch_ = 0;
+  uint64_t calls_ = 0;
+  uint64_t elements_ = 0;
+  uint64_t pruned_ = 0;
+};
+/// @}
+
 /// \name Explicit-tier entry points
 /// Differential testing and the `kernel_diff` fuzz scenario call these to
 /// pin a concrete tier regardless of the process-wide setting. kAuto

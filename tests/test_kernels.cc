@@ -4,7 +4,9 @@
 /// sums bit-for-bit, on every span shape a caller can produce.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "common/rng.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "simjoin/string_joins.h"
 #include "simjoin/types.h"
 
@@ -262,6 +265,168 @@ TEST(KernelProbe, AccumulateZeroesOnFirstTouchAndSums) {
   EXPECT_EQ(acc[1], 0.5 * 2 + 2.0);
   EXPECT_EQ(acc[7], 0.5);
   EXPECT_EQ(acc[0], 1e9);
+}
+
+// ---------------------------------------------------------------------------
+// Marked-set overlap: bit-equal to the scalar merge, prunes only below floor
+// ---------------------------------------------------------------------------
+
+/// A canonical set (sorted, duplicate-free), the input MarkedSet requires.
+std::vector<uint32_t> MakeCanonical(size_t n, uint64_t salt) {
+  std::vector<uint32_t> v = MakeSpan(n, salt);
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+/// IDF-like weights: log(N / df) over a skewed document frequency, floored
+/// like text::IdfWeightFromFrequency.
+std::vector<double> MakeIdfWeights(uint32_t max_token) {
+  std::vector<double> w(size_t{max_token} + 1);
+  for (size_t t = 0; t < w.size(); ++t) {
+    w[t] = std::max(1e-6, std::log(5000.0 / static_cast<double>(1 + t % 53)));
+  }
+  return w;
+}
+
+/// Checks one (a, b, floor) against the scalar merge: an overlap returned is
+/// bit-equal to it, and "below" is returned only when it is below `floor`.
+/// Returns whether the call pruned.
+bool ExpectMarkedMatchesScalar(MarkedSet& marks, std::span<const uint32_t> a,
+                               std::span<const uint32_t> b,
+                               const std::vector<double>& weights,
+                               double wt_b, double floor) {
+  SCOPED_TRACE("|a|=" + std::to_string(a.size()) +
+               " |b|=" + std::to_string(b.size()) +
+               " floor=" + std::to_string(floor));
+  const double want =
+      IntersectWeightedTier(Tier::kScalar, a, b, weights.data(), nullptr);
+  double got = -1.0;
+  if (marks.OverlapAtLeast(b, wt_b, floor, &got)) {
+    EXPECT_EQ(got, want);  // bitwise
+    return false;
+  }
+  EXPECT_EQ(got, -1.0) << "a pruned call must not write the overlap";
+  EXPECT_LT(want, floor) << "pruned although the overlap reaches the floor";
+  return true;
+}
+
+TEST(MarkedSet, MatchesScalarMergeAndPrunesOnlyBelowFloor) {
+  for (bool idf : {false, true}) {
+    std::vector<double> weights =
+        idf ? MakeIdfWeights(256) : std::vector<double>(257, 1.0);
+    MarkedSet marks;
+    marks.Bind(weights);
+    size_t pruned = 0;
+    for (size_t na = 0; na <= 40; na += 3) {
+      std::vector<uint32_t> a = MakeCanonical(na, na + 1000 * idf);
+      marks.Mark(a);
+      for (size_t nb = 0; nb <= 40; nb += 2) {
+        std::vector<uint32_t> b = MakeCanonical(nb, na * 100 + nb + 7);
+        // wt_b summed in descending order: any order must do.
+        double wt_b = 0.0;
+        for (auto it = b.rbegin(); it != b.rend(); ++it) wt_b += weights[*it];
+        const double overlap = IntersectWeightedTier(
+            Tier::kScalar, a, b, weights.data(), nullptr);
+        for (double floor :
+             {-1.0, 0.0, overlap, std::nextafter(overlap, -INFINITY),
+              std::nextafter(overlap, INFINITY), overlap / 2,
+              (overlap + wt_b) / 2, wt_b, wt_b + 1.0}) {
+          pruned += ExpectMarkedMatchesScalar(marks, a, b, weights, wt_b,
+                                              floor);
+        }
+        // A floor at or below the overlap never prunes (checked inside);
+        // one above the whole of b always does.
+        double got = 0.0;
+        EXPECT_FALSE(marks.OverlapAtLeast(b, wt_b, wt_b + 1.0, &got));
+      }
+    }
+    EXPECT_GT(pruned, 0u) << "the bound must prune something";
+  }
+}
+
+TEST(MarkedSet, EmptyAndDisjointSets) {
+  std::vector<double> weights = MakeIdfWeights(200);
+  MarkedSet marks;
+  marks.Bind(weights);
+  const std::vector<uint32_t> low = {1, 2, 3, 4};
+  const std::vector<uint32_t> high = {100, 150, 199};
+  const std::vector<uint32_t> none;
+  double wt_high = 0.0;
+  for (uint32_t t : high) wt_high += weights[t];
+  for (const auto& a : {none, low}) {
+    marks.Mark(a);
+    for (const auto& b : {none, high}) {
+      const double wt_b = b.empty() ? 0.0 : wt_high;
+      for (double floor : {-2.0, 0.0, 1e-300, 0.5, wt_b}) {
+        ExpectMarkedMatchesScalar(marks, a, b, weights, wt_b, floor);
+      }
+      double got = -1.0;
+      ASSERT_TRUE(marks.OverlapAtLeast(b, wt_b, 0.0, &got));
+      EXPECT_EQ(got, 0.0);
+    }
+  }
+}
+
+TEST(MarkedSet, EpochWrapNeverCountsAStaleMark) {
+  std::vector<double> weights(16, 1.0);
+  MarkedSet marks;
+  marks.Bind(weights);
+  const std::vector<uint32_t> probe = {3, 5, 7};
+  double got = 0.0;
+  marks.Mark(std::vector<uint32_t>{3});  // stamps 3 with epoch 1
+  ASSERT_TRUE(marks.OverlapAtLeast(probe, 3.0, 0.0, &got));
+  EXPECT_EQ(got, 1.0);
+
+  marks.SetEpochForTesting(std::numeric_limits<uint32_t>::max() - 1);
+  marks.Mark(std::vector<uint32_t>{5});  // epoch 2^32 - 1
+  ASSERT_TRUE(marks.OverlapAtLeast(probe, 3.0, 0.0, &got));
+  EXPECT_EQ(got, 1.0) << "only 5 is marked; 3's stamp is stale";
+
+  marks.Mark(std::vector<uint32_t>{7});  // wraps to epoch 1
+  ASSERT_TRUE(marks.OverlapAtLeast(probe, 3.0, 0.0, &got));
+  EXPECT_EQ(got, 1.0) << "3's epoch-1 stamp must not count after the wrap";
+  ASSERT_TRUE(marks.OverlapAtLeast(probe, 3.0, 1.0, &got));
+  EXPECT_EQ(got, 1.0);
+}
+
+TEST(MarkedSet, ExactWorkCountsAndFlush) {
+  std::vector<double> weights(16, 1.0);
+  MarkedSet marks;
+  marks.Bind(weights);
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* calls = reg.GetCounter("kernels.intersect.calls");
+  obs::Counter* elements = reg.GetCounter("kernels.intersect.elements");
+  obs::Counter* pruned = reg.GetCounter("kernels.intersect.pruned");
+  const uint64_t calls0 = calls->value();
+  const uint64_t elements0 = elements->value();
+  const uint64_t pruned0 = pruned->value();
+
+  marks.Mark(std::vector<uint32_t>{1, 3, 5, 7});  // 4 elements
+  double got = 0.0;
+  // No floor: reads all 3 elements.
+  ASSERT_TRUE(marks.OverlapAtLeast(std::vector<uint32_t>{1, 3, 5}, 3.0, 0.0,
+                                   &got));
+  EXPECT_EQ(got, 3.0);
+  // Floor 3 against 5 unmarked elements: after the third miss the running
+  // overlap 0 plus the 2 weight left is below 3, so 3 elements are read.
+  EXPECT_FALSE(marks.OverlapAtLeast(std::vector<uint32_t>{2, 4, 6, 8, 10},
+                                    5.0, 3.0, &got));
+  // wt_b 1 below floor 2: pruned before reading anything.
+  EXPECT_FALSE(
+      marks.OverlapAtLeast(std::vector<uint32_t>{1}, 1.0, 2.0, &got));
+  // Nothing reaches the shared counters before the flush.
+  EXPECT_EQ(calls->value(), calls0);
+  EXPECT_EQ(elements->value(), elements0);
+  EXPECT_EQ(pruned->value(), pruned0);
+
+  marks.Flush();
+  EXPECT_EQ(calls->value() - calls0, 3u);
+  EXPECT_EQ(elements->value() - elements0, 4u + 3u + 3u + 0u);
+  EXPECT_EQ(pruned->value() - pruned0, 2u);
+  marks.Flush();  // the flush zeroed the pending counts: no change
+  EXPECT_EQ(calls->value() - calls0, 3u);
+  EXPECT_EQ(elements->value() - elements0, 10u);
+  EXPECT_EQ(pruned->value() - pruned0, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/predicate.h"
 
 namespace ssjoin::core {
@@ -41,6 +43,27 @@ TEST(OverlapPredicateTest, ConjunctionTakesMax) {
   p.And({5.0, 0.0, 0.0}).And({0.0, 1.0, 0.0});
   EXPECT_DOUBLE_EQ(p.RequiredOverlap(3.0, 100.0), 5.0);   // constant dominates
   EXPECT_DOUBLE_EQ(p.RequiredOverlap(8.0, 100.0), 8.0);   // norm dominates
+}
+
+TEST(OverlapPredicateTest, MinPassingOverlapIsTestsExactBoundary) {
+  // The kEps band lives in MinPassingOverlap alone: Test accepts an overlap
+  // exactly at it and rejects the next double below it.
+  for (const OverlapPredicate& p :
+       {OverlapPredicate::Absolute(3.0),
+        OverlapPredicate::OneSidedNormalized(0.8),
+        OverlapPredicate::TwoSidedNormalized(0.85)}) {
+    SCOPED_TRACE(p.ToString());
+    const double r_norm = 12.375;
+    const double s_norm = 11.0;
+    const double min_pass = p.MinPassingOverlap(r_norm, s_norm);
+    EXPECT_EQ(min_pass, p.RequiredOverlap(r_norm, s_norm) -
+                            OverlapPredicate::kEps);
+    EXPECT_TRUE(p.Test(min_pass, r_norm, s_norm));
+    EXPECT_FALSE(p.Test(std::nextafter(min_pass, -INFINITY), r_norm, s_norm));
+  }
+  // A zero requirement leaves a bound just below zero.
+  EXPECT_EQ(OverlapPredicate().MinPassingOverlap(5.0, 5.0),
+            -OverlapPredicate::kEps);
 }
 
 TEST(OverlapPredicateTest, RequiredOverlapFloorsAtZero) {

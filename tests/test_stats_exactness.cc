@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/ssjoin.h"
 #include "exec/metrics.h"
+#include "obs/metrics.h"
 
 namespace ssjoin::core {
 namespace {
@@ -245,18 +246,42 @@ TEST(StatsExactnessTest, ParallelCountersIdenticalAcrossThreadCounts) {
   // The acceptance bar for the obs determinism contract: at 1, 2 and 8
   // threads every counter and every output pair (id *and* overlap double)
   // must be identical to the default (null ctx.exec) run, and the
-  // exec.morsels_dispatched delta of one join must not depend on the
-  // thread count.
+  // exec.morsels_dispatched and kernels.intersect.{calls,elements,pruned}
+  // deltas of one join must not depend on the thread count.
   Fixture f = RandomFixture(21, /*universe=*/20, /*r_groups=*/60,
                             /*s_groups=*/45, /*unit_weights=*/false);
   OverlapPredicate pred = OverlapPredicate::TwoSidedNormalized(0.6);
 
+  obs::Registry& reg = obs::Registry::Global();
+  const std::vector<obs::Counter*> kernel_counters = {
+      reg.GetCounter("kernels.intersect.calls"),
+      reg.GetCounter("kernels.intersect.elements"),
+      reg.GetCounter("kernels.intersect.pruned")};
+  auto kernel_values = [&] {
+    std::vector<uint64_t> v;
+    for (obs::Counter* c : kernel_counters) v.push_back(c->value());
+    return v;
+  };
+  auto kernel_deltas = [&](const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> v = kernel_values();
+    for (size_t i = 0; i < v.size(); ++i) v[i] -= before[i];
+    return v;
+  };
+
   for (SSJoinAlgorithm algorithm : kAllAlgorithms) {
     SCOPED_TRACE(SSJoinAlgorithmName(algorithm));
     SSJoinStats serial_stats;
+    std::vector<uint64_t> kernels_before = kernel_values();
     auto serial =
         ExecuteSSJoin(algorithm, f.r, f.s, pred, f.Context(), &serial_stats);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    const std::vector<uint64_t> serial_kernels = kernel_deltas(kernels_before);
+    if (algorithm == SSJoinAlgorithm::kNaive ||
+        algorithm == SSJoinAlgorithm::kPrefixFilterInline) {
+      // The marked-set verify runs here, and its bound prunes.
+      EXPECT_EQ(serial_kernels[0], serial_stats.candidate_pairs);
+      EXPECT_GT(serial_kernels[2], 0u);
+    }
 
     obs::Counter& morsels = exec::internal::MorselsDispatchedCounter();
     std::vector<uint64_t> morsel_deltas;
@@ -269,9 +294,12 @@ TEST(StatsExactnessTest, ParallelCountersIdenticalAcrossThreadCounts) {
       ctx.exec = &ec;
       SSJoinStats stats;
       uint64_t morsels_before = morsels.value();
+      kernels_before = kernel_values();
       auto parallel = ExecuteSSJoin(algorithm, f.r, f.s, pred, ctx, &stats);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       morsel_deltas.push_back(morsels.value() - morsels_before);
+      EXPECT_EQ(kernel_deltas(kernels_before), serial_kernels)
+          << "kernels.intersect.{calls,elements,pruned}";
 
       ExpectSameCounters(stats, serial_stats, "vs serial");
       ASSERT_EQ(parallel->size(), serial->size());
