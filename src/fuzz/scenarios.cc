@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -15,6 +16,7 @@
 #include <thread>
 
 #include "approx/approx_ssjoin.h"
+#include "common/atomic_file.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -26,10 +28,15 @@
 #include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
-#include "shard/sharded_index.h"
+#include "index/manifest.h"
 #include "kernels/kernels.h"
+#include "serve/handler.h"
 #include "serve/lookup_service.h"
 #include "serve/wire.h"
+#include "shard/replication.h"
+#include "shard/shard_client.h"
+#include "shard/sharded_index.h"
+#include "shard/wire_client.h"
 #include "sim/edit_distance.h"
 #include "simjoin/ges_join.h"
 #include "simjoin/gravano.h"
@@ -55,6 +62,12 @@ constexpr core::SSJoinAlgorithm kAllAlgorithms[] = {
     core::SSJoinAlgorithm::kPrefixFilterInline,
 };
 
+/// Records a failed check in `out`; always false.
+bool Fail(CheckResult* out, std::string detail) {
+  *out = CheckResult{false, std::move(detail)};
+  return false;
+}
+
 std::string PairStr(uint32_t r, uint32_t s, double sim) {
   return StringPrintf("(%u, %u, sim=%.17g)", r, s, sim);
 }
@@ -62,7 +75,7 @@ std::string PairStr(uint32_t r, uint32_t s, double sim) {
 /// Exact pair-set comparison of two sorted match lists; similarities must
 /// agree within `tol` (0 = bitwise).
 bool SameMatches(const std::string& name, std::vector<MatchPair> got,
-                 std::vector<MatchPair> want, double tol, std::string* detail) {
+                 std::vector<MatchPair> want, double tol, CheckResult* out) {
   simjoin::SortMatches(&got);
   simjoin::SortMatches(&want);
   size_t i = 0;
@@ -77,21 +90,19 @@ bool SameMatches(const std::string& name, std::vector<MatchPair> got,
                                           (want[j].r == got[i].r &&
                                            want[j].s < got[i].s)));
     if (take_got) {
-      *detail = name + ": extra pair " + PairStr(got[i].r, got[i].s,
-                                                 got[i].similarity);
-      return false;
+      return Fail(out, name + ": extra pair " +
+                           PairStr(got[i].r, got[i].s, got[i].similarity));
     }
     if (take_want) {
-      *detail = name + ": missing pair " + PairStr(want[j].r, want[j].s,
-                                                   want[j].similarity);
-      return false;
+      return Fail(out, name + ": missing pair " +
+                           PairStr(want[j].r, want[j].s, want[j].similarity));
     }
     double diff = std::abs(got[i].similarity - want[j].similarity);
     if (diff > tol) {
-      *detail = name + ": similarity mismatch at " +
-                PairStr(got[i].r, got[i].s, got[i].similarity) + " vs oracle " +
-                PairStr(want[j].r, want[j].s, want[j].similarity);
-      return false;
+      return Fail(out, name + ": similarity mismatch at " +
+                           PairStr(got[i].r, got[i].s, got[i].similarity) +
+                           " vs oracle " +
+                           PairStr(want[j].r, want[j].s, want[j].similarity));
     }
     ++i;
     ++j;
@@ -101,7 +112,7 @@ bool SameMatches(const std::string& name, std::vector<MatchPair> got,
 
 /// Every pair of `sub` must appear in `super` with a similarity within `tol`.
 bool SubsetOf(const std::string& name, std::vector<MatchPair> sub,
-              std::vector<MatchPair> super, double tol, std::string* detail) {
+              std::vector<MatchPair> super, double tol, CheckResult* out) {
   simjoin::SortMatches(&sub);
   simjoin::SortMatches(&super);
   size_t j = 0;
@@ -111,15 +122,13 @@ bool SubsetOf(const std::string& name, std::vector<MatchPair> sub,
       ++j;
     }
     if (j == super.size() || !(super[j] == m)) {
-      *detail = name + ": pair " + PairStr(m.r, m.s, m.similarity) +
-                " not in oracle result";
-      return false;
+      return Fail(out, name + ": pair " + PairStr(m.r, m.s, m.similarity) +
+                           " not in oracle result");
     }
     if (std::abs(super[j].similarity - m.similarity) > tol) {
-      *detail = name + ": similarity mismatch at " +
-                PairStr(m.r, m.s, m.similarity) + " vs oracle " +
-                PairStr(super[j].r, super[j].s, super[j].similarity);
-      return false;
+      return Fail(out, name + ": similarity mismatch at " +
+                           PairStr(m.r, m.s, m.similarity) + " vs oracle " +
+                           PairStr(super[j].r, super[j].s, super[j].similarity));
     }
   }
   return true;
@@ -214,16 +223,13 @@ Result<CheckResult> CheckSSJoinExecutors(const Reproducer& rp) {
       std::string name = std::string(core::SSJoinAlgorithmName(algorithm)) +
                          " (" + std::to_string(ec->num_threads) + " threads)";
       if (!got.ok()) {
-        result.pass = false;
-        result.detail = name + " failed: " + got.status().ToString();
-        return result;
+        return CheckResult{false, name + " failed: " + got.status().ToString()};
       }
       core::SortPairs(&got.ValueOrDie());
       // Tolerance 0: every executor sums each pair's weights in ascending
       // element order, as the scalar-merge oracle does (DESIGN §14).
       if (!SameMatches(name, ToMatches(*got), oracle_matches, 0.0,
-                       &result.detail)) {
-        result.pass = false;
+                       &result)) {
         return result;
       }
     }
@@ -253,8 +259,7 @@ Result<CheckResult> CheckEditDistanceJoins(const Reproducer& rp) {
                                   gravano.status().ToString()};
   }
   if (!SameMatches("GravanoEditDistanceJoin", *gravano, oracle, 0.0,
-                   &result.detail)) {
-    result.pass = false;
+                   &result)) {
     return result;
   }
 
@@ -266,15 +271,13 @@ Result<CheckResult> CheckEditDistanceJoins(const Reproducer& rp) {
                        "EditDistanceJoin failed: " + ssjoin.status().ToString()};
   }
   if (!SubsetOf("EditDistanceJoin (precision)", *ssjoin, oracle, 0.0,
-                &result.detail)) {
-    result.pass = false;
+                &result)) {
     return result;
   }
   std::vector<MatchPair> sound = FilterToSoundBound(
       oracle, rp.r, rp.s, q, [d](size_t, size_t) { return d; });
   if (!SubsetOf("EditDistanceJoin (recall, sound-bound regime)", sound, *ssjoin,
-                0.0, &result.detail)) {
-    result.pass = false;
+                0.0, &result)) {
     return result;
   }
   return result;
@@ -297,8 +300,7 @@ Result<CheckResult> CheckEditSimilarityJoins(const Reproducer& rp) {
                                   gravano.status().ToString()};
   }
   if (!SameMatches("GravanoEditSimilarityJoin", *gravano, *oracle, 0.0,
-                   &result.detail)) {
-    result.pass = false;
+                   &result)) {
     return result;
   }
 
@@ -310,8 +312,7 @@ Result<CheckResult> CheckEditSimilarityJoins(const Reproducer& rp) {
         false, "EditSimilarityJoin failed: " + ssjoin.status().ToString()};
   }
   if (!SubsetOf("EditSimilarityJoin (precision)", *ssjoin, *oracle, 0.0,
-                &result.detail)) {
-    result.pass = false;
+                &result)) {
     return result;
   }
   std::vector<MatchPair> sound =
@@ -319,8 +320,7 @@ Result<CheckResult> CheckEditSimilarityJoins(const Reproducer& rp) {
         return EditSimBudget(alpha, lr, ls);
       });
   if (!SubsetOf("EditSimilarityJoin (recall, sound-bound regime)", sound,
-                *ssjoin, 0.0, &result.detail)) {
-    result.pass = false;
+                *ssjoin, 0.0, &result)) {
     return result;
   }
   return result;
@@ -364,8 +364,7 @@ Result<CheckResult> CheckJaccardJoins(const Reproducer& rp) {
       return CheckResult{false, std::string(c.name) +
                                     " failed: " + c.got.status().ToString()};
     }
-    if (!SameMatches(c.name, *c.got, c.oracle, kOverlapTol, &result.detail)) {
-      result.pass = false;
+    if (!SameMatches(c.name, *c.got, c.oracle, kOverlapTol, &result)) {
       return result;
     }
   }
@@ -385,10 +384,7 @@ Result<CheckResult> CheckGESJoin(const Reproducer& rp) {
   // GESJoin is precision-exact (candidates pass the exact GES UDF) but its
   // candidate generation is high-recall by design, not guaranteed-complete —
   // so the differential invariant is subset-with-equal-similarity.
-  if (!SubsetOf("GESJoin (precision)", *ges, *brute, kOverlapTol,
-                &result.detail)) {
-    result.pass = false;
-  }
+  SubsetOf("GESJoin (precision)", *ges, *brute, kOverlapTol, &result);
   return result;
 }
 
@@ -429,25 +425,23 @@ IdSims OracleLookup(const std::vector<uint64_t>& ids,
 }
 
 /// True when `got` equals `want` bitwise — ids, similarity doubles and
-/// order; otherwise describes the first divergence in *detail.
+/// order; otherwise records the first divergence in `out`.
 bool SameMatches(const std::string& name, const IdSims& got,
                  const IdSims& want, const std::string& query,
-                 std::string* detail) {
+                 CheckResult* out) {
   if (got.size() != want.size()) {
-    *detail = name + ": result count " + std::to_string(got.size()) +
-              " vs oracle " + std::to_string(want.size()) + " for query \"" +
-              query + "\"";
-    return false;
+    return Fail(out, name + ": result count " + std::to_string(got.size()) +
+                         " vs oracle " + std::to_string(want.size()) +
+                         " for query \"" + query + "\"");
   }
   for (size_t i = 0; i < got.size(); ++i) {
     if (got[i] != want[i]) {
-      *detail = name + ": match " + std::to_string(i) + " diverges (id=" +
-                std::to_string(got[i].first) +
-                " sim=" + StringPrintf("%.17g", got[i].second) +
-                " vs oracle id=" + std::to_string(want[i].first) +
-                " sim=" + StringPrintf("%.17g", want[i].second) +
-                ") for query \"" + query + "\"";
-      return false;
+      return Fail(out, name + ": match " + std::to_string(i) +
+                           " diverges (id=" + std::to_string(got[i].first) +
+                           " sim=" + StringPrintf("%.17g", got[i].second) +
+                           " vs oracle id=" + std::to_string(want[i].first) +
+                           " sim=" + StringPrintf("%.17g", want[i].second) +
+                           ") for query \"" + query + "\"");
     }
   }
   return true;
@@ -500,17 +494,17 @@ Result<CheckResult> CheckLookupService(const Reproducer& rp) {
         size_t i = (first + j) % rp.s.size();
         Result<std::vector<serve::LookupService::Match>> served =
             service->Lookup(rp.s[i], k);
-        std::string detail;
+        CheckResult failed;
         if (served.ok()) {
           if (SameMatches(name + (pass == 0 ? " pass1" : " pass2"),
-                          ToIdSims(*served), want[i], rp.s[i], &detail)) {
+                          ToIdSims(*served), want[i], rp.s[i], &failed)) {
             continue;
           }
         } else {
-          detail = name + " Lookup failed: " + served.status().ToString();
+          Fail(&failed, name + " Lookup failed: " + served.status().ToString());
         }
         std::lock_guard<std::mutex> lock(result_mu);
-        if (result.pass) result = CheckResult{false, detail};
+        if (result.pass) result = failed;
         return;
       }
     }
@@ -575,8 +569,7 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
       }
       std::vector<MatchPair> matches = ToMatches(*got);
       if (!SubsetOf(name + " (precision)", matches, oracle_matches,
-                    kOverlapTol, &result.detail)) {
-        result.pass = false;
+                    kOverlapTol, &result)) {
         return result;
       }
       if (!oracle_matches.empty()) {
@@ -595,10 +588,7 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
         if (!parallel) {
           serial_matches = matches;
         } else if (!SameMatches("approx parallel-vs-serial", matches,
-                                serial_matches, 0.0, &result.detail)) {
-          result.pass = false;
-          return result;
-        }
+                                serial_matches, 0.0, &result)) return result;
       }
     }
   }
@@ -655,74 +645,25 @@ ChurnOp ParseChurnOp(const std::string& op) {
   return out;
 }
 
-/// Differential churn fuzz for the mutable index (ChurnOp encoding). After
-/// EVERY applied op, all `s` queries are checked bitwise
-/// (ids, similarities and order) against BruteForceLookup over the live
-/// records sorted by ascending doc_id — the equivalence contract under
-/// arbitrary interleavings, epoch by epoch. The oracle shares neither the
-/// index's candidate generation nor its exact test.
-Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
-  size_t k = std::max<uint64_t>(1, k_raw);
+/// The parameters of a churn case: k (at least 1), whether it is durable,
+/// and the index options (data_dir left to the caller's ScratchDirGuard).
+struct ChurnSetup {
+  size_t k = 3;
+  bool durable = false;
   index::MutableIndexOptions mopts;
-  SSJOIN_ASSIGN_OR_RETURN(mopts.match, IndexOptions(rp));
-  SSJOIN_ASSIGN_OR_RETURN(mopts.seal_threshold,
+};
+
+Result<ChurnSetup> ParseChurnSetup(const Reproducer& rp) {
+  ChurnSetup setup;
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
+  setup.k = std::max<uint64_t>(1, k_raw);
+  SSJOIN_ASSIGN_OR_RETURN(setup.durable, rp.GetBool("durable", false));
+  SSJOIN_ASSIGN_OR_RETURN(setup.mopts.match, IndexOptions(rp));
+  SSJOIN_ASSIGN_OR_RETURN(setup.mopts.seal_threshold,
                           rp.GetUint("seal_threshold", 0));
-  SSJOIN_ASSIGN_OR_RETURN(mopts.max_generations,
+  SSJOIN_ASSIGN_OR_RETURN(setup.mopts.max_generations,
                           rp.GetUint("max_generations", 0));
-  SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
-
-  ScratchDirGuard guard(durable);
-  mopts.data_dir = guard.dir;
-
-  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
-                          index::MutableFuzzyIndex::Create(mopts));
-  std::map<uint64_t, std::string> live;
-  CheckResult result;
-
-  auto check_epoch = [&](const std::string& ctx) {
-    std::vector<uint64_t> ids;
-    std::vector<std::string> refs;
-    for (const auto& [id, value] : live) {
-      ids.push_back(id);
-      refs.push_back(value);
-    }
-    for (const std::string& query : rp.s) {
-      if (!SameMatches("mutable_index after '" + ctx + "'",
-                       ToIdSims(index->Lookup(query, k)),
-                       OracleLookup(ids, refs, mopts.match, query, k), query,
-                       &result.detail)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  for (const std::string& text : rp.r) {
-    ChurnOp op = ParseChurnOp(text);
-    if (op.kind == 'u') {
-      SSJOIN_RETURN_NOT_OK(index->Upsert(op.id, op.value));
-      live[op.id] = op.value;
-    } else if (op.kind == 'd') {
-      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
-      live.erase(op.id);
-    } else if (op.kind == 's') {
-      SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op.kind == 'c') {
-      SSJOIN_RETURN_NOT_OK(index->Compact());
-    } else if (op.kind == 'x' && durable) {
-      index.reset();
-      SSJOIN_ASSIGN_OR_RETURN(index, index::MutableFuzzyIndex::Open(mopts));
-    } else {
-      continue;  // malformed op, or a reopen of an in-memory index: no-op
-    }
-    if (!check_epoch(text)) {
-      result.pass = false;
-      return result;
-    }
-  }
-  result.pass = check_epoch("<end>");
-  return result;
+  return setup;
 }
 
 /// Deterministic attributes for a churned (id, value) doc: drawn from the
@@ -741,6 +682,84 @@ filter::AttrSet FuzzAttrsFor(uint64_t id, const std::string& value) {
                                 static_cast<int64_t>((h >> 16) % 4)));
   }
   return attrs;
+}
+
+/// Applies `op` to `*index` (upserts carry FuzzAttrsFor attributes when
+/// `with_attrs`; 'x' reopens a durable index). False when the op is a no-op:
+/// malformed, or a reopen of an in-memory index.
+Result<bool> ApplyChurnOp(const ChurnOp& op, const ChurnSetup& setup,
+                          bool with_attrs,
+                          std::unique_ptr<index::MutableFuzzyIndex>* index) {
+  switch (op.kind) {
+    case 'u':
+      SSJOIN_RETURN_NOT_OK((*index)->Upsert(
+          op.id, op.value,
+          with_attrs ? FuzzAttrsFor(op.id, op.value) : filter::AttrSet{}));
+      return true;
+    case 'd':
+      SSJOIN_RETURN_NOT_OK((*index)->Delete(op.id));
+      return true;
+    case 's':
+      SSJOIN_RETURN_NOT_OK((*index)->Seal());
+      return true;
+    case 'c':
+      SSJOIN_RETURN_NOT_OK((*index)->Compact());
+      return true;
+    case 'x':
+      if (!setup.durable) return false;
+      index->reset();
+      SSJOIN_ASSIGN_OR_RETURN(*index,
+                              index::MutableFuzzyIndex::Open(setup.mopts));
+      return true;
+  }
+  return false;
+}
+
+/// Differential churn fuzz for the mutable index (ChurnOp encoding). After
+/// EVERY applied op, all `s` queries are checked bitwise
+/// (ids, similarities and order) against BruteForceLookup over the live
+/// records sorted by ascending doc_id — the equivalence contract under
+/// arbitrary interleavings, epoch by epoch. The oracle shares neither the
+/// index's candidate generation nor its exact test.
+Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
+  SSJOIN_ASSIGN_OR_RETURN(ChurnSetup setup, ParseChurnSetup(rp));
+  ScratchDirGuard guard(setup.durable);
+  setup.mopts.data_dir = guard.dir;
+  const size_t k = setup.k;
+  const index::MutableIndexOptions& mopts = setup.mopts;
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
+                          index::MutableFuzzyIndex::Create(mopts));
+  std::map<uint64_t, std::string> live;
+  CheckResult result;
+
+  auto check_epoch = [&](const std::string& ctx) {
+    std::vector<uint64_t> ids;
+    std::vector<std::string> refs;
+    for (const auto& [id, value] : live) {
+      ids.push_back(id);
+      refs.push_back(value);
+    }
+    for (const std::string& query : rp.s) {
+      if (!SameMatches("mutable_index after '" + ctx + "'",
+                       ToIdSims(index->Lookup(query, k)),
+                       OracleLookup(ids, refs, mopts.match, query, k), query,
+                       &result)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  for (const std::string& text : rp.r) {
+    ChurnOp op = ParseChurnOp(text);
+    SSJOIN_ASSIGN_OR_RETURN(bool applied, ApplyChurnOp(op, setup, false, &index));
+    if (!applied) continue;
+    if (op.kind == 'u') live[op.id] = op.value;
+    if (op.kind == 'd') live.erase(op.id);
+    if (!check_epoch(text)) return result;
+  }
+  check_epoch("<end>");
+  return result;
 }
 
 /// Builds the seed-drawn predicate of a `filtered_lookup` case from its
@@ -791,19 +810,12 @@ Result<filter::FilterPredicate> FuzzPredicate(const Reproducer& rp) {
 /// FilterPredicate::Matches dropped, truncated to k — and the empty filter
 /// must be byte-identical to the unfiltered overload.
 Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
-  size_t k = std::max<uint64_t>(1, k_raw);
-  index::MutableIndexOptions mopts;
-  SSJOIN_ASSIGN_OR_RETURN(mopts.match, IndexOptions(rp));
-  SSJOIN_ASSIGN_OR_RETURN(mopts.seal_threshold,
-                          rp.GetUint("seal_threshold", 0));
-  SSJOIN_ASSIGN_OR_RETURN(mopts.max_generations,
-                          rp.GetUint("max_generations", 0));
-  SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
+  SSJOIN_ASSIGN_OR_RETURN(ChurnSetup setup, ParseChurnSetup(rp));
   SSJOIN_ASSIGN_OR_RETURN(filter::FilterPredicate pred, FuzzPredicate(rp));
-
-  ScratchDirGuard guard(durable);
-  mopts.data_dir = guard.dir;
+  ScratchDirGuard guard(setup.durable);
+  setup.mopts.data_dir = guard.dir;
+  const size_t k = setup.k;
+  const index::MutableIndexOptions& mopts = setup.mopts;
 
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           index::MutableFuzzyIndex::Create(mopts));
@@ -822,24 +834,23 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
       for (const auto& m : all) {
         std::optional<filter::AttrSet> attrs = index->AttrsAt(*state, m.id);
         if (!attrs) {
-          result.detail = "filtered_lookup after '" + ctx +
-                          "': live match id " + std::to_string(m.id) +
-                          " has no attribute set";
-          return false;
+          return Fail(&result, "filtered_lookup after '" + ctx +
+                               "': live match id " + std::to_string(m.id) +
+                               " has no attribute set");
         }
         if (pred.Matches(*attrs)) want.emplace_back(m.id, m.similarity);
         if (want.size() == k) break;
       }
       if (!SameMatches("filtered_lookup after '" + ctx + "' pred " +
                            pred.CanonicalJson(),
-                       ToIdSims(got), want, query, &result.detail)) {
+                       ToIdSims(got), want, query, &result)) {
         return false;
       }
       // The empty filter must give the unfiltered result.
       if (!SameMatches("filtered_lookup after '" + ctx + "' (empty filter)",
                        ToIdSims(index->LookupAt(*state, query, k, empty_pred)),
                        ToIdSims(index->LookupAt(*state, query, k)), query,
-                       &result.detail)) {
+                       &result)) {
         return false;
       }
     }
@@ -847,28 +858,11 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
   };
 
   for (const std::string& text : rp.r) {
-    ChurnOp op = ParseChurnOp(text);
-    if (op.kind == 'u') {
-      SSJOIN_RETURN_NOT_OK(
-          index->Upsert(op.id, op.value, FuzzAttrsFor(op.id, op.value)));
-    } else if (op.kind == 'd') {
-      SSJOIN_RETURN_NOT_OK(index->Delete(op.id));
-    } else if (op.kind == 's') {
-      SSJOIN_RETURN_NOT_OK(index->Seal());
-    } else if (op.kind == 'c') {
-      SSJOIN_RETURN_NOT_OK(index->Compact());
-    } else if (op.kind == 'x' && durable) {
-      index.reset();
-      SSJOIN_ASSIGN_OR_RETURN(index, index::MutableFuzzyIndex::Open(mopts));
-    } else {
-      continue;  // malformed op, or a reopen of an in-memory index: no-op
-    }
-    if (!check_epoch(text)) {
-      result.pass = false;
-      return result;
-    }
+    SSJOIN_ASSIGN_OR_RETURN(
+        bool applied, ApplyChurnOp(ParseChurnOp(text), setup, true, &index));
+    if (applied && !check_epoch(text)) return result;
   }
-  result.pass = check_epoch("<end>");
+  check_epoch("<end>");
   return result;
 }
 
@@ -881,17 +875,15 @@ Result<CheckResult> CheckFilteredLookup(const Reproducer& rp) {
 /// must equal Epoch() afterwards and never decrease while the index stays
 /// open.
 Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
-  size_t k = std::max<uint64_t>(1, k_raw);
+  SSJOIN_ASSIGN_OR_RETURN(ChurnSetup setup, ParseChurnSetup(rp));
+  const size_t k = setup.k;
+  const bool durable = setup.durable;
   shard::ShardedIndexOptions sopts;
   SSJOIN_ASSIGN_OR_RETURN(uint64_t shards, rp.GetUint("shards", 2));
   sopts.num_shards = static_cast<uint32_t>(std::max<uint64_t>(1, shards));
-  SSJOIN_ASSIGN_OR_RETURN(sopts.match, IndexOptions(rp));
-  SSJOIN_ASSIGN_OR_RETURN(sopts.seal_threshold,
-                          rp.GetUint("seal_threshold", 0));
-  SSJOIN_ASSIGN_OR_RETURN(sopts.max_generations,
-                          rp.GetUint("max_generations", 0));
-  SSJOIN_ASSIGN_OR_RETURN(const bool durable, rp.GetBool("durable", false));
+  sopts.match = setup.mopts.match;
+  sopts.seal_threshold = setup.mopts.seal_threshold;
+  sopts.max_generations = setup.mopts.max_generations;
 
   ScratchDirGuard guard(durable);
   sopts.data_dir = guard.dir;
@@ -914,19 +906,18 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
         "sharded_lookup N=" + std::to_string(sopts.num_shards) + " after '" +
         ctx + "'";
     for (const std::string& query : rp.s) {
-      SSJOIN_ASSIGN_OR_RETURN(shard::LookupResult got, index->Lookup(query, k));
+      SSJOIN_ASSIGN_OR_RETURN(serve::LookupResult got, index->Lookup(query, k));
       if (!SameMatches(name, ToIdSims(got.matches),
                        OracleLookup(ids, refs, sopts.match, query, k), query,
-                       &result.detail)) {
+                       &result)) {
         return false;
       }
-      for (const shard::ShardMatch& m : got.matches) {
+      for (const serve::ValuedMatch& m : got.matches) {
         auto it = live.find(m.id);
         if (it == live.end() || it->second != m.value) {
-          result.detail = name + ": doc " + std::to_string(m.id) +
-                          " returned value '" + m.value +
-                          "', not its live record";
-          return false;
+          return Fail(&result, name + ": doc " + std::to_string(m.id) +
+                               " returned value '" + m.value +
+                               "', not its live record");
         }
       }
     }
@@ -940,11 +931,10 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
                                   const std::string& ctx) -> Result<bool> {
     SSJOIN_ASSIGN_OR_RETURN(uint64_t now, index->Epoch());
     if (returned != now || returned < last_epoch) {
-      result.detail = "sharded_lookup after '" + ctx + "': returned epoch " +
-                      std::to_string(returned) + ", Epoch() " +
-                      std::to_string(now) + ", previous " +
-                      std::to_string(last_epoch);
-      return false;
+      return Fail(&result, "sharded_lookup after '" + ctx +
+                               "': returned epoch " + std::to_string(returned) +
+                               ", Epoch() " + std::to_string(now) +
+                               ", previous " + std::to_string(last_epoch));
     }
     last_epoch = returned;
     return true;
@@ -962,10 +952,7 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
       if (op.kind == 'u') live[op.id] = op.value;
       if (op.kind == 'd') live.erase(op.id);
       SSJOIN_ASSIGN_OR_RETURN(bool ok, check_mutation_epoch(*epoch, text));
-      if (!ok) {
-        result.pass = false;
-        return result;
-      }
+      if (!ok) return result;
     } else if (op.kind == 'x' && durable) {
       index.reset();
       shard::ShardedIndexOptions reopen = sopts;
@@ -977,34 +964,131 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
       continue;  // malformed op, or a reopen of an in-memory index: no-op
     }
     SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch(text));
-    if (!ok) {
-      result.pass = false;
-      return result;
-    }
+    if (!ok) return result;
   }
-  SSJOIN_ASSIGN_OR_RETURN(bool ok, check_epoch("<end>"));
-  result.pass = ok;
+  SSJOIN_RETURN_NOT_OK(check_epoch("<end>").status());
   return result;
 }
 
-Result<CheckResult> CheckWireParser(const Reproducer& rp) {
+// ---------------------------------------------------------------------------
+// request_dispatch: request lines from bytes to replies
+
+/// One request line for request_dispatch: a random op (every op some mode
+/// serves, plus an unknown one) with its own fields mostly present and
+/// foreign ones rarely; string values come from `pool`.
+std::string GenerateRequestLine(Rng* rng, const std::vector<std::string>& pool) {
+  // Each op with the fields it reads.
+  static const std::pair<const char*, const char*> kOps[] = {
+      {"ping", ""}, {"metrics", ""}, {"shutdown", ""}, {"seal", ""},
+      {"compact", ""}, {"epoch", ""}, {"resync", ""}, {"sync", ""},
+      {"dump", ""}, {"no_such_op", ""}, {"stats", " format "},
+      {"lookup", " query k deadline_ms filter "},
+      {"slookup", " query k deadline_ms filter "},
+      {"upsert", " id value attrs global "}, {"delete", " id global "},
+      {"gstats", " has_added added has_removed removed "},
+      {"gstats_reset", " values "}, {"getvalue", " id "},
+      {"repl_fetch", " name "}};
+  auto str = [&] {
+    return "\"" + serve::JsonEscape(pool[rng->Uniform(pool.size())]) + "\"";
+  };
+  const auto& [op, own] = kOps[rng->Uniform(std::size(kOps))];
+  std::string line = std::string("{\"op\": \"") + op + "\"";
+  for (std::string field :
+       {"query", "k", "deadline_ms", "filter", "id", "value", "attrs",
+        "global", "format", "has_added", "added", "has_removed", "removed",
+        "values", "name"}) {
+    bool mine = std::string(own).find(" " + field + " ") != std::string::npos;
+    if (!rng->Bernoulli(mine ? 0.85 : 0.05)) continue;
+    std::string v;
+    if (field == "k" || field == "id") {
+      v = std::to_string(rng->Uniform(8));
+    } else if (field == "deadline_ms") {
+      v = std::to_string(rng->Uniform(2) * 1000);
+    } else if (field == "filter") {
+      v = R"({"country": ["DE", "FR"], "!tier": 1})";
+    } else if (field == "attrs") {
+      v = R"({"country": "DE", "tier": 1})";
+    } else if (field == "global" || field.rfind("has_", 0) == 0) {
+      v = rng->Bernoulli(0.8) ? "true" : "false";
+    } else if (field == "format") {
+      v = rng->Bernoulli(0.5) ? "\"ndjson\"" : str();
+    } else if (field == "values") {
+      v = "\"" + serve::JsonEscape(shard::PackNetstrings(pool)) + "\"";
+    } else if (field == "name") {
+      const char* names[] = {"\"MANIFEST\"", "\"../MANIFEST\"", "\"missing\""};
+      v = names[rng->Uniform(3)];
+    } else {
+      v = str();
+    }
+    line += ", \"" + field + "\": " + v;
+  }
+  return line + "}";
+}
+
+/// Empty when `reply` is one well-formed answer: a JSON object with a
+/// boolean "ok", followed only by what it announces (the `metrics` lines or
+/// the `repl_fetch` body); otherwise what is wrong with it.
+std::string ReplyDefect(const std::string& reply) {
+  size_t nl = reply.find('\n');
+  Result<std::map<std::string, std::string>> header =
+      serve::ParseJsonObjectRaw(std::string_view(reply).substr(0, nl));
+  if (!header.ok()) return "reply is not one JSON object";
+  std::map<std::string, std::string>& m = *header;
+  if (m["ok"] != "true" && m["ok"] != "false") return "reply lacks boolean 'ok'";
+  bool more = nl != std::string::npos;
+  std::string_view rest = more ? std::string_view(reply).substr(nl + 1) : "";
+  if (m["ok"] == "true" && m.count("len") > 0) {
+    return more && rest.size() == std::strtoull(m["len"].c_str(), nullptr, 10)
+               ? ""
+               : "body length disagrees with 'len'";
+  }
+  if (m["format"] != "\"ndjson\"") {
+    return more ? "reply spans lines its header does not announce" : "";
+  }
+  std::vector<std::string> lines;
+  if (more) lines = SplitAndDropEmpty(rest, "\n");
+  if (std::to_string(lines.size()) != m["metrics"] ||
+      (more && std::count(rest.begin(), rest.end(), '\n') + 1 !=
+                   static_cast<std::ptrdiff_t>(lines.size()))) {
+    return "metric lines disagree with the header's count";
+  }
+  for (const std::string& line : lines) {
+    if (!serve::ParseJsonObjectRaw(line).ok()) {
+      return "metric line is not a JSON object";
+    }
+  }
+  return "";
+}
+
+/// The request path from bytes to reply, over the `r` strings (the docs,
+/// the queries and the string pool) and the raw `s` lines:
+///  - parser: every lookup line built from an `r` string parses with its
+///    query and k intact, no strict prefix of it parses (truncation is always
+///    reported), and its byte-mutated copies parse deterministically;
+///  - dispatch: those lines, a request line per `r` string for a random op
+///    (GenerateRequestLine), byte-mutated copies of both and the raw `s`
+///    lines, split into lines as the server reads them, go through three
+///    dispatchers: a single in-memory service with the shard-server ops and
+///    repl_fetch, the same service read-only (the follower's shape), and a
+///    2-shard in-process fan-out with resync. Each line must get exactly one
+///    well-formed reply from each (ReplyDefect), without a crash.
+Result<CheckResult> CheckRequestDispatch(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   uint64_t k = std::max<uint64_t>(1, k_raw);
   SSJOIN_ASSIGN_OR_RETURN(uint64_t deadline_ms, rp.GetUint("deadline_ms", 0));
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t mutations, rp.GetUint("mutations", 32));
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t mutations, rp.GetUint("mutations", 8));
   SSJOIN_ASSIGN_OR_RETURN(uint64_t mutate_seed, rp.GetUint("mutate_seed", 1));
   Rng rng(mutate_seed);
 
-  CheckResult result;
+  std::vector<std::string> requests;
   for (const std::string& query : rp.r) {
     std::string line = "{\"op\": \"lookup\", \"query\": \"" +
-                       serve::JsonEscape(query) + "\", \"k\": " +
-                       std::to_string(k);
+                       serve::JsonEscape(query) +
+                       "\", \"k\": " + std::to_string(k);
     if (deadline_ms > 0) {
       line += ", \"deadline_ms\": " + std::to_string(deadline_ms);
     }
     line += "}";
-
     Result<std::map<std::string, serve::JsonScalar>> parsed =
         serve::ParseJsonObject(line);
     if (!parsed.ok()) {
@@ -1012,22 +1096,15 @@ Result<CheckResult> CheckWireParser(const Reproducer& rp) {
                                     parsed.status().ToString() + " for " + line};
     }
     auto q = parsed->find("query");
+    auto kf = parsed->find("k");
     if (q == parsed->end() ||
         q->second.type != serve::JsonScalar::Type::kString ||
-        q->second.str != query) {
-      return CheckResult{false,
-                         "query did not round-trip byte-exactly for " + line};
-    }
-    auto kf = parsed->find("k");
-    if (kf == parsed->end() ||
-        kf->second.type != serve::JsonScalar::Type::kNumber ||
+        q->second.str != query || kf == parsed->end() ||
         kf->second.num != static_cast<double>(k)) {
-      return CheckResult{false, "k did not round-trip for " + line};
+      return CheckResult{false, "query or k did not round-trip for " + line};
     }
-
     // The object's closing '}' is its last byte (any earlier '}' sits inside
-    // a string literal), so no strict prefix may parse: a truncated line must
-    // always be reported, never silently accepted.
+    // a string literal), so no strict prefix may parse.
     for (size_t len = 0; len < line.size(); ++len) {
       if (serve::ParseJsonObject(std::string_view(line).substr(0, len)).ok()) {
         return CheckResult{false, "strict prefix of length " +
@@ -1035,26 +1112,67 @@ Result<CheckResult> CheckWireParser(const Reproducer& rp) {
                                       " parsed as valid: " + line};
       }
     }
+    requests.push_back(line);
+    requests.push_back(GenerateRequestLine(&rng, rp.r));
+  }
 
-    // Random byte-level mutations: the parser must return (not crash) and be
-    // deterministic — the same bytes always yield the same accept/reject.
+  ScratchDirGuard leader_dir(/*durable=*/true);
+  std::filesystem::create_directories(leader_dir.dir);
+  // A repl_fetch body with newlines, braces and a NUL in it.
+  SSJOIN_RETURN_NOT_OK(common::WriteFileAtomic(
+      leader_dir.dir + "/" + index::kManifestFileName,
+      std::string("raw\n{\"ok\": true}\n\0body", 22)));
+  std::vector<std::pair<uint64_t, std::string>> docs;
+  for (size_t i = 0; i < rp.r.size(); ++i) docs.emplace_back(i, rp.r[i]);
+  index::MutableIndexOptions mopts;
+  mopts.match.alpha = 0.3;
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
+                          index::MutableFuzzyIndex::Create(mopts));
+  SSJOIN_RETURN_NOT_OK(index->BulkLoad(docs));
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<serve::LookupService> service,
+                          serve::LookupService::Create(std::move(index), {}));
+  shard::LocalShard single(std::move(service));
+  shard::ShardedIndexOptions sopts;
+  sopts.num_shards = 2;
+  sopts.match = mopts.match;
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<shard::ShardedLookupIndex> sharded,
+                          shard::ShardedLookupIndex::Create(sopts));
+  SSJOIN_RETURN_NOT_OK(sharded->BulkLoad(docs));
+  serve::Handler leader(&single, 3, /*read_only=*/false);
+  serve::Handler follower(&single, 3, /*read_only=*/true);
+  for (serve::Handler* h : {&leader, &follower}) {
+    shard::InstallShardServerOps(h, &single);
+    shard::InstallReplFetch(h, leader_dir.dir);
+  }
+  serve::Handler fanout(sharded.get(), 3, /*read_only=*/false);
+  shard::InstallResync(&fanout, sharded.get());
+
+  std::vector<std::string> variants = rp.s;
+  for (const std::string& request : requests) {
+    variants.push_back(request);
     for (uint64_t m = 0; m < mutations; ++m) {
-      std::string mutated = MutateString(&rng, line);
-      bool first = serve::ParseJsonObject(mutated).ok();
-      bool second = serve::ParseJsonObject(mutated).ok();
-      if (first != second) {
-        return CheckResult{false,
-                           "non-deterministic parse of mutated line: " + mutated};
+      variants.push_back(MutateString(&rng, request));
+      if (serve::ParseJsonObject(variants.back()).ok() !=
+          serve::ParseJsonObject(variants.back()).ok()) {
+        return CheckResult{false, "non-deterministic parse of mutated line: " +
+                                      variants.back()};
       }
     }
   }
-
-  // Raw adversarial lines (empty, high-byte, repeated-char, ...) straight
-  // into the parser: any outcome is fine as long as it returns.
-  for (const std::string& raw : rp.s) {
-    (void)serve::ParseJsonObject(raw);
+  for (const std::string& variant : variants) {
+    for (std::string line : SplitAndDropEmpty(variant, "\n")) {
+      if (line.back() == '\r') line.pop_back();
+      if (line.empty()) continue;
+      for (const serve::Handler* h : {&leader, &follower, &fanout}) {
+        bool stop = false;
+        std::string reply = h->Handle(line, &stop);
+        if (std::string defect = ReplyDefect(reply); !defect.empty()) {
+          return CheckResult{false, defect + ": " + line + " -> " + reply};
+        }
+      }
+    }
   }
-  return result;
+  return CheckResult{};
 }
 
 // ---------------------------------------------------------------------------
@@ -1258,6 +1376,52 @@ std::string GenerateKernelSpan(Rng* rng) {
   return out;
 }
 
+/// The churn workload of mutable_index, filtered_lookup and sharded_lookup
+/// (ChurnOp encoding, one op per `r` string; `s` holds the queries checked
+/// at every epoch). Ops reference a small id space so upserts, replacements
+/// and deletes collide often; values come from a shared pool so
+/// near-duplicates (the interesting similarity regime) are common. Returns
+/// whether the case is durable.
+bool GenerateChurn(Rng* rng, double p_durable, uint64_t max_ops,
+                   Reproducer* rp) {
+  WorkloadOptions wopts;
+  wopts.max_records = 12;
+  std::vector<std::string> pool = GenerateStrings(rng, wopts);
+  if (pool.empty()) pool.push_back("");
+  rp->s = GenerateStrings(rng, wopts);
+  bool durable = rng->Bernoulli(p_durable);
+  size_t num_ops = 1 + rng->Uniform(max_ops);
+  for (size_t i = 0; i < num_ops; ++i) {
+    uint64_t roll = rng->Uniform(100);
+    if (roll < 55) {
+      rp->r.push_back("u" + std::to_string(rng->Uniform(10)) + "\x1f" +
+                      pool[rng->Uniform(pool.size())]);
+    } else if (roll < 75) {
+      rp->r.push_back("d" + std::to_string(rng->Uniform(10)));
+    } else if (roll < 85) {
+      rp->r.push_back("s");
+    } else if (roll < 92) {
+      rp->r.push_back("c");
+    } else {
+      rp->r.push_back("x");  // no-op unless durable
+    }
+  }
+  return durable;
+}
+
+/// The index and maintenance parameters of a churn case.
+void SetChurnParams(Rng* rng, bool durable, Reproducer* rp) {
+  rp->Set("durable", durable);
+  rp->Set("word_tokens", rng->Bernoulli(0.6));
+  rp->Set("q", 1 + rng->Uniform(4));
+  rp->Set("alpha", 0.2 + 0.6 * rng->NextDouble());
+  rp->Set("k", 1 + rng->Uniform(5));
+  rp->Set("seal_threshold",
+          rng->Bernoulli(0.3) ? 1 + rng->Uniform(8) : uint64_t{0});
+  rp->Set("max_generations",
+          rng->Bernoulli(0.3) ? 1 + rng->Uniform(3) : uint64_t{0});
+}
+
 void GenerateCollections(Rng* rng, const WorkloadOptions& opts, Reproducer* rp) {
   rp->r = GenerateStrings(rng, opts);
   // Self-joins get their own draw: many bugs (and the paper's experiments)
@@ -1272,7 +1436,7 @@ std::vector<std::string> AllScenarios() {
           "edit_similarity_joins", "jaccard_joins",
           "ges_join",              "lookup_service",
           "mutable_index",         "sharded_lookup",
-          "filtered_lookup",       "wire_parser",
+          "filtered_lookup",       "request_dispatch",
           "recall",                "kernel_diff"};
 }
 
@@ -1332,75 +1496,14 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
     rp.Set("cache_on", rng.Bernoulli(0.5));
     rp.Set("threads", 1 + rng.Uniform(4));
   } else if (scenario == "mutable_index") {
-    // Ops reference a small id space so upserts, replacements and deletes
-    // collide often; values come from a shared pool so near-duplicates (the
-    // interesting similarity regime) are common.
-    wopts.max_records = 12;
-    std::vector<std::string> pool = GenerateStrings(&rng, wopts);
-    if (pool.empty()) pool.push_back("");
-    rp.s = GenerateStrings(&rng, wopts);  // queries checked at every epoch
-    bool durable = rng.Bernoulli(0.5);
-    size_t num_ops = 1 + rng.Uniform(40);
-    for (size_t i = 0; i < num_ops; ++i) {
-      uint64_t roll = rng.Uniform(100);
-      if (roll < 55) {
-        rp.r.push_back("u" + std::to_string(rng.Uniform(10)) + "\x1f" +
-                       pool[rng.Uniform(pool.size())]);
-      } else if (roll < 75) {
-        rp.r.push_back("d" + std::to_string(rng.Uniform(10)));
-      } else if (roll < 85) {
-        rp.r.push_back("s");
-      } else if (roll < 92) {
-        rp.r.push_back("c");
-      } else {
-        rp.r.push_back("x");  // no-op unless durable
-      }
-    }
-    rp.Set("durable", durable);
-    rp.Set("word_tokens", rng.Bernoulli(0.6));
-    rp.Set("q", 1 + rng.Uniform(4));
-    rp.Set("alpha", 0.2 + 0.6 * rng.NextDouble());
-    rp.Set("k", 1 + rng.Uniform(5));
-    rp.Set("seal_threshold", rng.Bernoulli(0.3) ? 1 + rng.Uniform(8)
-                                                : uint64_t{0});
-    rp.Set("max_generations", rng.Bernoulli(0.3) ? 1 + rng.Uniform(3)
-                                                 : uint64_t{0});
+    SetChurnParams(&rng, GenerateChurn(&rng, 0.5, 40, &rp), &rp);
   } else if (scenario == "filtered_lookup") {
     // The mutable_index churn shape with content-derived attributes and a
     // seed-drawn predicate: selector one past the drawn attribute range
     // yields zero-match conjuncts, skipped selectors exercise the
     // one-conjunct and NOT-IN-only forms, and f_ghost adds a conjunct on an
     // attribute no doc carries.
-    wopts.max_records = 12;
-    std::vector<std::string> pool = GenerateStrings(&rng, wopts);
-    if (pool.empty()) pool.push_back("");
-    rp.s = GenerateStrings(&rng, wopts);
-    bool durable = rng.Bernoulli(0.5);
-    size_t num_ops = 1 + rng.Uniform(40);
-    for (size_t i = 0; i < num_ops; ++i) {
-      uint64_t roll = rng.Uniform(100);
-      if (roll < 55) {
-        rp.r.push_back("u" + std::to_string(rng.Uniform(10)) + "\x1f" +
-                       pool[rng.Uniform(pool.size())]);
-      } else if (roll < 75) {
-        rp.r.push_back("d" + std::to_string(rng.Uniform(10)));
-      } else if (roll < 85) {
-        rp.r.push_back("s");
-      } else if (roll < 92) {
-        rp.r.push_back("c");
-      } else {
-        rp.r.push_back("x");  // no-op unless durable
-      }
-    }
-    rp.Set("durable", durable);
-    rp.Set("word_tokens", rng.Bernoulli(0.6));
-    rp.Set("q", 1 + rng.Uniform(4));
-    rp.Set("alpha", 0.2 + 0.6 * rng.NextDouble());
-    rp.Set("k", 1 + rng.Uniform(5));
-    rp.Set("seal_threshold", rng.Bernoulli(0.3) ? 1 + rng.Uniform(8)
-                                                : uint64_t{0});
-    rp.Set("max_generations", rng.Bernoulli(0.3) ? 1 + rng.Uniform(3)
-                                                 : uint64_t{0});
+    SetChurnParams(&rng, GenerateChurn(&rng, 0.5, 40, &rp), &rp);
     rp.Set("f_country", rng.Uniform(7));  // 5, 6 = no country conjunct
     rp.Set("f_country_neg", rng.Bernoulli(0.4));
     rp.Set("f_country_wide", rng.Bernoulli(0.4));
@@ -1413,38 +1516,10 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
     // checked against the 1-shard oracle: random shard counts × interleaved
     // upserts and deletes is exactly where a stats-propagation bug would
     // surface as a one-ULP similarity difference.
-    wopts.max_records = 12;
-    std::vector<std::string> pool = GenerateStrings(&rng, wopts);
-    if (pool.empty()) pool.push_back("");
-    rp.s = GenerateStrings(&rng, wopts);
-    bool durable = rng.Bernoulli(0.4);
-    size_t num_ops = 1 + rng.Uniform(30);
-    for (size_t i = 0; i < num_ops; ++i) {
-      uint64_t roll = rng.Uniform(100);
-      if (roll < 55) {
-        rp.r.push_back("u" + std::to_string(rng.Uniform(10)) + "\x1f" +
-                       pool[rng.Uniform(pool.size())]);
-      } else if (roll < 75) {
-        rp.r.push_back("d" + std::to_string(rng.Uniform(10)));
-      } else if (roll < 85) {
-        rp.r.push_back("s");
-      } else if (roll < 92) {
-        rp.r.push_back("c");
-      } else {
-        rp.r.push_back("x");  // no-op unless durable
-      }
-    }
+    bool durable = GenerateChurn(&rng, 0.4, 30, &rp);
     const uint64_t shard_counts[] = {2, 3, 4, 8};
     rp.Set("shards", shard_counts[rng.Uniform(4)]);
-    rp.Set("durable", durable);
-    rp.Set("word_tokens", rng.Bernoulli(0.6));
-    rp.Set("q", 1 + rng.Uniform(4));
-    rp.Set("alpha", 0.2 + 0.6 * rng.NextDouble());
-    rp.Set("k", 1 + rng.Uniform(5));
-    rp.Set("seal_threshold", rng.Bernoulli(0.3) ? 1 + rng.Uniform(8)
-                                                : uint64_t{0});
-    rp.Set("max_generations", rng.Bernoulli(0.3) ? 1 + rng.Uniform(3)
-                                                 : uint64_t{0});
+    SetChurnParams(&rng, durable, &rp);
   } else if (scenario == "recall") {
     GenerateCollections(&rng, wopts, &rp);
     rp.Set("word_tokens", rng.Bernoulli(0.7));
@@ -1466,15 +1541,16 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
       rp.r.push_back(GenerateKernelSpan(&rng));
       rp.s.push_back(GenerateKernelSpan(&rng));
     }
-  } else if (scenario == "wire_parser") {
+  } else if (scenario == "request_dispatch") {
     // Lean harder on the adversarial string classes: control bytes, high
     // bytes and empty strings are exactly what a wire parser mishandles.
+    wopts.max_records = 12;
     wopts.p_high_byte = 0.25;
     wopts.p_empty = 0.15;
     GenerateCollections(&rng, wopts, &rp);
     rp.Set("k", 1 + rng.Uniform(10));
     rp.Set("deadline_ms", rng.Uniform(200));
-    rp.Set("mutations", 16 + rng.Uniform(48));
+    rp.Set("mutations", 4 + rng.Uniform(12));
     rp.Set("mutate_seed", rng.Next());
   } else {
     // Unknown scenario: leave an empty workload; CheckCase will reject it.
@@ -1496,7 +1572,7 @@ Result<CheckResult> CheckCase(const Reproducer& repro) {
   if (repro.scenario == "mutable_index") return CheckMutableIndex(repro);
   if (repro.scenario == "sharded_lookup") return CheckShardedLookup(repro);
   if (repro.scenario == "filtered_lookup") return CheckFilteredLookup(repro);
-  if (repro.scenario == "wire_parser") return CheckWireParser(repro);
+  if (repro.scenario == "request_dispatch") return CheckRequestDispatch(repro);
   if (repro.scenario == "recall") return CheckRecall(repro);
   if (repro.scenario == "kernel_diff") return CheckKernelDiff(repro);
   return Status::Invalid("unknown fuzz scenario: " + repro.scenario);

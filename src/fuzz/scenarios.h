@@ -51,13 +51,18 @@ struct CheckResult {
 ///                            FilterPredicate::Matches dropped, truncated to
 ///                            k — bitwise identical, with the empty filter
 ///                            byte-identical to the unfiltered overload.
-///  - `wire_parser`           serve::ParseJsonObject over generated request
-///                            lines: every well-formed line round-trips its
-///                            fields byte-exactly, every strict prefix is
-///                            rejected (truncation can never be silently
-///                            accepted), and random byte-level mutations and
-///                            raw adversarial lines parse deterministically
-///                            without crashing.
+///  - `request_dispatch`      the request path from bytes to reply: every
+///                            generated lookup line round-trips its fields
+///                            through serve::ParseJsonObject and no strict
+///                            prefix parses; those lines, request lines for
+///                            every op, byte mutations of both and raw
+///                            adversarial lines then go through three
+///                            serve::Handler setups (single service with the
+///                            shard-server ops, read-only follower, 2-shard
+///                            fan-out), each line getting exactly one reply:
+///                            a JSON object with a boolean "ok", followed
+///                            only by the lines or bytes its header
+///                            announces.
 ///  - `kernel_diff`           every available kernel tier (gallop, simd,
 ///                            auto) vs the pinned scalar oracle across all
 ///                            kernel entry points, over adversarial span

@@ -80,7 +80,7 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Create(
     std::lock_guard<std::mutex> lock(index->writer_mu_);
     index->PublishLocked();
   }
-  index->StartBackground();
+  index->RegisterMetricsProvider();
   return index;
 }
 
@@ -194,33 +194,23 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
   }
 
   index->PublishLocked();
-  // StartBackground takes the registry lock, and the registry calls the
+  // RegisterMetricsProvider takes the registry lock, and the registry calls the
   // provider it registers, which takes writer_mu_: never hold both here.
   lock.unlock();
-  index->StartBackground();
+  index->RegisterMetricsProvider();
   return index;
 }
 
-void MutableFuzzyIndex::StartBackground() {
+void MutableFuzzyIndex::RegisterMetricsProvider() {
   (void)LookupMetrics();  // listed in metric dumps before the first lookup
   provider_id_.store(obs::Registry::Global().RegisterProvider(
       [this](std::vector<obs::MetricPoint>* out) { CollectMetrics(out); }));
-  if (options_.background_maintenance &&
-      (options_.seal_threshold > 0 || options_.max_generations > 0)) {
-    maintenance_ = std::thread([this] { BackgroundLoop(); });
-  }
 }
 
 MutableFuzzyIndex::~MutableFuzzyIndex() {
   if (uint64_t pid = provider_id_.exchange(0); pid != 0) {
     obs::Registry::Global().UnregisterProvider(pid);
   }
-  {
-    std::lock_guard<std::mutex> lock(maint_mu_);
-    stopping_ = true;
-  }
-  maint_cv_.notify_all();
-  if (maintenance_.joinable()) maintenance_.join();
 }
 
 void MutableFuzzyIndex::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
@@ -683,41 +673,11 @@ void MutableFuzzyIndex::MaybeMaintainLocked() {
   bool want_compact = options_.max_generations > 0 &&
                       sealed_.size() > options_.max_generations;
   if (!want_seal && !want_compact) return;
-  if (options_.background_maintenance) {
-    {
-      std::lock_guard<std::mutex> lock(maint_mu_);
-      maint_kick_ = true;
-    }
-    maint_cv_.notify_one();
-    return;
-  }
   // Inline maintenance: deterministic epoch numbering, mutation pays the
   // seal/compaction latency. Failures surface on the mutating call.
   if (want_seal) (void)SealLocked();
   if (options_.max_generations > 0 && sealed_.size() > options_.max_generations) {
     (void)CompactLocked();
-  }
-}
-
-void MutableFuzzyIndex::BackgroundLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(maint_mu_);
-      maint_cv_.wait(lock, [&] { return stopping_ || maint_kick_; });
-      if (stopping_) return;
-      maint_kick_ = false;
-    }
-    std::lock_guard<std::mutex> writer_lock(writer_mu_);
-    if (options_.seal_threshold > 0 &&
-        tail_.num_docs() >= options_.seal_threshold) {
-      // Background failures cannot surface to a caller; the next explicit
-      // Seal/Checkpoint retries and reports.
-      (void)SealLocked();
-    }
-    if (options_.max_generations > 0 &&
-        sealed_.size() > options_.max_generations) {
-      (void)CompactLocked();
-    }
   }
 }
 

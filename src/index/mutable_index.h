@@ -2,14 +2,12 @@
 #define SSJOIN_INDEX_MUTABLE_INDEX_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,12 +37,6 @@ struct MutableIndexOptions {
   /// Auto-compact once the sealed generation count exceeds this
   /// (0 = only explicit Compact calls).
   size_t max_generations = 4;
-  /// Apply the two thresholds from a background maintenance thread instead
-  /// of inline in the mutating call. Results are identical either way (a
-  /// seal or compaction never changes lookup results, only epoch numbers);
-  /// background mode keeps mutation latency flat at the cost of timing-
-  /// dependent epoch numbering.
-  bool background_maintenance = false;
 };
 
 /// The effect of one owner-shard mutation on the cluster-wide IDF
@@ -289,7 +281,9 @@ class MutableFuzzyIndex {
 
   explicit MutableFuzzyIndex(const MutableIndexOptions& options);
 
-  void StartBackground();
+  /// Registers CollectMetrics with the obs::Registry (after construction:
+  /// the registry calls the provider, which takes writer_mu_).
+  void RegisterMetricsProvider();
   /// obs::Registry provider mirroring Stats() as `index.*` metrics.
   void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
 
@@ -317,8 +311,8 @@ class MutableFuzzyIndex {
   /// Writes segment file(s) + rotated WAL + manifest for the current sealed
   /// state; `obsolete_files` are removed after the manifest rename commits.
   Status PersistSealedLocked(const std::vector<std::string>& obsolete_files);
+  /// Applies the seal and compaction thresholds inline, after a mutation.
   void MaybeMaintainLocked();
-  void BackgroundLoop();
 
   /// Clears the winner flag of `loc`, first copying a sealed generation's
   /// flags that a published epoch may still read. Requires writer_mu_.
@@ -380,12 +374,6 @@ class MutableFuzzyIndex {
   obs::Histogram publish_us_;
   obs::Histogram compaction_us_;
   std::atomic<uint64_t> provider_id_{0};
-
-  std::mutex maint_mu_;
-  std::condition_variable maint_cv_;
-  bool stopping_ = false;
-  bool maint_kick_ = false;
-  std::thread maintenance_;
 };
 
 }  // namespace ssjoin::index

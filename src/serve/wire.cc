@@ -10,66 +10,37 @@ namespace ssjoin::serve {
 
 namespace {
 
-/// Recursive-descent parser over the flat-object subset; the cursor is a
-/// string_view consumed from the front.
+/// Recursive-descent JSON parser for requests (objects of scalars, one
+/// nesting level) and replies (any nesting, members kept raw); the cursor
+/// is a string_view consumed from the front.
 class Parser {
  public:
   explicit Parser(std::string_view in) : in_(in) {}
 
   Result<std::map<std::string, JsonScalar>> ParseObject() {
-    SkipSpace();
-    SSJOIN_RETURN_NOT_OK(Expect('{'));
     std::map<std::string, JsonScalar> out;
-    SkipSpace();
-    if (Peek() == '}') {
-      ++pos_;
-      return Finish(std::move(out));
-    }
-    for (;;) {
-      SkipSpace();
-      std::string key;
-      SSJOIN_RETURN_NOT_OK(ParseString(&key));
-      SkipSpace();
-      SSJOIN_RETURN_NOT_OK(Expect(':'));
-      SkipSpace();
+    SSJOIN_RETURN_NOT_OK(ParseTopLevel([&](std::string key) -> Status {
       JsonScalar value;
       SSJOIN_RETURN_NOT_OK(ParseScalar(&value));
-      if (!out.emplace(std::move(key), std::move(value)).second) {
-        return Status::Invalid("duplicate key in JSON object");
-      }
-      SkipSpace();
-      char c = Peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        return Finish(std::move(out));
-      }
-      if (AtEnd()) {
-        return Status::Invalid("unexpected end of input inside JSON object");
-      }
-      return Status::Invalid("expected ',' or '}' in JSON object");
-    }
+      return Insert(&out, std::move(key), std::move(value), "");
+    }));
+    return out;
+  }
+
+  Result<std::map<std::string, std::string>> ParseRaw() {
+    std::map<std::string, std::string> out;
+    SSJOIN_RETURN_NOT_OK(ParseTopLevel([&](std::string key) -> Status {
+      size_t from = pos_;
+      SSJOIN_RETURN_NOT_OK(SkipValue(0));
+      return Insert(&out, std::move(key),
+                    std::string(in_.substr(from, pos_ - from)), "");
+    }));
+    return out;
   }
 
   Result<std::map<std::string, JsonValue>> ParseRequest() {
-    SkipSpace();
-    SSJOIN_RETURN_NOT_OK(Expect('{'));
     std::map<std::string, JsonValue> out;
-    SkipSpace();
-    if (Peek() == '}') {
-      ++pos_;
-      return FinishRequest(std::move(out));
-    }
-    for (;;) {
-      SkipSpace();
-      std::string key;
-      SSJOIN_RETURN_NOT_OK(ParseString(&key));
-      SkipSpace();
-      SSJOIN_RETURN_NOT_OK(Expect(':'));
-      SkipSpace();
+    SSJOIN_RETURN_NOT_OK(ParseTopLevel([&](std::string key) -> Status {
       JsonValue value;
       if (Peek() == '{') {
         value.is_object = true;
@@ -80,24 +51,9 @@ class Parser {
       } else {
         SSJOIN_RETURN_NOT_OK(ParseScalar(&value.scalar));
       }
-      if (!out.emplace(std::move(key), std::move(value)).second) {
-        return Status::Invalid("duplicate key in JSON object");
-      }
-      SkipSpace();
-      char c = Peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        return FinishRequest(std::move(out));
-      }
-      if (AtEnd()) {
-        return Status::Invalid("unexpected end of input inside JSON object");
-      }
-      return Status::Invalid("expected ',' or '}' in JSON object");
-    }
+      return Insert(&out, std::move(key), std::move(value), "");
+    }));
+    return out;
   }
 
  private:
@@ -124,27 +80,19 @@ class Parser {
     return Status::OK();
   }
 
-  Result<std::map<std::string, JsonScalar>> Finish(
-      std::map<std::string, JsonScalar> out) {
-    SkipSpace();
-    if (pos_ != in_.size()) {
-      return Status::Invalid("trailing bytes after JSON object");
+  template <typename V>
+  static Status Insert(std::map<std::string, V>* out, std::string key, V value,
+                       const char* level) {
+    if (!out->emplace(std::move(key), std::move(value)).second) {
+      return Status::Invalid(std::string("duplicate key in ") + level +
+                             "JSON object");
     }
-    return out;
+    return Status::OK();
   }
 
-  Result<std::map<std::string, JsonValue>> FinishRequest(
-      std::map<std::string, JsonValue> out) {
-    SkipSpace();
-    if (pos_ != in_.size()) {
-      return Status::Invalid("trailing bytes after JSON object");
-    }
-    return out;
-  }
-
-  /// The one nesting level: an object whose values are scalars or arrays of
-  /// scalars. Anything deeper is rejected (ParseScalar refuses '{'/'[').
-  Status ParseInnerObject(std::map<std::string, JsonNested>* out) {
+  /// `{"key": value, ...}`; `member(key)` parses the value at the cursor.
+  template <typename Member>
+  Status ParseMembers(Member&& member) {
     SSJOIN_RETURN_NOT_OK(Expect('{'));
     SkipSpace();
     if (Peek() == '}') {
@@ -158,44 +106,7 @@ class Parser {
       SkipSpace();
       SSJOIN_RETURN_NOT_OK(Expect(':'));
       SkipSpace();
-      JsonNested value;
-      if (Peek() == '[') {
-        value.is_array = true;
-        ++pos_;
-        SkipSpace();
-        if (Peek() == ']') {
-          ++pos_;
-        } else {
-          for (;;) {
-            SkipSpace();
-            JsonScalar item;
-            SSJOIN_RETURN_NOT_OK(ParseScalar(&item));
-            value.items.push_back(std::move(item));
-            SkipSpace();
-            char c = Peek();
-            if (c == ',') {
-              ++pos_;
-              continue;
-            }
-            if (c == ']') {
-              ++pos_;
-              break;
-            }
-            if (AtEnd()) {
-              return Status::Invalid(
-                  "unexpected end of input inside JSON array");
-            }
-            return Status::Invalid("expected ',' or ']' in JSON array");
-          }
-        }
-      } else {
-        JsonScalar item;
-        SSJOIN_RETURN_NOT_OK(ParseScalar(&item));
-        value.items.push_back(std::move(item));
-      }
-      if (!out->emplace(std::move(key), std::move(value)).second) {
-        return Status::Invalid("duplicate key in nested JSON object");
-      }
+      SSJOIN_RETURN_NOT_OK(member(std::move(key)));
       SkipSpace();
       char c = Peek();
       if (c == ',') {
@@ -211,6 +122,77 @@ class Parser {
       }
       return Status::Invalid("expected ',' or '}' in JSON object");
     }
+  }
+
+  /// The whole input: one object and nothing after it but whitespace.
+  template <typename Member>
+  Status ParseTopLevel(Member&& member) {
+    SkipSpace();
+    SSJOIN_RETURN_NOT_OK(ParseMembers(member));
+    SkipSpace();
+    if (pos_ != in_.size()) {
+      return Status::Invalid("trailing bytes after JSON object");
+    }
+    return Status::OK();
+  }
+
+  /// `[item, ...]`; `item()` parses each element at the cursor.
+  template <typename Item>
+  Status ParseItems(Item&& item) {
+    SSJOIN_RETURN_NOT_OK(Expect('['));
+    SkipSpace();
+    if (Peek() == ']') {
+      ++pos_;
+      return Status::OK();
+    }
+    for (;;) {
+      SkipSpace();
+      SSJOIN_RETURN_NOT_OK(item());
+      SkipSpace();
+      char c = Peek();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == ']') {
+        ++pos_;
+        return Status::OK();
+      }
+      if (AtEnd()) {
+        return Status::Invalid("unexpected end of input inside JSON array");
+      }
+      return Status::Invalid("expected ',' or ']' in JSON array");
+    }
+  }
+
+  /// The one nesting level: an object whose values are scalars or arrays of
+  /// scalars. Anything deeper is rejected (ParseScalar refuses '{'/'[').
+  Status ParseInnerObject(std::map<std::string, JsonNested>* out) {
+    return ParseMembers([&](std::string key) -> Status {
+      JsonNested value;
+      value.is_array = Peek() == '[';
+      auto item = [&]() -> Status {
+        JsonScalar scalar;
+        SSJOIN_RETURN_NOT_OK(ParseScalar(&scalar));
+        value.items.push_back(std::move(scalar));
+        return Status::OK();
+      };
+      SSJOIN_RETURN_NOT_OK(value.is_array ? ParseItems(item) : item());
+      return Insert(out, std::move(key), std::move(value), "nested ");
+    });
+  }
+
+  /// Any JSON value nested at most 16 levels deep, validated and skipped.
+  Status SkipValue(int depth) {
+    if ((Peek() == '{' || Peek() == '[') && depth >= 16) {
+      return Status::Invalid("JSON nested too deeply");
+    }
+    if (Peek() == '{') {
+      return ParseMembers([&](std::string) { return SkipValue(depth + 1); });
+    }
+    if (Peek() == '[') return ParseItems([&] { return SkipValue(depth + 1); });
+    JsonScalar ignored;
+    return ParseScalar(&ignored);
   }
 
   Status ParseString(std::string* out) {
@@ -358,6 +340,11 @@ Result<std::map<std::string, JsonScalar>> ParseJsonObject(std::string_view line)
 
 Result<std::map<std::string, JsonValue>> ParseJsonRequest(std::string_view line) {
   return Parser(line).ParseRequest();
+}
+
+Result<std::map<std::string, std::string>> ParseJsonObjectRaw(
+    std::string_view line) {
+  return Parser(line).ParseRaw();
 }
 
 namespace {

@@ -62,6 +62,13 @@ Result<std::map<std::string, JsonScalar>> ParseJsonObject(std::string_view line)
 /// both levels.
 Result<std::map<std::string, JsonValue>> ParseJsonRequest(std::string_view line);
 
+/// Parses any one JSON object, such as a reply whose members nest arrays and
+/// objects. Nested values are validated (the same strict grammar, at most 16
+/// levels) but not decoded: each top-level member maps to its raw JSON text
+/// (a string keeps its quotes). Top-level keys must be unique.
+Result<std::map<std::string, std::string>> ParseJsonObjectRaw(
+    std::string_view line);
+
 /// Largest integer a JSON number (a double) holds exactly: 2^53.
 inline constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
 

@@ -1,10 +1,13 @@
 #include "shard/replication.h"
 
+#include <chrono>
 #include <filesystem>
 
 #include "common/atomic_file.h"
 #include "common/hash.h"
 #include "index/manifest.h"
+#include "serve/handler.h"
+#include "shard/wire_client.h"
 
 namespace ssjoin::shard {
 
@@ -32,15 +35,44 @@ bool LocalSegmentCurrent(const std::string& path, uint64_t checksum) {
 
 Result<std::string> FileFetcher::Fetch(const std::string& name) {
   if (!SafeBasename(name)) {
-    return Status::Invalid("refusing to fetch non-basename '" + name + "'");
+    return Status::Invalid("repl_fetch name must be a basename");
   }
   std::string path = dir_ + "/" + name;
-  if (!fs::exists(path)) {
-    return Status::KeyError("leader has no file '" + name + "'");
-  }
+  if (!fs::exists(path)) return Status::KeyError("no file '" + name + "'");
   std::string bytes;
   SSJOIN_RETURN_NOT_OK(common::ReadFile(path, &bytes));
   return bytes;
+}
+
+Result<std::string> WireFetcher::Fetch(const std::string& name) {
+  SSJOIN_ASSIGN_OR_RETURN(WireClient client,
+                          WireClient::Connect(leader_socket_));
+  std::string line = "{\"op\": \"repl_fetch\", \"name\": \"" +
+                     serve::JsonEscape(name) + "\"}";
+  SSJOIN_ASSIGN_OR_RETURN(
+      auto header,
+      CallExpectOk(client, line, std::chrono::milliseconds(30000)));
+  auto len = header.find("len");
+  if (len == header.end()) {
+    return Status::IOError("repl_fetch header lacks 'len'");
+  }
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t n, serve::UintFromJson(len->second));
+  return client.ReadRaw(n, std::chrono::milliseconds(60000));
+}
+
+void InstallReplFetch(serve::Handler* handler, const std::string& data_dir) {
+  handler->Install(
+      "repl_fetch", {},
+      [data_dir](const serve::Request& req) -> Result<std::string> {
+        SSJOIN_ASSIGN_OR_RETURN(std::string name,
+                                serve::StringField(req, "name"));
+        SSJOIN_ASSIGN_OR_RETURN(std::string bytes,
+                                FileFetcher(data_dir).Fetch(name));
+        // The server's trailing newline lands after the body;
+        // WireClient::ReadRaw consumes exactly `len`.
+        return "{\"ok\": true, \"len\": " + std::to_string(bytes.size()) +
+               "}\n" + bytes;
+      });
 }
 
 Result<SyncResult> SyncFromLeader(Fetcher& fetcher,

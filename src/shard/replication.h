@@ -3,8 +3,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/result.h"
+
+namespace ssjoin::serve {
+class Handler;
+}  // namespace ssjoin::serve
 
 namespace ssjoin::shard {
 
@@ -12,9 +17,9 @@ namespace ssjoin::shard {
 ///
 /// Sealed-snapshot replication is transport-agnostic: the follower drives one
 /// Fetcher, whether the bytes come off a local directory (FileFetcher, also
-/// the unit-test double) or over the wire from a running shard server (the
-/// `repl_fetch` op in tools/ssjoin_served.cc). Fetch returns the complete
-/// file contents or a status (KeyError when the leader has no such file).
+/// the unit-test double) or over the wire from a running server (WireFetcher
+/// calling the leader's `repl_fetch` op). Fetch returns the complete file
+/// contents or a status (KeyError when the leader has no such file).
 class Fetcher {
  public:
   virtual ~Fetcher() = default;
@@ -31,6 +36,23 @@ class FileFetcher : public Fetcher {
  private:
   std::string dir_;
 };
+
+/// Fetches from a leader server's `repl_fetch` op, one fresh connection per
+/// file: a header line with the byte count, then the raw body.
+class WireFetcher : public Fetcher {
+ public:
+  explicit WireFetcher(std::string leader_socket)
+      : leader_socket_(std::move(leader_socket)) {}
+  Result<std::string> Fetch(const std::string& name) override;
+
+ private:
+  std::string leader_socket_;
+};
+
+/// The leader side: installs `repl_fetch` on `handler`, answering with a
+/// FileFetcher over `data_dir` as the header line {"ok": true, "len": N}
+/// followed by the N raw bytes.
+void InstallReplFetch(serve::Handler* handler, const std::string& data_dir);
 
 /// What one replication round did.
 struct SyncResult {

@@ -11,18 +11,19 @@ namespace ssjoin::shard {
 // ---------------------------------------------------------------------------
 // LocalShard
 
-Result<std::vector<ShardMatch>> LocalShard::Lookup(
+Result<serve::LookupResult> LocalShard::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds remaining,
     const filter::FilterPredicate& filter) {
   std::vector<std::string> values;
   SSJOIN_ASSIGN_OR_RETURN(
       std::vector<serve::LookupService::Match> found,
-      service_->Lookup(query, k, remaining, filter, &values));
-  std::vector<ShardMatch> matches(found.size());
+      service()->Lookup(query, k, remaining, filter, &values));
+  serve::LookupResult out;
   for (size_t i = 0; i < found.size(); ++i) {
-    matches[i] = {found[i].id, found[i].similarity, std::move(values[i])};
+    out.matches.push_back(
+        {found[i].id, found[i].similarity, std::move(values[i])});
   }
-  return matches;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -31,17 +32,6 @@ Result<std::vector<ShardMatch>> LocalShard::Lookup(
 namespace {
 
 using JsonObject = std::map<std::string, serve::JsonScalar>;
-
-/// Rehydrates the status a shard server reported in its error response, so
-/// wire hops do not flatten "deadline exceeded on the shard" into a generic
-/// IO error (the fan-out's failure policy keys on the code).
-Status StatusFromWire(const std::string& code, const std::string& message) {
-  if (code == "Deadline exceeded") return Status::DeadlineExceeded(message);
-  if (code == "Unavailable") return Status::Unavailable(message);
-  if (code == "Invalid argument") return Status::Invalid(message);
-  if (code == "Key error") return Status::KeyError(message);
-  return Status::IOError(code + ": " + message);
-}
 
 Result<std::string> GetString(const JsonObject& obj, const char* key) {
   auto it = obj.find(key);
@@ -105,24 +95,11 @@ Result<uint64_t> ParseOwnerReply(const JsonObject& reply,
 Result<JsonObject> RemoteShard::Call(const std::string& line,
                                      std::chrono::milliseconds timeout) const {
   SSJOIN_ASSIGN_OR_RETURN(WireClient client, WireClient::Connect(socket_path_));
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::string reply,
-      client.Call(line, timeout.count() > 0 ? timeout : admin_timeout_));
-  SSJOIN_ASSIGN_OR_RETURN(JsonObject obj, serve::ParseJsonObject(reply));
-  auto ok = obj.find("ok");
-  if (ok == obj.end() || ok->second.type != serve::JsonScalar::Type::kBool) {
-    return Status::IOError("shard response lacks 'ok'");
-  }
-  if (!ok->second.boolean) {
-    std::string code = "IO error", message = "shard reported failure";
-    if (auto c = GetString(obj, "code"); c.ok()) code = *c;
-    if (auto m = GetString(obj, "error"); m.ok()) message = *m;
-    return StatusFromWire(code, message);
-  }
-  return obj;
+  return CallExpectOk(client, line,
+                      timeout.count() > 0 ? timeout : admin_timeout_);
 }
 
-Result<std::vector<ShardMatch>> RemoteShard::Lookup(
+Result<serve::LookupResult> RemoteShard::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds remaining,
     const filter::FilterPredicate& filter) {
   std::string line = "{\"op\": \"slookup\", \"query\": \"" +
@@ -150,13 +127,15 @@ Result<std::vector<ShardMatch>> RemoteShard::Lookup(
   if (sims.size() != ids.size()) {
     return Status::IOError("shard lookup response fields disagree on count");
   }
-  std::vector<ShardMatch> matches(ids.size());
+  serve::LookupResult out;
+  out.matches.resize(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    matches[i].id = ids[i];
-    SSJOIN_ASSIGN_OR_RETURN(matches[i].similarity, ParseHexDouble(sims[i]));
-    matches[i].value = std::move(values[i]);
+    serve::ValuedMatch& m = out.matches[i];
+    m.id = ids[i];
+    SSJOIN_ASSIGN_OR_RETURN(m.similarity, ParseHexDouble(sims[i]));
+    m.value = std::move(values[i]);
   }
-  return matches;
+  return out;
 }
 
 Result<uint64_t> RemoteShard::UpsertGlobal(uint64_t doc_id,
@@ -217,6 +196,133 @@ Result<std::vector<std::pair<uint64_t, std::string>>> RemoteShard::LiveDocs() {
 Result<uint64_t> RemoteShard::CallForEpoch(const std::string& line) const {
   SSJOIN_ASSIGN_OR_RETURN(JsonObject reply, Call(line));
   return GetUint(reply, "epoch");
+}
+
+// ---------------------------------------------------------------------------
+// Shard-server ops: the other end of every RemoteShard call above
+
+namespace {
+
+/// The "ids" list of a slookup or dump reply.
+std::string JoinIds(const std::vector<uint64_t>& ids) {
+  std::string out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(ids[i]);
+  }
+  return out;
+}
+
+/// The reply ParseIdsAndValues reads; `extra` (slookup's "sims") sits
+/// between the ids and the values.
+std::string IdsAndValuesReply(const std::vector<uint64_t>& ids,
+                              const std::string& extra,
+                              const std::vector<std::string>& values) {
+  return "{\"ok\": true, \"n\": " + std::to_string(ids.size()) +
+         ", \"ids\": \"" + JoinIds(ids) + "\"" + extra + ", \"values\": \"" +
+         serve::JsonEscape(PackNetstrings(values)) + "\"}";
+}
+
+/// The reply ParseOwnerReply reads.
+std::string OwnerReply(uint64_t epoch, const index::GlobalDelta& delta) {
+  std::string out = "{\"ok\": true, \"epoch\": " + std::to_string(epoch) +
+                    ", \"had_prev\": ";
+  out += delta.removed.has_value() ? "true" : "false";
+  if (delta.removed.has_value()) {
+    out += ", \"prev\": \"" + serve::JsonEscape(*delta.removed) + "\"";
+  }
+  return out + "}";
+}
+
+}  // namespace
+
+void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
+  using serve::Request;
+  using Reply = Result<std::string>;
+  const uint64_t kMaxId = serve::kMaxExactInteger;
+
+  handler->Install("slookup", {}, [=](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(serve::LookupParams p,
+                            serve::ParseLookupParams(req, handler->default_k()));
+    SSJOIN_ASSIGN_OR_RETURN(serve::LookupResult result,
+                            shard->Lookup(p.query, p.k, p.deadline, p.filter));
+    std::vector<uint64_t> ids;
+    std::vector<std::string> values;
+    std::string sims;
+    for (serve::ValuedMatch& m : result.matches) {
+      if (!ids.empty()) sims += ',';
+      ids.push_back(m.id);
+      // Hex floats round-trip the exact doubles, so the fan-out's merge stays
+      // bit-identical to an unsharded lookup.
+      sims += FormatHexDouble(m.similarity);
+      values.push_back(std::move(m.value));
+    }
+    return IdsAndValuesReply(ids, ", \"sims\": \"" + sims + "\"", values);
+  });
+  handler->Install(
+      "upsert", {.mutates = true, .global = true},
+      [=](const Request& req) -> Reply {
+        SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
+        SSJOIN_ASSIGN_OR_RETURN(std::string value,
+                                serve::StringField(req, "value"));
+        SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, serve::AttrsField(req));
+        index::GlobalDelta delta;
+        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch,
+                                shard->UpsertGlobal(id, value, attrs, &delta));
+        return OwnerReply(epoch, delta);
+      });
+  handler->Install(
+      "delete", {.mutates = true, .global = true},
+      [=](const Request& req) -> Reply {
+        SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
+        index::GlobalDelta delta;
+        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->DeleteGlobal(id, &delta));
+        return OwnerReply(epoch, delta);
+      });
+  handler->Install("gstats", {.mutates = true}, [=](const Request& req) -> Reply {
+    index::GlobalDelta delta;
+    if (serve::BoolField(req, "has_added")) {
+      SSJOIN_ASSIGN_OR_RETURN(delta.added, serve::StringField(req, "added"));
+    }
+    if (serve::BoolField(req, "has_removed")) {
+      SSJOIN_ASSIGN_OR_RETURN(delta.removed, serve::StringField(req, "removed"));
+    }
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->ApplyGlobalDelta(delta));
+    return serve::EpochReply(epoch);
+  });
+  handler->Install(
+      "gstats_reset", {.mutates = true}, [=](const Request& req) -> Reply {
+        SSJOIN_ASSIGN_OR_RETURN(std::string packed,
+                                serve::StringField(req, "values"));
+        SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> values,
+                                UnpackNetstrings(packed));
+        SSJOIN_RETURN_NOT_OK(shard->ResetGlobalStats(values));
+        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->Epoch());
+        return serve::EpochReply(epoch);
+      });
+  handler->Install("dump", {}, [=](const Request&) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(auto docs, shard->LiveDocs());
+    std::vector<uint64_t> ids;
+    std::vector<std::string> values;
+    for (auto& [id, value] : docs) {
+      ids.push_back(id);
+      values.push_back(std::move(value));
+    }
+    return IdsAndValuesReply(ids, "", values);
+  });
+  handler->Install("getvalue", {}, [=](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
+    std::shared_ptr<serve::LookupService> service = shard->service();
+    std::optional<std::string> value = service->ValueOf(id);
+    if (!value.has_value()) return std::string("{\"ok\": true, \"found\": false}");
+    std::string out = "{\"ok\": true, \"found\": true, \"value\": \"" +
+                      serve::JsonEscape(*value) + "\"";
+    std::optional<filter::AttrSet> attrs = service->AttrsOf(id);
+    if (attrs.has_value() && !attrs->empty()) {
+      out += ", \"attrs\": " + serve::AttrsToJson(*attrs);
+    }
+    return out + "}";
+  });
 }
 
 }  // namespace ssjoin::shard

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,34 +14,29 @@
 #include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
+#include "serve/handler.h"
 #include "serve/lookup_service.h"
 #include "serve/wire.h"
 
 namespace ssjoin::shard {
 
-/// One match as a shard reports it. The value rides along, so a merge never
-/// needs a second round trip to render results.
-struct ShardMatch {
-  uint64_t id = 0;
-  double similarity = 0.0;
-  std::string value;
-};
-
 /// \brief The per-shard surface a ShardedLookupIndex scatter-gathers over.
 ///
 /// The interface hides the transport: LocalShard calls a LookupService in
-/// this process, RemoteShard speaks the shard-server wire ops of
-/// ssjoin_served over a unix socket, and tests substitute fakes to make the
-/// fan-out policies (hedging, degraded reads) deterministic. Methods may be
-/// called from several threads at once: lookups from the scatter threads,
-/// mutations from one caller at a time.
+/// this process, RemoteShard speaks the shard-server wire ops (served by
+/// InstallShardServerOps) over a unix socket, and tests substitute fakes to
+/// make the fan-out policies (hedging, degraded reads) deterministic.
+/// Methods may be called from several threads at once: lookups from the
+/// scatter threads, mutations from one caller at a time.
 class ShardClient {
  public:
   virtual ~ShardClient() = default;
 
-  /// The shard's best `k` matches. `remaining` is the budget left at
-  /// dispatch (zero = no deadline); a shard past it answers DeadlineExceeded.
-  virtual Result<std::vector<ShardMatch>> Lookup(
+  /// The shard's best `k` matches, each with its value so a merge never
+  /// needs a second round trip to render results. `remaining` is the budget
+  /// left at dispatch (zero = no deadline); a shard past it answers
+  /// DeadlineExceeded.
+  virtual Result<serve::LookupResult> Lookup(
       const std::string& query, size_t k, std::chrono::milliseconds remaining,
       const filter::FilterPredicate& filter) = 0;
 
@@ -77,57 +73,89 @@ class ShardClient {
   }
 };
 
-/// A shard in this process: one LookupService over its slice of the
-/// documents. Lookup attaches each match's value, read from the same epoch
-/// the lookup scored against.
-class LocalShard final : public ShardClient {
+/// One LookupService in this process: a shard of an in-process fan-out
+/// (its slice of the documents), and the whole Backend of a single-service
+/// server, whose shard-server ops (InstallShardServerOps) answer from it.
+/// Lookup attaches each match's value, read from the same epoch the lookup
+/// scored against. A follower swaps in a freshly opened service after each
+/// replicated epoch (Replace); every call pins the service current at its
+/// start.
+class LocalShard final : public ShardClient, public serve::Backend {
  public:
-  explicit LocalShard(std::unique_ptr<serve::LookupService> service)
+  explicit LocalShard(std::shared_ptr<serve::LookupService> service)
       : service_(std::move(service)) {}
 
-  Result<std::vector<ShardMatch>> Lookup(
+  std::shared_ptr<serve::LookupService> service() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return service_;
+  }
+  void Replace(std::shared_ptr<serve::LookupService> service) {
+    std::lock_guard<std::mutex> lock(mu_);
+    service_ = std::move(service);
+  }
+
+  Result<serve::LookupResult> Lookup(
       const std::string& query, size_t k, std::chrono::milliseconds remaining,
       const filter::FilterPredicate& filter) override;
   Result<uint64_t> UpsertGlobal(uint64_t doc_id, const std::string& value,
                                 const filter::AttrSet& attrs,
                                 index::GlobalDelta* delta) override {
-    return EpochAfter(service_->UpsertGlobal(doc_id, value, attrs, delta));
+    return Mutate([&](auto& s) {
+      return s.UpsertGlobal(doc_id, value, attrs, delta);
+    });
   }
   Result<uint64_t> DeleteGlobal(uint64_t doc_id,
                                 index::GlobalDelta* delta) override {
-    return EpochAfter(service_->DeleteGlobal(doc_id, delta));
+    return Mutate([&](auto& s) { return s.DeleteGlobal(doc_id, delta); });
   }
   Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta& delta) override {
-    return EpochAfter(service_->ApplyGlobalDelta(delta));
+    return Mutate([&](auto& s) { return s.ApplyGlobalDelta(delta); });
   }
   Status ResetGlobalStats(const std::vector<std::string>& values) override {
-    return service_->ResetGlobalStats(values);
+    return service()->ResetGlobalStats(values);
   }
   Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() override {
-    return service_->LiveDocs();
+    return service()->LiveDocs();
   }
-  Result<uint64_t> Seal() override { return EpochAfter(service_->Seal()); }
-  Result<uint64_t> Compact() override {
-    return EpochAfter(service_->Compact());
-  }
-  Result<uint64_t> Epoch() override { return service_->epoch(); }
   Status BulkLoad(
       const std::vector<std::pair<uint64_t, std::string>>& records) override {
-    return service_->BulkLoad(records);
+    return service()->BulkLoad(records);
+  }
+  Result<uint64_t> Upsert(uint64_t doc_id, const std::string& value,
+                          const filter::AttrSet& attrs) override {
+    return Mutate([&](auto& s) { return s.Upsert(doc_id, value, attrs); });
+  }
+  Result<uint64_t> Delete(uint64_t doc_id) override {
+    return Mutate([&](auto& s) { return s.Delete(doc_id); });
+  }
+  Result<uint64_t> Seal() override {
+    return Mutate([](auto& s) { return s.Seal(); });
+  }
+  Result<uint64_t> Compact() override {
+    return Mutate([](auto& s) { return s.Compact(); });
+  }
+  Result<uint64_t> Epoch() override { return service()->epoch(); }
+  /// `, "stats": {...}`: the service's counters and latency quantiles.
+  std::string StatsFields() override {
+    return ", \"stats\": " + service()->Stats().ToJson();
   }
 
  private:
-  /// The service's epoch once `status` (a mutation's) is known to be OK.
-  Result<uint64_t> EpochAfter(const Status& status) const {
-    if (!status.ok()) return status;
-    return service_->epoch();
+  /// Runs a mutation on the current service; its epoch afterwards.
+  template <typename Fn>
+  Result<uint64_t> Mutate(Fn&& mutation) {
+    std::shared_ptr<serve::LookupService> s = service();
+    SSJOIN_RETURN_NOT_OK(mutation(*s));
+    return s->epoch();
   }
 
-  std::unique_ptr<serve::LookupService> service_;
+  mutable std::mutex mu_;
+  std::shared_ptr<serve::LookupService> service_;
 };
 
-/// A shard-server process (ssjoin_served in single mode) behind a unix
-/// socket; every call is one round trip on a fresh connection.
+/// A shard-server process (ssjoin_served in single mode, answering the ops
+/// InstallShardServerOps adds) behind a unix socket; every call is one round
+/// trip on a fresh connection.
 ///
 /// Scores cross as hex-float literals and values as netstrings, so a merge
 /// over remote shards stays bit-identical to the unsharded oracle. A
@@ -141,7 +169,7 @@ class RemoteShard final : public ShardClient {
   RemoteShard(std::string socket_path, std::chrono::milliseconds admin_timeout)
       : socket_path_(std::move(socket_path)), admin_timeout_(admin_timeout) {}
 
-  Result<std::vector<ShardMatch>> Lookup(
+  Result<serve::LookupResult> Lookup(
       const std::string& query, size_t k, std::chrono::milliseconds remaining,
       const filter::FilterPredicate& filter) override;
   Result<uint64_t> UpsertGlobal(uint64_t doc_id, const std::string& value,
@@ -172,6 +200,16 @@ class RemoteShard final : public ShardClient {
   std::string socket_path_;
   std::chrono::milliseconds admin_timeout_;
 };
+
+/// \brief The server half of RemoteShard's protocol: installs the
+/// shard-server ops on the handler of a single-service server, answering
+/// from `shard`.
+///   - `slookup`: `lookup` with exact hex-float scores and netstring values;
+///   - `upsert` / `delete` with `"global": true`: owner-side mutations that
+///     report the replaced value (`had_prev`, `prev`);
+///   - `gstats` (fold a global-stats delta), `gstats_reset` (rebuild them
+///     from netstring-packed values), `dump` (live docs), `getvalue`.
+void InstallShardServerOps(serve::Handler* handler, LocalShard* shard);
 
 }  // namespace ssjoin::shard
 

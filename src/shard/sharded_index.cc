@@ -11,6 +11,8 @@
 
 namespace ssjoin::shard {
 
+using serve::ValuedMatch;
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -84,10 +86,6 @@ Result<std::unique_ptr<ShardedLookupIndex>> BuildLocal(
   mopts.match = options.match;
   mopts.seal_threshold = options.seal_threshold;
   mopts.max_generations = options.max_generations;
-  // Background maintenance would make epoch numbering timing-dependent per
-  // shard; the sharded tier keeps maintenance inline for the same
-  // determinism reasons the differential tests rely on.
-  mopts.background_maintenance = false;
   std::vector<std::unique_ptr<ShardClient>> shards;
   for (uint32_t i = 0; i < num_shards; ++i) {
     if (!options.data_dir.empty()) {
@@ -182,7 +180,7 @@ Status ShardedLookupIndex::ResyncLocked() {
   return Status::OK();
 }
 
-Result<LookupResult> ShardedLookupIndex::Lookup(
+Result<serve::LookupResult> ShardedLookupIndex::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
     const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
@@ -200,7 +198,7 @@ Result<LookupResult> ShardedLookupIndex::Lookup(
   // what is left NOW, not the caller's original allowance — queueing ahead
   // of this dispatch (and the hedge delay, for hedges) is charged, never
   // re-granted.
-  auto lookup_shard = [&](uint32_t si) -> Result<std::vector<ShardMatch>> {
+  auto lookup_shard = [&](uint32_t si) -> Result<serve::LookupResult> {
     std::chrono::milliseconds remaining{0};
     if (has_deadline) {
       Clock::time_point now = Clock::now();
@@ -215,7 +213,7 @@ Result<LookupResult> ShardedLookupIndex::Lookup(
   struct Gather {
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<std::optional<Result<std::vector<ShardMatch>>>> first;
+    std::vector<std::optional<Result<serve::LookupResult>>> first;
     std::vector<uint64_t> elapsed_us;
     size_t completed = 0;
   } gather;
@@ -226,7 +224,7 @@ Result<LookupResult> ShardedLookupIndex::Lookup(
   threads.reserve(n + 1);
   auto launch = [&](uint32_t si, bool is_hedge) {
     threads.emplace_back([&, si, is_hedge] {
-      Result<std::vector<ShardMatch>> r = lookup_shard(si);
+      Result<serve::LookupResult> r = lookup_shard(si);
       std::lock_guard<std::mutex> lock(gather.mu);
       if (!gather.first[si].has_value()) {
         gather.first[si] = std::move(r);
@@ -283,9 +281,10 @@ Result<LookupResult> ShardedLookupIndex::Lookup(
   // Any failure fails the lookup, except an unreachable shard under
   // allow_degraded. Shards are visited in id order, so the reported status
   // is deterministic.
-  LookupResult out;
+  serve::LookupResult out;
+  out.shards_ok = 0;
   for (uint32_t si = 0; si < n; ++si) {
-    const Result<std::vector<ShardMatch>>& r = *gather.first[si];
+    const Result<serve::LookupResult>& r = *gather.first[si];
     if (r.ok()) {
       ++out.shards_ok;
       continue;
@@ -310,14 +309,14 @@ Result<LookupResult> ShardedLookupIndex::Lookup(
   obs::ObsSpan merge_span(&metrics_.merge_us);
   for (auto& r : gather.first) {
     if (!r->ok()) continue;
-    std::vector<ShardMatch>& part = r->ValueOrDie();
+    std::vector<ValuedMatch>& part = r->ValueOrDie().matches;
     out.matches.insert(out.matches.end(), std::make_move_iterator(part.begin()),
                        std::make_move_iterator(part.end()));
   }
   // The exact comparator of the per-shard sort; ids are unique across the
   // disjoint partition, so this total order reproduces the unsharded sort.
   std::sort(out.matches.begin(), out.matches.end(),
-            [](const ShardMatch& a, const ShardMatch& b) {
+            [](const ValuedMatch& a, const ValuedMatch& b) {
               if (a.similarity != b.similarity) {
                 return a.similarity > b.similarity;
               }
@@ -379,6 +378,13 @@ Status ShardedLookupIndex::BulkLoad(
   return ResyncLocked();
 }
 
+std::string ShardedLookupIndex::StatsFields() {
+  std::vector<obs::MetricPoint> points;
+  CollectShardMetrics(metrics_, num_shards(), &points);
+  return ", \"shards\": " + std::to_string(num_shards()) +
+         ", \"stats\": " + obs::ToFlatJson(points);
+}
+
 Result<uint64_t> ShardedLookupIndex::SumOverShards(
     Result<uint64_t> (ShardClient::*op)()) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
@@ -388,6 +394,14 @@ Result<uint64_t> ShardedLookupIndex::SumOverShards(
     sum += epoch;
   }
   return sum;
+}
+
+void InstallResync(serve::Handler* handler, ShardedLookupIndex* sharded) {
+  handler->Install("resync", {},
+                   [sharded](const serve::Request&) -> Result<std::string> {
+                     SSJOIN_RETURN_NOT_OK(sharded->Resync());
+                     return std::string("{\"ok\": true, \"resynced\": true}");
+                   });
 }
 
 }  // namespace ssjoin::shard

@@ -13,6 +13,7 @@
 #include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
+#include "serve/handler.h"
 #include "serve/lookup_service.h"
 #include "shard/metrics.h"
 #include "shard/router.h"
@@ -51,18 +52,11 @@ struct ShardedIndexOptions {
   FanoutOptions fanout;
 };
 
-/// A scatter-gather answer plus its completeness: `degraded` is true when
-/// at least one unreachable shard was left out of the merge.
-struct LookupResult {
-  std::vector<ShardMatch> matches;
-  bool degraded = false;
-  uint32_t shards_ok = 0;
-};
-
 /// \brief N-way hash-partitioned fuzzy lookup: one scatter-gather over N
 /// ShardClients, each owning the documents ShardOf routes to it. The shards
 /// are in-process (Create / Open: LocalShard over a MutableFuzzyIndex +
-/// LookupService) or shard-server processes (Connect: RemoteShard).
+/// LookupService) or shard-server processes (Connect: RemoteShard). It is
+/// the serve::Backend of ssjoin_served's --shards and --coordinator modes.
 ///
 /// ## The shard-count invariance contract
 /// For ANY shard count N, Lookup results are bit-identical (ids, scores and
@@ -111,7 +105,7 @@ struct LookupResult {
 /// Epoch() is the sum of the shard epochs. A mutation applies on its owner
 /// shard, broadcasts a non-empty global-stats delta (a delete of an absent
 /// id has none) and returns the sum after that, so it never decreases.
-class ShardedLookupIndex {
+class ShardedLookupIndex final : public serve::Backend {
  public:
   /// Creates an empty N-shard in-process index (with a data_dir:
   /// initializes per-shard subdirectories plus a SHARDS file recording N).
@@ -140,7 +134,7 @@ class ShardedLookupIndex {
       std::vector<std::unique_ptr<ShardClient>> shards,
       const FanoutOptions& fanout, bool allow_degraded);
 
-  ~ShardedLookupIndex();
+  ~ShardedLookupIndex() override;
   ShardedLookupIndex(const ShardedLookupIndex&) = delete;
   ShardedLookupIndex& operator=(const ShardedLookupIndex&) = delete;
 
@@ -149,10 +143,11 @@ class ShardedLookupIndex {
   /// every shard, where each restricts its own candidates — attributes are
   /// owner-local, so the filtered merge stays bit-identical to a filtered
   /// unsharded lookup (filtering removes candidates, never reweights them).
-  Result<LookupResult> Lookup(
+  /// `degraded` is true when an unreachable shard was left out of the merge.
+  Result<serve::LookupResult> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
-      const filter::FilterPredicate& filter = {});
+      const filter::FilterPredicate& filter = {}) override;
 
   /// Routed mutations: the owner shard applies the document and a non-empty
   /// global-stats delta is broadcast to every other shard, keeping all
@@ -161,8 +156,8 @@ class ShardedLookupIndex {
   /// Attributes never join the delta — they do not affect IDF weights and
   /// stay on the owner shard.
   Result<uint64_t> Upsert(uint64_t doc_id, const std::string& value,
-                          const filter::AttrSet& attrs = {});
-  Result<uint64_t> Delete(uint64_t doc_id);
+                          const filter::AttrSet& attrs = {}) override;
+  Result<uint64_t> Delete(uint64_t doc_id) override;
 
   /// Partitions `records` across shards, bulk-loads each, then rebuilds the
   /// global statistics everywhere (one publish per shard). In-process
@@ -174,12 +169,22 @@ class ShardedLookupIndex {
   Status Resync();
 
   /// Seal / compact every shard; return the cluster epoch afterwards.
-  Result<uint64_t> Seal() { return SumOverShards(&ShardClient::Seal); }
-  Result<uint64_t> Compact() { return SumOverShards(&ShardClient::Compact); }
+  Result<uint64_t> Seal() override {
+    return SumOverShards(&ShardClient::Seal);
+  }
+  Result<uint64_t> Compact() override {
+    return SumOverShards(&ShardClient::Compact);
+  }
 
   /// Sum of shard epochs: advances on every mutation anywhere, giving
   /// clients one monotone progress number for the whole cluster.
-  Result<uint64_t> Epoch() { return SumOverShards(&ShardClient::Epoch); }
+  Result<uint64_t> Epoch() override {
+    return SumOverShards(&ShardClient::Epoch);
+  }
+
+  /// `, "shards": N, "stats": {...}`: the `shard.*` figures as one flat
+  /// object (the per-shard `serve.*` figures stay in the metrics export).
+  std::string StatsFields() override;
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
 
@@ -210,6 +215,10 @@ class ShardedLookupIndex {
   ShardMetrics metrics_;
   uint64_t provider_id_ = 0;
 };
+
+/// Installs the fan-out's own op on `handler`: `resync` (Resync), answered
+/// with {"ok": true, "resynced": true}.
+void InstallResync(serve::Handler* handler, ShardedLookupIndex* sharded);
 
 }  // namespace ssjoin::shard
 

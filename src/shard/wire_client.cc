@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -111,56 +112,98 @@ Result<std::string> WireClient::Call(std::string_view line,
     off += static_cast<size_t>(n);
   }
 
-  for (;;) {
-    size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      std::string result = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
-      return result;
-    }
+  // The read gets what is left of the budget (at least 1 ms).
+  if (has_deadline) {
+    timeout = std::max(std::chrono::milliseconds(1),
+                       std::chrono::ceil<std::chrono::milliseconds>(
+                           deadline - Clock::now()));
+  }
+  return ReadLine(timeout);
+}
+
+Status WireClient::ReadUntil(std::chrono::milliseconds timeout,
+                             const std::function<bool()>& done,
+                             const char* read, const char* part) {
+  if (fd_ < 0) return Status::Unavailable("wire client is not connected");
+  bool has_deadline = timeout.count() > 0;
+  Clock::time_point deadline = Clock::now() + timeout;
+  while (!done()) {
     pollfd pfd{fd_, POLLIN, 0};
     int pr = ::poll(&pfd, 1, PollBudget(has_deadline, deadline));
     if (pr < 0) {
       if (errno == EINTR) continue;
       return SocketError("poll");
     }
-    if (pr == 0) return TimeoutError("read");
-    char chunk[4096];
+    if (pr == 0) return TimeoutError(read);
+    char chunk[65536];
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       return SocketError("read");
     }
-    if (n == 0) return Status::IOError("wire peer closed mid-response");
+    if (n == 0) return Status::IOError(std::string("wire peer closed mid-") + part);
     buf_.append(chunk, static_cast<size_t>(n));
   }
+  return Status::OK();
+}
+
+Result<std::string> WireClient::ReadLine(std::chrono::milliseconds timeout) {
+  size_t scanned = 0;  // buf_[0, scanned) holds no '\n'
+  size_t nl = std::string::npos;
+  SSJOIN_RETURN_NOT_OK(ReadUntil(
+      timeout,
+      [&] {
+        nl = buf_.find('\n', scanned);
+        scanned = buf_.size();
+        return nl != std::string::npos;
+      },
+      "read", "response"));
+  std::string line = buf_.substr(0, nl);
+  buf_.erase(0, nl + 1);
+  return line;
 }
 
 Result<std::string> WireClient::ReadRaw(size_t n,
                                         std::chrono::milliseconds timeout) {
-  if (fd_ < 0) return Status::Unavailable("wire client is not connected");
-  bool has_deadline = timeout.count() > 0;
-  Clock::time_point deadline = Clock::now() + timeout;
-  while (buf_.size() < n) {
-    pollfd pfd{fd_, POLLIN, 0};
-    int pr = ::poll(&pfd, 1, PollBudget(has_deadline, deadline));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return SocketError("poll");
-    }
-    if (pr == 0) return TimeoutError("raw read");
-    char chunk[65536];
-    ssize_t r = ::read(fd_, chunk, sizeof(chunk));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return SocketError("read");
-    }
-    if (r == 0) return Status::IOError("wire peer closed mid-body");
-    buf_.append(chunk, static_cast<size_t>(r));
-  }
+  SSJOIN_RETURN_NOT_OK(ReadUntil(
+      timeout, [&] { return buf_.size() >= n; }, "raw read", "body"));
   std::string result = buf_.substr(0, n);
   buf_.erase(0, n);
   return result;
+}
+
+namespace {
+
+Status StatusFromWire(const std::string& code, const std::string& message) {
+  if (code == "Deadline exceeded") return Status::DeadlineExceeded(message);
+  if (code == "Unavailable") return Status::Unavailable(message);
+  if (code == "Invalid argument") return Status::Invalid(message);
+  if (code == "Key error") return Status::KeyError(message);
+  return Status::IOError(code + ": " + message);
+}
+
+}  // namespace
+
+Result<std::map<std::string, serve::JsonScalar>> CallExpectOk(
+    WireClient& client, std::string_view line,
+    std::chrono::milliseconds timeout) {
+  SSJOIN_ASSIGN_OR_RETURN(std::string reply, client.Call(line, timeout));
+  SSJOIN_ASSIGN_OR_RETURN(auto obj, serve::ParseJsonObject(reply));
+  auto field = [&](const char* key, const char* fallback) {
+    auto it = obj.find(key);
+    return it != obj.end() && it->second.type == serve::JsonScalar::Type::kString
+               ? it->second.str
+               : std::string(fallback);
+  };
+  auto ok = obj.find("ok");
+  if (ok == obj.end() || ok->second.type != serve::JsonScalar::Type::kBool) {
+    return Status::IOError("server reply lacks 'ok'");
+  }
+  if (!ok->second.boolean) {
+    return StatusFromWire(field("code", "IO error"),
+                          field("error", "server reported failure"));
+  }
+  return obj;
 }
 
 std::string FormatHexDouble(double v) {

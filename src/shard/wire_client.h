@@ -2,11 +2,14 @@
 #define SSJOIN_SHARD_WIRE_CLIENT_H_
 
 #include <chrono>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "serve/wire.h"
 
 namespace ssjoin::shard {
 
@@ -35,6 +38,10 @@ class WireClient {
   Result<std::string> Call(std::string_view line,
                            std::chrono::milliseconds timeout);
 
+  /// Reads the next response line (newline stripped) without sending, e.g.
+  /// the lines a `metrics` header announces; `timeout` as in Call.
+  Result<std::string> ReadLine(std::chrono::milliseconds timeout);
+
   /// Reads exactly `n` raw bytes — the body of a length-prefixed response
   /// (repl_fetch). Bytes already buffered from line reads are consumed first.
   Result<std::string> ReadRaw(size_t n, std::chrono::milliseconds timeout);
@@ -42,10 +49,25 @@ class WireClient {
  private:
   explicit WireClient(int fd) : fd_(fd) {}
   void Close();
+  /// Reads into buf_ until `done()` holds, within `timeout` (zero = no
+  /// bound); `read` and `part` name the read and the unfinished part in
+  /// timeout and early-EOF errors.
+  Status ReadUntil(std::chrono::milliseconds timeout,
+                   const std::function<bool()>& done, const char* read,
+                   const char* part);
 
   int fd_ = -1;
   std::string buf_;  // bytes read past the last returned line
 };
+
+/// Sends `line` on `client` and returns the reply object when it says
+/// {"ok": true}. An {"ok": false} reply comes back as the status code the
+/// server reported, so wire hops do not flatten "deadline exceeded on the
+/// shard" into a generic IO error (the fan-out's failure policy keys on the
+/// code); an unparsable reply is an IOError.
+Result<std::map<std::string, serve::JsonScalar>> CallExpectOk(
+    WireClient& client, std::string_view line,
+    std::chrono::milliseconds timeout);
 
 /// \name Exact-value encodings of the shard wire protocol
 ///

@@ -9,11 +9,13 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +32,7 @@
 #include "engine/csv.h"
 #include "serve/wire.h"
 #include "shard/router.h"
+#include "shard/wire_client.h"
 
 #ifndef SSJOIN_CLI_PATH
 #error "SSJOIN_CLI_PATH must be defined by the build"
@@ -585,6 +588,113 @@ TEST(CliTest, ServedRejectsInexactNumericFields) {
   EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
   EXPECT_NE(response.find("Apple Inc"), std::string::npos) << response;
   EXPECT_EQ(response.find("Overwritten"), std::string::npos) << response;
+
+  std::string out;
+  ASSERT_EQ(RunCliCapture("lookup --socket " + sock + " --shutdown", &out), 0);
+  EXPECT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) != 0; },
+                      std::chrono::seconds(10)))
+      << ReadWholeFile(server_log);
+  std::remove(in.c_str());
+  std::remove(server_log.c_str());
+}
+
+/// Reads from `fd` until `lines` newline-terminated replies have arrived
+/// (or the socket's receive timeout / EOF), returning them without newlines.
+std::vector<std::string> ReadLines(int fd, size_t lines) {
+  std::vector<std::string> out;
+  std::string current;
+  char buf[4096];
+  while (out.size() < lines) {
+    ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    for (ssize_t i = 0; i < n; ++i) {
+      if (buf[i] != '\n') {
+        current.push_back(buf[i]);
+      } else {
+        out.push_back(std::move(current));
+        current.clear();
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CliTest, ServedAnswersPipelinedAndSplitRequests) {
+  std::string in = TempPath("pipeline_ref.csv");
+  std::string sock = TempPath("pipeline.sock");
+  std::string server_log = TempPath("pipeline_served.log");
+  WriteFile(in, kReferenceCsv);
+  std::remove(sock.c_str());
+  std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --reference " +
+                           in + " --col name --alpha 0.4 --socket " + sock +
+                           " >" + server_log + " 2>&1 &";
+  ASSERT_EQ(std::system(server_cmd.c_str()), 0);
+  ASSERT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) == 0; },
+                      std::chrono::seconds(10)))
+      << ReadWholeFile(server_log);
+
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{30, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+            0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // A burst in one write: 40 upserts, then 40 reads of them in reverse
+  // order, with blank and CRLF-terminated lines mixed in. Each request is
+  // answered exactly once, in order: the epochs climb by one per upsert and
+  // every read names its own id's value.
+  constexpr size_t kBurst = 40;
+  std::string burst;
+  for (size_t i = 0; i < kBurst; ++i) {
+    burst += "{\"op\": \"upsert\", \"id\": " + std::to_string(1000 + i) +
+             ", \"value\": \"Burst Record " + std::to_string(i) + "\"}" +
+             (i % 7 == 0 ? "\r\n\n" : "\n");
+  }
+  for (size_t i = kBurst; i-- > 0;) {
+    burst += "{\"op\": \"getvalue\", \"id\": " + std::to_string(1000 + i) +
+             "}\n";
+  }
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  std::vector<std::string> replies = ReadLines(fd, 2 * kBurst);
+  ASSERT_EQ(replies.size(), 2 * kBurst) << ReadWholeFile(server_log);
+  uint64_t first_epoch = 0;
+  for (size_t i = 0; i < kBurst; ++i) {
+    auto obj = serve::ParseJsonObject(replies[i]);
+    ASSERT_TRUE(obj.ok()) << replies[i];
+    ASSERT_TRUE(obj->count("epoch")) << replies[i];
+    uint64_t epoch = static_cast<uint64_t>(obj->at("epoch").num);
+    if (i == 0) first_epoch = epoch;
+    EXPECT_EQ(epoch, first_epoch + i) << replies[i];
+  }
+  for (size_t j = 0; j < kBurst; ++j) {
+    size_t i = kBurst - 1 - j;
+    EXPECT_EQ(replies[kBurst + j],
+              "{\"ok\": true, \"found\": true, \"value\": \"Burst Record " +
+                  std::to_string(i) + "\"}");
+  }
+
+  // One multi-MB request split across many small writes, then a ping on the
+  // same connection: the server reassembles the line and stays in step.
+  std::vector<std::string> values(150000, "Initech Corporation");
+  std::string big = "{\"op\": \"gstats_reset\", \"values\": \"" +
+                    serve::JsonEscape(shard::PackNetstrings(values)) +
+                    "\"}\n{\"op\": \"ping\"}\n";
+  ASSERT_GT(big.size(), size_t{3} << 20);
+  for (size_t off = 0; off < big.size(); off += 3000) {
+    size_t len = std::min<size_t>(3000, big.size() - off);
+    ASSERT_EQ(::write(fd, big.data() + off, len), static_cast<ssize_t>(len));
+  }
+  replies = ReadLines(fd, 2);
+  ASSERT_EQ(replies.size(), 2u) << ReadWholeFile(server_log);
+  EXPECT_EQ(replies[0].rfind("{\"ok\": true, \"epoch\": ", 0), 0u)
+      << replies[0];
+  EXPECT_EQ(replies[1], "{\"ok\": true}");
+  ::close(fd);
 
   std::string out;
   ASSERT_EQ(RunCliCapture("lookup --socket " + sock + " --shutdown", &out), 0);

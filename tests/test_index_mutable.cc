@@ -255,30 +255,6 @@ TEST(MutableIndexTest, AutoSealAndAutoCompactThresholds) {
   ExpectOracleEquivalent(*index, live, queries, 5, "auto-maintained");
 }
 
-TEST(MutableIndexTest, BackgroundMaintenanceKeepsEquivalence) {
-  MutableIndexOptions options;
-  options.match.alpha = 0.35;
-  options.seal_threshold = 16;
-  options.max_generations = 2;
-  options.background_maintenance = true;
-  auto master = Master(120, 49);
-  auto queries = DirtyQueries(master, 40, 13);
-  auto index = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
-
-  std::map<uint64_t, std::string> live;
-  for (size_t i = 0; i < master.size(); ++i) {
-    ASSERT_TRUE(index->Upsert(i, master[i]).ok());
-    live[i] = master[i];
-    if (i % 9 == 0) {
-      ASSERT_TRUE(index->Delete(i).ok());
-      live.erase(i);
-    }
-  }
-  // Regardless of where the background thread is in its seal/compact cycle,
-  // answers must match the oracle (maintenance never changes results).
-  ExpectOracleEquivalent(*index, live, queries, 5, "background maintenance");
-}
-
 TEST(MutableIndexTest, RandomChurnDifferential) {
   auto master = Master(300, 50);
   auto queries = DirtyQueries(master, 25, 14);

@@ -184,6 +184,29 @@ TEST(WireTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJsonObject("{\"a\": 12..5}").ok());
 }
 
+TEST(WireTest, RawObjectKeepsNestedMembersVerbatim) {
+  auto obj = ParseJsonObjectRaw(
+      R"({"ok": true, "matches": [{"ref": 1, "v": "a\"b"}, []], )"
+      R"("stats": {"p50": -2.5e1}, "s": "x"})");
+  ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+  EXPECT_EQ(obj->at("ok"), "true");
+  EXPECT_EQ(obj->at("matches"), R"([{"ref": 1, "v": "a\"b"}, []])");
+  EXPECT_EQ(obj->at("stats"), R"({"p50": -2.5e1})");
+  EXPECT_EQ(obj->at("s"), R"("x")");
+  // Nested values obey the same strict grammar; only top-level keys must be
+  // unique; nesting is bounded.
+  for (const char* bad : {R"({"a": [1,]})", R"({"a": {"b": nan}})",
+                          R"({"a": [01]})", R"({"a": 1, "a": 2})",
+                          R"({"a": [1]} x)", R"([1])"}) {
+    EXPECT_FALSE(ParseJsonObjectRaw(bad).ok()) << bad;
+  }
+  EXPECT_TRUE(ParseJsonObjectRaw(R"({"a": {"b": 1, "b": 2}})").ok());
+  std::string deep = std::string(17, '[') + std::string(17, ']');
+  EXPECT_FALSE(ParseJsonObjectRaw("{\"a\": " + deep + "}").ok());
+  deep = std::string(16, '[') + std::string(16, ']');
+  EXPECT_TRUE(ParseJsonObjectRaw("{\"a\": " + deep + "}").ok());
+}
+
 TEST(WireTest, RejectsEveryStrictPrefix) {
   // Truncation hardening: a line cut anywhere before its final '}' must be
   // rejected, never silently accepted as a shorter request.

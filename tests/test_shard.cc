@@ -52,7 +52,7 @@ ShardedIndexOptions ShardOptions(uint32_t n, double alpha) {
 }
 
 void ExpectBitIdentical(const std::vector<MutableFuzzyIndex::Match>& oracle,
-                        const std::vector<ShardMatch>& sharded, uint32_t n,
+                        const std::vector<serve::ValuedMatch>& sharded, uint32_t n,
                         const std::string& query) {
   ASSERT_EQ(oracle.size(), sharded.size())
       << "N=" << n << " query: " << query;
@@ -249,7 +249,7 @@ TEST(ShardedIndex, ValueOfResolvesOnOwnerShard) {
   ASSERT_TRUE(sharded->Delete(7).ok());
   got = sharded->Lookup("seven hills road", 3);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  for (const ShardMatch& m : got->matches) EXPECT_NE(m.id, 7u);
+  for (const serve::ValuedMatch& m : got->matches) EXPECT_NE(m.id, 7u);
 }
 
 TEST(ShardedIndex, MutationEpochsAreClusterEpochsAndNeverDecrease) {
@@ -286,13 +286,13 @@ TEST(ShardedIndex, MutationEpochsAreClusterEpochsAndNeverDecrease) {
 /// lookups are scripted; everything else is unused by these tests.
 class FakeShard : public ShardClient {
  public:
-  Result<std::vector<ShardMatch>> Lookup(
+  Result<serve::LookupResult> Lookup(
       const std::string&, size_t, std::chrono::milliseconds,
       const filter::FilterPredicate&) override {
     int call = calls.fetch_add(1);
     if (stall) stall(call);
     if (!status.ok()) return status;
-    return matches;
+    return serve::LookupResult{matches};
   }
   Result<uint64_t> UpsertGlobal(uint64_t, const std::string&,
                                 const filter::AttrSet&,
@@ -315,7 +315,7 @@ class FakeShard : public ShardClient {
   Result<uint64_t> Compact() override { return Unused(); }
   Result<uint64_t> Epoch() override { return Unused(); }
 
-  std::vector<ShardMatch> matches;
+  std::vector<serve::ValuedMatch> matches;
   Status status = Status::OK();
   std::function<void(int call)> stall;
   std::atomic<int> calls{0};

@@ -24,17 +24,14 @@
 /// approx (MinHash-LSH candidate tier, see --target-recall), hybrid
 /// (route frequent-token-heavy inputs to approx), cost.
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
+#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "approx/approx_ssjoin.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/ssjoin.h"
@@ -47,6 +44,7 @@
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "serve/wire.h"
+#include "shard/wire_client.h"
 #include "simjoin/ges_join.h"
 #include "simjoin/string_joins.h"
 
@@ -54,63 +52,10 @@ namespace {
 
 using namespace ssjoin;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-};
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc >= 2 && argv[1][0] != '-') args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) continue;
-    flag = flag.substr(2);
-    // --flag=value binds tighter than the lookahead form, so "--threads=abc"
-    // reaches the checked parser instead of becoming a flag named
-    // "threads=abc" that silently falls back to the default.
-    if (size_t eq = flag.find('='); eq != std::string::npos) {
-      args.flags[flag.substr(0, eq)] = flag.substr(eq + 1);
-      continue;
-    }
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
-      args.flags[flag] = argv[++i];
-    } else {
-      args.flags[flag] = "true";
-    }
-  }
-  return args;
-}
-
 std::string FlagOr(const Args& args, const std::string& name,
                    const std::string& fallback) {
   auto it = args.flags.find(name);
   return it == args.flags.end() ? fallback : it->second;
-}
-
-/// Checked flag accessors: absent flags fall back, present flags must parse
-/// completely (`--threads=abc` and `--threads -1` are loud errors, not 0 or
-/// a wrapped size_t).
-Result<size_t> SizeFlag(const Args& args, const std::string& name,
-                        size_t fallback) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) return fallback;
-  Result<uint64_t> v = ParseUint64(it->second);
-  if (!v.ok()) {
-    return Status::Invalid("--" + name + ": " + v.status().message());
-  }
-  return static_cast<size_t>(*v);
-}
-
-Result<double> DoubleFlag(const Args& args, const std::string& name,
-                          double fallback) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) return fallback;
-  Result<double> v = ParseDouble(it->second);
-  if (!v.ok()) {
-    return Status::Invalid("--" + name + ": " + v.status().message());
-  }
-  return *v;
 }
 
 /// --filter JSON: a boolean attribute predicate on lookups, e.g.
@@ -441,107 +386,46 @@ Result<int> RunSnapshot(const Args& args) {
   return 0;
 }
 
-Result<int> ConnectToServer(const std::string& path) {
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket() failed");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    return Status::Invalid("socket path too long");
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::IOError("cannot connect to '" + path + "'");
-  }
-  return fd;
+/// True when a server reply says {"ok": false}.
+bool ReplyFailed(const std::string& reply) {
+  auto parsed = serve::ParseJsonObjectRaw(reply);
+  return parsed.ok() && parsed->count("ok") > 0 && parsed->at("ok") == "false";
 }
 
-Status SendLine(int fd, const std::string& line) {
-  std::string request = line + "\n";
-  size_t off = 0;
-  while (off < request.size()) {
-    ssize_t n = ::write(fd, request.data() + off, request.size() - off);
-    if (n <= 0) return Status::IOError("short write to server");
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Reads one '\n'-terminated line; bytes past the newline stay in *buffer
-/// for the next call.
-Result<std::string> ReadLine(int fd, std::string* buffer) {
-  char chunk[4096];
-  size_t newline;
-  while ((newline = buffer->find('\n')) == std::string::npos) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      return Status::IOError("server closed connection without a response");
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
-  std::string line = buffer->substr(0, newline);
-  buffer->erase(0, newline + 1);
-  return line;
-}
-
-/// One round trip on a connected ssjoin_served socket: send `line`, print
-/// the server's response line to stdout.
+/// One round trip on a ssjoin_served socket: send `line`, print the server's
+/// response line to stdout, and reflect a server-side failure in the exit
+/// code.
 Result<int> SocketRoundTrip(const std::string& path, const std::string& line) {
-  SSJOIN_ASSIGN_OR_RETURN(int fd, ConnectToServer(path));
-  Status sent = SendLine(fd, line);
-  if (!sent.ok()) {
-    ::close(fd);
-    return sent;
-  }
-  std::string buffer;
-  Result<std::string> response = ReadLine(fd, &buffer);
-  ::close(fd);
-  SSJOIN_RETURN_NOT_OK(response.status());
-  std::printf("%s\n", response->c_str());
-  // Reflect server-side failure in the exit code.
-  auto parsed = serve::ParseJsonObject(*response);
-  if (parsed.ok()) {
-    auto it = parsed->find("ok");
-    if (it != parsed->end() && it->second.type == serve::JsonScalar::Type::kBool &&
-        !it->second.boolean) {
-      return 1;
-    }
-  }
-  return 0;
+  SSJOIN_ASSIGN_OR_RETURN(shard::WireClient client,
+                          shard::WireClient::Connect(path));
+  SSJOIN_ASSIGN_OR_RETURN(std::string reply,
+                          client.Call(line, std::chrono::milliseconds(0)));
+  std::printf("%s\n", reply.c_str());
+  return ReplyFailed(reply) ? 1 : 0;
 }
 
 /// The multi-line `metrics` op: the server replies with a header object
 /// announcing how many NDJSON metric lines follow. Prints the metric lines
 /// (not the header) so stdout is a clean NDJSON document.
 Result<int> MetricsRoundTrip(const std::string& path) {
-  SSJOIN_ASSIGN_OR_RETURN(int fd, ConnectToServer(path));
-  std::string buffer;
-  Result<int> rc = [&]() -> Result<int> {
-    SSJOIN_RETURN_NOT_OK(SendLine(fd, "{\"op\": \"metrics\"}"));
-    SSJOIN_ASSIGN_OR_RETURN(std::string header, ReadLine(fd, &buffer));
-    SSJOIN_ASSIGN_OR_RETURN(auto parsed, serve::ParseJsonObject(header));
-    auto ok = parsed.find("ok");
-    if (ok == parsed.end() || ok->second.type != serve::JsonScalar::Type::kBool ||
-        !ok->second.boolean) {
-      std::printf("%s\n", header.c_str());
-      return 1;
-    }
-    auto count = parsed.find("metrics");
-    if (count == parsed.end() ||
-        count->second.type != serve::JsonScalar::Type::kNumber ||
-        count->second.num < 0) {
-      return Status::IOError("malformed metrics header: " + header);
-    }
-    for (size_t i = 0; i < static_cast<size_t>(count->second.num); ++i) {
-      SSJOIN_ASSIGN_OR_RETURN(std::string line, ReadLine(fd, &buffer));
-      std::printf("%s\n", line.c_str());
-    }
-    return 0;
-  }();
-  ::close(fd);
-  return rc;
+  SSJOIN_ASSIGN_OR_RETURN(shard::WireClient client,
+                          shard::WireClient::Connect(path));
+  SSJOIN_ASSIGN_OR_RETURN(
+      std::string header,
+      client.Call("{\"op\": \"metrics\"}", std::chrono::milliseconds(0)));
+  SSJOIN_ASSIGN_OR_RETURN(auto parsed, serve::ParseJsonObject(header));
+  auto count = parsed.find("metrics");
+  if (ReplyFailed(header) || count == parsed.end()) {
+    std::printf("%s\n", header.c_str());
+    return 1;
+  }
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t lines, serve::UintFromJson(count->second));
+  for (uint64_t i = 0; i < lines; ++i) {
+    SSJOIN_ASSIGN_OR_RETURN(std::string line,
+                            client.ReadLine(std::chrono::milliseconds(0)));
+    std::printf("%s\n", line.c_str());
+  }
+  return 0;
 }
 
 Result<int> RunRemoteLookup(const Args& args, const std::string& socket_path) {
@@ -670,7 +554,7 @@ int main(int argc, char** argv) {
   approx::RegisterApproxMetrics();
   kernels::RegisterKernelMetrics();
   filter::RegisterFilterMetrics();
-  Args args = ParseArgs(argc, argv);
+  Args args = ParseArgs(argc, argv, /*with_command=*/true);
   if (Status st = ApplyKernelFlag(args); !st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
