@@ -1064,23 +1064,25 @@ std::string ReplyDefect(const std::string& reply) {
 /// the queries and the string pool) and the raw `s` lines:
 ///  - parser: every lookup line built from an `r` string parses with its
 ///    query and k intact, no strict prefix of it parses (truncation is always
-///    reported), and its byte-mutated copies parse deterministically;
-///  - dispatch: those lines, a request line per `r` string for a random op
-///    (GenerateRequestLine), byte-mutated copies of both and the raw `s`
-///    lines, split into lines as the server reads them, go through three
-///    dispatchers: a single in-memory service with the shard-server ops and
-///    repl_fetch, the same service read-only (the follower's shape), and a
-///    2-shard in-process fan-out with resync. Each line must get exactly one
-///    well-formed reply from each (ReplyDefect), without a crash.
+///    reported), its `mutations` byte-mutated copies parse deterministically,
+///    and the raw `s` lines parse without a crash;
+///  - dispatch: each lookup line, a request line for a random op
+///    (GenerateRequestLine), one in eight of the mutated copies with a mutated
+///    copy of the request line beside each, and the raw `s` lines, split into
+///    lines as the server reads them, go through three dispatchers: a single
+///    in-memory service with the shard-server ops and repl_fetch, the same
+///    service read-only (the follower's shape), and a 2-shard in-process
+///    fan-out with resync. Each line must get exactly one well-formed reply
+///    from each (ReplyDefect), without a crash.
 Result<CheckResult> CheckRequestDispatch(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   uint64_t k = std::max<uint64_t>(1, k_raw);
   SSJOIN_ASSIGN_OR_RETURN(uint64_t deadline_ms, rp.GetUint("deadline_ms", 0));
-  SSJOIN_ASSIGN_OR_RETURN(uint64_t mutations, rp.GetUint("mutations", 8));
+  SSJOIN_ASSIGN_OR_RETURN(uint64_t mutations, rp.GetUint("mutations", 32));
   SSJOIN_ASSIGN_OR_RETURN(uint64_t mutate_seed, rp.GetUint("mutate_seed", 1));
   Rng rng(mutate_seed);
 
-  std::vector<std::string> requests;
+  std::vector<std::string> requests = rp.s;  // the lines to dispatch
   for (const std::string& query : rp.r) {
     std::string line = "{\"op\": \"lookup\", \"query\": \"" +
                        serve::JsonEscape(query) +
@@ -1112,9 +1114,25 @@ Result<CheckResult> CheckRequestDispatch(const Reproducer& rp) {
                                       " parsed as valid: " + line};
       }
     }
+    std::string request = GenerateRequestLine(&rng, rp.r);
     requests.push_back(line);
-    requests.push_back(GenerateRequestLine(&rng, rp.r));
+    requests.push_back(request);
+    // Byte-level mutations: the parser must return (not crash) and be
+    // deterministic, the same bytes always yielding the same accept/reject.
+    for (uint64_t m = 0; m < mutations; ++m) {
+      std::string mutated = MutateString(&rng, line);
+      if (serve::ParseJsonObject(mutated).ok() !=
+          serve::ParseJsonObject(mutated).ok()) {
+        return CheckResult{false,
+                           "non-deterministic parse of mutated line: " + mutated};
+      }
+      if (m % 8 == 0) {
+        requests.push_back(std::move(mutated));
+        requests.push_back(MutateString(&rng, request));
+      }
+    }
   }
+  for (const std::string& raw : rp.s) (void)serve::ParseJsonObject(raw);
 
   ScratchDirGuard leader_dir(/*durable=*/true);
   std::filesystem::create_directories(leader_dir.dir);
@@ -1147,20 +1165,8 @@ Result<CheckResult> CheckRequestDispatch(const Reproducer& rp) {
   serve::Handler fanout(sharded.get(), 3, /*read_only=*/false);
   shard::InstallResync(&fanout, sharded.get());
 
-  std::vector<std::string> variants = rp.s;
   for (const std::string& request : requests) {
-    variants.push_back(request);
-    for (uint64_t m = 0; m < mutations; ++m) {
-      variants.push_back(MutateString(&rng, request));
-      if (serve::ParseJsonObject(variants.back()).ok() !=
-          serve::ParseJsonObject(variants.back()).ok()) {
-        return CheckResult{false, "non-deterministic parse of mutated line: " +
-                                      variants.back()};
-      }
-    }
-  }
-  for (const std::string& variant : variants) {
-    for (std::string line : SplitAndDropEmpty(variant, "\n")) {
+    for (std::string line : SplitAndDropEmpty(request, "\n")) {
       if (line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       for (const serve::Handler* h : {&leader, &follower, &fanout}) {
@@ -1544,13 +1550,12 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
   } else if (scenario == "request_dispatch") {
     // Lean harder on the adversarial string classes: control bytes, high
     // bytes and empty strings are exactly what a wire parser mishandles.
-    wopts.max_records = 12;
     wopts.p_high_byte = 0.25;
     wopts.p_empty = 0.15;
     GenerateCollections(&rng, wopts, &rp);
     rp.Set("k", 1 + rng.Uniform(10));
     rp.Set("deadline_ms", rng.Uniform(200));
-    rp.Set("mutations", 4 + rng.Uniform(12));
+    rp.Set("mutations", 16 + rng.Uniform(48));
     rp.Set("mutate_seed", rng.Next());
   } else {
     // Unknown scenario: leave an empty workload; CheckCase will reject it.

@@ -53,10 +53,11 @@ struct CheckResult {
 ///                            byte-identical to the unfiltered overload.
 ///  - `request_dispatch`      the request path from bytes to reply: every
 ///                            generated lookup line round-trips its fields
-///                            through serve::ParseJsonObject and no strict
-///                            prefix parses; those lines, request lines for
-///                            every op, byte mutations of both and raw
-///                            adversarial lines then go through three
+///                            through serve::ParseJsonObject, no strict
+///                            prefix parses and its byte mutations parse
+///                            deterministically; those lines, request lines
+///                            for every op, an eighth of the mutations and
+///                            raw adversarial lines then go through three
 ///                            serve::Handler setups (single service with the
 ///                            shard-server ops, read-only follower, 2-shard
 ///                            fan-out), each line getting exactly one reply:

@@ -29,10 +29,9 @@ std::string NdjsonMetrics() {
 /// The human-facing lookup reply: completeness, then each match with its
 /// similarity in decimal for display and its value.
 std::string LookupReply(const LookupResult& result) {
-  std::string out = "{\"ok\": true, \"degraded\": ";
-  out += result.degraded ? "true" : "false";
-  out += ", \"shards_ok\": " + std::to_string(result.shards_ok) +
-         ", \"matches\": [";
+  std::string out = std::string("{\"ok\": true, \"degraded\": ") +
+                    (result.degraded ? "true" : "false") + ", \"shards_ok\": " +
+                    std::to_string(result.shards_ok) + ", \"matches\": [";
   for (size_t i = 0; i < result.matches.size(); ++i) {
     const ValuedMatch& m = result.matches[i];
     if (i > 0) out += ", ";
@@ -41,8 +40,13 @@ std::string LookupReply(const LookupResult& result) {
     out += "{\"ref\": " + std::to_string(m.id) + ", \"similarity\": " + sim +
            ", \"value\": \"" + JsonEscape(m.value) + "\"}";
   }
-  out += "]}";
-  return out;
+  return out + "]}";
+}
+
+std::string ErrorReply(const Status& status) {
+  return "{\"ok\": false, \"code\": \"" +
+         JsonEscape(StatusCodeToString(status.code())) + "\", \"error\": \"" +
+         JsonEscape(status.message()) + "\"}";
 }
 
 }  // namespace
@@ -74,13 +78,6 @@ Result<std::string> StringField(const Request& req, const char* key) {
   return it->second.scalar.str;
 }
 
-bool BoolField(const Request& req, const char* key) {
-  auto it = req.find(key);
-  return it != req.end() && !it->second.is_object &&
-         it->second.scalar.type == JsonScalar::Type::kBool &&
-         it->second.scalar.boolean;
-}
-
 Result<filter::AttrSet> AttrsField(const Request& req) {
   auto it = req.find("attrs");
   if (it == req.end()) return filter::AttrSet{};
@@ -107,12 +104,6 @@ Result<LookupParams> ParseLookupParams(const Request& req, size_t default_k) {
   return p;
 }
 
-std::string ErrorReply(const Status& status) {
-  return "{\"ok\": false, \"code\": \"" +
-         JsonEscape(StatusCodeToString(status.code())) + "\", \"error\": \"" +
-         JsonEscape(status.message()) + "\"}";
-}
-
 std::string EpochReply(uint64_t epoch) {
   return "{\"ok\": true, \"epoch\": " + std::to_string(epoch) + "}";
 }
@@ -122,61 +113,55 @@ std::string EpochReply(uint64_t epoch) {
 
 Handler::Handler(Backend* backend, size_t default_k, bool read_only)
     : backend_(backend), default_k_(default_k), read_only_(read_only) {
+  using Reply = Result<std::string>;
   auto epoch_op = [this](Result<uint64_t> (Backend::*fn)()) {
-    return [this, fn](const Request&) -> Result<std::string> {
+    return [this, fn](const Request&) -> Reply {
       SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, (backend_->*fn)());
       return EpochReply(epoch);
     };
   };
-  Install("ping", {}, [](const Request&) -> Result<std::string> {
-    return std::string("{\"ok\": true}");
+  Install("ping", false,
+          [](const Request&) -> Reply { return std::string("{\"ok\": true}"); });
+  Install("metrics", false,
+          [](const Request&) -> Reply { return NdjsonMetrics(); });
+  Install("shutdown", false, [](const Request&) -> Reply {
+    return std::string("{\"ok\": true, \"stopping\": true}");
   });
-  Install("metrics", {}, [](const Request&) -> Result<std::string> {
-    return NdjsonMetrics();
-  });
-  Install("shutdown", {.stops = true},
-          [](const Request&) -> Result<std::string> {
-            return std::string("{\"ok\": true, \"stopping\": true}");
-          });
-  Install("stats", {}, [this](const Request& req) -> Result<std::string> {
-    if (Result<std::string> fmt = StringField(req, "format");
-        fmt.ok() && *fmt == "ndjson") {
-      return NdjsonMetrics();
-    }
+  Install("stats", false, [this](const Request& req) -> Reply {
+    Result<std::string> format = StringField(req, "format");
+    if (format.ok() && *format == "ndjson") return NdjsonMetrics();
     return "{\"ok\": true" + backend_->StatsFields() + "}";
   });
-  Install("lookup", {}, [this](const Request& req) -> Result<std::string> {
+  Install("lookup", false, [this](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(LookupParams p, ParseLookupParams(req, default_k_));
-    SSJOIN_ASSIGN_OR_RETURN(
-        LookupResult result,
-        backend_->Lookup(p.query, p.k, p.deadline, p.filter));
+    SSJOIN_ASSIGN_OR_RETURN(LookupResult result, backend_->Lookup(
+                                p.query, p.k, p.deadline, p.filter));
     return LookupReply(result);
   });
-  Install("upsert", {.mutates = true},
-          [this](const Request& req) -> Result<std::string> {
-            SSJOIN_ASSIGN_OR_RETURN(uint64_t id,
-                                    UintField(req, "id", kMaxExactInteger));
-            SSJOIN_ASSIGN_OR_RETURN(std::string value,
-                                    StringField(req, "value"));
-            SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, AttrsField(req));
-            SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch,
-                                    backend_->Upsert(id, value, attrs));
-            return EpochReply(epoch);
-          });
-  Install("delete", {.mutates = true},
-          [this](const Request& req) -> Result<std::string> {
-            SSJOIN_ASSIGN_OR_RETURN(uint64_t id,
-                                    UintField(req, "id", kMaxExactInteger));
-            SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, backend_->Delete(id));
-            return EpochReply(epoch);
-          });
-  Install("seal", {.mutates = true}, epoch_op(&Backend::Seal));
-  Install("compact", {.mutates = true}, epoch_op(&Backend::Compact));
-  Install("epoch", {}, epoch_op(&Backend::Epoch));
+  Install("upsert", true, [this](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t id, UintField(req, "id", kMaxExactInteger));
+    SSJOIN_ASSIGN_OR_RETURN(std::string value, StringField(req, "value"));
+    SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, AttrsField(req));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, backend_->Upsert(id, value, attrs));
+    return EpochReply(epoch);
+  });
+  Install("delete", true, [this](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t id, UintField(req, "id", kMaxExactInteger));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, backend_->Delete(id));
+    return EpochReply(epoch);
+  });
+  Install("seal", true, epoch_op(&Backend::Seal));
+  Install("compact", true, epoch_op(&Backend::Compact));
+  Install("epoch", false, epoch_op(&Backend::Epoch));
 }
 
-void Handler::Install(const std::string& op, OpTraits traits, OpFn fn) {
-  ops_[{op, traits.global}] = Op{traits, std::move(fn)};
+void Handler::Install(const std::string& op, bool mutates, OpFn fn) {
+  ops_[op] = Op{mutates, std::move(fn)};
+}
+
+OpFn Handler::Find(const std::string& op) const {
+  auto it = ops_.find(op);
+  return it == ops_.end() ? OpFn() : it->second.fn;
 }
 
 std::string Handler::Handle(std::string_view line,
@@ -189,20 +174,17 @@ std::string Handler::Handle(std::string_view line,
     return ErrorReply(Status::Invalid("missing string field 'op'"));
   }
   const std::string& op_name = name->second.scalar.str;
-  auto it = ops_.end();
-  if (BoolField(*req, "global")) it = ops_.find({op_name, true});
-  if (it == ops_.end()) it = ops_.find({op_name, false});
+  auto it = ops_.find(op_name);
   if (it == ops_.end()) {
     return ErrorReply(Status::Invalid("unknown op '" + op_name + "'"));
   }
-  const Op& op = it->second;
-  if (read_only_ && op.traits.mutates) {
+  if (read_only_ && it->second.mutates) {
     return ErrorReply(
         Status::Unavailable("follower is read-only; mutate the leader"));
   }
-  Result<std::string> reply = op.fn(*req);
+  Result<std::string> reply = it->second.fn(*req);
   if (!reply.ok()) return ErrorReply(reply.status());
-  if (op.traits.stops) *stop_after_reply = true;
+  *stop_after_reply = op_name == "shutdown";
   return std::move(*reply);
 }
 

@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "filter/attr.h"
 #include "filter/predicate.h"
-#include "serve/lookup_service.h"
 #include "serve/wire.h"
 
 namespace ssjoin::serve {
@@ -67,8 +66,6 @@ using Request = std::map<std::string, JsonValue>;
 Result<uint64_t> UintField(const Request& req, const char* key, uint64_t max,
                            std::optional<uint64_t> fallback = std::nullopt);
 Result<std::string> StringField(const Request& req, const char* key);
-/// True only for a present boolean `true`.
-bool BoolField(const Request& req, const char* key);
 /// The optional "attrs" object of an upsert; absent = no attributes.
 Result<filter::AttrSet> AttrsField(const Request& req);
 
@@ -82,21 +79,9 @@ struct LookupParams {
 /// most one day) and "filter".
 Result<LookupParams> ParseLookupParams(const Request& req, size_t default_k);
 
-std::string ErrorReply(const Status& status);
 /// {"ok": true, "epoch": N}
 std::string EpochReply(uint64_t epoch);
 /// @}
-
-/// How the dispatcher selects and guards an installed op.
-struct OpTraits {
-  /// Changes the index: refused with Unavailable on a read-only handler.
-  bool mutates = false;
-  /// Serves the op's `"global": true` form; requests without the flag go to
-  /// the plain op of the same name.
-  bool global = false;
-  /// The server stops once this op's reply is written.
-  bool stops = false;
-};
 
 /// One op: the reply line(s) for a request, or the status to answer with.
 using OpFn = std::function<Result<std::string>(const Request&)>;
@@ -108,15 +93,19 @@ using OpFn = std::function<Result<std::string>(const Request&)>;
 /// `metrics` and `repl_fetch`).
 ///
 /// The constructor installs the ops every mode serves: ping, metrics,
-/// shutdown, stats, lookup, upsert, delete, seal, compact and epoch. A mode
-/// adds its own ops with Install before serving; the table is read-only
-/// afterwards, so Handle may run on any number of threads.
+/// shutdown (the server stops once its reply is written), stats, lookup,
+/// upsert, delete, seal, compact and epoch. A mode adds its own ops with
+/// Install before serving; the table is read-only afterwards, so Handle may
+/// run on any number of threads.
 class Handler {
  public:
   Handler(Backend* backend, size_t default_k, bool read_only);
 
-  /// Adds (or replaces) `op`.
-  void Install(const std::string& op, OpTraits traits, OpFn fn);
+  /// Adds (or replaces) `op`. A `mutates` op changes the index and is
+  /// refused with Unavailable on a read-only handler.
+  void Install(const std::string& op, bool mutates, OpFn fn);
+  /// The op installed as `op` (empty if none), e.g. for a mode to wrap.
+  OpFn Find(const std::string& op) const;
 
   /// The reply to one request line (no trailing newline). Sets
   /// `*stop_after_reply` when the op stops the server.
@@ -126,15 +115,14 @@ class Handler {
 
  private:
   struct Op {
-    OpTraits traits;
+    bool mutates = false;
     OpFn fn;
   };
-  using Key = std::pair<std::string, bool>;  // (op name, global form)
 
   Backend* backend_;
   size_t default_k_;
   bool read_only_;
-  std::map<Key, Op> ops_;
+  std::map<std::string, Op> ops_;
 };
 
 }  // namespace ssjoin::serve

@@ -35,10 +35,12 @@ bool LocalSegmentCurrent(const std::string& path, uint64_t checksum) {
 
 Result<std::string> FileFetcher::Fetch(const std::string& name) {
   if (!SafeBasename(name)) {
-    return Status::Invalid("repl_fetch name must be a basename");
+    return Status::Invalid("refusing to fetch non-basename '" + name + "'");
   }
   std::string path = dir_ + "/" + name;
-  if (!fs::exists(path)) return Status::KeyError("no file '" + name + "'");
+  if (!fs::exists(path)) {
+    return Status::KeyError("leader has no file '" + name + "'");
+  }
   std::string bytes;
   SSJOIN_RETURN_NOT_OK(common::ReadFile(path, &bytes));
   return bytes;
@@ -49,11 +51,16 @@ Result<std::string> WireFetcher::Fetch(const std::string& name) {
                           WireClient::Connect(leader_socket_));
   std::string line = "{\"op\": \"repl_fetch\", \"name\": \"" +
                      serve::JsonEscape(name) + "\"}";
-  SSJOIN_ASSIGN_OR_RETURN(
-      auto header,
-      CallExpectOk(client, line, std::chrono::milliseconds(30000)));
-  auto len = header.find("len");
-  if (len == header.end()) {
+  auto header = CallExpectOk(client, line, std::chrono::milliseconds(30000));
+  // Past a missing file or a timeout, a failed fetch is an IOError.
+  StatusCode code = header.status().code();
+  if (!header.ok() && code != StatusCode::kKeyError &&
+      code != StatusCode::kDeadlineExceeded) {
+    return Status::IOError(header.status().message());
+  }
+  SSJOIN_RETURN_NOT_OK(header.status());
+  auto len = header->find("len");
+  if (len == header->end()) {
     return Status::IOError("repl_fetch header lacks 'len'");
   }
   SSJOIN_ASSIGN_OR_RETURN(uint64_t n, serve::UintFromJson(len->second));
@@ -62,16 +69,23 @@ Result<std::string> WireFetcher::Fetch(const std::string& name) {
 
 void InstallReplFetch(serve::Handler* handler, const std::string& data_dir) {
   handler->Install(
-      "repl_fetch", {},
+      "repl_fetch", false,
       [data_dir](const serve::Request& req) -> Result<std::string> {
         SSJOIN_ASSIGN_OR_RETURN(std::string name,
                                 serve::StringField(req, "name"));
-        SSJOIN_ASSIGN_OR_RETURN(std::string bytes,
-                                FileFetcher(data_dir).Fetch(name));
+        Result<std::string> bytes = FileFetcher(data_dir).Fetch(name);
+        StatusCode code = bytes.status().code();
+        if (code == StatusCode::kInvalidArgument) {
+          return Status::Invalid("repl_fetch name must be a basename");
+        }
+        if (code == StatusCode::kKeyError) {
+          return Status::KeyError("no file '" + name + "'");
+        }
+        SSJOIN_RETURN_NOT_OK(bytes.status());
         // The server's trailing newline lands after the body;
         // WireClient::ReadRaw consumes exactly `len`.
-        return "{\"ok\": true, \"len\": " + std::to_string(bytes.size()) +
-               "}\n" + bytes;
+        return "{\"ok\": true, \"len\": " + std::to_string(bytes->size()) +
+               "}\n" + *bytes;
       });
 }
 

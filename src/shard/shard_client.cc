@@ -203,6 +203,14 @@ Result<uint64_t> RemoteShard::CallForEpoch(const std::string& line) const {
 
 namespace {
 
+/// True only for a present boolean `true`.
+bool BoolField(const serve::Request& req, const char* key) {
+  auto it = req.find(key);
+  return it != req.end() && !it->second.is_object &&
+         it->second.scalar.type == serve::JsonScalar::Type::kBool &&
+         it->second.scalar.boolean;
+}
+
 /// The "ids" list of a slookup or dump reply.
 std::string JoinIds(const std::vector<uint64_t>& ids) {
   std::string out;
@@ -241,7 +249,7 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
   using Reply = Result<std::string>;
   const uint64_t kMaxId = serve::kMaxExactInteger;
 
-  handler->Install("slookup", {}, [=](const Request& req) -> Reply {
+  handler->Install("slookup", false, [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(serve::LookupParams p,
                             serve::ParseLookupParams(req, handler->default_k()));
     SSJOIN_ASSIGN_OR_RETURN(serve::LookupResult result,
@@ -259,48 +267,49 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
     }
     return IdsAndValuesReply(ids, ", \"sims\": \"" + sims + "\"", values);
   });
-  handler->Install(
-      "upsert", {.mutates = true, .global = true},
-      [=](const Request& req) -> Reply {
-        SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
-        SSJOIN_ASSIGN_OR_RETURN(std::string value,
-                                serve::StringField(req, "value"));
-        SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, serve::AttrsField(req));
-        index::GlobalDelta delta;
-        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch,
-                                shard->UpsertGlobal(id, value, attrs, &delta));
-        return OwnerReply(epoch, delta);
-      });
-  handler->Install(
-      "delete", {.mutates = true, .global = true},
-      [=](const Request& req) -> Reply {
-        SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
-        index::GlobalDelta delta;
-        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->DeleteGlobal(id, &delta));
-        return OwnerReply(epoch, delta);
-      });
-  handler->Install("gstats", {.mutates = true}, [=](const Request& req) -> Reply {
+  // The "global": true forms of upsert and delete; a request without the
+  // flag goes to the common op they wrap.
+  auto with_global = [handler](const char* op, serve::OpFn global) {
+    handler->Install(op, true, [plain = handler->Find(op), global](
+                                   const Request& req) -> Reply {
+      return BoolField(req, "global") ? global(req) : plain(req);
+    });
+  };
+  with_global("upsert", [=](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
+    SSJOIN_ASSIGN_OR_RETURN(std::string value, serve::StringField(req, "value"));
+    SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, serve::AttrsField(req));
     index::GlobalDelta delta;
-    if (serve::BoolField(req, "has_added")) {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch,
+                            shard->UpsertGlobal(id, value, attrs, &delta));
+    return OwnerReply(epoch, delta);
+  });
+  with_global("delete", [=](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
+    index::GlobalDelta delta;
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->DeleteGlobal(id, &delta));
+    return OwnerReply(epoch, delta);
+  });
+  handler->Install("gstats", true, [=](const Request& req) -> Reply {
+    index::GlobalDelta delta;
+    if (BoolField(req, "has_added")) {
       SSJOIN_ASSIGN_OR_RETURN(delta.added, serve::StringField(req, "added"));
     }
-    if (serve::BoolField(req, "has_removed")) {
+    if (BoolField(req, "has_removed")) {
       SSJOIN_ASSIGN_OR_RETURN(delta.removed, serve::StringField(req, "removed"));
     }
     SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->ApplyGlobalDelta(delta));
     return serve::EpochReply(epoch);
   });
-  handler->Install(
-      "gstats_reset", {.mutates = true}, [=](const Request& req) -> Reply {
-        SSJOIN_ASSIGN_OR_RETURN(std::string packed,
-                                serve::StringField(req, "values"));
-        SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> values,
-                                UnpackNetstrings(packed));
-        SSJOIN_RETURN_NOT_OK(shard->ResetGlobalStats(values));
-        SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->Epoch());
-        return serve::EpochReply(epoch);
-      });
-  handler->Install("dump", {}, [=](const Request&) -> Reply {
+  handler->Install("gstats_reset", true, [=](const Request& req) -> Reply {
+    SSJOIN_ASSIGN_OR_RETURN(std::string packed, serve::StringField(req, "values"));
+    SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> values,
+                            UnpackNetstrings(packed));
+    SSJOIN_RETURN_NOT_OK(shard->ResetGlobalStats(values));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->Epoch());
+    return serve::EpochReply(epoch);
+  });
+  handler->Install("dump", false, [=](const Request&) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(auto docs, shard->LiveDocs());
     std::vector<uint64_t> ids;
     std::vector<std::string> values;
@@ -310,7 +319,7 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
     }
     return IdsAndValuesReply(ids, "", values);
   });
-  handler->Install("getvalue", {}, [=](const Request& req) -> Reply {
+  handler->Install("getvalue", false, [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
     std::shared_ptr<serve::LookupService> service = shard->service();
     std::optional<std::string> value = service->ValueOf(id);

@@ -397,7 +397,7 @@ Result<uint64_t> ShardedLookupIndex::SumOverShards(
 }
 
 void InstallResync(serve::Handler* handler, ShardedLookupIndex* sharded) {
-  handler->Install("resync", {},
+  handler->Install("resync", false,
                    [sharded](const serve::Request&) -> Result<std::string> {
                      SSJOIN_RETURN_NOT_OK(sharded->Resync());
                      return std::string("{\"ok\": true, \"resynced\": true}");

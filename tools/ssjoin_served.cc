@@ -31,7 +31,6 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -407,18 +406,20 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
   shard::LocalShard backend(std::move(service));
 
   // One replication round; swaps in the freshly opened service when the
-  // leader had a new sealed epoch. Returns (updated, epoch).
+  // leader had a new sealed epoch. Returns the `sync` op's reply.
   std::mutex sync_mu;
-  auto sync_once = [&]() -> Result<std::pair<bool, uint64_t>> {
+  auto sync_once = [&](const serve::Request&) -> Result<std::string> {
     std::lock_guard<std::mutex> lock(sync_mu);
     SSJOIN_ASSIGN_OR_RETURN(shard::SyncResult sr,
                             shard::SyncFromLeader(fetcher, dir));
-    if (!sr.updated) return std::make_pair(false, backend.service()->epoch());
-    SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<serve::LookupService> fresh,
-                            open_service());
-    uint64_t epoch = fresh->epoch();
-    backend.Replace(std::move(fresh));
-    return std::make_pair(true, epoch);
+    if (sr.updated) {
+      SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<serve::LookupService> fresh,
+                              open_service());
+      backend.Replace(std::move(fresh));
+    }
+    return std::string("{\"ok\": true, \"updated\": ") +
+           (sr.updated ? "true" : "false") + ", \"epoch\": " +
+           std::to_string(backend.service()->epoch()) + "}";
   };
 
   ServerState state;
@@ -429,7 +430,7 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
       if (state.stop.load()) break;
-      Result<std::pair<bool, uint64_t>> r = sync_once();
+      Result<std::string> r = sync_once({});
       if (!r.ok()) {
         std::fprintf(stderr, "sync: %s\n", r.status().ToString().c_str());
       }
@@ -438,14 +439,7 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
   Result<int> rc = ServeService(
       socket_path, &backend, default_k, dir, /*read_only=*/true, &state,
       [&](serve::Handler* handler) {
-        handler->Install("sync", {},
-                         [&](const serve::Request&) -> Result<std::string> {
-                           SSJOIN_ASSIGN_OR_RETURN(auto synced, sync_once());
-                           return std::string("{\"ok\": true, \"updated\": ") +
-                                  (synced.first ? "true" : "false") +
-                                  ", \"epoch\": " +
-                                  std::to_string(synced.second) + "}";
-                         });
+        handler->Install("sync", false, sync_once);
       });
   state.stop.store(true);
   syncer.join();
@@ -526,13 +520,10 @@ Result<int> RunServer(const Args& args) {
 
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           BuildOrLoadIndex(args));
+  std::string data_dir = index->options().data_dir;
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<serve::LookupService> service,
                           serve::LookupService::Create(std::move(index), options));
   shard::LocalShard backend(std::move(service));
-  std::string data_dir;
-  if (auto it = args.flags.find("data"); it != args.flags.end()) {
-    data_dir = it->second;
-  }
   ServerState state;
   return ServeService(socket_path, &backend, default_k, data_dir,
                       /*read_only=*/false, &state, nullptr);
