@@ -67,13 +67,14 @@ std::vector<SSJoinPair> RunExactTier(const core::SetsRelation& r,
                           auto [p, p_end] = s_index.Lookup(e);
                           out.equijoin_rows += static_cast<size_t>(p_end - p);
                           kernels::ProbePostings({p, p_end}, epoch,
-                                                 sc.seen.data(), &sc.cands);
+                                                 sc.seen.data(), &sc.cands, &sc.tally);
                         }
                         out.candidate_pairs += sc.cands.size();
                         core::VerifyCandidates(r, rg, s, sc.cands, pred,
                                                &marks, &out.pairs);
                       }
                       marks.Flush();
+                      sc.tally.Flush();
                     });
 
   std::vector<SSJoinPair> out;
@@ -148,12 +149,13 @@ std::vector<SSJoinPair> RunLshTier(const core::SetsRelation& r,
             out.equijoin_rows += it->second.size();
             kernels::ProbePostings(
                 {it->second.data(), it->second.size()}, epoch,
-                sc.seen.data(), &sc.cands);
+                sc.seen.data(), &sc.cands, &sc.tally);
           }
           out.candidate_pairs += sc.cands.size();
           core::VerifyCandidates(r, rg, s, sc.cands, pred, &marks, &out.pairs);
         }
         marks.Flush();
+        sc.tally.Flush();
       });
 
   std::vector<SSJoinPair> out;
@@ -197,7 +199,7 @@ double MeasureRecall(const core::SetsRelation& r, const core::SetsRelation& s,
     sc.cands.clear();
     for (text::TokenId e : r.set(rg)) {
       auto [p, p_end] = s_index.Lookup(e);
-      kernels::ProbePostings({p, p_end}, epoch, sc.seen.data(), &sc.cands);
+      kernels::ProbePostings({p, p_end}, epoch, sc.seen.data(), &sc.cands, &sc.tally);
     }
     exact.clear();
     core::VerifyCandidates(r, rg, s, sc.cands, pred, &marks, &exact);
@@ -206,6 +208,7 @@ double MeasureRecall(const core::SetsRelation& r, const core::SetsRelation& s,
     if (it != got_counts.end()) got_total += it->second;
   }
   marks.Flush();
+  sc.tally.Flush();
   return exact_total > 0
              ? static_cast<double>(got_total) / static_cast<double>(exact_total)
              : 1.0;

@@ -25,14 +25,22 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-/// \brief FNV-1a string hash.
-inline uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+/// FNV-1a offset basis: HashString's value for the empty string.
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// \brief Continues an FNV-1a hash `h` over the bytes of `s`, so that
+/// HashStringFrom(HashString(a), b) == HashString(a + b).
+inline uint64_t HashStringFrom(uint64_t h, std::string_view s) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// \brief FNV-1a string hash.
+inline uint64_t HashString(std::string_view s) {
+  return HashStringFrom(kFnvOffsetBasis, s);
 }
 
 /// \brief Hash functor for pairs of integers (e.g. <R.A, S.A> group keys).

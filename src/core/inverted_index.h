@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/sets.h"
+#include "kernels/kernels.h"
 
 namespace ssjoin::core {
 
@@ -49,6 +50,8 @@ struct ProbeScratch {
   std::vector<uint32_t> seen;
   uint32_t epoch = 0;
   std::vector<GroupId> cands;
+  /// The probes' kernel counts; flushed once per morsel.
+  kernels::KernelTally tally;
 
   void EnsureSize(size_t num_groups) {
     if (seen.size() < num_groups) seen.resize(num_groups, 0);

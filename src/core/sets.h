@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "core/set_store.h"
+#include "exec/exec_context.h"
 #include "text/dictionary.h"
 #include "text/weights.h"
 
@@ -41,19 +43,39 @@ struct SetsRelation {
   SetView set(GroupId g) const { return store.view(g); }
 };
 
+/// \brief Encoded documents in CSR form, as the Prep encoder emits them:
+/// document d holds `ids[offsets[d], offsets[d + 1])`, in token order.
+struct EncodedDocs {
+  std::vector<uint32_t> offsets = {0};
+  std::vector<text::TokenId> ids;
+
+  size_t num_docs() const { return offsets.size() - 1; }
+  std::span<const text::TokenId> doc(size_t d) const {
+    return {ids.data() + offsets[d], ids.data() + offsets[d + 1]};
+  }
+};
+
 /// \brief Materializes provider weights for all elements of a dictionary.
 WeightVector MaterializeWeights(const text::TokenDictionary& dict,
                                 const text::WeightProvider& provider);
 
-/// \brief Builds a SetsRelation from encoded documents.
+/// \brief Builds a SetsRelation from encoded documents, in place.
 ///
-/// The nested `docs` vectors are the builder's transient input; they are
-/// canonicalized (sorted, deduplicated — duplicates cannot normally occur
-/// after ordinal encoding) and compacted into the flat CSR store, whose
-/// columns are pre-reserved from the input sizes. If `norms` is provided it
-/// must have one entry per document; otherwise norms default to set weights.
-/// Documents containing kInvalidToken, or inputs exceeding the uint32 CSR
-/// capacity (> UINT32_MAX groups or total elements), are rejected.
+/// Each document is canonicalized (sorted, deduplicated — duplicates cannot
+/// normally occur after ordinal encoding) and its weight summed in
+/// ascending id order, per morsel of `exec` into pre-sized slots; the CSR
+/// columns then become the store, compacted only if a duplicate was
+/// dropped. The result is the same at every thread count. If `norms` is
+/// provided it must have one entry per document; otherwise norms default to
+/// set weights. Documents holding an id without a weight (kInvalidToken
+/// included) are rejected.
+Result<SetsRelation> BuildSetsRelation(EncodedDocs docs, const WeightVector& weights,
+                                       std::optional<std::vector<double>> norms,
+                                       const exec::ExecContext& exec);
+
+/// \brief Adapter for nested id vectors: flattens `docs` into EncodedDocs
+/// and builds on one thread. Inputs exceeding the uint32 CSR capacity
+/// (> UINT32_MAX groups or total elements) are rejected.
 Result<SetsRelation> BuildSetsRelation(
     std::vector<std::vector<text::TokenId>> docs, const WeightVector& weights,
     std::optional<std::vector<double>> norms = std::nullopt);

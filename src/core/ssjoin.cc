@@ -97,7 +97,7 @@ void GeneratePrefixCandidates(const PrefixFilteredRelation& r_pref,
       auto [begin, end] = s_index.Lookup(e);
       stats->equijoin_rows += static_cast<size_t>(end - begin);
       kernels::ProbePostings({begin, end}, epoch, scratch.seen.data(),
-                             &scratch.cands);
+                             &scratch.cands, &scratch.tally);
     }
     if (!scratch.cands.empty()) emit(rg, scratch.cands);
   }
@@ -270,7 +270,8 @@ class InvertedIndexSSJoin final : public SSJoinExecutor {
                       out.stats.equijoin_rows += static_cast<size_t>(hi - lo);
                       kernels::AccumulatePostings({lo, hi}, w[e], epoch,
                                                   sc.probe.seen.data(),
-                                                  sc.acc.data(), &touched);
+                                                  sc.acc.data(), &touched,
+                                                  &sc.probe.tally);
                     }
                     out.stats.candidate_pairs += touched.size();
                     for (GroupId sg : touched) {
@@ -279,6 +280,7 @@ class InvertedIndexSSJoin final : public SSJoinExecutor {
                       }
                     }
                   }
+                  sc.probe.tally.Flush();
                 });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(morsels, &out, stats);
@@ -336,6 +338,7 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
                       [&](GroupId rg, const std::vector<GroupId>& ss) {
                         for (GroupId sg : ss) out.cands.push_back({rg, sg});
                       });
+                  sc.tally.Flush();
                 });
     std::vector<Candidate> candidates;
     size_t total = 0;
@@ -359,6 +362,7 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
     struct VerifyScratch {
       std::vector<VerifyRow> rows;
       std::vector<text::TokenId> matched;
+      kernels::KernelTally tally;
     };
     std::vector<VerifyScratch> verify(exec::NumWorkers(ec, candidates.size()));
     std::vector<MorselOutput> verify_morsels(
@@ -372,7 +376,8 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
             SetView rset = r.set(candidates[c].r);
             SetView sset = s.set(candidates[c].s);
             sc.matched.resize(std::min(rset.size(), sset.size()));
-            size_t n = kernels::IntersectTokens(rset, sset, sc.matched.data());
+            size_t n =
+                kernels::IntersectTokens(rset, sset, sc.matched.data(), &sc.tally);
             for (size_t k = 0; k < n; ++k) {
               sc.rows.push_back({static_cast<uint32_t>(c), w[sc.matched[k]]});
             }
@@ -394,6 +399,7 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
               out.pairs.push_back({rg, sg, overlap});
             }
           }
+          sc.tally.Flush();
         });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(verify_morsels, &out, stats);
@@ -473,6 +479,7 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
                                          &out.pairs);
                       });
                   sc.marks.Flush();
+                  sc.probe.tally.Flush();
                 });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(morsels, &out, stats);

@@ -407,10 +407,11 @@ void MutableFuzzyIndex::PublishLocked() {
 
 std::vector<text::TokenId> MutableFuzzyIndex::EncodeValueLocked(
     const std::string& value) {
+  tokenizer_->TokenizeInto(value, &encode_buffer_, &encode_tokens_);
   std::vector<text::TokenId> ids;
   {
     std::unique_lock<std::shared_mutex> dict_lock(dict_mu_);
-    ids = dict_.EncodeDocument(tokenizer_->Tokenize(value));
+    dict_.EncodeInto(encode_tokens_, &ids);
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -541,7 +542,7 @@ Status MutableFuzzyIndex::PersistSealedLocked(
   manifest.dict_entries.reserve(dict_.num_elements());
   for (text::TokenId e = 0; e < dict_.num_elements(); ++e) {
     manifest.dict_entries.push_back(text::TokenDictionary::EntryData{
-        dict_.TokenOf(e), dict_.OrdinalOf(e),
+        std::string(dict_.TokenOf(e)), dict_.OrdinalOf(e),
         e < df_live_.size() ? df_live_[e] : 0});
   }
   manifest.dict_num_documents = live_docs_;
@@ -716,11 +717,13 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
   // the unfiltered output.
   std::vector<Match> out;
   if (k == 0) return out;
-  std::vector<std::string> tokens = tokenizer_->Tokenize(query);
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  tokenizer_->TokenizeInto(query, &buffer, &tokens);
   std::vector<text::TokenId> ids;
   {
     std::shared_lock<std::shared_mutex> dict_lock(dict_mu_);
-    ids = dict_.EncodeDocumentReadOnly(tokens);
+    dict_.EncodeReadOnlyInto(tokens, &ids);
   }
   // An element counts as unseen exactly when a rebuild over the epoch's
   // live records would not know it: never interned, interned after this

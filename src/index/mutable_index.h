@@ -325,6 +325,10 @@ class MutableFuzzyIndex {
 
   MutableIndexOptions options_;
   std::unique_ptr<text::Tokenizer> tokenizer_;
+  /// The writer's tokenize scratch (EncodeValueLocked). Guarded by
+  /// writer_mu_.
+  std::string encode_buffer_;
+  std::vector<std::string_view> encode_tokens_;
 
   /// Guards the dictionary: readers (query encoding) shared, the writer
   /// exclusive while interning. Taken after writer_mu_, never before.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "kernels/internal.h"
 #include "obs/metrics.h"
@@ -105,6 +106,19 @@ void EnsureInitFromEnv() {
   (void)once;
 }
 
+/// Counts one intersection call reading `elements` elements: into `tally`
+/// when given, else straight into the shared counters.
+void CountIntersect(KernelTally* tally, size_t elements) {
+  if (tally != nullptr) {
+    ++tally->intersect_calls;
+    tally->intersect_elements += elements;
+    return;
+  }
+  KernelCounters& c = Counters();
+  c.intersect_calls->Add(1);
+  c.intersect_elements->Add(elements);
+}
+
 /// Per-call tier resolution. Concrete requests are honored as-is (the
 /// differential contract: `--kernel gallop` means gallop everywhere); auto
 /// picks gallop for skewed lengths, else the widest available path.
@@ -190,8 +204,8 @@ void RegisterKernelMetrics() {
 }
 
 size_t IntersectCount(std::span<const uint32_t> a,
-                      std::span<const uint32_t> b) {
-  return IntersectCountTier(CurrentTier(), a, b);
+                      std::span<const uint32_t> b, KernelTally* tally) {
+  return IntersectCountTier(CurrentTier(), a, b, tally);
 }
 
 double IntersectWeighted(std::span<const uint32_t> a,
@@ -201,13 +215,13 @@ double IntersectWeighted(std::span<const uint32_t> a,
 
 double IntersectWeighted(std::span<const uint32_t> a,
                          std::span<const uint32_t> b, const double* weights,
-                         size_t* match_count) {
-  return IntersectWeightedTier(CurrentTier(), a, b, weights, match_count);
+                         size_t* match_count, KernelTally* tally) {
+  return IntersectWeightedTier(CurrentTier(), a, b, weights, match_count, tally);
 }
 
 size_t IntersectTokens(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                       uint32_t* out) {
-  return IntersectTokensTier(CurrentTier(), a, b, out);
+                       uint32_t* out, KernelTally* tally) {
+  return IntersectTokensTier(CurrentTier(), a, b, out, tally);
 }
 
 double IntersectWeightedCols(std::span<const uint32_t> a,
@@ -217,16 +231,22 @@ double IntersectWeightedCols(std::span<const uint32_t> a,
 }
 
 size_t ProbePostings(std::span<const uint32_t> postings, uint32_t epoch,
-                     uint32_t* seen_epoch, std::vector<uint32_t>* out) {
-  return ProbePostingsTier(CurrentTier(), postings, epoch, seen_epoch, out);
+                     uint32_t* seen_epoch, std::vector<uint32_t>* out,
+                     KernelTally* tally) {
+  return ProbePostingsTier(CurrentTier(), postings, epoch, seen_epoch, out, tally);
 }
 
 void AccumulatePostings(std::span<const uint32_t> postings, double weight,
                         uint32_t epoch, uint32_t* seen_epoch, double* acc,
-                        std::vector<uint32_t>* touched) {
-  KernelCounters& c = Counters();
-  c.accumulate_calls->Add(1);
-  c.accumulate_rows->Add(postings.size());
+                        std::vector<uint32_t>* touched, KernelTally* tally) {
+  if (tally != nullptr) {
+    ++tally->accumulate_calls;
+    tally->accumulate_rows += postings.size();
+  } else {
+    KernelCounters& c = Counters();
+    c.accumulate_calls->Add(1);
+    c.accumulate_rows->Add(postings.size());
+  }
   for (const uint32_t g : postings) {
     if (seen_epoch[g] != epoch) {
       seen_epoch[g] = epoch;
@@ -248,12 +268,12 @@ void MarkedSet::Mark(std::span<const uint32_t> a) {
     epoch_ = 1;
   }
   for (const uint32_t t : a) stamps_[t] = epoch_;
-  elements_ += a.size();
+  tally_.intersect_elements += a.size();
 }
 
 bool MarkedSet::OverlapAtLeast(std::span<const uint32_t> b, double wt_b,
                                double floor, double* overlap) {
-  ++calls_;
+  ++tally_.intersect_calls;
   const uint32_t* stamps = stamps_.data();
   const double* w = weights_;
   const uint32_t epoch = epoch_;
@@ -261,7 +281,7 @@ bool MarkedSet::OverlapAtLeast(std::span<const uint32_t> b, double wt_b,
   double sum = 0.0;
   if (!(floor > 0.0)) {
     for (const uint32_t t : b) sum += stamps[t] == epoch ? w[t] : 0.0;
-    elements_ += n;
+    tally_.intersect_elements += n;
     *overlap = sum;
     return true;
   }
@@ -280,7 +300,7 @@ bool MarkedSet::OverlapAtLeast(std::span<const uint32_t> b, double wt_b,
       floor - static_cast<double>(n + 2) * 0x1p-50 * (floor + wt_b);
   double rem = wt_b;
   if (rem < need) {
-    ++pruned_;
+    ++tally_.intersect_pruned;
     return false;
   }
   for (size_t k = 0; k < n; ++k) {
@@ -290,31 +310,33 @@ bool MarkedSet::OverlapAtLeast(std::span<const uint32_t> b, double wt_b,
     if (stamps[t] == epoch) {
       sum += wt;
     } else if (sum + rem < need) {  // only a miss can lower sum + rem
-      elements_ += k + 1;
-      ++pruned_;
+      tally_.intersect_elements += k + 1;
+      ++tally_.intersect_pruned;
       return false;
     }
   }
-  elements_ += n;
+  tally_.intersect_elements += n;
   *overlap = sum;
   return true;
 }
 
-void MarkedSet::Flush() {
+void KernelTally::Flush() {
   KernelCounters& c = Counters();
-  if (calls_ != 0) c.intersect_calls->Add(calls_);
-  if (elements_ != 0) c.intersect_elements->Add(elements_);
-  if (pruned_ != 0) c.intersect_pruned->Add(pruned_);
-  calls_ = 0;
-  elements_ = 0;
-  pruned_ = 0;
+  const std::pair<obs::Counter*, uint64_t*> pending[] = {
+      {c.intersect_calls, &intersect_calls},   {c.intersect_elements, &intersect_elements},
+      {c.intersect_pruned, &intersect_pruned}, {c.probe_calls, &probe_calls},
+      {c.probe_rows, &probe_rows},             {c.accumulate_calls, &accumulate_calls},
+      {c.accumulate_rows, &accumulate_rows},
+  };
+  for (const auto& [counter, count] : pending) {
+    if (*count != 0) counter->Add(*count);
+    *count = 0;
+  }
 }
 
 size_t IntersectCountTier(Tier t, std::span<const uint32_t> a,
-                          std::span<const uint32_t> b) {
-  KernelCounters& c = Counters();
-  c.intersect_calls->Add(1);
-  c.intersect_elements->Add(a.size() + b.size());
+                          std::span<const uint32_t> b, KernelTally* tally) {
+  CountIntersect(tally, a.size() + b.size());
   t = ResolveIntersect(t, a.size(), b.size());
 #ifdef SSJOIN_KERNELS_X86
   if (t == Tier::kSimd) {
@@ -334,10 +356,9 @@ size_t IntersectCountTier(Tier t, std::span<const uint32_t> a,
 
 double IntersectWeightedTier(Tier t, std::span<const uint32_t> a,
                              std::span<const uint32_t> b,
-                             const double* weights, size_t* match_count) {
-  KernelCounters& c = Counters();
-  c.intersect_calls->Add(1);
-  c.intersect_elements->Add(a.size() + b.size());
+                             const double* weights, size_t* match_count,
+                             KernelTally* tally) {
+  CountIntersect(tally, a.size() + b.size());
   t = ResolveIntersect(t, a.size(), b.size());
 #ifdef SSJOIN_KERNELS_X86
   if (t == Tier::kSimd) {
@@ -356,10 +377,9 @@ double IntersectWeightedTier(Tier t, std::span<const uint32_t> a,
 }
 
 size_t IntersectTokensTier(Tier t, std::span<const uint32_t> a,
-                           std::span<const uint32_t> b, uint32_t* out) {
-  KernelCounters& c = Counters();
-  c.intersect_calls->Add(1);
-  c.intersect_elements->Add(a.size() + b.size());
+                           std::span<const uint32_t> b, uint32_t* out,
+                           KernelTally* tally) {
+  CountIntersect(tally, a.size() + b.size());
   t = ResolveIntersect(t, a.size(), b.size());
 #ifdef SSJOIN_KERNELS_X86
   if (t == Tier::kSimd) {
@@ -379,9 +399,7 @@ size_t IntersectTokensTier(Tier t, std::span<const uint32_t> a,
 double IntersectWeightedColsTier(Tier t, std::span<const uint32_t> a,
                                  std::span<const double> a_weights,
                                  std::span<const uint32_t> b) {
-  KernelCounters& c = Counters();
-  c.intersect_calls->Add(1);
-  c.intersect_elements->Add(a.size() + b.size());
+  CountIntersect(nullptr, a.size() + b.size());
   t = ResolveIntersect(t, a.size(), b.size());
 #ifdef SSJOIN_KERNELS_X86
   if (t == Tier::kSimd) {
@@ -414,10 +432,15 @@ double IntersectWeightedColsTier(Tier t, std::span<const uint32_t> a,
 
 size_t ProbePostingsTier(Tier t, std::span<const uint32_t> postings,
                          uint32_t epoch, uint32_t* seen_epoch,
-                         std::vector<uint32_t>* out) {
-  KernelCounters& c = Counters();
-  c.probe_calls->Add(1);
-  c.probe_rows->Add(postings.size());
+                         std::vector<uint32_t>* out, KernelTally* tally) {
+  if (tally != nullptr) {
+    ++tally->probe_calls;
+    tally->probe_rows += postings.size();
+  } else {
+    KernelCounters& c = Counters();
+    c.probe_calls->Add(1);
+    c.probe_rows->Add(postings.size());
+  }
   if (t == Tier::kAuto) t = PrimaryTier(t);
 #ifdef SSJOIN_KERNELS_X86
   if (t == Tier::kSimd) {

@@ -87,6 +87,29 @@ Status InitFromEnv();
 /// they appear in metric dumps before the first join.
 void RegisterKernelMetrics();
 
+/// \brief Kernel work counts held back from the shared `kernels.*`
+/// counters. The entry points below that are handed a tally add their
+/// counts to it instead of making two process-wide atomic adds per call,
+/// and `Flush` adds the totals once. Executors keep one per worker and
+/// flush it at the end of each morsel, so the shared counters see one add
+/// per morsel, and their totals equal the per-call counting's at every
+/// tier and thread count. A null tally counts straight into the shared
+/// counters.
+struct KernelTally {
+  uint64_t intersect_calls = 0;
+  uint64_t intersect_elements = 0;
+  uint64_t intersect_pruned = 0;
+  uint64_t probe_calls = 0;
+  uint64_t probe_rows = 0;
+  uint64_t accumulate_calls = 0;
+  uint64_t accumulate_rows = 0;
+
+  /// Adds the pending counts to `kernels.intersect.{calls,elements,pruned}`,
+  /// `kernels.probe.{calls,rows}` and `kernels.accumulate.{calls,rows}`, and
+  /// zeroes them.
+  void Flush();
+};
+
 /// \name Sorted-span intersection
 /// Spans must be sorted ascending; duplicates allowed (multiset
 /// min-multiplicity). TokenId and GroupId are both uint32_t, so these
@@ -94,7 +117,8 @@ void RegisterKernelMetrics();
 /// @{
 
 /// |a ∩ b|.
-size_t IntersectCount(std::span<const uint32_t> a, std::span<const uint32_t> b);
+size_t IntersectCount(std::span<const uint32_t> a, std::span<const uint32_t> b,
+                      KernelTally* tally = nullptr);
 
 /// Σ weights[t] over t ∈ a ∩ b, accumulated in ascending token order (the
 /// order every executor relies on for bit-equal parallel output).
@@ -105,12 +129,12 @@ double IntersectWeighted(std::span<const uint32_t> a,
 /// "did anything intersect" bit alongside the overlap).
 double IntersectWeighted(std::span<const uint32_t> a,
                          std::span<const uint32_t> b, const double* weights,
-                         size_t* match_count);
+                         size_t* match_count, KernelTally* tally = nullptr);
 
 /// Writes the matched tokens, in ascending order, to `out` (caller provides
 /// at least min(|a|, |b|) slots). Returns the match count.
 size_t IntersectTokens(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                       uint32_t* out);
+                       uint32_t* out, KernelTally* tally = nullptr);
 
 /// Weighted overlap against a SetStore element-weight column: the weight of
 /// a match is read from `a_weights` at the matched position in `a` (branch-
@@ -127,7 +151,8 @@ double IntersectWeightedCols(std::span<const uint32_t> a,
 /// marks it seen. Returns the number appended. Append order is postings
 /// order (identical across tiers).
 size_t ProbePostings(std::span<const uint32_t> postings, uint32_t epoch,
-                     uint32_t* seen_epoch, std::vector<uint32_t>* out);
+                     uint32_t* seen_epoch, std::vector<uint32_t>* out,
+                     KernelTally* tally = nullptr);
 
 /// Weighted accumulate probe: `acc[g] += weight` for each posting, zeroing
 /// `acc[g]` and recording g in `touched` on first touch this epoch. One
@@ -136,7 +161,7 @@ size_t ProbePostings(std::span<const uint32_t> postings, uint32_t epoch,
 /// memory-bound, so all tiers share it (trivially bit-identical).
 void AccumulatePostings(std::span<const uint32_t> postings, double weight,
                         uint32_t epoch, uint32_t* seen_epoch, double* acc,
-                        std::vector<uint32_t>* touched);
+                        std::vector<uint32_t>* touched, KernelTally* tally = nullptr);
 /// @}
 
 /// \name Marked-set overlap (batch verify)
@@ -158,7 +183,7 @@ void AccumulatePostings(std::span<const uint32_t> postings, double weight,
 /// Marks are epoch-stamped, so `Mark` costs |a| and never clears the
 /// table, except once every 2^32 - 1 marks when the epoch wraps.
 ///
-/// Work counts accumulate in plain fields; `Flush` adds them to
+/// Work counts accumulate in a KernelTally; `Flush` adds them to
 /// `kernels.intersect.{calls,elements,pruned}`. Callers flush once per
 /// morsel, so the shared counters see one add per morsel instead of two
 /// per candidate. Every count is a function of the inputs alone, the same
@@ -189,7 +214,7 @@ class MarkedSet {
   /// per `Mark`, plus the elements of `b` each call read before it
   /// returned) to kernels.intersect.elements; calls that returned "below"
   /// to kernels.intersect.pruned.
-  void Flush();
+  void Flush() { tally_.Flush(); }
 
   /// Sets the epoch the next `Mark` increments, so tests can reach the
   /// wrap without 2^32 marks.
@@ -199,9 +224,7 @@ class MarkedSet {
   const double* weights_ = nullptr;
   std::vector<uint32_t> stamps_;
   uint32_t epoch_ = 0;
-  uint64_t calls_ = 0;
-  uint64_t elements_ = 0;
-  uint64_t pruned_ = 0;
+  KernelTally tally_;
 };
 /// @}
 
@@ -211,18 +234,20 @@ class MarkedSet {
 /// resolves per call like the public entry points.
 /// @{
 size_t IntersectCountTier(Tier t, std::span<const uint32_t> a,
-                          std::span<const uint32_t> b);
+                          std::span<const uint32_t> b, KernelTally* tally = nullptr);
 double IntersectWeightedTier(Tier t, std::span<const uint32_t> a,
                              std::span<const uint32_t> b,
-                             const double* weights, size_t* match_count);
+                             const double* weights, size_t* match_count,
+                             KernelTally* tally = nullptr);
 size_t IntersectTokensTier(Tier t, std::span<const uint32_t> a,
-                           std::span<const uint32_t> b, uint32_t* out);
+                           std::span<const uint32_t> b, uint32_t* out,
+                           KernelTally* tally = nullptr);
 double IntersectWeightedColsTier(Tier t, std::span<const uint32_t> a,
                                  std::span<const double> a_weights,
                                  std::span<const uint32_t> b);
 size_t ProbePostingsTier(Tier t, std::span<const uint32_t> postings,
                          uint32_t epoch, uint32_t* seen_epoch,
-                         std::vector<uint32_t>* out);
+                         std::vector<uint32_t>* out, KernelTally* tally = nullptr);
 /// @}
 
 }  // namespace ssjoin::kernels

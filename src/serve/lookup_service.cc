@@ -72,7 +72,10 @@ std::string LookupService::CacheKey(const std::string& query, size_t k,
                                     const filter::FilterPredicate& filter) const {
   std::string key;
   key.reserve(query.size() + 32);
-  for (const std::string& token : index_->tokenizer().Tokenize(query)) {
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  index_->tokenizer().TokenizeInto(query, &buffer, &tokens);
+  for (std::string_view token : tokens) {
     key += token;
     key.push_back('\x1f');  // unit separator: cannot appear inside a token
   }

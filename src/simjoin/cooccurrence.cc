@@ -46,29 +46,15 @@ Result<EntityJoinResult> CooccurrenceJoin(
   // Encode item multisets against a shared dictionary. Items are opaque
   // values (paper titles, ...), so the "tokenizer" is the identity: the
   // item list is already the token multiset.
-  Prepared prep;
-  std::vector<std::vector<text::TokenId>> r_docs;
-  r_docs.reserve(r_items.size());
-  for (const auto& items : r_items) r_docs.push_back(prep.dict.EncodeDocument(items));
-  std::vector<std::vector<text::TokenId>> s_docs;
-  s_docs.reserve(s_items.size());
-  for (const auto& items : s_items) s_docs.push_back(prep.dict.EncodeDocument(items));
-
-  if (weights == WeightMode::kUnit) {
-    prep.weights.assign(prep.dict.num_elements(), 1.0);
-    prep.order = core::ElementOrder::ByIncreasingFrequency(prep.dict);
-  } else {
-    text::IdfWeights idf(prep.dict);
-    prep.weights = core::MaterializeWeights(prep.dict, idf);
-    if (weights == WeightMode::kIdfSquared) {
-      for (double& w : prep.weights) w *= w;
-    }
-    prep.order = core::ElementOrder::ByDecreasingWeight(prep.weights);
-  }
-  SSJOIN_ASSIGN_OR_RETURN(prep.r,
-                          core::BuildSetsRelation(std::move(r_docs), prep.weights));
-  SSJOIN_ASSIGN_OR_RETURN(prep.s,
-                          core::BuildSetsRelation(std::move(s_docs), prep.weights));
+  auto source = [](const std::vector<std::vector<std::string>>& lists) -> TokenSource {
+    return [&lists](size_t d, std::string*, std::vector<std::string_view>* tokens) {
+      tokens->assign(lists[d].begin(), lists[d].end());
+    };
+  };
+  const TokenSource s_source = source(s_items);
+  SSJOIN_ASSIGN_OR_RETURN(
+      Prepared prep, PrepareDocuments(r_items.size(), source(r_items), s_items.size(),
+                                      &s_source, weights, exec.exec));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   core::OverlapPredicate pred =
@@ -110,40 +96,41 @@ Result<std::vector<MatchPair>> FDAgreementJoin(
   } else if (!s.empty()) {
     h = s[0].size();
   }
-  Timer prep_timer;
-  Prepared prep;
-  auto encode = [&](const std::vector<std::vector<std::string>>& rows,
-                    std::vector<std::vector<text::TokenId>>* docs) -> Status {
-    docs->reserve(rows.size());
-    for (const auto& row : rows) {
+  for (const auto* rows : {&r, &s}) {
+    for (const auto& row : *rows) {
       if (row.size() != h) {
-        return Status::Invalid(
-            StringPrintf("FD join rows must all have %zu columns, got %zu", h,
-                         row.size()));
+        return Status::Invalid(StringPrintf(
+            "FD join rows must all have %zu columns, got %zu", h, row.size()));
       }
-      // Element = the ordered pair <Column, Value> (Example 6's AEP set).
-      std::vector<std::string> elements;
-      elements.reserve(row.size());
-      for (size_t c = 0; c < row.size(); ++c) {
-        elements.push_back(std::to_string(c) + '=' + row[c]);
-      }
-      docs->push_back(prep.dict.EncodeDocument(elements));
     }
-    return Status::OK();
-  };
-  std::vector<std::vector<text::TokenId>> r_docs;
-  std::vector<std::vector<text::TokenId>> s_docs;
-  SSJOIN_RETURN_NOT_OK(encode(r, &r_docs));
-  SSJOIN_RETURN_NOT_OK(encode(s, &s_docs));
+  }
   if (k > h) {
     return Status::Invalid(StringPrintf("k=%zu exceeds the column count h=%zu", k, h));
   }
-  prep.weights.assign(prep.dict.num_elements(), 1.0);
-  prep.order = core::ElementOrder::ByIncreasingFrequency(prep.dict);
-  SSJOIN_ASSIGN_OR_RETURN(prep.r,
-                          core::BuildSetsRelation(std::move(r_docs), prep.weights));
-  SSJOIN_ASSIGN_OR_RETURN(prep.s,
-                          core::BuildSetsRelation(std::move(s_docs), prep.weights));
+  Timer prep_timer;
+  // Element = the ordered pair <Column, Value> (Example 6's AEP set), spelt
+  // "c=value" in the buffer; the views are taken once it is complete.
+  auto source = [h](const std::vector<std::vector<std::string>>& rows) -> TokenSource {
+    return [&rows, h](size_t d, std::string* buffer,
+                      std::vector<std::string_view>* tokens) {
+      buffer->clear();
+      for (size_t c = 0; c < h; ++c) {
+        buffer->append(std::to_string(c)).push_back('=');
+        buffer->append(rows[d][c]);
+      }
+      tokens->clear();
+      size_t at = 0;
+      for (size_t c = 0; c < h; ++c) {
+        const size_t len = buffer->find('=', at) + 1 + rows[d][c].size() - at;
+        tokens->push_back(std::string_view(*buffer).substr(at, len));
+        at += len;
+      }
+    };
+  };
+  const TokenSource s_source = source(s);
+  SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
+                          PrepareDocuments(r.size(), source(r), s.size(), &s_source,
+                                           WeightMode::kUnit, exec.exec));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   core::OverlapPredicate pred =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "core/cost_model.h"
@@ -16,10 +15,47 @@ namespace ssjoin::simjoin {
 
 namespace {
 
-/// Exact GES verifier over pre-tokenized documents with dictionary weights.
-double ExactGES(const std::vector<std::string>& a, const std::vector<std::string>& b,
-                const sim::TokenWeightFn& weight) {
-  return sim::GeneralizedEditSimilarity(a, b, weight);
+/// Word-tokenizes both sides into one dictionary through the Prep encoder.
+struct EncodedSides {
+  text::TokenDictionary dict;
+  core::EncodedDocs r;
+  core::EncodedDocs s;
+};
+
+Result<EncodedSides> EncodeWords(const std::vector<std::string>& r,
+                                 const std::vector<std::string>& s) {
+  text::WordTokenizer tokenizer;
+  auto source = [&tokenizer](const std::vector<std::string>& strings) {
+    return [&tokenizer, &strings](size_t d, std::string* buffer,
+                                  std::vector<std::string_view>* tokens) {
+      tokenizer.TokenizeInto(strings[d], buffer, tokens);
+    };
+  };
+  EncodedSides out;
+  SSJOIN_ASSIGN_OR_RETURN(out.r, EncodeDocuments(r.size(), source(r), &out.dict));
+  SSJOIN_ASSIGN_OR_RETURN(out.s, EncodeDocuments(s.size(), source(s), &out.dict));
+  return out;
+}
+
+/// Each document's token sequence, read back from its ids, for the exact
+/// GES verifier.
+std::vector<std::vector<std::string>> TokenSequences(const text::TokenDictionary& dict,
+                                                     const core::EncodedDocs& docs) {
+  std::vector<std::vector<std::string>> out(docs.num_docs());
+  for (size_t d = 0; d < out.size(); ++d) {
+    for (text::TokenId id : docs.doc(d)) out[d].emplace_back(dict.TokenOf(id));
+  }
+  return out;
+}
+
+/// Token weight function for the exact GES UDF: the weight of the token's
+/// first-occurrence element; unseen tokens (impossible here) get weight 1.
+sim::TokenWeightFn TokenWeights(const text::TokenDictionary& dict,
+                                const core::WeightVector& weights) {
+  return [&dict, &weights](std::string_view t) {
+    text::TokenId id = dict.Find(t, 0);
+    return id == text::kInvalidToken ? 1.0 : weights[id];
+  };
 }
 
 }  // namespace
@@ -34,29 +70,19 @@ Result<std::vector<MatchPair>> GESJoin(const std::vector<std::string>& r,
 
   // ---- Prep: word-tokenize, intern, weigh, and expand the R sets. ----
   Timer prep_timer;
-  text::WordTokenizer word_tokenizer;
-  text::TokenDictionary dict;
-  std::vector<std::vector<std::string>> r_tokens(r.size());
-  std::vector<std::vector<std::string>> s_tokens(s.size());
-  std::vector<std::vector<text::TokenId>> r_docs(r.size());
-  std::vector<std::vector<text::TokenId>> s_docs(s.size());
-  for (size_t i = 0; i < r.size(); ++i) {
-    r_tokens[i] = word_tokenizer.Tokenize(r[i]);
-    r_docs[i] = dict.EncodeDocument(r_tokens[i]);
-  }
-  for (size_t i = 0; i < s.size(); ++i) {
-    s_tokens[i] = word_tokenizer.Tokenize(s[i]);
-    s_docs[i] = dict.EncodeDocument(s_tokens[i]);
-  }
+  SSJOIN_ASSIGN_OR_RETURN(EncodedSides sides, EncodeWords(r, s));
+  const text::TokenDictionary& dict = sides.dict;
   text::IdfWeights idf(dict);
   core::WeightVector weights = core::MaterializeWeights(dict, idf);
 
   // Vocabulary of distinct token strings = elements with ordinal 0.
   std::vector<std::string> vocab;
   std::vector<text::TokenId> vocab_ids;
+  std::vector<uint32_t> vocab_of(dict.num_elements(), UINT32_MAX);
   for (text::TokenId id = 0; id < dict.num_elements(); ++id) {
     if (dict.OrdinalOf(id) == 0) {
-      vocab.push_back(dict.TokenOf(id));
+      vocab_of[id] = static_cast<uint32_t>(vocab.size());
+      vocab.emplace_back(dict.TokenOf(id));
       vocab_ids.push_back(id);
     }
   }
@@ -71,47 +97,38 @@ Result<std::vector<MatchPair>> GESJoin(const std::vector<std::string>& r,
     if (m.r == m.s) continue;
     expansions[m.r].push_back(vocab_ids[m.s]);
   }
-  // Map any element id -> its vocab index (by base token, ordinal 0).
-  std::unordered_map<std::string_view, uint32_t> vocab_index;
-  vocab_index.reserve(vocab.size());
-  for (uint32_t v = 0; v < vocab.size(); ++v) vocab_index.emplace(vocab[v], v);
 
   // Expanded R documents: original elements plus similar tokens (as their
   // ordinal-0 elements) of each first-occurrence element.
-  std::vector<std::vector<text::TokenId>> r_expanded(r_docs.size());
-  std::vector<double> r_norms(r_docs.size());
-  for (size_t i = 0; i < r_docs.size(); ++i) {
-    std::vector<text::TokenId>& doc = r_expanded[i];
-    doc = r_docs[i];
+  core::EncodedDocs r_expanded;
+  std::vector<double> r_norms(sides.r.num_docs());
+  for (size_t i = 0; i < sides.r.num_docs(); ++i) {
     double norm = 0.0;
-    for (text::TokenId e : r_docs[i]) {
+    for (text::TokenId e : sides.r.doc(i)) {
+      r_expanded.ids.push_back(e);
       norm += weights[e];
-      if (dict.OrdinalOf(e) != 0) continue;
-      auto it = vocab_index.find(dict.TokenOf(e));
-      if (it == vocab_index.end()) continue;
-      const auto& exp = expansions[it->second];
-      doc.insert(doc.end(), exp.begin(), exp.end());
+      if (vocab_of[e] == UINT32_MAX) continue;
+      const auto& exp = expansions[vocab_of[e]];
+      r_expanded.ids.insert(r_expanded.ids.end(), exp.begin(), exp.end());
     }
+    SSJOIN_RETURN_NOT_OK(core::SetStore::CheckCapacity(i + 1, r_expanded.ids.size()));
+    r_expanded.offsets.push_back(static_cast<uint32_t>(r_expanded.ids.size()));
     r_norms[i] = norm;  // wt of the *unexpanded* set (Definition 6's scale)
   }
+  std::vector<std::vector<std::string>> r_tokens = TokenSequences(dict, sides.r);
+  std::vector<std::vector<std::string>> s_tokens = TokenSequences(dict, sides.s);
 
   core::ElementOrder order = core::ElementOrder::ByDecreasingWeight(weights);
   Prepared prep;
   prep.weights = std::move(weights);
   prep.order = std::move(order);
-  // Token weight function for the exact GES UDF: IDF of the token's
-  // first-occurrence element; unseen tokens (impossible here) get weight 1.
   // Captures prep.weights (stable), NOT the moved-from local.
-  const core::WeightVector& final_weights = prep.weights;
-  sim::TokenWeightFn token_weight = [&dict, &final_weights](std::string_view t) {
-    text::TokenId id = dict.Find(t, 0);
-    return id == text::kInvalidToken ? 1.0 : final_weights[id];
-  };
+  sim::TokenWeightFn token_weight = TokenWeights(dict, prep.weights);
   SSJOIN_ASSIGN_OR_RETURN(
       prep.r, core::BuildSetsRelation(std::move(r_expanded), prep.weights,
-                                      std::move(r_norms)));
-  SSJOIN_ASSIGN_OR_RETURN(prep.s,
-                          core::BuildSetsRelation(std::move(s_docs), prep.weights));
+                                      std::move(r_norms), opts.exec.exec));
+  SSJOIN_ASSIGN_OR_RETURN(prep.s, core::BuildSetsRelation(std::move(sides.s), prep.weights,
+                                                          std::nullopt, opts.exec.exec));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   // ---- SSJoin stage: 1-sided normalized overlap on the unexpanded norm. ----
@@ -138,7 +155,7 @@ Result<std::vector<MatchPair>> GESJoin(const std::vector<std::string>& r,
   std::vector<MatchPair> out;
   for (const core::SSJoinPair& p : pairs) {
     ++stats->verifier_calls;
-    double ges = ExactGES(r_tokens[p.r], s_tokens[p.s], token_weight);
+    double ges = sim::GeneralizedEditSimilarity(r_tokens[p.r], s_tokens[p.s], token_weight);
     if (ges >= alpha - 1e-12) out.push_back({p.r, p.s, ges});
   }
   stats->result_pairs = out.size();
@@ -152,24 +169,12 @@ Result<std::vector<MatchPair>> GESJoinBruteForce(const std::vector<std::string>&
   SimJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Timer prep_timer;
-  text::WordTokenizer word_tokenizer;
-  text::TokenDictionary dict;
-  std::vector<std::vector<std::string>> r_tokens(r.size());
-  std::vector<std::vector<std::string>> s_tokens(s.size());
-  for (size_t i = 0; i < r.size(); ++i) {
-    r_tokens[i] = word_tokenizer.Tokenize(r[i]);
-    dict.EncodeDocument(r_tokens[i]);
-  }
-  for (size_t i = 0; i < s.size(); ++i) {
-    s_tokens[i] = word_tokenizer.Tokenize(s[i]);
-    dict.EncodeDocument(s_tokens[i]);
-  }
-  text::IdfWeights idf(dict);
-  core::WeightVector weights = core::MaterializeWeights(dict, idf);
-  sim::TokenWeightFn token_weight = [&dict, &weights](std::string_view t) {
-    text::TokenId id = dict.Find(t, 0);
-    return id == text::kInvalidToken ? 1.0 : weights[id];
-  };
+  SSJOIN_ASSIGN_OR_RETURN(EncodedSides sides, EncodeWords(r, s));
+  text::IdfWeights idf(sides.dict);
+  core::WeightVector weights = core::MaterializeWeights(sides.dict, idf);
+  sim::TokenWeightFn token_weight = TokenWeights(sides.dict, weights);
+  std::vector<std::vector<std::string>> r_tokens = TokenSequences(sides.dict, sides.r);
+  std::vector<std::vector<std::string>> s_tokens = TokenSequences(sides.dict, sides.s);
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   Timer filter_timer;
@@ -177,7 +182,7 @@ Result<std::vector<MatchPair>> GESJoinBruteForce(const std::vector<std::string>&
   for (uint32_t i = 0; i < r.size(); ++i) {
     for (uint32_t j = 0; j < s.size(); ++j) {
       ++stats->verifier_calls;
-      double ges = ExactGES(r_tokens[i], s_tokens[j], token_weight);
+      double ges = sim::GeneralizedEditSimilarity(r_tokens[i], s_tokens[j], token_weight);
       if (ges >= alpha - 1e-12) out.push_back({i, j, ges});
     }
   }

@@ -8,20 +8,35 @@
 
 namespace ssjoin::simjoin {
 
-Result<Prepared> PrepareStrings(const std::vector<std::string>& r,
-                                const std::vector<std::string>& s,
-                                const text::Tokenizer& tokenizer, WeightMode mode) {
+Result<core::EncodedDocs> EncodeDocuments(size_t num_docs, const TokenSource& source,
+                                          text::TokenDictionary* dict) {
+  core::EncodedDocs docs;
+  docs.offsets.reserve(num_docs + 1);
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  for (size_t d = 0; d < num_docs; ++d) {
+    source(d, &buffer, &tokens);
+    dict->EncodeInto(tokens, &docs.ids);
+    SSJOIN_RETURN_NOT_OK(core::SetStore::CheckCapacity(d + 1, docs.ids.size()));
+    docs.offsets.push_back(static_cast<uint32_t>(docs.ids.size()));
+  }
+  return docs;
+}
+
+Result<Prepared> PrepareDocuments(size_t num_r, const TokenSource& r_source, size_t num_s,
+                                  const TokenSource* s_source, WeightMode mode,
+                                  const exec::ExecContext& exec, PhaseTimer* phases) {
   Prepared prep;
-  std::vector<std::vector<text::TokenId>> r_docs;
-  r_docs.reserve(r.size());
-  for (const std::string& str : r) {
-    r_docs.push_back(prep.dict.EncodeDocument(tokenizer.Tokenize(str)));
+  Timer encode_timer;
+  SSJOIN_ASSIGN_OR_RETURN(core::EncodedDocs r_docs,
+                          EncodeDocuments(num_r, r_source, &prep.dict));
+  core::EncodedDocs s_docs;
+  if (s_source != nullptr) {
+    SSJOIN_ASSIGN_OR_RETURN(s_docs, EncodeDocuments(num_s, *s_source, &prep.dict));
+  } else {
+    for (size_t d = 0; d < r_docs.num_docs(); ++d) prep.dict.CountEncoded(r_docs.doc(d));
   }
-  std::vector<std::vector<text::TokenId>> s_docs;
-  s_docs.reserve(s.size());
-  for (const std::string& str : s) {
-    s_docs.push_back(prep.dict.EncodeDocument(tokenizer.Tokenize(str)));
-  }
+  if (phases != nullptr) phases->Add("Prep.encode", encode_timer.ElapsedMillis());
 
   switch (mode) {
     case WeightMode::kUnit: {
@@ -50,11 +65,32 @@ Result<Prepared> PrepareStrings(const std::vector<std::string>& r,
     prep.order = core::ElementOrder::ByDecreasingWeight(prep.weights);
   }
 
-  SSJOIN_ASSIGN_OR_RETURN(prep.r, core::BuildSetsRelation(std::move(r_docs),
-                                                          prep.weights));
-  SSJOIN_ASSIGN_OR_RETURN(prep.s, core::BuildSetsRelation(std::move(s_docs),
-                                                          prep.weights));
+  Timer relation_timer;
+  SSJOIN_ASSIGN_OR_RETURN(prep.r, core::BuildSetsRelation(std::move(r_docs), prep.weights,
+                                                          std::nullopt, exec));
+  if (s_source != nullptr) {
+    SSJOIN_ASSIGN_OR_RETURN(prep.s, core::BuildSetsRelation(std::move(s_docs), prep.weights,
+                                                            std::nullopt, exec));
+  } else {
+    prep.s = prep.r;
+  }
+  if (phases != nullptr) phases->Add("Prep.relation", relation_timer.ElapsedMillis());
   return prep;
+}
+
+Result<Prepared> PrepareStrings(const std::vector<std::string>& r,
+                                const std::vector<std::string>& s,
+                                const text::Tokenizer& tokenizer, WeightMode mode,
+                                const exec::ExecContext& exec, PhaseTimer* phases) {
+  auto source = [&tokenizer](const std::vector<std::string>& strings) -> TokenSource {
+    return [&tokenizer, &strings](size_t d, std::string* buffer,
+                                  std::vector<std::string_view>* tokens) {
+      tokenizer.TokenizeInto(strings[d], buffer, tokens);
+    };
+  };
+  const TokenSource s_source = source(s);
+  return PrepareDocuments(r.size(), source(r), s.size(), &r == &s ? nullptr : &s_source,
+                          mode, exec, phases);
 }
 
 Result<std::vector<core::SSJoinPair>> RunSSJoinStage(const Prepared& prep,

@@ -1,12 +1,16 @@
 #ifndef SSJOIN_SIMJOIN_PREP_H_
 #define SSJOIN_SIMJOIN_PREP_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/timer.h"
 #include "core/order.h"
 #include "core/sets.h"
+#include "exec/exec_context.h"
 #include "simjoin/types.h"
 #include "text/dictionary.h"
 #include "text/tokenizer.h"
@@ -33,14 +37,44 @@ struct Prepared {
   core::SSJoinContext Context() const { return {&weights, &order}; }
 };
 
-/// \brief Tokenizes and encodes both string collections with a shared
-/// dictionary, computes weights (per `mode`) and the prefix ordering
-/// (decreasing weight — the paper's IDF ordering, §4.3.2), and builds both
-/// SetsRelations. Norms default to set weights; the similarity joins override
-/// them when a different norm is needed.
+/// Writes the tokens of document `doc` to `*tokens` as views into the input
+/// or into `*buffer`, valid until the next call with the same buffer (the
+/// text::Tokenizer::TokenizeInto contract).
+using TokenSource = std::function<void(size_t doc, std::string* buffer,
+                                       std::vector<std::string_view>* tokens)>;
+
+/// \brief The one Prep encoder: interns the tokens of documents
+/// [0, num_docs) into `dict`, in document order, and returns their ids in
+/// token order. No per-token allocation: tokens are views, and ids go
+/// straight into the CSR columns.
+Result<core::EncodedDocs> EncodeDocuments(size_t num_docs, const TokenSource& source,
+                                          text::TokenDictionary* dict);
+
+/// \brief Prep over token sources: encodes R's `num_r` documents, then S's
+/// `num_s`, with a shared dictionary; computes weights (per `mode`) and the
+/// prefix ordering (decreasing weight — the paper's IDF ordering, §4.3.2);
+/// and builds both SetsRelations, canonicalizing sets per morsel of `exec`.
+/// Norms default to set weights; the similarity joins override them when a
+/// different norm is needed.
+///
+/// A null `s_source` means S is R (a self-join): R's documents are encoded
+/// once and counted twice, which yields exactly the dictionary, weights and
+/// relations of encoding them again. Records the sub-phases "Prep.encode"
+/// (tokenize + encode) and "Prep.relation" (build the relations) in
+/// `phases` when given.
+Result<Prepared> PrepareDocuments(size_t num_r, const TokenSource& r_source, size_t num_s,
+                                  const TokenSource* s_source, WeightMode mode,
+                                  const exec::ExecContext& exec,
+                                  PhaseTimer* phases = nullptr);
+
+/// \brief PrepareDocuments over two string collections, tokenized by
+/// `tokenizer`; passing the same vector as `r` and `s` makes it a
+/// self-join.
 Result<Prepared> PrepareStrings(const std::vector<std::string>& r,
                                 const std::vector<std::string>& s,
-                                const text::Tokenizer& tokenizer, WeightMode mode);
+                                const text::Tokenizer& tokenizer, WeightMode mode,
+                                const exec::ExecContext& exec = {},
+                                PhaseTimer* phases = nullptr);
 
 /// \brief Runs the SSJoin stage of a similarity-join pipeline: applies the
 /// cost model if requested, executes (in parallel when `execution.exec`

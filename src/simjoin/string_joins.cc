@@ -17,19 +17,26 @@ namespace ssjoin::simjoin {
 
 namespace {
 
-/// Tokenizer producing (position, character) pair tokens for Hamming joins.
+/// Tokenizer producing (position, character) pair tokens "i:c" for Hamming
+/// joins, written into the caller's buffer.
 class PositionalTokenizer final : public text::Tokenizer {
  public:
-  std::vector<std::string> Tokenize(std::string_view s) const override {
-    std::vector<std::string> tokens;
-    tokens.reserve(s.size());
+  void TokenizeInto(std::string_view s, std::string* buffer,
+                    std::vector<std::string_view>* tokens) const override {
+    buffer->clear();
     for (size_t i = 0; i < s.size(); ++i) {
-      std::string t = std::to_string(i);
-      t.push_back(':');
-      t.push_back(s[i]);
-      tokens.push_back(std::move(t));
+      buffer->append(std::to_string(i));
+      buffer->push_back(':');
+      buffer->push_back(s[i]);
     }
-    return tokens;
+    // The views are taken once the buffer is complete, so none dangles.
+    tokens->clear();
+    size_t at = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+      size_t len = buffer->find(':', at) + 2 - at;
+      tokens->push_back(std::string_view(*buffer).substr(at, len));
+      at += len;
+    }
   }
   std::string Describe() const override { return "positional"; }
 };
@@ -37,8 +44,10 @@ class PositionalTokenizer final : public text::Tokenizer {
 /// Tokenizer producing the singleton {Soundex(s)}.
 class SoundexTokenizer final : public text::Tokenizer {
  public:
-  std::vector<std::string> Tokenize(std::string_view s) const override {
-    return {sim::Soundex(s)};
+  void TokenizeInto(std::string_view s, std::string* buffer,
+                    std::vector<std::string_view>* tokens) const override {
+    *buffer = sim::Soundex(s);
+    tokens->assign(1, *buffer);
   }
   std::string Describe() const override { return "soundex"; }
 };
@@ -66,7 +75,8 @@ Result<std::vector<MatchPair>> RunPipeline(const std::vector<std::string>& r,
   if (stats == nullptr) stats = &local_stats;
 
   Timer prep_timer;
-  SSJOIN_ASSIGN_OR_RETURN(Prepared prep, PrepareStrings(r, s, tokenizer, mode));
+  SSJOIN_ASSIGN_OR_RETURN(Prepared prep, PrepareStrings(r, s, tokenizer, mode,
+                                                        execution.exec, &stats->phases));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
@@ -172,7 +182,8 @@ Result<std::vector<MatchPair>> JaccardContainmentJoin(
   if (stats == nullptr) stats = &local_stats;
   Timer prep_timer;
   SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(r, s, *tokenizer, opts.weights));
+                          PrepareStrings(r, s, *tokenizer, opts.weights, exec.exec,
+                                         &stats->phases));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
   SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
                           RunSSJoinStage(prep, pred, exec, stats));
@@ -202,7 +213,8 @@ Result<std::vector<MatchPair>> JaccardResemblanceJoin(
   if (stats == nullptr) stats = &local_stats;
   Timer prep_timer;
   SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(r, s, *tokenizer, opts.weights));
+                          PrepareStrings(r, s, *tokenizer, opts.weights, exec.exec,
+                                         &stats->phases));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
   SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
                           RunSSJoinStage(prep, pred, exec, stats));
@@ -235,7 +247,8 @@ Result<std::vector<MatchPair>> CosineJoin(const std::vector<std::string>& r,
   if (stats == nullptr) stats = &local_stats;
   Timer prep_timer;
   SSJOIN_ASSIGN_OR_RETURN(
-      Prepared prep, PrepareStrings(r, s, *tokenizer, WeightMode::kIdfSquared));
+      Prepared prep, PrepareStrings(r, s, *tokenizer, WeightMode::kIdfSquared,
+                                    exec.exec, &stats->phases));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
   SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
                           RunSSJoinStage(prep, pred, exec, stats));

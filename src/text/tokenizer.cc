@@ -5,34 +5,32 @@
 
 namespace ssjoin::text {
 
+std::vector<std::string> Tokenizer::Tokenize(std::string_view s) const {
+  std::string buffer;
+  std::vector<std::string_view> views;
+  TokenizeInto(s, &buffer, &views);
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
 QGramTokenizer::QGramTokenizer(size_t q, bool pad, char pad_char)
     : q_(q), pad_(pad), pad_char_(pad_char) {
   SSJOIN_CHECK(q >= 1);
 }
 
-std::vector<std::string> QGramTokenizer::Tokenize(std::string_view s) const {
-  std::vector<std::string> grams;
+void QGramTokenizer::TokenizeInto(std::string_view s, std::string* buffer,
+                                  std::vector<std::string_view>* tokens) const {
+  tokens->clear();
   if (pad_) {
-    std::string padded;
-    padded.reserve(s.size() + 2 * (q_ - 1));
-    padded.append(q_ - 1, pad_char_);
-    padded.append(s);
-    padded.append(q_ - 1, pad_char_);
-    for (size_t i = 0; i + q_ <= padded.size(); ++i) {
-      grams.emplace_back(padded.substr(i, q_));
-    }
-    return grams;
+    buffer->assign(q_ - 1, pad_char_);
+    buffer->append(s);
+    buffer->append(q_ - 1, pad_char_);
+    s = *buffer;
+  } else if (s.size() < q_) {
+    if (!s.empty()) tokens->push_back(s);
+    return;
   }
-  if (s.empty()) return grams;
-  if (s.size() < q_) {
-    grams.emplace_back(s);
-    return grams;
-  }
-  grams.reserve(s.size() - q_ + 1);
-  for (size_t i = 0; i + q_ <= s.size(); ++i) {
-    grams.emplace_back(s.substr(i, q_));
-  }
-  return grams;
+  tokens->reserve(s.size() - q_ + 1);
+  for (size_t i = 0; i + q_ <= s.size(); ++i) tokens->push_back(s.substr(i, q_));
 }
 
 std::string QGramTokenizer::Describe() const {
@@ -46,11 +44,20 @@ size_t QGramTokenizer::NumGrams(size_t len) const {
   return len - q_ + 1;
 }
 
-WordTokenizer::WordTokenizer(std::string delimiters)
-    : delimiters_(std::move(delimiters)) {}
+WordTokenizer::WordTokenizer(std::string_view delimiters) {
+  for (unsigned char c : delimiters) is_delimiter_[c] = true;
+}
 
-std::vector<std::string> WordTokenizer::Tokenize(std::string_view s) const {
-  return SplitAndDropEmpty(s, delimiters_);
+void WordTokenizer::TokenizeInto(std::string_view s, std::string* /*buffer*/,
+                                 std::vector<std::string_view>* tokens) const {
+  tokens->clear();
+  size_t start = 0;
+  for (size_t i = 0; i <= s.size(); ++i) {
+    if (i == s.size() || is_delimiter_[static_cast<unsigned char>(s[i])]) {
+      if (i > start) tokens->push_back(s.substr(start, i - start));
+      start = i + 1;
+    }
+  }
 }
 
 std::string WordTokenizer::Describe() const { return "word"; }

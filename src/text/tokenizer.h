@@ -1,6 +1,7 @@
 #ifndef SSJOIN_TEXT_TOKENIZER_H_
 #define SSJOIN_TEXT_TOKENIZER_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -9,15 +10,24 @@
 namespace ssjoin::text {
 
 /// \brief Maps a string to its token multiset (Section 2 of the paper:
-/// `Set(sigma)`). Tokens are returned in occurrence order; duplicates are
+/// `Set(sigma)`). Tokens are produced in occurrence order; duplicates are
 /// preserved (multiset semantics — TokenDictionary turns them into
 /// (token, ordinal) pairs per §4.3.1).
 class Tokenizer {
  public:
   virtual ~Tokenizer() = default;
 
-  /// Token multiset of `s`, in occurrence order.
-  virtual std::vector<std::string> Tokenize(std::string_view s) const = 0;
+  /// Replaces `*tokens` with the token multiset of `s`, in occurrence order,
+  /// as views into `s` or into `*buffer`. Tokenizers whose tokens are
+  /// substrings of `s` never touch `*buffer`; the others (padded q-grams,
+  /// Soundex, positional tokens) overwrite it. The views stay valid while
+  /// `s` and `*buffer` are neither changed nor destroyed — typically until
+  /// the next call with the same buffer.
+  virtual void TokenizeInto(std::string_view s, std::string* buffer,
+                            std::vector<std::string_view>* tokens) const = 0;
+
+  /// Owning copies of TokenizeInto's tokens.
+  std::vector<std::string> Tokenize(std::string_view s) const;
 
   /// Human-readable description, e.g. "qgram(q=3)".
   virtual std::string Describe() const = 0;
@@ -35,7 +45,8 @@ class QGramTokenizer final : public Tokenizer {
  public:
   explicit QGramTokenizer(size_t q, bool pad = false, char pad_char = '$');
 
-  std::vector<std::string> Tokenize(std::string_view s) const override;
+  void TokenizeInto(std::string_view s, std::string* buffer,
+                    std::vector<std::string_view>* tokens) const override;
   std::string Describe() const override;
 
   size_t q() const { return q_; }
@@ -55,13 +66,14 @@ class QGramTokenizer final : public Tokenizer {
 /// punctuation), dropping empty tokens. "Microsoft Corp" -> {Microsoft, Corp}.
 class WordTokenizer final : public Tokenizer {
  public:
-  explicit WordTokenizer(std::string delimiters = " \t\r\n,.;:!?/()[]\"'");
+  explicit WordTokenizer(std::string_view delimiters = " \t\r\n,.;:!?/()[]\"'");
 
-  std::vector<std::string> Tokenize(std::string_view s) const override;
+  void TokenizeInto(std::string_view s, std::string* buffer,
+                    std::vector<std::string_view>* tokens) const override;
   std::string Describe() const override;
 
  private:
-  std::string delimiters_;
+  std::array<bool, 256> is_delimiter_{};
 };
 
 }  // namespace ssjoin::text

@@ -625,9 +625,10 @@ TEST(CliTest, ServedAnswersPipelinedAndSplitRequests) {
   std::string server_log = TempPath("pipeline_served.log");
   WriteFile(in, kReferenceCsv);
   std::remove(sock.c_str());
+  // getvalue and gstats_reset are shard-server ops.
   std::string server_cmd = std::string(SSJOIN_SERVED_PATH) + " --reference " +
-                           in + " --col name --alpha 0.4 --socket " + sock +
-                           " >" + server_log + " 2>&1 &";
+                           in + " --col name --alpha 0.4 --shard-server --socket " +
+                           sock + " >" + server_log + " 2>&1 &";
   ASSERT_EQ(std::system(server_cmd.c_str()), 0);
   ASSERT_TRUE(WaitFor([&] { return ::access(sock.c_str(), F_OK) == 0; },
                       std::chrono::seconds(10)))
@@ -872,7 +873,8 @@ TEST(CliTest, CoordinatorMatchesUnshardedOracle) {
   for (int i = 0; i < 3; ++i) {
     std::string name = "s" + std::to_string(i);
     shard_socks.push_back(sock(name));
-    fleet.Start(sock(name), "--data " + root + "/" + name + " --alpha 0.4");
+    fleet.Start(sock(name),
+                "--data " + root + "/" + name + " --alpha 0.4 --shard-server");
   }
   fleet.Start(sock("oracle"), "--data " + root + "/oracle --alpha 0.4");
   fleet.Start(sock("coord"), "--coordinator " + shard_socks[0] + "," +
@@ -946,10 +948,44 @@ TEST(CliTest, CoordinatorMatchesUnshardedOracle) {
 
   // Restart it on its durable dir (WAL replay) and resync the cluster's
   // global statistics: the answers are whole and identical again.
-  fleet.Start(shard_socks[1], "--data " + root + "/s1 --alpha 0.4");
+  fleet.Start(shard_socks[1], "--data " + root + "/s1 --alpha 0.4 --shard-server");
   EXPECT_NE(RoundTrip(coord, R"({"op": "resync"})").find("\"resynced\": true"),
             std::string::npos);
   expect_identical("after restart + resync");
+
+  fleet.ShutdownAll();
+  std::filesystem::remove_all(root);
+}
+
+TEST(CliTest, StandaloneServerRefusesShardOps) {
+  const std::string root = TempPath("standalone_ops");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string in = root + "/ref.csv";
+  WriteFile(in, kReferenceCsv);
+  const std::string sock = root + "/s.sock";
+  ServerFleet fleet;
+  fleet.Start(sock, "--reference " + in + " --col name --alpha 0.4");
+
+  const std::string lookup =
+      R"({"op": "lookup", "query": "Oracle Systems Corporation", "k": 2})";
+  const std::string before = RoundTrip(sock, lookup);
+  ASSERT_NE(before.find("Oracle Corporation"), std::string::npos) << before;
+
+  // Without --shard-server no client may reach the shard-internal ops: a
+  // gstats_reset would switch the server into global-stats scoring and
+  // make the match above disappear.
+  for (const std::string& request : {
+           std::string(R"({"op": "gstats_reset", "values": "5:Hooli,"})"),
+           std::string(R"({"op": "gstats", "has_added": true, "added": "Hooli"})"),
+           std::string(R"({"op": "slookup", "query": "Oracle", "k": 1})"),
+           std::string(R"({"op": "dump"})"),
+           std::string(R"({"op": "getvalue", "id": 1})")}) {
+    const std::string reply = RoundTrip(sock, request);
+    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos) << request << " -> " << reply;
+    EXPECT_NE(reply.find("unknown op"), std::string::npos) << request << " -> " << reply;
+  }
+  EXPECT_EQ(MatchesOf(RoundTrip(sock, lookup)), MatchesOf(before));
 
   fleet.ShutdownAll();
   std::filesystem::remove_all(root);

@@ -87,5 +87,34 @@ TEST(GESJoinBruteForceTest, CountsAllPairs) {
   EXPECT_EQ(stats.verifier_calls, data.size() * data.size());
 }
 
+TEST(GESJoinTest, IdenticalAtOneTwoFourThreads) {
+  // The word encoding runs on the Prep encoder's morsels; its ordered merge
+  // keeps ids, weights and therefore every output bit-identical.
+  std::vector<std::string> data = Corpus(200, 23);
+  std::vector<MatchPair> base;
+  SimJoinStats base_stats;
+  for (size_t threads : {1, 2, 4}) {
+    GESJoinOptions opts;
+    opts.exec.exec.num_threads = threads;
+    opts.exec.exec.morsel_size = threads == 1 ? 2048 : 11;
+    SimJoinStats stats;
+    auto got = GESJoin(data, data, 0.85, opts, &stats);
+    ASSERT_TRUE(got.ok());
+    if (threads == 1) {
+      base = *got;
+      base_stats = stats;
+      ASSERT_GT(base.size(), data.size());
+      continue;
+    }
+    ASSERT_EQ(got->size(), base.size()) << threads << " threads";
+    for (size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ((*got)[i].r, base[i].r);
+      EXPECT_EQ((*got)[i].s, base[i].s);
+      EXPECT_EQ((*got)[i].similarity, base[i].similarity);
+    }
+    EXPECT_EQ(stats.ssjoin.candidate_pairs, base_stats.ssjoin.candidate_pairs);
+  }
+}
+
 }  // namespace
 }  // namespace ssjoin::simjoin

@@ -429,6 +429,63 @@ TEST(MarkedSet, ExactWorkCountsAndFlush) {
   EXPECT_EQ(pruned->value() - pruned0, 2u);
 }
 
+/// The shared counters a KernelTally flushes into, read together.
+std::vector<uint64_t> KernelCounterValues() {
+  std::vector<uint64_t> out;
+  for (const char* name :
+       {"kernels.intersect.calls", "kernels.intersect.elements", "kernels.probe.calls",
+        "kernels.probe.rows", "kernels.accumulate.calls", "kernels.accumulate.rows"}) {
+    out.push_back(obs::Registry::Global().GetCounter(name)->value());
+  }
+  return out;
+}
+
+std::vector<uint64_t> Delta(const std::vector<uint64_t>& after,
+                            const std::vector<uint64_t>& before) {
+  std::vector<uint64_t> out(after.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = after[i] - before[i];
+  return out;
+}
+
+TEST(KernelTally, BatchedTotalsEqualPerCallTotals) {
+  // The same calls once counted per call and once into a tally: nothing
+  // reaches the shared counters before the flush, and the flush adds
+  // exactly what per-call counting added.
+  std::vector<double> weights(4096, 0.5);
+  auto run = [&](KernelTally* tally) {
+    std::vector<uint32_t> out(4096);
+    std::vector<uint32_t> seen(4096, 0);
+    std::vector<double> acc(4096, 0.0);
+    std::vector<uint32_t> found;
+    for (Tier t : AvailableTiers()) {
+      for (size_t n : {0, 1, 7, 64, 300}) {
+        const std::vector<uint32_t> a = MakeSpan(n, n);
+        const std::vector<uint32_t> b = MakeSpan(2 * n + 3, n + 1);
+        IntersectCountTier(t, a, b, tally);
+        IntersectWeightedTier(t, a, b, weights.data(), nullptr, tally);
+        IntersectTokensTier(t, a, b, out.data(), tally);
+        ProbePostingsTier(t, b, static_cast<uint32_t>(n + 1), seen.data(), &found, tally);
+        AccumulatePostings(a, 1.0, static_cast<uint32_t>(n + 1), seen.data(), acc.data(),
+                           &found, tally);
+      }
+    }
+  };
+  const std::vector<uint64_t> start = KernelCounterValues();
+  run(nullptr);
+  const std::vector<uint64_t> per_call = Delta(KernelCounterValues(), start);
+  ASSERT_GT(per_call[0], 0u);
+  ASSERT_GT(per_call[3], 0u);
+
+  KernelTally tally;
+  const std::vector<uint64_t> before = KernelCounterValues();
+  run(&tally);
+  EXPECT_EQ(KernelCounterValues(), before) << "counted before the flush";
+  tally.Flush();
+  EXPECT_EQ(Delta(KernelCounterValues(), before), per_call);
+  tally.Flush();  // the flush zeroed the pending counts
+  EXPECT_EQ(Delta(KernelCounterValues(), before), per_call);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end bit-identity: a full join must produce byte-identical results
 // under every tier, serial and at 2 and 8 threads.
@@ -504,6 +561,27 @@ TEST(KernelJoinIdentity, AutoTierMatchesScalarOnApproxAlgorithm) {
     ASSERT_EQ(got[i].similarity, want[i].similarity);
   }
   ASSERT_TRUE(SetTier(before).ok());
+}
+
+TEST(KernelTally, Figure8PlanCountsOneIntersectionPerCandidate) {
+  // The Figure 8 plan verifies each candidate with one IntersectTokens
+  // call, counted through per-morsel tallies: the totals are one call per
+  // candidate, and the same at every thread count and morsel size.
+  std::vector<std::string> data = JoinCorpus();
+  std::vector<uint64_t> first;
+  for (size_t threads : {1, 2, 4}) {
+    simjoin::JoinExecution exec;
+    exec.algorithm = core::SSJoinAlgorithm::kPrefixFilter;
+    exec.exec.num_threads = threads;
+    exec.exec.morsel_size = threads == 1 ? 2048 : 7;
+    simjoin::SimJoinStats stats;
+    const std::vector<uint64_t> before = KernelCounterValues();
+    ASSERT_TRUE(simjoin::EditSimilarityJoin(data, data, 0.8, 2, exec, &stats).ok());
+    const std::vector<uint64_t> delta = Delta(KernelCounterValues(), before);
+    EXPECT_EQ(delta[0], stats.ssjoin.candidate_pairs) << threads << " threads";
+    if (first.empty()) first = delta;
+    EXPECT_EQ(delta, first) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -260,5 +260,124 @@ TEST(StringJoinsTest, VerifierCallsTrackSSJoinOutput) {
   EXPECT_GT(stats.phases.TotalMillis(), 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// Morsel-parallel Prep: the ordered merge of morsel dictionaries makes ids,
+// frequencies, weights, orders, relations and join outputs identical at
+// every thread count and morsel size.
+// ---------------------------------------------------------------------------
+
+exec::ExecContext Threads(size_t threads, size_t morsel) {
+  exec::ExecContext ec;
+  ec.num_threads = threads;
+  ec.morsel_size = morsel;
+  return ec;
+}
+
+void ExpectSamePrep(const Prepared& a, const Prepared& b) {
+  ASSERT_EQ(a.dict.num_elements(), b.dict.num_elements());
+  EXPECT_EQ(a.dict.num_documents(), b.dict.num_documents());
+  for (text::TokenId id = 0; id < a.dict.num_elements(); ++id) {
+    ASSERT_EQ(a.dict.TokenOf(id), b.dict.TokenOf(id)) << id;
+    ASSERT_EQ(a.dict.OrdinalOf(id), b.dict.OrdinalOf(id)) << id;
+    ASSERT_EQ(a.dict.DocFrequency(id), b.dict.DocFrequency(id)) << id;
+    ASSERT_EQ(a.dict.KeyHash(id), b.dict.KeyHash(id)) << id;
+  }
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.order.ranks(), b.order.ranks());
+  EXPECT_TRUE(a.r.store == b.r.store);
+  EXPECT_TRUE(a.s.store == b.s.store);
+  EXPECT_EQ(a.r.set_weights, b.r.set_weights);
+  EXPECT_EQ(a.s.set_weights, b.s.set_weights);
+  EXPECT_EQ(a.r.norms, b.r.norms);
+}
+
+TEST(PrepThreads, IdenticalAtEveryThreadCount) {
+  const std::vector<std::string> r = SmallAddressCorpus(300, 5);
+  const std::vector<std::string> s = SmallAddressCorpus(200, 6);
+  const text::QGramTokenizer qgrams(3);
+  const text::QGramTokenizer padded(2, /*pad=*/true);
+  const text::WordTokenizer words;
+  for (const text::Tokenizer* tok :
+       std::vector<const text::Tokenizer*>{&qgrams, &padded, &words}) {
+    for (WeightMode mode : {WeightMode::kUnit, WeightMode::kIdf}) {
+      SCOPED_TRACE(tok->Describe());
+      auto serial = PrepareStrings(r, s, *tok, mode, Threads(1, 2048));
+      ASSERT_TRUE(serial.ok());
+      for (size_t threads : {1, 2, 4}) {
+        for (size_t morsel : {1, 13, 64}) {
+          SCOPED_TRACE(std::to_string(threads) + " threads, morsel " +
+                       std::to_string(morsel));
+          auto par = PrepareStrings(r, s, *tok, mode, Threads(threads, morsel));
+          ASSERT_TRUE(par.ok());
+          ExpectSamePrep(*serial, *par);
+        }
+      }
+    }
+  }
+}
+
+TEST(PrepThreads, SelfJoinPrepEqualsEncodingBothSides) {
+  // Passing one vector as R and S encodes it once and counts it twice;
+  // a copy as S encodes both sides. Everything downstream is the same.
+  const std::vector<std::string> r = SmallAddressCorpus(250, 8);
+  const std::vector<std::string> copy = r;
+  const text::QGramTokenizer tok(3);
+  for (WeightMode mode : {WeightMode::kUnit, WeightMode::kIdf, WeightMode::kIdfSquared}) {
+    auto self = PrepareStrings(r, r, tok, mode, Threads(2, 16));
+    auto both = PrepareStrings(r, copy, tok, mode, Threads(1, 2048));
+    ASSERT_TRUE(self.ok() && both.ok());
+    ExpectSamePrep(*self, *both);
+    EXPECT_EQ(self->s.norms, both->s.norms);
+  }
+}
+
+bool SameMatches(const std::vector<MatchPair>& a, const std::vector<MatchPair>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].r != b[i].r || a[i].s != b[i].s || a[i].similarity != b[i].similarity) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PrepThreads, JoinOutputsIdenticalAtOneTwoFourThreads) {
+  const std::vector<std::string> data = SmallAddressCorpus(400, 77);
+  SetJoinOptions idf_words;  // word tokens, IDF weights
+  auto run = [&](size_t threads, auto&& join) {
+    JoinExecution exec;
+    exec.exec = Threads(threads, threads == 1 ? 2048 : 37);
+    SimJoinStats stats;
+    auto out = join(exec, &stats);
+    EXPECT_TRUE(out.ok());
+    return std::make_pair(*out, stats);
+  };
+  auto edit = [&](const JoinExecution& e, SimJoinStats* st) {
+    return EditSimilarityJoin(data, data, 0.8, 3, e, st);
+  };
+  auto jaccard = [&](const JoinExecution& e, SimJoinStats* st) {
+    return JaccardResemblanceJoin(data, data, 0.6, idf_words, e, st);
+  };
+  for (auto* name : {"edit", "jaccard"}) {
+    SCOPED_TRACE(name);
+    const bool is_edit = std::string(name) == "edit";
+    auto base = is_edit ? run(1, edit) : run(1, jaccard);
+    ASSERT_GT(base.first.size(), data.size());  // more than the diagonal
+    for (size_t threads : {2, 4}) {
+      auto got = is_edit ? run(threads, edit) : run(threads, jaccard);
+      EXPECT_TRUE(SameMatches(got.first, base.first)) << threads << " threads";
+      EXPECT_EQ(got.second.ssjoin.candidate_pairs, base.second.ssjoin.candidate_pairs);
+      EXPECT_EQ(got.second.verifier_calls, base.second.verifier_calls);
+    }
+    // Prep records its sub-phases beside, not inside, "Prep".
+    EXPECT_GT(base.second.phases.Millis("Prep"), 0.0);
+    EXPECT_GE(base.second.phases.Millis("Prep.encode"), 0.0);
+    EXPECT_NE(std::find_if(base.second.phases.phases().begin(),
+                           base.second.phases.phases().end(),
+                           [](const auto& p) { return p.first == "Prep.relation"; }),
+              base.second.phases.phases().end());
+  }
+}
+
 }  // namespace
 }  // namespace ssjoin::simjoin

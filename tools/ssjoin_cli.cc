@@ -197,29 +197,6 @@ int Usage() {
   return 2;
 }
 
-Result<std::vector<std::string>> LoadColumn(const std::string& path,
-                                            const std::string& column) {
-  SSJOIN_ASSIGN_OR_RETURN(engine::Table table, engine::ReadCsvFile(path));
-  SSJOIN_ASSIGN_OR_RETURN(size_t col, table.schema().FieldIndex(column));
-  std::vector<std::string> out;
-  out.reserve(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    out.push_back(table.GetValue(col, r).ToString());
-  }
-  return out;
-}
-
-/// --kernel scalar|gallop|simd|auto: pins the intersection kernel tier for
-/// the whole process (default: auto, or the SSJOIN_KERNEL env var). Unknown
-/// names fail loudly, like --algorithm.
-Status ApplyKernelFlag(const Args& args) {
-  SSJOIN_RETURN_NOT_OK(kernels::InitFromEnv());
-  auto it = args.flags.find("kernel");
-  if (it == args.flags.end()) return Status::OK();
-  SSJOIN_ASSIGN_OR_RETURN(kernels::Tier tier, kernels::ParseTier(it->second));
-  return kernels::SetTier(tier);
-}
-
 Result<simjoin::JoinExecution> ParseAlgorithm(const std::string& name) {
   simjoin::JoinExecution exec;
   if (name == "basic") {
@@ -252,7 +229,7 @@ Result<int> RunJoin(const Args& args) {
     return Status::Invalid("--left and --left-col are required");
   }
   SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> left,
-                          LoadColumn(left_path->second, left_col->second));
+                          ReadCsvColumn(left_path->second, left_col->second));
   bool self_join = args.flags.find("right") == args.flags.end();
   std::vector<std::string> right_storage;
   if (!self_join) {
@@ -260,7 +237,7 @@ Result<int> RunJoin(const Args& args) {
     std::string col = right_col == args.flags.end() ? left_col->second
                                                     : right_col->second;
     SSJOIN_ASSIGN_OR_RETURN(right_storage,
-                            LoadColumn(args.flags.at("right"), col));
+                            ReadCsvColumn(args.flags.at("right"), col));
   }
   const std::vector<std::string>& right = self_join ? left : right_storage;
 
@@ -348,20 +325,9 @@ Result<std::unique_ptr<index::MutableFuzzyIndex>> BuildFuzzyIndex(
   }
   index::MutableIndexOptions options;
   options.data_dir = data_dir;
-  SSJOIN_ASSIGN_OR_RETURN(options.match.alpha, DoubleFlag(args, "alpha", 0.5));
-  if (args.flags.count("qgrams") > 0) {
-    options.match.word_tokens = false;
-    SSJOIN_ASSIGN_OR_RETURN(options.match.q, SizeFlag(args, "qgrams", 3));
-  }
-  // Validate before reading the CSV, so a bad flag fails fast.
-  SSJOIN_RETURN_NOT_OK(options.match.Validate());
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> reference,
-                          LoadColumn(ref->second, col->second));
-  std::vector<std::pair<uint64_t, std::string>> records;
-  records.reserve(reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    records.emplace_back(i, std::move(reference[i]));
-  }
+  // Validated before reading the CSV, so a bad flag fails fast.
+  SSJOIN_ASSIGN_OR_RETURN(options.match, MatchFlags(args));
+  SSJOIN_ASSIGN_OR_RETURN(auto records, ReadReferenceRecords(ref->second, col->second));
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           index::MutableFuzzyIndex::Create(options));
   SSJOIN_RETURN_NOT_OK(index->BulkLoad(records));

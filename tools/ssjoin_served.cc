@@ -44,7 +44,6 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/ssjoin.h"
-#include "engine/csv.h"
 #include "exec/metrics.h"
 #include "filter/metrics.h"
 #include "index/manifest.h"
@@ -69,6 +68,7 @@ int Usage() {
       "                     [--k-default N] [--seal-threshold N]\n"
       "                     [--max-generations N] [--shards N]\n"
       "                     [--hedge-ms N] [--straggler-ms N]\n"
+      "                     [--shard-server]\n"
       "       ssjoin_served --coordinator SOCK1,SOCK2,... --socket PATH\n"
       "                     [--hedge-ms N] [--straggler-ms N] [--no-degraded]\n"
       "                     [--admin-timeout-ms N]\n"
@@ -93,7 +93,9 @@ int Usage() {
       "modes:\n"
       "  --shards N       serve an in-process N-way sharded index (scatter-\n"
       "                   gather per lookup; results bit-identical to N=1)\n"
-      "  --coordinator L  scatter-gather over shard SERVER processes at the\n"
+      "  --shard-server   serve as one shard of a --coordinator deployment:\n"
+      "                   adds the shard-server ops below (single, follower)\n"
+      "  --coordinator L  scatter-gather over --shard-server processes at the\n"
       "                   listed sockets (position = shard id); degraded\n"
       "                   partial responses when a shard is down unless\n"
       "                   --no-degraded\n"
@@ -109,9 +111,10 @@ int Usage() {
       "     stats (one-line JSON), metrics / stats+format=ndjson (header line,\n"
       "     then one NDJSON metric object per line), shutdown; every lookup\n"
       "     reply carries \"degraded\" and \"shards_ok\" (single: false, 1)\n"
-      "shard-server ops (single and follower): slookup (exact hex-float\n"
+      "shard-server ops (--shard-server only): slookup (exact hex-float\n"
       "     scores), upsert/delete with \"global\": true, gstats, gstats_reset,\n"
-      "     dump, getvalue; with --data also repl_fetch\n"
+      "     dump, getvalue\n"
+      "leader ops (single and follower with --data): repl_fetch\n"
       "mode ops: resync (--shards, --coordinator), sync (--follow)\n");
   return 2;
 }
@@ -185,18 +188,6 @@ void ServeConnection(int fd, ServerState* state) {
   ::close(fd);
 }
 
-Result<std::vector<std::pair<uint64_t, std::string>>> ReadReferenceRecords(
-    const std::string& csv_path, const std::string& col) {
-  SSJOIN_ASSIGN_OR_RETURN(engine::Table table, engine::ReadCsvFile(csv_path));
-  SSJOIN_ASSIGN_OR_RETURN(size_t c, table.schema().FieldIndex(col));
-  std::vector<std::pair<uint64_t, std::string>> records;
-  records.reserve(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    records.emplace_back(r, table.GetValue(c, r).ToString());
-  }
-  return records;
-}
-
 /// The index flags of the in-process modes. The match options (--alpha,
 /// --qgrams) apply only when the index is created, not when a data dir is
 /// reopened.
@@ -209,11 +200,7 @@ Result<index::MutableIndexOptions> IndexFlags(const Args& args) {
                           SizeFlag(args, "seal-threshold", 256));
   SSJOIN_ASSIGN_OR_RETURN(mopts.max_generations,
                           SizeFlag(args, "max-generations", 4));
-  SSJOIN_ASSIGN_OR_RETURN(mopts.match.alpha, DoubleFlag(args, "alpha", 0.5));
-  if (args.flags.count("qgrams") > 0) {
-    mopts.match.word_tokens = false;
-    SSJOIN_ASSIGN_OR_RETURN(mopts.match.q, SizeFlag(args, "qgrams", 3));
-  }
+  SSJOIN_ASSIGN_OR_RETURN(mopts.match, MatchFlags(args));
   return mopts;
 }
 
@@ -335,15 +322,20 @@ Result<int> ServeFanout(const std::string& socket_path,
 }
 
 /// Serves one LookupService (standalone, shard server, follower) until
-/// shutdown. `install` adds the mode's own ops; `state` is shared with the
+/// shutdown. The shard-internal ops (slookup, gstats, gstats_reset, dump,
+/// getvalue, "global": true mutations) exist only with --shard-server: they
+/// let a caller rewrite the scoring statistics, which only a coordinator
+/// may do. `install` adds the mode's own ops; `state` is shared with the
 /// follower's sync thread.
-Result<int> ServeService(const std::string& socket_path,
+Result<int> ServeService(const Args& args, const std::string& socket_path,
                          shard::LocalShard* backend, size_t default_k,
                          const std::string& data_dir, bool read_only,
                          ServerState* state,
                          const std::function<void(serve::Handler*)>& install) {
   serve::Handler handler(backend, default_k, read_only);
-  shard::InstallShardServerOps(&handler, backend);
+  if (args.flags.count("shard-server") > 0) {
+    shard::InstallShardServerOps(&handler, backend);
+  }
   // A server with a data dir is a replication leader (chained followers
   // included).
   if (!data_dir.empty()) shard::InstallReplFetch(&handler, data_dir);
@@ -437,7 +429,7 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
     }
   });
   Result<int> rc = ServeService(
-      socket_path, &backend, default_k, dir, /*read_only=*/true, &state,
+      args, socket_path, &backend, default_k, dir, /*read_only=*/true, &state,
       [&](serve::Handler* handler) {
         handler->Install("sync", false, sync_once);
       });
@@ -525,7 +517,7 @@ Result<int> RunServer(const Args& args) {
                           serve::LookupService::Create(std::move(index), options));
   shard::LocalShard backend(std::move(service));
   ServerState state;
-  return ServeService(socket_path, &backend, default_k, data_dir,
+  return ServeService(args, socket_path, &backend, default_k, data_dir,
                       /*read_only=*/false, &state, nullptr);
 }
 
@@ -542,17 +534,8 @@ int main(int argc, char** argv) {
   filter::RegisterFilterMetrics();
   Args args = ParseArgs(argc, argv, /*with_command=*/false);
   if (args.flags.count("help") > 0 || argc < 2) return Usage();
-  // --kernel scalar|gallop|simd|auto (or SSJOIN_KERNEL): pin the
-  // intersection kernel tier; unknown names are a loud startup error.
-  Status kernel_status = kernels::InitFromEnv();
-  if (kernel_status.ok()) {
-    if (auto it = args.flags.find("kernel"); it != args.flags.end()) {
-      Result<kernels::Tier> tier = kernels::ParseTier(it->second);
-      kernel_status = tier.ok() ? kernels::SetTier(*tier) : tier.status();
-    }
-  }
-  if (!kernel_status.ok()) {
-    std::fprintf(stderr, "error: %s\n", kernel_status.ToString().c_str());
+  if (Status st = ApplyKernelFlag(args); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
   Result<int> rc = RunServer(args);
