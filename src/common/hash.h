@@ -25,9 +25,6 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-/// FNV-1a offset basis: HashString's value for the empty string.
-inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-
 /// \brief Continues an FNV-1a hash `h` over the bytes of `s`, so that
 /// HashStringFrom(HashString(a), b) == HashString(a + b).
 inline uint64_t HashStringFrom(uint64_t h, std::string_view s) {
@@ -40,7 +37,7 @@ inline uint64_t HashStringFrom(uint64_t h, std::string_view s) {
 
 /// \brief FNV-1a string hash.
 inline uint64_t HashString(std::string_view s) {
-  return HashStringFrom(kFnvOffsetBasis, s);
+  return HashStringFrom(0xcbf29ce484222325ULL, s);
 }
 
 /// \brief Hash functor for pairs of integers (e.g. <R.A, S.A> group keys).

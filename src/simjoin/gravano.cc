@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
 #include "sim/edit_distance.h"
+#include "simjoin/prep.h"
 #include "text/tokenizer.h"
 
 namespace ssjoin::simjoin {
@@ -18,29 +18,24 @@ namespace {
 /// Positional q-gram index over the S side: gram -> (string index, position).
 class PositionalQGramIndex {
  public:
-  PositionalQGramIndex(const std::vector<std::string>& strings, size_t q) : q_(q) {
-    text::QGramTokenizer tokenizer(q);
-    // First pass: intern grams and count postings.
-    std::vector<std::vector<uint32_t>> gram_ids(strings.size());
-    for (size_t i = 0; i < strings.size(); ++i) {
-      std::vector<std::string> grams = tokenizer.Tokenize(strings[i]);
-      gram_ids[i].reserve(grams.size());
-      for (std::string& g : grams) {
-        auto [it, inserted] = intern_.try_emplace(std::move(g),
-                                                  static_cast<uint32_t>(intern_.size()));
-        gram_ids[i].push_back(it->second);
-      }
+  /// Indexes the S strings' grams, `docs` as the Prep encoder interned them
+  /// into `dict`. A gram's postings hang off its first-occurrence element
+  /// (gram, 0), whatever ordinal each occurrence got.
+  PositionalQGramIndex(text::TokenDictionary dict, const core::EncodedDocs& docs)
+      : dict_(std::move(dict)) {
+    std::vector<text::TokenId> gram_of(dict_.num_elements());
+    for (text::TokenId id = 0; id < gram_of.size(); ++id) {
+      gram_of[id] = dict_.OrdinalOf(id) == 0 ? id : dict_.Find(dict_.TokenOf(id), 0);
     }
-    offsets_.assign(intern_.size() + 1, 0);
-    for (const auto& ids : gram_ids) {
-      for (uint32_t g : ids) ++offsets_[g + 1];
-    }
+    offsets_.assign(dict_.num_elements() + 1, 0);
+    for (text::TokenId id : docs.ids) ++offsets_[gram_of[id] + 1];
     for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
     postings_.resize(offsets_.back());
     std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (uint32_t i = 0; i < gram_ids.size(); ++i) {
-      for (uint32_t pos = 0; pos < gram_ids[i].size(); ++pos) {
-        postings_[cursor[gram_ids[i][pos]]++] = {i, pos};
+    for (uint32_t i = 0; i < docs.num_docs(); ++i) {
+      std::span<const text::TokenId> grams = docs.doc(i);
+      for (uint32_t pos = 0; pos < grams.size(); ++pos) {
+        postings_[cursor[gram_of[grams[pos]]]++] = {i, pos};
       }
     }
   }
@@ -51,18 +46,14 @@ class PositionalQGramIndex {
   };
 
   /// Postings of a gram, or an empty range if the gram never occurs in S.
-  std::pair<const Posting*, const Posting*> Lookup(const std::string& gram) const {
-    auto it = intern_.find(gram);
-    if (it == intern_.end()) return {nullptr, nullptr};
-    return {postings_.data() + offsets_[it->second],
-            postings_.data() + offsets_[it->second + 1]};
+  std::pair<const Posting*, const Posting*> Lookup(std::string_view gram) const {
+    text::TokenId id = dict_.Find(gram, 0);
+    if (id == text::kInvalidToken) return {nullptr, nullptr};
+    return {postings_.data() + offsets_[id], postings_.data() + offsets_[id + 1]};
   }
 
-  size_t q() const { return q_; }
-
  private:
-  size_t q_;
-  std::unordered_map<std::string, uint32_t> intern_;
+  text::TokenDictionary dict_;
   std::vector<uint32_t> offsets_;
   std::vector<Posting> postings_;
 };
@@ -86,8 +77,17 @@ Result<std::vector<MatchPair>> GravanoJoin(const std::vector<std::string>& r,
   if (stats == nullptr) stats = &local_stats;
 
   Timer prep_timer;
-  PositionalQGramIndex index(s, q);
   text::QGramTokenizer tokenizer(q);
+  text::TokenDictionary dict;
+  SSJOIN_ASSIGN_OR_RETURN(
+      core::EncodedDocs s_grams,
+      EncodeDocuments(
+          s.size(),
+          [&](size_t d, std::string* buffer, std::vector<std::string_view>* tokens) {
+            tokenizer.TokenizeInto(s[d], buffer, tokens);
+          },
+          &dict));
+  PositionalQGramIndex index(std::move(dict), s_grams);
   // Short-string bucket: S grouped by length, ordered for deterministic
   // candidate enumeration. Property 4's count filter
   // (>= max(|s1|,|s2|) - q + 1 - q*budget shared grams) only prunes when
@@ -107,6 +107,8 @@ Result<std::vector<MatchPair>> GravanoJoin(const std::vector<std::string>& r,
   std::vector<uint32_t> seen_epoch(s.size(), 0);
   uint32_t epoch = 0;
   std::vector<uint32_t> candidates;
+  std::string gram_buffer;
+  std::vector<std::string_view> grams;
   std::vector<MatchPair> out;
   double enumerate_ms = 0.0;
   double verify_ms = 0.0;
@@ -129,7 +131,7 @@ Result<std::vector<MatchPair>> GravanoJoin(const std::vector<std::string>& r,
         candidates.push_back(si);
       }
     }
-    std::vector<std::string> grams = tokenizer.Tokenize(r[ri]);
+    tokenizer.TokenizeInto(r[ri], &gram_buffer, &grams);
     for (uint32_t pos = 0; pos < grams.size(); ++pos) {
       auto [begin, end] = index.Lookup(grams[pos]);
       stats->ssjoin.equijoin_rows += static_cast<size_t>(end - begin);

@@ -57,8 +57,8 @@ Result<core::EncodedDocs> EncodeDocuments(size_t num_docs, const TokenSource& so
 /// Norms default to set weights; the similarity joins override them when a
 /// different norm is needed.
 ///
-/// A null `s_source` means S is R (a self-join): R's documents are encoded
-/// once and counted twice, which yields exactly the dictionary, weights and
+/// A null `s_source` means S is R (a self-join, `num_s == num_r`): R's
+/// documents are encoded once and counted twice, which yields exactly the dictionary, weights and
 /// relations of encoding them again. Records the sub-phases "Prep.encode"
 /// (tokenize + encode) and "Prep.relation" (build the relations) in
 /// `phases` when given.

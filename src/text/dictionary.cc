@@ -19,8 +19,10 @@ uint64_t SlotHash(uint64_t token_hash, uint32_t ordinal) {
 }
 
 /// FNV-1a over the element's key bytes, continued from the token's hash:
-/// the token, then for ordinals k > 0 the byte 0x01 and k in decimal (0x01
-/// never appears in normalized input text).
+/// the token, then for ordinals k > 0 the byte 0x01 and k in decimal. A
+/// token that itself ends in 0x01 and digits can share a key hash with a
+/// repeat of its prefix; the two stay distinct elements, and tie-keyed
+/// orders break the tie by id.
 uint64_t KeyHashOf(uint64_t token_hash, uint32_t ordinal) {
   if (ordinal == 0) return token_hash;
   char digits[10];
@@ -161,14 +163,6 @@ std::vector<TokenId> TokenDictionary::EncodeDocument(
   const std::vector<std::string_view> views(tokens.begin(), tokens.end());
   std::vector<TokenId> ids;
   EncodeInto(views, &ids);
-  return ids;
-}
-
-std::vector<TokenId> TokenDictionary::EncodeDocumentReadOnly(
-    const std::vector<std::string>& tokens) const {
-  const std::vector<std::string_view> views(tokens.begin(), tokens.end());
-  std::vector<TokenId> ids;
-  EncodeReadOnlyInto(views, &ids);
   return ids;
 }
 

@@ -57,10 +57,8 @@ class TokenDictionary {
   void EncodeReadOnlyInto(std::span<const std::string_view> tokens,
                           std::vector<TokenId>* ids) const;
 
-  /// Adapters over EncodeInto / EncodeReadOnlyInto for owned token strings.
+  /// Adapter over EncodeInto for owned token strings.
   std::vector<TokenId> EncodeDocument(const std::vector<std::string>& tokens);
-  std::vector<TokenId> EncodeDocumentReadOnly(
-      const std::vector<std::string>& tokens) const;
 
   /// Id of (token, ordinal), or kInvalidToken.
   TokenId Find(std::string_view token, uint32_t ordinal = 0) const;

@@ -20,6 +20,15 @@
 namespace ssjoin::text {
 namespace {
 
+/// EncodeReadOnlyInto over owned token strings.
+std::vector<TokenId> EncodeReadOnly(const TokenDictionary& dict,
+                                    const std::vector<std::string>& tokens) {
+  const std::vector<std::string_view> views(tokens.begin(), tokens.end());
+  std::vector<TokenId> ids;
+  dict.EncodeReadOnlyInto(views, &ids);
+  return ids;
+}
+
 TEST(DictionaryTest, InternsAndFinds) {
   TokenDictionary dict;
   auto ids = dict.EncodeDocument({"foo", "bar"});
@@ -81,7 +90,7 @@ TEST(DictionaryTest, MultisetIntersectionViaOrdinals) {
 TEST(DictionaryTest, ReadOnlyEncodeDoesNotIntern) {
   TokenDictionary dict;
   dict.EncodeDocument({"known"});
-  auto ids = dict.EncodeDocumentReadOnly({"known", "unknown", "known"});
+  auto ids = EncodeReadOnly(dict, {"known", "unknown", "known"});
   ASSERT_EQ(ids.size(), 3u);
   EXPECT_NE(ids[0], kInvalidToken);
   EXPECT_EQ(ids[1], kInvalidToken);
@@ -282,7 +291,7 @@ TEST(DictionaryDifferential, ReadOnlyEncodeOfLongDocuments) {
   dict.EncodeDocument(doc);
   naive.Encode(doc);
   doc.push_back("unseen");
-  EXPECT_EQ(dict.EncodeDocumentReadOnly(doc), naive.EncodeReadOnly(doc));
+  EXPECT_EQ(EncodeReadOnly(dict, doc), naive.EncodeReadOnly(doc));
 }
 
 TEST(DictionaryDifferential, CountEncodedEqualsEncodingAgain) {
@@ -317,7 +326,7 @@ TEST(DictionaryConcurrency, ConcurrentReadOnlyEncodeAgreesWithSerial) {
   std::vector<std::vector<TokenId>> want;
   std::vector<std::vector<TokenId>> want_first;  // Find(token) of each token
   for (const std::string& q : queries) {
-    want.push_back(dict.EncodeDocumentReadOnly(tok.Tokenize(q)));
+    want.push_back(EncodeReadOnly(dict, tok.Tokenize(q)));
     want_first.emplace_back();
     for (const std::string& t : tok.Tokenize(q)) want_first.back().push_back(dict.Find(t));
   }
