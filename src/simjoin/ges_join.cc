@@ -25,15 +25,11 @@ struct EncodedSides {
 Result<EncodedSides> EncodeWords(const std::vector<std::string>& r,
                                  const std::vector<std::string>& s) {
   text::WordTokenizer tokenizer;
-  auto source = [&tokenizer](const std::vector<std::string>& strings) {
-    return [&tokenizer, &strings](size_t d, std::string* buffer,
-                                  std::vector<std::string_view>* tokens) {
-      tokenizer.TokenizeInto(strings[d], buffer, tokens);
-    };
-  };
   EncodedSides out;
-  SSJOIN_ASSIGN_OR_RETURN(out.r, EncodeDocuments(r.size(), source(r), &out.dict));
-  SSJOIN_ASSIGN_OR_RETURN(out.s, EncodeDocuments(s.size(), source(s), &out.dict));
+  SSJOIN_ASSIGN_OR_RETURN(
+      out.r, EncodeDocuments(r.size(), TokenizedStrings(tokenizer, r), &out.dict));
+  SSJOIN_ASSIGN_OR_RETURN(
+      out.s, EncodeDocuments(s.size(), TokenizedStrings(tokenizer, s), &out.dict));
   return out;
 }
 

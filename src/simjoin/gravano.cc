@@ -79,14 +79,8 @@ Result<std::vector<MatchPair>> GravanoJoin(const std::vector<std::string>& r,
   Timer prep_timer;
   text::QGramTokenizer tokenizer(q);
   text::TokenDictionary dict;
-  SSJOIN_ASSIGN_OR_RETURN(
-      core::EncodedDocs s_grams,
-      EncodeDocuments(
-          s.size(),
-          [&](size_t d, std::string* buffer, std::vector<std::string_view>* tokens) {
-            tokenizer.TokenizeInto(s[d], buffer, tokens);
-          },
-          &dict));
+  SSJOIN_ASSIGN_OR_RETURN(core::EncodedDocs s_grams,
+                          EncodeDocuments(s.size(), TokenizedStrings(tokenizer, s), &dict));
   PositionalQGramIndex index(std::move(dict), s_grams);
   // Short-string bucket: S grouped by length, ordered for deterministic
   // candidate enumeration. Property 4's count filter

@@ -8,6 +8,14 @@
 
 namespace ssjoin::simjoin {
 
+TokenSource TokenizedStrings(const text::Tokenizer& tokenizer,
+                             const std::vector<std::string>& strings) {
+  return [&tokenizer, &strings](size_t d, std::string* buffer,
+                                std::vector<std::string_view>* tokens) {
+    tokenizer.TokenizeInto(strings[d], buffer, tokens);
+  };
+}
+
 Result<core::EncodedDocs> EncodeDocuments(size_t num_docs, const TokenSource& source,
                                           text::TokenDictionary* dict) {
   core::EncodedDocs docs;
@@ -82,15 +90,9 @@ Result<Prepared> PrepareStrings(const std::vector<std::string>& r,
                                 const std::vector<std::string>& s,
                                 const text::Tokenizer& tokenizer, WeightMode mode,
                                 const exec::ExecContext& exec, PhaseTimer* phases) {
-  auto source = [&tokenizer](const std::vector<std::string>& strings) -> TokenSource {
-    return [&tokenizer, &strings](size_t d, std::string* buffer,
-                                  std::vector<std::string_view>* tokens) {
-      tokenizer.TokenizeInto(strings[d], buffer, tokens);
-    };
-  };
-  const TokenSource s_source = source(s);
-  return PrepareDocuments(r.size(), source(r), s.size(), &r == &s ? nullptr : &s_source,
-                          mode, exec, phases);
+  const TokenSource s_source = TokenizedStrings(tokenizer, s);
+  return PrepareDocuments(r.size(), TokenizedStrings(tokenizer, r), s.size(),
+                          &r == &s ? nullptr : &s_source, mode, exec, phases);
 }
 
 Result<std::vector<core::SSJoinPair>> RunSSJoinStage(const Prepared& prep,

@@ -43,6 +43,10 @@ struct Prepared {
 using TokenSource = std::function<void(size_t doc, std::string* buffer,
                                        std::vector<std::string_view>* tokens)>;
 
+/// The TokenSource of `strings` under `tokenizer`; both must outlive it.
+TokenSource TokenizedStrings(const text::Tokenizer& tokenizer,
+                             const std::vector<std::string>& strings);
+
 /// \brief The one Prep encoder: interns the tokens of documents
 /// [0, num_docs) into `dict`, in document order, and returns their ids in
 /// token order. No per-token allocation: tokens are views, and ids go
