@@ -1,7 +1,9 @@
 /// Extension bench (§6's top-K composition): lookup-index build cost (one
 /// BulkLoad + Seal into a single sealed segment) and per-query lookup
 /// latency/throughput against reference tables of increasing size, with
-/// dirty queries.
+/// dirty queries. Next to the latency it reports the per-lookup work counts
+/// (`index.lookup.{candidates,verifications}` deltas), which are
+/// deterministic and so diff cleanly between runs.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +13,7 @@
 #include "common/timer.h"
 #include "datagen/error_model.h"
 #include "index/mutable_index.h"
+#include "obs/metrics.h"
 
 namespace ssjoin::bench {
 namespace {
@@ -19,6 +22,8 @@ struct FmRow {
   size_t reference_size;
   double build_ms;
   double per_lookup_ms;
+  double candidates;     // per lookup: distinct live docs met by the prefix
+  double verifications;  // per lookup: verified past the positional bound
   double top1_accuracy;
 };
 
@@ -53,24 +58,42 @@ void BM_FuzzyLookup(benchmark::State& state, size_t reference_size) {
     queries[i] = datagen::CorruptRecord(master[truth[i]], {}, errors, &rng);
   }
 
+  obs::Counter* candidates =
+      obs::Registry::Global().GetCounter("index.lookup.candidates");
+  obs::Counter* verifications =
+      obs::Registry::Global().GetCounter("index.lookup.verifications");
   size_t correct = 0;
   double lookup_ms = 0.0;
+  uint64_t candidates_run = 0;
+  uint64_t verifications_run = 0;
   for (auto _ : state) {
     correct = 0;
+    const uint64_t candidates_before = candidates->value();
+    const uint64_t verifications_before = verifications->value();
     Timer t;
     for (size_t i = 0; i < kQueries; ++i) {
       auto matches = index->Lookup(queries[i], 1);
       if (!matches.empty() && matches[0].id == truth[i]) ++correct;
     }
     lookup_ms = t.ElapsedMillis();
+    candidates_run = candidates->value() - candidates_before;
+    verifications_run = verifications->value() - verifications_before;
   }
-  double per_lookup = lookup_ms / static_cast<double>(kQueries);
-  state.counters["build_ms"] = build_ms;
-  state.counters["per_lookup_ms"] = per_lookup;
-  state.counters["top1_accuracy"] =
-      static_cast<double>(correct) / static_cast<double>(kQueries);
-  FmRows().push_back({reference_size, build_ms, per_lookup,
-                      static_cast<double>(correct) / kQueries});
+  const auto per_query = [&](double total) {
+    return total / static_cast<double>(kQueries);
+  };
+  FmRow row{reference_size,
+            build_ms,
+            per_query(lookup_ms),
+            per_query(static_cast<double>(candidates_run)),
+            per_query(static_cast<double>(verifications_run)),
+            per_query(static_cast<double>(correct))};
+  state.counters["build_ms"] = row.build_ms;
+  state.counters["per_lookup_ms"] = row.per_lookup_ms;
+  state.counters["candidates"] = row.candidates;
+  state.counters["verifications"] = row.verifications;
+  state.counters["top1_accuracy"] = row.top1_accuracy;
+  FmRows().push_back(row);
 }
 
 void RegisterAll() {
@@ -91,11 +114,12 @@ int main(int argc, char** argv) {
   ssjoin::bench::RegisterAll();
   benchmark::RunSpecifiedBenchmarks();
   std::printf("\n=== Top-K fuzzy match (2000 dirty queries, k=1, alpha=0.35) ===\n");
-  std::printf("%12s %12s %16s %10s\n", "reference", "build(ms)", "per-lookup(ms)",
-              "top-1 acc");
+  std::printf("%12s %12s %16s %12s %12s %10s\n", "reference", "build(ms)",
+              "per-lookup(ms)", "candidates", "verifies", "top-1 acc");
   for (const auto& row : ssjoin::bench::FmRows()) {
-    std::printf("%12zu %12.1f %16.3f %9.1f%%\n", row.reference_size, row.build_ms,
-                row.per_lookup_ms, row.top1_accuracy * 100.0);
+    std::printf("%12zu %12.1f %16.3f %12.1f %12.1f %9.1f%%\n",
+                row.reference_size, row.build_ms, row.per_lookup_ms,
+                row.candidates, row.verifications, row.top1_accuracy * 100.0);
   }
   {
     std::vector<ssjoin::bench::JsonRecord> recs;
@@ -104,6 +128,8 @@ int main(int argc, char** argv) {
                          .Int("reference_size", row.reference_size)
                          .Num("build_ms", row.build_ms)
                          .Num("per_lookup_ms", row.per_lookup_ms)
+                         .Num("candidates", row.candidates)
+                         .Num("verifications", row.verifications)
                          .Num("top1_accuracy", row.top1_accuracy));
     }
     ssjoin::bench::WriteBenchJson("fuzzy_match", recs);

@@ -7,6 +7,7 @@
 
 #include "common/atomic_file.h"
 #include "common/hash.h"
+#include "core/inverted_index.h"
 #include "core/prefix_filter.h"
 #include "filter/metrics.h"
 #include "index/manifest.h"
@@ -44,6 +45,19 @@ const LookupCounters& LookupMetrics() {
       obs::Registry::Global().GetCounter("index.lookup.candidates"),
       obs::Registry::Global().GetCounter("index.lookup.verifications")};
   return counters;
+}
+
+/// The batch executors' candidate dedupe and verify marks, one set per
+/// thread (lookups run on their callers' threads).
+struct LookupScratch {
+  core::ProbeScratch probe;
+  kernels::MarkedSet marks;
+  std::vector<int8_t> passes;  // per attribute class: -1 untested, else 0/1
+};
+
+LookupScratch& ThreadLookupScratch() {
+  thread_local LookupScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -358,7 +372,11 @@ Status MutableFuzzyIndex::BulkLoad(
                                      attrs.empty() ? filter::AttrSet() : attrs[i],
                                      /*log_wal=*/true));
   }
-  PublishLocked();
+  // A load that fills the tail is sealed in place: one postings build and
+  // one publish, where publishing the tail first would build them twice.
+  const bool seal = options_.seal_threshold > 0 &&
+                    tail_.num_docs() >= options_.seal_threshold;
+  if (!seal || !SealLocked().ok()) PublishLocked();
   MaybeMaintainLocked();
   return Status::OK();
 }
@@ -454,17 +472,9 @@ Status MutableFuzzyIndex::UpsertGlobal(uint64_t doc_id, const std::string& value
                                        const filter::AttrSet& attrs,
                                        GlobalDelta* delta) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  GlobalDelta d;
-  std::optional<std::string> old = LiveValueLocked(doc_id);
+  GlobalDelta d{LiveValueLocked(doc_id), value};
   SSJOIN_RETURN_NOT_OK(ApplyUpsert(doc_id, value, attrs, /*log_wal=*/true));
-  global_mode_ = true;
-  if (old.has_value()) {
-    d.removed = *old;
-    GlobalRemoveLocked(*old);
-  }
-  d.added = value;
-  GlobalAddLocked(value);
-  PublishLocked();
+  ApplyGlobalDeltaLocked(d);
   MaybeMaintainLocked();
   if (delta != nullptr) *delta = std::move(d);
   return Status::OK();
@@ -472,15 +482,9 @@ Status MutableFuzzyIndex::UpsertGlobal(uint64_t doc_id, const std::string& value
 
 Status MutableFuzzyIndex::DeleteGlobal(uint64_t doc_id, GlobalDelta* delta) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  GlobalDelta d;
-  std::optional<std::string> old = LiveValueLocked(doc_id);
+  GlobalDelta d{LiveValueLocked(doc_id), std::nullopt};
   SSJOIN_RETURN_NOT_OK(ApplyDelete(doc_id, /*log_wal=*/true));
-  global_mode_ = true;
-  if (old.has_value()) {
-    d.removed = *old;
-    GlobalRemoveLocked(*old);
-  }
-  PublishLocked();
+  ApplyGlobalDeltaLocked(d);
   MaybeMaintainLocked();
   if (delta != nullptr) *delta = std::move(d);
   return Status::OK();
@@ -488,11 +492,15 @@ Status MutableFuzzyIndex::DeleteGlobal(uint64_t doc_id, GlobalDelta* delta) {
 
 Status MutableFuzzyIndex::ApplyGlobalDelta(const GlobalDelta& delta) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  ApplyGlobalDeltaLocked(delta);
+  return Status::OK();
+}
+
+void MutableFuzzyIndex::ApplyGlobalDeltaLocked(const GlobalDelta& delta) {
   global_mode_ = true;
   if (delta.removed.has_value()) GlobalRemoveLocked(*delta.removed);
   if (delta.added.has_value()) GlobalAddLocked(*delta.added);
   PublishLocked();
-  return Status::OK();
 }
 
 Status MutableFuzzyIndex::ResetGlobalStats(
@@ -557,6 +565,23 @@ Status MutableFuzzyIndex::PersistSealedLocked(
   return Status::OK();
 }
 
+Status MutableFuzzyIndex::PersistSegmentLocked(
+    const Segment& seg, std::vector<std::string> obsolete_files) {
+  if (options_.data_dir.empty()) return Status::OK();
+  std::string file = SegmentFileName(seg.serial);
+  std::string bytes = seg.EncodeFile();
+  SSJOIN_RETURN_NOT_OK(
+      common::WriteFileAtomic(options_.data_dir + "/" + file, bytes));
+  seg_refs_.push_back(
+      ManifestSegmentRef{seg.serial, file, HashString(bytes), seg.num_docs()});
+  obsolete_files.push_back(wal_file_);
+  wal_file_ = WalFileName(next_serial_);
+  SSJOIN_ASSIGN_OR_RETURN(
+      WalWriter writer, WalWriter::Create(options_.data_dir + "/" + wal_file_));
+  wal_ = std::move(writer);
+  return PersistSealedLocked(obsolete_files);
+}
+
 Status MutableFuzzyIndex::SealLocked() {
   if (tail_.empty()) {
     return PersistSealedLocked({});
@@ -576,23 +601,7 @@ Status MutableFuzzyIndex::SealLocked() {
     if (loc.segment == kTailSegment) loc.segment = new_index;
   }
   last_sealed_seq_ = next_seq_ - 1;
-
-  if (!options_.data_dir.empty()) {
-    std::string file = SegmentFileName(sealed->serial);
-    std::string bytes = sealed->EncodeFile();
-    SSJOIN_RETURN_NOT_OK(
-        common::WriteFileAtomic(options_.data_dir + "/" + file, bytes));
-    seg_refs_.push_back(ManifestSegmentRef{sealed->serial, file,
-                                           HashString(bytes),
-                                           sealed->num_docs()});
-    std::string old_wal = wal_file_;
-    wal_file_ = WalFileName(next_serial_);
-    SSJOIN_ASSIGN_OR_RETURN(
-        WalWriter writer,
-        WalWriter::Create(options_.data_dir + "/" + wal_file_));
-    wal_ = std::move(writer);
-    SSJOIN_RETURN_NOT_OK(PersistSealedLocked({old_wal}));
-  }
+  SSJOIN_RETURN_NOT_OK(PersistSegmentLocked(*sealed, {}));
   seals_.fetch_add(1, std::memory_order_relaxed);
   PublishLocked();
   return Status::OK();
@@ -635,24 +644,7 @@ Status MutableFuzzyIndex::CompactLocked() {
     doc_map_[sealed->doc_ids[local]] = DocLoc{0, local};
   }
   last_sealed_seq_ = next_seq_ - 1;
-
-  if (!options_.data_dir.empty()) {
-    std::string file = SegmentFileName(sealed->serial);
-    std::string bytes = sealed->EncodeFile();
-    SSJOIN_RETURN_NOT_OK(
-        common::WriteFileAtomic(options_.data_dir + "/" + file, bytes));
-    seg_refs_.push_back(ManifestSegmentRef{sealed->serial, file,
-                                           HashString(bytes),
-                                           sealed->num_docs()});
-    std::string old_wal = wal_file_;
-    obsolete.push_back(old_wal);
-    wal_file_ = WalFileName(next_serial_);
-    SSJOIN_ASSIGN_OR_RETURN(
-        WalWriter writer,
-        WalWriter::Create(options_.data_dir + "/" + wal_file_));
-    wal_ = std::move(writer);
-    SSJOIN_RETURN_NOT_OK(PersistSealedLocked(obsolete));
-  }
+  SSJOIN_RETURN_NOT_OK(PersistSegmentLocked(*sealed, std::move(obsolete)));
   compactions_.fetch_add(1, std::memory_order_relaxed);
   PublishLocked();
   return Status::OK();
@@ -765,82 +757,72 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
     if (i < suffix.size()) suffix[i] = rest;
   }
 
+  LookupScratch& scratch = ThreadLookupScratch();
+  core::ProbeScratch& probe = scratch.probe;
+  scratch.marks.Bind(state.weights);
+  scratch.marks.Mark(known);
   const bool filtered = !filter.empty();
   if (filtered) filter::FilterMetrics().lookups->Add(1);
+  uint64_t candidates_in = 0;  // distinct live docs met, before the filter
   uint64_t candidates = 0;
   uint64_t verifications = 0;
-  std::vector<uint64_t> hits;  // local << 32 | prefix position
-  std::vector<uint32_t> locals;
-  std::vector<uint32_t> positions;  // aligned with locals
-  std::vector<int8_t> passes;  // per attribute class: -1 untested, else 0/1
-  std::vector<uint64_t> rejected;  // bitmap of locals the filter dropped
   for (size_t si = 0; si < state.segments.size(); ++si) {
     const Segment& seg = *state.segments[si];
     const WinnerFlags& winner = *state.winners[si];
-    // The filter drops ineligible candidates as they are generated, before
-    // the dedupe sort, the positional bound and the verify. Docs of one
-    // attribute class have equal attributes, so Matches runs once per class
-    // met; `rejected` counts each dropped doc once for filter.candidates_in.
-    uint64_t num_rejected = 0;
-    if (filtered) {
-      passes.assign(seg.num_attr_classes(), -1);
-      rejected.assign(seg.num_docs() / 64 + 1, 0);
-    }
-    hits.clear();
+    // Docs of one attribute class have equal attributes, so the filter's
+    // Matches runs once per class met.
+    if (filtered) scratch.passes.assign(seg.num_attr_classes(), -1);
+    probe.EnsureSize(seg.num_docs());
+    const uint32_t epoch = probe.NextEpoch();
+    probe.cands.clear();
     for (uint32_t pos = 0; pos < prefix.size(); ++pos) {
-      std::span<const uint32_t> postings = seg.Postings(prefix[pos]);
-      size_t n = hits.size();
-      hits.resize(n + postings.size());
-      for (uint32_t local : postings) {
-        // Branch-free append: write every hit, advance past the kept ones.
-        hits[n] = uint64_t{local} << 32 | pos;
+      // Positions are probed in order, so the locals this probe appends are
+      // exactly the docs whose first shared prefix position is `pos`.
+      const size_t first = probe.cands.size();
+      kernels::ProbePostings(seg.Postings(prefix[pos]), epoch, probe.seen.data(),
+                             &probe.cands, &probe.tally);
+      // Keep the winners the filter passes, compacted in place branch-free.
+      size_t end = first;
+      for (size_t c = first; c < probe.cands.size(); ++c) {
+        const uint32_t local = probe.cands[c];
         bool keep = winner[local] != 0;
+        candidates_in += keep;
         if (filtered) {
-          int8_t& pass = passes[seg.attr_class(local)];
-          if (pass < 0) pass = filter.Matches(seg.attrs[local]) ? 1 : 0;
-          const bool drop = keep && pass == 0;
-          uint64_t& word = rejected[local / 64];
-          const uint64_t bit = uint64_t{drop} << (local % 64);
-          num_rejected += (word & bit) == 0 && drop;
-          word |= bit;
+          const uint32_t cls = seg.attr_class(local);
+          int8_t& pass = scratch.passes[cls];
+          if (pass < 0) pass = filter.Matches(seg.class_attrs(cls)) ? 1 : 0;
           keep = keep && pass == 1;
         }
-        n += keep;
+        probe.cands[end] = local;
+        end += keep;
       }
-      hits.resize(n);
-    }
-    // Sorted, each local's first entry carries its first shared position.
-    std::sort(hits.begin(), hits.end());
-    locals.clear();
-    positions.clear();
-    for (uint64_t hit : hits) {
-      auto local = static_cast<uint32_t>(hit >> 32);
-      if (!locals.empty() && locals.back() == local) continue;
-      locals.push_back(local);
-      positions.push_back(static_cast<uint32_t>(hit));
-    }
-    if (filtered) {
-      filter::FilterMetrics().candidates_in->Add(locals.size() + num_rejected);
-      filter::FilterMetrics().candidates_kept->Add(locals.size());
-    }
-    candidates += locals.size();
-    for (size_t c = 0; c < locals.size(); ++c) {
-      std::span<const text::TokenId> elems = seg.sets.elements(locals[c]);
-      double set_weight = 0.0;
-      for (text::TokenId e : elems) set_weight += state.weights[e];
-      double bound = std::min(suffix[positions[c]], set_weight);
-      if (!text::ResemblanceAtLeast(bound, query_weight + set_weight - bound,
-                                    alpha)) {
-        continue;
-      }
-      ++verifications;
-      double overlap =
-          kernels::IntersectWeighted(known, elems, state.weights.data());
-      double uni = query_weight + set_weight - overlap;
-      if (text::ResemblanceAtLeast(overlap, uni, alpha)) {
-        out.push_back({seg.doc_ids[locals[c]], uni > 0.0 ? overlap / uni : 1.0});
+      probe.cands.resize(end);
+      candidates += end - first;
+      for (size_t c = first; c < end; ++c) {
+        const uint32_t local = probe.cands[c];
+        std::span<const text::TokenId> elems = seg.sets.elements(local);
+        double set_weight = 0.0;
+        for (text::TokenId e : elems) set_weight += state.weights[e];
+        double bound = std::min(suffix[pos], set_weight);
+        if (!text::ResemblanceAtLeast(bound, query_weight + set_weight - bound,
+                                      alpha)) {
+          continue;
+        }
+        ++verifications;
+        double overlap = 0.0;  // a floor of 0 never stops the walk early
+        scratch.marks.OverlapAtLeast(elems, set_weight, 0.0, &overlap);
+        double uni = query_weight + set_weight - overlap;
+        if (text::ResemblanceAtLeast(overlap, uni, alpha)) {
+          out.push_back({seg.doc_ids[local], uni > 0.0 ? overlap / uni : 1.0});
+        }
       }
     }
+  }
+  scratch.marks.Flush();
+  probe.tally.Flush();
+  if (filtered) {
+    filter::FilterMetrics().candidates_in->Add(candidates_in);
+    filter::FilterMetrics().candidates_kept->Add(candidates);
   }
   LookupMetrics().candidates->Add(candidates);
   LookupMetrics().verifications->Add(verifications);

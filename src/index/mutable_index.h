@@ -297,6 +297,8 @@ class MutableFuzzyIndex {
   /// writer_mu_; callers publish afterwards.
   void GlobalAddLocked(const std::string& value);
   void GlobalRemoveLocked(const std::string& value);
+  /// Folds `delta` into the global accumulator and publishes.
+  void ApplyGlobalDeltaLocked(const GlobalDelta& delta);
   /// The currently live value of `doc_id`, if any. Requires writer_mu_.
   std::optional<std::string> LiveValueLocked(uint64_t doc_id) const;
   /// Removes `doc_id` from the live set (doc map + df + live count); returns
@@ -308,9 +310,13 @@ class MutableFuzzyIndex {
   void PublishLocked();
   Status SealLocked();
   Status CompactLocked();
-  /// Writes segment file(s) + rotated WAL + manifest for the current sealed
-  /// state; `obsolete_files` are removed after the manifest rename commits.
+  /// Writes the manifest for the current sealed state; `obsolete_files` are
+  /// removed after the manifest rename commits.
   Status PersistSealedLocked(const std::vector<std::string>& obsolete_files);
+  /// Writes the newly sealed `seg`'s file, rotates the WAL and persists the
+  /// manifest, retiring the old WAL with `obsolete_files`. No-op in memory.
+  Status PersistSegmentLocked(const Segment& seg,
+                              std::vector<std::string> obsolete_files);
   /// Applies the seal and compaction thresholds inline, after a mutation.
   void MaybeMaintainLocked();
 

@@ -56,10 +56,10 @@ void Segment::BuildPostings() {
   std::map<const filter::AttrSet*, uint32_t, decltype(less)> classes(less);
   attr_class_.resize(attrs.size());
   for (uint32_t local = 0; local < attrs.size(); ++local) {
-    attr_class_[local] =
-        classes.try_emplace(&attrs[local], classes.size()).first->second;
+    auto [it, added] = classes.try_emplace(&attrs[local], classes.size());
+    if (added) class_reps_.push_back(local);
+    attr_class_[local] = it->second;
   }
-  num_attr_classes_ = static_cast<uint32_t>(classes.size());
 }
 
 std::span<const uint32_t> Segment::Postings(text::TokenId e) const {

@@ -84,10 +84,13 @@ struct Segment {
 
   /// Docs with equal attribute sets share an attribute class, a dense id in
   /// [0, num_attr_classes()), so a filtered lookup can test its predicate
-  /// once per class it meets instead of once per candidate. Valid only
-  /// after BuildPostings.
+  /// once per class it meets, on the class's `class_attrs`, instead of once
+  /// per candidate. Valid only after BuildPostings.
   uint32_t attr_class(uint32_t local) const { return attr_class_[local]; }
-  uint32_t num_attr_classes() const { return num_attr_classes_; }
+  size_t num_attr_classes() const { return class_reps_.size(); }
+  const filter::AttrSet& class_attrs(uint32_t c) const {
+    return attrs[class_reps_[c]];
+  }
 
   /// Serialized segment file: magic, version, payload, FNV-1a trailer.
   /// Layout (integers little-endian): [0, 8) magic "SSJSEGV1", [8, 12)
@@ -105,7 +108,7 @@ struct Segment {
   std::vector<text::TokenId> posting_elements_;
   std::vector<uint32_t> posting_locals_;
   std::vector<uint32_t> attr_class_;
-  uint32_t num_attr_classes_ = 0;
+  std::vector<uint32_t> class_reps_;  // per class: its first local
   size_t tombstone_count_ = 0;
 };
 

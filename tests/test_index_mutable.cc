@@ -78,18 +78,29 @@ TEST(MutableIndexTest, BulkLoadMatchesIncrementalUpserts) {
   auto master = Master(250, 42);
   auto queries = DirtyQueries(master, 60, 6);
 
-  auto bulk = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
   std::vector<std::pair<uint64_t, std::string>> records;
   std::map<uint64_t, std::string> live;
   for (size_t i = 0; i < master.size(); ++i) {
     records.emplace_back(i, master[i]);
     live[i] = master[i];
   }
-  uint64_t epoch_before = bulk->epoch();
-  ASSERT_TRUE(bulk->BulkLoad(records).ok());
-  ExpectOracleEquivalent(*bulk, live, queries, 5, "bulk load");
-  // One publish for the whole batch, not one per record.
-  EXPECT_EQ(bulk->epoch(), epoch_before + 1);
+  // Without a seal threshold the load stays in the tail; with one at or
+  // below the record count the load is sealed in place.
+  MutableIndexOptions sealing = ManualOptions();
+  sealing.seal_threshold = master.size() / 2;
+  for (const MutableIndexOptions& options : {ManualOptions(), sealing}) {
+    SCOPED_TRACE("seal_threshold " + std::to_string(options.seal_threshold));
+    auto bulk = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+    uint64_t epoch_before = bulk->epoch();
+    ASSERT_TRUE(bulk->BulkLoad(records).ok());
+    ExpectOracleEquivalent(*bulk, live, queries, 5, "bulk load");
+    // One publish for the whole batch, not one per record, nor a second one
+    // for the seal.
+    EXPECT_EQ(bulk->epoch(), epoch_before + 1);
+    const uint64_t seals = options.seal_threshold > 0 ? 1 : 0;
+    EXPECT_EQ(bulk->GetStats().seals, seals);
+    EXPECT_EQ(bulk->GetStats().sealed_segments, seals);
+  }
 }
 
 TEST(MutableIndexTest, ReplaceAndDeleteMatchOracle) {
@@ -328,6 +339,9 @@ TEST(MutableIndexTest, PositionalBoundSkipsVerifyThatSizeAndPrefixPass) {
       obs::Registry::Global().GetCounter("index.lookup.verifications");
   const uint64_t candidates_before = candidates->value();
   const uint64_t verifications_before = verifications->value();
+  obs::Counter* intersect_calls =
+      obs::Registry::Global().GetCounter("kernels.intersect.calls");
+  const uint64_t intersect_calls_before = intersect_calls->value();
   auto got = index->Lookup("qa qb qc qd qe", 10);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 0u);
@@ -336,10 +350,49 @@ TEST(MutableIndexTest, PositionalBoundSkipsVerifyThatSizeAndPrefixPass) {
   // size filter as well, doc 1 only the positional bound.
   EXPECT_EQ(candidates->value() - candidates_before, 4u);
   EXPECT_EQ(verifications->value() - verifications_before, 1u);
+  // Each verification is one marked-set overlap, flushed with the lookup.
+  EXPECT_EQ(intersect_calls->value() - intersect_calls_before, 1u);
 
   std::map<uint64_t, std::string> live(docs.begin(), docs.end());
   ExpectOracleEquivalent(*index, live, {"qa qb qc qd qe", "qc y1 y2"}, 10,
                          "positional bound");
+}
+
+TEST(MutableIndexTest, AlternatingIndexesOnOneThreadMatchOracle) {
+  // Lookups on one thread share one thread-local candidate and verify
+  // scratch. Alternating small, large, small indexes, whose segment sizes
+  // and vocabularies differ, must neither see stale marks from the other
+  // index nor read past the smaller one's docs or elements.
+  struct Side {
+    std::unique_ptr<MutableFuzzyIndex> index;
+    std::map<uint64_t, std::string> live;
+    std::vector<std::string> queries;
+  };
+  auto make = [](size_t n, uint64_t seed, bool word_tokens,
+                 size_t seal_threshold) {
+    MutableIndexOptions options = ManualOptions();
+    options.match.word_tokens = word_tokens;
+    options.seal_threshold = seal_threshold;
+    Side side{MutableFuzzyIndex::Create(options).MoveValueUnsafe(), {}, {}};
+    auto master = Master(n, seed);
+    for (size_t i = 0; i < master.size(); ++i) {
+      EXPECT_TRUE(side.index->Upsert(i, master[i]).ok());
+      side.live[i] = master[i];
+    }
+    side.queries = DirtyQueries(master, 25, seed + 1);
+    return side;
+  };
+  // 40 word-token docs in the tail; 700 q-gram docs in 4 sealed segments
+  // plus a tail.
+  Side small = make(40, 71, /*word_tokens=*/true, /*seal_threshold=*/0);
+  Side large = make(700, 72, /*word_tokens=*/false, /*seal_threshold=*/160);
+  ASSERT_EQ(large.index->GetStats().sealed_segments, 4u);
+  for (int round = 0; round < 2; ++round) {
+    for (const Side* side : {&small, &large, &small}) {
+      ExpectOracleEquivalent(*side->index, side->live, side->queries, 5,
+                             "round " + std::to_string(round));
+    }
+  }
 }
 
 TEST(MutableIndexTest, CreateRejectsBadAlpha) {
