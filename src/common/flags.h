@@ -25,8 +25,8 @@ struct Args {
 Args ParseArgs(int argc, char** argv, bool with_command);
 
 /// Checked flag accessors: absent flags fall back, present flags must parse
-/// completely (`--cache=abc` and `--threads -1` are loud errors, not 0 or a
-/// wrapped size_t).
+/// completely (`--k-default=abc` and `--threads -1` are loud errors, not 0
+/// or a wrapped size_t).
 Result<size_t> SizeFlag(const Args& args, const std::string& name,
                         size_t fallback);
 Result<double> DoubleFlag(const Args& args, const std::string& name,

@@ -42,7 +42,7 @@ struct AttrValue {
     return !(a == b);
   }
   /// Total order (type first, then value) — the canonical sort used by
-  /// IN-sets and cache-key encodings.
+  /// IN-sets and their canonical JSON.
   friend bool operator<(const AttrValue& a, const AttrValue& b) {
     if (a.type != b.type) return a.type < b.type;
     return a.type == AttrType::kString ? a.str < b.str : a.i64 < b.i64;

@@ -12,7 +12,7 @@ namespace ssjoin::filter {
 
 /// \brief One conjunct of a filter: `name IN {values}` or
 /// `name NOT IN {values}`. Values are kept sorted and deduplicated so the
-/// canonical encoding (and therefore the query-cache key) is unambiguous.
+/// canonical encoding is unambiguous.
 ///
 /// Semantics over a record's AttrSet (FilterPredicate::Matches, the single
 /// source of truth for filtered lookups and their post-filter oracle):
@@ -40,9 +40,8 @@ class FilterPredicate {
   /// Canonical JSON object, e.g. `{"country":["DE","FR"],"!status":[3]}`:
   /// conjuncts sorted by (name, negated), values sorted, ints as JSON
   /// numbers, strings as JSON strings. Used verbatim as the wire `"filter"`
-  /// value in coordinator fan-out and as the query-cache key component, so
-  /// equal predicates always hit the same cache slot. Empty predicate
-  /// encodes as "{}".
+  /// value in coordinator fan-out, so equal predicates send equal bytes.
+  /// Empty predicate encodes as "{}".
   std::string CanonicalJson() const;
 
   friend bool operator==(const FilterPredicate& a, const FilterPredicate& b);

@@ -448,9 +448,9 @@ bool SameMatches(const std::string& name, const IdSims& got,
 }
 
 /// A LookupService over a mutable index of the `r` rows (doc_id = row
-/// index), cache on or off, must answer every `s` query bit-identically to
-/// BruteForceLookup over the same rows, on a miss and on a hit, while
-/// `threads` (1-4) callers look up concurrently.
+/// index) must answer every `s` query bit-identically to BruteForceLookup
+/// over the same rows, the first time and on a repeat, while `threads` (1-4)
+/// callers look up concurrently.
 Result<CheckResult> CheckLookupService(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -467,14 +467,11 @@ Result<CheckResult> CheckLookupService(const Reproducer& rp) {
   }
   SSJOIN_RETURN_NOT_OK(service_index->BulkLoad(records));
 
-  serve::LookupServiceOptions options;
-  SSJOIN_ASSIGN_OR_RETURN(bool cache_on, rp.GetBool("cache_on", true));
-  options.cache_capacity = cache_on ? 256 : 0;
   SSJOIN_ASSIGN_OR_RETURN(uint64_t threads, rp.GetUint("threads", 1));
   threads = std::clamp<uint64_t>(threads, 1, 4);
   SSJOIN_ASSIGN_OR_RETURN(
       std::unique_ptr<serve::LookupService> service,
-      serve::LookupService::Create(std::move(service_index), options));
+      serve::LookupService::Create(std::move(service_index), {}));
 
   std::vector<IdSims> want;
   want.reserve(rp.s.size());
@@ -483,11 +480,9 @@ Result<CheckResult> CheckLookupService(const Reproducer& rp) {
   }
   CheckResult result;
   std::mutex result_mu;
-  std::string name = options.cache_capacity > 0 ? "LookupService (cache on)"
-                                                : "LookupService (cache off)";
-  // Every caller makes two passes over all queries from a staggered start:
-  // pass 1 races misses and cache fills of the same keys across callers,
-  // pass 2 exercises the cache-hit path when caching is on.
+  const std::string name = "LookupService";
+  // Every caller makes two passes over all queries from a staggered start,
+  // so the callers race the same queries against one index.
   auto caller = [&](size_t first) {
     for (int pass = 0; pass < 2; ++pass) {
       for (size_t j = 0; j < rp.s.size(); ++j) {
@@ -1499,7 +1494,6 @@ Reproducer GenerateCase(const std::string& scenario, uint64_t seed) {
     rp.Set("q", 1 + rng.Uniform(4));
     rp.Set("alpha", 0.2 + 0.6 * rng.NextDouble());
     rp.Set("k", 1 + rng.Uniform(5));
-    rp.Set("cache_on", rng.Bernoulli(0.5));
     rp.Set("threads", 1 + rng.Uniform(4));
   } else if (scenario == "mutable_index") {
     SetChurnParams(&rng, GenerateChurn(&rng, 0.5, 40, &rp), &rp);

@@ -39,10 +39,9 @@ struct CheckResult {
 ///                            pair must appear in the brute-force result with
 ///                            an identical similarity (precision is exact by
 ///                            construction; recall is empirical by design).
-///  - `lookup_service`        LookupService (cache on and off, 1-4
-///                            concurrent callers) vs fuzz::BruteForceLookup,
-///                            bit-identical, including repeat queries served
-///                            from the cache.
+///  - `lookup_service`        LookupService (1-4 concurrent callers, two
+///                            staggered passes each) vs
+///                            fuzz::BruteForceLookup, bit-identical.
 ///  - `filtered_lookup`       MutableFuzzyIndex filtered lookups (the
 ///                            predicate tested per similarity candidate) under
 ///                            upsert/delete/seal/compact/reopen churn vs the

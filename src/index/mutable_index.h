@@ -191,7 +191,7 @@ class MutableFuzzyIndex {
   std::vector<Match> Lookup(const std::string& query, size_t k) const;
 
   /// Lookup pinned to an explicit epoch (e.g. one captured at request
-  /// admission, so a batch runs against the epoch its cache key names).
+  /// entry, so the match values are read from the epoch that scored them).
   std::vector<Match> LookupAt(const EpochState& state, const std::string& query,
                               size_t k) const;
 

@@ -41,12 +41,6 @@ void LookupService::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
       obs::MetricPoint::FromCounter("serve.rejected_overload", s.rejected_overload));
   out->push_back(
       obs::MetricPoint::FromCounter("serve.rejected_deadline", s.rejected_deadline));
-  out->push_back(obs::MetricPoint::FromCounter("serve.cache_hits", s.cache_hits));
-  out->push_back(obs::MetricPoint::FromCounter("serve.cache_misses", s.cache_misses));
-  out->push_back(
-      obs::MetricPoint::FromCounter("serve.cache_evictions", s.cache_evictions));
-  out->push_back(obs::MetricPoint::FromCounter("serve.cache_stale_purged",
-                                               s.cache_stale_purged));
   out->push_back(obs::MetricPoint::FromGauge(
       "serve.in_flight", static_cast<int64_t>(s.in_flight)));
   out->push_back(
@@ -55,48 +49,13 @@ void LookupService::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
                                                  metrics_.span_admission));
   out->push_back(
       obs::MetricPoint::FromHistogram("serve.span.lookup_us", metrics_.span_lookup));
-  out->push_back(
-      obs::MetricPoint::FromHistogram("serve.span.reply_us", metrics_.span_reply));
 }
 
 LookupService::LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
                              const LookupServiceOptions& options)
-    : index_(std::move(index)),
-      options_(options),
-      cache_(options.cache_capacity, options.cache_shards) {}
+    : index_(std::move(index)), options_(options) {}
 
 LookupService::~LookupService() { Shutdown(); }
-
-std::string LookupService::CacheKey(const std::string& query, size_t k,
-                                    uint64_t epoch,
-                                    const filter::FilterPredicate& filter) const {
-  std::string key;
-  key.reserve(query.size() + 32);
-  std::string buffer;
-  std::vector<std::string_view> tokens;
-  index_->tokenizer().TokenizeInto(query, &buffer, &tokens);
-  for (std::string_view token : tokens) {
-    key += token;
-    key.push_back('\x1f');  // unit separator: cannot appear inside a token
-  }
-  key.push_back('\x1e');
-  key += std::to_string(k);
-  key.push_back('\x1e');
-  // alpha is fixed per index, but keying on it keeps entries from one index
-  // generation meaningless to another if a cache ever outlives a reload.
-  key += std::to_string(index_->options().match.alpha);
-  key.push_back('\x1e');
-  // The epoch makes every mutation a cache-wide invalidation: entries for
-  // older epochs are unreachable and age out of the LRU.
-  key += std::to_string(epoch);
-  if (!filter.empty()) {
-    // Canonical JSON (sorted conjuncts, sorted deduped values) gives equal
-    // predicates equal keys; '{' cannot collide with the epoch's digits.
-    key.push_back('\x1e');
-    key += filter.CanonicalJson();
-  }
-  return key;
-}
 
 Result<std::vector<LookupService::Match>> LookupService::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
@@ -109,27 +68,10 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("deadline expired before admission");
   }
-  // Capture the published epoch once: the cache probe, the key and the
-  // LookupAt all use this one view, so a concurrent mutation can neither
-  // tear a request across epochs nor satisfy it from a stale entry.
+  // Capture the published epoch once: LookupAt and the values both read
+  // this one view, so a concurrent mutation cannot tear a request across
+  // epochs.
   std::shared_ptr<const index::EpochState> state = index_->Snapshot();
-  PurgeStaleCache(state->epoch);
-  std::string cache_key = CacheKey(query, k, state->epoch, filter);
-  auto fill_values = [&](const std::vector<Match>& matches) {
-    if (values == nullptr) return;
-    values->clear();
-    for (const Match& m : matches) {
-      values->push_back(index_->ValueAt(*state, m.id).value_or(""));
-    }
-  };
-  if (auto cached = cache_.Get(cache_key)) {
-    fill_values(*cached);
-    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics_.latency.Record(MicrosSince(start));
-    return std::move(*cached);
-  }
-
   SSJOIN_RETURN_NOT_OK(Admit());
   // Returns the in-flight slot on every way out, after this call's last use
   // of the service.
@@ -146,22 +88,21 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("deadline expired before lookup");
   }
-  // Admission span: entry to the start of LookupAt (epoch capture, cache
-  // key, cache probe, admission). Cache hits and rejections are not
-  // admissions.
+  // Admission span: entry to the start of LookupAt (epoch capture and
+  // admission). Rejections are not admissions.
   metrics_.span_admission.Record(MicrosSince(start));
   std::vector<Match> result;
   {
     obs::ObsSpan span(&metrics_.span_lookup);
     result = index_->LookupAt(*state, query, k, filter);
   }
-  fill_values(result);
-  {
-    obs::ObsSpan span(&metrics_.span_reply);
-    cache_.Put(cache_key, state->epoch, result);
+  if (values != nullptr) {
+    values->clear();
+    for (const Match& m : result) {
+      values->push_back(index_->ValueAt(*state, m.id).value_or(""));
+    }
   }
   metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
   metrics_.latency.Record(MicrosSince(start));
   return result;
 }
@@ -191,25 +132,8 @@ void LookupService::Release() {
   }
 }
 
-void LookupService::PurgeStaleCache(uint64_t epoch) {
-  // One thread wins the CAS per epoch advance and pays for the sweep; the
-  // rest proceed. Entries keyed to older epochs are unreachable (the epoch
-  // is in the cache key) — purging returns their capacity immediately
-  // instead of letting dead weight ride the LRU.
-  uint64_t seen = purged_epoch_.load(std::memory_order_relaxed);
-  while (seen < epoch) {
-    if (purged_epoch_.compare_exchange_weak(seen, epoch,
-                                            std::memory_order_relaxed)) {
-      cache_.PurgeEpochsBelow(epoch);
-      return;
-    }
-  }
-}
-
 StatsSnapshot LookupService::Stats() const {
   StatsSnapshot s = SnapshotMetrics(metrics_);
-  s.cache_evictions = cache_.evictions();
-  s.cache_stale_purged = cache_.stale_purged();
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
   return s;
 }

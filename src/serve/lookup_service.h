@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "common/result.h"
-#include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
 #include "obs/metrics.h"
 #include "serve/metrics.h"
-#include "serve/query_cache.h"
 
 namespace ssjoin::serve {
 
@@ -26,9 +24,6 @@ struct LookupServiceOptions {
   /// rejected with Unavailable: concurrency is strictly bounded
   /// (backpressure), it never grows with offered load.
   size_t max_queue = 1024;
-  /// Total query-cache entries across all shards; 0 disables caching.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
 };
 
 /// \brief A long-lived, thread-safe fuzzy-lookup service over one
@@ -42,10 +37,8 @@ struct LookupServiceOptions {
 ///
 /// Every request captures the index's published epoch on entry and runs
 /// against exactly that epoch (LookupAt), so it is internally consistent
-/// even while writers mutate the index concurrently. The query cache key
-/// carries the epoch, which makes a cache hit bit-identical to recomputing
-/// against the epoch it names — mutations can never surface a stale hit,
-/// because they change the epoch and with it every key.
+/// even while writers mutate the index concurrently. Writers call the index
+/// directly (index()); the service adds nothing to a mutation.
 ///
 /// Overload policy: when `max_queue` lookups are already in flight, Lookup
 /// returns Unavailable immediately (load shedding); when a request's
@@ -70,68 +63,22 @@ class LookupService {
   ///  - DeadlineExceeded   if `deadline` elapsed before LookupAt would start;
   ///    a negative `deadline` (already expired at the call) is rejected on
   ///    entry (deadline zero = no deadline).
-  /// A non-empty `filter` restricts matches to records whose
-  /// attributes satisfy the predicate (bit-identical to post-filtering an
-  /// unfiltered lookup); its canonical JSON joins the cache key, so filtered
-  /// and unfiltered results never alias either. A non-null `values` receives
-  /// each match's value, read from the epoch the lookup scored against. Runs
-  /// on the calling thread; safe to call from any number of threads
-  /// concurrently.
+  /// A non-empty `filter` restricts matches to records whose attributes
+  /// satisfy the predicate (bit-identical to post-filtering an unfiltered
+  /// lookup). A non-null `values` receives each match's value, read from the
+  /// epoch the lookup scored against. Runs on the calling thread; safe to
+  /// call from any number of threads concurrently.
   Result<std::vector<Match>> Lookup(
       const std::string& query, size_t k,
       std::chrono::milliseconds deadline = std::chrono::milliseconds::zero(),
       const filter::FilterPredicate& filter = {},
       std::vector<std::string>* values = nullptr);
 
-  /// Mutations: thin passthroughs to the index. Each publishes a new epoch,
-  /// naturally invalidating every cached lookup (the epoch is in the key).
-  Status Upsert(uint64_t doc_id, const std::string& value,
-                const filter::AttrSet& attrs = {}) {
-    return index_->Upsert(doc_id, value, attrs);
-  }
-  Status Delete(uint64_t doc_id) { return index_->Delete(doc_id); }
-  Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>& records) {
-    return index_->BulkLoad(records);
-  }
-  Status Seal() { return index_->Seal(); }
-  Status Compact() { return index_->Compact(); }
-  uint64_t epoch() const { return index_->epoch(); }
-
-  /// Global-statistics passthroughs for sharded serving (see the Global API
-  /// section of MutableFuzzyIndex); each publishes a new epoch, invalidating
-  /// the cache exactly like the local mutations above.
-  Status UpsertGlobal(uint64_t doc_id, const std::string& value,
-                      const filter::AttrSet& attrs, index::GlobalDelta* delta) {
-    return index_->UpsertGlobal(doc_id, value, attrs, delta);
-  }
-  Status DeleteGlobal(uint64_t doc_id, index::GlobalDelta* delta) {
-    return index_->DeleteGlobal(doc_id, delta);
-  }
-  Status ApplyGlobalDelta(const index::GlobalDelta& delta) {
-    return index_->ApplyGlobalDelta(delta);
-  }
-  Status ResetGlobalStats(const std::vector<std::string>& values) {
-    return index_->ResetGlobalStats(values);
-  }
-  std::vector<std::pair<uint64_t, std::string>> LiveDocs() const {
-    return index_->LiveDocs();
-  }
-
-  /// The current live value of `doc_id`, if any (display convenience).
-  std::optional<std::string> ValueOf(uint64_t doc_id) const {
-    return index_->ValueAt(*index_->Snapshot(), doc_id);
-  }
-
-  /// The current live attributes of `doc_id`, if live (display convenience).
-  std::optional<filter::AttrSet> AttrsOf(uint64_t doc_id) const {
-    return index_->AttrsAt(*index_->Snapshot(), doc_id);
-  }
-
   /// Consistent-enough point-in-time counters and latency quantiles.
   StatsSnapshot Stats() const;
 
-  const index::MutableFuzzyIndex& index() const { return *index_; }
-  const LookupServiceOptions& options() const { return options_; }
+  /// The served index, for mutations, maintenance and point reads.
+  index::MutableFuzzyIndex& index() const { return *index_; }
 
   /// Stops admitting lookups (new ones get Unavailable), then waits until
   /// every admitted lookup has answered, so destroying the service never
@@ -155,24 +102,13 @@ class LookupService {
   /// count and latency/lifecycle histograms into the snapshot as `serve.*`.
   void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
 
-  /// Cache key: the query's token sequence (unit-separator joined) plus k,
-  /// alpha, the epoch and (when non-empty) the filter's canonical JSON —
-  /// exactly the inputs Lookup's result depends on.
-  std::string CacheKey(const std::string& query, size_t k, uint64_t epoch,
-                       const filter::FilterPredicate& filter) const;
-
   /// Takes one of the `max_queue` in-flight slots, or returns Unavailable.
   Status Admit();
   /// Returns an admitted lookup's slot and wakes a waiting Shutdown.
   void Release();
-  /// Purges cache entries from epochs below `epoch` the first time that
-  /// epoch is observed (every mutation path funnels through the next
-  /// Lookup's Snapshot, so no separate publication callback is needed).
-  void PurgeStaleCache(uint64_t epoch);
 
   std::unique_ptr<index::MutableFuzzyIndex> index_;
   LookupServiceOptions options_;
-  QueryCache cache_;
   ServiceMetrics metrics_;
   std::atomic<uint64_t> provider_id_{0};  // obs::Registry provider handle
 
@@ -185,8 +121,6 @@ class LookupService {
   /// only under `mu_`; atomic so that Stats can read it without the lock.
   std::atomic<size_t> in_flight_{0};
   std::function<void()> lookup_hook_;
-  /// Highest epoch the cache has been purged up to (see PurgeStaleCache).
-  std::atomic<uint64_t> purged_epoch_{0};
 };
 
 }  // namespace ssjoin::serve

@@ -19,14 +19,11 @@ struct ServiceMetrics {
   std::atomic<uint64_t> requests{0};            // answered lookups: ok + deadline-failed
   std::atomic<uint64_t> rejected_overload{0};   // admission bound full, or shutting down
   std::atomic<uint64_t> rejected_deadline{0};   // expired on entry or before LookupAt
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
   obs::Histogram latency;
-  /// Request lifecycle spans: admission (Lookup entry → start of LookupAt),
-  /// lookup (the LookupAt call), reply (cache fill).
+  /// Request lifecycle spans: admission (Lookup entry → start of LookupAt)
+  /// and lookup (the LookupAt call).
   obs::Histogram span_admission;
   obs::Histogram span_lookup;
-  obs::Histogram span_reply;
 };
 
 /// A plain-value copy of the counters plus derived latency quantiles, taken
@@ -35,11 +32,6 @@ struct StatsSnapshot {
   uint64_t requests = 0;
   uint64_t rejected_overload = 0;
   uint64_t rejected_deadline = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  /// Stale-epoch entries reclaimed by purge-on-publication (vs. aged out).
-  uint64_t cache_stale_purged = 0;
   /// Lookups admitted and not yet answered.
   uint64_t in_flight = 0;
   uint64_t latency_count = 0;
@@ -53,8 +45,8 @@ struct StatsSnapshot {
   std::string ToJson() const;
 };
 
-/// Fills the metric-derived fields of a snapshot (callers add the cache and
-/// in-flight figures they own).
+/// Fills the metric-derived fields of a snapshot (callers add the in-flight
+/// count they own).
 StatsSnapshot SnapshotMetrics(const ServiceMetrics& metrics);
 
 }  // namespace ssjoin::serve

@@ -114,7 +114,7 @@ Result<serve::LookupResult> RemoteShard::Lookup(
   }
   if (!filter.empty()) {
     // The canonical form both sides agree on: the shard re-parses it into
-    // the same predicate, and its own cache keys use the same bytes.
+    // the same predicate.
     line += ", \"filter\": " + filter.CanonicalJson();
   }
   line += "}";
@@ -322,11 +322,13 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
   handler->Install("getvalue", false, [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
     std::shared_ptr<serve::LookupService> service = shard->service();
-    std::optional<std::string> value = service->ValueOf(id);
+    const index::MutableFuzzyIndex& idx = service->index();
+    std::shared_ptr<const index::EpochState> state = idx.Snapshot();
+    std::optional<std::string> value = idx.ValueAt(*state, id);
     if (!value.has_value()) return std::string("{\"ok\": true, \"found\": false}");
     std::string out = "{\"ok\": true, \"found\": true, \"value\": \"" +
                       serve::JsonEscape(*value) + "\"";
-    std::optional<filter::AttrSet> attrs = service->AttrsOf(id);
+    std::optional<filter::AttrSet> attrs = idx.AttrsAt(*state, id);
     if (attrs.has_value() && !attrs->empty()) {
       out += ", \"attrs\": " + serve::AttrsToJson(*attrs);
     }

@@ -100,53 +100,53 @@ class LocalShard final : public ShardClient, public serve::Backend {
   Result<uint64_t> UpsertGlobal(uint64_t doc_id, const std::string& value,
                                 const filter::AttrSet& attrs,
                                 index::GlobalDelta* delta) override {
-    return Mutate([&](auto& s) {
-      return s.UpsertGlobal(doc_id, value, attrs, delta);
+    return Mutate([&](auto& idx) {
+      return idx.UpsertGlobal(doc_id, value, attrs, delta);
     });
   }
   Result<uint64_t> DeleteGlobal(uint64_t doc_id,
                                 index::GlobalDelta* delta) override {
-    return Mutate([&](auto& s) { return s.DeleteGlobal(doc_id, delta); });
+    return Mutate([&](auto& idx) { return idx.DeleteGlobal(doc_id, delta); });
   }
   Result<uint64_t> ApplyGlobalDelta(const index::GlobalDelta& delta) override {
-    return Mutate([&](auto& s) { return s.ApplyGlobalDelta(delta); });
+    return Mutate([&](auto& idx) { return idx.ApplyGlobalDelta(delta); });
   }
   Status ResetGlobalStats(const std::vector<std::string>& values) override {
-    return service()->ResetGlobalStats(values);
+    return service()->index().ResetGlobalStats(values);
   }
   Result<std::vector<std::pair<uint64_t, std::string>>> LiveDocs() override {
-    return service()->LiveDocs();
+    return service()->index().LiveDocs();
   }
   Status BulkLoad(
       const std::vector<std::pair<uint64_t, std::string>>& records) override {
-    return service()->BulkLoad(records);
+    return service()->index().BulkLoad(records);
   }
   Result<uint64_t> Upsert(uint64_t doc_id, const std::string& value,
                           const filter::AttrSet& attrs) override {
-    return Mutate([&](auto& s) { return s.Upsert(doc_id, value, attrs); });
+    return Mutate([&](auto& idx) { return idx.Upsert(doc_id, value, attrs); });
   }
   Result<uint64_t> Delete(uint64_t doc_id) override {
-    return Mutate([&](auto& s) { return s.Delete(doc_id); });
+    return Mutate([&](auto& idx) { return idx.Delete(doc_id); });
   }
   Result<uint64_t> Seal() override {
-    return Mutate([](auto& s) { return s.Seal(); });
+    return Mutate([](auto& idx) { return idx.Seal(); });
   }
   Result<uint64_t> Compact() override {
-    return Mutate([](auto& s) { return s.Compact(); });
+    return Mutate([](auto& idx) { return idx.Compact(); });
   }
-  Result<uint64_t> Epoch() override { return service()->epoch(); }
+  Result<uint64_t> Epoch() override { return service()->index().epoch(); }
   /// `, "stats": {...}`: the service's counters and latency quantiles.
   std::string StatsFields() override {
     return ", \"stats\": " + service()->Stats().ToJson();
   }
 
  private:
-  /// Runs a mutation on the current service; its epoch afterwards.
+  /// Runs a mutation on the current service's index; its epoch afterwards.
   template <typename Fn>
   Result<uint64_t> Mutate(Fn&& mutation) {
     std::shared_ptr<serve::LookupService> s = service();
-    SSJOIN_RETURN_NOT_OK(mutation(*s));
-    return s->epoch();
+    SSJOIN_RETURN_NOT_OK(mutation(s->index()));
+    return s->index().epoch();
   }
 
   mutable std::mutex mu_;

@@ -46,8 +46,8 @@ struct ShardedIndexOptions {
   std::string data_dir;
   size_t seal_threshold = 256;
   size_t max_generations = 4;
-  /// Per-shard LookupService knobs (admission bound, cache), applied to
-  /// every shard's service.
+  /// Per-shard LookupService knobs (the admission bound), applied to every
+  /// shard's service.
   serve::LookupServiceOptions service;
   FanoutOptions fanout;
 };

@@ -600,7 +600,7 @@ TEST(MutableFilterTest, SurvivesWalReplayAndSealedReopen) {
   std::filesystem::remove_all(dir);
 }
 
-// --- LookupService: concurrent callers and cache interaction ---
+// --- LookupService: concurrent callers, filtered and unfiltered ---
 
 TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
   auto master = Master(150, 121);
@@ -608,7 +608,7 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
   auto attrs = RandomAttrs(master.size(), 123);
   auto preds = EdgePredicates();
 
-  // Reference answers from a bare index (no service, no cache).
+  // Reference answers from a bare index (no service).
   auto reference = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
   ASSERT_TRUE(UpsertWithAttrs(reference.get(), master, attrs).ok());
   auto ref_state = reference->Snapshot();
@@ -618,8 +618,8 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
     ASSERT_TRUE(UpsertWithAttrs(index.get(), master, attrs).ok());
     auto service = serve::LookupService::Create(std::move(index), {});
     ASSERT_TRUE(service.ok());
-    // `threads` concurrent callers each run every filtered lookup twice (the
-    // second one usually a cache hit); all must equal the bare index.
+    // `threads` concurrent callers each run every filtered lookup twice; all
+    // must equal the bare index.
     auto caller = [&] {
       for (const FilterPredicate& pred : preds) {
         for (const std::string& q : queries) {
@@ -655,8 +655,8 @@ TEST(ServeFilterTest, FilteredAndUnfilteredNeverAliasInCache) {
   ASSERT_TRUE(zero.AddConjunct(In("country", {AttrValue::String("ZZ")})).ok());
   const std::string q = master[0];
 
-  // Prime the cache with the unfiltered result, then demand the filtered
-  // lookup of the SAME query not be served from that entry (and vice versa).
+  // The unfiltered result, then the filtered lookup of the SAME query: the
+  // two answers must stay distinct, in both orders.
   auto plain = (*service)->Lookup(q, 5);
   ASSERT_TRUE(plain.ok());
   ASSERT_FALSE(plain->empty());

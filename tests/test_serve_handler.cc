@@ -52,8 +52,8 @@ TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
   service->SetLookupHookForTest([&] {
     if (fired) return;
     fired = true;
-    Status s = rewrite.empty() ? service->Delete(1)
-                               : service->Upsert(1, rewrite);
+    Status s = rewrite.empty() ? service->index().Delete(1)
+                               : service->index().Upsert(1, rewrite);
     ASSERT_TRUE(s.ok()) << s.ToString();
   });
 
@@ -66,7 +66,7 @@ TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
       << reply;
 
   // slookup, with the doc deleted in between: the old value, never "".
-  ASSERT_TRUE(service->Upsert(1, "Acme Widget Corporation").ok());
+  ASSERT_TRUE(service->index().Upsert(1, "Acme Widget Corporation").ok());
   rewrite.clear();
   fired = false;
   reply = Handle(
@@ -133,7 +133,7 @@ TEST(HandlerTest, ReadOnlyRefusesEveryMutatingOpAtDispatch) {
             R"({"ok": true, "n": 1, "ids": "1", )"
             R"("values": "23:Acme Widget Corporation,"})");
   EXPECT_EQ(Handle(handler, R"({"op": "epoch"})"),
-            EpochReply(backend.service()->epoch()));
+            EpochReply(backend.service()->index().epoch()));
 }
 
 TEST(HandlerTest, ModeOpsAnswerOnlyWhereInstalled) {
@@ -149,14 +149,14 @@ TEST(HandlerTest, ModeOpsAnswerOnlyWhereInstalled) {
   // Without the shard-server ops, "global" is an ignored field.
   std::string reply =
       Handle(handler, R"({"op": "delete", "id": 1, "global": true})");
-  EXPECT_EQ(reply, EpochReply(backend.service()->epoch()));
+  EXPECT_EQ(reply, EpochReply(backend.service()->index().epoch()));
 
   shard::InstallShardServerOps(&handler, &backend);
   reply = Handle(
       handler, R"({"op": "upsert", "id": 1, "value": "a b", "global": true})");
   EXPECT_EQ(reply,
             R"({"ok": true, "epoch": )" +
-                std::to_string(backend.service()->epoch()) +
+                std::to_string(backend.service()->index().epoch()) +
                 R"(, "had_prev": false})");
   EXPECT_EQ(Handle(handler, R"({"op": "getvalue", "id": 1})"),
             R"({"ok": true, "found": true, "value": "a b"})");

@@ -85,13 +85,11 @@ TEST(ServiceMetricsTest, SnapshotCopiesCounters) {
   m.requests.store(7);
   m.rejected_overload.store(1);
   m.rejected_deadline.store(2);
-  m.cache_hits.store(3);
   m.latency.Record(50);
   StatsSnapshot s = SnapshotMetrics(m);
   EXPECT_EQ(s.requests, 7u);
   EXPECT_EQ(s.rejected_overload, 1u);
   EXPECT_EQ(s.rejected_deadline, 2u);
-  EXPECT_EQ(s.cache_hits, 3u);
   EXPECT_EQ(s.latency_count, 1u);
   EXPECT_EQ(s.latency_mean_us, 50.0);
   EXPECT_EQ(s.latency_max_us, 50u);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -78,7 +79,7 @@ TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     ExpectSameMatches(OracleLookup(master, q, 5), *served, q);
   }
-  // Replay: now every query is a cache hit and still bit-identical.
+  // Replay: every repeat runs the lookup again and is still bit-identical.
   StatsSnapshot before = service->Stats();
   for (const std::string& q : queries) {
     auto served = service->Lookup(q, 5);
@@ -86,7 +87,7 @@ TEST(LookupServiceTest, BitIdenticalToDirectLookup) {
     ExpectSameMatches(OracleLookup(master, q, 5), *served, q);
   }
   StatsSnapshot after = service->Stats();
-  EXPECT_EQ(after.cache_hits - before.cache_hits, queries.size());
+  EXPECT_EQ(after.requests - before.requests, queries.size());
 }
 
 TEST(LookupServiceTest, BitIdenticalFromReloadedSnapshot) {
@@ -144,7 +145,6 @@ TEST(LookupServiceTest, OverloadRejectsWithUnavailable) {
   auto master = Master(100, 34);
   LookupServiceOptions options;
   options.max_queue = 2;
-  options.cache_capacity = 0;  // every request must be admitted
   auto service = LookupService::Create(BuildMutable(master), options)
                      .MoveValueUnsafe();
 
@@ -183,9 +183,7 @@ TEST(LookupServiceTest, OverloadRejectsWithUnavailable) {
 
 TEST(LookupServiceTest, DeadlineExpiresQueuedRequest) {
   auto master = Master(100, 35);
-  LookupServiceOptions options;
-  options.cache_capacity = 0;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
 
   // A 5ms request stalls 20ms between admission and LookupAt: the deadline
@@ -199,16 +197,13 @@ TEST(LookupServiceTest, DeadlineExpiresQueuedRequest) {
   EXPECT_EQ(stats.rejected_deadline, 1u);
   // Deadline expiries are answered requests, not shed load.
   EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.cache_misses, 0u);   // never looked up
   EXPECT_EQ(stats.latency_count, 0u);  // no successful lookup recorded
   EXPECT_EQ(stats.in_flight, 0u);      // the slot was released
 }
 
 TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
   auto master = Master(100, 42);
-  LookupServiceOptions options;
-  options.cache_capacity = 0;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
 
   // A negative deadline is expired before the call even starts. Regression:
@@ -221,7 +216,6 @@ TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
   StatsSnapshot stats = service->Stats();
   EXPECT_EQ(stats.rejected_deadline, 1u);
   EXPECT_EQ(stats.requests, 1u);           // answered, with an error
-  EXPECT_EQ(stats.cache_misses, 0u);       // never looked up
   EXPECT_EQ(stats.latency_count, 0u);      // no successful lookup recorded
 
   // The service still works normally afterwards.
@@ -232,9 +226,7 @@ TEST(LookupServiceTest, AlreadyExpiredDeadlineRejectedAtAdmission) {
 
 TEST(LookupServiceTest, ShutdownFailsPendingAndRejectsNew) {
   auto master = Master(100, 36);
-  LookupServiceOptions options;
-  options.cache_capacity = 0;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
   auto ok = service->Lookup(master[0], 1);
   EXPECT_TRUE(ok.ok());
@@ -247,9 +239,7 @@ TEST(LookupServiceTest, ShutdownFailsPendingAndRejectsNew) {
 
 TEST(LookupServiceTest, ShutdownWaitsForInFlightLookups) {
   auto master = Master(100, 44);
-  LookupServiceOptions options;
-  options.cache_capacity = 0;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
 
   // Hold the first admitted lookup in the hook; later ones pass straight
@@ -298,76 +288,74 @@ TEST(LookupServiceTest, ShutdownWaitsForInFlightLookups) {
   EXPECT_EQ(later.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(LookupServiceTest, CacheKeyCoalescesTokenizationOnly) {
+TEST(LookupServiceTest, TokenizationEqualQueriesAnswerIdentically) {
   auto master = Master(100, 37);
   auto service = LookupService::Create(BuildMutable(master), {}).MoveValueUnsafe();
   auto a = service->Lookup(master[0], 2);
   ASSERT_TRUE(a.ok());
-  // Same token sequence, different whitespace: must hit the cache and be
-  // bit-identical (tokenization cannot distinguish the strings).
+  // Same token sequence, different whitespace: tokenization cannot tell the
+  // strings apart, so the answers are bit-identical.
   auto b = service->Lookup("  " + master[0] + "  ", 2);
   ASSERT_TRUE(b.ok());
   ExpectSameMatches(*a, *b, master[0]);
-  EXPECT_EQ(service->Stats().cache_hits, 1u);
-  // Different k misses: k is part of the key.
+  // A smaller k answers the prefix of the larger one.
   auto c = service->Lookup(master[0], 1);
   ASSERT_TRUE(c.ok());
-  EXPECT_EQ(service->Stats().cache_hits, 1u);
-  EXPECT_EQ(service->Stats().cache_misses, 2u);
+  ASSERT_EQ(c->size(), std::min<size_t>(1, a->size()));
+  std::vector<LookupService::Match> top(a->begin(), a->begin() + c->size());
+  ExpectSameMatches(top, *c, master[0]);
+  EXPECT_EQ(service->Stats().requests, 3u);
 }
 
 TEST(LookupServiceTest, MutationNeverServesStaleCacheHits) {
   auto master = Master(200, 43);
-  LookupServiceOptions options;
-  options.cache_capacity = 256;
-  auto service = LookupService::Create(BuildMutable(master), options)
+  auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
+  index::MutableFuzzyIndex& index = service->index();
 
-  // Warm the cache: the exact reference string is its own best match.
+  // The exact reference string is its own best match, twice in a row.
   const std::string query = master[0];
   auto first = service->Lookup(query, 3);
   ASSERT_TRUE(first.ok());
   ASSERT_FALSE(first->empty());
   EXPECT_EQ((*first)[0].id, 0u);
-  auto hit = service->Lookup(query, 3);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(service->Stats().cache_hits, 1u);
+  auto repeat = service->Lookup(query, 3);
+  ASSERT_TRUE(repeat.ok());
+  ExpectSameMatches(*first, *repeat, query);
 
-  // Delete the top match. The epoch changes, so the cached entry's key no
-  // longer matches: the next lookup must be a miss and must not return doc 0.
-  uint64_t epoch_before = service->epoch();
-  ASSERT_TRUE(service->Delete(0).ok());
-  EXPECT_GT(service->epoch(), epoch_before);
+  // Delete the top match. The epoch changes, and the next lookup must not
+  // return doc 0.
+  uint64_t epoch_before = index.epoch();
+  ASSERT_TRUE(index.Delete(0).ok());
+  EXPECT_GT(index.epoch(), epoch_before);
   auto after_delete = service->Lookup(query, 3);
   ASSERT_TRUE(after_delete.ok());
   for (const auto& m : *after_delete) EXPECT_NE(m.id, 0u);
-  EXPECT_EQ(service->Stats().cache_hits, 1u);  // no stale hit
 
   // Upsert a new doc with the query's exact value: it must surface at the
-  // top immediately, again bypassing the now-stale cached entries.
-  ASSERT_TRUE(service->Upsert(999, query).ok());
+  // top immediately.
+  ASSERT_TRUE(index.Upsert(999, query).ok());
   std::vector<std::string> values;
   auto after_upsert = service->Lookup(query, 3, {}, {}, &values);
   ASSERT_TRUE(after_upsert.ok());
   ASSERT_FALSE(after_upsert->empty());
   EXPECT_EQ((*after_upsert)[0].id, 999u);
   EXPECT_EQ((*after_upsert)[0].similarity, 1.0);
-  EXPECT_EQ(service->ValueOf(999).value_or(""), query);
+  EXPECT_EQ(index.ValueAt(*index.Snapshot(), 999).value_or(""), query);
   ASSERT_EQ(values.size(), after_upsert->size());
   EXPECT_EQ(values[0], query);
 
-  // Within one epoch the cache works as before: an immediate replay hits,
-  // and its values are read at the same epoch as the miss's.
+  // Within one epoch a replay answers the same, and its values are read at
+  // the same epoch as the first answer's.
   std::vector<std::string> replay_values;
   auto replay = service->Lookup(query, 3, {}, {}, &replay_values);
   ASSERT_TRUE(replay.ok());
   ExpectSameMatches(*after_upsert, *replay, query);
-  EXPECT_EQ(service->Stats().cache_hits, 2u);
   EXPECT_EQ(replay_values, values);
 
   // Seal/compact also advance the epoch without changing the answers.
-  ASSERT_TRUE(service->Seal().ok());
-  ASSERT_TRUE(service->Compact().ok());
+  ASSERT_TRUE(index.Seal().ok());
+  ASSERT_TRUE(index.Compact().ok());
   auto after_compact = service->Lookup(query, 3);
   ASSERT_TRUE(after_compact.ok());
   ExpectSameMatches(*after_upsert, *after_compact, query);
@@ -391,11 +379,11 @@ TEST(LookupServiceTest, StatsJsonIsWellFormed) {
   EXPECT_EQ(json.back(), '}');
   for (const char* field :
        {"\"requests\"", "\"rejected_overload\"", "\"rejected_deadline\"",
-        "\"cache_hits\"", "\"cache_misses\"", "\"cache_evictions\"",
-        "\"in_flight\"", "\"latency_us\"", "\"p50\"",
-        "\"p95\"", "\"p99\""}) {
+        "\"in_flight\"", "\"latency_us\"", "\"p50\"", "\"p95\"",
+        "\"p99\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
+  EXPECT_EQ(json.find("cache"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -1,158 +1,14 @@
-/// QueryCache unit tests: LRU behaviour, sharding, counters, and the wire
-/// helpers' flat-JSON parser that the server builds on.
+/// Wire helper tests: the flat-JSON parser the server builds on, its strict
+/// grammar, escaping and exact integers.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "serve/query_cache.h"
 #include "serve/wire.h"
 
 namespace ssjoin::serve {
 namespace {
-
-using Match = index::MutableFuzzyIndex::Match;
-
-std::vector<Match> Matches(uint32_t ref) { return {{ref, 0.5}}; }
-
-TEST(QueryCacheTest, HitMissAndCounters) {
-  QueryCache cache(8, 1);
-  EXPECT_FALSE(cache.Get("a").has_value());
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.Put("a", 1, Matches(1));
-  auto hit = cache.Get("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ((*hit)[0].id, 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
-  QueryCache cache(2, 1);  // single shard, capacity 2
-  cache.Put("a", 1, Matches(1));
-  cache.Put("b", 1, Matches(2));
-  ASSERT_TRUE(cache.Get("a").has_value());  // refresh a; b is now LRU
-  cache.Put("c", 1, Matches(3));               // evicts b
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
-}
-
-TEST(QueryCacheTest, PutRefreshesExistingKey) {
-  QueryCache cache(2, 1);
-  cache.Put("a", 1, Matches(1));
-  cache.Put("a", 1, Matches(9));
-  EXPECT_EQ(cache.size(), 1u);
-  auto hit = cache.Get("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ((*hit)[0].id, 9u);
-}
-
-TEST(QueryCacheTest, ZeroCapacityDisables) {
-  QueryCache cache(0, 8);
-  EXPECT_FALSE(cache.enabled());
-  cache.Put("a", 1, Matches(1));
-  EXPECT_FALSE(cache.Get("a").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  // A disabled cache records no misses either — the service reports the
-  // miss, not the cache.
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST(QueryCacheTest, TotalCapacityNeverExceeded) {
-  // Regression: ceil-rounding the per-shard capacity let a capacity-10 cache
-  // with 8 shards hold 16 entries (2 per shard). The remainder must instead
-  // be spread so the shard capacities sum exactly to the requested total.
-  for (auto [capacity, shards] : {std::pair<size_t, size_t>{10, 8},
-                                  {7, 4},
-                                  {8, 8},
-                                  {3, 8},
-                                  {1, 8},
-                                  {100, 16}}) {
-    QueryCache cache(capacity, shards);
-    for (int i = 0; i < 1000; ++i) {
-      cache.Put("key" + std::to_string(i), 1, Matches(static_cast<uint32_t>(i)));
-    }
-    EXPECT_LE(cache.size(), capacity)
-        << "capacity=" << capacity << " shards=" << shards;
-  }
-}
-
-TEST(QueryCacheTest, SingleShardUsesFullCapacity) {
-  QueryCache cache(10, 1);
-  for (int i = 0; i < 10; ++i) {
-    cache.Put("k" + std::to_string(i), 1, Matches(static_cast<uint32_t>(i)));
-  }
-  EXPECT_EQ(cache.size(), 10u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  cache.Put("one-more", 1, Matches(99));
-  EXPECT_EQ(cache.size(), 10u);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(QueryCacheTest, PurgeReclaimsStaleEpochCapacity) {
-  // Regression: entries keyed to superseded epochs are unreachable (the
-  // epoch is in the key) but used to hold their capacity slots until LRU
-  // pressure happened to reach them. After churn plus a purge, the full
-  // capacity must be available to the current epoch again.
-  QueryCache cache(8, 1);
-  for (int e = 1; e <= 4; ++e) {
-    for (int i = 0; i < 2; ++i) {
-      cache.Put("e" + std::to_string(e) + "q" + std::to_string(i),
-                static_cast<uint64_t>(e), Matches(static_cast<uint32_t>(i)));
-    }
-  }
-  ASSERT_EQ(cache.size(), 8u);  // full: 6 of 8 slots are dead weight
-  cache.PurgeEpochsBelow(4);
-  EXPECT_EQ(cache.stale_purged(), 6u);
-  EXPECT_EQ(cache.size(), 2u);
-  // The reclaimed capacity really is usable: 6 current-epoch entries fit
-  // without evicting the surviving ones.
-  for (int i = 0; i < 6; ++i) {
-    cache.Put("new" + std::to_string(i), 4, Matches(static_cast<uint32_t>(i)));
-  }
-  EXPECT_EQ(cache.size(), 8u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_TRUE(cache.Get("e4q0").has_value());
-  EXPECT_TRUE(cache.Get("e4q1").has_value());
-}
-
-TEST(QueryCacheTest, PurgeFloorDropsLateStalePuts) {
-  // A request admitted at epoch 2 may finish after the purge that advanced
-  // the floor to 5; its Put must be dropped, not re-parked as dead weight.
-  QueryCache cache(8, 1);
-  cache.PurgeEpochsBelow(5);
-  cache.Put("late", 2, Matches(1));
-  EXPECT_EQ(cache.size(), 0u);
-  cache.Put("fresh", 5, Matches(2));
-  EXPECT_EQ(cache.size(), 1u);
-  // The floor is monotonic: an older purge cannot lower it.
-  cache.PurgeEpochsBelow(3);
-  EXPECT_TRUE(cache.Get("fresh").has_value());
-}
-
-TEST(QueryCacheTest, ShardedConcurrentAccess) {
-  QueryCache cache(1024, 8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (int i = 0; i < 500; ++i) {
-        std::string key = "k" + std::to_string(i % 100);
-        if ((i + t) % 3 == 0) {
-          cache.Put(key, 1, Matches(static_cast<uint32_t>(i % 100)));
-        } else if (auto hit = cache.Get(key)) {
-          EXPECT_EQ((*hit)[0].id, static_cast<uint32_t>(i % 100));
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_LE(cache.size(), 100u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 4u * 500u * 2u / 3u);
-}
 
 TEST(WireTest, ParsesFlatObject) {
   auto obj = ParseJsonObject(

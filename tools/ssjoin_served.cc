@@ -2,7 +2,7 @@
 ///
 /// Serves MutableFuzzyIndex lookups (the paper's §6 record-lookup scenario)
 /// through serve::LookupService: each lookup runs on its connection's
-/// thread behind a bounded admission limit, with a query cache and latency
+/// thread behind a bounded admission limit, with deadlines and latency
 /// metrics. The protocol is newline-delimited JSON (see src/serve/wire.h);
 /// every request goes through one serve::Handler (src/serve/handler.h).
 /// This file holds the flags, each mode's startup and the socket loop.
@@ -64,10 +64,9 @@ int Usage() {
       stderr,
       "usage: ssjoin_served (--data DIR | --reference FILE --col COL)\n"
       "                     --socket PATH [--alpha A] [--qgrams Q]\n"
-      "                     [--max-queue N] [--cache N] [--cache-shards N]\n"
-      "                     [--k-default N] [--seal-threshold N]\n"
-      "                     [--max-generations N] [--shards N]\n"
-      "                     [--hedge-ms N] [--straggler-ms N]\n"
+      "                     [--max-queue N] [--k-default N]\n"
+      "                     [--seal-threshold N] [--max-generations N]\n"
+      "                     [--shards N] [--hedge-ms N] [--straggler-ms N]\n"
       "                     [--shard-server]\n"
       "       ssjoin_served --coordinator SOCK1,SOCK2,... --socket PATH\n"
       "                     [--hedge-ms N] [--straggler-ms N] [--no-degraded]\n"
@@ -83,8 +82,6 @@ int Usage() {
       "  --qgrams Q       use q-gram tokens instead of word tokens\n"
       "  --max-queue N    max lookups in flight; more are rejected with\n"
       "                   Unavailable (default 1024)\n"
-      "  --cache N        query cache entries, 0 disables (default 4096)\n"
-      "  --cache-shards N query cache shard count (default 8)\n"
       "  --k-default N    k when a lookup omits it (default 3)\n"
       "  --kernel T       intersection kernel tier: scalar|gallop|simd|auto\n"
       "                   (default auto; also via the SSJOIN_KERNEL env var)\n"
@@ -394,7 +391,7 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
   SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<serve::LookupService> service,
                           open_service());
   std::fprintf(stderr, "following %s at epoch %llu\n", leader_socket.c_str(),
-               static_cast<unsigned long long>(service->epoch()));
+               static_cast<unsigned long long>(service->index().epoch()));
   shard::LocalShard backend(std::move(service));
 
   // One replication round; swaps in the freshly opened service when the
@@ -411,7 +408,7 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
     }
     return std::string("{\"ok\": true, \"updated\": ") +
            (sr.updated ? "true" : "false") + ", \"epoch\": " +
-           std::to_string(backend.service()->epoch()) + "}";
+           std::to_string(backend.service()->index().epoch()) + "}";
   };
 
   ServerState state;
@@ -497,9 +494,6 @@ Result<int> RunServer(const Args& args) {
   // a typo'd flag fails in milliseconds instead of after a CSV load.
   serve::LookupServiceOptions options;
   SSJOIN_ASSIGN_OR_RETURN(options.max_queue, SizeFlag(args, "max-queue", 1024));
-  SSJOIN_ASSIGN_OR_RETURN(options.cache_capacity, SizeFlag(args, "cache", 4096));
-  SSJOIN_ASSIGN_OR_RETURN(options.cache_shards,
-                          SizeFlag(args, "cache-shards", 8));
 
   if (auto it = args.flags.find("follow"); it != args.flags.end()) {
     return RunFollower(args, socket_path, it->second, default_k, options);
