@@ -1,7 +1,10 @@
-/// Mutable-index churn bench: bulk-load vs incremental upsert throughput
-/// (each incremental op pays the O(vocabulary + tail) epoch publish), lookup
-/// latency while a writer churns, seal/compaction pause, and restart cost
-/// (WAL replay vs sealed-segment decode). Emits BENCH_mutable.json.
+/// Mutable-index churn bench at the server's maintenance defaults (seal
+/// every 256 docs, at most 4 generations): bulk load, incremental replaces
+/// (n unchanged, so each publish is O(delta)), incremental inserts of fresh
+/// ids (n changes, so each publish recomputes every weight and set-weight
+/// column), lookup latency while a writer replaces, seal/compaction pause
+/// and restart cost (WAL replay vs sealed-segment decode). Every row reports
+/// the mean `index.publish_us` over its window. Emits BENCH_mutable.json.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +21,7 @@
 #include "common/timer.h"
 #include "datagen/error_model.h"
 #include "index/mutable_index.h"
+#include "obs/metrics.h"
 
 namespace ssjoin::bench {
 namespace {
@@ -33,6 +37,7 @@ struct MutableRow {
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
+  double publish_us = 0.0;  // mean index.publish_us over the row's window
 };
 
 std::vector<MutableRow>& MutableRows() {
@@ -40,13 +45,36 @@ std::vector<MutableRow>& MutableRows() {
   return *rows;
 }
 
+/// The server's defaults: seal_threshold 256, max_generations 4.
 index::MutableIndexOptions IndexOptions() {
   index::MutableIndexOptions options;
   options.match.alpha = 0.35;
-  options.seal_threshold = 0;
-  options.max_generations = 0;
   return options;
 }
+
+/// Count and sum of every `index.publish_us` histogram in the registry; the
+/// difference of two reads is the publishes in between.
+struct PublishTotals {
+  uint64_t count = 0;
+  uint64_t sum = 0;
+
+  static PublishTotals Read() {
+    PublishTotals t;
+    for (const obs::MetricPoint& p : obs::Registry::Global().Snapshot()) {
+      if (p.name != "index.publish_us") continue;
+      t.count += p.hist.count;
+      t.sum += p.hist.sum;
+    }
+    return t;
+  }
+
+  /// Mean publish time since `before` (0 when nothing was published).
+  double MeanSince(const PublishTotals& before) const {
+    return count > before.count ? static_cast<double>(sum - before.sum) /
+                                      static_cast<double>(count - before.count)
+                                : 0.0;
+  }
+};
 
 std::unique_ptr<index::MutableFuzzyIndex> LoadedIndex(
     const std::vector<std::string>& master,
@@ -68,32 +96,47 @@ double Quantile(std::vector<double> sorted_us, double q) {
 void BM_BulkLoad(benchmark::State& state) {
   const auto& master = AddressCorpus(kCorpusSize, /*with_name=*/true);
   for (auto _ : state) {
+    const PublishTotals before = PublishTotals::Read();
     Timer t;
     auto index = LoadedIndex(master, IndexOptions());
     double ms = t.ElapsedMillis();
     double ops = static_cast<double>(master.size()) / (ms / 1000.0);
     state.counters["docs_per_sec"] = ops;
-    MutableRows().push_back({"bulk_load", ms, ops, 0, 0, 0});
+    MutableRows().push_back({"bulk_load", ms, ops, 0, 0, 0,
+                             PublishTotals::Read().MeanSince(before)});
   }
 }
 
-void BM_IncrementalUpserts(benchmark::State& state) {
+/// `kChurnOps` upserts over a warm index, one epoch publish each: replaces
+/// of existing docs, or inserts of fresh ids when `insert`.
+void RunIncremental(benchmark::State& state, bool insert) {
   const auto& master = AddressCorpus(kCorpusSize, /*with_name=*/true);
   for (auto _ : state) {
     auto index = LoadedIndex(master, IndexOptions());
-    // Replacements over a warm index: every op republishes the epoch.
+    const PublishTotals before = PublishTotals::Read();
     Timer t;
     for (size_t i = 0; i < kChurnOps; ++i) {
       size_t doc = (i * 7919) % master.size();
-      if (!index->Upsert(doc, master[(doc + 1) % master.size()]).ok()) {
+      uint64_t id = insert ? master.size() + i : doc;
+      if (!index->Upsert(id, master[(doc + 1) % master.size()]).ok()) {
         std::abort();
       }
     }
     double ms = t.ElapsedMillis();
     double ops = static_cast<double>(kChurnOps) / (ms / 1000.0);
     state.counters["upserts_per_sec"] = ops;
-    MutableRows().push_back({"incremental_upsert", ms, ops, 0, 0, 0});
+    MutableRows().push_back(
+        {insert ? "incremental_insert" : "incremental_upsert", ms, ops, 0, 0,
+         0, PublishTotals::Read().MeanSince(before)});
   }
+}
+
+void BM_IncrementalUpserts(benchmark::State& state) {
+  RunIncremental(state, /*insert=*/false);
+}
+
+void BM_IncrementalInserts(benchmark::State& state) {
+  RunIncremental(state, /*insert=*/true);
 }
 
 void BM_LookupUnderChurn(benchmark::State& state) {
@@ -109,6 +152,7 @@ void BM_LookupUnderChurn(benchmark::State& state) {
 
   for (auto _ : state) {
     auto index = LoadedIndex(master, IndexOptions());
+    const PublishTotals before = PublishTotals::Read();
     std::atomic<bool> stop{false};
     // Writer thread: continuous replace churn (each op publishes an epoch).
     std::thread writer([&] {
@@ -137,7 +181,7 @@ void BM_LookupUnderChurn(benchmark::State& state) {
     MutableRow row{"lookup_under_churn", ms,
                    static_cast<double>(kChurnLookups) / (ms / 1000.0),
                    Quantile(lat_us, 0.50), Quantile(lat_us, 0.95),
-                   Quantile(lat_us, 0.99)};
+                   Quantile(lat_us, 0.99), PublishTotals::Read().MeanSince(before)};
     state.counters["qps"] = row.ops_per_sec;
     state.counters["p50_us"] = row.p50_us;
     state.counters["p95_us"] = row.p95_us;
@@ -159,16 +203,20 @@ void BM_SealAndCompactPause(benchmark::State& state) {
     for (size_t i = 0; i < 64; ++i) {
       if (!index->Delete(i * 3).ok()) std::abort();
     }
+    const PublishTotals before_seal = PublishTotals::Read();
     Timer seal_t;
     if (!index->Seal().ok()) std::abort();
     double seal_ms = seal_t.ElapsedMillis();
+    const PublishTotals before_compact = PublishTotals::Read();
     Timer compact_t;
     if (!index->Compact().ok()) std::abort();
     double compact_ms = compact_t.ElapsedMillis();
     state.counters["seal_ms"] = seal_ms;
     state.counters["compact_ms"] = compact_ms;
-    MutableRows().push_back({"seal_pause", seal_ms, 0, 0, 0, 0});
-    MutableRows().push_back({"compact_pause", compact_ms, 0, 0, 0, 0});
+    MutableRows().push_back({"seal_pause", seal_ms, 0, 0, 0, 0,
+                             before_compact.MeanSince(before_seal)});
+    MutableRows().push_back({"compact_pause", compact_ms, 0, 0, 0, 0,
+                             PublishTotals::Read().MeanSince(before_compact)});
   }
 }
 
@@ -193,6 +241,7 @@ void BM_RestartRecovery(benchmark::State& state) {
         }
       }
     }
+    const PublishTotals before = PublishTotals::Read();
     Timer t;
     auto reopened = index::MutableFuzzyIndex::Open(options);
     if (!reopened.ok()) std::abort();
@@ -200,8 +249,8 @@ void BM_RestartRecovery(benchmark::State& state) {
     state.counters["reopen_ms"] = ms;
     state.counters["replayed_ops"] = static_cast<double>(kChurnOps);
     MutableRows().push_back(
-        {"restart_recovery", ms,
-         static_cast<double>(kChurnOps) / (ms / 1000.0), 0, 0, 0});
+        {"restart_recovery", ms, static_cast<double>(kChurnOps) / (ms / 1000.0),
+         0, 0, 0, PublishTotals::Read().MeanSince(before)});
   }
   std::filesystem::remove_all(dir);
 }
@@ -216,6 +265,7 @@ void RegisterAll() {
   };
   reg("mutable/bulk_load", BM_BulkLoad);
   reg("mutable/incremental_upserts", BM_IncrementalUpserts);
+  reg("mutable/incremental_inserts", BM_IncrementalInserts);
   reg("mutable/lookup_under_churn", BM_LookupUnderChurn);
   reg("mutable/seal_compact_pause", BM_SealAndCompactPause);
   reg("mutable/restart_recovery", BM_RestartRecovery);
@@ -233,12 +283,12 @@ int main(int argc, char** argv) {
   std::printf(
       "\n=== Mutable index churn (%zu reference strings, %zu churn ops) ===\n",
       ssjoin::bench::kCorpusSize, ssjoin::bench::kChurnOps);
-  std::printf("%-22s %10s %12s %9s %9s %9s\n", "phase", "total(ms)", "ops/s",
-              "p50(us)", "p95(us)", "p99(us)");
+  std::printf("%-22s %10s %12s %9s %9s %9s %12s\n", "phase", "total(ms)",
+              "ops/s", "p50(us)", "p95(us)", "p99(us)", "publish(us)");
   for (const auto& row : ssjoin::bench::MutableRows()) {
-    std::printf("%-22s %10.1f %12.0f %9.1f %9.1f %9.1f\n", row.label.c_str(),
-                row.total_ms, row.ops_per_sec, row.p50_us, row.p95_us,
-                row.p99_us);
+    std::printf("%-22s %10.1f %12.0f %9.1f %9.1f %9.1f %12.1f\n",
+                row.label.c_str(), row.total_ms, row.ops_per_sec, row.p50_us,
+                row.p95_us, row.p99_us, row.publish_us);
   }
 
   {
@@ -250,7 +300,8 @@ int main(int argc, char** argv) {
                          .Num("ops_per_sec", row.ops_per_sec)
                          .Num("p50_us", row.p50_us)
                          .Num("p95_us", row.p95_us)
-                         .Num("p99_us", row.p99_us));
+                         .Num("p99_us", row.p99_us)
+                         .Num("publish_us", row.publish_us));
     }
     ssjoin::bench::WriteBenchJson("mutable", recs);
   }

@@ -742,6 +742,13 @@ Result<CheckResult> CheckMutableIndex(const Reproducer& rp) {
         return false;
       }
     }
+    // A stale weight or set-weight column fails here even when no answer
+    // flips.
+    Status state = index->CheckEpochState(*index->Snapshot());
+    if (!state.ok()) {
+      return Fail(&result, "mutable_index after '" + ctx +
+                               "': epoch state: " + state.ToString());
+    }
     return true;
   };
 
@@ -914,6 +921,20 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
                                " returned value '" + m.value +
                                "', not its live record");
         }
+      }
+    }
+    // Every shard's epoch against a recompute: over the cluster's live
+    // values once the shard draws its weights from global statistics.
+    for (uint32_t i = 0; i < index->num_shards(); ++i) {
+      auto* local = dynamic_cast<shard::LocalShard*>(&index->shard(i));
+      if (local == nullptr) continue;
+      std::shared_ptr<serve::LookupService> service = local->service();
+      const index::MutableFuzzyIndex& idx = service->index();
+      Status state = idx.CheckEpochState(
+          *idx.Snapshot(), idx.global_stats_enabled() ? &refs : nullptr);
+      if (!state.ok()) {
+        return Fail(&result, name + ": shard " + std::to_string(i) +
+                                 " epoch state: " + state.ToString());
       }
     }
     return true;

@@ -1,6 +1,7 @@
 #include "index/mutable_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -58,6 +59,45 @@ struct LookupScratch {
 LookupScratch& ThreadLookupScratch() {
   thread_local LookupScratch scratch;
   return scratch;
+}
+
+/// The weight an epoch with `n` live docs gives an element of df `f`.
+double EpochWeight(double n, uint64_t f) {
+  return text::QuantizeWeight(text::IdfWeightFromFrequency(n, f));
+}
+
+/// A fresh set-weight column: each local's weight sum over its elements.
+std::shared_ptr<const SetWeightColumn> SumSetWeights(
+    const Segment& seg, const core::WeightVector& weights) {
+  auto column = std::make_shared<SetWeightColumn>(seg.num_docs());
+  for (uint32_t local = 0; local < seg.num_docs(); ++local) {
+    double sum = 0.0;
+    for (text::TokenId e : seg.sets.elements(local)) sum += weights[e];
+    (*column)[local] = sum;
+  }
+  return column;
+}
+
+/// `column` with each (element, change) of `moved` added to the set weight
+/// of every local holding the element: a copy when any local is touched
+/// (an earlier epoch may still read `column`), else `column` itself.
+std::shared_ptr<const SetWeightColumn> PatchSetWeights(
+    const Segment& seg, std::shared_ptr<const SetWeightColumn> column,
+    std::span<const std::pair<text::TokenId, double>> moved) {
+  std::shared_ptr<SetWeightColumn> patched;
+  for (const auto& [e, change] : moved) {
+    std::span<const uint32_t> locals = seg.Postings(e);
+    if (locals.empty()) continue;
+    if (patched == nullptr) patched = std::make_shared<SetWeightColumn>(*column);
+    for (uint32_t local : locals) (*patched)[local] += change;
+  }
+  if (patched == nullptr) return column;
+  return patched;
+}
+
+/// Bitwise equality of two doubles (a stricter == for consistency checks).
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 }  // namespace
@@ -245,6 +285,8 @@ void MutableFuzzyIndex::CollectMetrics(std::vector<obs::MetricPoint>* out) const
   out->push_back(obs::MetricPoint::FromCounter("index.compactions", s.compactions));
   out->push_back(obs::MetricPoint::FromHistogram("index.publish_us", publish_us_));
   out->push_back(
+      obs::MetricPoint::FromCounter("index.publish.full", s.full_publishes));
+  out->push_back(
       obs::MetricPoint::FromHistogram("index.compaction_us", compaction_us_));
 }
 
@@ -265,6 +307,7 @@ MutableFuzzyIndex::Stats MutableFuzzyIndex::GetStats() const {
   s.deletes = deletes_.load(std::memory_order_relaxed);
   s.seals = seals_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);
+  s.full_publishes = full_publishes_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -277,11 +320,26 @@ std::span<const text::TokenId> MutableFuzzyIndex::ElementsOf(
 bool MutableFuzzyIndex::RemoveLive(uint64_t doc_id) {
   auto it = doc_map_.find(doc_id);
   if (it == doc_map_.end()) return false;
-  for (text::TokenId e : ElementsOf(it->second)) --df_live_[e];
+  std::span<const text::TokenId> elements = ElementsOf(it->second);
+  for (text::TokenId e : elements) --df_live_[e];
+  MarkDirtyLocked(elements);
   --live_docs_;
   ClearWinnerLocked(it->second);
   doc_map_.erase(it);
   return true;
+}
+
+void MutableFuzzyIndex::MarkDirtyLocked(
+    std::span<const text::TokenId> elements) {
+  if (dirty_flags_.size() < dict_.num_elements()) {
+    dirty_flags_.resize(dict_.num_elements(), 0);
+  }
+  for (text::TokenId e : elements) {
+    if (dirty_flags_[e] == 0) {
+      dirty_flags_[e] = 1;
+      dirty_.push_back(e);
+    }
+  }
 }
 
 void MutableFuzzyIndex::ClearWinnerLocked(const DocLoc& loc) {
@@ -300,6 +358,10 @@ void MutableFuzzyIndex::ClearWinnerLocked(const DocLoc& loc) {
 Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
                                       const filter::AttrSet& attrs,
                                       bool log_wal) {
+  // Refuse before any side effect: no WAL record, no removed live version.
+  if (tail_.num_docs() >= UINT32_MAX - 1) {
+    return Status::Invalid("tail segment is full");
+  }
   if (log_wal && wal_.has_value()) {
     WalRecord rec;
     rec.type = WalRecord::kUpsert;
@@ -312,15 +374,13 @@ Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
   ++next_seq_;
   RemoveLive(doc_id);
   std::vector<text::TokenId> ids = EncodeValueLocked(value);
-  if (tail_.num_docs() >= UINT32_MAX - 1) {
-    return Status::Invalid("tail segment is full");
-  }
   tail_.AppendDoc(doc_id, value, ids, attrs);
   tail_winners_.push_back(1);
   if (df_live_.size() < dict_.num_elements()) {
     df_live_.resize(dict_.num_elements(), 0);
   }
   for (text::TokenId e : ids) ++df_live_[e];
+  MarkDirtyLocked(ids);
   ++live_docs_;
   doc_map_[doc_id] =
       DocLoc{kTailSegment, static_cast<uint32_t>(tail_.num_docs() - 1)};
@@ -383,6 +443,7 @@ Status MutableFuzzyIndex::BulkLoad(
 
 void MutableFuzzyIndex::PublishLocked() {
   obs::ObsSpan span(&publish_us_);
+  std::shared_ptr<const EpochState> prev = Snapshot();
   auto state = std::make_shared<EpochState>();
   state->epoch = ++epoch_;
   state->live_docs = live_docs_;
@@ -391,30 +452,99 @@ void MutableFuzzyIndex::PublishLocked() {
   // liveness come from the accumulator fed by every shard's values — the
   // invariant that makes a sharded scatter-gather bit-identical to one
   // unsharded index.
-  double n = static_cast<double>(global_mode_ ? global_live_docs_ : live_docs_);
+  const uint64_t n_docs = global_mode_ ? global_live_docs_ : live_docs_;
+  const double n = static_cast<double>(n_docs);
   state->unseen_weight =
       text::QuantizeWeight(std::log(std::max<double>(2.0, n)));
-  size_t num_elements = dict_.num_elements();
+  const size_t num_elements = dict_.num_elements();
   if (df_live_.size() < num_elements) df_live_.resize(num_elements, 0);
   if (global_mode_ && df_global_.size() < num_elements) {
     df_global_.resize(num_elements, 0);
   }
   const std::vector<uint64_t>& df = global_mode_ ? df_global_ : df_live_;
-  state->weights.resize(num_elements);
-  state->tie_keys.resize(num_elements);
-  state->live.resize(num_elements);
-  for (text::TokenId e = 0; e < num_elements; ++e) {
-    uint64_t f = df[e];
-    state->live[e] = f > 0 ? 1 : 0;
-    state->weights[e] = text::QuantizeWeight(text::IdfWeightFromFrequency(n, f));
-    state->tie_keys[e] = dict_.KeyHash(e);
+
+  // A weight is a pure function of (n, df). With n and the df source
+  // unchanged only the dirty elements' weights can move; `moved` lists each
+  // that did with its change, for patching the shared set-weight columns.
+  const bool full = prev == nullptr || weights_stale_ || n_docs != published_n_;
+  std::vector<std::pair<text::TokenId, double>> moved;
+  size_t first_new = 0;  // elements from here on have no previous weight
+  if (full) {
+    full_publishes_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    state->weights = prev->weights;
+    state->live = prev->live;
+    first_new = state->weights.size();
+    for (text::TokenId e : dirty_) {
+      if (e >= first_new) continue;
+      const double w = EpochWeight(n, df[e]);
+      state->live[e] = df[e] > 0 ? 1 : 0;
+      if (w != state->weights[e]) {
+        moved.emplace_back(e, w - state->weights[e]);
+        state->weights[e] = w;
+      }
+    }
   }
+  state->weights.resize(num_elements);
+  state->live.resize(num_elements);
+  // The rest resolve through their df: one `log` per distinct small df, not
+  // one per element.
+  std::vector<double> by_df(
+      std::min<uint64_t>(std::min<uint64_t>(n_docs + 1, 4096),
+                         num_elements - first_new),
+      -1.0);
+  for (size_t e = first_new; e < num_elements; ++e) {
+    const uint64_t f = df[e];
+    state->live[e] = f > 0 ? 1 : 0;
+    if (f >= by_df.size()) {
+      state->weights[e] = EpochWeight(n, f);
+      continue;
+    }
+    if (by_df[f] < 0.0) by_df[f] = EpochWeight(n, f);
+    state->weights[e] = by_df[f];
+  }
+  for (text::TokenId e : dirty_) dirty_flags_[e] = 0;
+  dirty_.clear();
+  published_n_ = n_docs;
+  weights_stale_ = false;
+
+  // Tie keys never change once interned: share them until the vocabulary
+  // grows.
+  if (prev != nullptr && prev->tie_keys->size() == num_elements) {
+    state->tie_keys = prev->tie_keys;
+  } else {
+    auto keys = std::make_shared<std::vector<uint64_t>>();
+    keys->reserve(num_elements);
+    if (prev != nullptr) *keys = *prev->tie_keys;
+    for (text::TokenId e = static_cast<text::TokenId>(keys->size());
+         e < num_elements; ++e) {
+      keys->push_back(dict_.KeyHash(e));
+    }
+    state->tie_keys = std::move(keys);
+  }
+
   state->segments.assign(sealed_.begin(), sealed_.end());
   state->winners.assign(sealed_winners_.begin(), sealed_winners_.end());
   sealed_winners_shared_.assign(sealed_.size(), 1);
+  state->set_weights.reserve(sealed_.size() + 1);
+  for (const auto& seg : sealed_) {
+    std::shared_ptr<const SetWeightColumn> column;
+    if (!full) {
+      for (size_t j = 0; j < prev->segments.size(); ++j) {
+        if (prev->segments[j] == seg) column = prev->set_weights[j];
+      }
+    }
+    // A generation new since the previous epoch (a seal, a compaction) gets
+    // a fresh column; a shared one is patched by each moved weight's change.
+    // Both are exact (text/weights.h), so the two never differ.
+    state->set_weights.push_back(
+        column != nullptr ? PatchSetWeights(*seg, std::move(column), moved)
+                          : SumSetWeights(*seg, state->weights));
+  }
   if (!tail_.empty()) {
     auto frozen = std::make_shared<Segment>(tail_);
     frozen->BuildPostings();
+    state->set_weights.push_back(SumSetWeights(*frozen, state->weights));
     state->segments.push_back(std::move(frozen));
     state->winners.push_back(std::make_shared<const WinnerFlags>(tail_winners_));
   }
@@ -445,6 +575,7 @@ void MutableFuzzyIndex::GlobalAddLocked(const std::string& value) {
     df_global_.resize(dict_.num_elements(), 0);
   }
   for (text::TokenId e : ids) ++df_global_[e];
+  MarkDirtyLocked(ids);
   ++global_live_docs_;
 }
 
@@ -456,6 +587,7 @@ void MutableFuzzyIndex::GlobalRemoveLocked(const std::string& value) {
   for (text::TokenId e : ids) {
     if (df_global_[e] > 0) --df_global_[e];
   }
+  MarkDirtyLocked(ids);
   if (global_live_docs_ > 0) --global_live_docs_;
 }
 
@@ -497,6 +629,7 @@ Status MutableFuzzyIndex::ApplyGlobalDelta(const GlobalDelta& delta) {
 }
 
 void MutableFuzzyIndex::ApplyGlobalDeltaLocked(const GlobalDelta& delta) {
+  if (!global_mode_) weights_stale_ = true;  // the df source switches
   global_mode_ = true;
   if (delta.removed.has_value()) GlobalRemoveLocked(*delta.removed);
   if (delta.added.has_value()) GlobalAddLocked(*delta.added);
@@ -507,6 +640,7 @@ Status MutableFuzzyIndex::ResetGlobalStats(
     const std::vector<std::string>& values) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   global_mode_ = true;
+  weights_stale_ = true;
   df_global_.assign(dict_.num_elements(), 0);
   global_live_docs_ = 0;
   for (const std::string& value : values) GlobalAddLocked(value);
@@ -681,9 +815,8 @@ void MutableFuzzyIndex::SortByEpochRank(const EpochState& state,
               if (state.weights[a] != state.weights[b]) {
                 return state.weights[a] > state.weights[b];
               }
-              if (state.tie_keys[a] != state.tie_keys[b]) {
-                return state.tie_keys[a] < state.tie_keys[b];
-              }
+              const std::vector<uint64_t>& tie_keys = *state.tie_keys;
+              if (tie_keys[a] != tie_keys[b]) return tie_keys[a] < tie_keys[b];
               return a < b;
             });
 }
@@ -769,6 +902,7 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
   for (size_t si = 0; si < state.segments.size(); ++si) {
     const Segment& seg = *state.segments[si];
     const WinnerFlags& winner = *state.winners[si];
+    const SetWeightColumn& set_weights = *state.set_weights[si];
     // Docs of one attribute class have equal attributes, so the filter's
     // Matches runs once per class met.
     if (filtered) scratch.passes.assign(seg.num_attr_classes(), -1);
@@ -800,9 +934,7 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
       candidates += end - first;
       for (size_t c = first; c < end; ++c) {
         const uint32_t local = probe.cands[c];
-        std::span<const text::TokenId> elems = seg.sets.elements(local);
-        double set_weight = 0.0;
-        for (text::TokenId e : elems) set_weight += state.weights[e];
+        const double set_weight = set_weights[local];
         double bound = std::min(suffix[pos], set_weight);
         if (!text::ResemblanceAtLeast(bound, query_weight + set_weight - bound,
                                       alpha)) {
@@ -810,7 +942,8 @@ std::vector<MutableFuzzyIndex::Match> MutableFuzzyIndex::LookupAt(
         }
         ++verifications;
         double overlap = 0.0;  // a floor of 0 never stops the walk early
-        scratch.marks.OverlapAtLeast(elems, set_weight, 0.0, &overlap);
+        scratch.marks.OverlapAtLeast(seg.sets.elements(local), set_weight, 0.0,
+                                     &overlap);
         double uni = query_weight + set_weight - overlap;
         if (text::ResemblanceAtLeast(overlap, uni, alpha)) {
           out.push_back({seg.doc_ids[local], uni > 0.0 ? overlap / uni : 1.0});
@@ -861,6 +994,99 @@ std::optional<filter::AttrSet> MutableFuzzyIndex::AttrsAt(
     return seg.attrs[it->second.last_local];
   }
   return std::nullopt;
+}
+
+Status MutableFuzzyIndex::CheckEpochState(
+    const EpochState& state,
+    const std::vector<std::string>* cluster_values) const {
+  const size_t num_elements = state.weights.size();
+  if (state.live.size() != num_elements ||
+      state.tie_keys->size() != num_elements) {
+    return Status::Invalid("epoch weight, live and tie-key columns differ in length");
+  }
+  if (state.winners.size() != state.segments.size() ||
+      state.set_weights.size() != state.segments.size()) {
+    return Status::Invalid("epoch per-segment columns differ in count");
+  }
+  std::vector<uint64_t> df(num_elements, 0);
+  uint64_t n_docs = 0;
+  if (cluster_values == nullptr) {
+    for (size_t si = 0; si < state.segments.size(); ++si) {
+      const Segment& seg = *state.segments[si];
+      for (uint32_t local = 0; local < seg.num_docs(); ++local) {
+        if ((*state.winners[si])[local] == 0) continue;
+        for (text::TokenId e : seg.sets.elements(local)) {
+          if (e >= num_elements) {
+            return Status::Invalid("live element outside the epoch's vocabulary");
+          }
+          ++df[e];
+        }
+        ++n_docs;
+      }
+    }
+    if (n_docs != state.live_docs) {
+      return Status::Invalid("epoch live_docs " + std::to_string(state.live_docs) +
+                             " but " + std::to_string(n_docs) + " winners");
+    }
+  } else {
+    std::string buffer;
+    std::vector<std::string_view> tokens;
+    std::vector<text::TokenId> ids;
+    for (const std::string& value : *cluster_values) {
+      tokenizer_->TokenizeInto(value, &buffer, &tokens);
+      {
+        std::shared_lock<std::shared_mutex> dict_lock(dict_mu_);
+        dict_.EncodeReadOnlyInto(tokens, &ids);
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      for (text::TokenId e : ids) {
+        if (e == text::kInvalidToken || e >= num_elements) {
+          return Status::Invalid("cluster value '" + value +
+                                 "' has a token outside the epoch's vocabulary");
+        }
+        ++df[e];
+      }
+      ++n_docs;
+    }
+  }
+  const double n = static_cast<double>(n_docs);
+  if (!SameBits(state.unseen_weight,
+                text::QuantizeWeight(std::log(std::max<double>(2.0, n))))) {
+    return Status::Invalid("unseen weight differs from its recompute");
+  }
+  {
+    std::shared_lock<std::shared_mutex> dict_lock(dict_mu_);
+    for (text::TokenId e = 0; e < num_elements; ++e) {
+      const double w = EpochWeight(n, df[e]);
+      if (!SameBits(state.weights[e], w) ||
+          state.live[e] != (df[e] > 0 ? 1 : 0) ||
+          (*state.tie_keys)[e] != dict_.KeyHash(e)) {
+        return Status::Invalid("element " + std::to_string(e) +
+                               " differs from its recompute (df " +
+                               std::to_string(df[e]) + ")");
+      }
+    }
+  }
+  for (size_t si = 0; si < state.segments.size(); ++si) {
+    const Segment& seg = *state.segments[si];
+    const SetWeightColumn& column = *state.set_weights[si];
+    if (column.size() != seg.num_docs()) {
+      return Status::Invalid("segment " + std::to_string(si) +
+                             " set-weight column has the wrong length");
+    }
+    for (uint32_t local = 0; local < seg.num_docs(); ++local) {
+      double sum = 0.0;
+      for (text::TokenId e : seg.sets.elements(local)) sum += state.weights[e];
+      if (!SameBits(column[local], sum)) {
+        return Status::Invalid("segment " + std::to_string(si) + " local " +
+                               std::to_string(local) + " set weight " +
+                               std::to_string(column[local]) + ", recompute " +
+                               std::to_string(sum));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace ssjoin::index

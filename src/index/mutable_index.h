@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,21 +54,29 @@ struct GlobalDelta {
 /// live version (not superseded by a newer upsert, not deleted).
 using WinnerFlags = std::vector<uint8_t>;
 
-/// One epoch's immutable read view: the per-element IDF weights, liveness
-/// flags and tie keys frozen at publish time, plus the segment list (sealed
-/// generations shared by pointer, the tail copied and frozen) and each
-/// segment's winner flags (a sealed generation's shared until a mutation
-/// touches it). Lookups against one EpochState are bit-identical no matter
-/// how the index mutates afterwards.
+/// Per-segment set weights: column[local] is the sum of one epoch's weights
+/// over that local's elements (wt(s), the norm the lookup's bounds read).
+using SetWeightColumn = std::vector<double>;
+
+/// One epoch's immutable read view: the per-element IDF weights and
+/// liveness flags frozen at publish time, the tie keys (append-only, shared
+/// until the vocabulary grows), plus the segment list (sealed generations
+/// shared by pointer, the tail copied and frozen), each segment's winner
+/// flags (a sealed generation's shared until a mutation touches it) and each
+/// segment's set-weight column (a sealed generation's shared until a weight
+/// of one of its elements moves). Lookups against one EpochState are
+/// bit-identical no matter how the index mutates afterwards.
 struct EpochState {
   uint64_t epoch = 0;
   uint64_t live_docs = 0;
   double unseen_weight = 0.0;
   core::WeightVector weights;
-  std::vector<uint64_t> tie_keys;
+  std::shared_ptr<const std::vector<uint64_t>> tie_keys;
   std::vector<uint8_t> live;
   std::vector<std::shared_ptr<const Segment>> segments;
-  std::vector<std::shared_ptr<const WinnerFlags>> winners;  // per segment
+  // Per segment, parallel to `segments`:
+  std::vector<std::shared_ptr<const WinnerFlags>> winners;
+  std::vector<std::shared_ptr<const SetWeightColumn>> set_weights;
 };
 
 /// \brief The fuzzy-lookup index of the paper's §6 record-lookup scenario
@@ -104,9 +113,14 @@ struct EpochState {
 /// EpochState with a pointer swap — readers never take the writer lock
 /// (they copy the published pointer under a mutex held only for that copy
 /// or the swap, and share the token dictionary under a shared_mutex only
-/// while encoding the query). Publish cost is
-/// O(vocabulary + tail), paid per mutation; batch ingest should use
-/// BulkLoad, which publishes once.
+/// while encoding the query). A publish costs O(delta) when the weights'
+/// inputs n and mode are unchanged (a replace, a seal, a global delta that
+/// keeps the cluster's doc count): it copies the previous weights and
+/// recomputes only the elements whose df changed, patches the set-weight
+/// columns of the sealed generations holding them, and copies and indexes
+/// the tail. An insert of a new id, a delete, a mode switch or
+/// ResetGlobalStats changes every weight and costs O(vocabulary + sealed
+/// elements). Batch ingest should use BulkLoad, which publishes once.
 ///
 /// ## Durability (data_dir set)
 /// Every mutation appends to the WAL (flushed before it is applied). Seal
@@ -135,6 +149,9 @@ class MutableFuzzyIndex {
     uint64_t deletes = 0;
     uint64_t seals = 0;
     uint64_t compactions = 0;
+    /// Publishes that recomputed every weight (n, mode or global statistics
+    /// changed wholesale) instead of only the dirty elements'.
+    uint64_t full_publishes = 0;
   };
 
   /// Creates an empty index. With a data_dir, initializes the directory
@@ -166,9 +183,9 @@ class MutableFuzzyIndex {
   Status Delete(uint64_t doc_id);
 
   /// Upserts many records with a single epoch publish at the end — the bulk
-  /// ingest path (publish cost is O(vocabulary), so per-record publishing
-  /// would make loading quadratic-ish). `attrs` is empty (no attributes) or
-  /// parallel to `records`.
+  /// ingest path (a load changes n, so its publish recomputes every weight
+  /// and set-weight column; per-record publishing would make loading
+  /// quadratic). `attrs` is empty (no attributes) or parallel to `records`.
   Status BulkLoad(const std::vector<std::pair<uint64_t, std::string>>& records,
                   const std::vector<filter::AttrSet>& attrs = {});
 
@@ -214,6 +231,18 @@ class MutableFuzzyIndex {
   /// live (an attribute-less doc yields an empty set).
   std::optional<filter::AttrSet> AttrsAt(const EpochState& state,
                                          uint64_t doc_id) const;
+
+  /// Recomputes `state`'s derived columns from scratch and compares them bit
+  /// for bit: the weights, liveness flags and unseen weight from df counted
+  /// over the epoch's live docs (its winner flags) — or, in global-stats
+  /// mode, over `cluster_values`, every value live in the cluster at that
+  /// epoch — the tie keys from the dictionary, and every segment's
+  /// set-weight column from the direct sum of the epoch's weights. The
+  /// consistency check the tests and the churn fuzz scenarios run after each
+  /// mutation; OK or the first difference.
+  Status CheckEpochState(
+      const EpochState& state,
+      const std::vector<std::string>* cluster_values = nullptr) const;
 
   /// \name Global-statistics mode (sharded serving)
   ///
@@ -304,9 +333,14 @@ class MutableFuzzyIndex {
   /// Removes `doc_id` from the live set (doc map + df + live count); returns
   /// whether it was live.
   bool RemoveLive(uint64_t doc_id);
+  /// Records that the df of each of `elements` changed since the last
+  /// publish. Requires writer_mu_.
+  void MarkDirtyLocked(std::span<const text::TokenId> elements);
   std::span<const text::TokenId> ElementsOf(const DocLoc& loc) const;
 
-  /// Builds and atomically publishes the next EpochState.
+  /// Builds and atomically publishes the next EpochState: O(delta) from the
+  /// previous epoch when n and the df source are unchanged, else every
+  /// weight and set-weight column recomputed.
   void PublishLocked();
   Status SealLocked();
   Status CompactLocked();
@@ -364,6 +398,15 @@ class MutableFuzzyIndex {
   std::vector<std::shared_ptr<WinnerFlags>> sealed_winners_;
   std::vector<uint8_t> sealed_winners_shared_;
   WinnerFlags tail_winners_;
+  /// Elements whose df (local or global) changed since the last publish,
+  /// each listed once (`dirty_flags_[e]` set while listed).
+  std::vector<text::TokenId> dirty_;
+  std::vector<uint8_t> dirty_flags_;
+  /// The n the published weights were computed with, and whether the next
+  /// publish must recompute every weight anyway (no epoch yet, a mode
+  /// switch, ResetGlobalStats).
+  uint64_t published_n_ = 0;
+  bool weights_stale_ = true;
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t last_sealed_seq_ = 0;
@@ -381,6 +424,7 @@ class MutableFuzzyIndex {
   std::atomic<uint64_t> deletes_{0};
   std::atomic<uint64_t> seals_{0};
   std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> full_publishes_{0};
   obs::Histogram publish_us_;
   obs::Histogram compaction_us_;
   std::atomic<uint64_t> provider_id_{0};

@@ -188,6 +188,9 @@ class ShardedLookupIndex final : public serve::Backend {
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
 
+  /// Shard `i`'s client (position = shard id, as ShardOf routes).
+  ShardClient& shard(uint32_t i) const { return *shards_[i]; }
+
   /// The fan-out's own figures, also exported as `shard.*`.
   const ShardMetrics& metrics() const { return metrics_; }
 

@@ -35,7 +35,10 @@ inline double IdfWeightFromFrequency(double n, uint64_t f) {
 /// no rounding and are independent of summation order. This is what lets a
 /// mutable index (whose token ids reflect insertion history) produce
 /// bitwise-identical similarities to a from-scratch rebuild (whose ids
-/// reflect corpus order).
+/// reflect corpus order). A stored set weight patched by `w_new - w_old`
+/// when one element's weight moves stays exact under the same bound: the
+/// difference is itself on the 2^-26 grid, so the patched sum equals a
+/// recomputed one bit for bit.
 inline double QuantizeWeight(double w) {
   return std::ldexp(std::nearbyint(std::ldexp(w, 26)), -26);
 }

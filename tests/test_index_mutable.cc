@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -442,6 +444,156 @@ TEST(MutableIndexTest, ValueAtTracksLatestVersion) {
   EXPECT_FALSE(index->ValueAt(*state, 99).has_value());
   ASSERT_TRUE(index->Delete(4).ok());
   EXPECT_FALSE(index->ValueAt(*index->Snapshot(), 4).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Epoch state: the O(delta) publish against a from-scratch recompute.
+
+TEST(MutableIndexTest, EpochStateMatchesFullRecompute) {
+  auto master = Master(200, 53);
+  auto queries = DirtyQueries(master, 20, 15);
+  MutableIndexOptions options = ManualOptions();
+  options.seal_threshold = 24;  // auto-seals between the explicit ones
+  auto index = MutableFuzzyIndex::Create(options).MoveValueUnsafe();
+
+  Rng rng(91);
+  std::map<uint64_t, std::string> live;
+  uint64_t next_id = 0;
+  for (size_t step = 0; step < 500; ++step) {
+    const uint64_t full_before = index->GetStats().full_publishes;
+    const size_t n_before = live.size();
+    uint32_t op = rng.Uniform(20);
+    std::string what;
+    if (op < 9 && !live.empty()) {
+      // Replace a live doc, sometimes with a value of fresh vocabulary.
+      auto it = live.begin();
+      std::advance(it, rng.Uniform(live.size()));
+      std::string value = master[rng.Uniform(master.size())];
+      if (rng.Uniform(4) == 0) value += " zq" + std::to_string(step);
+      ASSERT_TRUE(index->Upsert(it->first, value).ok());
+      it->second = value;
+      what = "replace";
+    } else if (op < 14) {
+      const std::string& value = master[rng.Uniform(master.size())];
+      ASSERT_TRUE(index->Upsert(next_id, value).ok());
+      live[next_id++] = value;
+      what = "insert";
+    } else if (op < 17) {
+      uint64_t id = rng.Uniform(next_id + 1);
+      ASSERT_TRUE(index->Delete(id).ok());
+      live.erase(id);
+      what = "delete";
+    } else if (op < 19) {
+      ASSERT_TRUE(index->Seal().ok());
+      what = "seal";
+    } else {
+      ASSERT_TRUE(index->Compact().ok());
+      what = "compact";
+    }
+    const std::string context = what + " at step " + std::to_string(step);
+    Status check = index->CheckEpochState(*index->Snapshot());
+    ASSERT_TRUE(check.ok()) << context << ": " << check.ToString();
+    // Only a change of n recomputes every weight.
+    EXPECT_EQ(index->GetStats().full_publishes > full_before,
+              live.size() != n_before)
+        << context;
+  }
+  ExpectOracleEquivalent(*index, live, queries, 5, "after epoch churn");
+}
+
+TEST(MutableIndexTest, EpochStateMatchesFullRecomputeGlobalStats) {
+  auto master = Master(160, 54);
+  auto index = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
+  // This shard owns ids below 1000; ids from 1000 on live on other shards.
+  std::map<uint64_t, std::string> cluster;
+  std::vector<std::pair<uint64_t, std::string>> local;
+  for (uint64_t i = 0; i < 40; ++i) local.emplace_back(i, master[i]);
+  ASSERT_TRUE(index->BulkLoad(local).ok());
+  for (const auto& [id, value] : local) cluster[id] = value;
+  for (uint64_t i = 0; i < 30; ++i) cluster[1000 + i] = master[40 + i];
+  auto values = [&] {
+    std::vector<std::string> out;
+    for (const auto& [id, value] : cluster) out.push_back(value);
+    return out;
+  };
+  ASSERT_TRUE(index->ResetGlobalStats(values()).ok());
+  std::vector<std::string> now = values();
+  Status check = index->CheckEpochState(*index->Snapshot(), &now);
+  ASSERT_TRUE(check.ok()) << "after reset: " << check.ToString();
+
+  Rng rng(92);
+  for (size_t step = 0; step < 300; ++step) {
+    const bool owned = rng.Uniform(2) == 0;
+    const uint64_t id = owned ? rng.Uniform(60) : 1000 + rng.Uniform(50);
+    const std::string& value = master[rng.Uniform(master.size())];
+    const uint32_t op = rng.Uniform(12);
+    std::optional<std::string> old;
+    if (auto it = cluster.find(id); it != cluster.end()) old = it->second;
+    if (op == 0) {
+      ASSERT_TRUE(index->Seal().ok());
+    } else if (op == 1) {
+      ASSERT_TRUE(index->Compact().ok());
+    } else if (op == 2) {
+      ASSERT_TRUE(index->ResetGlobalStats(values()).ok());
+    } else if (op < 8) {  // upsert: an insert or a replace
+      if (owned) {
+        ASSERT_TRUE(index->UpsertGlobal(id, value, {}, nullptr).ok());
+      } else {
+        ASSERT_TRUE(index->ApplyGlobalDelta(GlobalDelta{old, value}).ok());
+      }
+      cluster[id] = value;
+    } else {  // delete
+      if (owned) {
+        ASSERT_TRUE(index->DeleteGlobal(id, nullptr).ok());
+      } else if (old.has_value()) {
+        ASSERT_TRUE(index->ApplyGlobalDelta(GlobalDelta{old, std::nullopt}).ok());
+      }
+      cluster.erase(id);
+    }
+    now = values();
+    check = index->CheckEpochState(*index->Snapshot(), &now);
+    ASSERT_TRUE(check.ok()) << "op " << op << " at step " << step << ": "
+                            << check.ToString();
+  }
+}
+
+TEST(MutableIndexTest, PinnedEpochKeepsItsSetWeightColumns) {
+  // Two generations over disjoint alphabets, so a replace inside the second
+  // moves no weight of an element the first holds.
+  auto index = MutableFuzzyIndex::Create(ManualOptions()).MoveValueUnsafe();
+  const std::vector<std::string> first = {"abcdef", "bcdefa", "cdefab",
+                                          "abcfed"};
+  const std::vector<std::string> second = {"nopqrs", "opqrsn", "pqrsno",
+                                           "nopsrq"};
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(index->Upsert(i, first[i]).ok());
+  }
+  ASSERT_TRUE(index->Seal().ok());
+  for (size_t i = 0; i < second.size(); ++i) {
+    ASSERT_TRUE(index->Upsert(10 + i, second[i]).ok());
+  }
+  ASSERT_TRUE(index->Seal().ok());
+
+  auto pinned = index->Snapshot();
+  ASSERT_EQ(pinned->set_weights.size(), 2u);
+  const SetWeightColumn first_column = *pinned->set_weights[0];
+  const SetWeightColumn second_column = *pinned->set_weights[1];
+  const uint64_t full_before = index->GetStats().full_publishes;
+
+  ASSERT_TRUE(index->Upsert(11, "nopqxy").ok());  // a replace: n is unchanged
+  auto next = index->Snapshot();
+  EXPECT_EQ(index->GetStats().full_publishes, full_before);
+  Status check = index->CheckEpochState(*next);
+  ASSERT_TRUE(check.ok()) << check.ToString();
+  // The untouched generation shares its column; the touched one was copied
+  // and patched, never changed in place.
+  EXPECT_EQ(next->set_weights[0], pinned->set_weights[0]);
+  EXPECT_NE(next->set_weights[1], pinned->set_weights[1]);
+  EXPECT_NE(*next->set_weights[1], second_column);
+  EXPECT_EQ(*pinned->set_weights[0], first_column);
+  EXPECT_EQ(*pinned->set_weights[1], second_column);
+  check = index->CheckEpochState(*pinned);
+  EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
 // ---------------------------------------------------------------------------
