@@ -93,7 +93,8 @@ void BM_Shard(benchmark::State& state, uint32_t shards, size_t clients) {
     for (auto& th : threads) th.join();
     double total_ms = t.ElapsedMillis();
 
-    const obs::Histogram& latency = index->metrics().latency_us;
+    const obs::Histogram& latency =
+        *index->metrics().GetHistogram("shard.latency_us");
     double p50_us = latency.Quantile(0.50);
     double p99_us = latency.Quantile(0.99);
     double requests = static_cast<double>(clients * kRequestsPerClient);

@@ -103,7 +103,22 @@ bool SameBits(double a, double b) {
 }  // namespace
 
 MutableFuzzyIndex::MutableFuzzyIndex(const MutableIndexOptions& options)
-    : options_(options), tokenizer_(MakeTokenizer(options.match)) {}
+    : options_(options),
+      tokenizer_(MakeTokenizer(options.match)),
+      epoch_gauge_(metrics_.GetGauge("index.epoch")),
+      segments_gauge_(metrics_.GetGauge("index.segments")),
+      tail_docs_gauge_(metrics_.GetGauge("index.tail_docs")),
+      tombstones_gauge_(metrics_.GetGauge("index.tombstones")),
+      live_docs_gauge_(metrics_.GetGauge("index.live_docs")),
+      upserts_(metrics_.GetCounter("index.upserts")),
+      deletes_(metrics_.GetCounter("index.deletes")),
+      seals_(metrics_.GetCounter("index.seals")),
+      compactions_(metrics_.GetCounter("index.compactions")),
+      full_publishes_(metrics_.GetCounter("index.publish.full")),
+      publish_us_(metrics_.GetHistogram("index.publish_us")),
+      compaction_us_(metrics_.GetHistogram("index.compaction_us")) {
+  (void)LookupMetrics();  // listed in metric dumps before the first lookup
+}
 
 Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Create(
     const MutableIndexOptions& options) {
@@ -134,7 +149,6 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Create(
     std::lock_guard<std::mutex> lock(index->writer_mu_);
     index->PublishLocked();
   }
-  index->RegisterMetricsProvider();
   return index;
 }
 
@@ -159,7 +173,7 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
                         std::move(manifest.dict_entries),
                         manifest.dict_num_documents));
 
-  std::unique_lock<std::mutex> lock(index->writer_mu_);
+  std::lock_guard<std::mutex> lock(index->writer_mu_);
   for (const ManifestSegmentRef& ref : manifest.segments) {
     std::string path = options.data_dir + "/" + ref.file;
     std::string bytes;
@@ -248,66 +262,21 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
   }
 
   index->PublishLocked();
-  // RegisterMetricsProvider takes the registry lock, and the registry calls the
-  // provider it registers, which takes writer_mu_: never hold both here.
-  lock.unlock();
-  index->RegisterMetricsProvider();
   return index;
-}
-
-void MutableFuzzyIndex::RegisterMetricsProvider() {
-  (void)LookupMetrics();  // listed in metric dumps before the first lookup
-  provider_id_.store(obs::Registry::Global().RegisterProvider(
-      [this](std::vector<obs::MetricPoint>* out) { CollectMetrics(out); }));
-}
-
-MutableFuzzyIndex::~MutableFuzzyIndex() {
-  if (uint64_t pid = provider_id_.exchange(0); pid != 0) {
-    obs::Registry::Global().UnregisterProvider(pid);
-  }
-}
-
-void MutableFuzzyIndex::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
-  Stats s = GetStats();
-  out->push_back(obs::MetricPoint::FromGauge("index.epoch",
-                                             static_cast<int64_t>(s.epoch)));
-  out->push_back(obs::MetricPoint::FromGauge(
-      "index.segments", static_cast<int64_t>(s.sealed_segments)));
-  out->push_back(obs::MetricPoint::FromGauge(
-      "index.tail_docs", static_cast<int64_t>(s.tail_docs)));
-  out->push_back(obs::MetricPoint::FromGauge(
-      "index.tombstones", static_cast<int64_t>(s.tombstones)));
-  out->push_back(obs::MetricPoint::FromGauge(
-      "index.live_docs", static_cast<int64_t>(s.live_docs)));
-  out->push_back(obs::MetricPoint::FromCounter("index.upserts", s.upserts));
-  out->push_back(obs::MetricPoint::FromCounter("index.deletes", s.deletes));
-  out->push_back(obs::MetricPoint::FromCounter("index.seals", s.seals));
-  out->push_back(obs::MetricPoint::FromCounter("index.compactions", s.compactions));
-  out->push_back(obs::MetricPoint::FromHistogram("index.publish_us", publish_us_));
-  out->push_back(
-      obs::MetricPoint::FromCounter("index.publish.full", s.full_publishes));
-  out->push_back(
-      obs::MetricPoint::FromHistogram("index.compaction_us", compaction_us_));
 }
 
 MutableFuzzyIndex::Stats MutableFuzzyIndex::GetStats() const {
   Stats s;
-  {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    s.epoch = epoch_;
-    s.sealed_segments = sealed_.size();
-    s.tail_docs = tail_.num_docs();
-    s.live_docs = live_docs_;
-    for (const auto& seg : sealed_) s.tombstones += seg->num_tombstones();
-    for (const auto& [id, st] : tail_.doc_states) {
-      if (st.deleted) ++s.tombstones;
-    }
-  }
-  s.upserts = upserts_.load(std::memory_order_relaxed);
-  s.deletes = deletes_.load(std::memory_order_relaxed);
-  s.seals = seals_.load(std::memory_order_relaxed);
-  s.compactions = compactions_.load(std::memory_order_relaxed);
-  s.full_publishes = full_publishes_.load(std::memory_order_relaxed);
+  s.epoch = static_cast<uint64_t>(epoch_gauge_->value());
+  s.sealed_segments = static_cast<uint64_t>(segments_gauge_->value());
+  s.tail_docs = static_cast<uint64_t>(tail_docs_gauge_->value());
+  s.tombstones = static_cast<uint64_t>(tombstones_gauge_->value());
+  s.live_docs = static_cast<uint64_t>(live_docs_gauge_->value());
+  s.upserts = upserts_->value();
+  s.deletes = deletes_->value();
+  s.seals = seals_->value();
+  s.compactions = compactions_->value();
+  s.full_publishes = full_publishes_->value();
   return s;
 }
 
@@ -384,7 +353,7 @@ Status MutableFuzzyIndex::ApplyUpsert(uint64_t doc_id, const std::string& value,
   ++live_docs_;
   doc_map_[doc_id] =
       DocLoc{kTailSegment, static_cast<uint32_t>(tail_.num_docs() - 1)};
-  upserts_.fetch_add(1, std::memory_order_relaxed);
+  upserts_->Add(1);
   return Status::OK();
 }
 
@@ -399,7 +368,7 @@ Status MutableFuzzyIndex::ApplyDelete(uint64_t doc_id, bool log_wal) {
   ++next_seq_;
   RemoveLive(doc_id);
   tail_.RecordDelete(doc_id);
-  deletes_.fetch_add(1, std::memory_order_relaxed);
+  deletes_->Add(1);
   return Status::OK();
 }
 
@@ -442,7 +411,7 @@ Status MutableFuzzyIndex::BulkLoad(
 }
 
 void MutableFuzzyIndex::PublishLocked() {
-  obs::ObsSpan span(&publish_us_);
+  obs::ObsSpan span(publish_us_);
   std::shared_ptr<const EpochState> prev = Snapshot();
   auto state = std::make_shared<EpochState>();
   state->epoch = ++epoch_;
@@ -470,7 +439,7 @@ void MutableFuzzyIndex::PublishLocked() {
   std::vector<std::pair<text::TokenId, double>> moved;
   size_t first_new = 0;  // elements from here on have no previous weight
   if (full) {
-    full_publishes_.fetch_add(1, std::memory_order_relaxed);
+    full_publishes_->Add(1);
   } else {
     state->weights = prev->weights;
     state->live = prev->live;
@@ -548,6 +517,17 @@ void MutableFuzzyIndex::PublishLocked() {
     state->segments.push_back(std::move(frozen));
     state->winners.push_back(std::make_shared<const WinnerFlags>(tail_winners_));
   }
+  // The shape gauges describe the epoch being published; BuildPostings
+  // counted each segment's tombstones, the frozen tail's included.
+  int64_t tombstones = 0;
+  for (const auto& seg : state->segments) {
+    tombstones += static_cast<int64_t>(seg->num_tombstones());
+  }
+  epoch_gauge_->Set(static_cast<int64_t>(epoch_));
+  segments_gauge_->Set(static_cast<int64_t>(sealed_.size()));
+  tail_docs_gauge_->Set(static_cast<int64_t>(tail_.num_docs()));
+  tombstones_gauge_->Set(tombstones);
+  live_docs_gauge_->Set(static_cast<int64_t>(live_docs_));
   std::shared_ptr<const EpochState> next = std::move(state);
   std::lock_guard<std::mutex> lock(published_mu_);
   published_.swap(next);  // the old epoch is released after the unlock
@@ -736,7 +716,7 @@ Status MutableFuzzyIndex::SealLocked() {
   }
   last_sealed_seq_ = next_seq_ - 1;
   SSJOIN_RETURN_NOT_OK(PersistSegmentLocked(*sealed, {}));
-  seals_.fetch_add(1, std::memory_order_relaxed);
+  seals_->Add(1);
   PublishLocked();
   return Status::OK();
 }
@@ -746,7 +726,7 @@ Status MutableFuzzyIndex::CompactLocked() {
   if (tail_.empty() && sealed_.size() == 1 && sealed_[0]->num_tombstones() == 0) {
     return Status::OK();
   }
-  obs::ObsSpan span(&compaction_us_);
+  obs::ObsSpan span(compaction_us_);
   Segment merged;
   merged.serial = next_serial_++;
   // Live docs in ascending doc_id order: deterministic bytes (and the same
@@ -779,7 +759,7 @@ Status MutableFuzzyIndex::CompactLocked() {
   }
   last_sealed_seq_ = next_seq_ - 1;
   SSJOIN_RETURN_NOT_OK(PersistSegmentLocked(*sealed, std::move(obsolete)));
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  compactions_->Add(1);
   PublishLocked();
   return Status::OK();
 }

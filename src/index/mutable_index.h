@@ -1,7 +1,6 @@
 #ifndef SSJOIN_INDEX_MUTABLE_INDEX_H_
 #define SSJOIN_INDEX_MUTABLE_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -138,7 +137,8 @@ class MutableFuzzyIndex {
     double similarity;
   };
 
-  /// Point-in-time structural counters (for obs and status endpoints).
+  /// Point-in-time structural counters, read from the `index.*` metrics of
+  /// metrics() (not atomically across fields).
   struct Stats {
     uint64_t epoch = 0;
     uint64_t sealed_segments = 0;
@@ -169,7 +169,6 @@ class MutableFuzzyIndex {
   static Result<std::unique_ptr<MutableFuzzyIndex>> Open(
       const MutableIndexOptions& options);
 
-  ~MutableFuzzyIndex();
   MutableFuzzyIndex(const MutableFuzzyIndex&) = delete;
   MutableFuzzyIndex& operator=(const MutableFuzzyIndex&) = delete;
 
@@ -300,6 +299,12 @@ class MutableFuzzyIndex {
 
   Stats GetStats() const;
 
+  /// This index's own registry, linked into obs::Registry::Global(): the
+  /// `index.*` write-path counters and histograms, and gauges of the
+  /// published epoch's shape, set at every publish (seals and compactions
+  /// publish too).
+  obs::Registry& metrics() { return metrics_; }
+
  private:
   static constexpr uint32_t kTailSegment = UINT32_MAX;
 
@@ -309,12 +314,6 @@ class MutableFuzzyIndex {
   };
 
   explicit MutableFuzzyIndex(const MutableIndexOptions& options);
-
-  /// Registers CollectMetrics with the obs::Registry (after construction:
-  /// the registry calls the provider, which takes writer_mu_).
-  void RegisterMetricsProvider();
-  /// obs::Registry provider mirroring Stats() as `index.*` metrics.
-  void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
 
   Status ApplyUpsert(uint64_t doc_id, const std::string& value,
                      const filter::AttrSet& attrs, bool log_wal);
@@ -420,14 +419,19 @@ class MutableFuzzyIndex {
   mutable std::mutex published_mu_;
   std::shared_ptr<const EpochState> published_;
 
-  std::atomic<uint64_t> upserts_{0};
-  std::atomic<uint64_t> deletes_{0};
-  std::atomic<uint64_t> seals_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> full_publishes_{0};
-  obs::Histogram publish_us_;
-  obs::Histogram compaction_us_;
-  std::atomic<uint64_t> provider_id_{0};
+  obs::Registry metrics_{&obs::Registry::Global()};
+  obs::Gauge* const epoch_gauge_;
+  obs::Gauge* const segments_gauge_;
+  obs::Gauge* const tail_docs_gauge_;
+  obs::Gauge* const tombstones_gauge_;
+  obs::Gauge* const live_docs_gauge_;
+  obs::Counter* const upserts_;
+  obs::Counter* const deletes_;
+  obs::Counter* const seals_;
+  obs::Counter* const compactions_;
+  obs::Counter* const full_publishes_;
+  obs::Histogram* const publish_us_;
+  obs::Histogram* const compaction_us_;
 };
 
 }  // namespace ssjoin::index

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
+#include <utility>
 
 namespace ssjoin::obs {
 
@@ -96,6 +98,7 @@ std::string MetricPoint::ToJson() const {
   // Metric names are code-chosen identifiers ([a-z0-9._] by convention), so
   // they embed in JSON without escaping.
   std::string out = "{\"metric\": \"" + name + "\", ";
+  if (!label.empty()) out += "\"label\": \"" + label + "\", ";
   switch (type) {
     case Type::kCounter:
       out += "\"type\": \"counter\", \"value\": " + JsonUint(counter);
@@ -145,42 +148,48 @@ Histogram* Registry::GetHistogram(std::string_view name) {
   return it->second.get();
 }
 
-uint64_t Registry::RegisterProvider(Provider provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t id = next_provider_id_++;
-  providers_.emplace_back(id, std::move(provider));
-  return id;
+Registry::Registry(Registry* parent) : parent_(parent) {
+  std::lock_guard<std::mutex> lock(parent_->mu_);
+  parent_->children_.push_back(this);
 }
 
-void Registry::UnregisterProvider(uint64_t id) {
+Registry::~Registry() {
+  if (parent_ == nullptr) return;
+  // Under the parent's mutex: a snapshot reading this registry finishes
+  // first, and none starts after, so the metrics below die unobserved.
+  std::lock_guard<std::mutex> lock(parent_->mu_);
+  auto& siblings = parent_->children_;
+  siblings.erase(std::find(siblings.begin(), siblings.end(), this));
+}
+
+void Registry::SetLabel(std::string label) {
   std::lock_guard<std::mutex> lock(mu_);
-  providers_.erase(
-      std::remove_if(providers_.begin(), providers_.end(),
-                     [id](const auto& p) { return p.first == id; }),
-      providers_.end());
+  label_ = std::move(label);
+}
+
+void Registry::AppendPoints(std::vector<MetricPoint>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t first = out->size();
+  for (const auto& [name, c] : counters_) {
+    out->push_back(MetricPoint::FromCounter(name, c->value()));
+  }
+  for (const auto& [name, g] : gauges_) {
+    out->push_back(MetricPoint::FromGauge(name, g->value()));
+  }
+  for (const auto& [name, h] : histograms_) {
+    out->push_back(MetricPoint::FromHistogram(name, *h));
+  }
+  for (size_t i = first; i < out->size(); ++i) (*out)[i].label = label_;
+  for (const Registry* child : children_) child->AppendPoints(out);
 }
 
 std::vector<MetricPoint> Registry::Snapshot() const {
   std::vector<MetricPoint> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(counters_.size() + gauges_.size() + histograms_.size());
-    for (const auto& [name, c] : counters_) {
-      out.push_back(MetricPoint::FromCounter(name, c->value()));
-    }
-    for (const auto& [name, g] : gauges_) {
-      out.push_back(MetricPoint::FromGauge(name, g->value()));
-    }
-    for (const auto& [name, h] : histograms_) {
-      out.push_back(MetricPoint::FromHistogram(name, *h));
-    }
-    for (const auto& [id, provider] : providers_) {
-      provider(&out);
-    }
-  }
+  AppendPoints(&out);
   std::stable_sort(out.begin(), out.end(),
                    [](const MetricPoint& a, const MetricPoint& b) {
-                     return a.name < b.name;
+                     return std::tie(a.name, a.label) <
+                            std::tie(b.name, b.label);
                    });
   return out;
 }
@@ -207,21 +216,23 @@ std::string ToFlatJson(const std::vector<MetricPoint>& points) {
     out += "\"" + key + "\": " + value;
   };
   for (const MetricPoint& p : points) {
+    const std::string key =
+        p.label.empty() ? p.name : p.name + "{" + p.label + "}";
     switch (p.type) {
       case MetricPoint::Type::kCounter:
-        field(p.name, JsonUint(p.counter));
+        field(key, JsonUint(p.counter));
         break;
       case MetricPoint::Type::kGauge:
-        field(p.name, std::to_string(p.gauge));
+        field(key, std::to_string(p.gauge));
         break;
       case MetricPoint::Type::kHistogram:
-        field(p.name + ".count", JsonUint(p.hist.count));
-        field(p.name + ".sum", JsonUint(p.hist.sum));
-        field(p.name + ".max", JsonUint(p.hist.max));
-        field(p.name + ".mean", JsonDouble(p.hist.mean));
-        field(p.name + ".p50", JsonDouble(p.hist.p50));
-        field(p.name + ".p95", JsonDouble(p.hist.p95));
-        field(p.name + ".p99", JsonDouble(p.hist.p99));
+        field(key + ".count", JsonUint(p.hist.count));
+        field(key + ".sum", JsonUint(p.hist.sum));
+        field(key + ".max", JsonUint(p.hist.max));
+        field(key + ".mean", JsonDouble(p.hist.mean));
+        field(key + ".p50", JsonDouble(p.hist.p50));
+        field(key + ".p95", JsonDouble(p.hist.p95));
+        field(key + ".p99", JsonDouble(p.hist.p99));
         break;
     }
   }

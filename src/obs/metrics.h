@@ -11,7 +11,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace ssjoin::obs {
@@ -19,11 +18,12 @@ namespace ssjoin::obs {
 /// \brief Unified observability primitives shared by core, exec and serve.
 ///
 /// Three metric kinds — Counter (monotone), Gauge (last/high-water value) and
-/// Histogram (log2-bucketed distribution) — live in a process-wide Registry
-/// keyed by name. Components either own their metrics and mirror them into
-/// the registry through a provider callback (serve does this, so per-service
-/// tests keep exact per-instance counts), or update registry-owned metrics
-/// directly (core and exec do this).
+/// Histogram (log2-bucketed distribution) — live in a Registry keyed by name.
+/// Process-wide layers (core, exec, kernels) update metrics of the global
+/// registry; a per-instance component (a LookupService, a MutableFuzzyIndex,
+/// a ShardedLookupIndex) owns a child Registry linked into the global one,
+/// so tests keep exact per-instance counts and a destroyed instance takes
+/// its metrics with it.
 ///
 /// Determinism: work-derived counters (rows, candidates, prunes) are bridged
 /// from `SSJoinStats`, which the SSJoin executors merge in morsel order —
@@ -115,6 +115,8 @@ struct MetricPoint {
   enum class Type { kCounter, kGauge, kHistogram };
 
   std::string name;
+  /// The owning registry's instance label ("shard=2"); empty for none.
+  std::string label;
   Type type = Type::kCounter;
   uint64_t counter = 0;   // kCounter
   int64_t gauge = 0;      // kGauge
@@ -124,8 +126,10 @@ struct MetricPoint {
   static MetricPoint FromGauge(std::string name, int64_t value);
   static MetricPoint FromHistogram(std::string name, const Histogram& h);
 
-  /// One JSON object (no trailing newline):
+  /// One JSON object (no trailing newline); a labelled point adds a
+  /// `"label"` string after the name:
   ///   {"metric": "...", "type": "counter", "value": N}
+  ///   {"metric": "...", "label": "shard=0", "type": "gauge", "value": N}
   ///   {"metric": "...", "type": "histogram", "count": N, ..., "p99": X}
   std::string ToJson() const;
 };
@@ -133,32 +137,37 @@ struct MetricPoint {
 /// Points rendered as a single flat JSON object for embedding:
 /// counters/gauges as `"name": N`, histograms flattened to `"name.count"`,
 /// `"name.sum"`, `"name.max"`, `"name.mean"`, `"name.p50"`, `"name.p95"`,
-/// `"name.p99"`.
+/// `"name.p99"`. A labelled point's name becomes `name{label}`.
 std::string ToFlatJson(const std::vector<MetricPoint>& points);
 
-/// \brief Process-wide metric registry.
+/// \brief Metric registry: the process-wide one, or an instance's own.
 ///
 /// Metrics are created lazily on first Get*(name) and live for the life of
 /// the registry (addresses are stable — cache the pointer, don't re-look-up
-/// on hot paths). Components whose metrics are per-instance register a
-/// provider callback instead; Snapshot() appends the provider's points to
-/// the registry-owned ones and returns everything sorted by name.
+/// on hot paths). A child registry (constructed with a parent) is linked
+/// into its parent's Snapshot() for its whole lifetime, its points carrying
+/// its label; the destructor unlinks it under the parent's mutex, so a
+/// snapshot never reads a child's metrics once they start to die.
 class Registry {
  public:
-  using Provider = std::function<void(std::vector<MetricPoint>*)>;
+  /// A root registry: Global(), or a standalone one.
+  Registry() = default;
+  /// A child of `parent`, which must outlive it.
+  explicit Registry(Registry* parent);
+  ~Registry();
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
-  /// Registers a callback polled by Snapshot(); returns a handle for
-  /// UnregisterProvider. After UnregisterProvider returns, the callback is
-  /// guaranteed not running and never called again (both run under the
-  /// registry mutex), so the provider's captures may be destroyed.
-  uint64_t RegisterProvider(Provider provider);
-  void UnregisterProvider(uint64_t id);
+  /// Names this registry's instance ("shard=2") in every point it
+  /// contributes from now on.
+  void SetLabel(std::string label);
 
-  /// All metrics (owned + provider-supplied), sorted by name.
+  /// All metrics, this registry's and its children's, sorted by name and
+  /// then label.
   std::vector<MetricPoint> Snapshot() const;
 
   /// Snapshot rendered as NDJSON: one MetricPoint::ToJson() line per metric.
@@ -172,12 +181,17 @@ class Registry {
   static Registry& Global();
 
  private:
+  /// Appends this registry's points, then its children's. Takes mu_, and
+  /// each child's mu_ inside it: locks are only ever taken parent first.
+  void AppendPoints(std::vector<MetricPoint>* out) const;
+
+  Registry* const parent_ = nullptr;
   mutable std::mutex mu_;
+  std::string label_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  uint64_t next_provider_id_ = 1;
-  std::vector<std::pair<uint64_t, Provider>> providers_;
+  std::vector<const Registry*> children_;
 };
 
 /// \brief RAII scoped span: measures wall-clock micros from construction to

@@ -1,5 +1,6 @@
 #include "serve/lookup_service.h"
 
+#include <cstdio>
 #include <utility>
 
 namespace ssjoin::serve {
@@ -25,35 +26,21 @@ Result<std::unique_ptr<LookupService>> LookupService::Create(
   if (options.max_queue == 0) {
     return Status::Invalid("max_queue must be at least 1");
   }
-  std::unique_ptr<LookupService> service(
+  return std::unique_ptr<LookupService>(
       new LookupService(std::move(index), options));
-  service->provider_id_.store(obs::Registry::Global().RegisterProvider(
-      [s = service.get()](std::vector<obs::MetricPoint>* out) {
-        s->CollectMetrics(out);
-      }));
-  return service;
-}
-
-void LookupService::CollectMetrics(std::vector<obs::MetricPoint>* out) const {
-  StatsSnapshot s = Stats();
-  out->push_back(obs::MetricPoint::FromCounter("serve.requests", s.requests));
-  out->push_back(
-      obs::MetricPoint::FromCounter("serve.rejected_overload", s.rejected_overload));
-  out->push_back(
-      obs::MetricPoint::FromCounter("serve.rejected_deadline", s.rejected_deadline));
-  out->push_back(obs::MetricPoint::FromGauge(
-      "serve.in_flight", static_cast<int64_t>(s.in_flight)));
-  out->push_back(
-      obs::MetricPoint::FromHistogram("serve.latency_us", metrics_.latency));
-  out->push_back(obs::MetricPoint::FromHistogram("serve.span.admission_us",
-                                                 metrics_.span_admission));
-  out->push_back(
-      obs::MetricPoint::FromHistogram("serve.span.lookup_us", metrics_.span_lookup));
 }
 
 LookupService::LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
                              const LookupServiceOptions& options)
-    : index_(std::move(index)), options_(options) {}
+    : index_(std::move(index)),
+      options_(options),
+      requests_(metrics_.GetCounter("serve.requests")),
+      rejected_overload_(metrics_.GetCounter("serve.rejected_overload")),
+      rejected_deadline_(metrics_.GetCounter("serve.rejected_deadline")),
+      latency_(metrics_.GetHistogram("serve.latency_us")),
+      span_admission_(metrics_.GetHistogram("serve.span.admission_us")),
+      span_lookup_(metrics_.GetHistogram("serve.span.lookup_us")),
+      in_flight_(metrics_.GetGauge("serve.in_flight")) {}
 
 LookupService::~LookupService() { Shutdown(); }
 
@@ -64,8 +51,8 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
   if (deadline.count() < 0) {
     // An already-expired deadline can never be met; reject on entry so it
     // is neither admitted nor touches the index.
-    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
+    requests_->Add(1);
+    rejected_deadline_->Add(1);
     return Status::DeadlineExceeded("deadline expired before admission");
   }
   // Capture the published epoch once: LookupAt and the values both read
@@ -84,16 +71,16 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     // Deadline expiries are requests the service answered (with an error),
     // not load shedding: they count toward requests, unlike overload
     // rejections.
-    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    metrics_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
+    requests_->Add(1);
+    rejected_deadline_->Add(1);
     return Status::DeadlineExceeded("deadline expired before lookup");
   }
   // Admission span: entry to the start of LookupAt (epoch capture and
   // admission). Rejections are not admissions.
-  metrics_.span_admission.Record(MicrosSince(start));
+  span_admission_->Record(MicrosSince(start));
   std::vector<Match> result;
   {
-    obs::ObsSpan span(&metrics_.span_lookup);
+    obs::ObsSpan span(span_lookup_);
     result = index_->LookupAt(*state, query, k, filter);
   }
   if (values != nullptr) {
@@ -102,24 +89,24 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
       values->push_back(index_->ValueAt(*state, m.id).value_or(""));
     }
   }
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics_.latency.Record(MicrosSince(start));
+  requests_->Add(1);
+  latency_->Record(MicrosSince(start));
   return result;
 }
 
 Status LookupService::Admit() {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
-    metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+    rejected_overload_->Add(1);
     return Status::Unavailable("lookup service is shutting down");
   }
-  if (in_flight_.load(std::memory_order_relaxed) >= options_.max_queue) {
-    metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+  if (static_cast<size_t>(in_flight_->value()) >= options_.max_queue) {
+    rejected_overload_->Add(1);
     return Status::Unavailable("admission bound reached (" +
                                std::to_string(options_.max_queue) +
                                " lookups in flight)");
   }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  in_flight_->Add(1);
   return Status::OK();
 }
 
@@ -127,28 +114,50 @@ void LookupService::Release() {
   // Notify under mu_: once Shutdown sees zero under the same lock, no caller
   // touches this service again.
   std::lock_guard<std::mutex> lock(mu_);
-  if (in_flight_.fetch_sub(1, std::memory_order_relaxed) == 1 && stopping_) {
+  in_flight_->Add(-1);
+  if (in_flight_->value() == 0 && stopping_) {
     drained_cv_.notify_all();
   }
 }
 
 StatsSnapshot LookupService::Stats() const {
-  StatsSnapshot s = SnapshotMetrics(metrics_);
-  s.in_flight = in_flight_.load(std::memory_order_relaxed);
+  StatsSnapshot s;
+  s.requests = requests_->value();
+  s.rejected_overload = rejected_overload_->value();
+  s.rejected_deadline = rejected_deadline_->value();
+  s.in_flight = static_cast<uint64_t>(in_flight_->value());
+  obs::HistogramData latency = obs::SummarizeHistogram(*latency_);
+  s.latency_count = latency.count;
+  s.latency_mean_us = latency.mean;
+  s.latency_p50_us = latency.p50;
+  s.latency_p95_us = latency.p95;
+  s.latency_p99_us = latency.p99;
+  s.latency_max_us = latency.max;
   return s;
 }
 
+std::string StatsSnapshot::ToJson() const {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"requests\": %llu, \"rejected_overload\": %llu, "
+      "\"rejected_deadline\": %llu, \"in_flight\": %llu, "
+      "\"latency_us\": {\"count\": %llu, \"mean\": %.1f, \"p50\": %.1f, "
+      "\"p95\": %.1f, \"p99\": %.1f, \"max\": %llu}}",
+      static_cast<unsigned long long>(requests),
+      static_cast<unsigned long long>(rejected_overload),
+      static_cast<unsigned long long>(rejected_deadline),
+      static_cast<unsigned long long>(in_flight),
+      static_cast<unsigned long long>(latency_count), latency_mean_us,
+      latency_p50_us, latency_p95_us, latency_p99_us,
+      static_cast<unsigned long long>(latency_max_us));
+  return buf;
+}
+
 void LookupService::Shutdown() {
-  // Unregister before tearing anything down: once UnregisterProvider
-  // returns, no snapshot is reading this service's metrics.
-  if (uint64_t pid = provider_id_.exchange(0); pid != 0) {
-    obs::Registry::Global().UnregisterProvider(pid);
-  }
   std::unique_lock<std::mutex> lock(mu_);
   stopping_ = true;
-  drained_cv_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_relaxed) == 0;
-  });
+  drained_cv_.wait(lock, [this] { return in_flight_->value() == 0; });
 }
 
 }  // namespace ssjoin::serve

@@ -1,9 +1,9 @@
 #ifndef SSJOIN_SERVE_LOOKUP_SERVICE_H_
 #define SSJOIN_SERVE_LOOKUP_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -14,7 +14,6 @@
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
 #include "obs/metrics.h"
-#include "serve/metrics.h"
 
 namespace ssjoin::serve {
 
@@ -24,6 +23,25 @@ struct LookupServiceOptions {
   /// rejected with Unavailable: concurrency is strictly bounded
   /// (backpressure), it never grows with offered load.
   size_t max_queue = 1024;
+};
+
+/// A plain-value copy of a LookupService's counters plus derived latency
+/// quantiles, taken at one instant (not atomically across fields).
+struct StatsSnapshot {
+  uint64_t requests = 0;
+  uint64_t rejected_overload = 0;
+  uint64_t rejected_deadline = 0;
+  /// Lookups admitted and not yet answered.
+  uint64_t in_flight = 0;
+  uint64_t latency_count = 0;
+  double latency_mean_us = 0.0;
+  double latency_p50_us = 0.0;
+  double latency_p95_us = 0.0;
+  double latency_p99_us = 0.0;
+  uint64_t latency_max_us = 0;
+
+  /// Renders the snapshot as one JSON object (the `stats` wire response).
+  std::string ToJson() const;
 };
 
 /// \brief A long-lived, thread-safe fuzzy-lookup service over one
@@ -74,8 +92,14 @@ class LookupService {
       const filter::FilterPredicate& filter = {},
       std::vector<std::string>* values = nullptr);
 
-  /// Consistent-enough point-in-time counters and latency quantiles.
+  /// Consistent-enough point-in-time counters and latency quantiles, read
+  /// from the `serve.*` metrics of metrics().
   StatsSnapshot Stats() const;
+
+  /// This service's own registry, linked into obs::Registry::Global():
+  /// the `serve.*` counters, the `serve.in_flight` gauge and the latency
+  /// and lifecycle histograms.
+  obs::Registry& metrics() { return metrics_; }
 
   /// The served index, for mutations, maintenance and point reads.
   index::MutableFuzzyIndex& index() const { return *index_; }
@@ -98,10 +122,6 @@ class LookupService {
   LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
                 const LookupServiceOptions& options);
 
-  /// obs::Registry provider: mirrors this service's counters, in-flight
-  /// count and latency/lifecycle histograms into the snapshot as `serve.*`.
-  void CollectMetrics(std::vector<obs::MetricPoint>* out) const;
-
   /// Takes one of the `max_queue` in-flight slots, or returns Unavailable.
   Status Admit();
   /// Returns an admitted lookup's slot and wakes a waiting Shutdown.
@@ -109,8 +129,16 @@ class LookupService {
 
   std::unique_ptr<index::MutableFuzzyIndex> index_;
   LookupServiceOptions options_;
-  ServiceMetrics metrics_;
-  std::atomic<uint64_t> provider_id_{0};  // obs::Registry provider handle
+
+  obs::Registry metrics_{&obs::Registry::Global()};
+  obs::Counter* const requests_;           // answered: ok + deadline-failed
+  obs::Counter* const rejected_overload_;  // admission full, or shutting down
+  obs::Counter* const rejected_deadline_;  // expired on entry or before LookupAt
+  obs::Histogram* const latency_;
+  /// Request lifecycle spans: admission (Lookup entry → start of LookupAt)
+  /// and lookup (the LookupAt call).
+  obs::Histogram* const span_admission_;
+  obs::Histogram* const span_lookup_;
 
   /// Guards admission: `stopping_` and every change to `in_flight_`, which
   /// Shutdown waits on through `drained_cv_`.
@@ -118,8 +146,8 @@ class LookupService {
   std::condition_variable drained_cv_;
   bool stopping_ = false;
   /// Lookups admitted and not yet answered; at most `max_queue`. Changed
-  /// only under `mu_`; atomic so that Stats can read it without the lock.
-  std::atomic<size_t> in_flight_{0};
+  /// only under `mu_`; a gauge, so Stats reads it without the lock.
+  obs::Gauge* const in_flight_;
   std::function<void()> lookup_hook_;
 };
 

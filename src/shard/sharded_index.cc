@@ -97,6 +97,11 @@ Result<std::unique_ptr<ShardedLookupIndex>> BuildLocal(
     SSJOIN_ASSIGN_OR_RETURN(
         std::unique_ptr<serve::LookupService> service,
         serve::LookupService::Create(std::move(index), options.service));
+    // Every shard exports the same `serve.*` and `index.*` names; the label
+    // tells them apart in the metrics export.
+    const std::string label = "shard=" + std::to_string(i);
+    service->metrics().SetLabel(label);
+    service->index().metrics().SetLabel(label);
     shards.push_back(std::make_unique<LocalShard>(std::move(service)));
   }
   SSJOIN_ASSIGN_OR_RETURN(
@@ -114,15 +119,19 @@ ShardedLookupIndex::ShardedLookupIndex(
     const FanoutOptions& fanout, bool allow_degraded)
     : shards_(std::move(shards)),
       fanout_(fanout),
-      allow_degraded_(allow_degraded) {
-  provider_id_ = obs::Registry::Global().RegisterProvider(
-      [this](std::vector<obs::MetricPoint>* out) {
-        CollectShardMetrics(metrics_, num_shards(), out);
-      });
-}
-
-ShardedLookupIndex::~ShardedLookupIndex() {
-  obs::Registry::Global().UnregisterProvider(provider_id_);
+      allow_degraded_(allow_degraded),
+      lookups_(metrics_.GetCounter("shard.lookups")),
+      fanouts_(metrics_.GetCounter("shard.fanouts")),
+      failed_lookups_(metrics_.GetCounter("shard.failed_lookups")),
+      deadline_rejects_(metrics_.GetCounter("shard.deadline_rejects")),
+      hedges_(metrics_.GetCounter("shard.hedges")),
+      hedge_wins_(metrics_.GetCounter("shard.hedge_wins")),
+      stragglers_(metrics_.GetCounter("shard.stragglers")),
+      degraded_(metrics_.GetCounter("shard.degraded")),
+      latency_us_(metrics_.GetHistogram("shard.latency_us")),
+      slowest_us_(metrics_.GetHistogram("shard.slowest_us")),
+      merge_us_(metrics_.GetHistogram("shard.merge_us")) {
+  metrics_.GetGauge("shard.num_shards")->Set(num_shards());
 }
 
 Result<std::unique_ptr<ShardedLookupIndex>> ShardedLookupIndex::FromShards(
@@ -185,14 +194,14 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
     const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
-    metrics_.deadline_rejects.fetch_add(1, std::memory_order_relaxed);
+    deadline_rejects_->Add(1);
     return Status::DeadlineExceeded("deadline expired before scatter");
   }
   bool has_deadline = deadline.count() > 0;
   Clock::time_point abs_deadline = start + deadline;
   const uint32_t n = num_shards();
-  metrics_.lookups.fetch_add(1, std::memory_order_relaxed);
-  metrics_.fanouts.fetch_add(n, std::memory_order_relaxed);
+  lookups_->Add(1);
+  fanouts_->Add(n);
 
   // One shard sub-lookup with remaining-budget propagation: the shard gets
   // what is left NOW, not the caller's original allowance — queueing ahead
@@ -231,7 +240,7 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
         gather.elapsed_us[si] = MicrosSince(start);
         ++gather.completed;
         if (is_hedge) {
-          metrics_.hedge_wins.fetch_add(1, std::memory_order_relaxed);
+          hedge_wins_->Add(1);
         }
         gather.cv.notify_all();
       }
@@ -252,7 +261,7 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
     }
     // Launch outside the lock: hedge threads take gather.mu immediately.
     for (uint32_t si : laggards) {
-      metrics_.hedges.fetch_add(1, std::memory_order_relaxed);
+      hedges_->Add(1);
       launch(si, /*is_hedge=*/true);
     }
   }
@@ -273,10 +282,10 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
     slowest_us = std::max(slowest_us, us);
     if (straggler_bar.count() > 0 &&
         us > static_cast<uint64_t>(straggler_bar.count()) * 1000) {
-      metrics_.stragglers.fetch_add(1, std::memory_order_relaxed);
+      stragglers_->Add(1);
     }
   }
-  metrics_.slowest_us.Record(slowest_us);
+  slowest_us_->Record(slowest_us);
 
   // Any failure fails the lookup, except an unreachable shard under
   // allow_degraded. Shards are visited in id order, so the reported status
@@ -291,22 +300,22 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
     }
     if (allow_degraded_ && IsUnreachable(r.status())) {
       out.degraded = true;
-      metrics_.degraded.fetch_add(1, std::memory_order_relaxed);
+      degraded_->Add(1);
       continue;
     }
     if (r.status().code() == StatusCode::kDeadlineExceeded) {
-      metrics_.deadline_rejects.fetch_add(1, std::memory_order_relaxed);
+      deadline_rejects_->Add(1);
     } else {
-      metrics_.failed_lookups.fetch_add(1, std::memory_order_relaxed);
+      failed_lookups_->Add(1);
     }
     return r.status();
   }
   if (out.shards_ok == 0) {
-    metrics_.failed_lookups.fetch_add(1, std::memory_order_relaxed);
+    failed_lookups_->Add(1);
     return Status::Unavailable("no shard is reachable");
   }
 
-  obs::ObsSpan merge_span(&metrics_.merge_us);
+  obs::ObsSpan merge_span(merge_us_);
   for (auto& r : gather.first) {
     if (!r->ok()) continue;
     std::vector<ValuedMatch>& part = r->ValueOrDie().matches;
@@ -324,7 +333,7 @@ Result<serve::LookupResult> ShardedLookupIndex::Lookup(
             });
   if (out.matches.size() > k) out.matches.resize(k);
   merge_span.Stop();
-  metrics_.latency_us.Record(MicrosSince(start));
+  latency_us_->Record(MicrosSince(start));
   return out;
 }
 
@@ -379,10 +388,8 @@ Status ShardedLookupIndex::BulkLoad(
 }
 
 std::string ShardedLookupIndex::StatsFields() {
-  std::vector<obs::MetricPoint> points;
-  CollectShardMetrics(metrics_, num_shards(), &points);
   return ", \"shards\": " + std::to_string(num_shards()) +
-         ", \"stats\": " + obs::ToFlatJson(points);
+         ", \"stats\": " + metrics_.ToFlatJson();
 }
 
 Result<uint64_t> ShardedLookupIndex::SumOverShards(

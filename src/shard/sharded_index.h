@@ -13,9 +13,9 @@
 #include "filter/attr.h"
 #include "filter/predicate.h"
 #include "index/mutable_index.h"
+#include "obs/metrics.h"
 #include "serve/handler.h"
 #include "serve/lookup_service.h"
-#include "shard/metrics.h"
 #include "shard/router.h"
 #include "shard/shard_client.h"
 
@@ -134,7 +134,6 @@ class ShardedLookupIndex final : public serve::Backend {
       std::vector<std::unique_ptr<ShardClient>> shards,
       const FanoutOptions& fanout, bool allow_degraded);
 
-  ~ShardedLookupIndex() override;
   ShardedLookupIndex(const ShardedLookupIndex&) = delete;
   ShardedLookupIndex& operator=(const ShardedLookupIndex&) = delete;
 
@@ -191,8 +190,9 @@ class ShardedLookupIndex final : public serve::Backend {
   /// Shard `i`'s client (position = shard id, as ShardOf routes).
   ShardClient& shard(uint32_t i) const { return *shards_[i]; }
 
-  /// The fan-out's own figures, also exported as `shard.*`.
-  const ShardMetrics& metrics() const { return metrics_; }
+  /// The fan-out's own `shard.*` figures, in a registry linked into
+  /// obs::Registry::Global().
+  obs::Registry& metrics() { return metrics_; }
 
  private:
   ShardedLookupIndex(std::vector<std::unique_ptr<ShardClient>> shards,
@@ -215,8 +215,18 @@ class ShardedLookupIndex final : public serve::Backend {
   /// respect to other mutations (lookups never take this).
   std::mutex mutation_mu_;
 
-  ShardMetrics metrics_;
-  uint64_t provider_id_ = 0;
+  obs::Registry metrics_{&obs::Registry::Global()};
+  obs::Counter* const lookups_;           // scatter-gather lookups served
+  obs::Counter* const fanouts_;           // per-shard sub-lookups issued
+  obs::Counter* const failed_lookups_;    // lookups failed by a shard error
+  obs::Counter* const deadline_rejects_;  // budget exhausted at/after entry
+  obs::Counter* const hedges_;            // hedged retries issued
+  obs::Counter* const hedge_wins_;        // hedges that answered first
+  obs::Counter* const stragglers_;        // shards past the straggler bar
+  obs::Counter* const degraded_;          // partial (shard-down) responses
+  obs::Histogram* const latency_us_;      // full scatter-gather wall time
+  obs::Histogram* const slowest_us_;      // slowest shard per lookup
+  obs::Histogram* const merge_us_;        // merge + truncate step
 };
 
 /// Installs the fan-out's own op on `handler`: `resync` (Resync), answered

@@ -47,9 +47,29 @@
 namespace ssjoin {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+/// This test's own scratch directory, created on first use. The process id
+/// and the test name keep concurrent runs (ctest -j, or two checkouts) from
+/// sharing a socket, a data dir or a pid file.
+std::string TestDir() {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string dir = ::testing::TempDir() + "ssjoin_cli." +
+                    std::to_string(::getpid()) + "." + test->name();
+  std::filesystem::create_directories(dir);
+  return dir;
 }
+
+std::string TempPath(const std::string& name) {
+  return TestDir() + "/" + name;
+}
+
+class CliTest : public ::testing::Test {
+ protected:
+  /// A failed test keeps its directory: its server logs are there.
+  void TearDown() override {
+    if (!HasFailure()) std::filesystem::remove_all(TestDir());
+  }
+};
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -73,8 +93,7 @@ int RunCli(const std::string& args) {
 // Runs an arbitrary binary and captures its stderr into *err.
 int RunCaptureStderr(const std::string& binary, const std::string& args,
                      std::string* err) {
-  std::string err_path =
-      TempPath("cli_stderr_" + std::to_string(::getpid()) + ".txt");
+  std::string err_path = TempPath("cli_stderr.txt");
   std::string cmd =
       binary + " " + args + " >/dev/null 2>" + err_path;
   int rc = std::system(cmd.c_str());
@@ -85,9 +104,7 @@ int RunCaptureStderr(const std::string& binary, const std::string& args,
 
 // Runs the CLI and captures its stdout into *out.
 int RunCliCapture(const std::string& args, std::string* out) {
-  // Per-process name: ctest runs sibling tests as concurrent processes.
-  std::string out_path =
-      TempPath("cli_capture_" + std::to_string(::getpid()) + ".txt");
+  std::string out_path = TempPath("cli_capture.txt");
   std::string cmd = std::string(SSJOIN_CLI_PATH) + " " + args + " >" +
                     out_path + " 2>/dev/null";
   int rc = std::system(cmd.c_str());
@@ -106,7 +123,7 @@ bool WaitFor(const std::function<bool()>& pred,
   return pred();
 }
 
-TEST(CliTest, EditJoinEndToEnd) {
+TEST_F(CliTest, EditJoinEndToEnd) {
   std::string in = TempPath("cli_orgs.csv");
   std::string out = TempPath("cli_matches.csv");
   WriteFile(in,
@@ -127,7 +144,7 @@ TEST(CliTest, EditJoinEndToEnd) {
   std::remove(out.c_str());
 }
 
-TEST(CliTest, TwoTableJaccardJoin) {
+TEST_F(CliTest, TwoTableJaccardJoin) {
   std::string left = TempPath("cli_left.csv");
   std::string right = TempPath("cli_right.csv");
   std::string out = TempPath("cli_out2.csv");
@@ -146,7 +163,7 @@ TEST(CliTest, TwoTableJaccardJoin) {
   std::remove(out.c_str());
 }
 
-TEST(CliTest, UsageAndErrorPaths) {
+TEST_F(CliTest, UsageAndErrorPaths) {
   EXPECT_NE(RunCli(""), 0);                       // no command
   EXPECT_NE(RunCli("join"), 0);                   // missing flags
   EXPECT_NE(RunCli("join --left /nope.csv --left-col x"), 0);  // bad file
@@ -158,7 +175,7 @@ TEST(CliTest, UsageAndErrorPaths) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, UnknownAlgorithmListsValidNames) {
+TEST_F(CliTest, UnknownAlgorithmListsValidNames) {
   std::string in = TempPath("cli_alg_err.csv");
   WriteFile(in, "name\nfoo\nfood\n");
   std::string err;
@@ -176,7 +193,7 @@ TEST(CliTest, UnknownAlgorithmListsValidNames) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, ApproxAndHybridAlgorithmsJoin) {
+TEST_F(CliTest, ApproxAndHybridAlgorithmsJoin) {
   std::string in = TempPath("cli_approx.csv");
   std::string out = TempPath("cli_approx_out.csv");
   WriteFile(in,
@@ -209,7 +226,7 @@ TEST(CliTest, ApproxAndHybridAlgorithmsJoin) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, FuzzToolRejectsMalformedNumericFlags) {
+TEST_F(CliTest, FuzzToolRejectsMalformedNumericFlags) {
   std::string err;
   // std::atoi previously turned these into 0 silently; each must now be a
   // loud usage error naming the flag.
@@ -231,7 +248,7 @@ int RunServed(const std::string& args) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-TEST(CliTest, RejectsMalformedNumericFlags) {
+TEST_F(CliTest, RejectsMalformedNumericFlags) {
   std::string in = TempPath("cli_flags.csv");
   WriteFile(in, "name\nfoo\nfood\n");
   std::string base = "join --left " + in + " --left-col name --sim edit ";
@@ -264,7 +281,7 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, StatsJsonDumpsMetricRegistry) {
+TEST_F(CliTest, StatsJsonDumpsMetricRegistry) {
   std::string in = TempPath("cli_statsjson.csv");
   std::string stats_path = TempPath("cli_stats.ndjson");
   WriteFile(in, "name\nMicrosoft Corp\nMcrosoft Corp\nApple Inc\n");
@@ -306,7 +323,7 @@ const char kReferenceCsv[] =
     "Apple Inc\n"
     "International Business Machines\n";
 
-TEST(CliTest, SnapshotAndDirectLookup) {
+TEST_F(CliTest, SnapshotAndDirectLookup) {
   std::string in = TempPath("cli_ref.csv");
   std::string snap = TempPath("cli_ref.d");
   WriteFile(in, kReferenceCsv);
@@ -340,7 +357,7 @@ TEST(CliTest, SnapshotAndDirectLookup) {
   std::filesystem::remove_all(snap);
 }
 
-TEST(CliTest, SnapshotAndLookupErrorPaths) {
+TEST_F(CliTest, SnapshotAndLookupErrorPaths) {
   std::string in = TempPath("cli_ref_err.csv");
   WriteFile(in, kReferenceCsv);
   EXPECT_NE(RunCli("snapshot --reference " + in + " --col name"), 0);  // no --out
@@ -350,7 +367,7 @@ TEST(CliTest, SnapshotAndLookupErrorPaths) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, ZeroLengthQGramsFailCleanly) {
+TEST_F(CliTest, ZeroLengthQGramsFailCleanly) {
   // q = 0 is an invalid tokenizer: both tools must exit 1 with a message,
   // never abort.
   std::string in = TempPath("cli_qgram0.csv");
@@ -377,7 +394,7 @@ TEST(CliTest, ZeroLengthQGramsFailCleanly) {
   std::remove(in.c_str());
 }
 
-TEST(CliTest, ServedSocketRoundTrip) {
+TEST_F(CliTest, ServedSocketRoundTrip) {
   std::string in = TempPath("served_ref.csv");
   std::string snap = TempPath("served_ref.d");
   std::string sock = TempPath("served.sock");
@@ -481,7 +498,7 @@ void TruncatedClient(const std::string& sock, const std::string& bytes,
   ::close(fd);  // no clean goodbye: the server's write hits a dead peer
 }
 
-TEST(CliTest, ServedSurvivesTruncatedClients) {
+TEST_F(CliTest, ServedSurvivesTruncatedClients) {
   std::string in = TempPath("trunc_ref.csv");
   std::string snap = TempPath("trunc_ref.d");
   std::string sock = TempPath("trunc.sock");
@@ -551,7 +568,7 @@ std::string RoundTrip(const std::string& sock, const std::string& request) {
   return response;
 }
 
-TEST(CliTest, ServedRejectsInexactNumericFields) {
+TEST_F(CliTest, ServedRejectsInexactNumericFields) {
   std::string in = TempPath("numeric_ref.csv");
   std::string sock = TempPath("numeric.sock");
   std::string server_log = TempPath("numeric_served.log");
@@ -621,7 +638,7 @@ std::vector<std::string> ReadLines(int fd, size_t lines) {
   return out;
 }
 
-TEST(CliTest, ServedAnswersPipelinedAndSplitRequests) {
+TEST_F(CliTest, ServedAnswersPipelinedAndSplitRequests) {
   std::string in = TempPath("pipeline_ref.csv");
   std::string sock = TempPath("pipeline.sock");
   std::string server_log = TempPath("pipeline_served.log");
@@ -708,7 +725,7 @@ TEST(CliTest, ServedAnswersPipelinedAndSplitRequests) {
   std::remove(server_log.c_str());
 }
 
-TEST(CliTest, ServedChurnKillRestartRecovers) {
+TEST_F(CliTest, ServedChurnKillRestartRecovers) {
   std::string in = TempPath("churn_ref.csv");
   std::string sock = TempPath("churn.sock");
   std::string data = TempPath("churn_data");
@@ -863,7 +880,7 @@ class ServerFleet {
   std::map<std::string, int> pids_;
 };
 
-TEST(CliTest, CoordinatorMatchesUnshardedOracle) {
+TEST_F(CliTest, CoordinatorMatchesUnshardedOracle) {
   const std::string root = TempPath("coord_e2e");
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
@@ -959,7 +976,63 @@ TEST(CliTest, CoordinatorMatchesUnshardedOracle) {
   std::filesystem::remove_all(root);
 }
 
-TEST(CliTest, StandaloneServerRefusesShardOps) {
+TEST_F(CliTest, ShardedServerExportsEachMetricLabelOnce) {
+  const std::string in = TempPath("ref.csv");
+  WriteFile(in, kReferenceCsv);
+  const std::string sock = TempPath("s.sock");
+  ServerFleet fleet;
+  fleet.Start(sock, "--reference " + in + " --col name --alpha 0.4 --shards 3");
+  constexpr int kLookups = 5;
+  for (int i = 0; i < kLookups; ++i) {
+    const std::string reply =
+        RoundTrip(sock, R"({"op": "lookup", "query": "Oracle Corp", "k": 2})");
+    ASSERT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+  }
+
+  // Every shard's service and index export the same names; the shard=<i>
+  // label tells them apart, so no (metric, label) pair repeats. The
+  // fan-out's shard.* family belongs to the server and has no label.
+  std::string metrics;
+  ASSERT_EQ(RunCliCapture("lookup --socket " + sock + " --metrics", &metrics), 0);
+  std::map<std::pair<std::string, std::string>, double> values;
+  std::istringstream lines(metrics);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    auto obj = serve::ParseJsonObject(line);
+    ASSERT_TRUE(obj.ok()) << obj.status().ToString() << " line: " << line;
+    const std::string label = obj->count("label") ? obj->at("label").str : "";
+    const double value =
+        obj->at(obj->count("value") ? "value" : "count").num;
+    EXPECT_TRUE(
+        values.emplace(std::make_pair(obj->at("metric").str, label), value)
+            .second)
+        << "repeated: " << line;
+  }
+  size_t serve_requests = 0;
+  double live_docs = 0;
+  for (const auto& [key, value] : values) {
+    const auto& [name, label] = key;
+    if (name.rfind("shard.", 0) == 0) EXPECT_EQ(label, "") << name;
+    if (name == "serve.requests") {
+      ++serve_requests;
+      EXPECT_EQ(label.rfind("shard=", 0), 0u) << label;
+      EXPECT_EQ(value, kLookups) << label;
+    }
+    if (name == "index.live_docs") live_docs += value;
+  }
+  EXPECT_EQ(serve_requests, 3u) << metrics;
+  for (const char* label : {"shard=0", "shard=1", "shard=2"}) {
+    EXPECT_EQ(values.count({"serve.requests", label}), 1u) << label;
+  }
+  EXPECT_EQ(live_docs, 4.0) << metrics;
+  ASSERT_EQ(values.count({"shard.lookups", ""}), 1u) << metrics;
+  EXPECT_EQ((values[{"shard.lookups", ""}]), kLookups);
+
+  fleet.ShutdownAll();
+}
+
+TEST_F(CliTest, StandaloneServerRefusesShardOps) {
   const std::string root = TempPath("standalone_ops");
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);

@@ -1,10 +1,12 @@
 /// Unit tests for the unified observability layer (src/obs): metric
-/// primitives, the registry with its provider protocol, scoped spans,
+/// primitives, the registry with its linked child registries, scoped spans,
 /// and the NDJSON / flat-JSON export forms (validated with the serve wire
 /// parser, the same one the stats command's consumers use).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,23 +118,66 @@ TEST(RegistryTest, SnapshotSortedByName) {
   EXPECT_EQ(snap[2].counter, 1u);
 }
 
-TEST(RegistryTest, ProviderContributesAndUnregisters) {
+TEST(RegistryTest, ChildPointsAppearWhileLinked) {
   Registry reg;
   reg.GetCounter("owned")->Add(1);
-  uint64_t id = reg.RegisterProvider([](std::vector<MetricPoint>* out) {
-    out->push_back(MetricPoint::FromCounter("provided", 7));
-  });
-  std::vector<MetricPoint> snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].name, "owned");
-  EXPECT_EQ(snap[1].name, "provided");
-  EXPECT_EQ(snap[1].counter, 7u);
+  {
+    Registry child(&reg);
+    child.GetCounter("owned")->Add(7);
+    child.GetGauge("child.gauge")->Set(3);
+    std::vector<MetricPoint> snap = reg.Snapshot();
+    ASSERT_EQ(snap.size(), 3u);
+    EXPECT_EQ(snap[0].name, "child.gauge");
+    EXPECT_EQ(snap[0].gauge, 3);
+    // Same name, two owners: the unlabelled child's point is a second line.
+    EXPECT_EQ(snap[1].name, "owned");
+    EXPECT_EQ(snap[2].name, "owned");
+    EXPECT_EQ(snap[1].counter + snap[2].counter, 8u);
 
-  reg.UnregisterProvider(id);
-  EXPECT_EQ(reg.Snapshot().size(), 1u);
-  // Unregistering twice (or a bogus id) is harmless.
-  reg.UnregisterProvider(id);
-  reg.UnregisterProvider(999);
+    child.SetLabel("shard=1");
+    snap = reg.Snapshot();
+    ASSERT_EQ(snap.size(), 3u);
+    EXPECT_EQ(snap[0].label, "shard=1");
+    EXPECT_EQ(snap[1].name, "owned");
+    EXPECT_EQ(snap[1].label, "");
+    EXPECT_EQ(snap[1].counter, 1u);
+    EXPECT_EQ(snap[2].label, "shard=1");
+    EXPECT_EQ(snap[2].counter, 7u);
+    EXPECT_EQ(snap[2].ToJson(),
+              R"({"metric": "owned", "label": "shard=1", "type": "counter", )"
+              R"("value": 7})");
+    auto flat = serve::ParseJsonObject(reg.ToFlatJson());
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    EXPECT_EQ(flat->at("owned").num, 1.0);
+    EXPECT_EQ(flat->at("owned{shard=1}").num, 7.0);
+  }
+  // Destroying the child unlinks it: only the parent's own point is left.
+  std::vector<MetricPoint> snap = reg.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].name, "owned");
+  EXPECT_EQ(snap[0].counter, 1u);
+}
+
+TEST(RegistryTest, ChildDestroyedWhileAnotherThreadSnapshots) {
+  Registry reg;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const MetricPoint& p : reg.Snapshot()) {
+        // Read before or after the child's one Add, never from a dead one.
+        if (p.name == "child.requests") EXPECT_LE(p.counter, 5u);
+      }
+    }
+  });
+  for (int i = 0; i < 500; ++i) {
+    auto child = std::make_unique<Registry>(&reg);
+    child->SetLabel("shard=" + std::to_string(i % 3));
+    child->GetCounter("child.requests")->Add(5);
+    child->GetHistogram("child.latency_us")->Record(static_cast<uint64_t>(i));
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(reg.Snapshot().empty());
 }
 
 TEST(RegistryTest, NdjsonLinesParseWithWireParser) {

@@ -1,12 +1,15 @@
 /// Unit tests of the serve layer's latency histograms (obs::Histogram fed
 /// microseconds) and StatsSnapshot — bucket edges, quantile interpolation
-/// and its edge cases (empty, single sample, overflow bucket).
+/// and its edge cases (empty, single sample, overflow bucket) — and of
+/// LookupService::Stats reading the service's own registry.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
-#include "serve/metrics.h"
+#include "obs/metrics.h"
+#include "serve/lookup_service.h"
 
 namespace ssjoin::serve {
 namespace {
@@ -81,15 +84,20 @@ TEST(LatencyHistogramTest, QuantileClampsArgument) {
 }
 
 TEST(ServiceMetricsTest, SnapshotCopiesCounters) {
-  ServiceMetrics m;
-  m.requests.store(7);
-  m.rejected_overload.store(1);
-  m.rejected_deadline.store(2);
-  m.latency.Record(50);
-  StatsSnapshot s = SnapshotMetrics(m);
+  auto index = index::MutableFuzzyIndex::Create({}).MoveValueUnsafe();
+  auto service = LookupService::Create(std::move(index), {}).MoveValueUnsafe();
+  // Stats() reads the registry's metrics themselves: each value has one
+  // source, the one the metrics export also reads.
+  obs::Registry& m = service->metrics();
+  m.GetCounter("serve.requests")->Add(7);
+  m.GetCounter("serve.rejected_overload")->Add(1);
+  m.GetCounter("serve.rejected_deadline")->Add(2);
+  m.GetHistogram("serve.latency_us")->Record(50);
+  StatsSnapshot s = service->Stats();
   EXPECT_EQ(s.requests, 7u);
   EXPECT_EQ(s.rejected_overload, 1u);
   EXPECT_EQ(s.rejected_deadline, 2u);
+  EXPECT_EQ(s.in_flight, 0u);
   EXPECT_EQ(s.latency_count, 1u);
   EXPECT_EQ(s.latency_mean_us, 50.0);
   EXPECT_EQ(s.latency_max_us, 50u);

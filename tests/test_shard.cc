@@ -346,6 +346,16 @@ FakeCluster MakeFakeCluster(uint32_t n, const FanoutOptions& fanout,
   return cluster;
 }
 
+/// The fan-out's counter `name`, read from its registry's snapshot, so a
+/// misspelt name fails instead of reading a freshly created zero.
+uint64_t CounterOf(const FakeCluster& cluster, const std::string& name) {
+  for (const obs::MetricPoint& p : cluster.index->metrics().Snapshot()) {
+    if (p.name == name) return p.counter;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return 0;
+}
+
 TEST(FanoutTest, StalledShardLosesToItsHedge) {
   FanoutOptions fanout;
   fanout.hedge_delay = std::chrono::milliseconds(50);
@@ -369,9 +379,9 @@ TEST(FanoutTest, StalledShardLosesToItsHedge) {
   EXPECT_EQ(got->matches[1].id, 1u);
   EXPECT_EQ(got->matches[1].value, "doc 1");
   EXPECT_EQ(cluster.shards[1]->calls.load(), 2);
-  EXPECT_EQ(cluster.index->metrics().hedges.load(), 1u);
-  EXPECT_EQ(cluster.index->metrics().hedge_wins.load(), 1u);
-  EXPECT_GE(cluster.index->metrics().stragglers.load(), 1u);
+  EXPECT_EQ(CounterOf(cluster, "shard.hedges"), 1u);
+  EXPECT_EQ(CounterOf(cluster, "shard.hedge_wins"), 1u);
+  EXPECT_GE(CounterOf(cluster, "shard.stragglers"), 1u);
 }
 
 TEST(FanoutTest, UnreachableShardIsDroppedOnlyWhenDegradedReadsAreAllowed) {
@@ -384,7 +394,7 @@ TEST(FanoutTest, UnreachableShardIsDroppedOnlyWhenDegradedReadsAreAllowed) {
       if (!allow_degraded) {
         ASSERT_FALSE(got.ok());
         EXPECT_EQ(got.status().code(), down.code());
-        EXPECT_EQ(cluster.index->metrics().failed_lookups.load(), 1u);
+        EXPECT_EQ(CounterOf(cluster, "shard.failed_lookups"), 1u);
         continue;
       }
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -393,7 +403,7 @@ TEST(FanoutTest, UnreachableShardIsDroppedOnlyWhenDegradedReadsAreAllowed) {
       ASSERT_EQ(got->matches.size(), 2u);
       EXPECT_EQ(got->matches[0].id, 0u);
       EXPECT_EQ(got->matches[1].id, 2u);
-      EXPECT_EQ(cluster.index->metrics().degraded.load(), 1u);
+      EXPECT_EQ(CounterOf(cluster, "shard.degraded"), 1u);
     }
   }
 }
@@ -404,8 +414,8 @@ TEST(FanoutTest, DeadlineExceededFailsEvenWithDegradedReads) {
   auto got = cluster.index->Lookup("q", 3);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(cluster.index->metrics().deadline_rejects.load(), 1u);
-  EXPECT_EQ(cluster.index->metrics().degraded.load(), 0u);
+  EXPECT_EQ(CounterOf(cluster, "shard.deadline_rejects"), 1u);
+  EXPECT_EQ(CounterOf(cluster, "shard.degraded"), 0u);
 }
 
 TEST(FanoutTest, NoReachableShardIsUnavailable) {
@@ -416,7 +426,7 @@ TEST(FanoutTest, NoReachableShardIsUnavailable) {
   auto got = cluster.index->Lookup("q", 3);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(cluster.index->metrics().failed_lookups.load(), 1u);
+  EXPECT_EQ(CounterOf(cluster, "shard.failed_lookups"), 1u);
 }
 
 // ---------------------------------------------------------------------------

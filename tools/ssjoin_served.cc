@@ -116,6 +116,9 @@ int Usage() {
   return 2;
 }
 
+/// ServeLoop binds `<socket>` + this suffix, then renames it to `<socket>`.
+constexpr char kBindSuffix[] = ".bind";
+
 struct ServerState {
   const serve::Handler* handler = nullptr;
   int listen_fd = -1;
@@ -255,18 +258,28 @@ Result<int> ServeLoop(const std::string& socket_path,
   state->handler = &handler;
   state->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (state->listen_fd < 0) return Status::IOError("socket() failed");
+  // bind() creates the socket file before listen() lets a connect succeed,
+  // and clients start as soon as the file exists. So bind a sibling name
+  // and rename it into place once listening.
+  const std::string bound_path = socket_path + kBindSuffix;
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  ::unlink(socket_path.c_str());
+  std::strncpy(addr.sun_path, bound_path.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(bound_path.c_str());
   if (::bind(state->listen_fd, reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     ::close(state->listen_fd);
-    return Status::IOError("cannot bind '" + socket_path + "'");
+    return Status::IOError("cannot bind '" + bound_path + "'");
   }
   if (::listen(state->listen_fd, 64) != 0) {
     ::close(state->listen_fd);
+    ::unlink(bound_path.c_str());
     return Status::IOError("listen() failed");
+  }
+  if (::rename(bound_path.c_str(), socket_path.c_str()) != 0) {
+    ::close(state->listen_fd);
+    ::unlink(bound_path.c_str());
+    return Status::IOError("cannot move the socket to '" + socket_path + "'");
   }
   std::printf("listening on %s\n", socket_path.c_str());
   std::fflush(stdout);
@@ -481,7 +494,8 @@ Result<int> RunServer(const Args& args) {
     return Status::Invalid("--socket PATH is required");
   }
   const std::string& socket_path = socket_it->second;
-  if (socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+  if (socket_path.size() + std::strlen(kBindSuffix) >=
+      sizeof(sockaddr_un{}.sun_path)) {
     return Status::Invalid("socket path too long");
   }
   SSJOIN_ASSIGN_OR_RETURN(size_t default_k, SizeFlag(args, "k-default", 3));
@@ -520,8 +534,9 @@ Result<int> RunServer(const Args& args) {
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   // Pre-create the core and exec metric names so the NDJSON export covers
-  // all three layers even before the first lookup dispatches (serve.* names
-  // come from the LookupService's registry provider).
+  // all three layers even before the first lookup dispatches (the serve.*,
+  // index.* and shard.* names come from the registries of the serving
+  // instances, linked into the global one).
   core::RegisterCoreMetrics();
   exec::RegisterExecMetrics();
   kernels::RegisterKernelMetrics();
