@@ -15,11 +15,12 @@ namespace ssjoin::core {
 /// \brief Inverted index over a SetStore's sets (or prefixes):
 /// element -> sorted list of containing groups. This is the hash table of
 /// the equi-join on B that all indexed SSJoin executors build (core/ssjoin.cc
-/// and the approx tier's exact fallback). Construction is a two-pass counting
-/// scan over the store's flat token column; Lookup is const and safe to call
-/// concurrently.
+/// and the approx tier's exact fallback), and each index::Segment's postings
+/// for lookups. Construction is a two-pass counting scan over the store's
+/// flat token column; Lookup is const and safe to call concurrently.
 class InvertedIndex {
  public:
+  InvertedIndex() = default;
   InvertedIndex(const SetStore& store, size_t num_elements) {
     offsets_.assign(num_elements + 1, 0);
     for (text::TokenId e : store.token_ids()) ++offsets_[e + 1];
@@ -37,6 +38,10 @@ class InvertedIndex {
   }
 
   size_t total_postings() const { return lists_.size(); }
+  /// Element ids [0, num_elements()) have a list; Lookup takes no other id.
+  size_t num_elements() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
 
  private:
   std::vector<uint32_t> offsets_;

@@ -19,8 +19,7 @@ Status SetStore::CheckCapacity(size_t groups, size_t elements) {
 }
 
 Result<SetStore> SetStore::FromParts(std::vector<uint32_t> offsets,
-                                     std::vector<text::TokenId> token_ids,
-                                     std::vector<double> weights) {
+                                     std::vector<text::TokenId> token_ids) {
   if (offsets.empty()) {
     return Status::Invalid("SetStore: offsets array must have >= 1 entry");
   }
@@ -39,15 +38,9 @@ Result<SetStore> SetStore::FromParts(std::vector<uint32_t> offsets,
         "SetStore: offsets end at %u but token_ids has %zu entries",
         offsets.back(), token_ids.size()));
   }
-  if (!weights.empty() && weights.size() != token_ids.size()) {
-    return Status::Invalid(StringPrintf(
-        "SetStore: weights column has %zu entries for %zu elements",
-        weights.size(), token_ids.size()));
-  }
   SetStore store;
   store.offsets_ = std::move(offsets);
   store.token_ids_ = std::move(token_ids);
-  store.weights_ = std::move(weights);
   return store;
 }
 

@@ -47,11 +47,6 @@ class SetView {
 /// of one per group — sequential scans walk contiguous memory, snapshots
 /// serialize the arrays verbatim, and a future mmap load is a cast away.
 ///
-/// An optional `weights` column (empty, or exactly one double per element)
-/// lets owners materialize per-element weights next to the ids, turning the
-/// random gather `w[token_ids[i]]` of verification loops into a sequential
-/// read.
-///
 /// The store itself does not require sortedness — SetsRelation stores
 /// canonical (sorted, unique) sets, PrefixFilteredRelation stores prefixes
 /// in rank order. Offsets are uint32_t by design: builders reject inputs
@@ -72,20 +67,10 @@ class SetStore {
             token_ids_.data() + offsets_[g + 1]};
   }
 
-  bool has_element_weights() const { return !weights_.empty(); }
-
-  /// Per-element weights of group g; empty span when no weights column is
-  /// materialized.
-  std::span<const double> element_weights(GroupId g) const {
-    if (weights_.empty()) return {};
-    return {weights_.data() + offsets_[g], weights_.data() + offsets_[g + 1]};
-  }
-
   /// \name Raw columns (serialization, index building)
   /// @{
   const std::vector<uint32_t>& offsets() const { return offsets_; }
   const std::vector<text::TokenId>& token_ids() const { return token_ids_; }
-  const std::vector<double>& weights() const { return weights_; }
   /// @}
 
   /// Pre-sizes the columns for `groups` groups / `elements` total elements.
@@ -111,19 +96,9 @@ class SetStore {
     }
   }
 
-  /// Materializes the per-element weights column as `token_weights[id]` for
-  /// every stored element id. All ids must be < token_weights.size().
-  void AttachElementWeights(std::span<const double> token_weights) {
-    weights_.resize(token_ids_.size());
-    for (size_t i = 0; i < token_ids_.size(); ++i) {
-      weights_[i] = token_weights[token_ids_[i]];
-    }
-  }
-
   void Clear() {
     offsets_.assign(1, 0);
     token_ids_.clear();
-    weights_.clear();
   }
 
   /// Fails when `groups` groups / `elements` total elements would overflow
@@ -132,21 +107,17 @@ class SetStore {
 
   /// Reassembles a store from raw columns (typically deserialized),
   /// validating the CSR invariants: offsets non-empty, starting at 0,
-  /// monotone non-decreasing, ending at token_ids.size(); weights empty or
-  /// one per element.
+  /// monotone non-decreasing, ending at token_ids.size().
   static Result<SetStore> FromParts(std::vector<uint32_t> offsets,
-                                    std::vector<text::TokenId> token_ids,
-                                    std::vector<double> weights = {});
+                                    std::vector<text::TokenId> token_ids);
 
   friend bool operator==(const SetStore& a, const SetStore& b) {
-    return a.offsets_ == b.offsets_ && a.token_ids_ == b.token_ids_ &&
-           a.weights_ == b.weights_;
+    return a.offsets_ == b.offsets_ && a.token_ids_ == b.token_ids_;
   }
 
  private:
   std::vector<uint32_t> offsets_;
   std::vector<text::TokenId> token_ids_;
-  std::vector<double> weights_;
 };
 
 }  // namespace ssjoin::core

@@ -186,7 +186,8 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
       return Status::IOError("segment file '" + ref.file +
                              "' checksum mismatch");
     }
-    SSJOIN_ASSIGN_OR_RETURN(Segment seg, Segment::DecodeFile(bytes));
+    SSJOIN_ASSIGN_OR_RETURN(
+        Segment seg, Segment::DecodeFile(bytes, index->dict_.num_elements()));
     if (seg.serial != ref.serial || seg.num_docs() != ref.num_docs) {
       return Status::IOError("segment file '" + ref.file +
                              "' does not match its manifest entry");
@@ -214,10 +215,8 @@ Result<std::unique_ptr<MutableFuzzyIndex>> MutableFuzzyIndex::Open(
     if (st.deleted || st.last_local == kNoLocalDoc) continue;
     index->doc_map_[doc_id] = DocLoc{si, st.last_local};
     (*index->sealed_winners_[si])[st.last_local] = 1;
+    // DecodeFile bounded every element id by the dictionary's size.
     for (text::TokenId e : index->sealed_[si]->sets.elements(st.last_local)) {
-      if (e >= index->df_live_.size()) {
-        return Status::IOError("segment element out of dictionary range");
-      }
       ++index->df_live_[e];
     }
     ++index->live_docs_;

@@ -31,21 +31,10 @@ void Segment::RecordDelete(uint64_t doc_id) {
 }
 
 void Segment::BuildPostings() {
-  posting_elements_.clear();
-  posting_locals_.clear();
-  size_t total = sets.total_elements();
-  std::vector<std::pair<text::TokenId, uint32_t>> pairs;
-  pairs.reserve(total);
-  for (uint32_t local = 0; local < doc_ids.size(); ++local) {
-    for (text::TokenId e : sets.elements(local)) pairs.emplace_back(e, local);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  posting_elements_.reserve(pairs.size());
-  posting_locals_.reserve(pairs.size());
-  for (const auto& [e, local] : pairs) {
-    posting_elements_.push_back(e);
-    posting_locals_.push_back(local);
-  }
+  const std::vector<text::TokenId>& ids = sets.token_ids();
+  size_t num_elements =
+      ids.empty() ? 0 : size_t{*std::max_element(ids.begin(), ids.end())} + 1;
+  postings_ = core::InvertedIndex(sets, num_elements);
   tombstone_count_ = 0;
   for (const auto& [id, st] : doc_states) {
     if (st.deleted) ++tombstone_count_;
@@ -55,19 +44,12 @@ void Segment::BuildPostings() {
   };
   std::map<const filter::AttrSet*, uint32_t, decltype(less)> classes(less);
   attr_class_.resize(attrs.size());
+  class_reps_.clear();
   for (uint32_t local = 0; local < attrs.size(); ++local) {
     auto [it, added] = classes.try_emplace(&attrs[local], classes.size());
     if (added) class_reps_.push_back(local);
     attr_class_[local] = it->second;
   }
-}
-
-std::span<const uint32_t> Segment::Postings(text::TokenId e) const {
-  auto lo = std::lower_bound(posting_elements_.begin(), posting_elements_.end(), e);
-  auto hi = std::upper_bound(lo, posting_elements_.end(), e);
-  size_t begin = static_cast<size_t>(lo - posting_elements_.begin());
-  size_t end = static_cast<size_t>(hi - posting_elements_.begin());
-  return {posting_locals_.data() + begin, posting_locals_.data() + end};
 }
 
 std::string Segment::EncodeFile() const {
@@ -104,7 +86,8 @@ std::string Segment::EncodeFile() const {
   return bytes;
 }
 
-Result<Segment> Segment::DecodeFile(std::string_view bytes) {
+Result<Segment> Segment::DecodeFile(std::string_view bytes,
+                                    size_t num_elements) {
   if (bytes.size() < kSegmentHeaderSize + sizeof(uint64_t)) {
     return Status::IOError("segment file is truncated");
   }
@@ -144,6 +127,11 @@ Result<Segment> Segment::DecodeFile(std::string_view bytes) {
       seg.sets, core::SetStore::FromParts(std::move(offsets), std::move(token_ids)));
   if (seg.sets.num_groups() != seg.doc_ids.size()) {
     return Status::IOError("segment set count != doc count");
+  }
+  for (text::TokenId e : seg.sets.token_ids()) {
+    if (e >= num_elements) {
+      return Status::IOError("segment element out of dictionary range");
+    }
   }
   std::vector<uint64_t> tombstones;
   SSJOIN_RETURN_NOT_OK(r.Vec(&tombstones));

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/inverted_index.h"
 #include "core/set_store.h"
 #include "filter/attr.h"
 #include "text/dictionary.h"
@@ -41,9 +42,11 @@ struct DocState {
 /// sealing, as an immutable generation shared between epochs by shared_ptr.
 /// A data directory holding one sealed segment is the on-disk form of a
 /// whole reference table (what `ssjoin_cli snapshot` writes).
-/// `BuildPostings` materializes the inverted index (element -> local doc
-/// indexes, sorted) used for candidate generation; it is built at freeze/load
-/// time, never serialized.
+/// `BuildPostings` materializes the inverted index used for candidate
+/// generation: a core::InvertedIndex over `sets`, the same CSR layout the
+/// batch SSJoin executors probe, mapping each element to its local doc
+/// indexes in ascending order. It is built at freeze/load time, never
+/// serialized.
 ///
 /// Tombstones (doc_states entries with `deleted`) are persisted with sealed
 /// segments: a delete recorded in generation j must keep suppressing copies
@@ -73,14 +76,20 @@ struct Segment {
   /// "deleted" (also suppressing any copy in older segments).
   void RecordDelete(uint64_t doc_id);
 
-  /// Sorts the (element, local) pairs into the postings arrays, groups the
-  /// docs into attribute classes and caches the tombstone count. Call once
-  /// the segment stops mutating.
+  /// Indexes `sets` into the postings (sized by the largest element id + 1),
+  /// groups the docs into attribute classes and caches the tombstone count.
+  /// Call once the segment stops mutating; calling it again rebuilds all
+  /// three.
   void BuildPostings();
 
-  /// Local doc indexes containing element `e` (ascending). Valid only after
-  /// BuildPostings.
-  std::span<const uint32_t> Postings(text::TokenId e) const;
+  /// Local doc indexes containing element `e` (ascending); empty for an id
+  /// past the indexed range (a token interned after BuildPostings, or any id
+  /// of a segment without docs). O(1). Valid only after BuildPostings.
+  std::span<const uint32_t> Postings(text::TokenId e) const {
+    if (e >= postings_.num_elements()) return {};
+    auto [begin, end] = postings_.Lookup(e);
+    return {begin, end};
+  }
 
   /// Docs with equal attribute sets share an attribute class, a dense id in
   /// [0, num_attr_classes()), so a filtered lookup can test its predicate
@@ -100,13 +109,14 @@ struct Segment {
   /// checksum over the payload.
   std::string EncodeFile() const;
 
-  /// Decodes, validates (magic/version/checksum/CSR invariants) and rebuilds
-  /// doc_states and postings.
-  static Result<Segment> DecodeFile(std::string_view bytes);
+  /// Decodes, validates (magic/version/checksum/CSR invariants, every
+  /// element id < `num_elements`, the dictionary's size) and rebuilds
+  /// doc_states and postings. The id check runs before the postings are
+  /// sized, so a corrupt id cannot turn into a huge allocation.
+  static Result<Segment> DecodeFile(std::string_view bytes, size_t num_elements);
 
  private:
-  std::vector<text::TokenId> posting_elements_;
-  std::vector<uint32_t> posting_locals_;
+  core::InvertedIndex postings_;
   std::vector<uint32_t> attr_class_;
   std::vector<uint32_t> class_reps_;  // per class: its first local
   size_t tombstone_count_ = 0;

@@ -3,10 +3,12 @@
 /// (ids, similarities and order) to fuzz::BruteForceLookup over the live
 /// records sorted by ascending doc_id — the subsystem's equivalence
 /// contract. Also covers epoch pinning, auto-maintenance thresholds and WAL
-/// replay after an unclean shutdown.
+/// replay after an unclean shutdown, and a segment's postings against a
+/// brute-force scan of its sets.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -19,6 +21,7 @@
 #include "fuzz/oracles.h"
 #include "index/manifest.h"
 #include "index/mutable_index.h"
+#include "index/segment.h"
 #include "lookup_corpus.h"
 #include "obs/metrics.h"
 #include "text/weights.h"
@@ -728,6 +731,72 @@ TEST(MutableIndexDurabilityTest, OpenWithoutManifestFails) {
   options.data_dir = FreshDir("mutable_open_missing");
   EXPECT_FALSE(MutableFuzzyIndex::Open(options).ok());
   std::filesystem::remove_all(options.data_dir);
+}
+
+// ---------------------------------------------------------------------------
+// Segment postings: the core::InvertedIndex over a segment's sets.
+
+/// Postings(e) must equal a brute-force scan of `seg.sets` (the locals
+/// holding e, ascending) for every e in [0, max_id + 3], so ids past the
+/// indexed range are covered too.
+void ExpectPostingsMatchScan(const Segment& seg, text::TokenId max_id) {
+  for (text::TokenId e = 0; e <= max_id + 3; ++e) {
+    std::vector<uint32_t> want;
+    for (uint32_t local = 0; local < seg.num_docs(); ++local) {
+      std::span<const text::TokenId> elems = seg.sets.elements(local);
+      if (std::binary_search(elems.begin(), elems.end(), e)) want.push_back(local);
+    }
+    std::span<const uint32_t> got = seg.Postings(e);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want) << "element " << e;
+  }
+}
+
+TEST(SegmentPostingsTest, MatchBruteForceScan) {
+  Segment seg;
+  seg.AppendDoc(10, "a", std::vector<text::TokenId>{1, 4, 7});
+  seg.AppendDoc(11, "empty", {});
+  seg.AppendDoc(12, "b", std::vector<text::TokenId>{4});
+  seg.AppendDoc(10, "a again", std::vector<text::TokenId>{0, 7});
+  seg.RecordDelete(13);
+  seg.BuildPostings();
+  // 4 and 7 are repeated, 2, 3, 5 and 6 absent, 8 and up past the range.
+  ExpectPostingsMatchScan(seg, 7);
+  EXPECT_EQ(seg.Postings(7).size(), 2u);
+  EXPECT_TRUE(seg.Postings(UINT32_MAX).empty());
+}
+
+TEST(SegmentPostingsTest, SegmentsWithoutDocsHaveNoPostings) {
+  Segment empty;
+  empty.BuildPostings();
+  ExpectPostingsMatchScan(empty, 0);
+  Segment tombstones;
+  tombstones.RecordDelete(5);
+  tombstones.RecordDelete(6);
+  tombstones.BuildPostings();
+  EXPECT_EQ(tombstones.num_docs(), 0u);
+  EXPECT_EQ(tombstones.num_tombstones(), 2u);
+  ExpectPostingsMatchScan(tombstones, 0);
+}
+
+TEST(SegmentPostingsTest, CopyRebuildsItsOwnPostings) {
+  // The frozen tail: a copy of a segment, appended to and built again,
+  // must index its own docs and leave the original's postings alone.
+  filter::AttrSet red;
+  ASSERT_TRUE(red.Set("color", filter::AttrValue::String("red")).ok());
+  filter::AttrSet blue;
+  ASSERT_TRUE(blue.Set("color", filter::AttrValue::String("blue")).ok());
+  Segment seg;
+  seg.AppendDoc(1, "x", std::vector<text::TokenId>{2, 3}, red);
+  seg.BuildPostings();
+  Segment copy = seg;
+  copy.AppendDoc(2, "y", std::vector<text::TokenId>{3, 9}, blue);
+  copy.AppendDoc(3, "z", std::vector<text::TokenId>{9}, red);
+  copy.BuildPostings();
+  ExpectPostingsMatchScan(seg, 9);
+  ExpectPostingsMatchScan(copy, 9);
+  EXPECT_EQ(seg.num_attr_classes(), 1u);
+  EXPECT_EQ(copy.num_attr_classes(), 2u);
+  EXPECT_EQ(copy.attr_class(2), copy.attr_class(0));
 }
 
 }  // namespace

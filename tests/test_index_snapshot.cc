@@ -2,9 +2,9 @@
 /// sealed segment (what `ssjoin_cli snapshot` writes: Create + BulkLoad +
 /// Seal). A reopened snapshot must answer bit-identically to the index it was
 /// written from, and every corruption of its segment file (truncation, bad
-/// magic, unsupported version, bit flips, broken CSR arrays) must yield a
-/// clean Status error from Segment::DecodeFile — never UB or a partially
-/// initialized segment.
+/// magic, unsupported version, bit flips, broken CSR arrays, element ids past
+/// the dictionary) must yield a clean Status error from Segment::DecodeFile —
+/// never UB or a partially initialized segment.
 
 #include <gtest/gtest.h>
 
@@ -61,6 +61,14 @@ std::string SegmentPath(const std::string& dir) {
   EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
   EXPECT_EQ(manifest->segments.size(), 1u);
   return dir + "/" + manifest->segments.at(0).file;
+}
+
+/// The dictionary size `dir`'s manifest records: every element id of its
+/// segments must be below it.
+size_t DictSize(const std::string& dir) {
+  auto manifest = LoadManifest(dir + "/" + kManifestFileName);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  return manifest->dict_entries.size();
 }
 
 /// `reopened` must answer bit-identically to `built` and to the brute-force
@@ -154,14 +162,16 @@ class SnapshotCorruptionTest : public ::testing::Test {
                     ::testing::UnitTest::GetInstance()->current_test_info()->name());
     WriteSnapshot(Master(150, 23), match, dir_);
     bytes_ = ReadFile(SegmentPath(dir_));
+    dict_size_ = DictSize(dir_);
     ASSERT_GT(bytes_.size(), kSegmentHeaderSize + sizeof(uint64_t));
-    ASSERT_TRUE(Segment::DecodeFile(bytes_).ok());
+    ASSERT_TRUE(Segment::DecodeFile(bytes_, dict_size_).ok());
   }
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;
   std::string bytes_;
+  size_t dict_size_ = 0;
 };
 
 TEST_F(SnapshotCorruptionTest, TruncatedAtEveryRegion) {
@@ -176,7 +186,7 @@ TEST_F(SnapshotCorruptionTest, TruncatedAtEveryRegion) {
                               bytes_.size() - sizeof(uint64_t),
                               bytes_.size() - 1};
   for (size_t cut : cuts) {
-    EXPECT_FALSE(Segment::DecodeFile(bytes_.substr(0, cut)).ok())
+    EXPECT_FALSE(Segment::DecodeFile(bytes_.substr(0, cut), dict_size_).ok())
         << "cut at " << cut;
   }
 }
@@ -184,7 +194,7 @@ TEST_F(SnapshotCorruptionTest, TruncatedAtEveryRegion) {
 TEST_F(SnapshotCorruptionTest, WrongMagic) {
   std::string bad = bytes_;
   bad[0] = 'X';
-  auto decoded = Segment::DecodeFile(bad);
+  auto decoded = Segment::DecodeFile(bad, dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
   EXPECT_NE(decoded.status().message().find("magic"), std::string::npos);
@@ -193,7 +203,7 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 TEST_F(SnapshotCorruptionTest, FutureVersion) {
   std::string bad = bytes_;
   bad[8] = static_cast<char>(kSegmentVersion + 1);
-  auto decoded = Segment::DecodeFile(bad);
+  auto decoded = Segment::DecodeFile(bad, dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
@@ -206,7 +216,7 @@ TEST_F(SnapshotCorruptionTest, FlippedPayloadByteFailsChecksum) {
                      bytes_.size() / 2, bytes_.size() - sizeof(uint64_t) - 1}) {
     std::string bad = bytes_;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x40);
-    auto decoded = Segment::DecodeFile(bad);
+    auto decoded = Segment::DecodeFile(bad, dict_size_);
     ASSERT_FALSE(decoded.ok()) << "flip at " << pos;
     EXPECT_EQ(decoded.status().code(), StatusCode::kIOError) << "flip at " << pos;
     EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos)
@@ -217,7 +227,7 @@ TEST_F(SnapshotCorruptionTest, FlippedPayloadByteFailsChecksum) {
 TEST_F(SnapshotCorruptionTest, FlippedChecksumByte) {
   std::string bad = bytes_;
   bad[bytes_.size() - 1] = static_cast<char>(bad[bytes_.size() - 1] ^ 0x01);
-  auto decoded = Segment::DecodeFile(bad);
+  auto decoded = Segment::DecodeFile(bad, dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos);
 }
@@ -225,7 +235,8 @@ TEST_F(SnapshotCorruptionTest, FlippedChecksumByte) {
 TEST_F(SnapshotCorruptionTest, TrailingGarbageRejected) {
   // Appending bytes shifts the checksum read, so this fails one way or the
   // other; the point is it fails cleanly.
-  EXPECT_FALSE(Segment::DecodeFile(bytes_ + std::string(16, '\0')).ok());
+  EXPECT_FALSE(
+      Segment::DecodeFile(bytes_ + std::string(16, '\0'), dict_size_).ok());
 }
 
 TEST(SnapshotCompatTest, V1SegmentRejected) {
@@ -235,7 +246,7 @@ TEST(SnapshotCompatTest, V1SegmentRejected) {
   WriteSnapshot(Master(40, 31), MatchOptions(), dir);
   std::string bytes = ReadFile(SegmentPath(dir));
   bytes[8] = 1;
-  auto decoded = Segment::DecodeFile(bytes);
+  auto decoded = Segment::DecodeFile(bytes, DictSize(dir));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
   EXPECT_NE(decoded.status().message().find("version 1"), std::string::npos)
@@ -279,7 +290,8 @@ class SnapshotV2CorruptionTest : public ::testing::Test {
                     ::testing::UnitTest::GetInstance()->current_test_info()->name());
     WriteSnapshot(Master(60, 29), match, dir_);
     bytes_ = ReadFile(SegmentPath(dir_));
-    auto segment = Segment::DecodeFile(bytes_);
+    dict_size_ = DictSize(dir_);
+    auto segment = Segment::DecodeFile(bytes_, dict_size_);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
     segment_ = std::make_unique<Segment>(std::move(*segment));
 
@@ -302,6 +314,7 @@ class SnapshotV2CorruptionTest : public ::testing::Test {
   std::unique_ptr<Segment> segment_;
   std::string dir_;
   std::string bytes_;
+  size_t dict_size_ = 0;
   size_t offsets_vec_pos_ = 0;
   size_t token_ids_vec_pos_ = 0;
 };
@@ -330,8 +343,10 @@ TEST_F(SnapshotV2CorruptionTest, SanityCheckSectionPositions) {
 TEST_F(SnapshotV2CorruptionTest, TruncatedOffsetsArrayRejected) {
   // Claim more offsets entries than the payload holds: the bounds-checked
   // reader must fail cleanly before any CSR assembly.
-  auto decoded = Segment::DecodeFile(PatchPayloadAndRechecksum(
-      bytes_, offsets_vec_pos_, LE<uint64_t>(UINT64_MAX / 8)));
+  auto decoded = Segment::DecodeFile(
+      PatchPayloadAndRechecksum(bytes_, offsets_vec_pos_,
+                                LE<uint64_t>(UINT64_MAX / 8)),
+      dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
   EXPECT_NE(decoded.status().message().find("truncated"), std::string::npos);
@@ -342,14 +357,16 @@ TEST_F(SnapshotV2CorruptionTest, NonMonotoneOffsetsRejected) {
   // offsets[1] beyond the final offset breaks monotonicity mid-array.
   uint32_t huge = static_cast<uint32_t>(segment_->sets.total_elements() + 1);
   auto decoded = Segment::DecodeFile(
-      PatchPayloadAndRechecksum(bytes_, OffsetEntryPos(1), LE<uint32_t>(huge)));
+      PatchPayloadAndRechecksum(bytes_, OffsetEntryPos(1), LE<uint32_t>(huge)),
+      dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotV2CorruptionTest, NonZeroFirstOffsetRejected) {
   auto decoded = Segment::DecodeFile(
-      PatchPayloadAndRechecksum(bytes_, OffsetEntryPos(0), LE<uint32_t>(1)));
+      PatchPayloadAndRechecksum(bytes_, OffsetEntryPos(0), LE<uint32_t>(1)),
+      dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -360,9 +377,35 @@ TEST_F(SnapshotV2CorruptionTest, ChecksumCoversFlatArrays) {
   std::string bad = bytes_;
   size_t abs = kSegmentHeaderSize + token_ids_vec_pos_ + sizeof(uint64_t);
   bad[abs] = static_cast<char>(bad[abs] ^ 0x10);
-  auto decoded = Segment::DecodeFile(bad);
+  auto decoded = Segment::DecodeFile(bad, dict_size_);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos);
+}
+
+TEST_F(SnapshotV2CorruptionTest, OutOfDictionaryElementRejectedByOpen) {
+  // A token id at or past the dictionary size passes the segment checksum
+  // (rewritten here, and the manifest's with it) and the CSR checks. Open
+  // must fail cleanly before the postings are sized by the largest id; a
+  // regressed check costs 2^24 offsets (megabytes), never an id near 2^32.
+  ASSERT_GT(segment_->sets.total_elements(), 0u);
+  const std::string manifest_path = dir_ + "/" + kManifestFileName;
+  const std::string segment_path = SegmentPath(dir_);
+  for (uint32_t id : {static_cast<uint32_t>(dict_size_), uint32_t{1} << 24}) {
+    std::string bad = PatchPayloadAndRechecksum(
+        bytes_, token_ids_vec_pos_ + sizeof(uint64_t), LE<uint32_t>(id));
+    std::ofstream(segment_path, std::ios::binary | std::ios::trunc) << bad;
+    auto manifest = LoadManifest(manifest_path);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    manifest->segments.at(0).checksum = HashString(bad);
+    ASSERT_TRUE(SaveManifest(*manifest, manifest_path).ok());
+
+    auto reopened = OpenSnapshot(dir_);
+    ASSERT_FALSE(reopened.ok()) << "token id " << id;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << "token id " << id;
+    EXPECT_NE(reopened.status().message().find("dictionary range"),
+              std::string::npos)
+        << reopened.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

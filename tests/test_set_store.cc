@@ -63,28 +63,12 @@ TEST(SetStoreTest, AppendStoreShiftsOffsets) {
   EXPECT_TRUE(a == serial);
 }
 
-TEST(SetStoreTest, ElementWeightsColumn) {
-  SetStore store;
-  store.AppendSet(Doc{2, 0});
-  EXPECT_FALSE(store.has_element_weights());
-  EXPECT_TRUE(store.element_weights(0).empty());
-  std::vector<double> token_weights{0.5, 1.0, 2.0};
-  store.AttachElementWeights(token_weights);
-  ASSERT_TRUE(store.has_element_weights());
-  auto w = store.element_weights(0);
-  ASSERT_EQ(w.size(), 2u);
-  EXPECT_DOUBLE_EQ(w[0], 2.0);  // weight of element id 2
-  EXPECT_DOUBLE_EQ(w[1], 0.5);  // weight of element id 0
-}
-
 TEST(SetStoreTest, ClearResetsToEmpty) {
   SetStore store;
   store.AppendSet(Doc{1});
-  store.AttachElementWeights(std::vector<double>{0.0, 1.0});
   store.Clear();
   EXPECT_EQ(store.num_groups(), 0u);
   EXPECT_EQ(store.total_elements(), 0u);
-  EXPECT_FALSE(store.has_element_weights());
 }
 
 TEST(SetStoreTest, CheckCapacityRejectsUint32Overflow) {
@@ -106,9 +90,6 @@ TEST(SetStoreTest, FromPartsValidatesInvariants) {
   EXPECT_FALSE(SetStore::FromParts({1, 2}, {4, 5}).ok());
   EXPECT_FALSE(SetStore::FromParts({0, 2, 1, 3}, {4, 5, 6}).ok());
   EXPECT_FALSE(SetStore::FromParts({0, 2}, {4, 5, 6}).ok());
-  // Weights column must be empty or exactly one per element.
-  EXPECT_FALSE(SetStore::FromParts({0, 2}, {4, 5}, {1.0}).ok());
-  EXPECT_TRUE(SetStore::FromParts({0, 2}, {4, 5}, {1.0, 2.0}).ok());
 }
 
 // ---------------------------------------------------------------------------
