@@ -2,9 +2,10 @@
 /// every 256 docs, at most 4 generations): bulk load, incremental replaces
 /// (n unchanged, so each publish is O(delta)), incremental inserts of fresh
 /// ids (n changes, so each publish recomputes every weight and set-weight
-/// column), lookup latency while a writer replaces, seal/compaction pause
-/// and restart cost (WAL replay vs sealed-segment decode). Every row reports
-/// the mean `index.publish_us` over its window. Emits BENCH_mutable.json.
+/// column), lookup latency while a writer replaces one doc per lookup (the
+/// row's time is the lookups' own), seal/compaction pause and restart cost
+/// (WAL replay vs sealed-segment decode). Every row reports the mean
+/// `index.publish_us` over its window. Emits BENCH_mutable.json.
 
 #include <benchmark/benchmark.h>
 
@@ -153,28 +154,39 @@ void BM_LookupUnderChurn(benchmark::State& state) {
   for (auto _ : state) {
     auto index = LoadedIndex(master, IndexOptions());
     const PublishTotals before = PublishTotals::Read();
-    std::atomic<bool> stop{false};
-    // Writer thread: continuous replace churn (each op publishes an epoch).
+    // Lock-step churn: the writer applies upsert i once lookup i is issued,
+    // and lookup i is issued once upserts 0..i-1 are applied. So upsert i
+    // runs beside lookup i, and every lookup meets the index after the same
+    // writes (hence the same seals and compactions) however fast either
+    // side is. Only the lookups are timed.
+    std::atomic<size_t> issued{0};
+    std::atomic<size_t> written{0};
     std::thread writer([&] {
-      size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (size_t i = 0; i < kChurnLookups; ++i) {
+        issued.wait(i);
         size_t doc = (i * 6151) % master.size();
-        if (!index->Upsert(doc, master[(doc + 3) % master.size()]).ok()) break;
-        ++i;
+        if (!index->Upsert(doc, master[(doc + 3) % master.size()]).ok()) {
+          std::abort();
+        }
+        written.store(i + 1);
+        written.notify_one();
       }
     });
 
     std::vector<double> lat_us;
     lat_us.reserve(kChurnLookups);
-    Timer total;
+    double ms = 0.0;
     for (size_t i = 0; i < kChurnLookups; ++i) {
+      for (size_t w = written.load(); w < i; w = written.load()) written.wait(w);
+      issued.store(i + 1);
+      issued.notify_one();
       Timer t;
       auto r = index->Lookup(queries[i % queries.size()], 3);
       benchmark::DoNotOptimize(r);
-      lat_us.push_back(t.ElapsedMillis() * 1000.0);
+      const double lookup_ms = t.ElapsedMillis();
+      ms += lookup_ms;
+      lat_us.push_back(lookup_ms * 1000.0);
     }
-    double ms = total.ElapsedMillis();
-    stop.store(true, std::memory_order_relaxed);
     writer.join();
 
     std::sort(lat_us.begin(), lat_us.end());

@@ -447,10 +447,23 @@ bool SameMatches(const std::string& name, const IdSims& got,
   return true;
 }
 
+/// Each served match's value must be row `id` of `rows` (doc_id = row index).
+bool SameValues(const std::string& name,
+                const std::vector<serve::ValuedMatch>& matches,
+                const std::vector<std::string>& rows, CheckResult* result) {
+  for (const serve::ValuedMatch& m : matches) {
+    if (m.id >= rows.size() || m.value != rows[m.id]) {
+      return Fail(result, name + ": doc " + std::to_string(m.id) +
+                              " returned value '" + m.value + "'");
+    }
+  }
+  return true;
+}
+
 /// A LookupService over a mutable index of the `r` rows (doc_id = row
 /// index) must answer every `s` query bit-identically to BruteForceLookup
-/// over the same rows, the first time and on a repeat, while `threads` (1-4)
-/// callers look up concurrently.
+/// over the same rows, with each match's row as its value, the first time
+/// and on a repeat, while `threads` (1-4) callers look up concurrently.
 Result<CheckResult> CheckLookupService(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(uint64_t k_raw, rp.GetUint("k", 3));
   size_t k = std::max<uint64_t>(1, k_raw);
@@ -487,12 +500,13 @@ Result<CheckResult> CheckLookupService(const Reproducer& rp) {
     for (int pass = 0; pass < 2; ++pass) {
       for (size_t j = 0; j < rp.s.size(); ++j) {
         size_t i = (first + j) % rp.s.size();
-        Result<std::vector<serve::LookupService::Match>> served =
-            service->Lookup(rp.s[i], k);
+        Result<serve::LookupResult> served = service->Lookup(rp.s[i], k);
         CheckResult failed;
         if (served.ok()) {
           if (SameMatches(name + (pass == 0 ? " pass1" : " pass2"),
-                          ToIdSims(*served), want[i], rp.s[i], &failed)) {
+                          ToIdSims(served->matches), want[i], rp.s[i],
+                          &failed) &&
+              SameValues(name, served->matches, rp.r, &failed)) {
             continue;
           }
         } else {
@@ -926,12 +940,11 @@ Result<CheckResult> CheckShardedLookup(const Reproducer& rp) {
     // Every shard's epoch against a recompute: over the cluster's live
     // values once the shard draws its weights from global statistics.
     for (uint32_t i = 0; i < index->num_shards(); ++i) {
-      auto* local = dynamic_cast<shard::LocalShard*>(&index->shard(i));
+      auto* local = dynamic_cast<serve::LookupService*>(&index->shard(i));
       if (local == nullptr) continue;
-      std::shared_ptr<serve::LookupService> service = local->service();
-      const index::MutableFuzzyIndex& idx = service->index();
-      Status state = idx.CheckEpochState(
-          *idx.Snapshot(), idx.global_stats_enabled() ? &refs : nullptr);
+      std::shared_ptr<const index::MutableFuzzyIndex> idx = local->index();
+      Status state = idx->CheckEpochState(
+          *idx->Snapshot(), idx->global_stats_enabled() ? &refs : nullptr);
       if (!state.ok()) {
         return Fail(&result, name + ": shard " + std::to_string(i) +
                                  " epoch state: " + state.ToString());
@@ -1163,19 +1176,18 @@ Result<CheckResult> CheckRequestDispatch(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
                           index::MutableFuzzyIndex::Create(mopts));
   SSJOIN_RETURN_NOT_OK(index->BulkLoad(docs));
-  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<serve::LookupService> service,
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<serve::LookupService> single,
                           serve::LookupService::Create(std::move(index), {}));
-  shard::LocalShard single(std::move(service));
   shard::ShardedIndexOptions sopts;
   sopts.num_shards = 2;
   sopts.match = mopts.match;
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<shard::ShardedLookupIndex> sharded,
                           shard::ShardedLookupIndex::Create(sopts));
   SSJOIN_RETURN_NOT_OK(sharded->BulkLoad(docs));
-  serve::Handler leader(&single, 3, /*read_only=*/false);
-  serve::Handler follower(&single, 3, /*read_only=*/true);
+  serve::Handler leader(single.get(), 3, /*read_only=*/false);
+  serve::Handler follower(single.get(), 3, /*read_only=*/true);
   for (serve::Handler* h : {&leader, &follower}) {
-    shard::InstallShardServerOps(h, &single);
+    shard::InstallShardServerOps(h, single.get());
     shard::InstallReplFetch(h, leader_dir.dir);
   }
   serve::Handler fanout(sharded.get(), 3, /*read_only=*/false);

@@ -35,10 +35,9 @@ struct LookupResult {
 };
 
 /// \brief What the request dispatcher serves: one index, however it is
-/// deployed. One LookupService (shard::LocalShard) and the fan-out
-/// (shard::ShardedLookupIndex) implement it. Every call may come from any
-/// connection thread. Mutations, seal and compact return the epoch after
-/// them; Epoch() the current one.
+/// deployed. One LookupService and the fan-out (shard::ShardedLookupIndex)
+/// implement it. Every call may come from any connection thread. Mutations,
+/// seal and compact return the epoch after them; Epoch() the current one.
 class Backend {
  public:
   virtual ~Backend() = default;

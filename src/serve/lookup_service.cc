@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace ssjoin::serve {
 
 namespace {
@@ -32,21 +34,21 @@ Result<std::unique_ptr<LookupService>> LookupService::Create(
 
 LookupService::LookupService(std::unique_ptr<index::MutableFuzzyIndex> index,
                              const LookupServiceOptions& options)
-    : index_(std::move(index)),
-      options_(options),
+    : options_(options),
       requests_(metrics_.GetCounter("serve.requests")),
       rejected_overload_(metrics_.GetCounter("serve.rejected_overload")),
       rejected_deadline_(metrics_.GetCounter("serve.rejected_deadline")),
       latency_(metrics_.GetHistogram("serve.latency_us")),
       span_admission_(metrics_.GetHistogram("serve.span.admission_us")),
       span_lookup_(metrics_.GetHistogram("serve.span.lookup_us")),
+      index_(std::move(index)),
       in_flight_(metrics_.GetGauge("serve.in_flight")) {}
 
 LookupService::~LookupService() { Shutdown(); }
 
-Result<std::vector<LookupService::Match>> LookupService::Lookup(
+Result<LookupResult> LookupService::Lookup(
     const std::string& query, size_t k, std::chrono::milliseconds deadline,
-    const filter::FilterPredicate& filter, std::vector<std::string>* values) {
+    const filter::FilterPredicate& filter) {
   Clock::time_point start = Clock::now();
   if (deadline.count() < 0) {
     // An already-expired deadline can never be met; reject on entry so it
@@ -55,17 +57,23 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     rejected_deadline_->Add(1);
     return Status::DeadlineExceeded("deadline expired before admission");
   }
+  SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<index::MutableFuzzyIndex> pinned,
+                          Admit());
+  // Returns the in-flight slot on every way out, after this call's last use
+  // of the service and of the index it pinned.
+  struct Slot {
+    LookupService* service;
+    std::shared_ptr<index::MutableFuzzyIndex> index;
+    ~Slot() {
+      index.reset();
+      service->Release();
+    }
+  } slot{this, std::move(pinned)};
+  const index::MutableFuzzyIndex& idx = *slot.index;
   // Capture the published epoch once: LookupAt and the values both read
   // this one view, so a concurrent mutation cannot tear a request across
   // epochs.
-  std::shared_ptr<const index::EpochState> state = index_->Snapshot();
-  SSJOIN_RETURN_NOT_OK(Admit());
-  // Returns the in-flight slot on every way out, after this call's last use
-  // of the service.
-  struct Slot {
-    LookupService* service;
-    ~Slot() { service->Release(); }
-  } slot{this};
+  std::shared_ptr<const index::EpochState> state = idx.Snapshot();
   if (lookup_hook_) lookup_hook_();
   if (deadline.count() > 0 && start + deadline <= Clock::now()) {
     // Deadline expiries are requests the service answered (with an error),
@@ -75,26 +83,26 @@ Result<std::vector<LookupService::Match>> LookupService::Lookup(
     rejected_deadline_->Add(1);
     return Status::DeadlineExceeded("deadline expired before lookup");
   }
-  // Admission span: entry to the start of LookupAt (epoch capture and
-  // admission). Rejections are not admissions.
+  // Admission span: entry to the start of LookupAt (admission and epoch
+  // capture). Rejections are not admissions.
   span_admission_->Record(MicrosSince(start));
-  std::vector<Match> result;
+  std::vector<index::MutableFuzzyIndex::Match> found;
   {
     obs::ObsSpan span(span_lookup_);
-    result = index_->LookupAt(*state, query, k, filter);
+    found = idx.LookupAt(*state, query, k, filter);
   }
-  if (values != nullptr) {
-    values->clear();
-    for (const Match& m : result) {
-      values->push_back(index_->ValueAt(*state, m.id).value_or(""));
-    }
+  LookupResult out;
+  out.matches.reserve(found.size());
+  for (const index::MutableFuzzyIndex::Match& m : found) {
+    out.matches.push_back(
+        {m.id, m.similarity, idx.ValueAt(*state, m.id).value_or("")});
   }
   requests_->Add(1);
   latency_->Record(MicrosSince(start));
-  return result;
+  return out;
 }
 
-Status LookupService::Admit() {
+Result<std::shared_ptr<index::MutableFuzzyIndex>> LookupService::Admit() {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
     rejected_overload_->Add(1);
@@ -107,7 +115,7 @@ Status LookupService::Admit() {
                                " lookups in flight)");
   }
   in_flight_->Add(1);
-  return Status::OK();
+  return index_;
 }
 
 void LookupService::Release() {
@@ -118,6 +126,17 @@ void LookupService::Release() {
   if (in_flight_->value() == 0 && stopping_) {
     drained_cv_.notify_all();
   }
+}
+
+void LookupService::Replace(std::unique_ptr<index::MutableFuzzyIndex> index) {
+  SSJOIN_DCHECK(index != nullptr);
+  std::shared_ptr<index::MutableFuzzyIndex> fresh(std::move(index));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    index_.swap(fresh);
+  }
+  // `fresh` now holds the old index: unless a running call still pins it,
+  // it is destroyed here, outside the lock.
 }
 
 StatsSnapshot LookupService::Stats() const {

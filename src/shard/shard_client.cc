@@ -9,24 +9,6 @@
 namespace ssjoin::shard {
 
 // ---------------------------------------------------------------------------
-// LocalShard
-
-Result<serve::LookupResult> LocalShard::Lookup(
-    const std::string& query, size_t k, std::chrono::milliseconds remaining,
-    const filter::FilterPredicate& filter) {
-  std::vector<std::string> values;
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::vector<serve::LookupService::Match> found,
-      service()->Lookup(query, k, remaining, filter, &values));
-  serve::LookupResult out;
-  for (size_t i = 0; i < found.size(); ++i) {
-    out.matches.push_back(
-        {found[i].id, found[i].similarity, std::move(values[i])});
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // RemoteShard
 
 namespace {
@@ -244,7 +226,8 @@ std::string OwnerReply(uint64_t epoch, const index::GlobalDelta& delta) {
 
 }  // namespace
 
-void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
+void InstallShardServerOps(serve::Handler* handler,
+                           serve::LookupService* service) {
   using serve::Request;
   using Reply = Result<std::string>;
   const uint64_t kMaxId = serve::kMaxExactInteger;
@@ -253,7 +236,7 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
     SSJOIN_ASSIGN_OR_RETURN(serve::LookupParams p,
                             serve::ParseLookupParams(req, handler->default_k()));
     SSJOIN_ASSIGN_OR_RETURN(serve::LookupResult result,
-                            shard->Lookup(p.query, p.k, p.deadline, p.filter));
+                            service->Lookup(p.query, p.k, p.deadline, p.filter));
     std::vector<uint64_t> ids;
     std::vector<std::string> values;
     std::string sims;
@@ -281,13 +264,13 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
     SSJOIN_ASSIGN_OR_RETURN(filter::AttrSet attrs, serve::AttrsField(req));
     index::GlobalDelta delta;
     SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch,
-                            shard->UpsertGlobal(id, value, attrs, &delta));
+                            service->UpsertGlobal(id, value, attrs, &delta));
     return OwnerReply(epoch, delta);
   });
   with_global("delete", [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
     index::GlobalDelta delta;
-    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->DeleteGlobal(id, &delta));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, service->DeleteGlobal(id, &delta));
     return OwnerReply(epoch, delta);
   });
   handler->Install("gstats", true, [=](const Request& req) -> Reply {
@@ -298,19 +281,19 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
     if (BoolField(req, "has_removed")) {
       SSJOIN_ASSIGN_OR_RETURN(delta.removed, serve::StringField(req, "removed"));
     }
-    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->ApplyGlobalDelta(delta));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, service->ApplyGlobalDelta(delta));
     return serve::EpochReply(epoch);
   });
   handler->Install("gstats_reset", true, [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(std::string packed, serve::StringField(req, "values"));
     SSJOIN_ASSIGN_OR_RETURN(std::vector<std::string> values,
                             UnpackNetstrings(packed));
-    SSJOIN_RETURN_NOT_OK(shard->ResetGlobalStats(values));
-    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, shard->Epoch());
+    SSJOIN_RETURN_NOT_OK(service->ResetGlobalStats(values));
+    SSJOIN_ASSIGN_OR_RETURN(uint64_t epoch, service->Epoch());
     return serve::EpochReply(epoch);
   });
   handler->Install("dump", false, [=](const Request&) -> Reply {
-    SSJOIN_ASSIGN_OR_RETURN(auto docs, shard->LiveDocs());
+    SSJOIN_ASSIGN_OR_RETURN(auto docs, service->LiveDocs());
     std::vector<uint64_t> ids;
     std::vector<std::string> values;
     for (auto& [id, value] : docs) {
@@ -321,14 +304,13 @@ void InstallShardServerOps(serve::Handler* handler, LocalShard* shard) {
   });
   handler->Install("getvalue", false, [=](const Request& req) -> Reply {
     SSJOIN_ASSIGN_OR_RETURN(uint64_t id, serve::UintField(req, "id", kMaxId));
-    std::shared_ptr<serve::LookupService> service = shard->service();
-    const index::MutableFuzzyIndex& idx = service->index();
-    std::shared_ptr<const index::EpochState> state = idx.Snapshot();
-    std::optional<std::string> value = idx.ValueAt(*state, id);
+    std::shared_ptr<const index::MutableFuzzyIndex> idx = service->index();
+    std::shared_ptr<const index::EpochState> state = idx->Snapshot();
+    std::optional<std::string> value = idx->ValueAt(*state, id);
     if (!value.has_value()) return std::string("{\"ok\": true, \"found\": false}");
     std::string out = "{\"ok\": true, \"found\": true, \"value\": \"" +
                       serve::JsonEscape(*value) + "\"";
-    std::optional<filter::AttrSet> attrs = idx.AttrsAt(*state, id);
+    std::optional<filter::AttrSet> attrs = idx->AttrsAt(*state, id);
     if (attrs.has_value() && !attrs->empty()) {
       out += ", \"attrs\": " + serve::AttrsToJson(*attrs);
     }

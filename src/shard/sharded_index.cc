@@ -77,7 +77,7 @@ bool IsUnreachable(const Status& status) {
          status.code() == StatusCode::kIOError;
 }
 
-/// Create and Open: one LocalShard per partition, then a Resync.
+/// Create and Open: one LookupService per partition, then a Resync.
 Result<std::unique_ptr<ShardedLookupIndex>> BuildLocal(
     const ShardedIndexOptions& options, bool open) {
   SSJOIN_ASSIGN_OR_RETURN(uint32_t num_shards,
@@ -101,8 +101,8 @@ Result<std::unique_ptr<ShardedLookupIndex>> BuildLocal(
     // tells them apart in the metrics export.
     const std::string label = "shard=" + std::to_string(i);
     service->metrics().SetLabel(label);
-    service->index().metrics().SetLabel(label);
-    shards.push_back(std::make_unique<LocalShard>(std::move(service)));
+    service->index()->metrics().SetLabel(label);
+    shards.push_back(std::move(service));
   }
   SSJOIN_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedLookupIndex> sharded,

@@ -54,8 +54,8 @@ struct ShardedIndexOptions {
 
 /// \brief N-way hash-partitioned fuzzy lookup: one scatter-gather over N
 /// ShardClients, each owning the documents ShardOf routes to it. The shards
-/// are in-process (Create / Open: LocalShard over a MutableFuzzyIndex +
-/// LookupService) or shard-server processes (Connect: RemoteShard). It is
+/// are in-process (Create / Open: a serve::LookupService over a
+/// MutableFuzzyIndex) or shard-server processes (Connect: RemoteShard). It is
 /// the serve::Backend of ssjoin_served's --shards and --coordinator modes.
 ///
 /// ## The shard-count invariance contract
@@ -97,7 +97,7 @@ struct ShardedIndexOptions {
 /// connection — and marks the answer degraded; deadline and application
 /// errors still fail. It is the multi-process tier's choice, where a dead
 /// shard is a process an operator can observe. In-process shards are always
-/// strict: a LocalShard's Unavailable means an overloaded or stopping
+/// strict: a LookupService's Unavailable means an overloaded or stopping
 /// service, never a lost partition. No reachable shard at all is
 /// Unavailable.
 ///

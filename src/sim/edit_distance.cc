@@ -73,10 +73,7 @@ bool EditSimilarityAtLeast(std::string_view a, std::string_view b, double alpha)
   size_t max_len = std::max(a.size(), b.size());
   if (max_len == 0) return true;
   if (alpha <= 0.0) return true;
-  double allowed = (1.0 - alpha) * static_cast<double>(max_len);
-  // ED is integral: ED <= floor(allowed + epsilon guards fp noise).
-  size_t k = static_cast<size_t>(std::floor(allowed + 1e-9));
-  return EditDistanceAtMost(a, b, k);
+  return EditDistanceAtMost(a, b, EditBudget(alpha, max_len));
 }
 
 }  // namespace ssjoin::sim

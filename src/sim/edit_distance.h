@@ -1,6 +1,7 @@
 #ifndef SSJOIN_SIM_EDIT_DISTANCE_H_
 #define SSJOIN_SIM_EDIT_DISTANCE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <string_view>
 
@@ -25,8 +26,16 @@ bool EditDistanceAtMost(std::string_view a, std::string_view b, size_t k);
 /// similarity 1.
 double EditSimilarity(std::string_view a, std::string_view b);
 
+/// \brief The largest edit distance that keeps ES >= alpha for strings whose
+/// longer one has `max_len` characters: floor((1 - alpha) * max_len). ED is
+/// integral, so the epsilon only guards the product's floating-point noise.
+inline size_t EditBudget(double alpha, size_t max_len) {
+  return static_cast<size_t>(
+      std::floor((1.0 - alpha) * static_cast<double>(max_len) + 1e-9));
+}
+
 /// \brief True iff ES(a, b) >= alpha, computed with the banded verifier
-/// (ED <= floor((1 - alpha) * max(|a|,|b|))).
+/// (ED <= EditBudget(alpha, max(|a|,|b|))).
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b, double alpha);
 
 }  // namespace ssjoin::sim

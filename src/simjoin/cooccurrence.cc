@@ -74,7 +74,7 @@ Result<EntityJoinResult> CooccurrenceJoin(
       ++stats->verifier_calls;
       double wt_union = wt_r + prep.s.set_weights[p.s] - p.overlap;
       double jr = wt_union > 0.0 ? p.overlap / wt_union : 1.0;
-      if (jr >= alpha - 1e-12) result.matches.push_back({p.r, p.s, jr});
+      if (MeetsThreshold(jr, alpha)) result.matches.push_back({p.r, p.s, jr});
     }
   }
   stats->result_pairs = result.matches.size();

@@ -152,7 +152,7 @@ Result<std::vector<MatchPair>> GESJoin(const std::vector<std::string>& r,
   for (const core::SSJoinPair& p : pairs) {
     ++stats->verifier_calls;
     double ges = sim::GeneralizedEditSimilarity(r_tokens[p.r], s_tokens[p.s], token_weight);
-    if (ges >= alpha - 1e-12) out.push_back({p.r, p.s, ges});
+    if (MeetsThreshold(ges, alpha)) out.push_back({p.r, p.s, ges});
   }
   stats->result_pairs = out.size();
   stats->phases.Add("Filter", filter_timer.ElapsedMillis());
@@ -179,7 +179,7 @@ Result<std::vector<MatchPair>> GESJoinBruteForce(const std::vector<std::string>&
     for (uint32_t j = 0; j < s.size(); ++j) {
       ++stats->verifier_calls;
       double ges = sim::GeneralizedEditSimilarity(r_tokens[i], s_tokens[j], token_weight);
-      if (ges >= alpha - 1e-12) out.push_back({i, j, ges});
+      if (MeetsThreshold(ges, alpha)) out.push_back({i, j, ges});
     }
   }
   stats->result_pairs = out.size();

@@ -1,7 +1,6 @@
 #include "simjoin/gravano.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -57,12 +56,6 @@ class PositionalQGramIndex {
   std::vector<uint32_t> offsets_;
   std::vector<Posting> postings_;
 };
-
-/// Edit budget for a pair under edit-similarity threshold alpha.
-size_t PairBudget(double alpha, size_t len_r, size_t len_s) {
-  double allowed = (1.0 - alpha) * static_cast<double>(std::max(len_r, len_s));
-  return static_cast<size_t>(std::floor(allowed + 1e-9));
-}
 
 /// Shared candidate-enumeration + verification skeleton. `budget_fn`
 /// computes the per-pair edit budget.
@@ -182,7 +175,9 @@ Result<std::vector<MatchPair>> GravanoEditSimilarityJoin(
   if (alpha < 0.0 || alpha > 1.0) return Status::Invalid("alpha must be in [0, 1]");
   return GravanoJoin(
       r, s, q,
-      [alpha](size_t lr, size_t ls) { return PairBudget(alpha, lr, ls); },
+      [alpha](size_t lr, size_t ls) {
+        return sim::EditBudget(alpha, std::max(lr, ls));
+      },
       /*emit_similarity=*/true, stats);
 }
 
@@ -205,10 +200,10 @@ Result<std::vector<MatchPair>> CrossProductEditSimilarityJoin(
   for (uint32_t ri = 0; ri < r.size(); ++ri) {
     for (uint32_t si = 0; si < s.size(); ++si) {
       ++stats->verifier_calls;
-      size_t budget = PairBudget(alpha, r[ri].size(), s[si].size());
+      size_t max_len = std::max(r[ri].size(), s[si].size());
+      size_t budget = sim::EditBudget(alpha, max_len);
       size_t ed = sim::EditDistanceBounded(r[ri], s[si], budget);
       if (ed > budget) continue;
-      size_t max_len = std::max(r[ri].size(), s[si].size());
       double similarity =
           max_len == 0 ? 1.0
                        : 1.0 - static_cast<double>(ed) / static_cast<double>(max_len);

@@ -55,8 +55,8 @@ class RuleVerifier {
       case ColumnSim::kEditSimilarity:
         return sim::EditSimilarityAtLeast(r_col_[r], s_col_[s], rule_.threshold);
       case ColumnSim::kJaroWinkler:
-        return sim::JaroWinklerSimilarity(r_col_[r], s_col_[s]) >=
-               rule_.threshold - 1e-12;
+        return MeetsThreshold(sim::JaroWinklerSimilarity(r_col_[r], s_col_[s]),
+                              rule_.threshold);
       case ColumnSim::kJaccard: {
         core::SetView rs = prep_.r.set(r);
         core::SetView ss = prep_.s.set(s);
@@ -65,7 +65,7 @@ class RuleVerifier {
         double uni =
             prep_.r.set_weights[r] + prep_.s.set_weights[s] - overlap;
         double jr = uni > 0.0 ? overlap / uni : 1.0;
-        return jr >= rule_.threshold - 1e-12;
+        return MeetsThreshold(jr, rule_.threshold);
       }
     }
     return false;

@@ -58,10 +58,10 @@ std::unique_ptr<text::Tokenizer> MakeSetTokenizer(const SetJoinOptions& opts) {
 }
 
 /// Runs the full Figure 2 pipeline. `verify` maps an SSJoin output pair to
-/// the exact similarity, or NaN to reject; pass nullptr when the SSJoin
-/// reduction is exact and `exact_similarity` computes the output similarity
-/// from the pair alone.
-using VerifyFn = std::function<double(const core::SSJoinPair&)>;
+/// the exact similarity, or NaN to reject; it also sees the prepared
+/// relations, whose set weights the set-similarity joins normalize by.
+using VerifyFn =
+    std::function<double(const Prepared&, const core::SSJoinPair&)>;
 
 Result<std::vector<MatchPair>> RunPipeline(const std::vector<std::string>& r,
                                            const std::vector<std::string>& s,
@@ -93,7 +93,7 @@ Result<std::vector<MatchPair>> RunPipeline(const std::vector<std::string>& r,
                     [&](size_t /*worker*/, size_t m, size_t begin, size_t end) {
                       for (size_t i = begin; i < end; ++i) {
                         const core::SSJoinPair& p = pairs[i];
-                        double similarity = verify(p);
+                        double similarity = verify(prep, p);
                         if (!std::isnan(similarity)) {
                           morsels[m].push_back({p.r, p.s, similarity});
                         }
@@ -128,7 +128,8 @@ Result<std::vector<MatchPair>> EditDistanceJoin(const std::vector<std::string>& 
   double c = -static_cast<double>(max_distance * q);
   core::OverlapPredicate pred;
   pred.And({c, 1.0, 0.0}).And({c, 0.0, 1.0});
-  VerifyFn verify = [&r, &s, max_distance](const core::SSJoinPair& p) {
+  VerifyFn verify = [&r, &s, max_distance](const Prepared&,
+                                           const core::SSJoinPair& p) {
     size_t ed = sim::EditDistanceBounded(r[p.r], s[p.s], max_distance);
     if (ed > max_distance) return kReject;
     return -static_cast<double>(ed);
@@ -153,14 +154,12 @@ Result<std::vector<MatchPair>> EditSimilarityJoin(const std::vector<std::string>
   double c = k * static_cast<double>(q - 1) - static_cast<double>(q) + 1.0;
   core::OverlapPredicate pred;
   pred.And({c, k, 0.0}).And({c, 0.0, k});
-  VerifyFn verify = [&r, &s, alpha](const core::SSJoinPair& p) {
+  VerifyFn verify = [&r, &s, alpha](const Prepared&, const core::SSJoinPair& p) {
     const std::string& a = r[p.r];
     const std::string& b = s[p.s];
     size_t max_len = std::max(a.size(), b.size());
     if (max_len == 0) return 1.0;
-    size_t budget =
-        static_cast<size_t>(std::floor((1.0 - alpha) * static_cast<double>(max_len) +
-                                       1e-9));
+    size_t budget = sim::EditBudget(alpha, max_len);
     size_t ed = sim::EditDistanceBounded(a, b, budget);
     if (ed > budget) return kReject;
     return 1.0 - static_cast<double>(ed) / static_cast<double>(max_len);
@@ -175,29 +174,12 @@ Result<std::vector<MatchPair>> JaccardContainmentJoin(
   std::unique_ptr<text::Tokenizer> tokenizer = MakeSetTokenizer(opts);
   core::OverlapPredicate pred = core::OverlapPredicate::OneSidedNormalized(alpha);
   // The reduction is exact (Example 3): no UDF rejection, similarity is the
-  // containment itself. Norms equal set weights, carried in the pair via a
-  // second lookup — we close over nothing but compute JC from the pair's
-  // overlap and the R norm at verify time.
-  SimJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  Timer prep_timer;
-  SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(r, s, *tokenizer, opts.weights, exec.exec,
-                                         &stats->phases));
-  stats->phases.Add("Prep", prep_timer.ElapsedMillis());
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
-                          RunSSJoinStage(prep, pred, exec, stats));
-  Timer filter_timer;
-  std::vector<MatchPair> out;
-  out.reserve(pairs.size());
-  for (const core::SSJoinPair& p : pairs) {
+  // containment itself, the pair's overlap over the R set weight.
+  VerifyFn verify = [](const Prepared& prep, const core::SSJoinPair& p) {
     double wt_r = prep.r.set_weights[p.r];
-    double jc = wt_r > 0.0 ? p.overlap / wt_r : 1.0;
-    out.push_back({p.r, p.s, jc});
-  }
-  stats->result_pairs = out.size();
-  stats->phases.Add("Filter", filter_timer.ElapsedMillis());
-  return out;
+    return wt_r > 0.0 ? p.overlap / wt_r : 1.0;
+  };
+  return RunPipeline(r, s, *tokenizer, opts.weights, pred, verify, exec, stats);
 }
 
 Result<std::vector<MatchPair>> JaccardResemblanceJoin(
@@ -206,30 +188,13 @@ Result<std::vector<MatchPair>> JaccardResemblanceJoin(
     SimJoinStats* stats) {
   std::unique_ptr<text::Tokenizer> tokenizer = MakeSetTokenizer(opts);
   core::OverlapPredicate pred = core::OverlapPredicate::TwoSidedNormalized(alpha);
-  // JR needs both set weights; recover them inside the verifier from the
-  // prepared relations, so run the pipeline inline rather than via
-  // RunPipeline (which does not expose `prep`).
-  SimJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  Timer prep_timer;
-  SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(r, s, *tokenizer, opts.weights, exec.exec,
-                                         &stats->phases));
-  stats->phases.Add("Prep", prep_timer.ElapsedMillis());
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
-                          RunSSJoinStage(prep, pred, exec, stats));
-  Timer filter_timer;
-  std::vector<MatchPair> out;
-  for (const core::SSJoinPair& p : pairs) {
-    ++stats->verifier_calls;
+  VerifyFn verify = [alpha](const Prepared& prep, const core::SSJoinPair& p) {
     double wt_union =
         prep.r.set_weights[p.r] + prep.s.set_weights[p.s] - p.overlap;
     double jr = wt_union > 0.0 ? p.overlap / wt_union : 1.0;
-    if (jr >= alpha - 1e-12) out.push_back({p.r, p.s, jr});
-  }
-  stats->result_pairs = out.size();
-  stats->phases.Add("Filter", filter_timer.ElapsedMillis());
-  return out;
+    return MeetsThreshold(jr, alpha) ? jr : kReject;
+  };
+  return RunPipeline(r, s, *tokenizer, opts.weights, pred, verify, exec, stats);
 }
 
 Result<std::vector<MatchPair>> CosineJoin(const std::vector<std::string>& r,
@@ -243,27 +208,14 @@ Result<std::vector<MatchPair>> CosineJoin(const std::vector<std::string>& r,
   // giving the conjuncts Overlap >= alpha^2 * norm on both sides.
   core::OverlapPredicate pred =
       core::OverlapPredicate::TwoSidedNormalized(alpha * alpha);
-  SimJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  Timer prep_timer;
-  SSJOIN_ASSIGN_OR_RETURN(
-      Prepared prep, PrepareStrings(r, s, *tokenizer, WeightMode::kIdfSquared,
-                                    exec.exec, &stats->phases));
-  stats->phases.Add("Prep", prep_timer.ElapsedMillis());
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<core::SSJoinPair> pairs,
-                          RunSSJoinStage(prep, pred, exec, stats));
-  Timer filter_timer;
-  std::vector<MatchPair> out;
-  for (const core::SSJoinPair& p : pairs) {
-    ++stats->verifier_calls;
+  VerifyFn verify = [alpha](const Prepared& prep, const core::SSJoinPair& p) {
     double denom =
         std::sqrt(prep.r.set_weights[p.r] * prep.s.set_weights[p.s]);
     double cos = denom > 0.0 ? p.overlap / denom : 1.0;
-    if (cos >= alpha - 1e-12) out.push_back({p.r, p.s, cos});
-  }
-  stats->result_pairs = out.size();
-  stats->phases.Add("Filter", filter_timer.ElapsedMillis());
-  return out;
+    return MeetsThreshold(cos, alpha) ? cos : kReject;
+  };
+  return RunPipeline(r, s, *tokenizer, WeightMode::kIdfSquared, pred, verify,
+                     exec, stats);
 }
 
 Result<std::vector<MatchPair>> HammingJoin(const std::vector<std::string>& r,
@@ -277,7 +229,7 @@ Result<std::vector<MatchPair>> HammingJoin(const std::vector<std::string>& r,
   double c = -static_cast<double>(max_distance);
   core::OverlapPredicate pred;
   pred.And({c, 1.0, 0.0}).And({c, 0.0, 1.0});
-  VerifyFn verify = [&r, &s](const core::SSJoinPair& p) {
+  VerifyFn verify = [&r, &s](const Prepared&, const core::SSJoinPair& p) {
     double hd = static_cast<double>(std::max(r[p.r].size(), s[p.s].size())) -
                 p.overlap;
     return -hd;
@@ -291,7 +243,9 @@ Result<std::vector<MatchPair>> SoundexJoin(const std::vector<std::string>& r,
                                            SimJoinStats* stats) {
   SoundexTokenizer tokenizer;
   core::OverlapPredicate pred = core::OverlapPredicate::Absolute(1.0);
-  VerifyFn verify = [](const core::SSJoinPair&) { return 1.0; };
+  VerifyFn verify = [](const Prepared&, const core::SSJoinPair&) {
+    return 1.0;
+  };
   return RunPipeline(r, s, tokenizer, WeightMode::kUnit, pred, verify, exec, stats);
 }
 

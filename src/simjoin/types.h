@@ -53,6 +53,12 @@ struct JoinExecution {
   approx::ApproxParams approx;
 };
 
+/// True when a computed similarity reaches the threshold `alpha`; the
+/// tolerance absorbs the floating-point error of computing both.
+inline bool MeetsThreshold(double similarity, double alpha) {
+  return similarity >= alpha - 1e-12;
+}
+
 /// Sorts match pairs by (r, s).
 void SortMatches(std::vector<MatchPair>* matches);
 

@@ -876,9 +876,90 @@ class ServerFleet {
     pids_.clear();
   }
 
+  /// The process id of the server at `sock`.
+  int pid(const std::string& sock) const { return pids_.at(sock); }
+
  private:
   std::map<std::string, int> pids_;
 };
+
+/// The number of memory mappings of process `pid` (lines of its maps file).
+size_t MappingCount(int pid) {
+  std::istringstream maps(
+      ReadWholeFile("/proc/" + std::to_string(pid) + "/maps"));
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(CliTest, ClosedConnectionsReleaseTheirThreads) {
+  const std::string in = TempPath("ref.csv");
+  WriteFile(in, kReferenceCsv);
+  const std::string sock = TempPath("s.sock");
+  ServerFleet fleet;
+  fleet.Start(sock, "--reference " + in + " --col name --alpha 0.4");
+  const int pid = fleet.pid(sock);
+  auto ping = [&] {
+    ASSERT_EQ(RoundTrip(sock, R"({"op": "ping"})").find("\"ok\": true"), 1u);
+  };
+  // A thread kept until shutdown keeps its stack and guard page mapped: two
+  // mappings per closed connection, 400 over the 200 below. After a warm-up
+  // (connection threads map a malloc arena, and a sanitizer runtime a few
+  // dozen regions of its own, once), the count must stay flat.
+  for (int i = 0; i < 50; ++i) ping();
+  const size_t start = MappingCount(pid);
+  ASSERT_GT(start, 0u);
+  for (int i = 0; i < 200; ++i) ping();
+  EXPECT_TRUE(WaitFor([&] { return MappingCount(pid) <= start + 64; },
+                      std::chrono::seconds(5)))
+      << "mappings " << start << " -> " << MappingCount(pid);
+  fleet.ShutdownAll();
+}
+
+TEST_F(CliTest, FollowerKeepsCountingAcrossSync) {
+  const std::string root = TempPath("follow");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string in = root + "/ref.csv";
+  WriteFile(in, kReferenceCsv);
+  const std::string leader = root + "/leader.sock";
+  const std::string follower = root + "/follower.sock";
+  ServerFleet fleet;
+  fleet.Start(leader, "--reference " + in + " --col name --alpha 0.4 --data " +
+                          root + "/leader");
+  // A long interval leaves every sync to the explicit op below.
+  fleet.Start(follower, "--follow " + leader + " --data " + root +
+                            "/follower --sync-interval-ms 600000");
+
+  auto lookup = [](const std::string& query) {
+    return R"({"op": "lookup", "query": ")" + query + R"(", "k": 2})";
+  };
+  for (int i = 0; i < 5; ++i) {
+    const std::string reply = RoundTrip(follower, lookup("Oracle Corporation"));
+    ASSERT_NE(reply.find("Oracle Corporation"), std::string::npos) << reply;
+  }
+  ASSERT_NE(RoundTrip(leader, R"({"op": "upsert", "id": 100, )"
+                              R"("value": "Hooli Extreme Widgets"})")
+                .find("\"ok\": true"),
+            std::string::npos);
+  ASSERT_NE(RoundTrip(leader, R"({"op": "seal"})").find("\"ok\": true"),
+            std::string::npos);
+  const std::string synced = RoundTrip(follower, R"({"op": "sync"})");
+  ASSERT_NE(synced.find("\"updated\": true"), std::string::npos) << synced;
+  EXPECT_EQ(EpochOf(synced), EpochOf(RoundTrip(leader, R"({"op": "epoch"})")));
+
+  // The swapped-in index answers with the new doc, and the service that
+  // counted the five lookups before the sync counts this one too.
+  const std::string found = RoundTrip(follower, lookup("Hooli Extreme Widgets"));
+  EXPECT_NE(found.find(R"("ref": 100, "similarity": 1.000000)"),
+            std::string::npos)
+      << found;
+  const std::string stats = RoundTrip(follower, R"({"op": "stats"})");
+  EXPECT_NE(stats.find(R"("requests": 6,)"), std::string::npos) << stats;
+
+  fleet.ShutdownAll();
+  std::filesystem::remove_all(root);
+}
 
 TEST_F(CliTest, CoordinatorMatchesUnshardedOracle) {
   const std::string root = TempPath("coord_e2e");

@@ -628,10 +628,10 @@ TEST(ServeFilterTest, FilteredLookupsAcrossThreadCounts) {
             auto got = (*service)->Lookup(
                 q, 5, std::chrono::milliseconds::zero(), pred);
             ASSERT_TRUE(got.ok()) << got.status().message();
-            ASSERT_EQ(got->size(), want.size()) << "threads " << threads;
+            ASSERT_EQ(got->matches.size(), want.size()) << "threads " << threads;
             for (size_t i = 0; i < want.size(); ++i) {
-              EXPECT_EQ((*got)[i].id, want[i].id);
-              EXPECT_EQ((*got)[i].similarity, want[i].similarity);
+              EXPECT_EQ(got->matches[i].id, want[i].id);
+              EXPECT_EQ(got->matches[i].similarity, want[i].similarity);
             }
           }
         }
@@ -659,14 +659,14 @@ TEST(ServeFilterTest, FilteredAndUnfilteredNeverAliasInCache) {
   // two answers must stay distinct, in both orders.
   auto plain = (*service)->Lookup(q, 5);
   ASSERT_TRUE(plain.ok());
-  ASSERT_FALSE(plain->empty());
+  ASSERT_FALSE(plain->matches.empty());
   auto filtered =
       (*service)->Lookup(q, 5, std::chrono::milliseconds::zero(), zero);
   ASSERT_TRUE(filtered.ok());
-  EXPECT_TRUE(filtered->empty());
+  EXPECT_TRUE(filtered->matches.empty());
   auto plain_again = (*service)->Lookup(q, 5);
   ASSERT_TRUE(plain_again.ok());
-  EXPECT_EQ(plain_again->size(), plain->size());
+  EXPECT_EQ(plain_again->matches.size(), plain->matches.size());
 }
 
 // --- Sharded coordinator: N ∈ {1, 3} ---

@@ -18,7 +18,7 @@
 namespace ssjoin::serve {
 namespace {
 
-std::shared_ptr<LookupService> ServiceOver(
+std::unique_ptr<LookupService> ServiceOver(
     const std::map<uint64_t, std::string>& docs) {
   index::MutableIndexOptions options;
   options.match.alpha = 0.3;
@@ -39,11 +39,10 @@ bool Contains(const std::string& haystack, const std::string& needle) {
 }
 
 TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
-  std::shared_ptr<LookupService> service =
+  std::unique_ptr<LookupService> service =
       ServiceOver({{1, "Acme Widget Corporation"}, {2, "Zenith Holdings"}});
-  shard::LocalShard backend(service);
-  Handler handler(&backend, 3, /*read_only=*/false);
-  shard::InstallShardServerOps(&handler, &backend);
+  Handler handler(service.get(), 3, /*read_only=*/false);
+  shard::InstallShardServerOps(&handler, service.get());
 
   // The hook runs after the lookup captured its epoch and before LookupAt:
   // a writer that lands there must not leak into the reply's values.
@@ -52,8 +51,8 @@ TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
   service->SetLookupHookForTest([&] {
     if (fired) return;
     fired = true;
-    Status s = rewrite.empty() ? service->index().Delete(1)
-                               : service->index().Upsert(1, rewrite);
+    Status s = rewrite.empty() ? service->index()->Delete(1)
+                               : service->index()->Upsert(1, rewrite);
     ASSERT_TRUE(s.ok()) << s.ToString();
   });
 
@@ -66,7 +65,7 @@ TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
       << reply;
 
   // slookup, with the doc deleted in between: the old value, never "".
-  ASSERT_TRUE(service->index().Upsert(1, "Acme Widget Corporation").ok());
+  ASSERT_TRUE(service->index()->Upsert(1, "Acme Widget Corporation").ok());
   rewrite.clear();
   fired = false;
   reply = Handle(
@@ -78,8 +77,9 @@ TEST(HandlerTest, RepliesRenderValuesFromTheScoredEpoch) {
 }
 
 TEST(HandlerTest, EveryModeAnswersLookupsInOneShape) {
-  shard::LocalShard single(ServiceOver({{1, "Acme Widget Corporation"}}));
-  Handler single_handler(&single, 3, /*read_only=*/false);
+  std::unique_ptr<LookupService> single =
+      ServiceOver({{1, "Acme Widget Corporation"}});
+  Handler single_handler(single.get(), 3, /*read_only=*/false);
   EXPECT_EQ(Handle(single_handler,
                    R"({"op": "lookup", "query": "Acme Widget Corporation"})"),
             R"({"ok": true, "degraded": false, "shards_ok": 1, "matches": )"
@@ -107,9 +107,10 @@ TEST(HandlerTest, EveryModeAnswersLookupsInOneShape) {
 }
 
 TEST(HandlerTest, ReadOnlyRefusesEveryMutatingOpAtDispatch) {
-  shard::LocalShard backend(ServiceOver({{1, "Acme Widget Corporation"}}));
-  Handler handler(&backend, 3, /*read_only=*/true);
-  shard::InstallShardServerOps(&handler, &backend);
+  std::unique_ptr<LookupService> backend =
+      ServiceOver({{1, "Acme Widget Corporation"}});
+  Handler handler(backend.get(), 3, /*read_only=*/true);
+  shard::InstallShardServerOps(&handler, backend.get());
   const std::string refused =
       R"({"ok": false, "code": "Unavailable", )"
       R"("error": "follower is read-only; mutate the leader"})";
@@ -133,12 +134,13 @@ TEST(HandlerTest, ReadOnlyRefusesEveryMutatingOpAtDispatch) {
             R"({"ok": true, "n": 1, "ids": "1", )"
             R"("values": "23:Acme Widget Corporation,"})");
   EXPECT_EQ(Handle(handler, R"({"op": "epoch"})"),
-            EpochReply(backend.service()->index().epoch()));
+            EpochReply(backend->index()->epoch()));
 }
 
 TEST(HandlerTest, ModeOpsAnswerOnlyWhereInstalled) {
-  shard::LocalShard backend(ServiceOver({{1, "Acme Widget Corporation"}}));
-  Handler handler(&backend, 3, /*read_only=*/false);
+  std::unique_ptr<LookupService> backend =
+      ServiceOver({{1, "Acme Widget Corporation"}});
+  Handler handler(backend.get(), 3, /*read_only=*/false);
   for (const char* op : {"slookup", "gstats", "dump", "getvalue", "resync",
                          "sync", "repl_fetch"}) {
     EXPECT_EQ(Handle(handler, std::string(R"({"op": ")") + op + "\"}"),
@@ -149,22 +151,22 @@ TEST(HandlerTest, ModeOpsAnswerOnlyWhereInstalled) {
   // Without the shard-server ops, "global" is an ignored field.
   std::string reply =
       Handle(handler, R"({"op": "delete", "id": 1, "global": true})");
-  EXPECT_EQ(reply, EpochReply(backend.service()->index().epoch()));
+  EXPECT_EQ(reply, EpochReply(backend->index()->epoch()));
 
-  shard::InstallShardServerOps(&handler, &backend);
+  shard::InstallShardServerOps(&handler, backend.get());
   reply = Handle(
       handler, R"({"op": "upsert", "id": 1, "value": "a b", "global": true})");
   EXPECT_EQ(reply,
             R"({"ok": true, "epoch": )" +
-                std::to_string(backend.service()->index().epoch()) +
+                std::to_string(backend->index()->epoch()) +
                 R"(, "had_prev": false})");
   EXPECT_EQ(Handle(handler, R"({"op": "getvalue", "id": 1})"),
             R"({"ok": true, "found": true, "value": "a b"})");
 }
 
 TEST(HandlerTest, OnlyAnAnsweredShutdownStopsTheServer) {
-  shard::LocalShard backend(ServiceOver({}));
-  Handler handler(&backend, 3, /*read_only=*/false);
+  std::unique_ptr<LookupService> backend = ServiceOver({});
+  Handler handler(backend.get(), 3, /*read_only=*/false);
   bool stop = false;
   for (const char* line : {"", "{", "[1]", R"({"op": 7})", R"({"k": 1})",
                            R"({"op": "ping"})", R"({"op": "epoch"})"}) {

@@ -1,8 +1,9 @@
 /// LookupService tests: serving-path results must be bit-identical to
-/// fuzz::BruteForceLookup (fresh and snapshot-reloaded), overload must be
-/// rejected explicitly at the admission bound, deadlines must expire
-/// admitted requests before they touch the index, shutdown must wait for
-/// in-flight lookups, and metrics must add up.
+/// fuzz::BruteForceLookup (fresh, snapshot-reloaded, and while the index is
+/// swapped under running lookups), overload must be rejected explicitly at
+/// the admission bound, deadlines must expire admitted requests before they
+/// touch the index, shutdown must wait for in-flight lookups, and metrics
+/// must add up.
 
 #include <gtest/gtest.h>
 
@@ -34,32 +35,36 @@ std::vector<fuzz::LookupOracleMatch> OracleLookup(
 }
 
 /// The service-owned side of every test: a mutable index over the master
-/// rows (doc_id = row index), persisted in `data_dir` when non-empty.
+/// rows (doc_id = `first_id` + row index), persisted in `data_dir` when
+/// non-empty.
 std::unique_ptr<index::MutableFuzzyIndex> BuildMutable(
-    const std::vector<std::string>& master, const std::string& data_dir = "") {
+    const std::vector<std::string>& master, const std::string& data_dir = "",
+    uint64_t first_id = 0) {
   index::MutableIndexOptions options;
   options.match.alpha = kAlpha;
   options.data_dir = data_dir;
   auto index = index::MutableFuzzyIndex::Create(options).MoveValueUnsafe();
   std::vector<std::pair<uint64_t, std::string>> records;
   records.reserve(master.size());
-  for (size_t i = 0; i < master.size(); ++i) records.emplace_back(i, master[i]);
+  for (size_t i = 0; i < master.size(); ++i) {
+    records.emplace_back(first_id + i, master[i]);
+  }
   EXPECT_TRUE(index->BulkLoad(records).ok());
   return index;
 }
 
 void ExpectSameMatches(const std::vector<fuzz::LookupOracleMatch>& want,
-                       const std::vector<LookupService::Match>& served,
-                       const std::string& query) {
-  ASSERT_EQ(want.size(), served.size()) << "query: " << query;
+                       const LookupResult& served, const std::string& query) {
+  ASSERT_EQ(want.size(), served.matches.size()) << "query: " << query;
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].index, served[i].id) << "query: " << query;
-    EXPECT_EQ(want[i].similarity, served[i].similarity) << "query: " << query;
+    EXPECT_EQ(want[i].index, served.matches[i].id) << "query: " << query;
+    EXPECT_EQ(want[i].similarity, served.matches[i].similarity)
+        << "query: " << query;
   }
 }
 
-void ExpectSameMatches(const std::vector<LookupService::Match>& a,
-                       const std::vector<LookupService::Match>& b,
+void ExpectSameMatches(const std::vector<ValuedMatch>& a,
+                       const std::vector<ValuedMatch>& b,
                        const std::string& query) {
   ASSERT_EQ(a.size(), b.size()) << "query: " << query;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -267,7 +272,7 @@ TEST(LookupServiceTest, ShutdownWaitsForInFlightLookups) {
     shutdown_returned.store(true);
   });
   // Shutdown stops admission first: wait until a new lookup is refused.
-  Result<std::vector<LookupService::Match>> refused = service->Lookup(master[1], 1);
+  Result<LookupResult> refused = service->Lookup(master[1], 1);
   while (refused.ok()) {
     std::this_thread::yield();
     refused = service->Lookup(master[1], 1);
@@ -297,13 +302,14 @@ TEST(LookupServiceTest, TokenizationEqualQueriesAnswerIdentically) {
   // strings apart, so the answers are bit-identical.
   auto b = service->Lookup("  " + master[0] + "  ", 2);
   ASSERT_TRUE(b.ok());
-  ExpectSameMatches(*a, *b, master[0]);
+  ExpectSameMatches(a->matches, b->matches, master[0]);
   // A smaller k answers the prefix of the larger one.
   auto c = service->Lookup(master[0], 1);
   ASSERT_TRUE(c.ok());
-  ASSERT_EQ(c->size(), std::min<size_t>(1, a->size()));
-  std::vector<LookupService::Match> top(a->begin(), a->begin() + c->size());
-  ExpectSameMatches(top, *c, master[0]);
+  ASSERT_EQ(c->matches.size(), std::min<size_t>(1, a->matches.size()));
+  std::vector<ValuedMatch> top(a->matches.begin(),
+                               a->matches.begin() + c->matches.size());
+  ExpectSameMatches(top, c->matches, master[0]);
   EXPECT_EQ(service->Stats().requests, 3u);
 }
 
@@ -311,17 +317,17 @@ TEST(LookupServiceTest, MutationNeverServesStaleCacheHits) {
   auto master = Master(200, 43);
   auto service = LookupService::Create(BuildMutable(master), {})
                      .MoveValueUnsafe();
-  index::MutableFuzzyIndex& index = service->index();
+  index::MutableFuzzyIndex& index = *service->index();
 
   // The exact reference string is its own best match, twice in a row.
   const std::string query = master[0];
   auto first = service->Lookup(query, 3);
   ASSERT_TRUE(first.ok());
-  ASSERT_FALSE(first->empty());
-  EXPECT_EQ((*first)[0].id, 0u);
+  ASSERT_FALSE(first->matches.empty());
+  EXPECT_EQ(first->matches[0].id, 0u);
   auto repeat = service->Lookup(query, 3);
   ASSERT_TRUE(repeat.ok());
-  ExpectSameMatches(*first, *repeat, query);
+  ExpectSameMatches(first->matches, repeat->matches, query);
 
   // Delete the top match. The epoch changes, and the next lookup must not
   // return doc 0.
@@ -330,35 +336,99 @@ TEST(LookupServiceTest, MutationNeverServesStaleCacheHits) {
   EXPECT_GT(index.epoch(), epoch_before);
   auto after_delete = service->Lookup(query, 3);
   ASSERT_TRUE(after_delete.ok());
-  for (const auto& m : *after_delete) EXPECT_NE(m.id, 0u);
+  for (const auto& m : after_delete->matches) EXPECT_NE(m.id, 0u);
 
   // Upsert a new doc with the query's exact value: it must surface at the
   // top immediately.
   ASSERT_TRUE(index.Upsert(999, query).ok());
-  std::vector<std::string> values;
-  auto after_upsert = service->Lookup(query, 3, {}, {}, &values);
+  auto after_upsert = service->Lookup(query, 3);
   ASSERT_TRUE(after_upsert.ok());
-  ASSERT_FALSE(after_upsert->empty());
-  EXPECT_EQ((*after_upsert)[0].id, 999u);
-  EXPECT_EQ((*after_upsert)[0].similarity, 1.0);
+  ASSERT_FALSE(after_upsert->matches.empty());
+  EXPECT_EQ(after_upsert->matches[0].id, 999u);
+  EXPECT_EQ(after_upsert->matches[0].similarity, 1.0);
   EXPECT_EQ(index.ValueAt(*index.Snapshot(), 999).value_or(""), query);
-  ASSERT_EQ(values.size(), after_upsert->size());
-  EXPECT_EQ(values[0], query);
+  EXPECT_EQ(after_upsert->matches[0].value, query);
 
   // Within one epoch a replay answers the same, and its values are read at
   // the same epoch as the first answer's.
-  std::vector<std::string> replay_values;
-  auto replay = service->Lookup(query, 3, {}, {}, &replay_values);
+  auto replay = service->Lookup(query, 3);
   ASSERT_TRUE(replay.ok());
-  ExpectSameMatches(*after_upsert, *replay, query);
-  EXPECT_EQ(replay_values, values);
+  ExpectSameMatches(after_upsert->matches, replay->matches, query);
+  for (size_t i = 0; i < replay->matches.size(); ++i) {
+    EXPECT_EQ(replay->matches[i].value, after_upsert->matches[i].value);
+  }
 
   // Seal/compact also advance the epoch without changing the answers.
   ASSERT_TRUE(index.Seal().ok());
   ASSERT_TRUE(index.Compact().ok());
   auto after_compact = service->Lookup(query, 3);
   ASSERT_TRUE(after_compact.ok());
-  ExpectSameMatches(*after_upsert, *after_compact, query);
+  ExpectSameMatches(after_upsert->matches, after_compact->matches, query);
+}
+
+/// True when `served` is exactly `want` over rows numbered from `first_id`,
+/// each match carrying its row as the value.
+bool AnswersLike(const LookupResult& served,
+                 const std::vector<fuzz::LookupOracleMatch>& want,
+                 const std::vector<std::string>& master, uint64_t first_id) {
+  if (served.matches.size() != want.size()) return false;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const ValuedMatch& m = served.matches[i];
+    if (m.id != first_id + want[i].index ||
+        m.similarity != want[i].similarity ||
+        m.value != master[want[i].index]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(LookupServiceTest, ReplaceUnderConcurrentLookups) {
+  // Two indexes with disjoint docs; every answer must come whole from one.
+  constexpr uint64_t kFirstB = 10000;
+  auto master_a = Master(150, 45);
+  auto master_b = Master(150, 46);
+  auto queries = DirtyQueries(master_a, 20, 10);
+  for (const std::string& q : DirtyQueries(master_b, 20, 11)) {
+    queries.push_back(q);
+  }
+  std::vector<std::vector<fuzz::LookupOracleMatch>> want_a, want_b;
+  for (const std::string& q : queries) {
+    want_a.push_back(OracleLookup(master_a, q, 3));
+    want_b.push_back(OracleLookup(master_b, q, 3));
+  }
+
+  auto service = LookupService::Create(BuildMutable(master_a), {})
+                     .MoveValueUnsafe();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> answers{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t i = t; !done.load() || i < t + queries.size(); ++i) {
+        const size_t j = i % queries.size();
+        auto served = service->Lookup(queries[j], 3);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        answers.fetch_add(1);
+        EXPECT_TRUE(AnswersLike(*served, want_a[j], master_a, 0) ||
+                    AnswersLike(*served, want_b[j], master_b, kFirstB))
+            << "query: " << queries[j];
+      }
+    });
+  }
+  for (int swap = 0; swap < 50; ++swap) {
+    service->Replace(swap % 2 == 0 ? BuildMutable(master_b, "", kFirstB)
+                                   : BuildMutable(master_a));
+  }
+  done.store(true);
+  for (std::thread& t : callers) t.join();
+
+  // One service counted every answer, whichever index gave it.
+  EXPECT_EQ(service->metrics().GetCounter("serve.requests")->value(),
+            answers.load());
+  EXPECT_EQ(service->Stats().in_flight, 0u);
+  service->Shutdown();
+  EXPECT_FALSE(service->Lookup(queries[0], 3).ok());
 }
 
 TEST(LookupServiceTest, RejectsZeroSizedKnobs) {

@@ -232,8 +232,8 @@ TEST(ShardedIndex, HedgingPreservesResults) {
 }
 
 TEST(ShardedIndex, ValueOfResolvesOnOwnerShard) {
-  // Each shard attaches its matches' values (LocalShard reads them from its
-  // own service at the epoch its lookup scored against), so a value comes
+  // Each shard attaches its matches' values (a LookupService reads them from
+  // its own index at the epoch its lookup scored against), so a value comes
   // from the shard owning the document.
   auto sharded =
       ShardedLookupIndex::Create(ShardOptions(4, 0.5)).MoveValueUnsafe();

@@ -1,9 +1,13 @@
 /// ssjoin_served — online fuzzy-lookup server over a unix domain socket.
 ///
-/// Serves MutableFuzzyIndex lookups (the paper's §6 record-lookup scenario)
-/// through serve::LookupService: each lookup runs on its connection's
-/// thread behind a bounded admission limit, with deadlines and latency
-/// metrics. The protocol is newline-delimited JSON (see src/serve/wire.h);
+/// Serves MutableFuzzyIndex lookups (the paper's §6 record-lookup scenario).
+/// The standalone, shard-server and follower modes serve one
+/// serve::LookupService, which owns the index, admission, deadlines and the
+/// `serve.*` metrics; --shards and --coordinator serve a
+/// shard::ShardedLookupIndex. Each lookup runs on its connection's thread,
+/// which is joined soon after the connection closes. A follower swaps each replicated
+/// epoch's index into its one service, so its counters keep counting across
+/// syncs. The protocol is newline-delimited JSON (see src/serve/wire.h);
 /// every request goes through one serve::Handler (src/serve/handler.h).
 /// This file holds the flags, each mode's startup and the socket loop.
 ///
@@ -31,6 +35,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -125,6 +130,8 @@ struct ServerState {
   std::atomic<bool> stop{false};
   std::mutex conn_mu;
   std::set<int> conn_fds;
+  /// Connection threads that have ended and wait for ServeLoop to join them.
+  std::vector<std::thread::id> finished;
 };
 
 /// Writes the whole buffer, riding out EINTR and short writes. Returns false
@@ -184,6 +191,7 @@ void ServeConnection(int fd, ServerState* state) {
     // recycled descriptor.
     std::lock_guard<std::mutex> lock(state->conn_mu);
     state->conn_fds.erase(fd);
+    state->finished.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -284,18 +292,29 @@ Result<int> ServeLoop(const std::string& socket_path,
   std::printf("listening on %s\n", socket_path.c_str());
   std::fflush(stdout);
 
-  std::vector<std::thread> connections;
+  // Each accept first joins the connection threads that have ended, so a
+  // closed connection's thread stack is released instead of kept until
+  // shutdown.
+  std::map<std::thread::id, std::thread> connections;
   for (;;) {
     int fd = ::accept(state->listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (state->stop.load() || errno != EINTR) break;
       continue;
     }
+    std::vector<std::thread::id> finished;
     {
       std::lock_guard<std::mutex> lock(state->conn_mu);
+      finished.swap(state->finished);
       state->conn_fds.insert(fd);
     }
-    connections.emplace_back(ServeConnection, fd, state);
+    for (std::thread::id id : finished) {
+      auto it = connections.find(id);
+      it->second.join();
+      connections.erase(it);
+    }
+    std::thread conn(ServeConnection, fd, state);
+    connections.emplace(conn.get_id(), std::move(conn));
   }
   ::close(state->listen_fd);
   // Nudge lingering connections so their threads observe EOF and exit.
@@ -303,7 +322,7 @@ Result<int> ServeLoop(const std::string& socket_path,
     std::lock_guard<std::mutex> lock(state->conn_mu);
     for (int fd : state->conn_fds) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : connections) t.join();
+  for (auto& [id, conn] : connections) conn.join();
   ::unlink(socket_path.c_str());
   state->stop.store(true);
   bool unused = false;
@@ -338,20 +357,20 @@ Result<int> ServeFanout(const std::string& socket_path,
 /// may do. `install` adds the mode's own ops; `state` is shared with the
 /// follower's sync thread.
 Result<int> ServeService(const Args& args, const std::string& socket_path,
-                         shard::LocalShard* backend, size_t default_k,
+                         serve::LookupService* service, size_t default_k,
                          const std::string& data_dir, bool read_only,
                          ServerState* state,
                          const std::function<void(serve::Handler*)>& install) {
-  serve::Handler handler(backend, default_k, read_only);
+  serve::Handler handler(service, default_k, read_only);
   if (args.flags.count("shard-server") > 0) {
-    shard::InstallShardServerOps(&handler, backend);
+    shard::InstallShardServerOps(&handler, service);
   }
   // A server with a data dir is a replication leader (chained followers
   // included).
   if (!data_dir.empty()) shard::InstallReplFetch(&handler, data_dir);
   if (install) install(&handler);
   Result<int> rc = ServeLoop(socket_path, handler, state);
-  backend->service()->Shutdown();
+  service->Shutdown();
   return rc;
 }
 
@@ -393,35 +412,29 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
 
   index::MutableIndexOptions mopts;
   mopts.data_dir = dir;
-  auto open_service = [&]() -> Result<std::shared_ptr<serve::LookupService>> {
-    SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
-                            index::MutableFuzzyIndex::Open(mopts));
-    SSJOIN_ASSIGN_OR_RETURN(
-        std::unique_ptr<serve::LookupService> svc,
-        serve::LookupService::Create(std::move(index), options));
-    return std::shared_ptr<serve::LookupService>(std::move(svc));
-  };
-  SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<serve::LookupService> service,
-                          open_service());
+  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> index,
+                          index::MutableFuzzyIndex::Open(mopts));
+  SSJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<serve::LookupService> service,
+      serve::LookupService::Create(std::move(index), options));
   std::fprintf(stderr, "following %s at epoch %llu\n", leader_socket.c_str(),
-               static_cast<unsigned long long>(service->index().epoch()));
-  shard::LocalShard backend(std::move(service));
+               static_cast<unsigned long long>(service->index()->epoch()));
 
-  // One replication round; swaps in the freshly opened service when the
-  // leader had a new sealed epoch. Returns the `sync` op's reply.
+  // One replication round; swaps the freshly opened index into the service
+  // when the leader had a new sealed epoch. Returns the `sync` op's reply.
   std::mutex sync_mu;
   auto sync_once = [&](const serve::Request&) -> Result<std::string> {
     std::lock_guard<std::mutex> lock(sync_mu);
     SSJOIN_ASSIGN_OR_RETURN(shard::SyncResult sr,
                             shard::SyncFromLeader(fetcher, dir));
     if (sr.updated) {
-      SSJOIN_ASSIGN_OR_RETURN(std::shared_ptr<serve::LookupService> fresh,
-                              open_service());
-      backend.Replace(std::move(fresh));
+      SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<index::MutableFuzzyIndex> fresh,
+                              index::MutableFuzzyIndex::Open(mopts));
+      service->Replace(std::move(fresh));
     }
     return std::string("{\"ok\": true, \"updated\": ") +
            (sr.updated ? "true" : "false") + ", \"epoch\": " +
-           std::to_string(backend.service()->index().epoch()) + "}";
+           std::to_string(service->index()->epoch()) + "}";
   };
 
   ServerState state;
@@ -439,8 +452,8 @@ Result<int> RunFollower(const Args& args, const std::string& socket_path,
     }
   });
   Result<int> rc = ServeService(
-      args, socket_path, &backend, default_k, dir, /*read_only=*/true, &state,
-      [&](serve::Handler* handler) {
+      args, socket_path, service.get(), default_k, dir, /*read_only=*/true,
+      &state, [&](serve::Handler* handler) {
         handler->Install("sync", false, sync_once);
       });
   state.stop.store(true);
@@ -523,9 +536,8 @@ Result<int> RunServer(const Args& args) {
   std::string data_dir = index->options().data_dir;
   SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<serve::LookupService> service,
                           serve::LookupService::Create(std::move(index), options));
-  shard::LocalShard backend(std::move(service));
   ServerState state;
-  return ServeService(args, socket_path, &backend, default_k, data_dir,
+  return ServeService(args, socket_path, service.get(), default_k, data_dir,
                       /*read_only=*/false, &state, nullptr);
 }
 
