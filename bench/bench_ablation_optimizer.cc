@@ -57,7 +57,7 @@ void BM_Optimizer(benchmark::State& state, double alpha) {
           .MoveValueUnsafe();
   core::OverlapPredicate pred = core::OverlapPredicate::TwoSidedNormalized(alpha);
   row.chosen = core::SSJoinAlgorithmName(
-      core::ChooseAlgorithm(prep.r, prep.s, pred, prep.Context()));
+      core::ChooseAlgorithm(prep.r, prep.s(), pred, prep.Context()));
   state.counters["basic_ms"] = row.basic_ms;
   state.counters["prefix_ms"] = row.prefix_ms;
   state.counters["costed_ms"] = row.costed_ms;

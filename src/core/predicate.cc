@@ -4,6 +4,19 @@
 
 namespace ssjoin::core {
 
+bool OverlapPredicate::IsSymmetric() const {
+  for (const ThresholdExpr& e : exprs_) {
+    bool mirrored = false;
+    for (const ThresholdExpr& m : exprs_) {
+      mirrored = mirrored || (m.constant == e.constant &&
+                              m.r_norm_coeff == e.s_norm_coeff &&
+                              m.s_norm_coeff == e.r_norm_coeff);
+    }
+    if (!mirrored) return false;
+  }
+  return true;
+}
+
 std::string OverlapPredicate::ToString() const {
   if (exprs_.empty()) return "Overlap >= 0";
   std::string out;

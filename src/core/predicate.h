@@ -106,6 +106,15 @@ class OverlapPredicate {
     return OneSideRequired(s_norm, /*r_side=*/false);
   }
 
+  /// True when swapping the R and S coefficients of every conjunct yields
+  /// the same conjunct set (absolute, 2-sided normalized and the edit
+  /// predicates): a pair then passes with its sides swapped iff it passes
+  /// as given, up to the kEps band (RequiredOverlap(a, b) and
+  /// RequiredOverlap(b, a) may differ in the last bits, because the terms
+  /// are added in another order). Self-joins under such a predicate are
+  /// symmetric, which the inline prefix-filter executor exploits.
+  bool IsSymmetric() const;
+
   const std::vector<ThresholdExpr>& exprs() const { return exprs_; }
 
   std::string ToString() const;

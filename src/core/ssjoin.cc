@@ -39,17 +39,26 @@ Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
 void VerifyCandidates(const SetsRelation& r, GroupId rg, const SetsRelation& s,
                       std::span<const GroupId> cands,
                       const OverlapPredicate& pred, kernels::MarkedSet* marks,
-                      std::vector<SSJoinPair>* out) {
+                      std::vector<SSJoinPair>* out, bool mirror) {
   marks->Mark(r.set(rg));
   const double r_norm = r.norms[rg];
   for (GroupId sg : cands) {
     const double s_norm = s.norms[sg];
+    const bool both = mirror && sg != rg;
+    double min_overlap = pred.MinPassingOverlap(r_norm, s_norm);
+    if (both) {
+      min_overlap =
+          std::min(min_overlap, pred.MinPassingOverlap(s_norm, r_norm));
+    }
     double overlap = 0.0;
-    if (marks->OverlapAtLeast(s.set(sg), s.set_weights[sg],
-                              pred.MinPassingOverlap(r_norm, s_norm),
-                              &overlap) &&
-        overlap > 0.0 && pred.Test(overlap, r_norm, s_norm)) {
-      out->push_back({rg, sg, overlap});
+    if (!marks->OverlapAtLeast(s.set(sg), s.set_weights[sg], min_overlap,
+                              &overlap) ||
+        overlap <= 0.0) {
+      continue;
+    }
+    if (pred.Test(overlap, r_norm, s_norm)) out->push_back({rg, sg, overlap});
+    if (both && pred.Test(overlap, s_norm, r_norm)) {
+      out->push_back({sg, rg, overlap});
     }
   }
 }
@@ -79,28 +88,31 @@ void MergeMorselOutputs(std::vector<MorselOutput>& morsels,
 }
 
 /// Candidate generation shared by the two prefix-filter variants: the
-/// equi-join of the prefix relations for R-groups [rg_begin, rg_end),
-/// deduplicated per R-group with the worker's scratch. Calls
-/// `emit(r, s_groups)` in increasing r.
+/// equi-join of R-group `rg`'s prefix with the indexed S prefixes,
+/// deduplicated with the worker's scratch. Calls `emit(rg, s_groups)`, the
+/// S-groups in first-seen order, unless there are none.
+///
+/// With `triangle` (a symmetric self-join, whose `s_index` indexes R's own
+/// prefixes), each posting list is cut at upper_bound(rg): only S-groups
+/// sg <= rg are probed, so every unordered pair is a candidate once, the
+/// diagonal pair (rg, rg) included.
 template <typename EmitFn>
 void GeneratePrefixCandidates(const PrefixFilteredRelation& r_pref,
-                              const InvertedIndex& s_index, size_t rg_begin,
-                              size_t rg_end, ProbeScratch& scratch,
+                              const InvertedIndex& s_index, GroupId rg,
+                              bool triangle, ProbeScratch& scratch,
                               SSJoinStats* stats, const EmitFn& emit) {
-  for (size_t g = rg_begin; g < rg_end; ++g) {
-    auto rg = static_cast<GroupId>(g);
-    SetView prefix = r_pref.prefixes.view(rg);
-    if (prefix.empty()) continue;
-    uint32_t epoch = scratch.NextEpoch();
-    scratch.cands.clear();
-    for (text::TokenId e : prefix) {
-      auto [begin, end] = s_index.Lookup(e);
-      stats->equijoin_rows += static_cast<size_t>(end - begin);
-      kernels::ProbePostings({begin, end}, epoch, scratch.seen.data(),
-                             &scratch.cands, &scratch.tally);
-    }
-    if (!scratch.cands.empty()) emit(rg, scratch.cands);
+  SetView prefix = r_pref.prefixes.view(rg);
+  if (prefix.empty()) return;
+  uint32_t epoch = scratch.NextEpoch();
+  scratch.cands.clear();
+  for (text::TokenId e : prefix) {
+    auto [begin, end] = s_index.Lookup(e);
+    if (triangle) end = std::upper_bound(begin, end, rg);
+    stats->equijoin_rows += static_cast<size_t>(end - begin);
+    kernels::ProbePostings({begin, end}, epoch, scratch.seen.data(),
+                           &scratch.cands, &scratch.tally);
   }
+  if (!scratch.cands.empty()) emit(rg, scratch.cands);
 }
 
 class NaiveSSJoin final : public SSJoinExecutor {
@@ -333,11 +345,14 @@ class PrefixFilterSSJoin final : public SSJoinExecutor {
                   ProbeScratch& sc = probe[worker];
                   sc.EnsureSize(s.num_groups());
                   CandMorsel& out = cand_morsels[m];
-                  GeneratePrefixCandidates(
-                      r_pref, s_index, begin, end, sc, &out.stats,
-                      [&](GroupId rg, const std::vector<GroupId>& ss) {
-                        for (GroupId sg : ss) out.cands.push_back({rg, sg});
-                      });
+                  for (size_t g = begin; g < end; ++g) {
+                    GeneratePrefixCandidates(
+                        r_pref, s_index, static_cast<GroupId>(g),
+                        /*triangle=*/false, sc, &out.stats,
+                        [&](GroupId rg, const std::vector<GroupId>& ss) {
+                          for (GroupId sg : ss) out.cands.push_back({rg, sg});
+                        });
+                  }
                   sc.tally.Flush();
                 });
     std::vector<Candidate> candidates;
@@ -440,12 +455,19 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
     SSJOIN_RETURN_NOT_OK(ValidateSSJoinInputs(r, s, ctx, /*needs_order=*/true));
     const WeightVector& w = *ctx.weights;
     const exec::ExecContext& ec = exec::OrDefault(ctx.exec);
+    // The triangle path: R passed as S under a symmetric predicate. Both
+    // sides then have the same prefixes, the pair set is closed under
+    // swapping, and each unordered pair is probed and verified once.
+    const bool triangle = &r == &s && pred.IsSymmetric();
 
     Timer prefix_timer;
     PrefixFilteredRelation r_pref =
         PrefixFilterRelation(r, w, *ctx.order, pred, JoinSide::kR, ec);
-    PrefixFilteredRelation s_pref =
-        PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS, ec);
+    PrefixFilteredRelation s_own;
+    if (!triangle) {
+      s_own = PrefixFilterRelation(s, w, *ctx.order, pred, JoinSide::kS, ec);
+    }
+    const PrefixFilteredRelation& s_pref = triangle ? r_pref : s_own;
     stats->r_prefix_elements = r_pref.total_prefix_elements();
     stats->s_prefix_elements = s_pref.total_prefix_elements();
     size_t num_elements = MaxElementId(r, s) + 1;
@@ -457,32 +479,40 @@ class InlinePrefixFilterSSJoin final : public SSJoinExecutor {
     // overlap "UDF", VerifyCandidates), with no join back to the base
     // relations.
     // Generation and the UDF run in the same morsel, partitioned over
-    // R-groups.
+    // R-groups. The triangle walks them in descending order: a group's
+    // probe is cut at its own id, so its cost grows with the id and the
+    // heavy morsels go first.
     Timer join_timer;
     struct Scratch {
       ProbeScratch probe;
       kernels::MarkedSet marks;
     };
-    std::vector<Scratch> scratch(exec::NumWorkers(ec, r.num_groups()));
-    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, r.num_groups()));
-    ParallelFor(ec, r.num_groups(),
-                [&](size_t worker, size_t m, size_t begin, size_t end) {
-                  Scratch& sc = scratch[worker];
-                  sc.probe.EnsureSize(s.num_groups());
-                  sc.marks.Bind(w);
-                  MorselOutput& out = morsels[m];
-                  GeneratePrefixCandidates(
-                      r_pref, s_index, begin, end, sc.probe, &out.stats,
-                      [&](GroupId rg, const std::vector<GroupId>& ss) {
-                        out.stats.candidate_pairs += ss.size();
-                        VerifyCandidates(r, rg, s, ss, pred, &sc.marks,
-                                         &out.pairs);
-                      });
-                  sc.marks.Flush();
-                  sc.probe.tally.Flush();
-                });
+    const size_t n = r.num_groups();
+    std::vector<Scratch> scratch(exec::NumWorkers(ec, n));
+    std::vector<MorselOutput> morsels(exec::NumMorsels(ec, n));
+    ParallelFor(ec, n, [&](size_t worker, size_t m, size_t begin, size_t end) {
+      Scratch& sc = scratch[worker];
+      sc.probe.EnsureSize(s.num_groups());
+      sc.marks.Bind(w);
+      MorselOutput& out = morsels[m];
+      for (size_t i = begin; i < end; ++i) {
+        GeneratePrefixCandidates(
+            r_pref, s_index, static_cast<GroupId>(triangle ? n - 1 - i : i),
+            triangle, sc.probe, &out.stats,
+            [&](GroupId rg, const std::vector<GroupId>& ss) {
+              out.stats.candidate_pairs += ss.size();
+              VerifyCandidates(r, rg, s, ss, pred, &sc.marks, &out.pairs,
+                               /*mirror=*/triangle);
+            });
+      }
+      sc.marks.Flush();
+      sc.probe.tally.Flush();
+    });
     std::vector<SSJoinPair> out;
     MergeMorselOutputs(morsels, &out, stats);
+    // Mirrored pairs land out of order; sorted, the output is the same at
+    // every thread count.
+    if (triangle) SortPairs(&out);
     stats->result_pairs = out.size();
     stats->phases.Add("SSJoin", join_timer.ElapsedMillis());
     return out;

@@ -35,7 +35,9 @@ struct SSJoinStats {
   /// Rows produced by the equi-join on B (Basic) or by the prefix equi-join
   /// (prefix variants, before per-R dedup).
   size_t equijoin_rows = 0;
-  /// Distinct <R.A, S.A> pairs whose overlap was computed/verified.
+  /// Distinct <R.A, S.A> pairs whose overlap was computed/verified. The
+  /// inline prefix filter's triangle path (a symmetric self-join) counts
+  /// each unordered pair once here and in `equijoin_rows`.
   size_t candidate_pairs = 0;
   /// Pairs in the final result.
   size_t result_pairs = 0;
@@ -83,7 +85,10 @@ enum class SSJoinAlgorithm {
   kPrefixFilter,
   /// Figure 9: prefix filter with inlined set representation — candidates
   /// are verified by a direct overlap "UDF" on the carried sets, avoiding
-  /// the re-joins with the base relations.
+  /// the re-joins with the base relations. Given the same SetsRelation
+  /// object as R and S under a symmetric predicate, it probes only pairs
+  /// with s <= r, verifies each once for both orientations and returns the
+  /// pairs sorted by (r, s) (DESIGN §7).
   kPrefixFilterInline,
   /// MinHash-LSH approximate candidate tier (src/approx, CPSJoin-style):
   /// candidates from banded signatures tuned to a target recall, verified by
@@ -140,10 +145,17 @@ Status ValidateSSJoinInputs(const SetsRelation& r, const SetsRelation& s,
 /// pred.MinPassingOverlap; survivors are accepted by pred.Test on the exact
 /// overlap. Overlaps are bit-equal to the scalar sorted merge's. The caller
 /// flushes `marks`' work counts once per morsel.
+///
+/// With `mirror` (a symmetric self-join probed as a triangle: `s` is `r`),
+/// each candidate sg != rg also stands for its mirror (sg, rg). The overlap
+/// is computed once: it sums the same matches in the same ascending token
+/// order both ways, so it is bit-equal for both. The early exit prunes only
+/// below the smaller of the two orientations' MinPassingOverlap, and each
+/// orientation is emitted when it passes its own pred.Test.
 void VerifyCandidates(const SetsRelation& r, GroupId rg, const SetsRelation& s,
                       std::span<const GroupId> cands,
                       const OverlapPredicate& pred, kernels::MarkedSet* marks,
-                      std::vector<SSJoinPair>* out);
+                      std::vector<SSJoinPair>* out, bool mirror = false);
 
 /// One-shot convenience: builds the executor and runs it.
 Result<std::vector<SSJoinPair>> ExecuteSSJoin(SSJoinAlgorithm algorithm,

@@ -80,12 +80,12 @@ std::vector<simjoin::MatchPair> CrossProductJaccardContainment(
   core::OverlapPredicate pred = core::OverlapPredicate::OneSidedNormalized(alpha);
   std::vector<simjoin::MatchPair> out;
   for (core::GroupId gr = 0; gr < prep.r.num_groups(); ++gr) {
-    for (core::GroupId gs = 0; gs < prep.s.num_groups(); ++gs) {
+    for (core::GroupId gs = 0; gs < prep.s().num_groups(); ++gs) {
       core::SetView a = prep.r.set(gr);
-      core::SetView b = prep.s.set(gs);
+      core::SetView b = prep.s().set(gs);
       if (!Intersects(a, b)) continue;
       double overlap = OverlapOf(a, b, prep.weights);
-      if (!pred.Test(overlap, prep.r.norms[gr], prep.s.norms[gs])) continue;
+      if (!pred.Test(overlap, prep.r.norms[gr], prep.s().norms[gs])) continue;
       double wt_r = prep.r.set_weights[gr];
       double jc = wt_r > 0.0 ? overlap / wt_r : 1.0;
       out.push_back({gr, gs, jc});
@@ -99,14 +99,14 @@ std::vector<simjoin::MatchPair> CrossProductJaccardResemblance(
   core::OverlapPredicate pred = core::OverlapPredicate::TwoSidedNormalized(alpha);
   std::vector<simjoin::MatchPair> out;
   for (core::GroupId gr = 0; gr < prep.r.num_groups(); ++gr) {
-    for (core::GroupId gs = 0; gs < prep.s.num_groups(); ++gs) {
+    for (core::GroupId gs = 0; gs < prep.s().num_groups(); ++gs) {
       core::SetView a = prep.r.set(gr);
-      core::SetView b = prep.s.set(gs);
+      core::SetView b = prep.s().set(gs);
       if (!Intersects(a, b)) continue;
       double overlap = OverlapOf(a, b, prep.weights);
-      if (!pred.Test(overlap, prep.r.norms[gr], prep.s.norms[gs])) continue;
+      if (!pred.Test(overlap, prep.r.norms[gr], prep.s().norms[gs])) continue;
       double wt_union =
-          prep.r.set_weights[gr] + prep.s.set_weights[gs] - overlap;
+          prep.r.set_weights[gr] + prep.s().set_weights[gs] - overlap;
       double jr = wt_union > 0.0 ? overlap / wt_union : 1.0;
       if (jr >= alpha - 1e-12) out.push_back({gr, gs, jr});
     }
@@ -120,14 +120,14 @@ std::vector<simjoin::MatchPair> CrossProductCosine(const simjoin::Prepared& prep
       core::OverlapPredicate::TwoSidedNormalized(alpha * alpha);
   std::vector<simjoin::MatchPair> out;
   for (core::GroupId gr = 0; gr < prep.r.num_groups(); ++gr) {
-    for (core::GroupId gs = 0; gs < prep.s.num_groups(); ++gs) {
+    for (core::GroupId gs = 0; gs < prep.s().num_groups(); ++gs) {
       core::SetView a = prep.r.set(gr);
-      core::SetView b = prep.s.set(gs);
+      core::SetView b = prep.s().set(gs);
       if (!Intersects(a, b)) continue;
       double overlap = OverlapOf(a, b, prep.weights);
-      if (!pred.Test(overlap, prep.r.norms[gr], prep.s.norms[gs])) continue;
+      if (!pred.Test(overlap, prep.r.norms[gr], prep.s().norms[gs])) continue;
       double denom =
-          std::sqrt(prep.r.set_weights[gr] * prep.s.set_weights[gs]);
+          std::sqrt(prep.r.set_weights[gr] * prep.s().set_weights[gs]);
       double cos = denom > 0.0 ? overlap / denom : 1.0;
       if (cos >= alpha - 1e-12) out.push_back({gr, gs, cos});
     }

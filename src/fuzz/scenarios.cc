@@ -146,6 +146,13 @@ std::unique_ptr<text::Tokenizer> MakeTokenizer(bool word_tokens, size_t q) {
   return std::make_unique<text::QGramTokenizer>(q);
 }
 
+/// S of a join case: `rp.r` itself when both sides hold the same strings,
+/// so a self-join reaches Prep's self-join path and, through it, the inline
+/// prefix filter's triangle path.
+const std::vector<std::string>& SideS(const Reproducer& rp) {
+  return rp.s == rp.r ? rp.r : rp.s;
+}
+
 Result<simjoin::JoinExecution> MakeExecution(const Reproducer& rp) {
   simjoin::JoinExecution exec;
   SSJOIN_ASSIGN_OR_RETURN(uint64_t algorithm, rp.GetUint("algorithm", 4));
@@ -195,17 +202,29 @@ Result<CheckResult> CheckSSJoinExecutors(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(bool word_tokens, rp.GetBool("word_tokens", true));
   std::unique_ptr<text::Tokenizer> tok = MakeTokenizer(word_tokens, q);
   SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(rp.r, rp.s, *tok, mode));
+                          PrepareStrings(rp.r, SideS(rp), *tok, mode));
 
   SSJOIN_ASSIGN_OR_RETURN(core::OverlapPredicate pred, MakePredicate(rp));
 
-  std::vector<core::SSJoinPair> oracle =
-      SSJoinOracle(prep.r, prep.s, prep.weights, pred);
-  core::SortPairs(&oracle);
-  std::vector<MatchPair> oracle_matches = ToMatches(oracle);
+  // Every executor joins R with S, and R with itself as one object on both
+  // sides (the inline prefix filter's triangle path under a symmetric
+  // predicate). When S is R, the first join is already the self-join.
+  struct Join {
+    const char* label;
+    const core::SetsRelation* s;
+    std::vector<MatchPair> oracle;
+  };
+  std::vector<Join> joins = {{"", &prep.s(), {}}};
+  if (!prep.self_join) joins.push_back({", R as S", &prep.r, {}});
+  for (Join& join : joins) {
+    std::vector<core::SSJoinPair> oracle =
+        SSJoinOracle(prep.r, *join.s, prep.weights, pred);
+    core::SortPairs(&oracle);
+    join.oracle = ToMatches(oracle);
+  }
 
-  // Two legs per executor: one thread (every morsel inline on the caller)
-  // and N >= 2 threads, both with the drawn morsel size.
+  // Two legs per executor and join: one thread (every morsel inline on the
+  // caller) and N >= 2 threads, both with the drawn morsel size.
   SSJOIN_ASSIGN_OR_RETURN(uint64_t threads, rp.GetUint("threads", 2));
   SSJOIN_ASSIGN_OR_RETURN(uint64_t morsel, rp.GetUint("morsel", 2));
   exec::ExecContext one_thread;
@@ -215,22 +234,24 @@ Result<CheckResult> CheckSSJoinExecutors(const Reproducer& rp) {
 
   CheckResult result;
   for (core::SSJoinAlgorithm algorithm : kAllAlgorithms) {
-    for (const exec::ExecContext* ec : {&one_thread, &n_threads}) {
-      core::SSJoinContext ctx = prep.Context();
-      ctx.exec = ec;
-      Result<std::vector<core::SSJoinPair>> got =
-          core::ExecuteSSJoin(algorithm, prep.r, prep.s, pred, ctx, nullptr);
-      std::string name = std::string(core::SSJoinAlgorithmName(algorithm)) +
-                         " (" + std::to_string(ec->num_threads) + " threads)";
-      if (!got.ok()) {
-        return CheckResult{false, name + " failed: " + got.status().ToString()};
-      }
-      core::SortPairs(&got.ValueOrDie());
-      // Tolerance 0: every executor sums each pair's weights in ascending
-      // element order, as the scalar-merge oracle does (DESIGN §14).
-      if (!SameMatches(name, ToMatches(*got), oracle_matches, 0.0,
-                       &result)) {
-        return result;
+    for (const Join& join : joins) {
+      for (const exec::ExecContext* ec : {&one_thread, &n_threads}) {
+        core::SSJoinContext ctx = prep.Context();
+        ctx.exec = ec;
+        Result<std::vector<core::SSJoinPair>> got =
+            core::ExecuteSSJoin(algorithm, prep.r, *join.s, pred, ctx, nullptr);
+        std::string name = std::string(core::SSJoinAlgorithmName(algorithm)) +
+                           " (" + std::to_string(ec->num_threads) + " threads" +
+                           join.label + ")";
+        if (!got.ok()) {
+          return CheckResult{false, name + " failed: " + got.status().ToString()};
+        }
+        core::SortPairs(&got.ValueOrDie());
+        // Tolerance 0: every executor sums each pair's weights in ascending
+        // element order, as the scalar-merge oracle does (DESIGN §14).
+        if (!SameMatches(name, ToMatches(*got), join.oracle, 0.0, &result)) {
+          return result;
+        }
       }
     }
   }
@@ -253,7 +274,7 @@ Result<CheckResult> CheckEditDistanceJoins(const Reproducer& rp) {
 
   CheckResult result;
   Result<std::vector<MatchPair>> gravano =
-      simjoin::GravanoEditDistanceJoin(rp.r, rp.s, d, q);
+      simjoin::GravanoEditDistanceJoin(rp.r, SideS(rp), d, q);
   if (!gravano.ok()) {
     return CheckResult{false, "GravanoEditDistanceJoin failed: " +
                                   gravano.status().ToString()};
@@ -265,7 +286,7 @@ Result<CheckResult> CheckEditDistanceJoins(const Reproducer& rp) {
 
   SSJOIN_ASSIGN_OR_RETURN(simjoin::JoinExecution exec, MakeExecution(rp));
   Result<std::vector<MatchPair>> ssjoin =
-      simjoin::EditDistanceJoin(rp.r, rp.s, d, q, exec);
+      simjoin::EditDistanceJoin(rp.r, SideS(rp), d, q, exec);
   if (!ssjoin.ok()) {
     return CheckResult{false,
                        "EditDistanceJoin failed: " + ssjoin.status().ToString()};
@@ -294,7 +315,7 @@ Result<CheckResult> CheckEditSimilarityJoins(const Reproducer& rp) {
 
   CheckResult result;
   Result<std::vector<MatchPair>> gravano =
-      simjoin::GravanoEditSimilarityJoin(rp.r, rp.s, alpha, q);
+      simjoin::GravanoEditSimilarityJoin(rp.r, SideS(rp), alpha, q);
   if (!gravano.ok()) {
     return CheckResult{false, "GravanoEditSimilarityJoin failed: " +
                                   gravano.status().ToString()};
@@ -306,7 +327,7 @@ Result<CheckResult> CheckEditSimilarityJoins(const Reproducer& rp) {
 
   SSJOIN_ASSIGN_OR_RETURN(simjoin::JoinExecution exec, MakeExecution(rp));
   Result<std::vector<MatchPair>> ssjoin =
-      simjoin::EditSimilarityJoin(rp.r, rp.s, alpha, q, exec);
+      simjoin::EditSimilarityJoin(rp.r, SideS(rp), alpha, q, exec);
   if (!ssjoin.ok()) {
     return CheckResult{
         false, "EditSimilarityJoin failed: " + ssjoin.status().ToString()};
@@ -338,10 +359,10 @@ Result<CheckResult> CheckJaccardJoins(const Reproducer& rp) {
 
   std::unique_ptr<text::Tokenizer> tok = MakeTokenizer(opts.word_tokens, opts.q);
   SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(rp.r, rp.s, *tok, opts.weights));
+                          PrepareStrings(rp.r, SideS(rp), *tok, opts.weights));
   SSJOIN_ASSIGN_OR_RETURN(
       Prepared prep_sq,
-      PrepareStrings(rp.r, rp.s, *tok, WeightMode::kIdfSquared));
+      PrepareStrings(rp.r, SideS(rp), *tok, WeightMode::kIdfSquared));
 
   CheckResult result;
   struct Case {
@@ -351,12 +372,12 @@ Result<CheckResult> CheckJaccardJoins(const Reproducer& rp) {
   };
   Case cases[] = {
       {"JaccardContainmentJoin",
-       simjoin::JaccardContainmentJoin(rp.r, rp.s, alpha, opts, exec),
+       simjoin::JaccardContainmentJoin(rp.r, SideS(rp), alpha, opts, exec),
        CrossProductJaccardContainment(prep, alpha)},
       {"JaccardResemblanceJoin",
-       simjoin::JaccardResemblanceJoin(rp.r, rp.s, alpha, opts, exec),
+       simjoin::JaccardResemblanceJoin(rp.r, SideS(rp), alpha, opts, exec),
        CrossProductJaccardResemblance(prep, alpha)},
-      {"CosineJoin", simjoin::CosineJoin(rp.r, rp.s, alpha, opts, exec),
+      {"CosineJoin", simjoin::CosineJoin(rp.r, SideS(rp), alpha, opts, exec),
        CrossProductCosine(prep_sq, alpha)},
   };
   for (Case& c : cases) {
@@ -373,12 +394,12 @@ Result<CheckResult> CheckJaccardJoins(const Reproducer& rp) {
 
 Result<CheckResult> CheckGESJoin(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(double alpha, rp.GetDouble("alpha", 0.7));
-  Result<std::vector<MatchPair>> ges = simjoin::GESJoin(rp.r, rp.s, alpha);
+  Result<std::vector<MatchPair>> ges = simjoin::GESJoin(rp.r, SideS(rp), alpha);
   if (!ges.ok()) {
     return CheckResult{false, "GESJoin failed: " + ges.status().ToString()};
   }
   Result<std::vector<MatchPair>> brute =
-      simjoin::GESJoinBruteForce(rp.r, rp.s, alpha);
+      simjoin::GESJoinBruteForce(rp.r, SideS(rp), alpha);
   if (!brute.ok()) return brute.status();
   CheckResult result;
   // GESJoin is precision-exact (candidates pass the exact GES UDF) but its
@@ -541,7 +562,7 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
   SSJOIN_ASSIGN_OR_RETURN(bool word_tokens, rp.GetBool("word_tokens", true));
   std::unique_ptr<text::Tokenizer> tok = MakeTokenizer(word_tokens, q);
   SSJOIN_ASSIGN_OR_RETURN(Prepared prep,
-                          PrepareStrings(rp.r, rp.s, *tok, mode));
+                          PrepareStrings(rp.r, SideS(rp), *tok, mode));
   SSJOIN_ASSIGN_OR_RETURN(core::OverlapPredicate pred, MakePredicate(rp));
 
   approx::ApproxParams params;
@@ -553,7 +574,7 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
   params.recall_sample = 16;
 
   std::vector<core::SSJoinPair> oracle =
-      SSJoinOracle(prep.r, prep.s, prep.weights, pred);
+      SSJoinOracle(prep.r, prep.s(), prep.weights, pred);
   std::vector<MatchPair> oracle_matches = ToMatches(oracle);
 
   exec::ExecContext parallel_ctx;
@@ -570,7 +591,7 @@ Result<CheckResult> CheckRecall(const Reproducer& rp) {
       core::SSJoinContext ctx = prep.Context();
       if (parallel) ctx.exec = &parallel_ctx;
       Result<std::vector<core::SSJoinPair>> got = approx::ExecuteSSJoin(
-          algorithm, prep.r, prep.s, pred, ctx, params, nullptr);
+          algorithm, prep.r, prep.s(), pred, ctx, params, nullptr);
       std::string name = std::string(core::SSJoinAlgorithmName(algorithm)) +
                          (parallel ? " (parallel)" : " (serial)");
       if (!got.ok()) {

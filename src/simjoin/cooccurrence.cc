@@ -72,7 +72,7 @@ Result<EntityJoinResult> CooccurrenceJoin(
       result.matches.push_back({p.r, p.s, jc});
     } else {
       ++stats->verifier_calls;
-      double wt_union = wt_r + prep.s.set_weights[p.s] - p.overlap;
+      double wt_union = wt_r + prep.s().set_weights[p.s] - p.overlap;
       double jr = wt_union > 0.0 ? p.overlap / wt_union : 1.0;
       if (MeetsThreshold(jr, alpha)) result.matches.push_back({p.r, p.s, jr});
     }

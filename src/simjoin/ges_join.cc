@@ -123,8 +123,9 @@ Result<std::vector<MatchPair>> GESJoin(const std::vector<std::string>& r,
   SSJOIN_ASSIGN_OR_RETURN(
       prep.r, core::BuildSetsRelation(std::move(r_expanded), prep.weights,
                                       std::move(r_norms), opts.exec.exec));
-  SSJOIN_ASSIGN_OR_RETURN(prep.s, core::BuildSetsRelation(std::move(sides.s), prep.weights,
-                                                          std::nullopt, opts.exec.exec));
+  SSJOIN_ASSIGN_OR_RETURN(
+      prep.s_rel, core::BuildSetsRelation(std::move(sides.s), prep.weights,
+                                          std::nullopt, opts.exec.exec));
   stats->phases.Add("Prep", prep_timer.ElapsedMillis());
 
   // ---- SSJoin stage: 1-sided normalized overlap on the unexpanded norm. ----

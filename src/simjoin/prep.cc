@@ -77,10 +77,11 @@ Result<Prepared> PrepareDocuments(size_t num_r, const TokenSource& r_source, siz
   SSJOIN_ASSIGN_OR_RETURN(prep.r, core::BuildSetsRelation(std::move(r_docs), prep.weights,
                                                           std::nullopt, exec));
   if (s_source != nullptr) {
-    SSJOIN_ASSIGN_OR_RETURN(prep.s, core::BuildSetsRelation(std::move(s_docs), prep.weights,
-                                                            std::nullopt, exec));
+    SSJOIN_ASSIGN_OR_RETURN(prep.s_rel, core::BuildSetsRelation(std::move(s_docs),
+                                                                prep.weights,
+                                                                std::nullopt, exec));
   } else {
-    prep.s = prep.r;
+    prep.self_join = true;
   }
   if (phases != nullptr) phases->Add("Prep.relation", relation_timer.ElapsedMillis());
   return prep;
@@ -103,13 +104,14 @@ Result<std::vector<core::SSJoinPair>> RunSSJoinStage(const Prepared& prep,
   ctx.exec = &execution.exec;
   core::SSJoinAlgorithm algorithm = execution.algorithm;
   if (execution.use_cost_model) {
-    algorithm = core::ChooseAlgorithm(prep.r, prep.s, pred, ctx);
+    algorithm = core::ChooseAlgorithm(prep.r, prep.s(), pred, ctx);
   }
   // The approx-layer dispatch is a superset of core::ExecuteSSJoin: it adds
-  // kApprox/kHybrid handling and forwards the exact algorithms unchanged.
+  // kApprox/kHybrid handling and forwards the exact algorithms unchanged. A
+  // self-join passes prep.r as both sides.
   SSJOIN_ASSIGN_OR_RETURN(
       std::vector<core::SSJoinPair> pairs,
-      approx::ExecuteSSJoin(algorithm, prep.r, prep.s, pred, ctx,
+      approx::ExecuteSSJoin(algorithm, prep.r, prep.s(), pred, ctx,
                             execution.approx, &stats->ssjoin));
   stats->phases.Merge(stats->ssjoin.phases);
   return pairs;

@@ -32,7 +32,16 @@ struct Prepared {
   core::WeightVector weights;
   core::ElementOrder order;
   core::SetsRelation r;
-  core::SetsRelation s;
+  /// True when S is R (PrepareDocuments without an S source): S is not
+  /// stored, and s() returns `r` itself.
+  bool self_join = false;
+  /// S when it is not R; empty in a self-join. Read S through s().
+  core::SetsRelation s_rel;
+
+  /// The S relation. In a self-join this is the same object as `r`, so the
+  /// SSJoin stage hands one relation to both sides and the inline
+  /// prefix-filter executor can take its triangle path.
+  const core::SetsRelation& s() const { return self_join ? r : s_rel; }
 
   core::SSJoinContext Context() const { return {&weights, &order}; }
 };
@@ -62,10 +71,11 @@ Result<core::EncodedDocs> EncodeDocuments(size_t num_docs, const TokenSource& so
 /// different norm is needed.
 ///
 /// A null `s_source` means S is R (a self-join, `num_s == num_r`): R's
-/// documents are encoded once and counted twice, which yields exactly the dictionary, weights and
-/// relations of encoding them again. Records the sub-phases "Prep.encode"
-/// (tokenize + encode) and "Prep.relation" (build the relations) in
-/// `phases` when given.
+/// documents are encoded once and counted twice, which yields exactly the
+/// dictionary, weights and relations of encoding them again, and the result
+/// is marked `self_join`, with no copy of R as S. Records the sub-phases
+/// "Prep.encode" (tokenize + encode) and "Prep.relation" (build the
+/// relations) in `phases` when given.
 Result<Prepared> PrepareDocuments(size_t num_r, const TokenSource& r_source, size_t num_s,
                                   const TokenSource* s_source, WeightMode mode,
                                   const exec::ExecContext& exec,

@@ -59,11 +59,11 @@ class RuleVerifier {
                               rule_.threshold);
       case ColumnSim::kJaccard: {
         core::SetView rs = prep_.r.set(r);
-        core::SetView ss = prep_.s.set(s);
+        core::SetView ss = prep_.s().set(s);
         double overlap =
             kernels::IntersectWeighted(rs, ss, prep_.weights.data());
         double uni =
-            prep_.r.set_weights[r] + prep_.s.set_weights[s] - overlap;
+            prep_.r.set_weights[r] + prep_.s().set_weights[s] - overlap;
         double jr = uni > 0.0 ? overlap / uni : 1.0;
         return MeetsThreshold(jr, rule_.threshold);
       }

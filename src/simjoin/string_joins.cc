@@ -190,7 +190,7 @@ Result<std::vector<MatchPair>> JaccardResemblanceJoin(
   core::OverlapPredicate pred = core::OverlapPredicate::TwoSidedNormalized(alpha);
   VerifyFn verify = [alpha](const Prepared& prep, const core::SSJoinPair& p) {
     double wt_union =
-        prep.r.set_weights[p.r] + prep.s.set_weights[p.s] - p.overlap;
+        prep.r.set_weights[p.r] + prep.s().set_weights[p.s] - p.overlap;
     double jr = wt_union > 0.0 ? p.overlap / wt_union : 1.0;
     return MeetsThreshold(jr, alpha) ? jr : kReject;
   };
@@ -210,7 +210,7 @@ Result<std::vector<MatchPair>> CosineJoin(const std::vector<std::string>& r,
       core::OverlapPredicate::TwoSidedNormalized(alpha * alpha);
   VerifyFn verify = [alpha](const Prepared& prep, const core::SSJoinPair& p) {
     double denom =
-        std::sqrt(prep.r.set_weights[p.r] * prep.s.set_weights[p.s]);
+        std::sqrt(prep.r.set_weights[p.r] * prep.s().set_weights[p.s]);
     double cos = denom > 0.0 ? p.overlap / denom : 1.0;
     return MeetsThreshold(cos, alpha) ? cos : kReject;
   };

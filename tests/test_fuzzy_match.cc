@@ -88,7 +88,7 @@ TEST(FuzzyMatchTest, MatchesBatchJoinResults) {
     auto matches = index->Lookup(master[q], master.size());
     std::vector<uint32_t> expected;
     for (uint32_t i = 0; i < master.size(); ++i) {
-      double jr = sim::JaccardResemblance(prep.r.set(q), prep.s.set(i), weights);
+      double jr = sim::JaccardResemblance(prep.r.set(q), prep.s().set(i), weights);
       if (jr >= options.alpha - 1e-12) expected.push_back(i);
     }
     std::vector<uint32_t> got;

@@ -91,7 +91,7 @@ TEST(IntegrationTest, RelationalPlansRunOnGeneratedData) {
                               simjoin::WeightMode::kIdf)
           .MoveValueUnsafe();
   engine::Table rt = *core::ToNormalizedTable(prep.r, prep.weights, prep.order);
-  engine::Table st = *core::ToNormalizedTable(prep.s, prep.weights, prep.order);
+  engine::Table st = *core::ToNormalizedTable(prep.s(), prep.weights, prep.order);
   core::OverlapPredicate pred = core::OverlapPredicate::TwoSidedNormalized(0.8);
 
   engine::Table basic = *core::BasicSSJoinPlan(rt, st, pred);
@@ -110,7 +110,7 @@ TEST(IntegrationTest, RelationalPlansRunOnGeneratedData) {
 
   // And the columnar executor agrees with both.
   auto pairs = *core::ExecuteSSJoin(core::SSJoinAlgorithm::kPrefixFilterInline,
-                                    prep.r, prep.s, pred, prep.Context(), nullptr);
+                                    prep.r, prep.s(), pred, prep.Context(), nullptr);
   EXPECT_EQ(pairs.size(), basic.num_rows());
 }
 

@@ -107,6 +107,29 @@ TEST(OverlapPredicateTest, NegativeOtherCoefficientSkipped) {
   EXPECT_DOUBLE_EQ(p.SSideRequired(2.0), 3.0);
 }
 
+TEST(OverlapPredicateTest, IsSymmetricWhenConjunctsMirror) {
+  EXPECT_TRUE(OverlapPredicate().IsSymmetric());
+  EXPECT_TRUE(OverlapPredicate::Absolute(3.0).IsSymmetric());
+  EXPECT_TRUE(OverlapPredicate::TwoSidedNormalized(0.8).IsSymmetric());
+  EXPECT_FALSE(OverlapPredicate::OneSidedNormalized(0.8).IsSymmetric());
+  OverlapPredicate edit;
+  edit.And({-2.0, 0.7, 0.0}).And({-2.0, 0.0, 0.7});
+  EXPECT_TRUE(edit.IsSymmetric());
+  // A mirror with another constant or coefficient is not a mirror.
+  OverlapPredicate skewed;
+  skewed.And({-2.0, 0.7, 0.0}).And({-1.0, 0.0, 0.7});
+  EXPECT_FALSE(skewed.IsSymmetric());
+  OverlapPredicate both;
+  both.And({1.0, 0.5, 0.25}).And({1.0, 0.25, 0.5});
+  EXPECT_TRUE(both.IsSymmetric());
+  // Symmetric predicates bound both sides alike, so a self-join's R and S
+  // prefixes are the same.
+  for (double norm : {0.0, 3.0, 11.5}) {
+    EXPECT_EQ(edit.RSideRequired(norm), edit.SSideRequired(norm));
+    EXPECT_EQ(both.RSideRequired(norm), both.SSideRequired(norm));
+  }
+}
+
 TEST(OverlapPredicateTest, ToStringMentionsNorms) {
   OverlapPredicate p = OverlapPredicate::TwoSidedNormalized(0.8);
   std::string s = p.ToString();

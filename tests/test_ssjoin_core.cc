@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.h"
@@ -158,6 +159,163 @@ TEST(SSJoinCoreTest, SelfJoinIncludesIdenticalGroups) {
                               f.Context(), nullptr);
   // Every group matches itself at resemblance 1 (plus possible exact dupes).
   EXPECT_GE(pairs.size(), f.r.num_groups());
+}
+
+/// The symmetric predicates the triangle path takes: absolute, 2-sided
+/// normalized and the edit-similarity linear form (k * norm + c per side).
+std::vector<OverlapPredicate> SymmetricPredicates() {
+  OverlapPredicate edit_linear;
+  edit_linear.And({-1.25, 0.8, 0.0}).And({-1.25, 0.0, 0.8});
+  return {OverlapPredicate::Absolute(2.0), OverlapPredicate::TwoSidedNormalized(0.5),
+          edit_linear};
+}
+
+exec::ExecContext Threads(size_t threads, size_t morsel) {
+  exec::ExecContext ec;
+  ec.num_threads = threads;
+  ec.morsel_size = morsel;
+  return ec;
+}
+
+/// A self-join given one relation object as both sides takes the triangle
+/// path; given a copy as S, the generic path. Both must return the same
+/// pairs with bit-equal overlaps, the triangle's already sorted by (r, s).
+TEST(TriangleSelfJoin, AliasedEqualsCopyAtEveryThreadCount) {
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    for (bool unit_weights : {true, false}) {
+      Fixture f = RandomFixture(seed, /*universe=*/25, /*r_groups=*/90,
+                                /*s_groups=*/1, unit_weights);
+      const SetsRelation copy = f.r;
+      const std::vector<OverlapPredicate> predicates = SymmetricPredicates();
+      for (size_t pi = 0; pi < predicates.size(); ++pi) {
+        const OverlapPredicate& pred = predicates[pi];
+        SCOPED_TRACE(pred.ToString() + (unit_weights ? " unit" : " weighted") +
+                     " seed " + std::to_string(seed));
+        ASSERT_TRUE(pred.IsSymmetric());
+        auto want = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r, copy,
+                                   pred, f.Context(), nullptr);
+        SortPairs(&want);
+        ASSERT_FALSE(want.empty());
+        for (size_t threads : {1, 2, 4}) {
+          for (size_t morsel : {1, 7, 2048}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, morsel " +
+                         std::to_string(morsel));
+            const exec::ExecContext ec = Threads(threads, morsel);
+            SSJoinContext ctx = f.Context();
+            ctx.exec = &ec;
+            auto got = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r, f.r,
+                                      pred, ctx, nullptr);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(got[i].r, want[i].r) << i;
+              ASSERT_EQ(got[i].s, want[i].s) << i;
+              ASSERT_EQ(got[i].overlap, want[i].overlap) << i;  // bit-equal
+            }
+            // Sorted by (r, s), strictly: no pair twice, so each group's
+            // diagonal pair (g, g) appears at most once.
+            for (size_t i = 1; i < got.size(); ++i) {
+              ASSERT_TRUE(got[i - 1].r < got[i].r ||
+                          (got[i - 1].r == got[i].r && got[i - 1].s < got[i].s))
+                  << i;
+            }
+            // Under the normalized predicates every non-empty group passes
+            // with itself: its diagonal pair is there.
+            if (pi > 0) {
+              size_t diagonal = 0;
+              size_t non_empty = 0;
+              for (const SSJoinPair& p : got) diagonal += p.r == p.s;
+              for (GroupId g = 0; g < f.r.num_groups(); ++g) {
+                non_empty += !f.r.set(g).empty();
+              }
+              EXPECT_EQ(diagonal, non_empty);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The triangle's candidates are exactly the unordered pairs {a, b} (a = b
+/// included) whose prefixes share an element; the copy's generic path
+/// counts each off-diagonal pair twice. Results and prefix counts match.
+TEST(TriangleSelfJoin, CandidatePairsCountUnorderedPrefixPairs) {
+  for (bool unit_weights : {true, false}) {
+    Fixture f = RandomFixture(21, /*universe=*/25, /*r_groups=*/70,
+                              /*s_groups=*/1, unit_weights);
+    const SetsRelation copy = f.r;
+    for (const OverlapPredicate& pred : SymmetricPredicates()) {
+      SCOPED_TRACE(pred.ToString() + (unit_weights ? " unit" : " weighted"));
+      PrefixFilteredRelation pref =
+          PrefixFilterRelation(f.r, f.weights, f.order, pred, JoinSide::kR);
+      std::vector<std::vector<text::TokenId>> sorted(f.r.num_groups());
+      for (GroupId g = 0; g < f.r.num_groups(); ++g) {
+        SetView p = pref.prefixes.view(g);
+        sorted[g].assign(p.begin(), p.end());
+        std::sort(sorted[g].begin(), sorted[g].end());
+      }
+      size_t unordered = 0;
+      size_t diagonal = 0;
+      for (GroupId a = 0; a < f.r.num_groups(); ++a) {
+        diagonal += !sorted[a].empty();
+        for (GroupId b = 0; b <= a; ++b) {
+          std::vector<text::TokenId> common;
+          std::set_intersection(sorted[a].begin(), sorted[a].end(), sorted[b].begin(),
+                                sorted[b].end(), std::back_inserter(common));
+          unordered += !common.empty();
+        }
+      }
+      SSJoinStats tri;
+      SSJoinStats generic;
+      auto tri_pairs = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r, f.r,
+                                      pred, f.Context(), &tri);
+      auto generic_pairs = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r,
+                                          copy, pred, f.Context(), &generic);
+      EXPECT_EQ(tri.candidate_pairs, unordered);
+      EXPECT_EQ(generic.candidate_pairs, 2 * unordered - diagonal);
+      EXPECT_EQ(tri.result_pairs, generic.result_pairs);
+      EXPECT_EQ(tri.result_pairs, tri_pairs.size());
+      EXPECT_EQ(generic_pairs.size(), tri_pairs.size());
+      EXPECT_EQ(tri.r_prefix_elements, generic.r_prefix_elements);
+      EXPECT_EQ(tri.s_prefix_elements, generic.s_prefix_elements);
+      EXPECT_LT(tri.equijoin_rows, generic.equijoin_rows);
+    }
+  }
+}
+
+/// An asymmetric predicate keeps an aliased self-join on the generic path:
+/// the same pairs in the same order, and the same statistics, as a copy.
+TEST(TriangleSelfJoin, OneSidedPredicateStaysOnGenericPath) {
+  Fixture f = RandomFixture(8, /*universe=*/25, /*r_groups=*/70, /*s_groups=*/1,
+                            /*unit_weights=*/false);
+  const SetsRelation copy = f.r;
+  OverlapPredicate mixed;
+  mixed.And({1.0, 0.25, 0.0}).And({0.5, 0.0, 0.4});
+  for (const OverlapPredicate& pred :
+       {OverlapPredicate::OneSidedNormalized(0.6), mixed}) {
+    SCOPED_TRACE(pred.ToString());
+    ASSERT_FALSE(pred.IsSymmetric());
+    const exec::ExecContext ec = Threads(2, 7);
+    SSJoinContext ctx = f.Context();
+    ctx.exec = &ec;
+    SSJoinStats aliased_stats;
+    SSJoinStats copy_stats;
+    auto aliased = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r, f.r,
+                                  pred, ctx, &aliased_stats);
+    auto copied = *ExecuteSSJoin(SSJoinAlgorithm::kPrefixFilterInline, f.r, copy,
+                                 pred, ctx, &copy_stats);
+    ASSERT_EQ(aliased.size(), copied.size());
+    for (size_t i = 0; i < aliased.size(); ++i) {
+      EXPECT_EQ(aliased[i].r, copied[i].r) << i;
+      EXPECT_EQ(aliased[i].s, copied[i].s) << i;
+      EXPECT_EQ(aliased[i].overlap, copied[i].overlap) << i;
+    }
+    EXPECT_EQ(aliased_stats.equijoin_rows, copy_stats.equijoin_rows);
+    EXPECT_EQ(aliased_stats.candidate_pairs, copy_stats.candidate_pairs);
+    EXPECT_EQ(aliased_stats.result_pairs, copy_stats.result_pairs);
+    EXPECT_EQ(aliased_stats.r_prefix_elements, copy_stats.r_prefix_elements);
+    EXPECT_EQ(aliased_stats.s_prefix_elements, copy_stats.s_prefix_elements);
+  }
 }
 
 TEST(SSJoinCoreTest, EmptyRelations) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
@@ -112,7 +113,7 @@ TEST_P(AlgorithmSweep, JaccardResemblanceJoinMatchesBruteForce) {
     PairSet expected;
     for (uint32_t i = 0; i < data.size(); ++i) {
       for (uint32_t j = 0; j < data.size(); ++j) {
-        double jr = sim::JaccardResemblance(prep.r.set(i), prep.s.set(j), weights);
+        double jr = sim::JaccardResemblance(prep.r.set(i), prep.s().set(j), weights);
         if (jr >= alpha - 1e-12) expected.insert({i, j});
       }
     }
@@ -133,7 +134,7 @@ TEST_P(AlgorithmSweep, JaccardContainmentJoinMatchesBruteForce) {
   for (uint32_t i = 0; i < data.size(); ++i) {
     for (uint32_t j = 0; j < data.size(); ++j) {
       if (prep.r.set(i).empty()) continue;  // zero-weight sets never emitted
-      double jc = sim::JaccardContainment(prep.r.set(i), prep.s.set(j), weights);
+      double jc = sim::JaccardContainment(prep.r.set(i), prep.s().set(j), weights);
       if (jc >= alpha - 1e-12) expected.insert({i, j});
     }
   }
@@ -168,8 +169,8 @@ TEST_P(AlgorithmSweep, CosineJoinMatchesBruteForce) {
   PairSet expected;
   for (uint32_t i = 0; i < data.size(); ++i) {
     for (uint32_t j = 0; j < data.size(); ++j) {
-      if (prep.r.set(i).empty() || prep.s.set(j).empty()) continue;
-      double cos = sim::CosineSimilarity(prep.r.set(i), prep.s.set(j), weights);
+      if (prep.r.set(i).empty() || prep.s().set(j).empty()) continue;
+      double cos = sim::CosineSimilarity(prep.r.set(i), prep.s().set(j), weights);
       if (cos >= alpha - 1e-12) expected.insert({i, j});
     }
   }
@@ -285,9 +286,9 @@ void ExpectSamePrep(const Prepared& a, const Prepared& b) {
   EXPECT_EQ(a.weights, b.weights);
   EXPECT_EQ(a.order.ranks(), b.order.ranks());
   EXPECT_TRUE(a.r.store == b.r.store);
-  EXPECT_TRUE(a.s.store == b.s.store);
+  EXPECT_TRUE(a.s().store == b.s().store);
   EXPECT_EQ(a.r.set_weights, b.r.set_weights);
-  EXPECT_EQ(a.s.set_weights, b.s.set_weights);
+  EXPECT_EQ(a.s().set_weights, b.s().set_weights);
   EXPECT_EQ(a.r.norms, b.r.norms);
 }
 
@@ -327,7 +328,12 @@ TEST(PrepThreads, SelfJoinPrepEqualsEncodingBothSides) {
     auto both = PrepareStrings(r, copy, tok, mode, Threads(1, 2048));
     ASSERT_TRUE(self.ok() && both.ok());
     ExpectSamePrep(*self, *both);
-    EXPECT_EQ(self->s.norms, both->s.norms);
+    EXPECT_EQ(self->s().norms, both->s().norms);
+    // The self-join stores no copy of R: S is R itself.
+    EXPECT_TRUE(self->self_join);
+    EXPECT_EQ(&self->s(), &self->r);
+    EXPECT_EQ(self->s_rel.num_groups(), 0u);
+    EXPECT_FALSE(both->self_join);
   }
 }
 
@@ -376,6 +382,44 @@ TEST(PrepThreads, JoinOutputsIdenticalAtOneTwoFourThreads) {
                            base.second.phases.phases().end(),
                            [](const auto& p) { return p.first == "Prep.relation"; }),
               base.second.phases.phases().end());
+  }
+}
+
+TEST(PrepThreads, SelfJoinEqualsJoinWithACopy) {
+  // One vector as R and S takes the self-join path (no copy of R, the
+  // inline prefix filter's triangle); a copy as S takes the generic path.
+  // The matches, their similarities and the verifier calls are the same;
+  // the self-join probes each unordered pair once.
+  const std::vector<std::string> data = SmallAddressCorpus(400, 91);
+  const std::vector<std::string> copy = data;
+  SetJoinOptions idf_words;  // word tokens, IDF weights
+  JoinExecution exec;
+  exec.exec = Threads(2, 37);
+  using JoinFn = std::function<Result<std::vector<MatchPair>>(
+      const std::vector<std::string>&, SimJoinStats*)>;
+  const std::pair<const char*, JoinFn> joins[] = {
+      {"edit",
+       [&](const std::vector<std::string>& s, SimJoinStats* st) {
+         return EditSimilarityJoin(data, s, 0.8, 3, exec, st);
+       }},
+      {"jaccard",
+       [&](const std::vector<std::string>& s, SimJoinStats* st) {
+         return JaccardResemblanceJoin(data, s, 0.6, idf_words, exec, st);
+       }},
+  };
+  for (const auto& [name, join] : joins) {
+    SCOPED_TRACE(name);
+    SimJoinStats self_stats;
+    SimJoinStats copy_stats;
+    auto self = join(data, &self_stats);
+    auto other = join(copy, &copy_stats);
+    ASSERT_TRUE(self.ok() && other.ok());
+    SortMatches(&self.ValueOrDie());
+    SortMatches(&other.ValueOrDie());
+    EXPECT_TRUE(SameMatches(*self, *other));
+    EXPECT_EQ(self_stats.verifier_calls, copy_stats.verifier_calls);
+    EXPECT_EQ(self_stats.ssjoin.result_pairs, copy_stats.ssjoin.result_pairs);
+    EXPECT_LT(self_stats.ssjoin.candidate_pairs, copy_stats.ssjoin.candidate_pairs);
   }
 }
 
